@@ -3,23 +3,34 @@
 The compiled ``_speedups`` extension is preferred when it imported cleanly;
 otherwise the pure-Python twin ``_pure`` takes over with identical behaviour.
 Set the environment variable IMMACULATE_PURE=1 to force the pure backend, for
-debugging or benchmarking.
+debugging or benchmarking.  BACKEND_REASON says why the active backend was
+chosen (for the pure fallback, the text of the swallowed ImportError); both
+are logged at DEBUG level on the ``immaculate`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 
 if os.environ.get("IMMACULATE_PURE", "").strip() not in ("", "0"):
     from . import _pure as _backend
+
+    BACKEND_REASON = "forced by the IMMACULATE_PURE environment variable"
 else:
     try:
         from . import _speedups as _backend  # type: ignore[attr-defined]
-    except ImportError:
+
+        BACKEND_REASON = "compiled extension imported"
+    except ImportError as exc:
         from . import _pure as _backend
+
+        BACKEND_REASON = f"compiled extension unavailable: {exc}"
 
 ShapeOps = _backend.ShapeOps
 BACKEND: str = _backend.BACKEND
+
+logging.getLogger("immaculate").debug("kernel backend %s (%s)", BACKEND, BACKEND_REASON)
 
 
 def get_backend(name: str | None = None):

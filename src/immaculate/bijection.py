@@ -7,8 +7,11 @@ pairs index exactly the n! fillings, which is what makes the hook-length
 count formula work.  ``straighten`` recovers the pair by repeatedly sliding
 entries with a modified jeu de taquin and recording where each slide stopped.
 
-Both directions return a Trace recording every intermediate state and path,
-and accept check=True to re-verify the structural invariants at every step.
+Both maps validate their input, run the shape's cached flat-array kernel
+(``_kernels``; check=True is its per-step invariant check) and wrap the
+result.  The Trace they return replays the intermediate states on first
+access, since the hook values log the whole run.  The single moves exposed
+here and the replay use the pure kernel, the reference for its compiled twin.
 """
 
 from __future__ import annotations
@@ -16,13 +19,34 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Sequence
 
+from . import _kernels
 from .composition import Cell, Composition
 from .errors import InternalCheckError, InvalidInputError, ParseError
-from .tableau import INFINITY, Tableau, format_grid_text, parse_grid_text
+from .tableau import Tableau, check_declared_shape, format_grid_text, parse_grid_text, split_flat
 
 Path = tuple[Cell, ...]
+
+
+@lru_cache(maxsize=64)
+def _kernel(parts: tuple[int, ...], backend: str | None = None):
+    """The cached ShapeOps of a shape, on the active backend unless named.
+
+    Only the pure kernel's single moves are callable from Python.
+    """
+    return _kernels.get_backend(backend).ShapeOps(parts)
+
+
+def _position(ops, cell: Cell) -> int:
+    return ops.row_start[cell.row - 1] + cell.col - 1
+
+
+def _cells(ops, positions) -> Path:
+    rowof, colof = ops.rowof, ops.colof
+    return tuple(Cell(rowof[p] + 1, colof[p] + 1) for p in positions)
 
 
 class HookTableau:
@@ -43,11 +67,10 @@ class HookTableau:
         if not rows or any(not r for r in rows):
             raise ValueError("hook tableau rows must be non-empty")
         shape = Composition(tuple(len(r) for r in rows))
-        for i, row in enumerate(rows, 1):
-            for j, v in enumerate(row, 1):
+        for i, (row, hooks) in enumerate(zip(rows, shape.hook_lengths()), 1):
+            for j, (v, h) in enumerate(zip(row, hooks), 1):
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise InvalidInputError(f"hook value at cell ({i}, {j}) must be an integer, got {v!r}")
-                h = shape.hook_length(Cell(i, j))
                 if not 1 <= v <= h:
                     raise InvalidInputError(
                         f"hook value {v} at cell ({i}, {j}) is outside 1..{h} for shape {shape}"
@@ -78,6 +101,14 @@ class HookTableau:
         row, col = self.shape.require_cell(cell)
         return self.rows[row - 1][col - 1]
 
+    def flat(self) -> tuple[int, ...]:
+        """All values in row-major order (the layout the kernels use)."""
+        return tuple(chain.from_iterable(self.rows))
+
+    @classmethod
+    def from_flat(cls, shape: Composition, values: Sequence[int]) -> "HookTableau":
+        return cls(split_flat(shape, values))
+
     def to_text(self) -> str:
         return format_grid_text(self.rows)
 
@@ -92,11 +123,13 @@ class HookTableau:
     def from_json_obj(cls, obj) -> "HookTableau":
         if not isinstance(obj, dict) or "rows" not in obj:
             raise ParseError("hook tableau JSON must be an object with a 'rows' key")
-        ht = cls(obj["rows"])
-        if "shape" in obj and tuple(obj["shape"]) != ht.shape.parts:
-            raise ParseError(
-                f"declared shape {obj['shape']} does not match rows of shape {ht.shape}"
-            )
+        try:
+            ht = cls(obj["rows"])
+        except InvalidInputError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad hook tableau rows: {exc}") from None
+        check_declared_shape(obj, ht.shape)
         return ht
 
 
@@ -112,7 +145,10 @@ class Pair:
             raise InvalidInputError(
                 f"tableau shape {self.tableau.shape} differs from hook tableau shape {self.hooks.shape}"
             )
-        if not self.tableau.is_standard_immaculate():
+        if not (
+            self.tableau.is_standard()
+            and _kernel(self.shape.parts).is_standard_immaculate(self.tableau.flat())
+        ):
             raise InvalidInputError("the tableau component of a pair must be standard immaculate")
 
     @property
@@ -152,21 +188,57 @@ class Pair:
         return cls.from_text(text)
 
 
-@dataclass(frozen=True)
 class Trace:
     """Every intermediate state of one run of straighten or unstraighten.
 
     states[k] holds (filling, hook values) after k steps, so states[0] is the
     input and states[-1] the output; paths[k] is the cell path step k+1 moved
     entries along.  A shape with n cells always yields n states and n-1 paths.
+
+    Only the pair is stored; states and paths are replayed on first access.
+    Unstraighten step k takes the k-th cell from the end of the traversal
+    order, rotates entries right along its hook as far as its hook value
+    says, and resets that value to 1.  A straighten run is the same replay
+    read backwards.
     """
 
-    states: tuple[tuple[Tableau, HookTableau], ...]
-    paths: tuple[Path, ...]
+    def __init__(self, pair: Pair, reverse: bool = False):
+        self._pair = pair
+        self._reverse = reverse
+
+    @cached_property
+    def _replay(self) -> tuple[tuple[tuple[Tableau, HookTableau], ...], tuple[Path, ...]]:
+        pair = self._pair
+        shape = pair.shape
+        ops = _kernel(shape.parts, "pure")
+        n = ops.size
+        t = list(pair.tableau.flat())
+        j = list(pair.hooks.flat())
+        states = [(pair.tableau, pair.hooks)]
+        paths = []
+        for k in range(1, n):
+            pos = ops.order[n - k]
+            path = ops._build_path(pos, j[pos])
+            j[pos] = 1
+            ops._rotate_right(t, path)
+            states.append((Tableau.from_flat(shape, t), HookTableau.from_flat(shape, j)))
+            paths.append(_cells(ops, path))
+        if self._reverse:
+            states.reverse()
+            paths.reverse()
+        return tuple(states), tuple(paths)
+
+    @property
+    def states(self) -> tuple[tuple[Tableau, HookTableau], ...]:
+        return self._replay[0]
+
+    @property
+    def paths(self) -> tuple[Path, ...]:
+        return self._replay[1]
 
     def to_json_obj(self) -> dict:
         return {
-            "shape": list(self.states[0][0].shape.parts),
+            "shape": list(self._pair.shape.parts),
             "states": [
                 {"tableau": [list(r) for r in t.rows], "hooks": [list(r) for r in h.rows]}
                 for t, h in self.states
@@ -186,11 +258,8 @@ def hook_path(shape: Composition, start, index: int) -> Path:
     h = shape.hook_length(start)
     if not 1 <= index <= h:
         raise ValueError(f"hook index {index} out of range 1..{h} for cell {tuple(start)}")
-    target = shape.hook_cells(start)[index - 1]
-    if target.row == start.row:
-        return tuple(Cell(start.row, j) for j in range(start.col, target.col + 1))
-    down = tuple(Cell(i, 1) for i in range(start.row, target.row + 1))
-    return down + tuple(Cell(target.row, j) for j in range(2, target.col + 1))
+    ops = _kernel(shape.parts, "pure")
+    return _cells(ops, ops._build_path(_position(ops, start), index))
 
 
 def _path_cells_valid(shape: Composition, path: Sequence) -> tuple[Cell, ...]:
@@ -199,24 +268,12 @@ def _path_cells_valid(shape: Composition, path: Sequence) -> tuple[Cell, ...]:
     return tuple(shape.require_cell(c) for c in path)
 
 
-def _check_path_shape(shape: Composition, path: Path) -> None:
-    """Raise unless path is a column-1 descent followed by a single-row run."""
-    seen_right = False
-    for a, b in zip(path, path[1:]):
-        if b == (a.row, a.col + 1):
-            seen_right = True
-        elif b == (a.row + 1, 1) and a.col == 1 and not seen_right:
-            pass
-        else:
-            raise InternalCheckError(f"path step {tuple(a)} -> {tuple(b)} breaks the hook-path form")
-
-
 def hook_index_of_path(shape: Composition, path: Sequence, check: bool = False) -> int:
     """Position of path's end within the hook of path's start (1-based).
 
     Uses the closed form: a same-row path of length m has index m, and a path
     descending from (i, 1) to (i', j') has index parts[i-1] + ... + parts[i'-2] + j'.
-    With check=True the answer is cross-checked against the listed hook cells.
+    With check=True the whole path must equal hook_path(start, index).
     """
     cells = _path_cells_valid(shape, path)
     start, end = cells[0], cells[-1]
@@ -228,14 +285,20 @@ def hook_index_of_path(shape: Composition, path: Sequence, check: bool = False) 
         index = sum(shape.parts[start.row - 1 : end.row - 1]) + end.col
     else:
         raise ValueError(f"no hook runs from {tuple(start)} to {tuple(end)}")
-    if check:
-        _check_path_shape(shape, cells)
-        listed = shape.hook_cells(start)
-        if listed[index - 1] != end:
-            raise InternalCheckError(
-                f"closed-form hook index {index} disagrees with listed hook cells at {tuple(start)}"
-            )
+    if check and hook_path(shape, start, index) != cells:
+        raise InternalCheckError(
+            f"path {[tuple(c) for c in cells]} is not the hook path from {tuple(start)} to {tuple(end)}"
+        )
     return index
+
+
+def _shifted(t: Tableau, path: Sequence, right: bool) -> Tableau:
+    cells = _path_cells_valid(t.shape, path)
+    ops = _kernel(t.shape.parts, "pure")
+    flat = list(t.flat())
+    rotate = ops._rotate_right if right else ops._rotate_left
+    rotate(flat, [_position(ops, c) for c in cells])
+    return Tableau.from_flat(t.shape, flat)
 
 
 def circular_right_shift(t: Tableau, path: Sequence) -> Tableau:
@@ -244,102 +307,43 @@ def circular_right_shift(t: Tableau, path: Sequence) -> Tableau:
     The entry of the last path cell wraps around to the first.  Cells off the
     path are untouched; a single-cell path is a no-op.
     """
-    cells = _path_cells_valid(t.shape, path)
-    grid = [list(r) for r in t.rows]
-    _rotate_right(grid, cells)
-    return Tableau(grid)
+    return _shifted(t, path, right=True)
 
 
 def circular_left_shift(t: Tableau, path: Sequence) -> Tableau:
     """Inverse of circular_right_shift on the same path."""
-    cells = _path_cells_valid(t.shape, path)
-    grid = [list(r) for r in t.rows]
-    _rotate_left(grid, cells)
-    return Tableau(grid)
-
-
-def _rotate_right(grid: list[list[int]], cells: Sequence[Cell]) -> None:
-    last = grid[cells[-1].row - 1][cells[-1].col - 1]
-    for k in range(len(cells) - 1, 0, -1):
-        a, b = cells[k - 1], cells[k]
-        grid[b.row - 1][b.col - 1] = grid[a.row - 1][a.col - 1]
-    grid[cells[0].row - 1][cells[0].col - 1] = last
-
-
-def _rotate_left(grid: list[list[int]], cells: Sequence[Cell]) -> None:
-    first = grid[cells[0].row - 1][cells[0].col - 1]
-    for k in range(len(cells) - 1):
-        a, b = cells[k], cells[k + 1]
-        grid[a.row - 1][a.col - 1] = grid[b.row - 1][b.col - 1]
-    grid[cells[-1].row - 1][cells[-1].col - 1] = first
-
-
-def _slide_grid(grid: list[list[int]], shape: Composition, start: Cell) -> list[Cell]:
-    """Slide the entry at start until it sits stably; mutates grid.
-
-    One move swaps the wandering entry with its right neighbour, except on
-    the first column where the smaller of the right and lower neighbours is
-    chosen (missing neighbours count as INFINITY).  Returns the cells visited.
-    """
-    path = [start]
-    i, j = start
-    while True:
-        e = grid[i - 1][j - 1]
-        right = grid[i - 1][j] if j < shape.parts[i - 1] else INFINITY
-        if j > 1:
-            if e <= right:
-                break
-            grid[i - 1][j - 1], grid[i - 1][j] = right, e
-            j += 1
-        else:
-            below = grid[i][0] if i < len(shape.parts) else INFINITY
-            if e <= right and e < below:
-                break
-            if right == below:
-                raise InternalCheckError(
-                    f"tied neighbours {right} while sliding at cell ({i}, {j})"
-                )
-            if right < below:
-                grid[i - 1][0], grid[i - 1][1] = right, e
-                j = 2
-            else:
-                grid[i - 1][0], grid[i][0] = below, e
-                i += 1
-        path.append(Cell(i, j))
-    return path
-
-
-def _check_slide(before: Tableau, path: Path, after: Tableau) -> None:
-    _check_path_shape(before.shape, path)
-    if circular_left_shift(before, path) != after:
-        raise InternalCheckError(
-            f"slide along {[tuple(c) for c in path]} is not the circular left shift of that path"
-        )
+    return _shifted(t, path, right=False)
 
 
 def jdt_slide(t: Tableau, value: int, check: bool = False) -> tuple[Tableau, Path]:
     """Modified jeu de taquin: slide the cell holding value until stable.
 
-    t must be a standard filling (entries exactly 1..n).  Returns the new
-    tableau and the path of cells the value visited; a value that is already
-    stable stays put and yields a single-cell path.
+    One move swaps the wandering entry with its right neighbour, except on
+    the first column where the smaller of the right and lower neighbours is
+    chosen (missing neighbours count as infinite).  t must be a standard
+    filling (entries exactly 1..n).  Returns the new tableau and the path of
+    cells the value visited; a value that is already stable stays put and
+    yields a single-cell path.  check=True asserts, as the kernel's check
+    mode does for every slide, that the path is the hook path of its
+    endpoints and the result is the circular left shift along it.
     """
     if not t.is_standard():
         raise InvalidInputError("jeu de taquin needs a filling with entries exactly 1..n")
     if not 1 <= value <= t.n:
         raise ValueError(f"value {value} does not occur (entries run 1..{t.n})")
-    start = next(
-        Cell(i, j)
-        for i, row in enumerate(t.rows, 1)
-        for j, v in enumerate(row, 1)
-        if v == value
-    )
-    grid = [list(r) for r in t.rows]
-    path = tuple(_slide_grid(grid, t.shape, start))
-    result = Tableau(grid)
+    ops = _kernel(t.shape.parts, "pure")
+    before = t.flat()
+    start = before.index(value)
+    flat = list(before)
+    path = ops._slide(flat, start)
     if check:
-        _check_slide(t, path, result)
-    return result, path
+        if path != ops._build_path(start, path[-1] - start + 1):
+            raise InternalCheckError("slide path is not the hook path of its endpoints")
+        rotated = list(before)
+        ops._rotate_left(rotated, path)
+        if rotated != flat:
+            raise InternalCheckError("slide result is not the circular left shift of its path")
+    return Tableau.from_flat(t.shape, flat), _cells(ops, path)
 
 
 def unstraighten(pair: Pair, check: bool = False) -> tuple[Tableau, Trace]:
@@ -351,30 +355,8 @@ def unstraighten(pair: Pair, check: bool = False) -> tuple[Tableau, Trace]:
     determines the input, which is what straighten exploits.
     """
     shape = pair.shape
-    n = shape.n
-    order = shape.cell_order()
-    grid = [list(r) for r in pair.tableau.rows]
-    hooks = [list(r) for r in pair.hooks.rows]
-    states: list[tuple[Tableau, HookTableau]] = [(pair.tableau, pair.hooks)]
-    paths: list[Path] = []
-    for k in range(1, n):
-        cell = order[n - k]
-        if check and not states[-1][0].is_prefix_standard(cell, inclusive=True):
-            raise InternalCheckError(
-                f"state {k} lost prefix standardness at cell {tuple(cell)}"
-            )
-        v = hooks[cell.row - 1][cell.col - 1]
-        hooks[cell.row - 1][cell.col - 1] = 1
-        path = hook_path(shape, cell, v)
-        _rotate_right(grid, path)
-        states.append((Tableau(grid), HookTableau(hooks)))
-        paths.append(path)
-    if check:
-        if any(v != 1 for row in hooks for v in row):
-            raise InternalCheckError("hook values not exhausted after the final step")
-        if not states[-1][0].is_prefix_standard(order[0], inclusive=True):
-            raise InternalCheckError("final state lost prefix standardness at the first cell")
-    return states[-1][0], Trace(tuple(states), tuple(paths))
+    flat = _kernel(shape.parts).unstraighten(pair.tableau.flat(), pair.hooks.flat(), check)
+    return Tableau.from_flat(shape, flat), Trace(pair)
 
 
 def straighten(t: Tableau, check: bool = False) -> tuple[Pair, Trace]:
@@ -388,27 +370,9 @@ def straighten(t: Tableau, check: bool = False) -> tuple[Pair, Trace]:
     if not t.is_standard():
         raise InvalidInputError("straighten needs a filling with entries exactly 1..n")
     shape = t.shape
-    n = shape.n
-    order = shape.cell_order()
-    grid = [list(r) for r in t.rows]
-    hooks = [[1] * p for p in shape.parts]
-    states: list[tuple[Tableau, HookTableau]] = [(t, HookTableau.all_ones(shape))]
-    paths: list[Path] = []
-    for k in range(1, n):
-        cell = order[k]
-        path = tuple(_slide_grid(grid, shape, cell))
-        hooks[cell.row - 1][cell.col - 1] = hook_index_of_path(shape, path, check=check)
-        frozen = Tableau(grid)
-        if check:
-            _check_slide(states[-1][0], path, frozen)
-            if not frozen.is_prefix_standard(cell, inclusive=True):
-                raise InternalCheckError(
-                    f"state {k + 1} is not prefix standard at cell {tuple(cell)}"
-                )
-        states.append((frozen, HookTableau(hooks)))
-        paths.append(path)
+    p, j = _kernel(shape.parts).straighten(t.flat(), check)
     try:
-        pair = Pair(states[-1][0], states[-1][1])
+        pair = Pair(Tableau.from_flat(shape, p), HookTableau.from_flat(shape, j))
     except InvalidInputError as exc:
         raise InternalCheckError(f"straighten produced an invalid pair: {exc}") from exc
-    return pair, Trace(tuple(states), tuple(paths))
+    return pair, Trace(pair, reverse=True)

@@ -120,26 +120,28 @@ class Composition:
         )
 
     def hook_length(self, cell) -> int:
-        """Number of cells in the hook of cell (closed form, no enumeration)."""
+        """Number of cells in the hook of cell (looked up in the cached hook grid)."""
         i, j = self.require_cell(cell)
-        if j > 1:
-            return self.parts[i - 1] - j + 1
-        return sum(self.parts[i - 1 :])
+        return self._hook_grid[i - 1][j - 1]
+
+    @cached_property
+    def _hook_grid(self) -> tuple[tuple[int, ...], ...]:
+        # a first-column hook is the suffix sum of the parts, so one backward
+        # pass gives every hook length in O(n)
+        grid = []
+        below = 0
+        for part in reversed(self.parts):
+            below += part
+            grid.append((below,) + tuple(range(part - 1, 0, -1)))
+        return tuple(reversed(grid))
 
     def hook_lengths(self) -> tuple[tuple[int, ...], ...]:
         """Grid of hook lengths, one tuple per row of the diagram."""
-        return tuple(
-            tuple(self.hook_length(Cell(i, j)) for j in range(1, part + 1))
-            for i, part in enumerate(self.parts, 1)
-        )
+        return self._hook_grid
 
     @cached_property
     def _hook_product(self) -> int:
-        prod = 1
-        for row in self.hook_lengths():
-            for h in row:
-                prod *= h
-        return prod
+        return math.prod(h for row in self._hook_grid for h in row)
 
     def hook_product(self) -> int:
         """Product of all hook lengths of the diagram."""

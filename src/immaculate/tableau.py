@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .composition import Cell, Composition
@@ -33,6 +34,29 @@ def parse_grid_text(text: str) -> tuple[tuple[int, ...], ...]:
 def format_grid_text(rows: Iterable[Iterable[int]]) -> str:
     """Render rows as lines of space-separated integers (no trailing newline)."""
     return "\n".join(" ".join(str(v) for v in row) for row in rows)
+
+
+def split_flat(shape: Composition, entries: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Cut row-major entries into the rows of shape."""
+    if len(entries) != shape.n:
+        raise ValueError(f"need {shape.n} entries for shape {shape}, got {len(entries)}")
+    rows = []
+    pos = 0
+    for part in shape.parts:
+        rows.append(tuple(entries[pos : pos + part]))
+        pos += part
+    return tuple(rows)
+
+
+def check_declared_shape(obj: dict, shape: Composition) -> None:
+    """Raise ParseError unless the optional "shape" of a JSON object is a list equal to shape."""
+    if "shape" not in obj:
+        return
+    declared = obj["shape"]
+    if not isinstance(declared, list):
+        raise ParseError(f"declared shape must be a list, got {declared!r}")
+    if tuple(declared) != shape.parts:
+        raise ParseError(f"declared shape {declared} does not match rows of shape {shape}")
 
 
 def _validate_rows(rows) -> tuple[tuple[int, ...], ...]:
@@ -127,7 +151,7 @@ class Tableau:
 
     def is_standard(self) -> bool:
         """True when the entries are exactly 1..n, each once (no order demanded)."""
-        return self.content() == (1,) * self.n
+        return sorted(self.flat()) == list(range(1, self.n + 1))
 
     def is_standard_immaculate(self) -> bool:
         return self.is_standard() and all(self.is_stable(c) for c in self.shape.cells())
@@ -161,18 +185,11 @@ class Tableau:
 
     def flat(self) -> tuple[int, ...]:
         """All entries in row-major order (the layout the kernels use)."""
-        return tuple(v for row in self.rows for v in row)
+        return tuple(chain.from_iterable(self.rows))
 
     @classmethod
     def from_flat(cls, shape: Composition, entries: Sequence[int]) -> "Tableau":
-        if len(entries) != shape.n:
-            raise ValueError(f"need {shape.n} entries for shape {shape}, got {len(entries)}")
-        rows = []
-        pos = 0
-        for part in shape.parts:
-            rows.append(tuple(entries[pos : pos + part]))
-            pos += part
-        return cls(rows)
+        return cls(split_flat(shape, entries))
 
     def to_text(self) -> str:
         return format_grid_text(self.rows)
@@ -197,10 +214,7 @@ class Tableau:
             t = cls(obj["rows"])
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad tableau rows: {exc}") from None
-        if "shape" in obj and tuple(obj["shape"]) != t.shape.parts:
-            raise ParseError(
-                f"declared shape {obj['shape']} does not match rows of shape {t.shape}"
-            )
+        check_declared_shape(obj, t.shape)
         return t
 
     @classmethod

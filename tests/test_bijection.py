@@ -1,5 +1,7 @@
 import itertools
 import json
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -324,6 +326,43 @@ class TestRoundTrip:
 
 
 class TestTrace:
+    @given(fillings())
+    @settings(max_examples=60)
+    def test_replay_follows_hook_values(self, t):
+        pair, down = straighten(t)
+        _, up = unstraighten(pair)
+        order = t.shape.cell_order()
+        assert up.states[0] == (pair.tableau, pair.hooks)
+        assert up.states[-1] == (t, HookTableau.all_ones(t.shape))
+        for k, path in enumerate(up.paths):
+            # step k + 1 consumes the hook value of the (k + 1)-th cell from
+            # the end of the traversal order, and touches nothing off its path
+            cell = order[-1 - k]
+            assert path == hook_path(t.shape, cell, pair.hooks.value_at(cell))
+            before, after = up.states[k][0], up.states[k + 1][0]
+            onpath = set(path)
+            assert all(before.entry_at(c) == after.entry_at(c)
+                       for c in t.shape.cells() if c not in onpath)
+        assert down.states == tuple(reversed(up.states))
+        assert down.paths == tuple(reversed(up.paths))
+
+    def test_straighten_does_not_build_the_trace(self):
+        # an eager trace of 30x30 holds 900 states of 900 entries each (over
+        # 10 MB); the lazy one costs only the kernel's flat arrays
+        alpha = Composition((30,) * 30)
+        vals = list(range(1, alpha.n + 1))
+        random.Random(5).shuffle(vals)
+        t = Tableau.from_flat(alpha, vals)
+        tracemalloc.start()
+        try:
+            pair, trace = straighten(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
+        assert len(trace.states) == alpha.n
+        assert trace.states[-1] == (pair.tableau, pair.hooks)
+
     def test_json_shape(self):
         _, trace = unstraighten(Pair(WIDE_P, WIDE_J))
         obj = trace.to_json_obj()

@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +195,38 @@ class TestPhi:
         f = tmp_path / "t.txt"
         f.write_text("0 2\n3\n4 5\n")
         assert main(["phi", str(f)]) == 2
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestTraceGolden:
+    # expected output captured from the eager-trace implementation; the
+    # replayed trace must print byte for byte the same
+    @pytest.mark.parametrize("command, text", [
+        ("psi", WIDE_PAIR_TEXT), ("phi", WIDE_FILLING_TEXT),
+    ])
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+    def test_worked_example(self, capsys, tmp_path, command, text, fmt, suffix):
+        f = tmp_path / "input.txt"
+        f.write_text(text)
+        assert main([command, str(f), "--trace", "--format", fmt]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{command}_trace.{suffix}").read_text()
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("command, payload", [
+        ("psi", {"P": {"rows": [[1]]}, "J": {"rows": [[]]}}),
+        ("psi", {"P": {"rows": [[1]]}, "J": {"rows": 5}}),
+        ("psi", {"P": {"rows": [[1]]}, "J": {"rows": [[1]], "shape": 7}}),
+        ("phi", {"rows": [[1]], "shape": 7}),
+    ])
+    def test_exits_2_without_traceback(self, capsys, tmp_path, command, payload):
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps(payload))
+        assert main([command, str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestVerify:

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from immaculate._kernels import BACKEND, get_backend
+from immaculate._kernels import BACKEND, BACKEND_REASON, get_backend
 from immaculate.bijection import HookTableau, Pair, straighten, unstraighten
 from immaculate.composition import Composition, compositions, count_formula
 from immaculate.errors import InternalCheckError
@@ -109,6 +109,26 @@ class TestCompiledAgainstPure:
             assert a.scan_pairs(p_table, 0, y, True) == b.scan_pairs(p_table, 0, y, True) == []
 
 
+@pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=needs_compiled)])
+@pytest.mark.parametrize("check", [False, True])
+def test_object_layer_matches_kernel(backend, check):
+    # straighten/unstraighten only validate and wrap the kernel, so on every
+    # backend the objects carry exactly the kernel's flat results
+    rng = random.Random(23)
+    for n in (1, 5, 20, 49, 100):
+        for _ in range(4):
+            parts = random_shape(rng, n)
+            ops = get_backend(backend).ShapeOps(parts)
+            vals = list(range(1, n + 1))
+            rng.shuffle(vals)
+            pair, _ = straighten(Tableau.from_flat(Composition(parts), vals), check=check)
+            p, j = ops.straighten(vals, check)
+            assert pair.tableau.flat() == tuple(p)
+            assert pair.hooks.flat() == tuple(j)
+            back, _ = unstraighten(pair, check=check)
+            assert back.flat() == tuple(ops.unstraighten(p, j, check)) == tuple(vals)
+
+
 def _sits(alpha):
     for perm in itertools.permutations(range(1, alpha.n + 1)):
         t = Tableau.from_flat(alpha, perm)
@@ -184,6 +204,23 @@ class TestBackendSelection:
             capture_output=True, text=True, env=env,
         )
         assert out.stdout.strip() == "pure"
+
+    def test_reason_names_the_choice(self):
+        assert isinstance(BACKEND_REASON, str) and BACKEND_REASON
+        if BACKEND == "pure" and os.environ.get("IMMACULATE_PURE", "").strip() in ("", "0"):
+            # the swallowed ImportError text is kept
+            assert "_speedups" in BACKEND_REASON
+
+    def test_reason_logged_at_debug_only(self):
+        env = dict(os.environ, IMMACULATE_PURE="1")
+        code = ("import logging, sys; logging.basicConfig(level=logging.DEBUG, stream=sys.stdout);"
+                "import immaculate._kernels as k; print(k.BACKEND_REASON)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert "kernel backend pure" in out.stdout
+        assert "IMMACULATE_PURE" in out.stdout
+        quiet = subprocess.run([sys.executable, "-m", "immaculate.cli", "hooks", "2,1,2"],
+                               capture_output=True, text=True, env=env)
+        assert quiet.stdout == "5 1\n3\n2 1\n" and quiet.stderr == ""
 
     def test_get_backend_rejects_unknown(self):
         with pytest.raises(ValueError):
