@@ -287,7 +287,7 @@ def hook_index_of_path(shape: Composition, path: Sequence, check: bool = False) 
         raise ValueError(f"no hook runs from {tuple(start)} to {tuple(end)}")
     if check and hook_path(shape, start, index) != cells:
         raise InternalCheckError(
-            f"path {[tuple(c) for c in cells]} is not the hook path from {tuple(start)} to {tuple(end)}"
+            f"path {[tuple(c) for c in cells]} is not the hook path of its endpoints"
         )
     return index
 
