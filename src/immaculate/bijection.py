@@ -70,7 +70,7 @@ class HookTableau:
         for i, (row, hooks) in enumerate(zip(rows, shape.hook_lengths()), 1):
             for j, (v, h) in enumerate(zip(row, hooks), 1):
                 if not isinstance(v, int) or isinstance(v, bool):
-                    raise InvalidInputError(f"hook value at cell ({i}, {j}) must be an integer, got {v!r}")
+                    raise ValueError(f"hook value at cell ({i}, {j}) must be an integer, got {v!r}")
                 if not 1 <= v <= h:
                     raise InvalidInputError(
                         f"hook value {v} at cell ({i}, {j}) is outside 1..{h} for shape {shape}"

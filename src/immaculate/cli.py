@@ -150,7 +150,7 @@ def cmd_verify(args) -> int:
     else:
         if args.n < 1:
             raise ParseError(f"--n must be positive, got {args.n}")
-        shapes = list(compositions(args.n))
+        shapes = compositions(args.n)
     reports = []
     for alpha in shapes:
         reports.append(

@@ -178,15 +178,16 @@ def compositions(n: int) -> Iterator[Composition]:
     """All 2**(n-1) compositions of n, in lexicographic order of their parts."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-
-    def rec(remaining: int, prefix: tuple[int, ...]) -> Iterator[Composition]:
-        if remaining == 0:
-            yield Composition(prefix)
+    parts = [1] * n
+    while True:
+        yield Composition(tuple(parts))
+        # successor: drop the last part, add one to the new last part, and
+        # spread what the dropped part had left over as ones
+        last = parts.pop()
+        if not parts:
             return
-        for first in range(1, remaining + 1):
-            yield from rec(remaining - first, prefix + (first,))
-
-    return rec(n, ())
+        parts[-1] += 1
+        parts.extend([1] * (last - 1))
 
 
 def count_formula(alpha: Composition) -> int:

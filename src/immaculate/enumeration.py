@@ -1,11 +1,15 @@
 """Counting, enumeration, sampling, and the bijection verification harness.
 
 The count of standard immaculate tableaux can be obtained three independent
-ways: the hook-length formula, a recursion on where the largest entry sits,
-and brute-force filtering of all n! fillings.  verify_bijection cross-checks
-all three and roundtrips the straightening bijection over its whole domain
-(or a seeded random sample of it), which together re-proves the formula for
-the given shape.
+ways: the hook-length formula n!/prod(hooks), the first-row recursion (one
+binomial per row, multiplied), and brute-force filtering of all n! fillings.
+Enumeration and sampling use the same row-by-row construction as the
+recursion: the smallest label left heads the row and any part - 1 of the
+other labels left, sorted, fill its tail.  None of them keeps a memo table
+or calls itself.  verify_bijection cross-checks all three counts and
+roundtrips the straightening bijection over its whole domain (or a seeded
+random sample of it), which together re-proves the formula for the given
+shape.
 """
 
 from __future__ import annotations
@@ -16,14 +20,13 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from ._kernels import BACKEND, get_backend
 from .bijection import HookTableau
 from .composition import Composition, count_formula
 from .errors import GuardExceededError, InternalCheckError
-from .tableau import Tableau
+from .tableau import Tableau, split_flat
 
 # Factorial growth makes these defaults generous already: 10! fillings for
 # the brute-force filter, and 2 * 8! roundtrips per shape when exhaustive.
@@ -69,62 +72,66 @@ def count_brute(alpha: Composition, guard: int = BRUTE_GUARD) -> int:
     return get_backend().ShapeOps(alpha.parts).count_standard()
 
 
-# -- recursion on the largest entry ----------------------------------------
+# -- row by row ---------------------------------------------------------------
 #
-# In a standard immaculate tableau the entry n admits no neighbour
-# constraints pointing away from it, so it sits either at the right end of a
-# row with at least two cells, or alone in a trailing one-cell row.  Deleting
-# it leaves a standard immaculate tableau of the reduced shape, and every
-# reduced tableau extends back uniquely.
+# The order relation of the diagram is a rooted forest: column 1 is a chain
+# and each row's tail hangs off the row's first cell.  So a standard
+# immaculate tableau is built row by row: cell (i, 1) takes the smallest
+# label left, and any part_i - 1 of the other labels left, sorted, fill the
+# rest of row i.
 
 
-def _reductions(parts: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(row index to extend, reduced shape) options; row index -1 adds a new row."""
-    for i, p in enumerate(parts):
-        if p >= 2:
-            yield i, parts[:i] + (p - 1,) + parts[i + 1 :]
-    if parts[-1] == 1 and len(parts) > 1:
-        yield -1, parts[:-1]
+def _fill_row(labels: list[int], tail: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The row headed by labels[0] with tail sorted after it, and the labels left.
 
-
-@lru_cache(maxsize=None)
-def _count_rec(parts: tuple[int, ...]) -> int:
-    if parts == (1,):
-        return 1
-    return sum(_count_rec(reduced) for _, reduced in _reductions(parts))
+    labels are the labels not yet placed, ascending; tail is drawn from labels[1:].
+    """
+    taken = set(tail)
+    return [labels[0], *sorted(tail)], [v for v in labels[1:] if v not in taken]
 
 
 def count_recursive(alpha: Composition) -> int:
-    """Count standard immaculate tableaux by the largest-entry recursion."""
-    return _count_rec(alpha.parts)
+    """Count standard immaculate tableaux by the first-row recursion.
 
-
-def _enum_rows(parts: tuple[int, ...], n: int) -> Iterator[list[list[int]]]:
-    # yields one shared mutable rows object; callers must snapshot before
-    # advancing the generator (Tableau construction copies)
-    if parts == (1,):
-        yield [[1]]
-        return
-    for i, reduced in _reductions(parts):
-        for rows in _enum_rows(reduced, n - 1):
-            if i >= 0:
-                rows[i].append(n)
-                yield rows
-                rows[i].pop()
-            else:
-                rows.append([n])
-                yield rows
-                rows.pop()
+    Row 1 takes label 1 and any part_1 - 1 of the other n - 1 labels, and the
+    rows below form a standard immaculate tableau on the labels left, so
+    f(alpha) = C(n - 1, part_1 - 1) * f(part_2, ..., part_l).
+    """
+    count = 1
+    left = alpha.n
+    for part in alpha.parts:
+        count *= math.comb(left - 1, part - 1)
+        left -= part
+    return count
 
 
 def enumerate_standard_immaculate(alpha: Composition) -> Iterator[Tableau]:
     """Stream every standard immaculate tableau of the shape exactly once.
 
-    Runs the largest-entry recursion forward, so memory stays proportional to
-    n and no time is wasted on fillings that fail the stability conditions.
+    Builds the tableaux row by row, depth first, with one lazy
+    itertools.combinations iterator per row, so memory stays proportional to
+    n and no time is spent on fillings that fail the stability conditions.
+    The order is lexicographic in the row tails, row 1 first, with larger
+    labels first: for 2,1,2 the row-1 tails come out as 5, 4, 3, 2, and
+    tableaux that share row 1 come out together.
     """
-    for rows in _enum_rows(alpha.parts, alpha.n):
-        yield Tableau(rows)
+    parts = alpha.parts
+    labels = list(range(1, alpha.n + 1))
+    stack = [(itertools.combinations(labels[:0:-1], parts[0] - 1), labels)]
+    rows: list[list[int]] = []
+    while stack:
+        tails, labels = stack[-1]
+        tail = next(tails, None)
+        if tail is None:
+            stack.pop()
+            continue
+        depth = len(stack) - 1
+        row, rest = _fill_row(labels, tail)
+        rows[depth:] = [row]
+        if depth + 1 == len(parts):
+            yield Tableau(rows)
+        else:
+            stack.append((itertools.combinations(rest[:0:-1], parts[depth + 1] - 1), rest))
 
 
 def all_hook_tableaux(alpha: Composition) -> Iterator[HookTableau]:
@@ -133,14 +140,9 @@ def all_hook_tableaux(alpha: Composition) -> Iterator[HookTableau]:
     The stream order matches the index convention of the pair scans: the
     j-th emitted hook tableau is the mixed-radix expansion of j.
     """
-    ranges = [range(1, alpha.hook_length(c) + 1) for c in alpha.cells()]
+    ranges = [range(1, h + 1) for row in alpha.hook_lengths() for h in row]
     for values in itertools.product(*ranges):
-        rows = []
-        pos = 0
-        for part in alpha.parts:
-            rows.append(values[pos : pos + part])
-            pos += part
-        yield HookTableau(rows)
+        yield HookTableau.from_flat(alpha, values)
 
 
 def unrank_permutation(n: int, rank: int) -> tuple[int, ...]:
@@ -174,40 +176,24 @@ def random_standard_filling(alpha: Composition, rng: random.Random) -> Tableau:
 
 
 def random_hook_tableau(alpha: Composition, rng: random.Random) -> HookTableau:
-    return HookTableau(
-        [
-            [rng.randint(1, alpha.hook_length((i, j))) for j in range(1, part + 1)]
-            for i, part in enumerate(alpha.parts, 1)
-        ]
-    )
+    return HookTableau([[rng.randint(1, h) for h in row] for row in alpha.hook_lengths()])
 
 
 def random_standard_immaculate(alpha: Composition, rng: random.Random) -> Tableau:
     """Uniformly random standard immaculate tableau of the shape.
 
-    Walks the largest-entry recursion downward, choosing each reduction with
-    probability proportional to the count below it, so every tableau comes
-    out with probability exactly 1 / count.
+    Builds the tableau row by row: each row's tail is a uniform sample of
+    part - 1 of the labels left after the row's first cell.  Every tableau
+    arises from exactly one sequence of choices, and each sequence has the
+    same probability, so every tableau comes out with probability exactly
+    1 / count.
     """
-
-    def rec(parts: tuple[int, ...], n: int) -> list[list[int]]:
-        if parts == (1,):
-            return [[1]]
-        options = list(_reductions(parts))
-        r = rng.randrange(_count_rec(parts))
-        for i, reduced in options:
-            w = _count_rec(reduced)
-            if r < w:
-                rows = rec(reduced, n - 1)
-                if i >= 0:
-                    rows[i].append(n)
-                else:
-                    rows.append([n])
-                return rows
-            r -= w
-        raise AssertionError("reduction weights did not sum to the count")
-
-    return Tableau(rec(alpha.parts, alpha.n))
+    labels = list(range(1, alpha.n + 1))
+    rows = []
+    for part in alpha.parts:
+        row, labels = _fill_row(labels, rng.sample(labels[1:], part - 1))
+        rows.append(row)
+    return Tableau(rows)
 
 
 # -- verification harness ----------------------------------------------------
@@ -319,17 +305,12 @@ def _chunks(total: int, pieces: int) -> list[tuple[int, int]]:
 
 
 def _reshape(alpha: Composition, flat: Sequence[int]) -> list[list[int]]:
-    rows = []
-    pos = 0
-    for part in alpha.parts:
-        rows.append(list(flat[pos : pos + part]))
-        pos += part
-    return rows
+    return [list(r) for r in split_flat(alpha, flat)]
 
 
 def _split_failures(alpha, raw, side, p_table, hook_prod):
     """Attach the offending object to each raw (index, stage, message) entry."""
-    hooklen = [alpha.hook_length(c) for c in alpha.cells()]
+    hooklen = [h for row in alpha.hook_lengths() for h in row]
     roundtrip, assertion = [], []
     for index, stage, message in sorted(raw):
         entry = {"side": side, "index": index, "stage": stage, "message": message}

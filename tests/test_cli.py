@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -220,6 +224,7 @@ class TestMalformedJson:
         ("psi", {"P": {"rows": [[1]]}, "J": {"rows": 5}}),
         ("psi", {"P": {"rows": [[1]]}, "J": {"rows": [[1]], "shape": 7}}),
         ("phi", {"rows": [[1]], "shape": 7}),
+        ("psi", {"P": {"rows": [[1]]}, "J": {"rows": [["x"]]}}),
     ])
     def test_exits_2_without_traceback(self, capsys, tmp_path, command, payload):
         f = tmp_path / "input.json"
@@ -303,6 +308,48 @@ class TestVerify:
             }],
             "assertion_failures": [],
         }]
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _run_cli(*args, preexec_fn=None):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "immaculate.cli", *args],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path), preexec_fn=preexec_fn,
+    )
+
+
+def _cap_address_space():
+    cap = 2 * 1024 ** 3
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+class TestLargeInputs:
+    # shapes far past any recursion limit or memo budget end in a documented
+    # exit code, never a traceback
+    def test_count_long_row(self):
+        out = _run_cli("count", "2000", "--method", "recursive")
+        assert (out.returncode, out.stdout, out.stderr) == (0, "1\n", "")
+
+    def test_enumerate_long_row(self):
+        out = _run_cli("enumerate", "1500")
+        assert out.returncode == 0 and out.stderr == ""
+        assert out.stdout.endswith("count: 1\n")
+
+    def test_verify_all_shapes_of_1500_hits_guard(self):
+        out = _run_cli("verify", "--n", "1500")
+        assert out.returncode == 3
+        assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
+    def test_sampled_verify_10x10_in_bounded_memory(self):
+        shape = ",".join(["10"] * 10)
+        out = _run_cli("verify", shape, "--mode", "sampled", "--samples", "200",
+                       preexec_fn=_cap_address_space)
+        assert out.returncode == 0, out.stderr
+        assert "1/1 shapes ok" in out.stdout
 
 
 class TestArgumentErrors:

@@ -85,6 +85,17 @@ class TestRecursiveEnumeration:
             Tableau([[1, 2, 3, 4]])
         ]
 
+    def test_order_groups_by_first_row(self):
+        # row tails are taken lexicographically from row 1 down, larger
+        # labels first
+        rows = [t.rows for t in enumerate_standard_immaculate(Composition((2, 2, 1)))]
+        assert rows == [
+            ((1, 5), (2, 4), (3,)), ((1, 5), (2, 3), (4,)),
+            ((1, 4), (2, 5), (3,)), ((1, 4), (2, 3), (5,)),
+            ((1, 3), (2, 5), (4,)), ((1, 3), (2, 4), (5,)),
+            ((1, 2), (3, 5), (4,)), ((1, 2), (3, 4), (5,)),
+        ]
+
     def test_count_recursive_agrees(self):
         for n in range(1, 8):
             for alpha in compositions(n):
@@ -157,6 +168,24 @@ class TestSampling:
             counts[t.rows] = counts.get(t.rows, 0) + 1
         assert len(counts) == 4
         assert all(c > 50 for c in counts.values())
+
+    @pytest.mark.parametrize("parts, seed", [((3, 1, 2, 2), 11), ((2, 3, 1, 2), 12)])
+    def test_chi_square_uniform(self, parts, seed):
+        # 200 draws per tableau; Pearson's statistic has mean df and standard
+        # deviation sqrt(2 df) under uniformity, so df + 4 sqrt(2 df) is a
+        # four-sigma bound
+        alpha = Composition(parts)
+        everything = {t.rows for t in enumerate_standard_immaculate(alpha)}
+        f = count_formula(alpha)
+        assert len(everything) == f
+        rng = random.Random(seed)
+        counts = dict.fromkeys(everything, 0)
+        for _ in range(200 * f):
+            counts[random_standard_immaculate(alpha, rng).rows] += 1
+        assert len(counts) == f
+        df = f - 1
+        chi2 = sum((c - 200) ** 2 / 200 for c in counts.values())
+        assert chi2 < df + 4 * math.sqrt(2 * df)
 
 
 class TestVerifyExhaustive:
