@@ -2,9 +2,11 @@ import itertools
 import json
 import math
 import random
+import types
 
 import pytest
 
+from immaculate._kernels import _pure
 from immaculate.bijection import HookTableau, Pair, straighten, unstraighten
 from immaculate.composition import Composition, compositions, count_formula
 from immaculate.enumeration import (
@@ -21,7 +23,7 @@ from immaculate.enumeration import (
     unrank_permutation,
     verify_bijection,
 )
-from immaculate.errors import GuardExceededError
+from immaculate.errors import GuardExceededError, InternalCheckError
 from immaculate.tableau import Tableau
 
 
@@ -250,6 +252,63 @@ class TestVerifySampled:
             "jobs", "backend", "elapsed_s",
         }
         json.dumps(obj)
+
+
+class _FaultyOps(_pure.ShapeOps):
+    """Pure kernel with two planted faults: straighten refuses any filling
+    that starts with n and ends with 1, and unstraighten turns a leading
+    2, 1 into 1, 2."""
+
+    def _straighten_inplace(self, t, s, check):
+        if t[0] == self.size and t[-1] == 1:
+            raise InternalCheckError("injected")
+        super()._straighten_inplace(t, s, check)
+
+    def _unstraighten_inplace(self, t, j, check):
+        super()._unstraighten_inplace(t, j, check)
+        if t[:2] == [2, 1]:
+            t[:2] = [1, 2]
+
+
+X_CHANGED = "straighten then unstraighten changed the filling"
+Y_CHANGED = "unstraighten then straighten changed the pair"
+
+
+class TestFailureReports:
+    @pytest.fixture(autouse=True)
+    def faulty_kernel(self, monkeypatch):
+        # forked pool workers inherit the patched lookup
+        faulty = types.SimpleNamespace(ShapeOps=_FaultyOps)
+        monkeypatch.setattr("immaculate.enumeration.get_backend", lambda name=None: faulty)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_exhaustive_entries(self, jobs):
+        report = verify_bijection(Composition((2, 1)), jobs=jobs)
+        assert not report.ok
+        assert report.roundtrip_failures == [
+            {"side": "x", "index": 2, "stage": "roundtrip", "message": X_CHANGED,
+             "tableau": [[2, 1], [3]]},
+            {"side": "y", "index": 4, "stage": "roundtrip", "message": Y_CHANGED,
+             "pair": {"P": [[1, 2], [3]], "J": [[2, 1], [1]]}},
+        ]
+        assert report.assertion_failures == [
+            {"side": "x", "index": 5, "stage": "check", "message": "injected",
+             "tableau": [[3, 2], [1]]},
+            {"side": "y", "index": 5, "stage": "check", "message": "injected",
+             "pair": {"P": [[1, 2], [3]], "J": [[3, 1], [1]]}},
+        ]
+
+    def test_sampled_entries(self):
+        report = verify_bijection(Composition((2, 1)), mode="sampled", sample_size=6, seed=1)
+        assert not report.ok
+        assert report.roundtrip_failures == [
+            {"side": "y", "index": 3, "stage": "roundtrip", "message": Y_CHANGED,
+             "pair": {"P": [[1, 2], [3]], "J": [[2, 1], [1]]}},
+        ]
+        assert report.assertion_failures == [
+            {"side": "y", "index": 4, "stage": "check", "message": "injected",
+             "pair": {"P": [[1, 2], [3]], "J": [[3, 1], [1]]}},
+        ]
 
 
 class TestReportJudgement:
