@@ -10,6 +10,7 @@ are logged at DEBUG level on the ``immaculate`` logger.
 
 from __future__ import annotations
 
+import importlib
 import logging
 import os
 
@@ -19,7 +20,9 @@ if os.environ.get("IMMACULATE_PURE", "").strip() not in ("", "0"):
     BACKEND_REASON = "forced by the IMMACULATE_PURE environment variable"
 else:
     try:
-        from . import _speedups as _backend  # type: ignore[attr-defined]
+        # import_module reports the missing submodule itself; a from-import
+        # inside this package would blame a circular import instead
+        _backend = importlib.import_module(f"{__name__}._speedups")
 
         BACKEND_REASON = "compiled extension imported"
     except ImportError as exc:
@@ -45,7 +48,5 @@ def get_backend(name: str | None = None):
 
         return _pure
     if name == "compiled":
-        from . import _speedups  # type: ignore[attr-defined]
-
-        return _speedups
+        return importlib.import_module(f"{__name__}._speedups")
     raise ValueError(f"unknown backend {name!r}; expected 'pure' or 'compiled'")

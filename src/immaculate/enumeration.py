@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 from ._kernels import BACKEND, get_backend
@@ -198,6 +199,9 @@ def random_standard_immaculate(alpha: Composition, rng: random.Random) -> Tablea
 
 # -- verification harness ----------------------------------------------------
 
+X_CHANGED = "straighten then unstraighten changed the filling"
+Y_CHANGED = "unstraighten then straighten changed the pair"
+
 
 @dataclass
 class VerificationReport:
@@ -249,25 +253,10 @@ class VerificationReport:
         )
 
     def to_json_obj(self) -> dict:
-        return {
-            "shape": list(self.shape),
-            "mode": self.mode,
-            "ok": self.ok,
-            "count_formula": self.count_formula,
-            "count_recursive": self.count_recursive,
-            "count_bruteforce": self.count_bruteforce,
-            "x_size": self.x_size,
-            "y_size": self.y_size,
-            "x_checked": self.x_checked,
-            "y_checked": self.y_checked,
-            "roundtrip_failures": self.roundtrip_failures,
-            "assertion_failures": self.assertion_failures,
-            "seed": self.seed,
-            "sample_size": self.sample_size,
-            "jobs": self.jobs,
-            "backend": self.backend,
-            "elapsed_s": self.elapsed_s,
-        }
+        obj = {"shape": list(self.shape), "mode": self.mode, "ok": self.ok}
+        for field in fields(self):
+            obj.setdefault(field.name, getattr(self, field.name))
+        return obj
 
     def summary(self) -> str:
         status = "ok" if self.ok else "FAILED"
@@ -284,13 +273,19 @@ class VerificationReport:
         )
 
 
-def _scan_task(args):
-    parts, kind, start, stop, p_table, backend_name = args
-    ops = get_backend(backend_name).ShapeOps(parts)
-    if kind == "x":
-        standard, failures = ops.scan_fillings(start, stop, True)
-        return kind, standard, failures
-    return kind, 0, ops.scan_pairs(p_table, start, stop, True)
+def _file_failure(failures: dict, side: str, index: int, stage: str, message: str,
+                  obj) -> None:
+    """File one failure, with the filling or pair it happened on, under its stage."""
+    failures[stage].append({"side": side, "index": index, "stage": stage, "message": message,
+                            "tableau" if side == "x" else "pair": obj})
+
+
+def _scan_task(task):
+    parts, side, start, stop, p_table = task
+    ops = get_backend().ShapeOps(parts)
+    if side == "x":
+        return ops.scan_fillings(start, stop, True)
+    return 0, ops.scan_pairs(p_table, start, stop, True)
 
 
 def _chunks(total: int, pieces: int) -> list[tuple[int, int]]:
@@ -308,22 +303,69 @@ def _reshape(alpha: Composition, flat: Sequence[int]) -> list[list[int]]:
     return [list(r) for r in split_flat(alpha, flat)]
 
 
-def _split_failures(alpha, raw, side, p_table, hook_prod):
-    """Attach the offending object to each raw (index, stage, message) entry."""
+def _verify_exhaustive(alpha: Composition, jobs: int, guard: int, failures: dict) -> dict:
+    _require_within(alpha.n, guard, "exhaustive verification",
+                    "use mode='sampled' or raise guard=")
+    hook_prod = get_backend().ShapeOps(alpha.parts).hook_prod
+    x_size = math.factorial(alpha.n)
+    p_table = [t.flat() for t in enumerate_standard_immaculate(alpha)]
+    y_size = len(p_table) * hook_prod
+    tasks = [(alpha.parts, "x", lo, hi, None) for lo, hi in _chunks(x_size, jobs)]
+    tasks += [(alpha.parts, "y", lo, hi, p_table) for lo, hi in _chunks(y_size, jobs)]
+    # Forking starts every worker at once, so never ask for more than the
+    # machine has cores; the chunking still follows jobs.
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_scan_task, tasks))
+    else:
+        results = list(map(_scan_task, tasks))
+
     hooklen = [h for row in alpha.hook_lengths() for h in row]
-    roundtrip, assertion = [], []
-    for index, stage, message in sorted(raw):
-        entry = {"side": side, "index": index, "stage": stage, "message": message}
-        if side == "x":
-            entry["tableau"] = _reshape(alpha, unrank_permutation(alpha.n, index))
-        else:
-            p_idx, rem = divmod(index, hook_prod)
-            entry["pair"] = {
-                "P": _reshape(alpha, p_table[p_idx]),
-                "J": _reshape(alpha, _unrank_hook_values(hooklen, rem)),
-            }
-        (assertion if stage == "check" else roundtrip).append(entry)
-    return roundtrip, assertion
+    standard_total = 0
+    # Tasks run in index order, x before y, so failures are filed sorted.
+    for (_, side, *_), (standard, raw) in zip(tasks, results):
+        standard_total += standard
+        for index, stage, message in raw:
+            if side == "x":
+                obj = _reshape(alpha, unrank_permutation(alpha.n, index))
+            else:
+                p_idx, rem = divmod(index, hook_prod)
+                obj = {"P": _reshape(alpha, p_table[p_idx]),
+                       "J": _reshape(alpha, _unrank_hook_values(hooklen, rem))}
+            _file_failure(failures, side, index, stage, message, obj)
+    return dict(count_bruteforce=standard_total, x_size=x_size, y_size=y_size,
+                x_checked=x_size, y_checked=y_size, seed=None, sample_size=None, jobs=jobs)
+
+
+def _verify_sampled(alpha: Composition, sample_size: int, seed: int, failures: dict) -> dict:
+    # Each object is drawn, roundtripped and dropped unless it failed.
+    ops = get_backend().ShapeOps(alpha.parts)
+    rng = random.Random(seed)
+    for i in range(sample_size):
+        t = random_standard_filling(alpha, rng)
+        flat = list(t.flat())
+        try:
+            back = ops.unstraighten(*ops.straighten(flat, check=True), check=True)
+            failed = None if back == flat else ("roundtrip", X_CHANGED)
+        except InternalCheckError as exc:
+            failed = ("check", str(exc))
+        if failed:
+            _file_failure(failures, "x", i, *failed, [list(r) for r in t.rows])
+    for i in range(sample_size):
+        p = random_standard_immaculate(alpha, rng)
+        j = random_hook_tableau(alpha, rng)
+        flat_p, flat_j = list(p.flat()), [v for row in j.rows for v in row]
+        try:
+            back = ops.straighten(ops.unstraighten(flat_p, flat_j, check=True), check=True)
+            failed = None if back == (flat_p, flat_j) else ("roundtrip", Y_CHANGED)
+        except InternalCheckError as exc:
+            failed = ("check", str(exc))
+        if failed:
+            pair = {"P": [list(r) for r in p.rows], "J": [list(r) for r in j.rows]}
+            _file_failure(failures, "y", i, *failed, pair)
+    return dict(count_bruteforce=None, x_size=None, y_size=None, x_checked=sample_size,
+                y_checked=sample_size, seed=seed, sample_size=sample_size, jobs=1)
 
 
 def verify_bijection(
@@ -333,129 +375,36 @@ def verify_bijection(
     seed: int = 0,
     jobs: int = 1,
     guard: int = EXHAUSTIVE_GUARD,
-    backend: str | None = None,
 ) -> VerificationReport:
     """Cross-check the count formula and roundtrip the bijection on one shape.
 
     Exhaustive mode roundtrips every filling (straighten then unstraighten)
     and every pair (the other way around), with every structural invariant
-    asserted at each step; jobs > 1 splits the index ranges over worker
-    processes.  Sampled mode draws sample_size objects per side from the
-    seeded Mersenne Twister stream instead, so runs are reproducible; jobs is
-    ignored there.  Counting always happens in all available ways.
+    asserted at each step.  It splits each side's index range into jobs
+    chunks and scans them on min(jobs, os.cpu_count()) worker processes, or
+    in this process when that is one.  Sampled mode draws sample_size objects
+    per side from the seeded Mersenne Twister stream instead, so runs are
+    reproducible; jobs is ignored there.  Counting always happens in all
+    available ways.  The scans run on the active kernel backend.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    backend_name = backend or BACKEND
-    kernels = get_backend(backend_name)
     t0 = time.perf_counter()
-    n = alpha.n
     cf = count_formula(alpha)
     cr = count_recursive(alpha)
-    ops = kernels.ShapeOps(alpha.parts)
-
+    failures: dict[str, list[dict]] = {"roundtrip": [], "check": []}
     if mode == "exhaustive":
-        _require_within(n, guard, "exhaustive verification",
-                        "use mode='sampled' or raise guard=")
-        x_size = math.factorial(n)
-        p_table = [t.flat() for t in enumerate_standard_immaculate(alpha)]
-        y_size = len(p_table) * ops.hook_prod
-        x_raw: list = []
-        y_raw: list = []
-        standard_total = 0
-        if jobs <= 1:
-            standard_total, x_raw = ops.scan_fillings(0, x_size, True)
-            y_raw = ops.scan_pairs(p_table, 0, y_size, True)
-        else:
-            tasks = [
-                (alpha.parts, "x", lo, hi, None, backend_name)
-                for lo, hi in _chunks(x_size, jobs)
-            ] + [
-                (alpha.parts, "y", lo, hi, p_table, backend_name)
-                for lo, hi in _chunks(y_size, jobs)
-            ]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for kind, standard, failures in pool.map(_scan_task, tasks):
-                    if kind == "x":
-                        standard_total += standard
-                        x_raw.extend(failures)
-                    else:
-                        y_raw.extend(failures)
-        x_round, x_assert = _split_failures(alpha, x_raw, "x", None, None)
-        y_round, y_assert = _split_failures(alpha, y_raw, "y", p_table, ops.hook_prod)
-        return VerificationReport(
-            shape=alpha.parts,
-            mode=mode,
-            count_formula=cf,
-            count_recursive=cr,
-            count_bruteforce=standard_total,
-            x_size=x_size,
-            y_size=y_size,
-            x_checked=x_size,
-            y_checked=y_size,
-            roundtrip_failures=x_round + y_round,
-            assertion_failures=x_assert + y_assert,
-            seed=None,
-            sample_size=None,
-            jobs=jobs,
-            backend=backend_name,
-            elapsed_s=time.perf_counter() - t0,
-        )
-
-    rng = random.Random(seed)
-    roundtrip: list[dict] = []
-    assertion: list[dict] = []
-    for i in range(sample_size):
-        t = random_standard_filling(alpha, rng)
-        flat = list(t.flat())
-        entry = {"side": "x", "index": i, "tableau": [list(r) for r in t.rows]}
-        try:
-            p, j = ops.straighten(flat, check=True)
-            back = ops.unstraighten(p, j, check=True)
-        except InternalCheckError as exc:
-            assertion.append({**entry, "stage": "check", "message": str(exc)})
-            continue
-        if back != flat:
-            roundtrip.append(
-                {**entry, "stage": "roundtrip",
-                 "message": "straighten then unstraighten changed the filling"}
-            )
-    for i in range(sample_size):
-        p = random_standard_immaculate(alpha, rng)
-        j = random_hook_tableau(alpha, rng)
-        flat_p = list(p.flat())
-        flat_j = [v for row in j.rows for v in row]
-        entry = {
-            "side": "y",
-            "index": i,
-            "pair": {"P": [list(r) for r in p.rows], "J": [list(r) for r in j.rows]},
-        }
-        try:
-            t = ops.unstraighten(flat_p, flat_j, check=True)
-            p2, j2 = ops.straighten(t, check=True)
-        except InternalCheckError as exc:
-            assertion.append({**entry, "stage": "check", "message": str(exc)})
-            continue
-        if p2 != flat_p or j2 != flat_j:
-            roundtrip.append(
-                {**entry, "stage": "roundtrip",
-                 "message": "unstraighten then straighten changed the pair"}
-            )
+        varying = _verify_exhaustive(alpha, jobs, guard, failures)
+    else:
+        varying = _verify_sampled(alpha, sample_size, seed, failures)
     return VerificationReport(
         shape=alpha.parts,
         mode=mode,
         count_formula=cf,
         count_recursive=cr,
-        count_bruteforce=None,
-        x_size=None,
-        y_size=None,
-        x_checked=sample_size,
-        y_checked=sample_size,
-        roundtrip_failures=roundtrip,
-        assertion_failures=assertion,
-        seed=seed,
-        sample_size=sample_size,
-        jobs=1,
-        backend=backend_name,
+        roundtrip_failures=failures["roundtrip"],
+        assertion_failures=failures["check"],
+        backend=BACKEND,
         elapsed_s=time.perf_counter() - t0,
+        **varying,
     )

@@ -6,7 +6,7 @@ import types
 
 import pytest
 
-from immaculate._kernels import _pure
+from immaculate._kernels import BACKEND, _pure
 from immaculate.bijection import HookTableau, Pair, straighten, unstraighten
 from immaculate.composition import Composition, compositions, count_formula
 from immaculate.enumeration import (
@@ -198,6 +198,7 @@ class TestVerifyExhaustive:
         assert report.x_size == report.y_size == 120
         assert report.x_checked == 120 and report.y_checked == 120
         assert report.roundtrip_failures == [] and report.assertion_failures == []
+        assert report.backend == BACKEND
 
     def test_all_shapes_through_six(self):
         for n in range(1, 7):
@@ -221,9 +222,31 @@ class TestVerifyExhaustive:
         with pytest.raises(ValueError):
             verify_bijection(Composition((2, 1)), mode="fast")
 
-    def test_backend_override(self):
-        report = verify_bijection(Composition((2, 1, 1)), backend="pure")
-        assert report.ok and report.backend == "pure"
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        # a stand-in pool that records its size and maps in this process, so
+        # no worker is ever started
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("immaculate.enumeration.ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        report = verify_bijection(Composition((2, 1)), jobs=10_000)
+        assert sizes == [2]
+        assert report.ok and report.jobs == 10_000
+        verify_bijection(Composition((2, 1)), jobs=1)
+        assert sizes == [2]
 
 
 class TestVerifySampled:

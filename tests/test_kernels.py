@@ -208,8 +208,9 @@ class TestBackendSelection:
     def test_reason_names_the_choice(self):
         assert isinstance(BACKEND_REASON, str) and BACKEND_REASON
         if BACKEND == "pure" and os.environ.get("IMMACULATE_PURE", "").strip() in ("", "0"):
-            # the swallowed ImportError text is kept
+            # the swallowed ImportError text is kept, and names the module
             assert "_speedups" in BACKEND_REASON
+            assert "circular import" not in BACKEND_REASON
 
     def test_reason_logged_at_debug_only(self):
         env = dict(os.environ, IMMACULATE_PURE="1")
