@@ -104,6 +104,25 @@ class TestHookTableau:
         with pytest.raises(ValueError):
             j.value_at((1, 3))
 
+    def test_immutable(self):
+        j = HookTableau([[3, 1], [2], [1, 1]])
+        with pytest.raises(AttributeError, match="HookTableau is immutable"):
+            j.rows = ((1, 1), (1,), (1, 1))
+
+    def test_never_equals_tableau_with_same_rows(self):
+        rows = [[1, 1], [1], [1, 1]]
+        assert Tableau(rows) != HookTableau(rows)
+        assert HookTableau(rows) != Tableau(rows)
+
+    def test_equal_hook_tableaux_hash_equally(self):
+        a = HookTableau([[3, 1], [2], [1, 1]])
+        b = HookTableau(((3, 1), (2,), (1, 1)))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_repr(self):
+        assert repr(HookTableau([[3, 1], [2], [1, 1]])) == "HookTableau([[3, 1], [2], [1, 1]])"
+
 
 class TestPair:
     def test_requires_standard_immaculate(self):

@@ -10,6 +10,7 @@ import pytest
 
 from immaculate.cli import main
 from immaculate.enumeration import VerificationReport
+from immaculate.errors import InternalCheckError
 
 PAIR_TEXT = "1 2\n3\n4 5\n\n3 1\n2\n1 1\n"
 FILLING_TEXT = "3 2\n4\n1 5\n"
@@ -199,6 +200,18 @@ class TestPhi:
         f = tmp_path / "t.txt"
         f.write_text("0 2\n3\n4 5\n")
         assert main(["phi", str(f)]) == 2
+
+    def test_internal_check_failure_exits_1(self, capsys, tmp_path, monkeypatch):
+        def broken_straighten(t, check=False):
+            raise InternalCheckError("injected")
+
+        monkeypatch.setattr("immaculate.cli.straighten", broken_straighten)
+        f = tmp_path / "t.txt"
+        f.write_text(FILLING_TEXT)
+        assert main(["phi", str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal check failed: injected\n"
 
 
 GOLDEN = Path(__file__).parent / "golden"
