@@ -16,7 +16,6 @@ here and the replay use the pure kernel, the reference for its compiled twin.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -26,7 +25,8 @@ from typing import Sequence
 from . import _kernels
 from .composition import Cell, Composition
 from .errors import InternalCheckError, InvalidInputError, ParseError
-from .tableau import Tableau, check_declared_shape, format_grid_text, parse_grid_text, split_flat
+from .tableau import (Grid, Tableau, format_grid_text, parse_grid_text, parse_json_or_text,
+                      split_flat)
 
 Path = tuple[Cell, ...]
 
@@ -49,7 +49,7 @@ def _cells(ops, positions) -> Path:
     return tuple(Cell(rowof[p] + 1, colof[p] + 1) for p in positions)
 
 
-class HookTableau:
+class HookTableau(Grid):
     """A grid assigning every cell a value between 1 and its hook length.
 
     The bounds are enforced at construction, so holding a HookTableau is
@@ -57,10 +57,8 @@ class HookTableau:
     hook length 1, forcing its value to 1.
     """
 
-    __slots__ = ("rows", "shape")
-
-    rows: tuple[tuple[int, ...], ...]
-    shape: Composition
+    __slots__ = ()
+    noun = "hook tableau"
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -77,21 +75,6 @@ class HookTableau:
                     )
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "shape", shape)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HookTableau) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.rows))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(map(list, self.rows))!r})"
-
-    def __str__(self) -> str:
-        return self.to_text()
 
     @classmethod
     def all_ones(cls, shape: Composition) -> "HookTableau":
@@ -115,22 +98,6 @@ class HookTableau:
     @classmethod
     def from_text(cls, text: str) -> "HookTableau":
         return cls(parse_grid_text(text))
-
-    def to_json_obj(self) -> dict:
-        return {"shape": list(self.shape.parts), "rows": [list(r) for r in self.rows]}
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "HookTableau":
-        if not isinstance(obj, dict) or "rows" not in obj:
-            raise ParseError("hook tableau JSON must be an object with a 'rows' key")
-        try:
-            ht = cls(obj["rows"])
-        except InvalidInputError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad hook tableau rows: {exc}") from None
-        check_declared_shape(obj, ht.shape)
-        return ht
 
 
 @dataclass(frozen=True)
@@ -179,13 +146,7 @@ class Pair:
 
     @classmethod
     def parse(cls, text: str) -> "Pair":
-        if text.lstrip().startswith("{"):
-            try:
-                obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc}") from None
-            return cls.from_json_obj(obj)
-        return cls.from_text(text)
+        return parse_json_or_text(cls, text)
 
 
 class Trace:

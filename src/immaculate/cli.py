@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .bijection import Pair, straighten, unstraighten
@@ -23,12 +24,7 @@ from .enumeration import (
     enumerate_standard_immaculate,
     verify_bijection,
 )
-from .errors import (
-    GuardExceededError,
-    InternalCheckError,
-    InvalidInputError,
-    ParseError,
-)
+from .errors import ImmaculateError, ParseError
 from .tableau import Tableau, format_grid_text
 
 
@@ -83,38 +79,34 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ParseError(f"--limit must not be negative, got {args.limit}")
     alpha = parse_composition(args.shape)
-    stream = enumerate_standard_immaculate(alpha)
-    emitted = 0
-    collected = []
-    for t in stream:
-        if args.limit is not None and emitted >= args.limit:
-            break
-        if args.format == "json":
-            collected.append([list(r) for r in t.rows])
-        else:
-            print(t.to_text())
-            print()
-        emitted += 1
+    stream = islice(enumerate_standard_immaculate(alpha), args.limit)
     if args.format == "json":
+        collected = [[list(r) for r in t.rows] for t in stream]
         _print_json(
             {
                 "shape": list(alpha.parts),
                 "total": count_formula(alpha),
-                "count": emitted,
+                "count": len(collected),
                 "tableaux": collected,
             }
         )
-    else:
-        print(f"count: {emitted}")
+        return 0
+    emitted = 0
+    for emitted, t in enumerate(stream, 1):
+        print(t.to_text())
+        print()
+    print(f"count: {emitted}")
     return 0
 
 
-def cmd_psi(args) -> int:
-    pair = Pair.parse(_read_input(args.input))
-    result, trace = unstraighten(pair, check=args.check)
+def _run_map(args, parse, transform, to_json_obj) -> int:
+    """Read args.input with parse, map it with transform and print the result."""
+    result, trace = transform(parse(_read_input(args.input)), check=args.check)
     if args.format == "json":
-        obj = {"shape": list(result.shape.parts), "result": [list(r) for r in result.rows]}
+        obj = to_json_obj(result)
         if args.trace:
             obj["trace"] = trace.to_json_obj()
         _print_json(obj)
@@ -126,30 +118,25 @@ def cmd_psi(args) -> int:
     return 0
 
 
+def cmd_psi(args) -> int:
+    return _run_map(args, Pair.parse, unstraighten,
+                    lambda t: {"shape": list(t.shape.parts), "result": [list(r) for r in t.rows]})
+
+
 def cmd_phi(args) -> int:
-    t = Tableau.parse(_read_input(args.input))
-    pair, trace = straighten(t, check=args.check)
-    if args.format == "json":
-        obj = pair.to_json_obj()
-        if args.trace:
-            obj["trace"] = trace.to_json_obj()
-        _print_json(obj)
-    else:
-        if args.trace:
-            _print_trace(trace)
-            print("result:")
-        print(pair.to_text())
-    return 0
+    return _run_map(args, Tableau.parse, straighten, Pair.to_json_obj)
 
 
 def cmd_verify(args) -> int:
     if (args.shape is None) == (args.n is None):
         raise ParseError("verify needs a SHAPE argument or --n, but not both")
+    for flag in ("n", "jobs", "samples"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise ParseError(f"--{flag} must be positive, got {value}")
     if args.shape is not None:
         shapes = [parse_composition(args.shape)]
     else:
-        if args.n < 1:
-            raise ParseError(f"--n must be positive, got {args.n}")
         shapes = compositions(args.n)
     reports = []
     for alpha in shapes:
@@ -249,18 +236,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GuardExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except InternalCheckError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return 1
+    except ImmaculateError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -2,16 +2,22 @@
 
 Everything raised on bad *input* derives from ValueError so callers can catch
 broadly; InternalCheckError signals a broken invariant inside the library
-itself and derives from RuntimeError instead.
+itself and derives from RuntimeError instead.  Each class carries the exit
+code the CLI returns for it and the label that starts its stderr line.
 """
 
 
 class ImmaculateError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1
+    label = "error"
+
 
 class ParseError(ImmaculateError, ValueError):
     """Text or JSON input could not be parsed at all."""
+
+    exit_code = 2
 
 
 class InvalidInputError(ImmaculateError, ValueError):
@@ -21,9 +27,13 @@ class InvalidInputError(ImmaculateError, ValueError):
     is not a standard immaculate tableau where one is required.
     """
 
+    exit_code = 4
+
 
 class GuardExceededError(ImmaculateError, ValueError):
     """A brute-force or exhaustive operation was asked to exceed its size guard."""
+
+    exit_code = 3
 
 
 class InternalCheckError(ImmaculateError, RuntimeError):
@@ -32,3 +42,6 @@ class InternalCheckError(ImmaculateError, RuntimeError):
     If one of these escapes, it is a bug in the library (or a counterexample
     to the theory it implements), never a user mistake.
     """
+
+    exit_code = 1
+    label = "internal check failed"

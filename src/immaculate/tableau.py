@@ -8,7 +8,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .composition import Cell, Composition
-from .errors import ParseError
+from .errors import InvalidInputError, ParseError
 
 # Entry value reported for cells outside the diagram.  Using a real infinity
 # makes every comparison against missing neighbours come out the right way
@@ -48,17 +48,6 @@ def split_flat(shape: Composition, entries: Sequence[int]) -> tuple[tuple[int, .
     return tuple(rows)
 
 
-def check_declared_shape(obj: dict, shape: Composition) -> None:
-    """Raise ParseError unless the optional "shape" of a JSON object is a list equal to shape."""
-    if "shape" not in obj:
-        return
-    declared = obj["shape"]
-    if not isinstance(declared, list):
-        raise ParseError(f"declared shape must be a list, got {declared!r}")
-    if tuple(declared) != shape.parts:
-        raise ParseError(f"declared shape {declared} does not match rows of shape {shape}")
-
-
 def _validate_rows(rows) -> tuple[tuple[int, ...], ...]:
     out = []
     for i, row in enumerate(rows, 1):
@@ -74,28 +63,26 @@ def _validate_rows(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-class Tableau:
-    """An immutable filling of a composition diagram with positive integers.
+class Grid:
+    """An immutable grid of integers on a composition diagram.
 
-    ``rows[i-1][j-1]`` holds the entry of cell (i, j); the shape is read off
-    the row lengths.  All transformations elsewhere in the package build new
-    tableaux instead of mutating.
+    ``rows[i-1][j-1]`` holds the value of cell (i, j); the shape is read off
+    the row lengths.  Subclasses validate the rows in ``__init__``; ``noun``
+    names the grid in parse errors.  Grids of different classes never
+    compare equal, even with equal rows.
     """
 
     __slots__ = ("rows", "shape")
 
     rows: tuple[tuple[int, ...], ...]
     shape: Composition
-
-    def __init__(self, rows: Iterable[Iterable[int]]):
-        object.__setattr__(self, "rows", _validate_rows(rows))
-        object.__setattr__(self, "shape", Composition(tuple(len(r) for r in self.rows)))
+    noun: str
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Tableau) and self.rows == other.rows
+        return type(other) is type(self) and self.rows == other.rows
 
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.rows))
@@ -105,6 +92,56 @@ class Tableau:
 
     def __str__(self) -> str:
         return self.to_text()
+
+    def to_json_obj(self) -> dict:
+        return {"shape": list(self.shape.parts), "rows": [list(r) for r in self.rows]}
+
+    @classmethod
+    def from_json_obj(cls, obj):
+        """Build from {"rows": [...], "shape": [...]}; the shape is optional but must match."""
+        if not isinstance(obj, dict) or "rows" not in obj:
+            raise ParseError(f"{cls.noun} JSON must be an object with a 'rows' key")
+        try:
+            grid = cls(obj["rows"])
+        except InvalidInputError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad {cls.noun} rows: {exc}") from None
+        if "shape" in obj:
+            declared = obj["shape"]
+            if not isinstance(declared, list):
+                raise ParseError(f"declared shape must be a list, got {declared!r}")
+            if tuple(declared) != grid.shape.parts:
+                raise ParseError(
+                    f"declared shape {declared} does not match rows of shape {grid.shape}"
+                )
+        return grid
+
+
+def parse_json_or_text(cls, text: str):
+    """cls.from_json_obj of the JSON when text starts with "{", else cls.from_text."""
+    if not text.lstrip().startswith("{"):
+        return cls.from_text(text)
+    try:
+        obj = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"bad JSON: {exc}") from None
+    return cls.from_json_obj(obj)
+
+
+class Tableau(Grid):
+    """An immutable filling of a composition diagram with positive integers.
+
+    All transformations elsewhere in the package build new tableaux instead
+    of mutating.
+    """
+
+    __slots__ = ()
+    noun = "tableau"
+
+    def __init__(self, rows: Iterable[Iterable[int]]):
+        object.__setattr__(self, "rows", _validate_rows(rows))
+        object.__setattr__(self, "shape", Composition(tuple(len(r) for r in self.rows)))
 
     @property
     def n(self) -> int:
@@ -203,27 +240,7 @@ class Tableau:
                 raise
             raise ParseError(str(exc)) from None
 
-    def to_json_obj(self) -> dict:
-        return {"shape": list(self.shape.parts), "rows": [list(r) for r in self.rows]}
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "Tableau":
-        if not isinstance(obj, dict) or "rows" not in obj:
-            raise ParseError("tableau JSON must be an object with a 'rows' key")
-        try:
-            t = cls(obj["rows"])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad tableau rows: {exc}") from None
-        check_declared_shape(obj, t.shape)
-        return t
-
     @classmethod
     def parse(cls, text: str) -> "Tableau":
         """Parse either the text format or the JSON format, by first character."""
-        if text.lstrip().startswith("{"):
-            try:
-                obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc}") from None
-            return cls.from_json_obj(obj)
-        return cls.from_text(text)
+        return parse_json_or_text(cls, text)

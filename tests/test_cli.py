@@ -58,7 +58,8 @@ class TestCount:
         assert "error:" in capsys.readouterr().err
 
     def test_guard_override(self, capsys):
-        assert main(["count", "12", "--method", "brute", "--guard", "12"]) == 0
+        # one cell past the default guard, as TestBruteForce::test_guard does
+        assert main(["count", "11", "--method", "brute", "--guard", "11"]) == 0
         assert capsys.readouterr().out == "1\n"
 
 
@@ -77,6 +78,10 @@ class TestEnumerate:
     def test_limit(self, capsys):
         assert main(["enumerate", "2,1,2", "--limit", "2"]) == 0
         assert capsys.readouterr().out.endswith("count: 2\n")
+
+    def test_limit_zero(self, capsys):
+        assert main(["enumerate", "2,1,2", "--limit", "0"]) == 0
+        assert capsys.readouterr().out == "count: 0\n"
 
     def test_json(self, capsys):
         assert main(["enumerate", "2,1,2", "--limit", "2", "--format", "json"]) == 0
@@ -246,6 +251,19 @@ class TestMalformedJson:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, template", [
+        ("phi", '{"rows": %s}'),
+        ("psi", '{"P": {"rows": [[1]]}, "J": {"rows": %s}}'),
+    ])
+    def test_deeply_nested_exits_2(self, capsys, tmp_path, command, template):
+        # json.dumps cannot build input this deep, so it is written as raw text
+        depth = 100_000
+        f = tmp_path / "input.json"
+        f.write_text(template % ("[" * depth + "]" * depth))
+        assert main([command, str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad JSON: ") and "Traceback" not in err
+
 
 class TestVerify:
     def test_one_shape_text(self, capsys):
@@ -375,3 +393,16 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             main(["hooks", "2,1", "--fast"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "--n", "-2"], "--n"),
+        (["verify", "2,1", "--jobs", "0"], "--jobs"),
+        (["verify", "2,1", "--jobs", "-3"], "--jobs"),
+        (["verify", "2,1", "--mode", "sampled", "--samples", "-5"], "--samples"),
+        (["enumerate", "2,1", "--limit", "-1"], "--limit"),
+    ])
+    def test_count_flag_below_range_exits_2(self, capsys, argv, flag):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} must ")
