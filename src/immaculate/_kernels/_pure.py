@@ -1,19 +1,27 @@
 """Pure-Python kernels for the hot loops, on flat row-major arrays.
 
-This module mirrors the compiled ``_speedups`` extension exactly; which one
-you get from ``immaculate._kernels`` is decided at import time.  Positions
-here are 0-based flat indices, and a key layout fact keeps everything tight:
-in row-major order every hook occupies a contiguous run of positions, so the
-v-th hook cell of position p is simply p + v - 1.
+This module is the spec of the kernels.  The compiled twin, the hand-written
+C file ``_speedups.c``, mirrors it function by function: each of
+``_prefix_standard``, ``_slide``, ``_build_path``, ``_hook_index``,
+``_rotate_left``/``_rotate_right`` and ``_straighten_inplace``/
+``_unstraighten_inplace`` has a C function of the same name, and the public
+methods raise the same exceptions with the same messages.  Which twin you
+get from ``immaculate._kernels`` is decided at import time.
 
-The bulk methods assume well-formed inputs (permutation contents, hook values
-in range); the public modules validate before calling in.
+Positions here are 0-based flat indices, and a key layout fact keeps
+everything tight: in row-major order every hook occupies a contiguous run of
+positions, so the v-th hook cell of position p is simply p + v - 1.
+
+The public methods check input lengths and scan bounds; beyond that they
+assume well-formed inputs (permutation contents, hook values in range), which
+the public modules validate before calling in.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from ..errors import InternalCheckError
 
@@ -73,6 +81,8 @@ class ShapeOps:
 
     def is_standard_immaculate(self, entries) -> bool:
         """Stability of a flat filling whose entries are a permutation of 1..n."""
+        if len(entries) != self.size:
+            raise ValueError(f"need {self.size} entries, got {len(entries)}")
         for a, b in self.pairs:
             if entries[a] > entries[b]:
                 return False
@@ -186,12 +196,16 @@ class ShapeOps:
             v = j[pos]
             j[pos] = 1
             if v > 1:
+                if v > n - pos:
+                    raise IndexError(f"hook value {v} out of range at position {pos}")
                 self._rotate_right(t, self._build_path(pos, v))
         if check and any(v != 1 for v in j):
             raise InternalCheckError("hook values not exhausted")
 
     def straighten(self, entries, check=False) -> tuple[list[int], list[int]]:
         """Flat filling -> (flat standard immaculate filling, flat hook values)."""
+        if len(entries) != self.size:
+            raise ValueError(f"need {self.size} entries, got {len(entries)}")
         t = list(entries)
         s = [1] * self.size
         self._straighten_inplace(t, s, check)
@@ -201,6 +215,9 @@ class ShapeOps:
 
     def unstraighten(self, p_entries, hook_values, check=False) -> list[int]:
         """(flat standard immaculate filling, flat hook values) -> flat filling."""
+        n = self.size
+        if len(p_entries) != n or len(hook_values) != n:
+            raise ValueError(f"need {n} entries and {n} hook values")
         t = list(p_entries)
         j = list(hook_values)
         self._unstraighten_inplace(t, j, check)
@@ -228,6 +245,7 @@ class ShapeOps:
         fillings were standard immaculate.
         """
         n = self.size
+        start, stop = operator.index(start), operator.index(stop)
         if not 0 <= start <= stop <= self.n_factorial:
             raise ValueError(f"bad scan range [{start}, {stop}) for {n}! fillings")
         pairs = self.pairs
@@ -261,6 +279,7 @@ class ShapeOps:
         scan_fillings.
         """
         n = self.size
+        start, stop = operator.index(start), operator.index(stop)
         if not 0 <= start <= stop <= len(p_table) * self.hook_prod:
             raise ValueError(f"bad scan range [{start}, {stop})")
         hooklen = self.hooklen

@@ -1,20819 +1,945 @@
-/* Generated by Cython 3.2.8 */
+/* Compiled kernels: the exact behaviour of _pure.py on C arrays.
+ *
+ * _pure.py is the spec.  Every static function here named after a _pure
+ * method (_prefix_standard, _slide, _build_path, _hook_index, _rotate_left,
+ * _rotate_right, _straighten_inplace, _unstraighten_inplace) is that method
+ * line for line; only permutation stepping and unranking (next_perm,
+ * perm_unrank) exist in C alone.  The parity tests compare the two twins
+ * exhaustively.
+ *
+ * Positions are 0-based flat row-major indices.  Hooks are contiguous flat
+ * runs, so the v-th hook cell of position p is p + v - 1.
+ *
+ * Plain C99 on the CPython API; build it with `python setup.py build_ext`.
+ */
 
-/* BEGIN: Cython Metadata
-{
-    "distutils": {
-        "depends": [],
-        "extra_compile_args": [
-            "-O3"
-        ],
-        "name": "immaculate._kernels._speedups",
-        "sources": [
-            "src/immaculate/_kernels/_speedups.pyx"
-        ]
-    },
-    "module_name": "immaculate._kernels._speedups"
-}
-END: Cython Metadata */
-
-#ifndef PY_SSIZE_T_CLEAN
 #define PY_SSIZE_T_CLEAN
-#endif /* PY_SSIZE_T_CLEAN */
-/* InitLimitedAPI */
-#if defined(Py_LIMITED_API)
-  #if !defined(CYTHON_LIMITED_API)
-  #define CYTHON_LIMITED_API 1
-  #endif
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef _MSC_VER
-  #pragma message ("Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.")
-  #else
-  #warning Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.
-  #endif
-#endif
-
-#include "Python.h"
-#ifndef Py_PYTHON_H
-    #error Python headers needed to compile C extensions, please install development version of Python.
-#elif PY_VERSION_HEX < 0x03080000
-    #error Cython requires Python 3.8+.
-#else
-#define __PYX_ABI_VERSION "3_2_8"
-#define CYTHON_HEX_VERSION 0x030208F0
-#define CYTHON_FUTURE_DIVISION 1
-/* CModulePreamble */
-#include <stddef.h>
-#ifndef offsetof
-  #define offsetof(type, member) ( (size_t) & ((type*)0) -> member )
-#endif
-#if !defined(_WIN32) && !defined(WIN32) && !defined(MS_WINDOWS)
-  #ifndef __stdcall
-    #define __stdcall
-  #endif
-  #ifndef __cdecl
-    #define __cdecl
-  #endif
-  #ifndef __fastcall
-    #define __fastcall
-  #endif
-#endif
-#ifndef DL_IMPORT
-  #define DL_IMPORT(t) t
-#endif
-#ifndef DL_EXPORT
-  #define DL_EXPORT(t) t
-#endif
-#define __PYX_COMMA ,
-#ifndef PY_LONG_LONG
-  #define PY_LONG_LONG LONG_LONG
-#endif
-#ifndef Py_HUGE_VAL
-  #define Py_HUGE_VAL HUGE_VAL
-#endif
-#define __PYX_LIMITED_VERSION_HEX PY_VERSION_HEX
-#if defined(GRAALVM_PYTHON)
-  /* For very preliminary testing purposes. Most variables are set the same as PyPy.
-     The existence of this section does not imply that anything works or is even tested */
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 1
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 0
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #undef CYTHON_PEP489_MULTI_PHASE_INIT
-  #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #undef CYTHON_USE_TP_FINALIZE
-  #define CYTHON_USE_TP_FINALIZE 0
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 1
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(PYPY_VERSION)
-  #define CYTHON_COMPILING_IN_PYPY 1
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 1
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #if PY_VERSION_HEX < 0x03090000
-    #undef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 0
-  #elif !defined(CYTHON_PEP489_MULTI_PHASE_INIT)
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE (PYPY_VERSION_NUM >= 0x07030C00)
-  #endif
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC (PYPY_VERSION_NUM >= 0x07031100)
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef Py_LIMITED_API
-    #undef __PYX_LIMITED_VERSION_HEX
-    #define __PYX_LIMITED_VERSION_HEX Py_LIMITED_API
-  #endif
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 1
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 1
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #ifndef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #endif
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 0
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND (__PYX_LIMITED_VERSION_HEX >= 0x030A0000)
-  #endif
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 1
-  #endif
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#else
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 1
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #ifdef Py_GIL_DISABLED
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 1
-  #else
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #endif
-  #if PY_VERSION_HEX < 0x030A0000
-    #undef CYTHON_USE_TYPE_SLOTS
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #elif !defined(CYTHON_USE_TYPE_SLOTS)
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #endif
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #ifndef CYTHON_USE_PYTYPE_LOOKUP
-    #define CYTHON_USE_PYTYPE_LOOKUP 1
-  #endif
-  #ifndef CYTHON_USE_PYLONG_INTERNALS
-    #define CYTHON_USE_PYLONG_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_PYLIST_INTERNALS
-    #define CYTHON_USE_PYLIST_INTERNALS 0
-  #elif !defined(CYTHON_USE_PYLIST_INTERNALS)
-    #define CYTHON_USE_PYLIST_INTERNALS 1
-  #endif
-  #ifndef CYTHON_USE_UNICODE_INTERNALS
-    #define CYTHON_USE_UNICODE_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING || PY_VERSION_HEX >= 0x030B00A2
-    #undef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #elif !defined(CYTHON_USE_UNICODE_WRITER)
-    #define CYTHON_USE_UNICODE_WRITER 1
-  #endif
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #elif !defined(CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_MACROS
-    #define CYTHON_ASSUME_SAFE_MACROS 1
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #ifndef CYTHON_UNPACK_METHODS
-    #define CYTHON_UNPACK_METHODS 1
-  #endif
-  #ifndef CYTHON_FAST_THREAD_STATE
-    #define CYTHON_FAST_THREAD_STATE 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_FAST_GIL
-    #define CYTHON_FAST_GIL 0
-  #elif !defined(CYTHON_FAST_GIL)
-    #define CYTHON_FAST_GIL (PY_VERSION_HEX < 0x030C00A6)
-  #endif
-  #ifndef CYTHON_METH_FASTCALL
-    #define CYTHON_METH_FASTCALL 1
-  #endif
-  #ifndef CYTHON_FAST_PYCALL
-    #define CYTHON_FAST_PYCALL 1
-  #endif
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #ifndef CYTHON_USE_SYS_MONITORING
-    #define CYTHON_USE_SYS_MONITORING (PY_VERSION_HEX >= 0x030d00B1)
-  #endif
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 1
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_DICT_VERSIONS
-    #define CYTHON_USE_DICT_VERSIONS 0
-  #elif !defined(CYTHON_USE_DICT_VERSIONS)
-    #define CYTHON_USE_DICT_VERSIONS  (PY_VERSION_HEX < 0x030C00A5 && !CYTHON_USE_MODULE_STATE)
-  #endif
-  #ifndef CYTHON_USE_EXC_INFO_STACK
-    #define CYTHON_USE_EXC_INFO_STACK 1
-  #endif
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 1
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-    #define CYTHON_USE_FREELISTS (!CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-  #if defined(CYTHON_IMMORTAL_CONSTANTS) && PY_VERSION_HEX < 0x030C0000
-    #undef CYTHON_IMMORTAL_CONSTANTS
-    #define CYTHON_IMMORTAL_CONSTANTS 0  // definitely won't work
-  #elif !defined(CYTHON_IMMORTAL_CONSTANTS)
-    #define CYTHON_IMMORTAL_CONSTANTS (PY_VERSION_HEX >= 0x030C0000 && !CYTHON_USE_MODULE_STATE && CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-#endif
-#ifndef CYTHON_COMPRESS_STRINGS
-  #define CYTHON_COMPRESS_STRINGS 1
-#endif
-#ifndef CYTHON_FAST_PYCCALL
-#define CYTHON_FAST_PYCCALL  CYTHON_FAST_PYCALL
-#endif
-#ifndef CYTHON_VECTORCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define CYTHON_VECTORCALL  (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-#else
-#define CYTHON_VECTORCALL  (CYTHON_FAST_PYCCALL)
-#endif
-#endif
-#if CYTHON_USE_PYLONG_INTERNALS
-  #undef SHIFT
-  #undef BASE
-  #undef MASK
-  #ifdef SIZEOF_VOID_P
-    enum { __pyx_check_sizeof_voidp = 1 / (int)(SIZEOF_VOID_P == sizeof(void*)) };
-  #endif
-#endif
-#ifndef __has_attribute
-  #define __has_attribute(x) 0
-#endif
-#ifndef __has_cpp_attribute
-  #define __has_cpp_attribute(x) 0
-#endif
-#ifndef CYTHON_RESTRICT
-  #if defined(__GNUC__)
-    #define CYTHON_RESTRICT __restrict__
-  #elif defined(_MSC_VER) && _MSC_VER >= 1400
-    #define CYTHON_RESTRICT __restrict
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_RESTRICT restrict
-  #else
-    #define CYTHON_RESTRICT
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(maybe_unused) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(maybe_unused)
-        #define CYTHON_UNUSED [[maybe_unused]]
-      #endif
-    #endif
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-# if defined(__GNUC__)
-#   if !(defined(__cplusplus)) || (__GNUC__ > 3 || (__GNUC__ == 3 && __GNUC_MINOR__ >= 4))
-#     define CYTHON_UNUSED __attribute__ ((__unused__))
-#   else
-#     define CYTHON_UNUSED
-#   endif
-# elif defined(__ICC) || (defined(__INTEL_COMPILER) && !defined(_MSC_VER))
-#   define CYTHON_UNUSED __attribute__ ((__unused__))
-# else
-#   define CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_UNUSED_VAR
-#  if defined(__cplusplus)
-     template<class T> void CYTHON_UNUSED_VAR( const T& ) { }
-#  else
-#    define CYTHON_UNUSED_VAR(x) (void)(x)
-#  endif
-#endif
-#ifndef CYTHON_MAYBE_UNUSED_VAR
-  #define CYTHON_MAYBE_UNUSED_VAR(x) CYTHON_UNUSED_VAR(x)
-#endif
-#ifndef CYTHON_NCP_UNUSED
-# if CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#  define CYTHON_NCP_UNUSED
-# else
-#  define CYTHON_NCP_UNUSED CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_USE_CPP_STD_MOVE
-  #if defined(__cplusplus) && (\
-    __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600))
-    #define CYTHON_USE_CPP_STD_MOVE 1
-  #else
-    #define CYTHON_USE_CPP_STD_MOVE 0
-  #endif
-#endif
-#define __Pyx_void_to_None(void_result) ((void)(void_result), Py_INCREF(Py_None), Py_None)
-#include <stdint.h>
-typedef uintptr_t  __pyx_uintptr_t;
-#ifndef CYTHON_FALLTHROUGH
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(fallthrough) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(fallthrough)
-        #define CYTHON_FALLTHROUGH [[fallthrough]]
-      #endif
-    #endif
-    #ifndef CYTHON_FALLTHROUGH
-      #if __has_cpp_attribute(clang::fallthrough)
-        #define CYTHON_FALLTHROUGH [[clang::fallthrough]]
-      #elif __has_cpp_attribute(gnu::fallthrough)
-        #define CYTHON_FALLTHROUGH [[gnu::fallthrough]]
-      #endif
-    #endif
-  #endif
-  #ifndef CYTHON_FALLTHROUGH
-    #if __has_attribute(fallthrough)
-      #define CYTHON_FALLTHROUGH __attribute__((fallthrough))
-    #else
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-  #if defined(__clang__) && defined(__apple_build_version__)
-    #if __apple_build_version__ < 7000000
-      #undef  CYTHON_FALLTHROUGH
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-#endif
-#ifndef Py_UNREACHABLE
-  #define Py_UNREACHABLE()  assert(0); abort()
-#endif
-#ifdef __cplusplus
-  template <typename T>
-  struct __PYX_IS_UNSIGNED_IMPL {static const bool value = T(0) < T(-1);};
-  #define __PYX_IS_UNSIGNED(type) (__PYX_IS_UNSIGNED_IMPL<type>::value)
-#else
-  #define __PYX_IS_UNSIGNED(type) (((type)-1) > 0)
-#endif
-#if CYTHON_COMPILING_IN_PYPY == 1
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x030A0000)
-#else
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x03090000)
-#endif
-#define __PYX_REINTERPRET_FUNCION(func_pointer, other_pointer) ((func_pointer)(void(*)(void))(other_pointer))
-
-/* CInitCode */
-#ifndef CYTHON_INLINE
-  #if defined(__clang__)
-    #define CYTHON_INLINE __inline__ __attribute__ ((__unused__))
-  #elif defined(__GNUC__)
-    #define CYTHON_INLINE __inline__
-  #elif defined(_MSC_VER)
-    #define CYTHON_INLINE __inline
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_INLINE inline
-  #else
-    #define CYTHON_INLINE
-  #endif
-#endif
-
-/* PythonCompatibility */
-#define __PYX_BUILD_PY_SSIZE_T "n"
-#define CYTHON_FORMAT_SSIZE_T "z"
-#define __Pyx_BUILTIN_MODULE_NAME "builtins"
-#define __Pyx_DefaultClassType PyType_Type
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #ifndef CO_OPTIMIZED
-    static int CO_OPTIMIZED;
-    #endif
-    #ifndef CO_NEWLOCALS
-    static int CO_NEWLOCALS;
-    #endif
-    #ifndef CO_VARARGS
-    static int CO_VARARGS;
-    #endif
-    #ifndef CO_VARKEYWORDS
-    static int CO_VARKEYWORDS;
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-    static int CO_ASYNC_GENERATOR;
-    #endif
-    #ifndef CO_GENERATOR
-    static int CO_GENERATOR;
-    #endif
-    #ifndef CO_COROUTINE
-    static int CO_COROUTINE;
-    #endif
-#else
-    #ifndef CO_COROUTINE
-      #define CO_COROUTINE 0x80
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-      #define CO_ASYNC_GENERATOR 0x200
-    #endif
-#endif
-static int __Pyx_init_co_variables(void);
-#if PY_VERSION_HEX >= 0x030900A4 || defined(Py_IS_TYPE)
-  #define __Pyx_IS_TYPE(ob, type) Py_IS_TYPE(ob, type)
-#else
-  #define __Pyx_IS_TYPE(ob, type) (((const PyObject*)ob)->ob_type == (type))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_Is)
-  #define __Pyx_Py_Is(x, y)  Py_Is(x, y)
-#else
-  #define __Pyx_Py_Is(x, y) ((x) == (y))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsNone)
-  #define __Pyx_Py_IsNone(ob) Py_IsNone(ob)
-#else
-  #define __Pyx_Py_IsNone(ob) __Pyx_Py_Is((ob), Py_None)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsTrue)
-  #define __Pyx_Py_IsTrue(ob) Py_IsTrue(ob)
-#else
-  #define __Pyx_Py_IsTrue(ob) __Pyx_Py_Is((ob), Py_True)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsFalse)
-  #define __Pyx_Py_IsFalse(ob) Py_IsFalse(ob)
-#else
-  #define __Pyx_Py_IsFalse(ob) __Pyx_Py_Is((ob), Py_False)
-#endif
-#define __Pyx_NoneAsNull(obj)  (__Pyx_Py_IsNone(obj) ? NULL : (obj))
-#if PY_VERSION_HEX >= 0x030900F0 && !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyObject_GC_IsFinalized(o) PyObject_GC_IsFinalized(o)
-#else
-  #define __Pyx_PyObject_GC_IsFinalized(o) _PyGC_FINALIZED(o)
-#endif
-#ifndef Py_TPFLAGS_CHECKTYPES
-  #define Py_TPFLAGS_CHECKTYPES 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_INDEX
-  #define Py_TPFLAGS_HAVE_INDEX 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_NEWBUFFER
-  #define Py_TPFLAGS_HAVE_NEWBUFFER 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_FINALIZE
-  #define Py_TPFLAGS_HAVE_FINALIZE 0
-#endif
-#ifndef Py_TPFLAGS_SEQUENCE
-  #define Py_TPFLAGS_SEQUENCE 0
-#endif
-#ifndef Py_TPFLAGS_MAPPING
-  #define Py_TPFLAGS_MAPPING 0
-#endif
-#ifndef Py_TPFLAGS_IMMUTABLETYPE
-  #define Py_TPFLAGS_IMMUTABLETYPE (1UL << 8)
-#endif
-#ifndef Py_TPFLAGS_DISALLOW_INSTANTIATION
-  #define Py_TPFLAGS_DISALLOW_INSTANTIATION (1UL << 7)
-#endif
-#ifndef METH_STACKLESS
-  #define METH_STACKLESS 0
-#endif
-#ifndef METH_FASTCALL
-  #ifndef METH_FASTCALL
-     #define METH_FASTCALL 0x80
-  #endif
-  typedef PyObject *(*__Pyx_PyCFunctionFast) (PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-  typedef PyObject *(*__Pyx_PyCFunctionFastWithKeywords) (PyObject *self, PyObject *const *args,
-                                                          Py_ssize_t nargs, PyObject *kwnames);
-#else
-  #if PY_VERSION_HEX >= 0x030d00A4
-  #  define __Pyx_PyCFunctionFast PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords PyCFunctionFastWithKeywords
-  #else
-  #  define __Pyx_PyCFunctionFast _PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords _PyCFunctionFastWithKeywords
-  #endif
-#endif
-#if CYTHON_METH_FASTCALL
-  #define __Pyx_METH_FASTCALL METH_FASTCALL
-  #define __Pyx_PyCFunction_FastCall __Pyx_PyCFunctionFast
-  #define __Pyx_PyCFunction_FastCallWithKeywords __Pyx_PyCFunctionFastWithKeywords
-#else
-  #define __Pyx_METH_FASTCALL METH_VARARGS
-  #define __Pyx_PyCFunction_FastCall PyCFunction
-  #define __Pyx_PyCFunction_FastCallWithKeywords PyCFunctionWithKeywords
-#endif
-#if CYTHON_VECTORCALL
-  #define __pyx_vectorcallfunc vectorcallfunc
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  PY_VECTORCALL_ARGUMENTS_OFFSET
-  #define __Pyx_PyVectorcall_NARGS(n)  PyVectorcall_NARGS((size_t)(n))
-#else
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  0
-  #define __Pyx_PyVectorcall_NARGS(n)  ((Py_ssize_t)(n))
-#endif
-#if PY_VERSION_HEX >= 0x030900B1
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_CheckExact(func)
-#else
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_Check(func)
-#endif
-#define __Pyx_CyOrPyCFunction_Check(func)  PyCFunction_Check(func)
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  (((PyCFunctionObject*)(func))->m_ml->ml_meth)
-#elif !CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  PyCFunction_GET_FUNCTION(func)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FLAGS(func)  (((PyCFunctionObject*)(func))->m_ml->ml_flags)
-static CYTHON_INLINE PyObject* __Pyx_CyOrPyCFunction_GET_SELF(PyObject *func) {
-    return (__Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_STATIC) ? NULL : ((PyCFunctionObject*)func)->m_self;
-}
-#endif
-static CYTHON_INLINE int __Pyx__IsSameCFunction(PyObject *func, void (*cfunc)(void)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    return PyCFunction_Check(func) && PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-#else
-    return PyCFunction_Check(func) && PyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-#endif
-}
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCFunction(func, cfunc)
-#if PY_VERSION_HEX < 0x03090000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000)
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  ((void)m, PyType_FromSpecWithBases(s, b))
-  typedef PyObject *(*__Pyx_PyCMethod)(PyObject *, PyTypeObject *, PyObject *const *, size_t, PyObject *);
-#else
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  PyType_FromModuleAndSpec(m, s, b)
-  #define __Pyx_PyCMethod  PyCMethod
-#endif
-#ifndef METH_METHOD
-  #define METH_METHOD 0x200
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyObject_Malloc)
-  #define PyObject_Malloc(s)   PyMem_Malloc(s)
-  #define PyObject_Free(p)     PyMem_Free(p)
-  #define PyObject_Realloc(p)  PyMem_Realloc(p)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)
-#elif CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) GraalPyFrame_SetLineNumber((frame), (lineno))
-#elif CYTHON_COMPILING_IN_GRAAL
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) _PyFrame_SetLineNumber((frame), (lineno))
-#else
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)  (frame)->f_lineno = (lineno)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyThreadState_Current PyThreadState_Get()
-#elif !CYTHON_FAST_THREAD_STATE
-  #define __Pyx_PyThreadState_Current PyThreadState_GET()
-#elif PY_VERSION_HEX >= 0x030d00A1
-  #define __Pyx_PyThreadState_Current PyThreadState_GetUnchecked()
-#else
-  #define __Pyx_PyThreadState_Current _PyThreadState_UncheckedGet()
-#endif
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_INLINE void *__Pyx__PyModule_GetState(PyObject *op)
-{
-    void *result;
-    result = PyModule_GetState(op);
-    if (!result)
-        Py_FatalError("Couldn't find the module state");
-    return result;
-}
-#define __Pyx_PyModule_GetState(o) (__pyx_mstatetype *)__Pyx__PyModule_GetState(o)
-#else
-#define __Pyx_PyModule_GetState(op) ((void)op,__pyx_mstate_global)
-#endif
-#define __Pyx_PyObject_GetSlot(obj, name, func_ctype)  __Pyx_PyType_GetSlot(Py_TYPE((PyObject *) obj), name, func_ctype)
-#define __Pyx_PyObject_TryGetSlot(obj, name, func_ctype) __Pyx_PyType_TryGetSlot(Py_TYPE(obj), name, func_ctype)
-#define __Pyx_PyObject_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#define __Pyx_PyObject_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((type)->name)
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype) __Pyx_PyType_GetSlot(type, name, func_ctype)
-  #define __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype) (((type)->sub) ? ((type)->sub->name) : NULL)
-  #define __Pyx_PyType_TryGetSubSlot(type, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype)
-#else
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((func_ctype) PyType_GetSlot((type), Py_##name))
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype)\
-    ((__PYX_LIMITED_VERSION_HEX >= 0x030A0000 ||\
-     (PyType_GetFlags(type) & Py_TPFLAGS_HEAPTYPE) || __Pyx_get_runtime_version() >= 0x030A0000) ?\
-     __Pyx_PyType_GetSlot(type, name, func_ctype) : NULL)
-  #define __Pyx_PyType_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSlot(obj, name, func_ctype)
-  #define __Pyx_PyType_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSlot(obj, name, func_ctype)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || defined(_PyDict_NewPresized)
-#define __Pyx_PyDict_NewPresized(n)  ((n <= 8) ? PyDict_New() : _PyDict_NewPresized(n))
-#else
-#define __Pyx_PyDict_NewPresized(n)  PyDict_New()
-#endif
-#define __Pyx_PyNumber_Divide(x,y)         PyNumber_TrueDivide(x,y)
-#define __Pyx_PyNumber_InPlaceDivide(x,y)  PyNumber_InPlaceTrueDivide(x,y)
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_UNICODE_INTERNALS
-#define __Pyx_PyDict_GetItemStrWithError(dict, name)  _PyDict_GetItem_KnownHash(dict, name, ((PyASCIIObject *) name)->hash)
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStr(PyObject *dict, PyObject *name) {
-    PyObject *res = __Pyx_PyDict_GetItemStrWithError(dict, name);
-    if (res == NULL) PyErr_Clear();
-    return res;
-}
-#elif !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07020000
-#define __Pyx_PyDict_GetItemStrWithError  PyDict_GetItemWithError
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#else
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStrWithError(PyObject *dict, PyObject *name) {
-#if CYTHON_COMPILING_IN_PYPY
-    return PyDict_GetItem(dict, name);
-#else
-    PyDictEntry *ep;
-    PyDictObject *mp = (PyDictObject*) dict;
-    long hash = ((PyStringObject *) name)->ob_shash;
-    assert(hash != -1);
-    ep = (mp->ma_lookup)(mp, name, hash);
-    if (ep == NULL) {
-        return NULL;
-    }
-    return ep->me_value;
-#endif
-}
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#endif
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetFlags(tp)   (((PyTypeObject *)tp)->tp_flags)
-  #define __Pyx_PyType_HasFeature(type, feature)  ((__Pyx_PyType_GetFlags(type) & (feature)) != 0)
-#else
-  #define __Pyx_PyType_GetFlags(tp)   (PyType_GetFlags((PyTypeObject *)tp))
-  #define __Pyx_PyType_HasFeature(type, feature)  PyType_HasFeature(type, feature)
-#endif
-#define __Pyx_PyObject_GetIterNextFunc(iterator)  __Pyx_PyObject_GetSlot(iterator, tp_iternext, iternextfunc)
-#if CYTHON_USE_TYPE_SPECS
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  {\
-    PyTypeObject *type = Py_TYPE((PyObject*)obj);\
-    assert(__Pyx_PyType_HasFeature(type, Py_TPFLAGS_HEAPTYPE));\
-    PyObject_GC_Del(obj);\
-    Py_DECREF(type);\
-}
-#else
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  PyObject_GC_Del(obj)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyUnicode_READY(op)       (0)
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_ReadChar(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   ((void)u, 1114111U)
-  #define __Pyx_PyUnicode_KIND(u)         ((void)u, (0))
-  #define __Pyx_PyUnicode_DATA(u)         ((void*)u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   ((void)k, PyUnicode_ReadChar((PyObject*)(d), i))
-  #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GetLength(u))
-#else
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_READY(op)       (0)
-  #else
-    #define __Pyx_PyUnicode_READY(op)       (likely(PyUnicode_IS_READY(op)) ?\
-                                                0 : _PyUnicode_Ready((PyObject *)(op)))
-  #endif
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_READ_CHAR(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   PyUnicode_MAX_CHAR_VALUE(u)
-  #define __Pyx_PyUnicode_KIND(u)         ((int)PyUnicode_KIND(u))
-  #define __Pyx_PyUnicode_DATA(u)         PyUnicode_DATA(u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   PyUnicode_READ(k, d, i)
-  #define __Pyx_PyUnicode_WRITE(k, d, i, ch)  PyUnicode_WRITE(k, d, i, (Py_UCS4) ch)
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GET_LENGTH(u))
-  #else
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x03090000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : ((PyCompactUnicodeObject *)(u))->wstr_length))
-    #else
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : PyUnicode_GET_SIZE(u)))
-    #endif
-  #endif
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyUnicode_Concat(a, b)      PyNumber_Add(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  PyNumber_Add(a, b)
-#else
-  #define __Pyx_PyUnicode_Concat(a, b)      PyUnicode_Concat(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  ((unlikely((a) == Py_None) || unlikely((b) == Py_None)) ?\
-      PyNumber_Add(a, b) : __Pyx_PyUnicode_Concat(a, b))
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #if !defined(PyUnicode_DecodeUnicodeEscape)
-    #define PyUnicode_DecodeUnicodeEscape(s, size, errors)  PyUnicode_Decode(s, size, "unicode_escape", errors)
-  #endif
-  #if !defined(PyUnicode_Contains)
-    #define PyUnicode_Contains(u, s)  PySequence_Contains(u, s)
-  #endif
-  #if !defined(PyByteArray_Check)
-    #define PyByteArray_Check(obj)  PyObject_TypeCheck(obj, &PyByteArray_Type)
-  #endif
-  #if !defined(PyObject_Format)
-    #define PyObject_Format(obj, fmt)  PyObject_CallMethod(obj, "__format__", "O", fmt)
-  #endif
-#endif
-#define __Pyx_PyUnicode_FormatSafe(a, b)  ((unlikely((a) == Py_None || (PyUnicode_Check(b) && !PyUnicode_CheckExact(b)))) ? PyNumber_Remainder(a, b) : PyUnicode_Format(a, b))
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && PyUnstable_Object_IsUniquelyReferenced(obj)) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#elif CYTHON_COMPILING_IN_CPYTHON
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && Py_REFCNT(obj) == 1) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#else
-  #define __Pyx_PySequence_ListKeepNew(obj)  PySequence_List(obj)
-#endif
-#ifndef PySet_CheckExact
-  #define PySet_CheckExact(obj)        __Pyx_IS_TYPE(obj, &PySet_Type)
-#endif
-#if PY_VERSION_HEX >= 0x030900A4
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_SET_REFCNT(obj, refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SET_SIZE(obj, size)
-#else
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_REFCNT(obj) = (refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SIZE(obj) = (size)
-#endif
-enum __Pyx_ReferenceSharing {
-  __Pyx_ReferenceSharing_DefinitelyUnique, // We created it so we know it's unshared - no need to check
-  __Pyx_ReferenceSharing_OwnStrongReference,
-  __Pyx_ReferenceSharing_FunctionArgument,
-  __Pyx_ReferenceSharing_SharedReference, // Never trust it to be unshared because it's a global or similar
-};
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && PY_VERSION_HEX >= 0x030E0000
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing)\
-    (sharing == __Pyx_ReferenceSharing_DefinitelyUnique ? 1 :\
-      (sharing == __Pyx_ReferenceSharing_FunctionArgument ? PyUnstable_Object_IsUniqueReferencedTemporary(o) :\
-      (sharing == __Pyx_ReferenceSharing_OwnStrongReference ? PyUnstable_Object_IsUniquelyReferenced(o) : 0)))
-#elif (CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING) || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)sharing), Py_REFCNT(o) == 1)
-#else
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)o), ((void)sharing), 0)
-#endif
-#if CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyList_GetItemRef(o, i) (likely((i) >= 0) ? PySequence_GetItem(o, i) : (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) PySequence_ITEM(o, i)
-  #endif
-#elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) __Pyx_XNewRef(PyList_GetItem(o, i))
-  #endif
-#else
-  #define __Pyx_PyList_GetItemRef(o, i) __Pyx_NewRef(PyList_GET_ITEM(o, i))
-#endif
-#if CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !CYTHON_COMPILING_IN_LIMITED_API && CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) (__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared) ?\
-    __Pyx_NewRef(PyList_GET_ITEM(o, i)) : __Pyx_PyList_GetItemRef(o, i))
-#else
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) __Pyx_PyList_GetItemRef(o, i)
-#endif
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyDict_GetItemRef(dict, key, result) PyDict_GetItemRef(dict, key, result)
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyObject_GetItem(dict, key);
-  if (*result == NULL) {
-    if (PyErr_ExceptionMatches(PyExc_KeyError)) {
-      PyErr_Clear();
-      return 0;
-    }
-    return -1;
-  }
-  return 1;
-}
-#else
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyDict_GetItemWithError(dict, key);
-  if (*result == NULL) {
-    return PyErr_Occurred() ? -1 : 0;
-  }
-  Py_INCREF(*result);
-  return 1;
-}
-#endif
-#if defined(CYTHON_DEBUG_VISIT_CONST) && CYTHON_DEBUG_VISIT_CONST
-  #define __Pyx_VISIT_CONST(obj)  Py_VISIT(obj)
-#else
-  #define __Pyx_VISIT_CONST(obj)
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_ITEM(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  Py_SIZE(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) (PyTuple_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GET_ITEM(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) (PyList_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GET_ITEM(o, i)
-#else
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_GetItem(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  PySequence_Size(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) PyTuple_SetItem(o, i, v)
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GetItem(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) PyList_SetItem(o, i, v)
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GetItem(o, i)
-#endif
-#if CYTHON_ASSUME_SAFE_SIZE
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_GET_SIZE(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_GET_SIZE(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_GET_SIZE(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_GET_SIZE(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_GET_SIZE(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GET_LENGTH(o)
-#else
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_Size(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_Size(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_Size(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_Size(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_Size(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GetLength(o)
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyUnicode_InternFromString)
-  #define PyUnicode_InternFromString(s) PyUnicode_FromString(s)
-#endif
-#define __Pyx_PyLong_FromHash_t PyLong_FromSsize_t
-#define __Pyx_PyLong_AsHash_t   __Pyx_PyIndex_AsSsize_t
-#if __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-    #define __Pyx_PySendResult PySendResult
-#else
-    typedef enum {
-        PYGEN_RETURN = 0,
-        PYGEN_ERROR = -1,
-        PYGEN_NEXT = 1,
-    } __Pyx_PySendResult;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030A00A3
-  typedef __Pyx_PySendResult (*__Pyx_pyiter_sendfunc)(PyObject *iter, PyObject *value, PyObject **result);
-#else
-  #define __Pyx_pyiter_sendfunc sendfunc
-#endif
-#if !CYTHON_USE_AM_SEND
-#define __PYX_HAS_PY_AM_SEND 0
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-#define __PYX_HAS_PY_AM_SEND 1
-#else
-#define __PYX_HAS_PY_AM_SEND 2  // our own backported implementation
-#endif
-#if __PYX_HAS_PY_AM_SEND < 2
-    #define __Pyx_PyAsyncMethodsStruct PyAsyncMethods
-#else
-    typedef struct {
-        unaryfunc am_await;
-        unaryfunc am_aiter;
-        unaryfunc am_anext;
-        __Pyx_pyiter_sendfunc am_send;
-    } __Pyx_PyAsyncMethodsStruct;
-    #define __Pyx_SlotTpAsAsync(s) ((PyAsyncMethods*)(s))
-#endif
-#if CYTHON_USE_AM_SEND && PY_VERSION_HEX < 0x030A00F0
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (1UL << 21)
-#else
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (0)
-#endif
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyInterpreterState_Get() PyInterpreterState_Get()
-#else
-#define __Pyx_PyInterpreterState_Get() PyThreadState_Get()->interp
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030A0000
-#ifdef __cplusplus
-extern "C"
-#endif
-PyAPI_FUNC(void *) PyMem_Calloc(size_t nelem, size_t elsize);
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static int __Pyx_init_co_variable(PyObject *inspect, const char* name, int *write_to) {
-    int value;
-    PyObject *py_value = PyObject_GetAttrString(inspect, name);
-    if (!py_value) return 0;
-    value = (int) PyLong_AsLong(py_value);
-    Py_DECREF(py_value);
-    *write_to = value;
-    return value != -1 || !PyErr_Occurred();
-}
-static int __Pyx_init_co_variables(void) {
-    PyObject *inspect;
-    int result;
-    inspect = PyImport_ImportModule("inspect");
-    result =
-#if !defined(CO_OPTIMIZED)
-        __Pyx_init_co_variable(inspect, "CO_OPTIMIZED", &CO_OPTIMIZED) &&
-#endif
-#if !defined(CO_NEWLOCALS)
-        __Pyx_init_co_variable(inspect, "CO_NEWLOCALS", &CO_NEWLOCALS) &&
-#endif
-#if !defined(CO_VARARGS)
-        __Pyx_init_co_variable(inspect, "CO_VARARGS", &CO_VARARGS) &&
-#endif
-#if !defined(CO_VARKEYWORDS)
-        __Pyx_init_co_variable(inspect, "CO_VARKEYWORDS", &CO_VARKEYWORDS) &&
-#endif
-#if !defined(CO_ASYNC_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_ASYNC_GENERATOR", &CO_ASYNC_GENERATOR) &&
-#endif
-#if !defined(CO_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_GENERATOR", &CO_GENERATOR) &&
-#endif
-#if !defined(CO_COROUTINE)
-        __Pyx_init_co_variable(inspect, "CO_COROUTINE", &CO_COROUTINE) &&
-#endif
-        1;
-    Py_DECREF(inspect);
-    return result ? 0 : -1;
-}
-#else
-static int __Pyx_init_co_variables(void) {
-    return 0;  // It's a limited API-only feature
-}
-#endif
-
-/* MathInitCode */
-#if defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)
-  #ifndef _USE_MATH_DEFINES
-    #define _USE_MATH_DEFINES
-  #endif
-#endif
-#include <math.h>
-#if defined(__CYGWIN__) && defined(_LDBL_EQ_DBL)
-#define __Pyx_truncl trunc
-#else
-#define __Pyx_truncl truncl
-#endif
-
-#ifndef CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#define CYTHON_CLINE_IN_TRACEBACK_RUNTIME 0
-#endif
-#ifndef CYTHON_CLINE_IN_TRACEBACK
-#define CYTHON_CLINE_IN_TRACEBACK CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#endif
-#if CYTHON_CLINE_IN_TRACEBACK
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; __pyx_clineno = __LINE__; (void) __pyx_clineno; }
-#else
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; (void) __pyx_clineno; }
-#endif
-#define __PYX_ERR(f_index, lineno, Ln_error) \
-    { __PYX_MARK_ERR_POS(f_index, lineno) goto Ln_error; }
-
-#ifdef CYTHON_EXTERN_C
-    #undef __PYX_EXTERN_C
-    #define __PYX_EXTERN_C CYTHON_EXTERN_C
-#elif defined(__PYX_EXTERN_C)
-    #ifdef _MSC_VER
-    #pragma message ("Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.")
-    #else
-    #warning Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.
-    #endif
-#else
-  #ifdef __cplusplus
-    #define __PYX_EXTERN_C extern "C"
-  #else
-    #define __PYX_EXTERN_C extern
-  #endif
-#endif
-
-#define __PYX_HAVE__immaculate___kernels___speedups
-#define __PYX_HAVE_API__immaculate___kernels___speedups
-/* Early includes */
-#include <string.h>
-#include <stdlib.h>
-#ifdef _OPENMP
-#include <omp.h>
-#endif /* _OPENMP */
-
-#if defined(PYREX_WITHOUT_ASSERTIONS) && !defined(CYTHON_WITHOUT_ASSERTIONS)
-#define CYTHON_WITHOUT_ASSERTIONS
-#endif
-
-#ifdef CYTHON_FREETHREADING_COMPATIBLE
-#if CYTHON_FREETHREADING_COMPATIBLE
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_NOT_USED
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#define __PYX_DEFAULT_STRING_ENCODING_IS_ASCII 0
-#define __PYX_DEFAULT_STRING_ENCODING_IS_UTF8 0
-#define __PYX_DEFAULT_STRING_ENCODING ""
-#define __Pyx_PyObject_FromString __Pyx_PyBytes_FromString
-#define __Pyx_PyObject_FromStringAndSize __Pyx_PyBytes_FromStringAndSize
-#define __Pyx_uchar_cast(c) ((unsigned char)c)
-#define __Pyx_long_cast(x) ((long)x)
-#define __Pyx_fits_Py_ssize_t(v, type, is_signed)  (\
-    (sizeof(type) < sizeof(Py_ssize_t))  ||\
-    (sizeof(type) > sizeof(Py_ssize_t) &&\
-          likely(v < (type)PY_SSIZE_T_MAX ||\
-                 v == (type)PY_SSIZE_T_MAX)  &&\
-          (!is_signed || likely(v > (type)PY_SSIZE_T_MIN ||\
-                                v == (type)PY_SSIZE_T_MIN)))  ||\
-    (sizeof(type) == sizeof(Py_ssize_t) &&\
-          (is_signed || likely(v < (type)PY_SSIZE_T_MAX ||\
-                               v == (type)PY_SSIZE_T_MAX)))  )
-static CYTHON_INLINE int __Pyx_is_valid_index(Py_ssize_t i, Py_ssize_t limit) {
-    return (size_t) i < (size_t) limit;
-}
-#if defined (__cplusplus) && __cplusplus >= 201103L
-    #include <cstdlib>
-    #define __Pyx_sst_abs(value) std::abs(value)
-#elif SIZEOF_INT >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) abs(value)
-#elif SIZEOF_LONG >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) labs(value)
-#elif defined (_MSC_VER)
-    #define __Pyx_sst_abs(value) ((Py_ssize_t)_abs64(value))
-#elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define __Pyx_sst_abs(value) llabs(value)
-#elif defined (__GNUC__)
-    #define __Pyx_sst_abs(value) __builtin_llabs(value)
-#else
-    #define __Pyx_sst_abs(value) ((value<0) ? -value : value)
-#endif
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject*);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject*, Py_ssize_t* length);
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char*);
-#define __Pyx_PyByteArray_FromStringAndSize(s, l) PyByteArray_FromStringAndSize((const char*)s, l)
-#define __Pyx_PyBytes_FromString        PyBytes_FromString
-#define __Pyx_PyBytes_FromStringAndSize PyBytes_FromStringAndSize
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char*);
-#if CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AS_STRING(s)
-#else
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AsString(s)
-#endif
-#define __Pyx_PyObject_AsWritableString(s)    ((char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableSString(s)    ((signed char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableUString(s)    ((unsigned char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsSString(s)    ((const signed char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsUString(s)    ((const unsigned char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_FromCString(s)  __Pyx_PyObject_FromString((const char*)s)
-#define __Pyx_PyBytes_FromCString(s)   __Pyx_PyBytes_FromString((const char*)s)
-#define __Pyx_PyByteArray_FromCString(s)   __Pyx_PyByteArray_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromCString(s) __Pyx_PyUnicode_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromOrdinal(o)       PyUnicode_FromOrdinal((int)o)
-#define __Pyx_PyUnicode_AsUnicode            PyUnicode_AsUnicode
-static CYTHON_INLINE PyObject *__Pyx_NewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_NewRef)
-    return Py_NewRef(obj);
-#else
-    Py_INCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_XNewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_XNewRef)
-    return Py_XNewRef(obj);
-#else
-    Py_XINCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b);
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject*);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject*);
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x);
-#define __Pyx_PySequence_Tuple(obj)\
-    (likely(PyTuple_CheckExact(obj)) ? __Pyx_NewRef(obj) : PySequence_Tuple(obj))
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject*);
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t);
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject*);
-#if CYTHON_ASSUME_SAFE_MACROS
-#define __Pyx_PyFloat_AsDouble(x) (PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x))
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AS_DOUBLE(x)
-#else
-#define __Pyx_PyFloat_AsDouble(x) PyFloat_AsDouble(x)
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AsDouble(x)
-#endif
-#define __Pyx_PyFloat_AsFloat(x) ((float) __Pyx_PyFloat_AsDouble(x))
-#define __Pyx_PyNumber_Int(x) (PyLong_CheckExact(x) ? __Pyx_NewRef(x) : PyNumber_Long(x))
-#if CYTHON_USE_PYLONG_INTERNALS
-  #if PY_VERSION_HEX >= 0x030C00A7
-  #ifndef _PyLong_SIGN_MASK
-    #define _PyLong_SIGN_MASK 3
-  #endif
-  #ifndef _PyLong_NON_SIZE_BITS
-    #define _PyLong_NON_SIZE_BITS 3
-  #endif
-  #define __Pyx_PyLong_Sign(x)  (((PyLongObject*)x)->long_value.lv_tag & _PyLong_SIGN_MASK)
-  #define __Pyx_PyLong_IsNeg(x)  ((__Pyx_PyLong_Sign(x) & 2) != 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (!__Pyx_PyLong_IsNeg(x))
-  #define __Pyx_PyLong_IsZero(x)  (__Pyx_PyLong_Sign(x) & 1)
-  #define __Pyx_PyLong_IsPos(x)  (__Pyx_PyLong_Sign(x) == 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  (__Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  ((Py_ssize_t) (((PyLongObject*)x)->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
-  #define __Pyx_PyLong_SignedDigitCount(x)\
-        ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * __Pyx_PyLong_DigitCount(x))
-  #if defined(PyUnstable_Long_IsCompact) && defined(PyUnstable_Long_CompactValue)
-    #define __Pyx_PyLong_IsCompact(x)     PyUnstable_Long_IsCompact((PyLongObject*) x)
-    #define __Pyx_PyLong_CompactValue(x)  PyUnstable_Long_CompactValue((PyLongObject*) x)
-  #else
-    #define __Pyx_PyLong_IsCompact(x)     (((PyLongObject*)x)->long_value.lv_tag < (2 << _PyLong_NON_SIZE_BITS))
-    #define __Pyx_PyLong_CompactValue(x)  ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * (Py_ssize_t) __Pyx_PyLong_Digits(x)[0])
-  #endif
-  typedef Py_ssize_t  __Pyx_compact_pylong;
-  typedef size_t  __Pyx_compact_upylong;
-  #else
-  #define __Pyx_PyLong_IsNeg(x)  (Py_SIZE(x) < 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (Py_SIZE(x) >= 0)
-  #define __Pyx_PyLong_IsZero(x)  (Py_SIZE(x) == 0)
-  #define __Pyx_PyLong_IsPos(x)  (Py_SIZE(x) > 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  ((Py_SIZE(x) == 0) ? 0 : __Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  __Pyx_sst_abs(Py_SIZE(x))
-  #define __Pyx_PyLong_SignedDigitCount(x)  Py_SIZE(x)
-  #define __Pyx_PyLong_IsCompact(x)  (Py_SIZE(x) == 0 || Py_SIZE(x) == 1 || Py_SIZE(x) == -1)
-  #define __Pyx_PyLong_CompactValue(x)\
-        ((Py_SIZE(x) == 0) ? (sdigit) 0 : ((Py_SIZE(x) < 0) ? -(sdigit)__Pyx_PyLong_Digits(x)[0] : (sdigit)__Pyx_PyLong_Digits(x)[0]))
-  typedef sdigit  __Pyx_compact_pylong;
-  typedef digit  __Pyx_compact_upylong;
-  #endif
-  #if PY_VERSION_HEX >= 0x030C00A5
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->long_value.ob_digit)
-  #else
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->ob_digit)
-  #endif
-#endif
-#if __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeUTF8(c_str, size, NULL)
-#elif __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeASCII(c_str, size, NULL)
-#else
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_Decode(c_str, size, __PYX_DEFAULT_STRING_ENCODING, NULL)
-#endif
-
-
-/* Test for GCC > 2.95 */
-#if defined(__GNUC__)     && (__GNUC__ > 2 || (__GNUC__ == 2 && (__GNUC_MINOR__ > 95)))
-  #define likely(x)   __builtin_expect(!!(x), 1)
-  #define unlikely(x) __builtin_expect(!!(x), 0)
-#else /* !__GNUC__ or GCC < 2.95 */
-  #define likely(x)   (x)
-  #define unlikely(x) (x)
-#endif /* __GNUC__ */
-/* PretendToInitialize */
-#ifdef __cplusplus
-#if __cplusplus > 201103L
-#include <type_traits>
-#endif
-template <typename T>
-static void __Pyx_pretend_to_initialize(T* ptr) {
-#if __cplusplus > 201103L
-    if ((std::is_trivially_default_constructible<T>::value))
-#endif
-        *ptr = T();
-    (void)ptr;
-}
-#else
-static CYTHON_INLINE void __Pyx_pretend_to_initialize(void* ptr) { (void)ptr; }
-#endif
-
-
-#if !CYTHON_USE_MODULE_STATE
-static PyObject *__pyx_m = NULL;
-#endif
-static int __pyx_lineno;
-static int __pyx_clineno = 0;
-static const char * const __pyx_cfilenm = __FILE__;
-static const char *__pyx_filename;
-
-/* #### Code section: filename_table ### */
-
-static const char* const __pyx_f[] = {
-  "src/immaculate/_kernels/_speedups.pyx",
-  "<stringsource>",
-};
-/* #### Code section: utility_code_proto_before_types ### */
-/* Atomics.proto (used by UnpackUnboundCMethod) */
-#include <pythread.h>
-#ifndef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 1
-#endif
-#define __PYX_CYTHON_ATOMICS_ENABLED() CYTHON_ATOMICS
-#define __PYX_GET_CYTHON_COMPILING_IN_CPYTHON_FREETHREADING() CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __pyx_atomic_int_type int
-#define __pyx_nonatomic_int_type int
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__))
-    #include <stdatomic.h>
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)))
-    #include <atomic>
-#endif
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__) &&\
-                       ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type atomic_int
-    #define __pyx_atomic_ptr_type atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) atomic_fetch_add_explicit(value, 1, memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) atomic_fetch_add_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) atomic_fetch_sub_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) atomic_load_explicit(value, memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) atomic_load_explicit(value, memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C atomics"
-    #endif
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)) &&\
-                    ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type std::atomic_int
-    #define __pyx_atomic_ptr_type std::atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) std::atomic_fetch_sub_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) std::atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) std::atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) std::atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) std::atomic_load_explicit(value, std::memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) std::atomic_load_explicit(value, std::memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) std::atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C++ atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C++ atomics"
-    #endif
-#elif CYTHON_ATOMICS && (__GNUC__ >= 5 || (__GNUC__ == 4 &&\
-                    (__GNUC_MINOR__ > 1 ||\
-                    (__GNUC_MINOR__ == 1 && __GNUC_PATCHLEVEL__ >= 2))))
-    #define __pyx_atomic_ptr_type void*
-    #define __pyx_nonatomic_ptr_type void*
-    #define __pyx_atomic_incr_relaxed(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) __sync_fetch_and_sub(value, 1)
-    #define __pyx_atomic_sub(value, arg) __sync_fetch_and_sub(value, arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_store(value, new_value) __sync_lock_test_and_set(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_load_acquire(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) __sync_lock_test_and_set(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_nonatomic_ptr_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Using GNU atomics"
-    #endif
-#elif CYTHON_ATOMICS && defined(_MSC_VER)
-    #include <intrin.h>
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type long
-    #define __pyx_atomic_ptr_type void*
-    #undef __pyx_nonatomic_int_type
-    #define __pyx_nonatomic_int_type long
-    #define __pyx_nonatomic_ptr_type void*
-    #pragma intrinsic (_InterlockedExchangeAdd, _InterlockedExchange, _InterlockedCompareExchange, _InterlockedCompareExchangePointer, _InterlockedExchangePointer)
-    #define __pyx_atomic_incr_relaxed(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) _InterlockedExchangeAdd(value, -1)
-    #define __pyx_atomic_sub(value, arg) _InterlockedExchangeAdd(value, -arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = _InterlockedCompareExchange(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) _InterlockedExchangeAdd(value, 0)
-    #define __pyx_atomic_store(value, new_value) _InterlockedExchange(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) *(void * volatile *)value
-    #define __pyx_atomic_pointer_load_acquire(value) _InterlockedCompareExchangePointer(value, 0, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) _InterlockedExchangePointer(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_atomic_ptr_type old = _InterlockedCompareExchangePointer(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #pragma message ("Using MSVC atomics")
-    #endif
-#else
-    #undef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 0
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Not using atomics"
-    #endif
-#endif
-
-/* CriticalSectionsDefinition.proto (used by CriticalSections) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection void*
-#define __Pyx_PyCriticalSection2 void*
-#define __Pyx_PyCriticalSection_End(cs)
-#define __Pyx_PyCriticalSection2_End(cs)
-#else
-#define __Pyx_PyCriticalSection PyCriticalSection
-#define __Pyx_PyCriticalSection2 PyCriticalSection2
-#define __Pyx_PyCriticalSection_End PyCriticalSection_End
-#define __Pyx_PyCriticalSection2_End PyCriticalSection2_End
-#endif
-
-/* CriticalSections.proto (used by ParseKeywordsImpl) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection_Begin(cs, arg) (void)(cs)
-#define __Pyx_PyCriticalSection2_Begin(cs, arg1, arg2) (void)(cs)
-#else
-#define __Pyx_PyCriticalSection_Begin PyCriticalSection_Begin
-#define __Pyx_PyCriticalSection2_Begin PyCriticalSection2_Begin
-#endif
-#if PY_VERSION_HEX < 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_BEGIN_CRITICAL_SECTION(o) {
-#define __Pyx_END_CRITICAL_SECTION() }
-#else
-#define __Pyx_BEGIN_CRITICAL_SECTION Py_BEGIN_CRITICAL_SECTION
-#define __Pyx_END_CRITICAL_SECTION Py_END_CRITICAL_SECTION
-#endif
-
-/* IncludeStructmemberH.proto (used by FixUpExtensionType) */
+#include <Python.h>
 #include <structmember.h>
 
-/* #### Code section: numeric_typedefs ### */
-/* #### Code section: complex_type_declarations ### */
-/* #### Code section: type_declarations ### */
-
-/*--- Type declarations ---*/
-struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps;
-struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr;
-struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr;
-
-/* "immaculate/_kernels/_speedups.pyx":19
- * 
- * 
- * cdef class ShapeOps:             # <<<<<<<<<<<<<<
- *     """Precomputed flat geometry for one composition plus the hot operations."""
- * 
-*/
-struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps {
-  PyObject_HEAD
-  struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_vtab;
-  PyObject *parts;
-  int size;
-  PyObject *hook_prod;
-  PyObject *n_factorial;
-  int k;
-  int npairs;
-  int prod_fits;
-  PY_LONG_LONG prod_ll;
-  int *row_start;
-  int *rowof;
-  int *colof;
-  int *right;
-  int *below;
-  int *order;
-  int *rank;
-  int *hooklen;
-  int *pa;
-  int *pb;
-};
-
-
-/* "immaculate/_kernels/_speedups.pyx":42
- * 
- *     def __cinit__(self, parts):
- *         parts = tuple(int(p) for p in parts)             # <<<<<<<<<<<<<<
- *         if not parts or any(p < 1 for p in parts):
- *             raise ValueError(f"bad composition parts: {parts!r}")
-*/
-struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr {
-  PyObject_HEAD
-  PyObject *__pyx_genexpr_arg_0;
-  PyObject *__pyx_v_p;
-  PyObject *__pyx_t_0;
-  Py_ssize_t __pyx_t_1;
-  PyObject *(*__pyx_t_2)(PyObject *);
-};
-
-
-/* "immaculate/_kernels/_speedups.pyx":43
- *     def __cinit__(self, parts):
- *         parts = tuple(int(p) for p in parts)
- *         if not parts or any(p < 1 for p in parts):             # <<<<<<<<<<<<<<
- *             raise ValueError(f"bad composition parts: {parts!r}")
- *         self.parts = parts
-*/
-struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr {
-  PyObject_HEAD
-  PyObject *__pyx_genexpr_arg_0;
-  PyObject *__pyx_v_p;
-};
-
-
-
-/* "immaculate/_kernels/_speedups.pyx":19
- * 
- * 
- * cdef class ShapeOps:             # <<<<<<<<<<<<<<
- *     """Precomputed flat geometry for one composition plus the hot operations."""
- * 
-*/
-
-struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps {
-  int (*_is_standard)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, int *);
-  int (*_prefix_standard)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, int *, int);
-  int (*_slide)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, int *, int, int *);
-  int (*_build_path)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, int, int, int *);
-  int (*_hook_index)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, int, int);
-  void (*_rot_right)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, int *, int *, int);
-  void (*_rot_left)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, int *, int *, int);
-  int (*_straighten_c)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, int *, int *, int, int *, int *);
-  int (*_path_matches_hook)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, int, int, int *, int);
-  int (*_unstraighten_c)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, int *, int *, int, int *);
-  int (*_next_perm)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, int *);
-  int (*_perm_unrank)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, PY_LONG_LONG, int *);
-};
-static struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_vtabptr_10immaculate_8_kernels_9_speedups_ShapeOps;
-/* #### Code section: utility_code_proto ### */
-
-/* --- Runtime support code (head) --- */
-/* Refnanny.proto */
-#ifndef CYTHON_REFNANNY
-  #define CYTHON_REFNANNY 0
-#endif
-#if CYTHON_REFNANNY
-  typedef struct {
-    void (*INCREF)(void*, PyObject*, Py_ssize_t);
-    void (*DECREF)(void*, PyObject*, Py_ssize_t);
-    void (*GOTREF)(void*, PyObject*, Py_ssize_t);
-    void (*GIVEREF)(void*, PyObject*, Py_ssize_t);
-    void* (*SetupContext)(const char*, Py_ssize_t, const char*);
-    void (*FinishContext)(void**);
-  } __Pyx_RefNannyAPIStruct;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNanny = NULL;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname);
-  #define __Pyx_RefNannyDeclarations void *__pyx_refnanny = NULL;
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)\
-          if (acquire_gil) {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-              PyGILState_Release(__pyx_gilstate_save);\
-          } else {\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContext()\
-          __Pyx_RefNanny->FinishContext(&__pyx_refnanny)
-  #define __Pyx_INCREF(r)  __Pyx_RefNanny->INCREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_DECREF(r)  __Pyx_RefNanny->DECREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GOTREF(r)  __Pyx_RefNanny->GOTREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GIVEREF(r) __Pyx_RefNanny->GIVEREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_XINCREF(r)  do { if((r) == NULL); else {__Pyx_INCREF(r); }} while(0)
-  #define __Pyx_XDECREF(r)  do { if((r) == NULL); else {__Pyx_DECREF(r); }} while(0)
-  #define __Pyx_XGOTREF(r)  do { if((r) == NULL); else {__Pyx_GOTREF(r); }} while(0)
-  #define __Pyx_XGIVEREF(r) do { if((r) == NULL); else {__Pyx_GIVEREF(r);}} while(0)
-#else
-  #define __Pyx_RefNannyDeclarations
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)
-  #define __Pyx_RefNannyFinishContextNogil()
-  #define __Pyx_RefNannyFinishContext()
-  #define __Pyx_INCREF(r) Py_INCREF(r)
-  #define __Pyx_DECREF(r) Py_DECREF(r)
-  #define __Pyx_GOTREF(r)
-  #define __Pyx_GIVEREF(r)
-  #define __Pyx_XINCREF(r) Py_XINCREF(r)
-  #define __Pyx_XDECREF(r) Py_XDECREF(r)
-  #define __Pyx_XGOTREF(r)
-  #define __Pyx_XGIVEREF(r)
-#endif
-#define __Pyx_Py_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; Py_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_DECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_DECREF(tmp);\
-    } while (0)
-#define __Pyx_CLEAR(r)    do { PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);} while(0)
-#define __Pyx_XCLEAR(r)   do { if((r) != NULL) {PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);}} while(0)
-
-/* TupleAndListFromArray.proto (used by fastcall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-
-/* IncludeStringH.proto (used by BytesEquals) */
-#include <string.h>
-
-/* BytesEquals.proto (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* UnicodeEquals.proto (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* fastcall.proto */
-#if CYTHON_AVOID_BORROWED_REFS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_PySequence_ITEM(args, i)
-#elif CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_NewRef(__Pyx_PyTuple_GET_ITEM(args, i))
-#else
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_XNewRef(PyTuple_GetItem(args, i))
-#endif
-#define __Pyx_NumKwargs_VARARGS(kwds) PyDict_Size(kwds)
-#define __Pyx_KwValues_VARARGS(args, nargs) NULL
-#define __Pyx_GetKwValue_VARARGS(kw, kwvalues, s) __Pyx_PyDict_GetItemStrWithError(kw, s)
-#define __Pyx_KwargsAsDict_VARARGS(kw, kwvalues) PyDict_Copy(kw)
-#if CYTHON_METH_FASTCALL
-    #define __Pyx_ArgRef_FASTCALL(args, i) __Pyx_NewRef(args[i])
-    #define __Pyx_NumKwargs_FASTCALL(kwds) __Pyx_PyTuple_GET_SIZE(kwds)
-    #define __Pyx_KwValues_FASTCALL(args, nargs) ((args) + (nargs))
-    static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues);
-  #else
-    #define __Pyx_KwargsAsDict_FASTCALL(kw, kwvalues) _PyStack_AsDict(kwvalues, kw)
-  #endif
-#else
-    #define __Pyx_ArgRef_FASTCALL __Pyx_ArgRef_VARARGS
-    #define __Pyx_NumKwargs_FASTCALL __Pyx_NumKwargs_VARARGS
-    #define __Pyx_KwValues_FASTCALL __Pyx_KwValues_VARARGS
-    #define __Pyx_GetKwValue_FASTCALL __Pyx_GetKwValue_VARARGS
-    #define __Pyx_KwargsAsDict_FASTCALL __Pyx_KwargsAsDict_VARARGS
-#endif
-#define __Pyx_ArgsSlice_VARARGS(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#if CYTHON_METH_FASTCALL || (CYTHON_COMPILING_IN_CPYTHON && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) __Pyx_PyTuple_FromArray(args + start, stop - start)
-#else
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#endif
-
-/* py_dict_items.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d);
-
-/* CallCFunction.proto (used by CallUnboundCMethod0) */
-#define __Pyx_CallCFunction(cfunc, self, args)\
-    ((PyCFunction)(void(*)(void))(cfunc)->func)(self, args)
-#define __Pyx_CallCFunctionWithKeywords(cfunc, self, args, kwargs)\
-    ((PyCFunctionWithKeywords)(void(*)(void))(cfunc)->func)(self, args, kwargs)
-#define __Pyx_CallCFunctionFast(cfunc, self, args, nargs)\
-    ((__Pyx_PyCFunctionFast)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs)
-#define __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, nargs, kwnames)\
-    ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs, kwnames)
-
-/* PyObjectCall.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw);
-#else
-#define __Pyx_PyObject_Call(func, arg, kw) PyObject_Call(func, arg, kw)
-#endif
-
-/* PyObjectCallMethO.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg);
-#endif
-
-/* PyObjectFastCall.proto (used by PyObjectCallOneArg) */
-#define __Pyx_PyObject_FastCall(func, args, nargs)  __Pyx_PyObject_FastCallDict(func, args, (size_t)(nargs), NULL)
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs);
-
-/* PyObjectCallOneArg.proto (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg);
-
-/* PyObjectGetAttrStr.proto (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name);
-#else
-#define __Pyx_PyObject_GetAttrStr(o,n) PyObject_GetAttr(o,n)
-#endif
-
-/* UnpackUnboundCMethod.proto (used by CallUnboundCMethod0) */
-typedef struct {
-    PyObject *type;
-    PyObject **method_name;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && CYTHON_ATOMICS
-    __pyx_atomic_int_type initialized;
-#endif
-    PyCFunction func;
-    PyObject *method;
-    int flag;
-} __Pyx_CachedCFunction;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-static CYTHON_INLINE int __Pyx_CachedCFunction_GetAndSetInitializing(__Pyx_CachedCFunction *cfunc) {
-#if !CYTHON_ATOMICS
-    return 1;
-#else
-    __pyx_nonatomic_int_type expected = 0;
-    if (__pyx_atomic_int_cmp_exchange(&cfunc->initialized, &expected, 1)) {
-        return 0;
-    }
-    return expected;
-#endif
-}
-static CYTHON_INLINE void __Pyx_CachedCFunction_SetFinishedInitializing(__Pyx_CachedCFunction *cfunc) {
-#if CYTHON_ATOMICS
-    __pyx_atomic_store(&cfunc->initialized, 2);
-#endif
-}
-#else
-#define __Pyx_CachedCFunction_GetAndSetInitializing(cfunc) 2
-#define __Pyx_CachedCFunction_SetFinishedInitializing(cfunc)
-#endif
-
-/* CallUnboundCMethod0.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#else
-#define __Pyx_CallUnboundCMethod0(cfunc, self)  __Pyx__CallUnboundCMethod0(cfunc, self)
-#endif
-
-/* py_dict_values.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d);
-
-/* OwnedDictNext.proto (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue);
-#else
-CYTHON_INLINE
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue);
-#endif
-
-/* RaiseDoubleKeywords.proto (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(const char* func_name, PyObject* kw_name);
-
-/* ParseKeywordsImpl.export */
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name
-);
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* CallUnboundCMethod2.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2);
-#else
-#define __Pyx_CallUnboundCMethod2(cfunc, self, arg1, arg2)  __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2)
-#endif
-
-/* ParseKeywords.proto */
-static CYTHON_INLINE int __Pyx_ParseKeywords(
-    PyObject *kwds, PyObject *const *kwvalues, PyObject ** const argnames[],
-    PyObject *kwds2, PyObject *values[],
-    Py_ssize_t num_pos_args, Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* RaiseArgTupleInvalid.proto */
-static void __Pyx_RaiseArgtupleInvalid(const char* func_name, int exact,
-    Py_ssize_t num_min, Py_ssize_t num_max, Py_ssize_t num_found);
-
-/* RaiseUnboundLocalError.proto */
-static void __Pyx_RaiseUnboundLocalError(const char *varname);
-
-/* PyThreadStateGet.proto (used by GetException) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyThreadState_declare  PyThreadState *__pyx_tstate;
-#define __Pyx_PyThreadState_assign  __pyx_tstate = __Pyx_PyThreadState_Current;
-#if PY_VERSION_HEX >= 0x030C00A6
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->current_exception != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->current_exception ? (PyObject*) Py_TYPE(__pyx_tstate->current_exception) : (PyObject*) NULL)
-#else
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->curexc_type != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->curexc_type)
-#endif
-#else
-#define __Pyx_PyThreadState_declare
-#define __Pyx_PyThreadState_assign
-#define __Pyx_PyErr_Occurred()  (PyErr_Occurred() != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  PyErr_Occurred()
-#endif
-
-/* GetException.proto (used by pep479) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_GetException(type, value, tb)  __Pyx__GetException(__pyx_tstate, type, value, tb)
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* pep479.proto */
-static void __Pyx_Generator_Replace_StopIteration(int in_async_gen);
-
-/* PyValueError_Check.proto */
-#define __Pyx_PyExc_ValueError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_ValueError)
-
-/* PyObjectFormatAndDecref.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FormatSimpleAndDecref(PyObject* s, PyObject* f);
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FormatAndDecref(PyObject* s, PyObject* f);
-
-/* PyErrFetchRestore.proto (used by RaiseException) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_Clear() __Pyx_ErrRestore(NULL, NULL, NULL)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  __Pyx_ErrRestoreInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)    __Pyx_ErrFetchInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  __Pyx_ErrRestoreInState(__pyx_tstate, type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)    __Pyx_ErrFetchInState(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A6
-#define __Pyx_PyErr_SetNone(exc) (Py_INCREF(exc), __Pyx_ErrRestore((exc), NULL, NULL))
-#else
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#endif
-#else
-#define __Pyx_PyErr_Clear() PyErr_Clear()
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestoreInState(tstate, type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchInState(tstate, type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)  PyErr_Fetch(type, value, tb)
-#endif
-
-/* RaiseException.export */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause);
-
-/* RaiseUnexpectedTypeError.proto */
-static int __Pyx_RaiseUnexpectedTypeError(const char *expected, PyObject *obj);
-
-/* GetItemInt.proto */
-#define __Pyx_GetItemInt(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Fast(o, (Py_ssize_t)i, is_list, wraparound, boundscheck, unsafe_shared) :\
-    (is_list ? (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL) :\
-               __Pyx_GetItemInt_Generic(o, to_py_func(i))))
-#define __Pyx_GetItemInt_List(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_List_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-#define __Pyx_GetItemInt_Tuple(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Tuple_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "tuple index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j);
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i,
-                                                     int is_list, int wraparound, int boundscheck, int unsafe_shared);
-
-/* ListAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_PyList_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len) & likely(len > (L->allocated >> 1))) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_PyList_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* PyErrExceptionMatches.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_ExceptionMatches(err) __Pyx_PyErr_ExceptionMatchesInState(__pyx_tstate, err)
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err);
-#else
-#define __Pyx_PyErr_ExceptionMatches(err)  PyErr_ExceptionMatches(err)
-#endif
-
-/* PyObjectGetAttrStrNoError.proto (used by GetBuiltinName) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name);
-
-/* GetBuiltinName.proto (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name);
-
-/* PyDictVersioning.proto (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-#define __PYX_DICT_VERSION_INIT  ((PY_UINT64_T) -1)
-#define __PYX_GET_DICT_VERSION(dict)  (((PyDictObject*)(dict))->ma_version_tag)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)\
-    (version_var) = __PYX_GET_DICT_VERSION(dict);\
-    (cache_var) = (value);
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP) {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    if (likely(__PYX_GET_DICT_VERSION(DICT) == __pyx_dict_version)) {\
-        (VAR) = __Pyx_XNewRef(__pyx_dict_cached_value);\
-    } else {\
-        (VAR) = __pyx_dict_cached_value = (LOOKUP);\
-        __pyx_dict_version = __PYX_GET_DICT_VERSION(DICT);\
-    }\
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj);
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj);
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version);
-#else
-#define __PYX_GET_DICT_VERSION(dict)  (0)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP)  (VAR) = (LOOKUP);
-#endif
-
-/* GetModuleGlobalName.proto */
-#if CYTHON_USE_DICT_VERSIONS
-#define __Pyx_GetModuleGlobalName(var, name)  do {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    (var) = (likely(__pyx_dict_version == __PYX_GET_DICT_VERSION(__pyx_mstate_global->__pyx_d))) ?\
-        (likely(__pyx_dict_cached_value) ? __Pyx_NewRef(__pyx_dict_cached_value) : __Pyx_GetBuiltinName(name)) :\
-        __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  do {\
-    PY_UINT64_T __pyx_dict_version;\
-    PyObject *__pyx_dict_cached_value;\
-    (var) = __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value);
-#else
-#define __Pyx_GetModuleGlobalName(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name);
-#endif
-
-/* BuildPyUnicode.proto (used by COrdinalToPyUnicode) */
-static PyObject* __Pyx_PyUnicode_BuildFromAscii(Py_ssize_t ulength, const char* chars, int clength,
-                                                int prepend_sign, char padding_char);
-
-/* COrdinalToPyUnicode.proto (used by CIntToPyUnicode) */
-static CYTHON_INLINE int __Pyx_CheckUnicodeValue(int value);
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromOrdinal_Padded(int value, Py_ssize_t width, char padding_char);
-
-/* GCCDiagnostics.proto (used by CIntToPyUnicode) */
-#if !defined(__INTEL_COMPILER) && defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 6))
-#define __Pyx_HAS_GCC_DIAGNOSTIC
-#endif
-
-/* IncludeStdlibH.proto (used by CIntToPyUnicode) */
+#include <limits.h>
 #include <stdlib.h>
-
-/* CIntToPyUnicode.proto */
-#define __Pyx_PyUnicode_From_int(value, width, padding_char, format_char) (\
-    ((format_char) == ('c')) ?\
-        __Pyx_uchar___Pyx_PyUnicode_From_int(value, width, padding_char) :\
-        __Pyx____Pyx_PyUnicode_From_int(value, width, padding_char, format_char)\
-    )
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char);
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char, char format_char);
-
-/* CIntToPyUnicode.proto */
-#define __Pyx_PyUnicode_From_Py_ssize_t(value, width, padding_char, format_char) (\
-    ((format_char) == ('c')) ?\
-        __Pyx_uchar___Pyx_PyUnicode_From_Py_ssize_t(value, width, padding_char) :\
-        __Pyx____Pyx_PyUnicode_From_Py_ssize_t(value, width, padding_char, format_char)\
-    )
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_Py_ssize_t(Py_ssize_t value, Py_ssize_t width, char padding_char);
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_Py_ssize_t(Py_ssize_t value, Py_ssize_t width, char padding_char, char format_char);
-
-/* JoinPyUnicode.export */
-static PyObject* __Pyx_PyUnicode_Join(PyObject** values, Py_ssize_t value_count, Py_ssize_t result_ulength,
-                                      Py_UCS4 max_char);
-
-/* SwapException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSwap(type, value, tb)  __Pyx__ExceptionSwap(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* GetTopmostException.proto (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem * __Pyx_PyErr_GetTopmostException(PyThreadState *tstate);
-#endif
-
-/* SaveResetException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSave(type, value, tb)  __Pyx__ExceptionSave(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#define __Pyx_ExceptionReset(type, value, tb)  __Pyx__ExceptionReset(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-#else
-#define __Pyx_ExceptionSave(type, value, tb)   PyErr_GetExcInfo(type, value, tb)
-#define __Pyx_ExceptionReset(type, value, tb)  PyErr_SetExcInfo(type, value, tb)
-#endif
-
-/* ListCompAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_ListComp_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len)) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_ListComp_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* RejectKeywords.export */
-static void __Pyx_RejectKeywords(const char* function_name, PyObject *kwds);
-
-/* PyObjectFormatSimple.proto */
-#if CYTHON_COMPILING_IN_PYPY
-    #define __Pyx_PyObject_FormatSimple(s, f) (\
-        likely(PyUnicode_CheckExact(s)) ? (Py_INCREF(s), s) :\
-        PyObject_Format(s, f))
-#elif CYTHON_USE_TYPE_SLOTS
-    #define __Pyx_PyObject_FormatSimple(s, f) (\
-        likely(PyUnicode_CheckExact(s)) ? (Py_INCREF(s), s) :\
-        likely(PyLong_CheckExact(s)) ? PyLong_Type.tp_repr(s) :\
-        likely(PyFloat_CheckExact(s)) ? PyFloat_Type.tp_repr(s) :\
-        PyObject_Format(s, f))
-#else
-    #define __Pyx_PyObject_FormatSimple(s, f) (\
-        likely(PyUnicode_CheckExact(s)) ? (Py_INCREF(s), s) :\
-        PyObject_Format(s, f))
-#endif
-
-/* FastTypeChecks.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_TypeCheck(obj, type) __Pyx_IsSubtype(Py_TYPE(obj), (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) __Pyx_IsAnySubtype2(Py_TYPE(obj), (PyTypeObject *)type1, (PyTypeObject *)type2)
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject *type);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2);
-#else
-#define __Pyx_TypeCheck(obj, type) PyObject_TypeCheck(obj, (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) (PyObject_TypeCheck(obj, (PyTypeObject *)type1) || PyObject_TypeCheck(obj, (PyTypeObject *)type2))
-#define __Pyx_PyErr_GivenExceptionMatches(err, type) PyErr_GivenExceptionMatches(err, type)
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2) {
-    return PyErr_GivenExceptionMatches(err, type1) || PyErr_GivenExceptionMatches(err, type2);
-}
-#endif
-#define __Pyx_PyErr_ExceptionMatches2(err1, err2)  __Pyx_PyErr_GivenExceptionMatches2(__Pyx_PyErr_CurrentExceptionType(), err1, err2)
-#define __Pyx_PyException_Check(obj) __Pyx_TypeCheck(obj, PyExc_Exception)
-#ifdef PyExceptionInstance_Check
-  #define __Pyx_PyBaseException_Check(obj) PyExceptionInstance_Check(obj)
-#else
-  #define __Pyx_PyBaseException_Check(obj) __Pyx_TypeCheck(obj, PyExc_BaseException)
-#endif
-
-/* PyObject_Unicode.proto */
-#define __Pyx_PyObject_Unicode(obj)\
-    (likely(PyUnicode_CheckExact(obj)) ? __Pyx_NewRef(obj) : PyObject_Str(obj))
-
-/* PyOverflowError_Check.proto */
-#define __Pyx_PyExc_OverflowError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_OverflowError)
-
-/* PyTypeError_Check.proto */
-#define __Pyx_PyExc_TypeError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_TypeError)
-
-/* AllocateExtensionType.proto */
-static PyObject *__Pyx_AllocateExtensionType(PyTypeObject *t, int is_final);
-
-/* DeallocKeepAlive.proto */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_DeallocKeepAliveBegin(o) do {\
-        _Py_atomic_store_uintptr_relaxed(&(o)->ob_tid, _Py_ThreadId());\
-        _Py_atomic_store_uint32_relaxed(&(o)->ob_ref_local, 1);\
-        _Py_atomic_store_ssize_relaxed(&(o)->ob_ref_shared, 0);\
-    } while (0)
-#define __Pyx_DeallocKeepAliveEnd(o)\
-        _Py_atomic_store_uint32_relaxed(&(o)->ob_ref_local, 0)
-#else
-#define __Pyx_DeallocKeepAliveBegin(o) __Pyx_SET_REFCNT(o, Py_REFCNT(o) + 1)
-#define __Pyx_DeallocKeepAliveEnd(o)   __Pyx_SET_REFCNT(o, Py_REFCNT(o) - 1)
-#endif
-
-/* CallTypeTraverse.proto */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#define __Pyx_call_type_traverse(o, always_call, visit, arg) 0
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg);
-#endif
-
-/* CheckTypeForFreelists.proto */
-#if CYTHON_USE_FREELISTS
-#if CYTHON_USE_TYPE_SPECS
-#define __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, expected_tp, expected_size) ((int) ((t) == (expected_tp)))
-#define __PYX_CHECK_TYPE_FOR_FREELIST_FLAGS  Py_TPFLAGS_IS_ABSTRACT
-#else
-#define __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, expected_tp, expected_size) ((int) ((t)->tp_basicsize == (expected_size)))
-#define __PYX_CHECK_TYPE_FOR_FREELIST_FLAGS  (Py_TPFLAGS_IS_ABSTRACT | Py_TPFLAGS_HEAPTYPE)
-#endif
-#define __PYX_CHECK_TYPE_FOR_FREELISTS(t, expected_tp, expected_size)\
-    (__PYX_CHECK_FINAL_TYPE_FOR_FREELISTS((t), (expected_tp), (expected_size)) &\
-     (int) (!__Pyx_PyType_HasFeature((t), __PYX_CHECK_TYPE_FOR_FREELIST_FLAGS)))
-#endif
-
-/* LimitedApiGetTypeDict.proto (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp);
-#endif
-
-/* SetItemOnTypeDict.proto (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v);
-#define __Pyx_SetItemOnTypeDict(tp, k, v) __Pyx__SetItemOnTypeDict((PyTypeObject*)tp, k, v)
-
-/* FixUpExtensionType.proto */
-static CYTHON_INLINE int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type);
-
-/* PyObjectCallNoArg.proto (used by PyObjectCallMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallNoArg(PyObject *func);
-
-/* PyObjectGetMethod.proto (used by PyObjectCallMethod0) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static int __Pyx_PyObject_GetMethod(PyObject *obj, PyObject *name, PyObject **method);
-#endif
-
-/* PyObjectCallMethod0.proto (used by PyType_Ready) */
-static PyObject* __Pyx_PyObject_CallMethod0(PyObject* obj, PyObject* method_name);
-
-/* ValidateBasesTuple.proto (used by PyType_Ready) */
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_USE_TYPE_SPECS
-static int __Pyx_validate_bases_tuple(const char *type_name, Py_ssize_t dictoffset, PyObject *bases);
-#endif
-
-/* PyType_Ready.proto */
-CYTHON_UNUSED static int __Pyx_PyType_Ready(PyTypeObject *t);
-
-/* SetVTable.proto */
-static int __Pyx_SetVtable(PyTypeObject* typeptr , void* vtable);
-
-/* GetVTable.proto (used by MergeVTables) */
-static void* __Pyx_GetVtable(PyTypeObject *type);
-
-/* MergeVTables.proto */
-static int __Pyx_MergeVtables(PyTypeObject *type);
-
-/* DelItemOnTypeDict.proto (used by SetupReduce) */
-static int __Pyx__DelItemOnTypeDict(PyTypeObject *tp, PyObject *k);
-#define __Pyx_DelItemOnTypeDict(tp, k) __Pyx__DelItemOnTypeDict((PyTypeObject*)tp, k)
-
-/* SetupReduce.proto */
-static int __Pyx_setup_reduce(PyObject* type_obj);
-
-/* HasAttr.proto (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_HasAttr(o, n)  PyObject_HasAttrWithError(o, n)
-#else
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *, PyObject *);
-#endif
-
-/* ImportImpl.export */
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level);
-
-/* Import.proto */
-static CYTHON_INLINE PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level);
-
-/* ImportFrom.proto */
-static PyObject* __Pyx_ImportFrom(PyObject* module, PyObject* name);
-
-/* dict_setdefault.proto (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value);
-
-/* AddModuleRef.proto (used by FetchSharedCythonModule) */
-#if ((CYTHON_COMPILING_IN_CPYTHON_FREETHREADING ) ||\
-     __PYX_LIMITED_VERSION_HEX < 0x030d0000)
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name);
-#else
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#endif
-
-/* FetchSharedCythonModule.proto (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void);
-
-/* FetchCommonType.proto (used by CommonTypesMetaclass) */
-static PyTypeObject* __Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases);
-
-/* CommonTypesMetaclass.proto (used by CythonFunctionShared) */
-static int __pyx_CommonTypesMetaclass_init(PyObject *module);
-#define __Pyx_CommonTypesMetaclass_USED
-
-/* PyMethodNew.proto (used by CythonFunctionShared) */
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ);
-
-/* PyVectorcallFastCallDict.proto (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw);
-#endif
-
-/* CythonFunctionShared.proto (used by CythonFunction) */
-#define __Pyx_CyFunction_USED
-#define __Pyx_CYFUNCTION_STATICMETHOD  0x01
-#define __Pyx_CYFUNCTION_CLASSMETHOD   0x02
-#define __Pyx_CYFUNCTION_CCLASS        0x04
-#define __Pyx_CYFUNCTION_COROUTINE     0x08
-#define __Pyx_CyFunction_GetClosure(f)\
-    (((__pyx_CyFunctionObject *) (f))->func_closure)
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      (((__pyx_CyFunctionObject *) (f))->func_classobj)
-#else
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      ((PyObject*) ((PyCMethodObject *) (f))->mm_class)
-#endif
-#define __Pyx_CyFunction_SetClassObj(f, classobj)\
-    __Pyx__CyFunction_SetClassObj((__pyx_CyFunctionObject *) (f), (classobj))
-#define __Pyx_CyFunction_Defaults(type, f)\
-    ((type *)(((__pyx_CyFunctionObject *) (f))->defaults))
-#define __Pyx_CyFunction_SetDefaultsGetter(f, g)\
-    ((__pyx_CyFunctionObject *) (f))->defaults_getter = (g)
-typedef struct {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject_HEAD
-    PyObject *func;
-#elif PY_VERSION_HEX < 0x030900B1
-    PyCFunctionObject func;
-#else
-    PyCMethodObject func;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && CYTHON_METH_FASTCALL
-    __pyx_vectorcallfunc func_vectorcall;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_weakreflist;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_dict;
-#endif
-    PyObject *func_name;
-    PyObject *func_qualname;
-    PyObject *func_doc;
-    PyObject *func_globals;
-    PyObject *func_code;
-    PyObject *func_closure;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_classobj;
-#endif
-    PyObject *defaults;
-    int flags;
-    PyObject *defaults_tuple;
-    PyObject *defaults_kwdict;
-    PyObject *(*defaults_getter)(PyObject *);
-    PyObject *func_annotations;
-    PyObject *func_is_coroutine;
-} __pyx_CyFunctionObject;
-#undef __Pyx_CyOrPyCFunction_Check
-#define __Pyx_CyFunction_Check(obj)  __Pyx_TypeCheck(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-#define __Pyx_CyOrPyCFunction_Check(obj)  __Pyx_TypeCheck2(obj, __pyx_mstate_global->__pyx_CyFunctionType, &PyCFunction_Type)
-#define __Pyx_CyFunction_CheckExact(obj)  __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void));
-#undef __Pyx_IsSameCFunction
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCyOrCFunction(func, cfunc)
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject* op, PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj);
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func,
-                                                         PyTypeObject *defaults_type);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *m,
-                                                            PyObject *tuple);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *m,
-                                                             PyObject *dict);
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *m,
-                                                              PyObject *dict);
-static int __pyx_CyFunction_init(PyObject *module);
-#if CYTHON_METH_FASTCALL
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_func_vectorcall(f) (((__pyx_CyFunctionObject*)f)->func_vectorcall)
-#else
-#define __Pyx_CyFunction_func_vectorcall(f) (((PyCFunctionObject*)f)->vectorcall)
-#endif
-#endif
-
-/* CythonFunction.proto */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-
-/* CLineInTraceback.proto (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line);
-#else
-#define __Pyx_CLineForTraceback(tstate, c_line)  (((CYTHON_CLINE_IN_TRACEBACK)) ? c_line : 0)
-#endif
-
-/* CodeObjectCache.proto (used by AddTraceback) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject __Pyx_CachedCodeObjectType;
-#else
-typedef PyCodeObject __Pyx_CachedCodeObjectType;
-#endif
-typedef struct {
-    __Pyx_CachedCodeObjectType* code_object;
-    int code_line;
-} __Pyx_CodeObjectCacheEntry;
-struct __Pyx_CodeObjectCache {
-    int count;
-    int max_count;
-    __Pyx_CodeObjectCacheEntry* entries;
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_int_type accessor_count;
-  #endif
-};
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line);
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line);
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object);
-
-/* AddTraceback.proto */
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename);
-
-/* PyObjectVectorCallKwBuilder.proto (used by CIntToPy) */
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#if CYTHON_VECTORCALL
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_Vectorcall_CallFromBuilder PyObject_Vectorcall
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder _PyObject_Vectorcall
-#endif
-#define __Pyx_MakeVectorcallBuilderKwds(n) PyTuple_New(n)
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder __Pyx_PyObject_FastCallDict
-#define __Pyx_MakeVectorcallBuilderKwds(n) __Pyx_PyDict_NewPresized(n)
-#define __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n) PyDict_SetItem(builder, key, value)
-#define __Pyx_VectorcallBuilder_AddArgStr(key, value, builder, args, n) PyDict_SetItemString(builder, key, value)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE PY_LONG_LONG __Pyx_PyLong_As_PY_LONG_LONG(PyObject *);
-
-/* FormatTypeName.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%U"
-#define __Pyx_DECREF_TypeName(obj) Py_XDECREF(obj)
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyType_GetFullyQualifiedName PyType_GetFullyQualifiedName
-#else
-static __Pyx_TypeName __Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp);
-#endif
-#else  // !LIMITED_API
-typedef const char *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%.200s"
-#define __Pyx_PyType_GetFullyQualifiedName(tp) ((tp)->tp_name)
-#define __Pyx_DECREF_TypeName(obj)
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *);
-
-/* GetRuntimeVersion.proto */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-static unsigned long __Pyx_cached_runtime_version = 0;
-static void __Pyx_init_runtime_version(void);
-#else
-#define __Pyx_init_runtime_version()
-#endif
-static unsigned long __Pyx_get_runtime_version(void);
-
-/* IterNextPlain.proto (used by CoroutineBase) */
-static CYTHON_INLINE PyObject *__Pyx_PyIter_Next_Plain(PyObject *iterator);
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *__Pyx_GetBuiltinNext_LimitedAPI(void);
-#endif
-
-/* PyObjectCall2Args.proto (used by PyObjectCallMethod1) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call2Args(PyObject* function, PyObject* arg1, PyObject* arg2);
-
-/* PyObjectCallMethod1.proto (used by CoroutineBase) */
-static PyObject* __Pyx_PyObject_CallMethod1(PyObject* obj, PyObject* method_name, PyObject* arg);
-
-/* ReturnWithStopIteration.proto (used by CoroutineBase) */
-static CYTHON_INLINE void __Pyx_ReturnWithStopIteration(PyObject* value, int async, int iternext);
-
-/* CoroutineBase.proto (used by Generator) */
-struct __pyx_CoroutineObject;
-typedef PyObject *(*__pyx_coroutine_body_t)(struct __pyx_CoroutineObject *, PyThreadState *, PyObject *);
-#if CYTHON_USE_EXC_INFO_STACK
-#define __Pyx_ExcInfoStruct  _PyErr_StackItem
-#else
-typedef struct {
-    PyObject *exc_type;
-    PyObject *exc_value;
-    PyObject *exc_traceback;
-} __Pyx_ExcInfoStruct;
-#endif
-typedef struct __pyx_CoroutineObject {
-    PyObject_HEAD
-    __pyx_coroutine_body_t body;
-    PyObject *closure;
-    __Pyx_ExcInfoStruct gi_exc_state;
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *gi_weakreflist;
-#endif
-    PyObject *classobj;
-    PyObject *yieldfrom;
-    __Pyx_pyiter_sendfunc yieldfrom_am_send;
-    PyObject *gi_name;
-    PyObject *gi_qualname;
-    PyObject *gi_modulename;
-    PyObject *gi_code;
-    PyObject *gi_frame;
-#if CYTHON_USE_SYS_MONITORING && (CYTHON_PROFILE || CYTHON_TRACE)
-    PyMonitoringState __pyx_pymonitoring_state[__Pyx_MonitoringEventTypes_CyGen_count];
-    uint64_t __pyx_pymonitoring_version;
-#endif
-    int resume_label;
-    char is_running;
-} __pyx_CoroutineObject;
-static __pyx_CoroutineObject *__Pyx__Coroutine_New(
-    PyTypeObject *type, __pyx_coroutine_body_t body, PyObject *code, PyObject *closure,
-    PyObject *name, PyObject *qualname, PyObject *module_name);
-static __pyx_CoroutineObject *__Pyx__Coroutine_NewInit(
-            __pyx_CoroutineObject *gen, __pyx_coroutine_body_t body, PyObject *code, PyObject *closure,
-            PyObject *name, PyObject *qualname, PyObject *module_name);
-static CYTHON_INLINE void __Pyx_Coroutine_ExceptionClear(__Pyx_ExcInfoStruct *self);
-static int __Pyx_Coroutine_clear(PyObject *self);
-static __Pyx_PySendResult __Pyx_Coroutine_AmSend(PyObject *self, PyObject *value, PyObject **retval);
-static PyObject *__Pyx_Coroutine_Send(PyObject *self, PyObject *value);
-static __Pyx_PySendResult __Pyx_Coroutine_Close(PyObject *self, PyObject **retval);
-static PyObject *__Pyx_Coroutine_Throw(PyObject *gen, PyObject *args);
-#if CYTHON_USE_EXC_INFO_STACK
-#define __Pyx_Coroutine_SwapException(self)
-#define __Pyx_Coroutine_ResetAndClearException(self)  __Pyx_Coroutine_ExceptionClear(&(self)->gi_exc_state)
-#else
-#define __Pyx_Coroutine_SwapException(self) {\
-    __Pyx_ExceptionSwap(&(self)->gi_exc_state.exc_type, &(self)->gi_exc_state.exc_value, &(self)->gi_exc_state.exc_traceback);\
-    __Pyx_Coroutine_ResetFrameBackpointer(&(self)->gi_exc_state);\
-    }
-#define __Pyx_Coroutine_ResetAndClearException(self) {\
-    __Pyx_ExceptionReset((self)->gi_exc_state.exc_type, (self)->gi_exc_state.exc_value, (self)->gi_exc_state.exc_traceback);\
-    (self)->gi_exc_state.exc_type = (self)->gi_exc_state.exc_value = (self)->gi_exc_state.exc_traceback = NULL;\
-    }
-#endif
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyGen_FetchStopIterationValue(pvalue)\
-    __Pyx_PyGen__FetchStopIterationValue(__pyx_tstate, pvalue)
-#else
-#define __Pyx_PyGen_FetchStopIterationValue(pvalue)\
-    __Pyx_PyGen__FetchStopIterationValue(__Pyx_PyThreadState_Current, pvalue)
-#endif
-static int __Pyx_PyGen__FetchStopIterationValue(PyThreadState *tstate, PyObject **pvalue);
-static CYTHON_INLINE void __Pyx_Coroutine_ResetFrameBackpointer(__Pyx_ExcInfoStruct *exc_state);
-static char __Pyx_Coroutine_test_and_set_is_running(__pyx_CoroutineObject *gen);
-static void __Pyx_Coroutine_unset_is_running(__pyx_CoroutineObject *gen);
-static char __Pyx_Coroutine_get_is_running(__pyx_CoroutineObject *gen);
-static PyObject *__Pyx_Coroutine_get_is_running_getter(PyObject *gen, void *closure);
-#if __PYX_HAS_PY_AM_SEND == 2
-static void __Pyx_SetBackportTypeAmSend(PyTypeObject *type, __Pyx_PyAsyncMethodsStruct *static_amsend_methods, __Pyx_pyiter_sendfunc am_send);
-#endif
-static PyObject *__Pyx_Coroutine_fail_reduce_ex(PyObject *self, PyObject *arg);
-
-/* Generator.proto */
-#define __Pyx_Generator_USED
-#define __Pyx_Generator_CheckExact(obj) __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_GeneratorType)
-#define __Pyx_Generator_New(body, code, closure, name, qualname, module_name)\
-    __Pyx__Coroutine_New(__pyx_mstate_global->__pyx_GeneratorType, body, code, closure, name, qualname, module_name)
-static PyObject *__Pyx_Generator_Next(PyObject *self);
-static int __pyx_Generator_init(PyObject *module);
-static CYTHON_INLINE PyObject *__Pyx_Generator_GetInlinedResult(PyObject *self);
-
-/* CheckBinaryVersion.proto */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer);
-
-/* DecompressString.proto */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo);
-
-/* MultiPhaseInitModuleState.proto */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-static PyObject *__Pyx_State_FindModule(void*);
-static int __Pyx_State_AddModule(PyObject* module, void*);
-static int __Pyx_State_RemoveModule(void*);
-#elif CYTHON_USE_MODULE_STATE
-#define __Pyx_State_FindModule PyState_FindModule
-#define __Pyx_State_AddModule PyState_AddModule
-#define __Pyx_State_RemoveModule PyState_RemoveModule
-#endif
-
-/* #### Code section: module_declarations ### */
-/* CythonABIVersion.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #if CYTHON_METH_FASTCALL
-        #define __PYX_FASTCALL_ABI_SUFFIX  "_fastcall"
-    #else
-        #define __PYX_FASTCALL_ABI_SUFFIX
-    #endif
-    #define __PYX_LIMITED_ABI_SUFFIX "limited" __PYX_FASTCALL_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#else
-    #define __PYX_LIMITED_ABI_SUFFIX
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    #define __PYX_AM_SEND_ABI_SUFFIX
-#elif __PYX_HAS_PY_AM_SEND == 2
-    #define __PYX_AM_SEND_ABI_SUFFIX "amsendbackport"
-#else
-    #define __PYX_AM_SEND_ABI_SUFFIX "noamsend"
-#endif
-#ifndef __PYX_MONITORING_ABI_SUFFIX
-    #define __PYX_MONITORING_ABI_SUFFIX
-#endif
-#if CYTHON_USE_TP_FINALIZE
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX
-#else
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX "nofinalize"
-#endif
-#if CYTHON_USE_FREELISTS || !defined(__Pyx_AsyncGen_USED)
-    #define __PYX_FREELISTS_ABI_SUFFIX
-#else
-    #define __PYX_FREELISTS_ABI_SUFFIX "nofreelists"
-#endif
-#define CYTHON_ABI  __PYX_ABI_VERSION __PYX_LIMITED_ABI_SUFFIX __PYX_MONITORING_ABI_SUFFIX __PYX_TP_FINALIZE_ABI_SUFFIX __PYX_FREELISTS_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#define __PYX_ABI_MODULE_NAME "_cython_" CYTHON_ABI
-#define __PYX_TYPE_MODULE_PREFIX __PYX_ABI_MODULE_NAME "."
-
-static int __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__is_standard(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, int *__pyx_v_t); /* proto*/
-static int __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__prefix_standard(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, int *__pyx_v_t, int __pyx_v_count); /* proto*/
-static int __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__slide(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, int *__pyx_v_t, int __pyx_v_pos, int *__pyx_v_path); /* proto*/
-static int __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__build_path(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, int __pyx_v_start, int __pyx_v_v, int *__pyx_v_path); /* proto*/
-static int __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__hook_index(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, int __pyx_v_start, int __pyx_v_end); /* proto*/
-static void __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__rot_right(CYTHON_UNUSED struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, int *__pyx_v_t, int *__pyx_v_path, int __pyx_v_plen); /* proto*/
-static void __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__rot_left(CYTHON_UNUSED struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, int *__pyx_v_t, int *__pyx_v_path, int __pyx_v_plen); /* proto*/
-static int __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__straighten_c(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, int *__pyx_v_t, int *__pyx_v_s, int __pyx_v_check, int *__pyx_v_path, int *__pyx_v_scratch); /* proto*/
-static int __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__path_matches_hook(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, int __pyx_v_start, int __pyx_v_v, int *__pyx_v_path, int __pyx_v_plen); /* proto*/
-static int __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__unstraighten_c(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, int *__pyx_v_t, int *__pyx_v_j, int __pyx_v_check, int *__pyx_v_path); /* proto*/
-static int __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__next_perm(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, int *__pyx_v_a); /* proto*/
-static int __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__perm_unrank(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, PY_LONG_LONG __pyx_v_rank, int *__pyx_v_out); /* proto*/
-
-/* Module declarations from "libc.string" */
-
-/* Module declarations from "libc.stdlib" */
-
-/* Module declarations from "immaculate._kernels._speedups" */
-static PY_LONG_LONG __pyx_v_10immaculate_8_kernels_9_speedups_LL_MAX;
-/* #### Code section: typeinfo ### */
-/* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "immaculate._kernels._speedups"
-extern int __pyx_module_is_main_immaculate___kernels___speedups;
-int __pyx_module_is_main_immaculate___kernels___speedups = 0;
-
-/* Implementation of "immaculate._kernels._speedups" */
-/* #### Code section: global_var ### */
-/* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_kernels_the_exact_behav[] = "Compiled kernels: the exact behaviour of ``_pure`` on C arrays.\n\nPositions are 0-based flat row-major indices; hooks are contiguous flat runs,\nso the v-th hook cell of position p is p + v - 1.  Kept in lockstep with the\npure module; the parity tests compare the two exhaustively.\n";
-/* #### Code section: decls ### */
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_9__cinit___genexpr(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_genexpr_arg_0); /* proto */
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_9__cinit___3genexpr(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_genexpr_arg_0); /* proto */
-static int __pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps___cinit__(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, PyObject *__pyx_v_parts); /* proto */
-static void __pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_2__dealloc__(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_4is_standard_immaculate(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, PyObject *__pyx_v_entries); /* proto */
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_6straighten(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, PyObject *__pyx_v_entries, PyObject *__pyx_v_check); /* proto */
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_8unstraighten(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, PyObject *__pyx_v_p_entries, PyObject *__pyx_v_hook_values, PyObject *__pyx_v_check); /* proto */
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_10count_standard(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_12scan_fillings(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, PyObject *__pyx_v_start, PyObject *__pyx_v_stop, PyObject *__pyx_v_check); /* proto */
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_14scan_pairs(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, PyObject *__pyx_v_p_table, PyObject *__pyx_v_start, PyObject *__pyx_v_stop, PyObject *__pyx_v_check); /* proto */
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_5parts___get__(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_4size___get__(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_9hook_prod___get__(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_11n_factorial___get__(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_16__reduce_cython__(CYTHON_UNUSED struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_18__setstate_cython__(CYTHON_UNUSED struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, CYTHON_UNUSED PyObject *__pyx_v___pyx_state); /* proto */
-static PyObject *__pyx_tp_new_10immaculate_8_kernels_9_speedups_ShapeOps(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-static PyObject *__pyx_tp_new_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-static PyObject *__pyx_tp_new_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-/* #### Code section: late_includes ### */
-/* #### Code section: module_state ### */
-/* SmallCodeConfig */
-#ifndef CYTHON_SMALL_CODE
-#if defined(__clang__)
-    #define CYTHON_SMALL_CODE
-#elif defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 3))
-    #define CYTHON_SMALL_CODE __attribute__((cold))
-#else
-    #define CYTHON_SMALL_CODE
-#endif
-#endif
-
-typedef struct {
-  PyObject *__pyx_d;
-  PyObject *__pyx_b;
-  PyObject *__pyx_cython_runtime;
-  PyObject *__pyx_empty_tuple;
-  PyObject *__pyx_empty_bytes;
-  PyObject *__pyx_empty_unicode;
-  PyObject *__pyx_type_10immaculate_8_kernels_9_speedups_ShapeOps;
-  PyObject *__pyx_type_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr;
-  PyObject *__pyx_type_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr;
-  PyTypeObject *__pyx_ptype_10immaculate_8_kernels_9_speedups_ShapeOps;
-  PyTypeObject *__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr;
-  PyTypeObject *__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_items;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
-  PyObject *__pyx_tuple[2];
-  PyObject *__pyx_codeobj_tab[10];
-  PyObject *__pyx_string_tab[130];
-  PyObject *__pyx_number_tab[2];
-/* #### Code section: module_state_contents ### */
-
-#if CYTHON_USE_FREELISTS
-struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr *__pyx_freelist_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr[8];
-int __pyx_freecount_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr;
-#endif
-
-#if CYTHON_USE_FREELISTS
-struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr *__pyx_freelist_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr[8];
-int __pyx_freecount_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr;
-#endif
-/* CommonTypesMetaclass.module_state_decls */
-PyTypeObject *__pyx_CommonTypesMetaclassType;
-
-/* CachedMethodType.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API
-PyObject *__Pyx_CachedMethodType;
-#endif
-
-/* CythonFunctionShared.module_state_decls */
-PyTypeObject *__pyx_CyFunctionType;
-
-/* CodeObjectCache.module_state_decls */
-struct __Pyx_CodeObjectCache __pyx_code_cache;
-
-/* IterNextPlain.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-PyObject *__Pyx_GetBuiltinNext_LimitedAPI_cache;
-#endif
-
-/* Generator.module_state_decls */
-PyTypeObject *__pyx_GeneratorType;
-
-/* #### Code section: module_state_end ### */
-} __pyx_mstatetype;
-
-#if CYTHON_USE_MODULE_STATE
-#ifdef __cplusplus
-namespace {
-extern struct PyModuleDef __pyx_moduledef;
-} /* anonymous namespace */
-#else
-static struct PyModuleDef __pyx_moduledef;
-#endif
-
-#define __pyx_mstate_global (__Pyx_PyModule_GetState(__Pyx_State_FindModule(&__pyx_moduledef)))
-
-#define __pyx_m (__Pyx_State_FindModule(&__pyx_moduledef))
-#else
-static __pyx_mstatetype __pyx_mstate_global_static =
-#ifdef __cplusplus
-    {};
-#else
-    {0};
-#endif
-static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_static;
-#endif
-/* #### Code section: constant_name_defines ### */
-#define __pyx_kp_u_ __pyx_string_tab[0]
-#define __pyx_kp_u__2 __pyx_string_tab[1]
-#define __pyx_kp_u__3 __pyx_string_tab[2]
-#define __pyx_kp_u__4 __pyx_string_tab[3]
-#define __pyx_kp_u_bad_composition_parts __pyx_string_tab[4]
-#define __pyx_kp_u_bad_scan_range __pyx_string_tab[5]
-#define __pyx_kp_u_disable __pyx_string_tab[6]
-#define __pyx_kp_u_enable __pyx_string_tab[7]
-#define __pyx_kp_u_entries_and __pyx_string_tab[8]
-#define __pyx_kp_u_entries_got __pyx_string_tab[9]
-#define __pyx_kp_u_fillings __pyx_string_tab[10]
-#define __pyx_kp_u_for __pyx_string_tab[11]
-#define __pyx_kp_u_gc __pyx_string_tab[12]
-#define __pyx_kp_u_hook_index_closed_form_disagrees __pyx_string_tab[13]
-#define __pyx_kp_u_hook_product_too_large_for_compi __pyx_string_tab[14]
-#define __pyx_kp_u_hook_values_2 __pyx_string_tab[15]
-#define __pyx_kp_u_hook_values_not_exhausted __pyx_string_tab[16]
-#define __pyx_kp_u_immaculate_errors __pyx_string_tab[17]
-#define __pyx_kp_u_isenabled __pyx_string_tab[18]
-#define __pyx_kp_u_need __pyx_string_tab[19]
-#define __pyx_kp_u_no_default___reduce___due_to_non __pyx_string_tab[20]
-#define __pyx_kp_u_prefix_standardness_lost_after_s __pyx_string_tab[21]
-#define __pyx_kp_u_prefix_standardness_lost_before __pyx_string_tab[22]
-#define __pyx_kp_u_slide_path_is_not_the_hook_path __pyx_string_tab[23]
-#define __pyx_kp_u_slide_result_is_not_the_circular __pyx_string_tab[24]
-#define __pyx_kp_u_src_immaculate__kernels__speedup __pyx_string_tab[25]
-#define __pyx_kp_u_straighten_result_is_not_standar __pyx_string_tab[26]
-#define __pyx_kp_u_straighten_then_unstraighten_cha __pyx_string_tab[27]
-#define __pyx_kp_u_stringsource __pyx_string_tab[28]
-#define __pyx_kp_u_tied_neighbours_while_sliding_at __pyx_string_tab[29]
-#define __pyx_kp_u_unstraighten_then_straighten_cha __pyx_string_tab[30]
-#define __pyx_n_u_BACKEND __pyx_string_tab[31]
-#define __pyx_n_u_H __pyx_string_tab[32]
-#define __pyx_n_u_InternalCheckError __pyx_string_tab[33]
-#define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[34]
-#define __pyx_n_u_ShapeOps __pyx_string_tab[35]
-#define __pyx_n_u_ShapeOps___reduce_cython __pyx_string_tab[36]
-#define __pyx_n_u_ShapeOps___setstate_cython __pyx_string_tab[37]
-#define __pyx_n_u_ShapeOps_count_standard __pyx_string_tab[38]
-#define __pyx_n_u_ShapeOps_is_standard_immaculate __pyx_string_tab[39]
-#define __pyx_n_u_ShapeOps_scan_fillings __pyx_string_tab[40]
-#define __pyx_n_u_ShapeOps_scan_pairs __pyx_string_tab[41]
-#define __pyx_n_u_ShapeOps_straighten __pyx_string_tab[42]
-#define __pyx_n_u_ShapeOps_unstraighten __pyx_string_tab[43]
-#define __pyx_n_u_a_2 __pyx_string_tab[44]
-#define __pyx_n_u_annotate __pyx_string_tab[45]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[46]
-#define __pyx_n_u_bad __pyx_string_tab[47]
-#define __pyx_n_u_buf __pyx_string_tab[48]
-#define __pyx_n_u_check __pyx_string_tab[49]
-#define __pyx_n_u_chk __pyx_string_tab[50]
-#define __pyx_n_u_cinit___locals_genexpr __pyx_string_tab[51]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[52]
-#define __pyx_n_u_close __pyx_string_tab[53]
-#define __pyx_n_u_compiled __pyx_string_tab[54]
-#define __pyx_n_u_count __pyx_string_tab[55]
-#define __pyx_n_u_count_standard __pyx_string_tab[56]
-#define __pyx_n_u_entries __pyx_string_tab[57]
-#define __pyx_n_u_errors __pyx_string_tab[58]
-#define __pyx_n_u_exc __pyx_string_tab[59]
-#define __pyx_n_u_failures __pyx_string_tab[60]
-#define __pyx_n_u_func __pyx_string_tab[61]
-#define __pyx_n_u_genexpr __pyx_string_tab[62]
-#define __pyx_n_u_getstate __pyx_string_tab[63]
-#define __pyx_n_u_hi __pyx_string_tab[64]
-#define __pyx_n_u_hook_values __pyx_string_tab[65]
-#define __pyx_n_u_i __pyx_string_tab[66]
-#define __pyx_n_u_immaculate__kernels__speedups __pyx_string_tab[67]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[68]
-#define __pyx_n_u_is_standard_immaculate __pyx_string_tab[69]
-#define __pyx_n_u_items __pyx_string_tab[70]
-#define __pyx_n_u_j __pyx_string_tab[71]
-#define __pyx_n_u_jj __pyx_string_tab[72]
-#define __pyx_n_u_lo __pyx_string_tab[73]
-#define __pyx_n_u_main __pyx_string_tab[74]
-#define __pyx_n_u_module __pyx_string_tab[75]
-#define __pyx_n_u_n __pyx_string_tab[76]
-#define __pyx_n_u_name __pyx_string_tab[77]
-#define __pyx_n_u_next __pyx_string_tab[78]
-#define __pyx_n_u_nrows __pyx_string_tab[79]
-#define __pyx_n_u_p __pyx_string_tab[80]
-#define __pyx_n_u_p_entries __pyx_string_tab[81]
-#define __pyx_n_u_p_idx __pyx_string_tab[82]
-#define __pyx_n_u_p_table __pyx_string_tab[83]
-#define __pyx_n_u_parts __pyx_string_tab[84]
-#define __pyx_n_u_path __pyx_string_tab[85]
-#define __pyx_n_u_perm __pyx_string_tab[86]
-#define __pyx_n_u_pop __pyx_string_tab[87]
-#define __pyx_n_u_pos __pyx_string_tab[88]
-#define __pyx_n_u_pyx_state __pyx_string_tab[89]
-#define __pyx_n_u_pyx_vtable __pyx_string_tab[90]
-#define __pyx_n_u_qualname __pyx_string_tab[91]
-#define __pyx_n_u_r __pyx_string_tab[92]
-#define __pyx_n_u_rank __pyx_string_tab[93]
-#define __pyx_n_u_reduce __pyx_string_tab[94]
-#define __pyx_n_u_reduce_cython __pyx_string_tab[95]
-#define __pyx_n_u_reduce_ex __pyx_string_tab[96]
-#define __pyx_n_u_rem __pyx_string_tab[97]
-#define __pyx_n_u_roundtrip __pyx_string_tab[98]
-#define __pyx_n_u_row __pyx_string_tab[99]
-#define __pyx_n_u_s __pyx_string_tab[100]
-#define __pyx_n_u_scan_fillings __pyx_string_tab[101]
-#define __pyx_n_u_scan_pairs __pyx_string_tab[102]
-#define __pyx_n_u_scratch __pyx_string_tab[103]
-#define __pyx_n_u_self __pyx_string_tab[104]
-#define __pyx_n_u_send __pyx_string_tab[105]
-#define __pyx_n_u_set_name __pyx_string_tab[106]
-#define __pyx_n_u_setdefault __pyx_string_tab[107]
-#define __pyx_n_u_setstate __pyx_string_tab[108]
-#define __pyx_n_u_setstate_cython __pyx_string_tab[109]
-#define __pyx_n_u_standard __pyx_string_tab[110]
-#define __pyx_n_u_start __pyx_string_tab[111]
-#define __pyx_n_u_stop __pyx_string_tab[112]
-#define __pyx_n_u_straighten __pyx_string_tab[113]
-#define __pyx_n_u_t __pyx_string_tab[114]
-#define __pyx_n_u_table __pyx_string_tab[115]
-#define __pyx_n_u_test __pyx_string_tab[116]
-#define __pyx_n_u_throw __pyx_string_tab[117]
-#define __pyx_n_u_unstraighten __pyx_string_tab[118]
-#define __pyx_n_u_value __pyx_string_tab[119]
-#define __pyx_n_u_values __pyx_string_tab[120]
-#define __pyx_kp_b_iso88591_5Q_T_4t1_q_4q_A_A_s_1_3b_S_S_2V __pyx_string_tab[121]
-#define __pyx_kp_b_iso88591_9_T_3a_Rs_Qm3a_AWA_AQ_vQb_Ba_4s __pyx_string_tab[122]
-#define __pyx_kp_b_iso88591_A_T_3ay_1_AWA_5Qc_gV1Bb_2S_U_1_w __pyx_string_tab[123]
-#define __pyx_kp_b_iso88591_A_T_gV1Bb_2S_q_U_1_r_1_4_AQ_Q_4t __pyx_string_tab[124]
-#define __pyx_kp_b_iso88591_Q __pyx_string_tab[125]
-#define __pyx_kp_b_iso88591_T_3ay_1_AWA_5Qc_vQb_Ba_4s_a_d_A __pyx_string_tab[126]
-#define __pyx_kp_b_iso88591__5 __pyx_string_tab[127]
-#define __pyx_kp_b_iso88591_a __pyx_string_tab[128]
-#define __pyx_kp_b_iso88591_q_T_4r_IXT_A_q_AQ_A_A_vQb_Ba_4s __pyx_string_tab[129]
-#define __pyx_int_0 __pyx_number_tab[0]
-#define __pyx_int_1 __pyx_number_tab[1]
-/* #### Code section: module_state_clear ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
-  __pyx_mstatetype *clear_module_state = __Pyx_PyModule_GetState(m);
-  if (!clear_module_state) return 0;
-  Py_CLEAR(clear_module_state->__pyx_d);
-  Py_CLEAR(clear_module_state->__pyx_b);
-  Py_CLEAR(clear_module_state->__pyx_cython_runtime);
-  Py_CLEAR(clear_module_state->__pyx_empty_tuple);
-  Py_CLEAR(clear_module_state->__pyx_empty_bytes);
-  Py_CLEAR(clear_module_state->__pyx_empty_unicode);
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __Pyx_State_RemoveModule(NULL);
-  #endif
-  Py_CLEAR(clear_module_state->__pyx_ptype_10immaculate_8_kernels_9_speedups_ShapeOps);
-  Py_CLEAR(clear_module_state->__pyx_type_10immaculate_8_kernels_9_speedups_ShapeOps);
-  Py_CLEAR(clear_module_state->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr);
-  Py_CLEAR(clear_module_state->__pyx_type_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr);
-  Py_CLEAR(clear_module_state->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr);
-  Py_CLEAR(clear_module_state->__pyx_type_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr);
-  for (int i=0; i<2; ++i) { Py_CLEAR(clear_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<10; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<130; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<2; ++i) { Py_CLEAR(clear_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_clear_contents ### */
-/* CommonTypesMetaclass.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CyFunctionType);
-
-/* Generator.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_GeneratorType);
-
-/* #### Code section: module_state_clear_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_state_traverse ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void *arg) {
-  __pyx_mstatetype *traverse_module_state = __Pyx_PyModule_GetState(m);
-  if (!traverse_module_state) return 0;
-  Py_VISIT(traverse_module_state->__pyx_d);
-  Py_VISIT(traverse_module_state->__pyx_b);
-  Py_VISIT(traverse_module_state->__pyx_cython_runtime);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_tuple);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_bytes);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
-  Py_VISIT(traverse_module_state->__pyx_ptype_10immaculate_8_kernels_9_speedups_ShapeOps);
-  Py_VISIT(traverse_module_state->__pyx_type_10immaculate_8_kernels_9_speedups_ShapeOps);
-  Py_VISIT(traverse_module_state->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr);
-  Py_VISIT(traverse_module_state->__pyx_type_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr);
-  Py_VISIT(traverse_module_state->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr);
-  Py_VISIT(traverse_module_state->__pyx_type_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr);
-  for (int i=0; i<2; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<10; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<130; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<2; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_traverse_contents ### */
-/* CommonTypesMetaclass.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CyFunctionType);
-
-/* Generator.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_GeneratorType);
-
-/* #### Code section: module_state_traverse_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_code ### */
-
-/* "immaculate/_kernels/_speedups.pyx":41
- *     cdef int* pb
- * 
- *     def __cinit__(self, parts):             # <<<<<<<<<<<<<<
- *         parts = tuple(int(p) for p in parts)
- *         if not parts or any(p < 1 for p in parts):
-*/
-
-/* Python wrapper */
-static int __pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_1__cinit__(PyObject *__pyx_v_self, PyObject *__pyx_args, PyObject *__pyx_kwds); /*proto*/
-static int __pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_1__cinit__(PyObject *__pyx_v_self, PyObject *__pyx_args, PyObject *__pyx_kwds) {
-  PyObject *__pyx_v_parts = 0;
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__cinit__ (wrapper)", 0);
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return -1;
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_parts,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_VARARGS(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 41, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_VARARGS(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 41, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__cinit__", 0) < (0)) __PYX_ERR(0, 41, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__cinit__", 1, 1, 1, i); __PYX_ERR(0, 41, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_VARARGS(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 41, __pyx_L3_error)
-    }
-    __pyx_v_parts = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("__cinit__", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 41, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps.__cinit__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return -1;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps___cinit__(((struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self), __pyx_v_parts);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-static PyObject *__pyx_gb_10immaculate_8_kernels_9_speedups_8ShapeOps_9__cinit___2generator(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value); /* proto */
-
-/* "immaculate/_kernels/_speedups.pyx":42
- * 
- *     def __cinit__(self, parts):
- *         parts = tuple(int(p) for p in parts)             # <<<<<<<<<<<<<<
- *         if not parts or any(p < 1 for p in parts):
- *             raise ValueError(f"bad composition parts: {parts!r}")
-*/
-
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_9__cinit___genexpr(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_genexpr_arg_0) {
-  struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr *__pyx_cur_scope;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  __pyx_cur_scope = (struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr *)__pyx_tp_new_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr(__pyx_mstate_global->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-  if (unlikely(!__pyx_cur_scope)) {
-    __pyx_cur_scope = ((struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr *)Py_None);
-    __Pyx_INCREF(Py_None);
-    __PYX_ERR(0, 42, __pyx_L1_error)
-  } else {
-    __Pyx_GOTREF((PyObject *)__pyx_cur_scope);
-  }
-  __pyx_cur_scope->__pyx_genexpr_arg_0 = __pyx_genexpr_arg_0;
-  __Pyx_INCREF(__pyx_cur_scope->__pyx_genexpr_arg_0);
-  __Pyx_GIVEREF(__pyx_cur_scope->__pyx_genexpr_arg_0);
-  {
-    __pyx_CoroutineObject *gen = __Pyx_Generator_New((__pyx_coroutine_body_t) __pyx_gb_10immaculate_8_kernels_9_speedups_8ShapeOps_9__cinit___2generator, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0]), (PyObject *) __pyx_cur_scope, __pyx_mstate_global->__pyx_n_u_genexpr, __pyx_mstate_global->__pyx_n_u_cinit___locals_genexpr, __pyx_mstate_global->__pyx_n_u_immaculate__kernels__speedups); if (unlikely(!gen)) __PYX_ERR(0, 42, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_cur_scope);
-    __Pyx_RefNannyFinishContext();
-    return (PyObject *) gen;
-  }
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps.__cinit__.genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_DECREF((PyObject *)__pyx_cur_scope);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_gb_10immaculate_8_kernels_9_speedups_8ShapeOps_9__cinit___2generator(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value) /* generator body */
-{
-  struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr *__pyx_cur_scope = ((struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr *)__pyx_generator->closure);
-  PyObject *__pyx_r = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  Py_ssize_t __pyx_t_2;
-  PyObject *(*__pyx_t_3)(PyObject *);
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  switch (__pyx_generator->resume_label) {
-    case 0: goto __pyx_L3_first_run;
-    case 1: goto __pyx_L6_resume_from_yield;
-    default: /* CPython raises the right error here */
-    __Pyx_RefNannyFinishContext();
-    return NULL;
-  }
-  __pyx_L3_first_run:;
-  if (unlikely(__pyx_sent_value != Py_None)) {
-    if (unlikely(__pyx_sent_value)) PyErr_SetString(PyExc_TypeError, "can't send non-None value to a just-started generator");
-    __PYX_ERR(0, 42, __pyx_L1_error)
-  }
-  if (unlikely(!__pyx_cur_scope->__pyx_genexpr_arg_0)) { __Pyx_RaiseUnboundLocalError(".0"); __PYX_ERR(0, 42, __pyx_L1_error) }
-  if (likely(PyList_CheckExact(__pyx_cur_scope->__pyx_genexpr_arg_0)) || PyTuple_CheckExact(__pyx_cur_scope->__pyx_genexpr_arg_0)) {
-    __pyx_t_1 = __pyx_cur_scope->__pyx_genexpr_arg_0; __Pyx_INCREF(__pyx_t_1);
-    __pyx_t_2 = 0;
-    __pyx_t_3 = NULL;
-  } else {
-    __pyx_t_2 = -1; __pyx_t_1 = PyObject_GetIter(__pyx_cur_scope->__pyx_genexpr_arg_0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 42, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_3 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_1); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 42, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_3)) {
-      if (likely(PyList_CheckExact(__pyx_t_1))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 42, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        __pyx_t_4 = __Pyx_PyList_GetItemRefFast(__pyx_t_1, __pyx_t_2, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_2;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 42, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_4 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_1, __pyx_t_2));
-        #else
-        __pyx_t_4 = __Pyx_PySequence_ITEM(__pyx_t_1, __pyx_t_2);
-        #endif
-        ++__pyx_t_2;
-      }
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 42, __pyx_L1_error)
-    } else {
-      __pyx_t_4 = __pyx_t_3(__pyx_t_1);
-      if (unlikely(!__pyx_t_4)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 42, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_XGOTREF(__pyx_cur_scope->__pyx_v_p);
-    __Pyx_XDECREF_SET(__pyx_cur_scope->__pyx_v_p, __pyx_t_4);
-    __Pyx_GIVEREF(__pyx_t_4);
-    __pyx_t_4 = 0;
-    __pyx_t_4 = __Pyx_PyNumber_Int(__pyx_cur_scope->__pyx_v_p); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 42, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_r = __pyx_t_4;
-    __pyx_t_4 = 0;
-    __Pyx_XGIVEREF(__pyx_t_1);
-    __pyx_cur_scope->__pyx_t_0 = __pyx_t_1;
-    __pyx_cur_scope->__pyx_t_1 = __pyx_t_2;
-    __pyx_cur_scope->__pyx_t_2 = __pyx_t_3;
-    __Pyx_XGIVEREF(__pyx_r);
-    __Pyx_RefNannyFinishContext();
-    __Pyx_Coroutine_ResetAndClearException(__pyx_generator);
-    /* return from generator, yielding value */
-    __pyx_generator->resume_label = 1;
-    return __pyx_r;
-    __pyx_L6_resume_from_yield:;
-    __pyx_t_1 = __pyx_cur_scope->__pyx_t_0;
-    __pyx_cur_scope->__pyx_t_0 = 0;
-    __Pyx_XGOTREF(__pyx_t_1);
-    __pyx_t_2 = __pyx_cur_scope->__pyx_t_1;
-    __pyx_t_3 = __pyx_cur_scope->__pyx_t_2;
-    if (unlikely(!__pyx_sent_value)) __PYX_ERR(0, 42, __pyx_L1_error)
-  }
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  CYTHON_MAYBE_UNUSED_VAR(__pyx_cur_scope);
-
-  /* function exit code */
-  __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_4);
-  if (__Pyx_PyErr_Occurred()) {
-    __Pyx_Generator_Replace_StopIteration(0);
-    __Pyx_AddTraceback("genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  }
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  #if !CYTHON_USE_EXC_INFO_STACK
-  __Pyx_Coroutine_ResetAndClearException(__pyx_generator);
-  #endif
-  __pyx_generator->resume_label = -1;
-  __Pyx_Coroutine_clear((PyObject*)__pyx_generator);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-static PyObject *__pyx_gb_10immaculate_8_kernels_9_speedups_8ShapeOps_9__cinit___5generator1(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value); /* proto */
-
-/* "immaculate/_kernels/_speedups.pyx":43
- *     def __cinit__(self, parts):
- *         parts = tuple(int(p) for p in parts)
- *         if not parts or any(p < 1 for p in parts):             # <<<<<<<<<<<<<<
- *             raise ValueError(f"bad composition parts: {parts!r}")
- *         self.parts = parts
-*/
-
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_9__cinit___3genexpr(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_genexpr_arg_0) {
-  struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr *__pyx_cur_scope;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  __pyx_cur_scope = (struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr *)__pyx_tp_new_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr(__pyx_mstate_global->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-  if (unlikely(!__pyx_cur_scope)) {
-    __pyx_cur_scope = ((struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr *)Py_None);
-    __Pyx_INCREF(Py_None);
-    __PYX_ERR(0, 43, __pyx_L1_error)
-  } else {
-    __Pyx_GOTREF((PyObject *)__pyx_cur_scope);
-  }
-  __pyx_cur_scope->__pyx_genexpr_arg_0 = __pyx_genexpr_arg_0;
-  __Pyx_INCREF(__pyx_cur_scope->__pyx_genexpr_arg_0);
-  __Pyx_GIVEREF(__pyx_cur_scope->__pyx_genexpr_arg_0);
-  {
-    __pyx_CoroutineObject *gen = __Pyx_Generator_New((__pyx_coroutine_body_t) __pyx_gb_10immaculate_8_kernels_9_speedups_8ShapeOps_9__cinit___5generator1, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1]), (PyObject *) __pyx_cur_scope, __pyx_mstate_global->__pyx_n_u_genexpr, __pyx_mstate_global->__pyx_n_u_cinit___locals_genexpr, __pyx_mstate_global->__pyx_n_u_immaculate__kernels__speedups); if (unlikely(!gen)) __PYX_ERR(0, 43, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_cur_scope);
-    __Pyx_RefNannyFinishContext();
-    return (PyObject *) gen;
-  }
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps.__cinit__.genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_DECREF((PyObject *)__pyx_cur_scope);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_gb_10immaculate_8_kernels_9_speedups_8ShapeOps_9__cinit___5generator1(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value) /* generator body */
-{
-  struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr *__pyx_cur_scope = ((struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr *)__pyx_generator->closure);
-  PyObject *__pyx_r = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  Py_ssize_t __pyx_t_2;
-  PyObject *(*__pyx_t_3)(PyObject *);
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  switch (__pyx_generator->resume_label) {
-    case 0: goto __pyx_L3_first_run;
-    default: /* CPython raises the right error here */
-    __Pyx_RefNannyFinishContext();
-    return NULL;
-  }
-  __pyx_L3_first_run:;
-  if (unlikely(!__pyx_sent_value)) __PYX_ERR(0, 43, __pyx_L1_error)
-  if (unlikely(!__pyx_cur_scope->__pyx_genexpr_arg_0)) { __Pyx_RaiseUnboundLocalError(".0"); __PYX_ERR(0, 43, __pyx_L1_error) }
-  if (likely(PyList_CheckExact(__pyx_cur_scope->__pyx_genexpr_arg_0)) || PyTuple_CheckExact(__pyx_cur_scope->__pyx_genexpr_arg_0)) {
-    __pyx_t_1 = __pyx_cur_scope->__pyx_genexpr_arg_0; __Pyx_INCREF(__pyx_t_1);
-    __pyx_t_2 = 0;
-    __pyx_t_3 = NULL;
-  } else {
-    __pyx_t_2 = -1; __pyx_t_1 = PyObject_GetIter(__pyx_cur_scope->__pyx_genexpr_arg_0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 43, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_3 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_1); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 43, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_3)) {
-      if (likely(PyList_CheckExact(__pyx_t_1))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 43, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        __pyx_t_4 = __Pyx_PyList_GetItemRefFast(__pyx_t_1, __pyx_t_2, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_2;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 43, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_4 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_1, __pyx_t_2));
-        #else
-        __pyx_t_4 = __Pyx_PySequence_ITEM(__pyx_t_1, __pyx_t_2);
-        #endif
-        ++__pyx_t_2;
-      }
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 43, __pyx_L1_error)
-    } else {
-      __pyx_t_4 = __pyx_t_3(__pyx_t_1);
-      if (unlikely(!__pyx_t_4)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 43, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_XGOTREF(__pyx_cur_scope->__pyx_v_p);
-    __Pyx_XDECREF_SET(__pyx_cur_scope->__pyx_v_p, __pyx_t_4);
-    __Pyx_GIVEREF(__pyx_t_4);
-    __pyx_t_4 = 0;
-    __pyx_t_4 = PyObject_RichCompare(__pyx_cur_scope->__pyx_v_p, __pyx_mstate_global->__pyx_int_1, Py_LT); __Pyx_XGOTREF(__pyx_t_4); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 43, __pyx_L1_error)
-    __pyx_t_5 = __Pyx_PyObject_IsTrue(__pyx_t_4); if (unlikely((__pyx_t_5 < 0))) __PYX_ERR(0, 43, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    if (__pyx_t_5) {
-      __Pyx_XDECREF(__pyx_r);
-      __Pyx_INCREF(Py_True);
-      __pyx_r = Py_True;
-      __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-      goto __pyx_L0;
-    }
-  }
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  /*else*/ {
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(Py_False);
-    __pyx_r = Py_False;
-    goto __pyx_L0;
-  }
-  CYTHON_MAYBE_UNUSED_VAR(__pyx_cur_scope);
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_4);
-  if (__Pyx_PyErr_Occurred()) {
-    __Pyx_Generator_Replace_StopIteration(0);
-    __Pyx_AddTraceback("genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  }
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  #if !CYTHON_USE_EXC_INFO_STACK
-  __Pyx_Coroutine_ResetAndClearException(__pyx_generator);
-  #endif
-  __pyx_generator->resume_label = -1;
-  __Pyx_Coroutine_clear((PyObject*)__pyx_generator);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "immaculate/_kernels/_speedups.pyx":41
- *     cdef int* pb
- * 
- *     def __cinit__(self, parts):             # <<<<<<<<<<<<<<
- *         parts = tuple(int(p) for p in parts)
- *         if not parts or any(p < 1 for p in parts):
-*/
-
-static int __pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps___cinit__(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, PyObject *__pyx_v_parts) {
-  int __pyx_v_n;
-  PyObject *__pyx_v_p = NULL;
-  int __pyx_v_r;
-  int __pyx_v_c;
-  int __pyx_v_pos;
-  PyObject *__pyx_v_keyed = NULL;
-  PyObject *__pyx_v_prod = NULL;
-  PyObject *__pyx_v_fact = NULL;
-  PyObject *__pyx_gb_10immaculate_8_kernels_9_speedups_8ShapeOps_9__cinit___2generator = 0;
-  PyObject *__pyx_gb_10immaculate_8_kernels_9_speedups_8ShapeOps_9__cinit___5generator1 = 0;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  size_t __pyx_t_8;
-  Py_ssize_t __pyx_t_9;
-  PyObject *(*__pyx_t_10)(PyObject *);
-  int __pyx_t_11;
-  int __pyx_t_12;
-  int __pyx_t_13;
-  int __pyx_t_14;
-  Py_ssize_t __pyx_t_15;
-  long __pyx_t_16;
-  int __pyx_t_17;
-  int __pyx_t_18;
-  long __pyx_t_19;
-  PY_LONG_LONG __pyx_t_20;
-  PY_LONG_LONG __pyx_t_21;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__cinit__", 0);
-  __Pyx_INCREF(__pyx_v_parts);
-
-  /* "immaculate/_kernels/_speedups.pyx":42
- * 
- *     def __cinit__(self, parts):
- *         parts = tuple(int(p) for p in parts)             # <<<<<<<<<<<<<<
- *         if not parts or any(p < 1 for p in parts):
- *             raise ValueError(f"bad composition parts: {parts!r}")
-*/
-  __pyx_t_1 = __pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_9__cinit___genexpr(NULL, __pyx_v_parts); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 42, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PySequence_Tuple(__pyx_t_1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 42, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __Pyx_DECREF_SET(__pyx_v_parts, __pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "immaculate/_kernels/_speedups.pyx":43
- *     def __cinit__(self, parts):
- *         parts = tuple(int(p) for p in parts)
- *         if not parts or any(p < 1 for p in parts):             # <<<<<<<<<<<<<<
- *             raise ValueError(f"bad composition parts: {parts!r}")
- *         self.parts = parts
-*/
-  __pyx_t_4 = __Pyx_PyObject_IsTrue(__pyx_v_parts); if (unlikely((__pyx_t_4 < 0))) __PYX_ERR(0, 43, __pyx_L1_error)
-  __pyx_t_5 = (!__pyx_t_4);
-  if (!__pyx_t_5) {
-  } else {
-    __pyx_t_3 = __pyx_t_5;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = __pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_9__cinit___3genexpr(NULL, __pyx_v_parts); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 43, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_1 = __Pyx_Generator_GetInlinedResult(__pyx_t_2); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 43, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_5 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_5 < 0))) __PYX_ERR(0, 43, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_3 = __pyx_t_5;
-  __pyx_L4_bool_binop_done:;
-  if (unlikely(__pyx_t_3)) {
-
-    /* "immaculate/_kernels/_speedups.pyx":44
- *         parts = tuple(int(p) for p in parts)
- *         if not parts or any(p < 1 for p in parts):
- *             raise ValueError(f"bad composition parts: {parts!r}")             # <<<<<<<<<<<<<<
- *         self.parts = parts
- *         self.k = len(parts)
-*/
-    __pyx_t_2 = NULL;
-    __pyx_t_6 = __Pyx_PyObject_FormatSimpleAndDecref(PyObject_Repr(__pyx_v_parts), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 44, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_bad_composition_parts, __pyx_t_6); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 44, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __pyx_t_8 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_2, __pyx_t_7};
-      __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_8, (2-__pyx_t_8) | (__pyx_t_8*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-      if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 44, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-    }
-    __Pyx_Raise(__pyx_t_1, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __PYX_ERR(0, 44, __pyx_L1_error)
-
-    /* "immaculate/_kernels/_speedups.pyx":43
- *     def __cinit__(self, parts):
- *         parts = tuple(int(p) for p in parts)
- *         if not parts or any(p < 1 for p in parts):             # <<<<<<<<<<<<<<
- *             raise ValueError(f"bad composition parts: {parts!r}")
- *         self.parts = parts
-*/
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":45
- *         if not parts or any(p < 1 for p in parts):
- *             raise ValueError(f"bad composition parts: {parts!r}")
- *         self.parts = parts             # <<<<<<<<<<<<<<
- *         self.k = len(parts)
- *         cdef int n = 0
-*/
-  __pyx_t_1 = __pyx_v_parts;
-  __Pyx_INCREF(__pyx_t_1);
-  if (!(likely(PyTuple_CheckExact(__pyx_t_1)) || __Pyx_RaiseUnexpectedTypeError("tuple", __pyx_t_1))) __PYX_ERR(0, 45, __pyx_L1_error)
-  __Pyx_GIVEREF(__pyx_t_1);
-  __Pyx_GOTREF(__pyx_v_self->parts);
-  __Pyx_DECREF(__pyx_v_self->parts);
-  __pyx_v_self->parts = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "immaculate/_kernels/_speedups.pyx":46
- *             raise ValueError(f"bad composition parts: {parts!r}")
- *         self.parts = parts
- *         self.k = len(parts)             # <<<<<<<<<<<<<<
- *         cdef int n = 0
- *         for p in parts:
-*/
-  __pyx_t_9 = PyObject_Length(__pyx_v_parts); if (unlikely(__pyx_t_9 == ((Py_ssize_t)-1))) __PYX_ERR(0, 46, __pyx_L1_error)
-  __pyx_v_self->k = __pyx_t_9;
-
-  /* "immaculate/_kernels/_speedups.pyx":47
- *         self.parts = parts
- *         self.k = len(parts)
- *         cdef int n = 0             # <<<<<<<<<<<<<<
- *         for p in parts:
- *             n += p
-*/
-  __pyx_v_n = 0;
-
-  /* "immaculate/_kernels/_speedups.pyx":48
- *         self.k = len(parts)
- *         cdef int n = 0
- *         for p in parts:             # <<<<<<<<<<<<<<
- *             n += p
- *         self.size = n
-*/
-  if (likely(PyList_CheckExact(__pyx_v_parts)) || PyTuple_CheckExact(__pyx_v_parts)) {
-    __pyx_t_1 = __pyx_v_parts; __Pyx_INCREF(__pyx_t_1);
-    __pyx_t_9 = 0;
-    __pyx_t_10 = NULL;
-  } else {
-    __pyx_t_9 = -1; __pyx_t_1 = PyObject_GetIter(__pyx_v_parts); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 48, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_10 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_1); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 48, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_10)) {
-      if (likely(PyList_CheckExact(__pyx_t_1))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 48, __pyx_L1_error)
-          #endif
-          if (__pyx_t_9 >= __pyx_temp) break;
-        }
-        __pyx_t_7 = __Pyx_PyList_GetItemRefFast(__pyx_t_1, __pyx_t_9, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_9;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 48, __pyx_L1_error)
-          #endif
-          if (__pyx_t_9 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_7 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_1, __pyx_t_9));
-        #else
-        __pyx_t_7 = __Pyx_PySequence_ITEM(__pyx_t_1, __pyx_t_9);
-        #endif
-        ++__pyx_t_9;
-      }
-      if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 48, __pyx_L1_error)
-    } else {
-      __pyx_t_7 = __pyx_t_10(__pyx_t_1);
-      if (unlikely(!__pyx_t_7)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 48, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_7);
-    __Pyx_XDECREF_SET(__pyx_v_p, __pyx_t_7);
-    __pyx_t_7 = 0;
-
-    /* "immaculate/_kernels/_speedups.pyx":49
- *         cdef int n = 0
- *         for p in parts:
- *             n += p             # <<<<<<<<<<<<<<
- *         self.size = n
- *         self.row_start = <int*> malloc((self.k + 1) * sizeof(int))
-*/
-    __pyx_t_7 = __Pyx_PyLong_From_int(__pyx_v_n); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 49, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_2 = PyNumber_InPlaceAdd(__pyx_t_7, __pyx_v_p); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 49, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_11 = __Pyx_PyLong_As_int(__pyx_t_2); if (unlikely((__pyx_t_11 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 49, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __pyx_v_n = __pyx_t_11;
-
-    /* "immaculate/_kernels/_speedups.pyx":48
- *         self.k = len(parts)
- *         cdef int n = 0
- *         for p in parts:             # <<<<<<<<<<<<<<
- *             n += p
- *         self.size = n
-*/
-  }
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "immaculate/_kernels/_speedups.pyx":50
- *         for p in parts:
- *             n += p
- *         self.size = n             # <<<<<<<<<<<<<<
- *         self.row_start = <int*> malloc((self.k + 1) * sizeof(int))
- *         self.rowof = <int*> malloc(n * sizeof(int))
-*/
-  __pyx_v_self->size = __pyx_v_n;
-
-  /* "immaculate/_kernels/_speedups.pyx":51
- *             n += p
- *         self.size = n
- *         self.row_start = <int*> malloc((self.k + 1) * sizeof(int))             # <<<<<<<<<<<<<<
- *         self.rowof = <int*> malloc(n * sizeof(int))
- *         self.colof = <int*> malloc(n * sizeof(int))
-*/
-  __pyx_v_self->row_start = ((int *)malloc(((__pyx_v_self->k + 1) * (sizeof(int)))));
-
-  /* "immaculate/_kernels/_speedups.pyx":52
- *         self.size = n
- *         self.row_start = <int*> malloc((self.k + 1) * sizeof(int))
- *         self.rowof = <int*> malloc(n * sizeof(int))             # <<<<<<<<<<<<<<
- *         self.colof = <int*> malloc(n * sizeof(int))
- *         self.right = <int*> malloc(n * sizeof(int))
-*/
-  __pyx_v_self->rowof = ((int *)malloc((__pyx_v_n * (sizeof(int)))));
-
-  /* "immaculate/_kernels/_speedups.pyx":53
- *         self.row_start = <int*> malloc((self.k + 1) * sizeof(int))
- *         self.rowof = <int*> malloc(n * sizeof(int))
- *         self.colof = <int*> malloc(n * sizeof(int))             # <<<<<<<<<<<<<<
- *         self.right = <int*> malloc(n * sizeof(int))
- *         self.below = <int*> malloc(n * sizeof(int))
-*/
-  __pyx_v_self->colof = ((int *)malloc((__pyx_v_n * (sizeof(int)))));
-
-  /* "immaculate/_kernels/_speedups.pyx":54
- *         self.rowof = <int*> malloc(n * sizeof(int))
- *         self.colof = <int*> malloc(n * sizeof(int))
- *         self.right = <int*> malloc(n * sizeof(int))             # <<<<<<<<<<<<<<
- *         self.below = <int*> malloc(n * sizeof(int))
- *         self.order = <int*> malloc(n * sizeof(int))
-*/
-  __pyx_v_self->right = ((int *)malloc((__pyx_v_n * (sizeof(int)))));
-
-  /* "immaculate/_kernels/_speedups.pyx":55
- *         self.colof = <int*> malloc(n * sizeof(int))
- *         self.right = <int*> malloc(n * sizeof(int))
- *         self.below = <int*> malloc(n * sizeof(int))             # <<<<<<<<<<<<<<
- *         self.order = <int*> malloc(n * sizeof(int))
- *         self.rank = <int*> malloc(n * sizeof(int))
-*/
-  __pyx_v_self->below = ((int *)malloc((__pyx_v_n * (sizeof(int)))));
-
-  /* "immaculate/_kernels/_speedups.pyx":56
- *         self.right = <int*> malloc(n * sizeof(int))
- *         self.below = <int*> malloc(n * sizeof(int))
- *         self.order = <int*> malloc(n * sizeof(int))             # <<<<<<<<<<<<<<
- *         self.rank = <int*> malloc(n * sizeof(int))
- *         self.hooklen = <int*> malloc(n * sizeof(int))
-*/
-  __pyx_v_self->order = ((int *)malloc((__pyx_v_n * (sizeof(int)))));
-
-  /* "immaculate/_kernels/_speedups.pyx":57
- *         self.below = <int*> malloc(n * sizeof(int))
- *         self.order = <int*> malloc(n * sizeof(int))
- *         self.rank = <int*> malloc(n * sizeof(int))             # <<<<<<<<<<<<<<
- *         self.hooklen = <int*> malloc(n * sizeof(int))
- *         self.pa = <int*> malloc(2 * n * sizeof(int))
-*/
-  __pyx_v_self->rank = ((int *)malloc((__pyx_v_n * (sizeof(int)))));
-
-  /* "immaculate/_kernels/_speedups.pyx":58
- *         self.order = <int*> malloc(n * sizeof(int))
- *         self.rank = <int*> malloc(n * sizeof(int))
- *         self.hooklen = <int*> malloc(n * sizeof(int))             # <<<<<<<<<<<<<<
- *         self.pa = <int*> malloc(2 * n * sizeof(int))
- *         self.pb = <int*> malloc(2 * n * sizeof(int))
-*/
-  __pyx_v_self->hooklen = ((int *)malloc((__pyx_v_n * (sizeof(int)))));
-
-  /* "immaculate/_kernels/_speedups.pyx":59
- *         self.rank = <int*> malloc(n * sizeof(int))
- *         self.hooklen = <int*> malloc(n * sizeof(int))
- *         self.pa = <int*> malloc(2 * n * sizeof(int))             # <<<<<<<<<<<<<<
- *         self.pb = <int*> malloc(2 * n * sizeof(int))
- *         if (self.row_start == NULL or self.rowof == NULL or self.colof == NULL
-*/
-  __pyx_v_self->pa = ((int *)malloc(((2 * __pyx_v_n) * (sizeof(int)))));
-
-  /* "immaculate/_kernels/_speedups.pyx":60
- *         self.hooklen = <int*> malloc(n * sizeof(int))
- *         self.pa = <int*> malloc(2 * n * sizeof(int))
- *         self.pb = <int*> malloc(2 * n * sizeof(int))             # <<<<<<<<<<<<<<
- *         if (self.row_start == NULL or self.rowof == NULL or self.colof == NULL
- *                 or self.right == NULL or self.below == NULL or self.order == NULL
-*/
-  __pyx_v_self->pb = ((int *)malloc(((2 * __pyx_v_n) * (sizeof(int)))));
-
-  /* "immaculate/_kernels/_speedups.pyx":61
- *         self.pa = <int*> malloc(2 * n * sizeof(int))
- *         self.pb = <int*> malloc(2 * n * sizeof(int))
- *         if (self.row_start == NULL or self.rowof == NULL or self.colof == NULL             # <<<<<<<<<<<<<<
- *                 or self.right == NULL or self.below == NULL or self.order == NULL
- *                 or self.rank == NULL or self.hooklen == NULL
-*/
-  __pyx_t_5 = (__pyx_v_self->row_start == NULL);
-  if (!__pyx_t_5) {
-  } else {
-    __pyx_t_3 = __pyx_t_5;
-    goto __pyx_L10_bool_binop_done;
-  }
-  __pyx_t_5 = (__pyx_v_self->rowof == NULL);
-  if (!__pyx_t_5) {
-  } else {
-    __pyx_t_3 = __pyx_t_5;
-    goto __pyx_L10_bool_binop_done;
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":62
- *         self.pb = <int*> malloc(2 * n * sizeof(int))
- *         if (self.row_start == NULL or self.rowof == NULL or self.colof == NULL
- *                 or self.right == NULL or self.below == NULL or self.order == NULL             # <<<<<<<<<<<<<<
- *                 or self.rank == NULL or self.hooklen == NULL
- *                 or self.pa == NULL or self.pb == NULL):
-*/
-  __pyx_t_5 = (__pyx_v_self->colof == NULL);
-  if (!__pyx_t_5) {
-  } else {
-    __pyx_t_3 = __pyx_t_5;
-    goto __pyx_L10_bool_binop_done;
-  }
-  __pyx_t_5 = (__pyx_v_self->right == NULL);
-  if (!__pyx_t_5) {
-  } else {
-    __pyx_t_3 = __pyx_t_5;
-    goto __pyx_L10_bool_binop_done;
-  }
-  __pyx_t_5 = (__pyx_v_self->below == NULL);
-  if (!__pyx_t_5) {
-  } else {
-    __pyx_t_3 = __pyx_t_5;
-    goto __pyx_L10_bool_binop_done;
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":63
- *         if (self.row_start == NULL or self.rowof == NULL or self.colof == NULL
- *                 or self.right == NULL or self.below == NULL or self.order == NULL
- *                 or self.rank == NULL or self.hooklen == NULL             # <<<<<<<<<<<<<<
- *                 or self.pa == NULL or self.pb == NULL):
- *             raise MemoryError()
-*/
-  __pyx_t_5 = (__pyx_v_self->order == NULL);
-  if (!__pyx_t_5) {
-  } else {
-    __pyx_t_3 = __pyx_t_5;
-    goto __pyx_L10_bool_binop_done;
-  }
-  __pyx_t_5 = (__pyx_v_self->rank == NULL);
-  if (!__pyx_t_5) {
-  } else {
-    __pyx_t_3 = __pyx_t_5;
-    goto __pyx_L10_bool_binop_done;
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":64
- *                 or self.right == NULL or self.below == NULL or self.order == NULL
- *                 or self.rank == NULL or self.hooklen == NULL
- *                 or self.pa == NULL or self.pb == NULL):             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         cdef int r, c, pos
-*/
-  __pyx_t_5 = (__pyx_v_self->hooklen == NULL);
-  if (!__pyx_t_5) {
-  } else {
-    __pyx_t_3 = __pyx_t_5;
-    goto __pyx_L10_bool_binop_done;
-  }
-  __pyx_t_5 = (__pyx_v_self->pa == NULL);
-  if (!__pyx_t_5) {
-  } else {
-    __pyx_t_3 = __pyx_t_5;
-    goto __pyx_L10_bool_binop_done;
-  }
-  __pyx_t_5 = (__pyx_v_self->pb == NULL);
-  __pyx_t_3 = __pyx_t_5;
-  __pyx_L10_bool_binop_done:;
-
-  /* "immaculate/_kernels/_speedups.pyx":61
- *         self.pa = <int*> malloc(2 * n * sizeof(int))
- *         self.pb = <int*> malloc(2 * n * sizeof(int))
- *         if (self.row_start == NULL or self.rowof == NULL or self.colof == NULL             # <<<<<<<<<<<<<<
- *                 or self.right == NULL or self.below == NULL or self.order == NULL
- *                 or self.rank == NULL or self.hooklen == NULL
-*/
-  if (unlikely(__pyx_t_3)) {
-
-    /* "immaculate/_kernels/_speedups.pyx":65
- *                 or self.rank == NULL or self.hooklen == NULL
- *                 or self.pa == NULL or self.pb == NULL):
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         cdef int r, c, pos
- *         self.row_start[0] = 0
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 65, __pyx_L1_error)
-
-    /* "immaculate/_kernels/_speedups.pyx":61
- *         self.pa = <int*> malloc(2 * n * sizeof(int))
- *         self.pb = <int*> malloc(2 * n * sizeof(int))
- *         if (self.row_start == NULL or self.rowof == NULL or self.colof == NULL             # <<<<<<<<<<<<<<
- *                 or self.right == NULL or self.below == NULL or self.order == NULL
- *                 or self.rank == NULL or self.hooklen == NULL
-*/
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":67
- *             raise MemoryError()
- *         cdef int r, c, pos
- *         self.row_start[0] = 0             # <<<<<<<<<<<<<<
- *         for r in range(self.k):
- *             self.row_start[r + 1] = self.row_start[r] + parts[r]
-*/
-  (__pyx_v_self->row_start[0]) = 0;
-
-  /* "immaculate/_kernels/_speedups.pyx":68
- *         cdef int r, c, pos
- *         self.row_start[0] = 0
- *         for r in range(self.k):             # <<<<<<<<<<<<<<
- *             self.row_start[r + 1] = self.row_start[r] + parts[r]
- *         keyed = []
-*/
-  __pyx_t_11 = __pyx_v_self->k;
-  __pyx_t_12 = __pyx_t_11;
-  for (__pyx_t_13 = 0; __pyx_t_13 < __pyx_t_12; __pyx_t_13+=1) {
-    __pyx_v_r = __pyx_t_13;
-
-    /* "immaculate/_kernels/_speedups.pyx":69
- *         self.row_start[0] = 0
- *         for r in range(self.k):
- *             self.row_start[r + 1] = self.row_start[r] + parts[r]             # <<<<<<<<<<<<<<
- *         keyed = []
- *         pos = 0
-*/
-    __pyx_t_1 = __Pyx_PyLong_From_int((__pyx_v_self->row_start[__pyx_v_r])); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 69, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_2 = __Pyx_GetItemInt(__pyx_v_parts, __pyx_v_r, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 69, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_7 = PyNumber_Add(__pyx_t_1, __pyx_t_2); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 69, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __pyx_t_14 = __Pyx_PyLong_As_int(__pyx_t_7); if (unlikely((__pyx_t_14 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 69, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    (__pyx_v_self->row_start[(__pyx_v_r + 1)]) = __pyx_t_14;
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":70
- *         for r in range(self.k):
- *             self.row_start[r + 1] = self.row_start[r] + parts[r]
- *         keyed = []             # <<<<<<<<<<<<<<
- *         pos = 0
- *         for r in range(self.k):
-*/
-  __pyx_t_7 = PyList_New(0); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 70, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_v_keyed = ((PyObject*)__pyx_t_7);
-  __pyx_t_7 = 0;
-
-  /* "immaculate/_kernels/_speedups.pyx":71
- *             self.row_start[r + 1] = self.row_start[r] + parts[r]
- *         keyed = []
- *         pos = 0             # <<<<<<<<<<<<<<
- *         for r in range(self.k):
- *             for c in range(parts[r]):
-*/
-  __pyx_v_pos = 0;
-
-  /* "immaculate/_kernels/_speedups.pyx":72
- *         keyed = []
- *         pos = 0
- *         for r in range(self.k):             # <<<<<<<<<<<<<<
- *             for c in range(parts[r]):
- *                 self.rowof[pos] = r
-*/
-  __pyx_t_11 = __pyx_v_self->k;
-  __pyx_t_12 = __pyx_t_11;
-  for (__pyx_t_13 = 0; __pyx_t_13 < __pyx_t_12; __pyx_t_13+=1) {
-    __pyx_v_r = __pyx_t_13;
-
-    /* "immaculate/_kernels/_speedups.pyx":73
- *         pos = 0
- *         for r in range(self.k):
- *             for c in range(parts[r]):             # <<<<<<<<<<<<<<
- *                 self.rowof[pos] = r
- *                 self.colof[pos] = c
-*/
-    __pyx_t_7 = __Pyx_GetItemInt(__pyx_v_parts, __pyx_v_r, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 73, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_9 = __Pyx_PyIndex_AsSsize_t(__pyx_t_7); if (unlikely((__pyx_t_9 == (Py_ssize_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 73, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_15 = __pyx_t_9;
-    for (__pyx_t_14 = 0; __pyx_t_14 < __pyx_t_15; __pyx_t_14+=1) {
-      __pyx_v_c = __pyx_t_14;
-
-      /* "immaculate/_kernels/_speedups.pyx":74
- *         for r in range(self.k):
- *             for c in range(parts[r]):
- *                 self.rowof[pos] = r             # <<<<<<<<<<<<<<
- *                 self.colof[pos] = c
- *                 self.right[pos] = pos + 1 if c + 1 < parts[r] else -1
-*/
-      (__pyx_v_self->rowof[__pyx_v_pos]) = __pyx_v_r;
-
-      /* "immaculate/_kernels/_speedups.pyx":75
- *             for c in range(parts[r]):
- *                 self.rowof[pos] = r
- *                 self.colof[pos] = c             # <<<<<<<<<<<<<<
- *                 self.right[pos] = pos + 1 if c + 1 < parts[r] else -1
- *                 self.below[pos] = self.row_start[r + 1] if (c == 0 and r + 1 < self.k) else -1
-*/
-      (__pyx_v_self->colof[__pyx_v_pos]) = __pyx_v_c;
-
-      /* "immaculate/_kernels/_speedups.pyx":76
- *                 self.rowof[pos] = r
- *                 self.colof[pos] = c
- *                 self.right[pos] = pos + 1 if c + 1 < parts[r] else -1             # <<<<<<<<<<<<<<
- *                 self.below[pos] = self.row_start[r + 1] if (c == 0 and r + 1 < self.k) else -1
- *                 self.hooklen[pos] = (n - pos) if c == 0 else (self.row_start[r + 1] - pos)
-*/
-      __pyx_t_7 = __Pyx_PyLong_From_long((__pyx_v_c + 1)); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 76, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __pyx_t_2 = __Pyx_GetItemInt(__pyx_v_parts, __pyx_v_r, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 76, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __pyx_t_1 = PyObject_RichCompare(__pyx_t_7, __pyx_t_2, Py_LT); __Pyx_XGOTREF(__pyx_t_1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 76, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-      __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __pyx_t_3 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_3 < 0))) __PYX_ERR(0, 76, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-      if (__pyx_t_3) {
-        __pyx_t_16 = (__pyx_v_pos + 1);
-      } else {
-        __pyx_t_16 = -1;
-      }
-      (__pyx_v_self->right[__pyx_v_pos]) = __pyx_t_16;
-
-      /* "immaculate/_kernels/_speedups.pyx":77
- *                 self.colof[pos] = c
- *                 self.right[pos] = pos + 1 if c + 1 < parts[r] else -1
- *                 self.below[pos] = self.row_start[r + 1] if (c == 0 and r + 1 < self.k) else -1             # <<<<<<<<<<<<<<
- *                 self.hooklen[pos] = (n - pos) if c == 0 else (self.row_start[r + 1] - pos)
- *                 keyed.append((-c, -r, pos))
-*/
-      __pyx_t_5 = (__pyx_v_c == 0);
-      if (__pyx_t_5) {
-      } else {
-        __pyx_t_3 = __pyx_t_5;
-        goto __pyx_L26_bool_binop_done;
-      }
-      __pyx_t_5 = ((__pyx_v_r + 1) < __pyx_v_self->k);
-      __pyx_t_3 = __pyx_t_5;
-      __pyx_L26_bool_binop_done:;
-      if (__pyx_t_3) {
-        __pyx_t_17 = (__pyx_v_self->row_start[(__pyx_v_r + 1)]);
-      } else {
-        __pyx_t_17 = -1;
-      }
-      (__pyx_v_self->below[__pyx_v_pos]) = __pyx_t_17;
-
-      /* "immaculate/_kernels/_speedups.pyx":78
- *                 self.right[pos] = pos + 1 if c + 1 < parts[r] else -1
- *                 self.below[pos] = self.row_start[r + 1] if (c == 0 and r + 1 < self.k) else -1
- *                 self.hooklen[pos] = (n - pos) if c == 0 else (self.row_start[r + 1] - pos)             # <<<<<<<<<<<<<<
- *                 keyed.append((-c, -r, pos))
- *                 pos += 1
-*/
-      __pyx_t_3 = (__pyx_v_c == 0);
-      if (__pyx_t_3) {
-        __pyx_t_17 = (__pyx_v_n - __pyx_v_pos);
-      } else {
-        __pyx_t_17 = ((__pyx_v_self->row_start[(__pyx_v_r + 1)]) - __pyx_v_pos);
-      }
-      (__pyx_v_self->hooklen[__pyx_v_pos]) = __pyx_t_17;
-
-      /* "immaculate/_kernels/_speedups.pyx":79
- *                 self.below[pos] = self.row_start[r + 1] if (c == 0 and r + 1 < self.k) else -1
- *                 self.hooklen[pos] = (n - pos) if c == 0 else (self.row_start[r + 1] - pos)
- *                 keyed.append((-c, -r, pos))             # <<<<<<<<<<<<<<
- *                 pos += 1
- *         keyed.sort()
-*/
-      __pyx_t_1 = __Pyx_PyLong_From_int((-__pyx_v_c)); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 79, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      __pyx_t_2 = __Pyx_PyLong_From_int((-__pyx_v_r)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 79, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __pyx_t_7 = __Pyx_PyLong_From_int(__pyx_v_pos); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 79, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __pyx_t_6 = PyTuple_New(3); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 79, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __Pyx_GIVEREF(__pyx_t_1);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 79, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_2);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 1, __pyx_t_2) != (0)) __PYX_ERR(0, 79, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_7);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 2, __pyx_t_7) != (0)) __PYX_ERR(0, 79, __pyx_L1_error);
-      __pyx_t_1 = 0;
-      __pyx_t_2 = 0;
-      __pyx_t_7 = 0;
-      __pyx_t_18 = __Pyx_PyList_Append(__pyx_v_keyed, __pyx_t_6); if (unlikely(__pyx_t_18 == ((int)-1))) __PYX_ERR(0, 79, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-
-      /* "immaculate/_kernels/_speedups.pyx":80
- *                 self.hooklen[pos] = (n - pos) if c == 0 else (self.row_start[r + 1] - pos)
- *                 keyed.append((-c, -r, pos))
- *                 pos += 1             # <<<<<<<<<<<<<<
- *         keyed.sort()
- *         for r in range(n):
-*/
-      __pyx_v_pos = (__pyx_v_pos + 1);
-    }
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":81
- *                 keyed.append((-c, -r, pos))
- *                 pos += 1
- *         keyed.sort()             # <<<<<<<<<<<<<<
- *         for r in range(n):
- *             self.order[r] = keyed[r][2]
-*/
-  __pyx_t_18 = PyList_Sort(__pyx_v_keyed); if (unlikely(__pyx_t_18 == ((int)-1))) __PYX_ERR(0, 81, __pyx_L1_error)
-
-  /* "immaculate/_kernels/_speedups.pyx":82
- *                 pos += 1
- *         keyed.sort()
- *         for r in range(n):             # <<<<<<<<<<<<<<
- *             self.order[r] = keyed[r][2]
- *             self.rank[keyed[r][2]] = r
-*/
-  __pyx_t_11 = __pyx_v_n;
-  __pyx_t_12 = __pyx_t_11;
-  for (__pyx_t_13 = 0; __pyx_t_13 < __pyx_t_12; __pyx_t_13+=1) {
-    __pyx_v_r = __pyx_t_13;
-
-    /* "immaculate/_kernels/_speedups.pyx":83
- *         keyed.sort()
- *         for r in range(n):
- *             self.order[r] = keyed[r][2]             # <<<<<<<<<<<<<<
- *             self.rank[keyed[r][2]] = r
- *         prod = 1
-*/
-    __pyx_t_6 = __Pyx_GetItemInt(__Pyx_PyList_GET_ITEM(__pyx_v_keyed, __pyx_v_r), 2, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_SharedReference); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 83, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_14 = __Pyx_PyLong_As_int(__pyx_t_6); if (unlikely((__pyx_t_14 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 83, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    (__pyx_v_self->order[__pyx_v_r]) = __pyx_t_14;
-
-    /* "immaculate/_kernels/_speedups.pyx":84
- *         for r in range(n):
- *             self.order[r] = keyed[r][2]
- *             self.rank[keyed[r][2]] = r             # <<<<<<<<<<<<<<
- *         prod = 1
- *         for pos in range(n):
-*/
-    __pyx_t_6 = __Pyx_GetItemInt(__Pyx_PyList_GET_ITEM(__pyx_v_keyed, __pyx_v_r), 2, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_SharedReference); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 84, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_9 = __Pyx_PyIndex_AsSsize_t(__pyx_t_6); if (unlikely((__pyx_t_9 == (Py_ssize_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 84, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    (__pyx_v_self->rank[__pyx_t_9]) = __pyx_v_r;
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":85
- *             self.order[r] = keyed[r][2]
- *             self.rank[keyed[r][2]] = r
- *         prod = 1             # <<<<<<<<<<<<<<
- *         for pos in range(n):
- *             prod *= self.hooklen[pos]
-*/
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-  __pyx_v_prod = __pyx_mstate_global->__pyx_int_1;
-
-  /* "immaculate/_kernels/_speedups.pyx":86
- *             self.rank[keyed[r][2]] = r
- *         prod = 1
- *         for pos in range(n):             # <<<<<<<<<<<<<<
- *             prod *= self.hooklen[pos]
- *         self.hook_prod = prod
-*/
-  __pyx_t_11 = __pyx_v_n;
-  __pyx_t_12 = __pyx_t_11;
-  for (__pyx_t_13 = 0; __pyx_t_13 < __pyx_t_12; __pyx_t_13+=1) {
-    __pyx_v_pos = __pyx_t_13;
-
-    /* "immaculate/_kernels/_speedups.pyx":87
- *         prod = 1
- *         for pos in range(n):
- *             prod *= self.hooklen[pos]             # <<<<<<<<<<<<<<
- *         self.hook_prod = prod
- *         fact = 1
-*/
-    __pyx_t_6 = __Pyx_PyLong_From_int((__pyx_v_self->hooklen[__pyx_v_pos])); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 87, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = PyNumber_InPlaceMultiply(__pyx_v_prod, __pyx_t_6); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 87, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __Pyx_DECREF_SET(__pyx_v_prod, __pyx_t_7);
-    __pyx_t_7 = 0;
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":88
- *         for pos in range(n):
- *             prod *= self.hooklen[pos]
- *         self.hook_prod = prod             # <<<<<<<<<<<<<<
- *         fact = 1
- *         for pos in range(2, n + 1):
-*/
-  __Pyx_INCREF(__pyx_v_prod);
-  __Pyx_GIVEREF(__pyx_v_prod);
-  __Pyx_GOTREF(__pyx_v_self->hook_prod);
-  __Pyx_DECREF(__pyx_v_self->hook_prod);
-  __pyx_v_self->hook_prod = __pyx_v_prod;
-
-  /* "immaculate/_kernels/_speedups.pyx":89
- *             prod *= self.hooklen[pos]
- *         self.hook_prod = prod
- *         fact = 1             # <<<<<<<<<<<<<<
- *         for pos in range(2, n + 1):
- *             fact *= pos
-*/
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-  __pyx_v_fact = __pyx_mstate_global->__pyx_int_1;
-
-  /* "immaculate/_kernels/_speedups.pyx":90
- *         self.hook_prod = prod
- *         fact = 1
- *         for pos in range(2, n + 1):             # <<<<<<<<<<<<<<
- *             fact *= pos
- *         self.n_factorial = fact
-*/
-  __pyx_t_16 = (__pyx_v_n + 1);
-  __pyx_t_19 = __pyx_t_16;
-  for (__pyx_t_11 = 2; __pyx_t_11 < __pyx_t_19; __pyx_t_11+=1) {
-    __pyx_v_pos = __pyx_t_11;
-
-    /* "immaculate/_kernels/_speedups.pyx":91
- *         fact = 1
- *         for pos in range(2, n + 1):
- *             fact *= pos             # <<<<<<<<<<<<<<
- *         self.n_factorial = fact
- *         self.prod_fits = prod <= LL_MAX
-*/
-    __pyx_t_7 = __Pyx_PyLong_From_int(__pyx_v_pos); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 91, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_6 = PyNumber_InPlaceMultiply(__pyx_v_fact, __pyx_t_7); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 91, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __Pyx_DECREF_SET(__pyx_v_fact, __pyx_t_6);
-    __pyx_t_6 = 0;
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":92
- *         for pos in range(2, n + 1):
- *             fact *= pos
- *         self.n_factorial = fact             # <<<<<<<<<<<<<<
- *         self.prod_fits = prod <= LL_MAX
- *         self.prod_ll = prod if self.prod_fits else 0
-*/
-  __Pyx_INCREF(__pyx_v_fact);
-  __Pyx_GIVEREF(__pyx_v_fact);
-  __Pyx_GOTREF(__pyx_v_self->n_factorial);
-  __Pyx_DECREF(__pyx_v_self->n_factorial);
-  __pyx_v_self->n_factorial = __pyx_v_fact;
-
-  /* "immaculate/_kernels/_speedups.pyx":93
- *             fact *= pos
- *         self.n_factorial = fact
- *         self.prod_fits = prod <= LL_MAX             # <<<<<<<<<<<<<<
- *         self.prod_ll = prod if self.prod_fits else 0
- *         self.npairs = 0
-*/
-  __pyx_t_6 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_10immaculate_8_kernels_9_speedups_LL_MAX); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 93, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __pyx_t_7 = PyObject_RichCompare(__pyx_v_prod, __pyx_t_6, Py_LE); __Pyx_XGOTREF(__pyx_t_7); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 93, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-  __pyx_t_3 = __Pyx_PyObject_IsTrue(__pyx_t_7); if (unlikely((__pyx_t_3 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 93, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-  __pyx_v_self->prod_fits = __pyx_t_3;
-
-  /* "immaculate/_kernels/_speedups.pyx":94
- *         self.n_factorial = fact
- *         self.prod_fits = prod <= LL_MAX
- *         self.prod_ll = prod if self.prod_fits else 0             # <<<<<<<<<<<<<<
- *         self.npairs = 0
- *         for pos in range(n):
-*/
-  if (__pyx_v_self->prod_fits) {
-    __pyx_t_21 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_prod); if (unlikely((__pyx_t_21 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 94, __pyx_L1_error)
-    __pyx_t_20 = __pyx_t_21;
-  } else {
-    __pyx_t_20 = 0;
-  }
-  __pyx_v_self->prod_ll = __pyx_t_20;
-
-  /* "immaculate/_kernels/_speedups.pyx":95
- *         self.prod_fits = prod <= LL_MAX
- *         self.prod_ll = prod if self.prod_fits else 0
- *         self.npairs = 0             # <<<<<<<<<<<<<<
- *         for pos in range(n):
- *             if self.right[pos] >= 0:
-*/
-  __pyx_v_self->npairs = 0;
-
-  /* "immaculate/_kernels/_speedups.pyx":96
- *         self.prod_ll = prod if self.prod_fits else 0
- *         self.npairs = 0
- *         for pos in range(n):             # <<<<<<<<<<<<<<
- *             if self.right[pos] >= 0:
- *                 self.pa[self.npairs] = pos
-*/
-  __pyx_t_11 = __pyx_v_n;
-  __pyx_t_12 = __pyx_t_11;
-  for (__pyx_t_13 = 0; __pyx_t_13 < __pyx_t_12; __pyx_t_13+=1) {
-    __pyx_v_pos = __pyx_t_13;
-
-    /* "immaculate/_kernels/_speedups.pyx":97
- *         self.npairs = 0
- *         for pos in range(n):
- *             if self.right[pos] >= 0:             # <<<<<<<<<<<<<<
- *                 self.pa[self.npairs] = pos
- *                 self.pb[self.npairs] = self.right[pos]
-*/
-    __pyx_t_3 = ((__pyx_v_self->right[__pyx_v_pos]) >= 0);
-    if (__pyx_t_3) {
-
-      /* "immaculate/_kernels/_speedups.pyx":98
- *         for pos in range(n):
- *             if self.right[pos] >= 0:
- *                 self.pa[self.npairs] = pos             # <<<<<<<<<<<<<<
- *                 self.pb[self.npairs] = self.right[pos]
- *                 self.npairs += 1
-*/
-      (__pyx_v_self->pa[__pyx_v_self->npairs]) = __pyx_v_pos;
-
-      /* "immaculate/_kernels/_speedups.pyx":99
- *             if self.right[pos] >= 0:
- *                 self.pa[self.npairs] = pos
- *                 self.pb[self.npairs] = self.right[pos]             # <<<<<<<<<<<<<<
- *                 self.npairs += 1
- *             if self.below[pos] >= 0:
-*/
-      (__pyx_v_self->pb[__pyx_v_self->npairs]) = (__pyx_v_self->right[__pyx_v_pos]);
-
-      /* "immaculate/_kernels/_speedups.pyx":100
- *                 self.pa[self.npairs] = pos
- *                 self.pb[self.npairs] = self.right[pos]
- *                 self.npairs += 1             # <<<<<<<<<<<<<<
- *             if self.below[pos] >= 0:
- *                 self.pa[self.npairs] = pos
-*/
-      __pyx_v_self->npairs = (__pyx_v_self->npairs + 1);
-
-      /* "immaculate/_kernels/_speedups.pyx":97
- *         self.npairs = 0
- *         for pos in range(n):
- *             if self.right[pos] >= 0:             # <<<<<<<<<<<<<<
- *                 self.pa[self.npairs] = pos
- *                 self.pb[self.npairs] = self.right[pos]
-*/
-    }
-
-    /* "immaculate/_kernels/_speedups.pyx":101
- *                 self.pb[self.npairs] = self.right[pos]
- *                 self.npairs += 1
- *             if self.below[pos] >= 0:             # <<<<<<<<<<<<<<
- *                 self.pa[self.npairs] = pos
- *                 self.pb[self.npairs] = self.below[pos]
-*/
-    __pyx_t_3 = ((__pyx_v_self->below[__pyx_v_pos]) >= 0);
-    if (__pyx_t_3) {
-
-      /* "immaculate/_kernels/_speedups.pyx":102
- *                 self.npairs += 1
- *             if self.below[pos] >= 0:
- *                 self.pa[self.npairs] = pos             # <<<<<<<<<<<<<<
- *                 self.pb[self.npairs] = self.below[pos]
- *                 self.npairs += 1
-*/
-      (__pyx_v_self->pa[__pyx_v_self->npairs]) = __pyx_v_pos;
-
-      /* "immaculate/_kernels/_speedups.pyx":103
- *             if self.below[pos] >= 0:
- *                 self.pa[self.npairs] = pos
- *                 self.pb[self.npairs] = self.below[pos]             # <<<<<<<<<<<<<<
- *                 self.npairs += 1
- * 
-*/
-      (__pyx_v_self->pb[__pyx_v_self->npairs]) = (__pyx_v_self->below[__pyx_v_pos]);
-
-      /* "immaculate/_kernels/_speedups.pyx":104
- *                 self.pa[self.npairs] = pos
- *                 self.pb[self.npairs] = self.below[pos]
- *                 self.npairs += 1             # <<<<<<<<<<<<<<
- * 
- *     def __dealloc__(self):
-*/
-      __pyx_v_self->npairs = (__pyx_v_self->npairs + 1);
-
-      /* "immaculate/_kernels/_speedups.pyx":101
- *                 self.pb[self.npairs] = self.right[pos]
- *                 self.npairs += 1
- *             if self.below[pos] >= 0:             # <<<<<<<<<<<<<<
- *                 self.pa[self.npairs] = pos
- *                 self.pb[self.npairs] = self.below[pos]
-*/
-    }
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":41
- *     cdef int* pb
- * 
- *     def __cinit__(self, parts):             # <<<<<<<<<<<<<<
- *         parts = tuple(int(p) for p in parts)
- *         if not parts or any(p < 1 for p in parts):
-*/
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps.__cinit__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_p);
-  __Pyx_XDECREF(__pyx_v_keyed);
-  __Pyx_XDECREF(__pyx_v_prod);
-  __Pyx_XDECREF(__pyx_v_fact);
-  __Pyx_XDECREF(__pyx_gb_10immaculate_8_kernels_9_speedups_8ShapeOps_9__cinit___2generator);
-  __Pyx_XDECREF(__pyx_gb_10immaculate_8_kernels_9_speedups_8ShapeOps_9__cinit___5generator1);
-  __Pyx_XDECREF(__pyx_v_parts);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "immaculate/_kernels/_speedups.pyx":106
- *                 self.npairs += 1
- * 
- *     def __dealloc__(self):             # <<<<<<<<<<<<<<
- *         free(self.row_start)
- *         free(self.rowof)
-*/
-
-/* Python wrapper */
-static void __pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_3__dealloc__(PyObject *__pyx_v_self); /*proto*/
-static void __pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_3__dealloc__(PyObject *__pyx_v_self) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__dealloc__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_2__dealloc__(((struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-}
-
-static void __pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_2__dealloc__(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self) {
-
-  /* "immaculate/_kernels/_speedups.pyx":107
- * 
- *     def __dealloc__(self):
- *         free(self.row_start)             # <<<<<<<<<<<<<<
- *         free(self.rowof)
- *         free(self.colof)
-*/
-  free(__pyx_v_self->row_start);
-
-  /* "immaculate/_kernels/_speedups.pyx":108
- *     def __dealloc__(self):
- *         free(self.row_start)
- *         free(self.rowof)             # <<<<<<<<<<<<<<
- *         free(self.colof)
- *         free(self.right)
-*/
-  free(__pyx_v_self->rowof);
-
-  /* "immaculate/_kernels/_speedups.pyx":109
- *         free(self.row_start)
- *         free(self.rowof)
- *         free(self.colof)             # <<<<<<<<<<<<<<
- *         free(self.right)
- *         free(self.below)
-*/
-  free(__pyx_v_self->colof);
-
-  /* "immaculate/_kernels/_speedups.pyx":110
- *         free(self.rowof)
- *         free(self.colof)
- *         free(self.right)             # <<<<<<<<<<<<<<
- *         free(self.below)
- *         free(self.order)
-*/
-  free(__pyx_v_self->right);
-
-  /* "immaculate/_kernels/_speedups.pyx":111
- *         free(self.colof)
- *         free(self.right)
- *         free(self.below)             # <<<<<<<<<<<<<<
- *         free(self.order)
- *         free(self.rank)
-*/
-  free(__pyx_v_self->below);
-
-  /* "immaculate/_kernels/_speedups.pyx":112
- *         free(self.right)
- *         free(self.below)
- *         free(self.order)             # <<<<<<<<<<<<<<
- *         free(self.rank)
- *         free(self.hooklen)
-*/
-  free(__pyx_v_self->order);
-
-  /* "immaculate/_kernels/_speedups.pyx":113
- *         free(self.below)
- *         free(self.order)
- *         free(self.rank)             # <<<<<<<<<<<<<<
- *         free(self.hooklen)
- *         free(self.pa)
-*/
-  free(__pyx_v_self->rank);
-
-  /* "immaculate/_kernels/_speedups.pyx":114
- *         free(self.order)
- *         free(self.rank)
- *         free(self.hooklen)             # <<<<<<<<<<<<<<
- *         free(self.pa)
- *         free(self.pb)
-*/
-  free(__pyx_v_self->hooklen);
-
-  /* "immaculate/_kernels/_speedups.pyx":115
- *         free(self.rank)
- *         free(self.hooklen)
- *         free(self.pa)             # <<<<<<<<<<<<<<
- *         free(self.pb)
- * 
-*/
-  free(__pyx_v_self->pa);
-
-  /* "immaculate/_kernels/_speedups.pyx":116
- *         free(self.hooklen)
- *         free(self.pa)
- *         free(self.pb)             # <<<<<<<<<<<<<<
- * 
- *     # -- internals ------------------------------------------------------
-*/
-  free(__pyx_v_self->pb);
-
-  /* "immaculate/_kernels/_speedups.pyx":106
- *                 self.npairs += 1
- * 
- *     def __dealloc__(self):             # <<<<<<<<<<<<<<
- *         free(self.row_start)
- *         free(self.rowof)
-*/
-
-  /* function exit code */
-}
-
-/* "immaculate/_kernels/_speedups.pyx":120
- *     # -- internals ------------------------------------------------------
- * 
- *     cdef bint _is_standard(self, int* t) noexcept:             # <<<<<<<<<<<<<<
- *         cdef int m
- *         for m in range(self.npairs):
-*/
-
-static int __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__is_standard(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, int *__pyx_v_t) {
-  int __pyx_v_m;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-
-  /* "immaculate/_kernels/_speedups.pyx":122
- *     cdef bint _is_standard(self, int* t) noexcept:
- *         cdef int m
- *         for m in range(self.npairs):             # <<<<<<<<<<<<<<
- *             if t[self.pa[m]] > t[self.pb[m]]:
- *                 return False
-*/
-  __pyx_t_1 = __pyx_v_self->npairs;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_m = __pyx_t_3;
-
-    /* "immaculate/_kernels/_speedups.pyx":123
- *         cdef int m
- *         for m in range(self.npairs):
- *             if t[self.pa[m]] > t[self.pb[m]]:             # <<<<<<<<<<<<<<
- *                 return False
- *         return True
-*/
-    __pyx_t_4 = ((__pyx_v_t[(__pyx_v_self->pa[__pyx_v_m])]) > (__pyx_v_t[(__pyx_v_self->pb[__pyx_v_m])]));
-    if (__pyx_t_4) {
-
-      /* "immaculate/_kernels/_speedups.pyx":124
- *         for m in range(self.npairs):
- *             if t[self.pa[m]] > t[self.pb[m]]:
- *                 return False             # <<<<<<<<<<<<<<
- *         return True
- * 
-*/
-      __pyx_r = 0;
-      goto __pyx_L0;
-
-      /* "immaculate/_kernels/_speedups.pyx":123
- *         cdef int m
- *         for m in range(self.npairs):
- *             if t[self.pa[m]] > t[self.pb[m]]:             # <<<<<<<<<<<<<<
- *                 return False
- *         return True
-*/
-    }
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":125
- *             if t[self.pa[m]] > t[self.pb[m]]:
- *                 return False
- *         return True             # <<<<<<<<<<<<<<
- * 
- *     cdef bint _prefix_standard(self, int* t, int count) noexcept:
-*/
-  __pyx_r = 1;
-  goto __pyx_L0;
-
-  /* "immaculate/_kernels/_speedups.pyx":120
- *     # -- internals ------------------------------------------------------
- * 
- *     cdef bint _is_standard(self, int* t) noexcept:             # <<<<<<<<<<<<<<
- *         cdef int m
- *         for m in range(self.npairs):
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "immaculate/_kernels/_speedups.pyx":127
- *         return True
- * 
- *     cdef bint _prefix_standard(self, int* t, int count) noexcept:             # <<<<<<<<<<<<<<
- *         cdef int m, pos, e, r, b
- *         for m in range(count):
-*/
-
-static int __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__prefix_standard(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, int *__pyx_v_t, int __pyx_v_count) {
-  int __pyx_v_m;
-  int __pyx_v_pos;
-  int __pyx_v_e;
-  int __pyx_v_r;
-  int __pyx_v_b;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-
-  /* "immaculate/_kernels/_speedups.pyx":129
- *     cdef bint _prefix_standard(self, int* t, int count) noexcept:
- *         cdef int m, pos, e, r, b
- *         for m in range(count):             # <<<<<<<<<<<<<<
- *             pos = self.order[m]
- *             e = t[pos]
-*/
-  __pyx_t_1 = __pyx_v_count;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_m = __pyx_t_3;
-
-    /* "immaculate/_kernels/_speedups.pyx":130
- *         cdef int m, pos, e, r, b
- *         for m in range(count):
- *             pos = self.order[m]             # <<<<<<<<<<<<<<
- *             e = t[pos]
- *             r = self.right[pos]
-*/
-    __pyx_v_pos = (__pyx_v_self->order[__pyx_v_m]);
-
-    /* "immaculate/_kernels/_speedups.pyx":131
- *         for m in range(count):
- *             pos = self.order[m]
- *             e = t[pos]             # <<<<<<<<<<<<<<
- *             r = self.right[pos]
- *             if r >= 0 and self.rank[r] < count and e > t[r]:
-*/
-    __pyx_v_e = (__pyx_v_t[__pyx_v_pos]);
-
-    /* "immaculate/_kernels/_speedups.pyx":132
- *             pos = self.order[m]
- *             e = t[pos]
- *             r = self.right[pos]             # <<<<<<<<<<<<<<
- *             if r >= 0 and self.rank[r] < count and e > t[r]:
- *                 return False
-*/
-    __pyx_v_r = (__pyx_v_self->right[__pyx_v_pos]);
-
-    /* "immaculate/_kernels/_speedups.pyx":133
- *             e = t[pos]
- *             r = self.right[pos]
- *             if r >= 0 and self.rank[r] < count and e > t[r]:             # <<<<<<<<<<<<<<
- *                 return False
- *             if self.colof[pos] == 0:
-*/
-    __pyx_t_5 = (__pyx_v_r >= 0);
-    if (__pyx_t_5) {
-    } else {
-      __pyx_t_4 = __pyx_t_5;
-      goto __pyx_L6_bool_binop_done;
-    }
-    __pyx_t_5 = ((__pyx_v_self->rank[__pyx_v_r]) < __pyx_v_count);
-    if (__pyx_t_5) {
-    } else {
-      __pyx_t_4 = __pyx_t_5;
-      goto __pyx_L6_bool_binop_done;
-    }
-    __pyx_t_5 = (__pyx_v_e > (__pyx_v_t[__pyx_v_r]));
-    __pyx_t_4 = __pyx_t_5;
-    __pyx_L6_bool_binop_done:;
-    if (__pyx_t_4) {
-
-      /* "immaculate/_kernels/_speedups.pyx":134
- *             r = self.right[pos]
- *             if r >= 0 and self.rank[r] < count and e > t[r]:
- *                 return False             # <<<<<<<<<<<<<<
- *             if self.colof[pos] == 0:
- *                 b = self.below[pos]
-*/
-      __pyx_r = 0;
-      goto __pyx_L0;
-
-      /* "immaculate/_kernels/_speedups.pyx":133
- *             e = t[pos]
- *             r = self.right[pos]
- *             if r >= 0 and self.rank[r] < count and e > t[r]:             # <<<<<<<<<<<<<<
- *                 return False
- *             if self.colof[pos] == 0:
-*/
-    }
-
-    /* "immaculate/_kernels/_speedups.pyx":135
- *             if r >= 0 and self.rank[r] < count and e > t[r]:
- *                 return False
- *             if self.colof[pos] == 0:             # <<<<<<<<<<<<<<
- *                 b = self.below[pos]
- *                 if b >= 0 and self.rank[b] < count and e >= t[b]:
-*/
-    __pyx_t_4 = ((__pyx_v_self->colof[__pyx_v_pos]) == 0);
-    if (__pyx_t_4) {
-
-      /* "immaculate/_kernels/_speedups.pyx":136
- *                 return False
- *             if self.colof[pos] == 0:
- *                 b = self.below[pos]             # <<<<<<<<<<<<<<
- *                 if b >= 0 and self.rank[b] < count and e >= t[b]:
- *                     return False
-*/
-      __pyx_v_b = (__pyx_v_self->below[__pyx_v_pos]);
-
-      /* "immaculate/_kernels/_speedups.pyx":137
- *             if self.colof[pos] == 0:
- *                 b = self.below[pos]
- *                 if b >= 0 and self.rank[b] < count and e >= t[b]:             # <<<<<<<<<<<<<<
- *                     return False
- *         return True
-*/
-      __pyx_t_5 = (__pyx_v_b >= 0);
-      if (__pyx_t_5) {
-      } else {
-        __pyx_t_4 = __pyx_t_5;
-        goto __pyx_L11_bool_binop_done;
-      }
-      __pyx_t_5 = ((__pyx_v_self->rank[__pyx_v_b]) < __pyx_v_count);
-      if (__pyx_t_5) {
-      } else {
-        __pyx_t_4 = __pyx_t_5;
-        goto __pyx_L11_bool_binop_done;
-      }
-      __pyx_t_5 = (__pyx_v_e >= (__pyx_v_t[__pyx_v_b]));
-      __pyx_t_4 = __pyx_t_5;
-      __pyx_L11_bool_binop_done:;
-      if (__pyx_t_4) {
-
-        /* "immaculate/_kernels/_speedups.pyx":138
- *                 b = self.below[pos]
- *                 if b >= 0 and self.rank[b] < count and e >= t[b]:
- *                     return False             # <<<<<<<<<<<<<<
- *         return True
- * 
-*/
-        __pyx_r = 0;
-        goto __pyx_L0;
-
-        /* "immaculate/_kernels/_speedups.pyx":137
- *             if self.colof[pos] == 0:
- *                 b = self.below[pos]
- *                 if b >= 0 and self.rank[b] < count and e >= t[b]:             # <<<<<<<<<<<<<<
- *                     return False
- *         return True
-*/
-      }
-
-      /* "immaculate/_kernels/_speedups.pyx":135
- *             if r >= 0 and self.rank[r] < count and e > t[r]:
- *                 return False
- *             if self.colof[pos] == 0:             # <<<<<<<<<<<<<<
- *                 b = self.below[pos]
- *                 if b >= 0 and self.rank[b] < count and e >= t[b]:
-*/
-    }
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":139
- *                 if b >= 0 and self.rank[b] < count and e >= t[b]:
- *                     return False
- *         return True             # <<<<<<<<<<<<<<
- * 
- *     cdef int _slide(self, int* t, int pos, int* path) except -1:
-*/
-  __pyx_r = 1;
-  goto __pyx_L0;
-
-  /* "immaculate/_kernels/_speedups.pyx":127
- *         return True
- * 
- *     cdef bint _prefix_standard(self, int* t, int count) noexcept:             # <<<<<<<<<<<<<<
- *         cdef int m, pos, e, r, b
- *         for m in range(count):
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "immaculate/_kernels/_speedups.pyx":141
- *         return True
- * 
- *     cdef int _slide(self, int* t, int pos, int* path) except -1:             # <<<<<<<<<<<<<<
- *         cdef int plen = 1
- *         cdef int e, r, b
-*/
-
-static int __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__slide(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, int *__pyx_v_t, int __pyx_v_pos, int *__pyx_v_path) {
-  int __pyx_v_plen;
-  int __pyx_v_e;
-  int __pyx_v_r;
-  int __pyx_v_b;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  size_t __pyx_t_8;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_slide", 0);
-
-  /* "immaculate/_kernels/_speedups.pyx":142
- * 
- *     cdef int _slide(self, int* t, int pos, int* path) except -1:
- *         cdef int plen = 1             # <<<<<<<<<<<<<<
- *         cdef int e, r, b
- *         path[0] = pos
-*/
-  __pyx_v_plen = 1;
-
-  /* "immaculate/_kernels/_speedups.pyx":144
- *         cdef int plen = 1
- *         cdef int e, r, b
- *         path[0] = pos             # <<<<<<<<<<<<<<
- *         while True:
- *             e = t[pos]
-*/
-  (__pyx_v_path[0]) = __pyx_v_pos;
-
-  /* "immaculate/_kernels/_speedups.pyx":145
- *         cdef int e, r, b
- *         path[0] = pos
- *         while True:             # <<<<<<<<<<<<<<
- *             e = t[pos]
- *             r = self.right[pos]
-*/
-  while (1) {
-
-    /* "immaculate/_kernels/_speedups.pyx":146
- *         path[0] = pos
- *         while True:
- *             e = t[pos]             # <<<<<<<<<<<<<<
- *             r = self.right[pos]
- *             if self.colof[pos] > 0:
-*/
-    __pyx_v_e = (__pyx_v_t[__pyx_v_pos]);
-
-    /* "immaculate/_kernels/_speedups.pyx":147
- *         while True:
- *             e = t[pos]
- *             r = self.right[pos]             # <<<<<<<<<<<<<<
- *             if self.colof[pos] > 0:
- *                 if r < 0 or e <= t[r]:
-*/
-    __pyx_v_r = (__pyx_v_self->right[__pyx_v_pos]);
-
-    /* "immaculate/_kernels/_speedups.pyx":148
- *             e = t[pos]
- *             r = self.right[pos]
- *             if self.colof[pos] > 0:             # <<<<<<<<<<<<<<
- *                 if r < 0 or e <= t[r]:
- *                     break
-*/
-    __pyx_t_1 = ((__pyx_v_self->colof[__pyx_v_pos]) > 0);
-    if (__pyx_t_1) {
-
-      /* "immaculate/_kernels/_speedups.pyx":149
- *             r = self.right[pos]
- *             if self.colof[pos] > 0:
- *                 if r < 0 or e <= t[r]:             # <<<<<<<<<<<<<<
- *                     break
- *                 t[pos] = t[r]
-*/
-      __pyx_t_2 = (__pyx_v_r < 0);
-      if (!__pyx_t_2) {
-      } else {
-        __pyx_t_1 = __pyx_t_2;
-        goto __pyx_L7_bool_binop_done;
-      }
-      __pyx_t_2 = (__pyx_v_e <= (__pyx_v_t[__pyx_v_r]));
-      __pyx_t_1 = __pyx_t_2;
-      __pyx_L7_bool_binop_done:;
-      if (__pyx_t_1) {
-
-        /* "immaculate/_kernels/_speedups.pyx":150
- *             if self.colof[pos] > 0:
- *                 if r < 0 or e <= t[r]:
- *                     break             # <<<<<<<<<<<<<<
- *                 t[pos] = t[r]
- *                 t[r] = e
-*/
-        goto __pyx_L4_break;
-
-        /* "immaculate/_kernels/_speedups.pyx":149
- *             r = self.right[pos]
- *             if self.colof[pos] > 0:
- *                 if r < 0 or e <= t[r]:             # <<<<<<<<<<<<<<
- *                     break
- *                 t[pos] = t[r]
-*/
-      }
-
-      /* "immaculate/_kernels/_speedups.pyx":151
- *                 if r < 0 or e <= t[r]:
- *                     break
- *                 t[pos] = t[r]             # <<<<<<<<<<<<<<
- *                 t[r] = e
- *                 pos = r
-*/
-      (__pyx_v_t[__pyx_v_pos]) = (__pyx_v_t[__pyx_v_r]);
-
-      /* "immaculate/_kernels/_speedups.pyx":152
- *                     break
- *                 t[pos] = t[r]
- *                 t[r] = e             # <<<<<<<<<<<<<<
- *                 pos = r
- *             else:
-*/
-      (__pyx_v_t[__pyx_v_r]) = __pyx_v_e;
-
-      /* "immaculate/_kernels/_speedups.pyx":153
- *                 t[pos] = t[r]
- *                 t[r] = e
- *                 pos = r             # <<<<<<<<<<<<<<
- *             else:
- *                 b = self.below[pos]
-*/
-      __pyx_v_pos = __pyx_v_r;
-
-      /* "immaculate/_kernels/_speedups.pyx":148
- *             e = t[pos]
- *             r = self.right[pos]
- *             if self.colof[pos] > 0:             # <<<<<<<<<<<<<<
- *                 if r < 0 or e <= t[r]:
- *                     break
-*/
-      goto __pyx_L5;
-    }
-
-    /* "immaculate/_kernels/_speedups.pyx":155
- *                 pos = r
- *             else:
- *                 b = self.below[pos]             # <<<<<<<<<<<<<<
- *                 if (r < 0 or e <= t[r]) and (b < 0 or e < t[b]):
- *                     break
-*/
-    /*else*/ {
-      __pyx_v_b = (__pyx_v_self->below[__pyx_v_pos]);
-
-      /* "immaculate/_kernels/_speedups.pyx":156
- *             else:
- *                 b = self.below[pos]
- *                 if (r < 0 or e <= t[r]) and (b < 0 or e < t[b]):             # <<<<<<<<<<<<<<
- *                     break
- *                 if r >= 0 and b >= 0 and t[r] == t[b]:
-*/
-      __pyx_t_2 = (__pyx_v_r < 0);
-      if (!__pyx_t_2) {
-      } else {
-        goto __pyx_L11_next_and;
-      }
-      __pyx_t_2 = (__pyx_v_e <= (__pyx_v_t[__pyx_v_r]));
-      if (__pyx_t_2) {
-      } else {
-        __pyx_t_1 = __pyx_t_2;
-        goto __pyx_L10_bool_binop_done;
-      }
-      __pyx_L11_next_and:;
-      __pyx_t_2 = (__pyx_v_b < 0);
-      if (!__pyx_t_2) {
-      } else {
-        __pyx_t_1 = __pyx_t_2;
-        goto __pyx_L10_bool_binop_done;
-      }
-      __pyx_t_2 = (__pyx_v_e < (__pyx_v_t[__pyx_v_b]));
-      __pyx_t_1 = __pyx_t_2;
-      __pyx_L10_bool_binop_done:;
-      if (__pyx_t_1) {
-
-        /* "immaculate/_kernels/_speedups.pyx":157
- *                 b = self.below[pos]
- *                 if (r < 0 or e <= t[r]) and (b < 0 or e < t[b]):
- *                     break             # <<<<<<<<<<<<<<
- *                 if r >= 0 and b >= 0 and t[r] == t[b]:
- *                     raise InternalCheckError(f"tied neighbours while sliding at position {pos}")
-*/
-        goto __pyx_L4_break;
-
-        /* "immaculate/_kernels/_speedups.pyx":156
- *             else:
- *                 b = self.below[pos]
- *                 if (r < 0 or e <= t[r]) and (b < 0 or e < t[b]):             # <<<<<<<<<<<<<<
- *                     break
- *                 if r >= 0 and b >= 0 and t[r] == t[b]:
-*/
-      }
-
-      /* "immaculate/_kernels/_speedups.pyx":158
- *                 if (r < 0 or e <= t[r]) and (b < 0 or e < t[b]):
- *                     break
- *                 if r >= 0 and b >= 0 and t[r] == t[b]:             # <<<<<<<<<<<<<<
- *                     raise InternalCheckError(f"tied neighbours while sliding at position {pos}")
- *                 if b < 0 or (r >= 0 and t[r] < t[b]):
-*/
-      __pyx_t_2 = (__pyx_v_r >= 0);
-      if (__pyx_t_2) {
-      } else {
-        __pyx_t_1 = __pyx_t_2;
-        goto __pyx_L15_bool_binop_done;
-      }
-      __pyx_t_2 = (__pyx_v_b >= 0);
-      if (__pyx_t_2) {
-      } else {
-        __pyx_t_1 = __pyx_t_2;
-        goto __pyx_L15_bool_binop_done;
-      }
-      __pyx_t_2 = ((__pyx_v_t[__pyx_v_r]) == (__pyx_v_t[__pyx_v_b]));
-      __pyx_t_1 = __pyx_t_2;
-      __pyx_L15_bool_binop_done:;
-      if (unlikely(__pyx_t_1)) {
-
-        /* "immaculate/_kernels/_speedups.pyx":159
- *                     break
- *                 if r >= 0 and b >= 0 and t[r] == t[b]:
- *                     raise InternalCheckError(f"tied neighbours while sliding at position {pos}")             # <<<<<<<<<<<<<<
- *                 if b < 0 or (r >= 0 and t[r] < t[b]):
- *                     t[pos] = t[r]
-*/
-        __pyx_t_4 = NULL;
-        __Pyx_GetModuleGlobalName(__pyx_t_5, __pyx_mstate_global->__pyx_n_u_InternalCheckError); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 159, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_5);
-        __pyx_t_6 = __Pyx_PyUnicode_From_int(__pyx_v_pos, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 159, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_6);
-        __pyx_t_7 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_tied_neighbours_while_sliding_at, __pyx_t_6); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 159, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_7);
-        __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-        __pyx_t_8 = 1;
-        #if CYTHON_UNPACK_METHODS
-        if (unlikely(PyMethod_Check(__pyx_t_5))) {
-          __pyx_t_4 = PyMethod_GET_SELF(__pyx_t_5);
-          assert(__pyx_t_4);
-          PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_5);
-          __Pyx_INCREF(__pyx_t_4);
-          __Pyx_INCREF(__pyx__function);
-          __Pyx_DECREF_SET(__pyx_t_5, __pyx__function);
-          __pyx_t_8 = 0;
-        }
-        #endif
-        {
-          PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_t_7};
-          __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_5, __pyx_callargs+__pyx_t_8, (2-__pyx_t_8) | (__pyx_t_8*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-          __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-          __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-          __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-          if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 159, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_3);
-        }
-        __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-        __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-        __PYX_ERR(0, 159, __pyx_L1_error)
-
-        /* "immaculate/_kernels/_speedups.pyx":158
- *                 if (r < 0 or e <= t[r]) and (b < 0 or e < t[b]):
- *                     break
- *                 if r >= 0 and b >= 0 and t[r] == t[b]:             # <<<<<<<<<<<<<<
- *                     raise InternalCheckError(f"tied neighbours while sliding at position {pos}")
- *                 if b < 0 or (r >= 0 and t[r] < t[b]):
-*/
-      }
-
-      /* "immaculate/_kernels/_speedups.pyx":160
- *                 if r >= 0 and b >= 0 and t[r] == t[b]:
- *                     raise InternalCheckError(f"tied neighbours while sliding at position {pos}")
- *                 if b < 0 or (r >= 0 and t[r] < t[b]):             # <<<<<<<<<<<<<<
- *                     t[pos] = t[r]
- *                     t[r] = e
-*/
-      __pyx_t_2 = (__pyx_v_b < 0);
-      if (!__pyx_t_2) {
-      } else {
-        __pyx_t_1 = __pyx_t_2;
-        goto __pyx_L19_bool_binop_done;
-      }
-      __pyx_t_2 = (__pyx_v_r >= 0);
-      if (__pyx_t_2) {
-      } else {
-        __pyx_t_1 = __pyx_t_2;
-        goto __pyx_L19_bool_binop_done;
-      }
-      __pyx_t_2 = ((__pyx_v_t[__pyx_v_r]) < (__pyx_v_t[__pyx_v_b]));
-      __pyx_t_1 = __pyx_t_2;
-      __pyx_L19_bool_binop_done:;
-      if (__pyx_t_1) {
-
-        /* "immaculate/_kernels/_speedups.pyx":161
- *                     raise InternalCheckError(f"tied neighbours while sliding at position {pos}")
- *                 if b < 0 or (r >= 0 and t[r] < t[b]):
- *                     t[pos] = t[r]             # <<<<<<<<<<<<<<
- *                     t[r] = e
- *                     pos = r
-*/
-        (__pyx_v_t[__pyx_v_pos]) = (__pyx_v_t[__pyx_v_r]);
-
-        /* "immaculate/_kernels/_speedups.pyx":162
- *                 if b < 0 or (r >= 0 and t[r] < t[b]):
- *                     t[pos] = t[r]
- *                     t[r] = e             # <<<<<<<<<<<<<<
- *                     pos = r
- *                 else:
-*/
-        (__pyx_v_t[__pyx_v_r]) = __pyx_v_e;
-
-        /* "immaculate/_kernels/_speedups.pyx":163
- *                     t[pos] = t[r]
- *                     t[r] = e
- *                     pos = r             # <<<<<<<<<<<<<<
- *                 else:
- *                     t[pos] = t[b]
-*/
-        __pyx_v_pos = __pyx_v_r;
-
-        /* "immaculate/_kernels/_speedups.pyx":160
- *                 if r >= 0 and b >= 0 and t[r] == t[b]:
- *                     raise InternalCheckError(f"tied neighbours while sliding at position {pos}")
- *                 if b < 0 or (r >= 0 and t[r] < t[b]):             # <<<<<<<<<<<<<<
- *                     t[pos] = t[r]
- *                     t[r] = e
-*/
-        goto __pyx_L18;
-      }
-
-      /* "immaculate/_kernels/_speedups.pyx":165
- *                     pos = r
- *                 else:
- *                     t[pos] = t[b]             # <<<<<<<<<<<<<<
- *                     t[b] = e
- *                     pos = b
-*/
-      /*else*/ {
-        (__pyx_v_t[__pyx_v_pos]) = (__pyx_v_t[__pyx_v_b]);
-
-        /* "immaculate/_kernels/_speedups.pyx":166
- *                 else:
- *                     t[pos] = t[b]
- *                     t[b] = e             # <<<<<<<<<<<<<<
- *                     pos = b
- *             path[plen] = pos
-*/
-        (__pyx_v_t[__pyx_v_b]) = __pyx_v_e;
-
-        /* "immaculate/_kernels/_speedups.pyx":167
- *                     t[pos] = t[b]
- *                     t[b] = e
- *                     pos = b             # <<<<<<<<<<<<<<
- *             path[plen] = pos
- *             plen += 1
-*/
-        __pyx_v_pos = __pyx_v_b;
-      }
-      __pyx_L18:;
-    }
-    __pyx_L5:;
-
-    /* "immaculate/_kernels/_speedups.pyx":168
- *                     t[b] = e
- *                     pos = b
- *             path[plen] = pos             # <<<<<<<<<<<<<<
- *             plen += 1
- *         return plen
-*/
-    (__pyx_v_path[__pyx_v_plen]) = __pyx_v_pos;
-
-    /* "immaculate/_kernels/_speedups.pyx":169
- *                     pos = b
- *             path[plen] = pos
- *             plen += 1             # <<<<<<<<<<<<<<
- *         return plen
- * 
-*/
-    __pyx_v_plen = (__pyx_v_plen + 1);
-  }
-  __pyx_L4_break:;
-
-  /* "immaculate/_kernels/_speedups.pyx":170
- *             path[plen] = pos
- *             plen += 1
- *         return plen             # <<<<<<<<<<<<<<
- * 
- *     cdef int _build_path(self, int start, int v, int* path) noexcept:
-*/
-  __pyx_r = __pyx_v_plen;
-  goto __pyx_L0;
-
-  /* "immaculate/_kernels/_speedups.pyx":141
- *         return True
- * 
- *     cdef int _slide(self, int* t, int pos, int* path) except -1:             # <<<<<<<<<<<<<<
- *         cdef int plen = 1
- *         cdef int e, r, b
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps._slide", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "immaculate/_kernels/_speedups.pyx":172
- *         return plen
- * 
- *     cdef int _build_path(self, int start, int v, int* path) noexcept:             # <<<<<<<<<<<<<<
- *         cdef int target = start + v - 1
- *         cdef int plen = 0
-*/
-
-static int __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__build_path(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, int __pyx_v_start, int __pyx_v_v, int *__pyx_v_path) {
-  int __pyx_v_target;
-  int __pyx_v_plen;
-  int __pyx_v_r;
-  int __pyx_v_q;
-  int __pyx_r;
-  int __pyx_t_1;
-  long __pyx_t_2;
-  long __pyx_t_3;
-  int __pyx_t_4;
-
-  /* "immaculate/_kernels/_speedups.pyx":173
- * 
- *     cdef int _build_path(self, int start, int v, int* path) noexcept:
- *         cdef int target = start + v - 1             # <<<<<<<<<<<<<<
- *         cdef int plen = 0
- *         cdef int r, q
-*/
-  __pyx_v_target = ((__pyx_v_start + __pyx_v_v) - 1);
-
-  /* "immaculate/_kernels/_speedups.pyx":174
- *     cdef int _build_path(self, int start, int v, int* path) noexcept:
- *         cdef int target = start + v - 1
- *         cdef int plen = 0             # <<<<<<<<<<<<<<
- *         cdef int r, q
- *         if self.rowof[target] == self.rowof[start]:
-*/
-  __pyx_v_plen = 0;
-
-  /* "immaculate/_kernels/_speedups.pyx":176
- *         cdef int plen = 0
- *         cdef int r, q
- *         if self.rowof[target] == self.rowof[start]:             # <<<<<<<<<<<<<<
- *             for q in range(start, target + 1):
- *                 path[plen] = q
-*/
-  __pyx_t_1 = ((__pyx_v_self->rowof[__pyx_v_target]) == (__pyx_v_self->rowof[__pyx_v_start]));
-  if (__pyx_t_1) {
-
-    /* "immaculate/_kernels/_speedups.pyx":177
- *         cdef int r, q
- *         if self.rowof[target] == self.rowof[start]:
- *             for q in range(start, target + 1):             # <<<<<<<<<<<<<<
- *                 path[plen] = q
- *                 plen += 1
-*/
-    __pyx_t_2 = (__pyx_v_target + 1);
-    __pyx_t_3 = __pyx_t_2;
-    for (__pyx_t_4 = __pyx_v_start; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_q = __pyx_t_4;
-
-      /* "immaculate/_kernels/_speedups.pyx":178
- *         if self.rowof[target] == self.rowof[start]:
- *             for q in range(start, target + 1):
- *                 path[plen] = q             # <<<<<<<<<<<<<<
- *                 plen += 1
- *             return plen
-*/
-      (__pyx_v_path[__pyx_v_plen]) = __pyx_v_q;
-
-      /* "immaculate/_kernels/_speedups.pyx":179
- *             for q in range(start, target + 1):
- *                 path[plen] = q
- *                 plen += 1             # <<<<<<<<<<<<<<
- *             return plen
- *         for r in range(self.rowof[start], self.rowof[target] + 1):
-*/
-      __pyx_v_plen = (__pyx_v_plen + 1);
-    }
-
-    /* "immaculate/_kernels/_speedups.pyx":180
- *                 path[plen] = q
- *                 plen += 1
- *             return plen             # <<<<<<<<<<<<<<
- *         for r in range(self.rowof[start], self.rowof[target] + 1):
- *             path[plen] = self.row_start[r]
-*/
-    __pyx_r = __pyx_v_plen;
-    goto __pyx_L0;
-
-    /* "immaculate/_kernels/_speedups.pyx":176
- *         cdef int plen = 0
- *         cdef int r, q
- *         if self.rowof[target] == self.rowof[start]:             # <<<<<<<<<<<<<<
- *             for q in range(start, target + 1):
- *                 path[plen] = q
-*/
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":181
- *                 plen += 1
- *             return plen
- *         for r in range(self.rowof[start], self.rowof[target] + 1):             # <<<<<<<<<<<<<<
- *             path[plen] = self.row_start[r]
- *             plen += 1
-*/
-  __pyx_t_2 = ((__pyx_v_self->rowof[__pyx_v_target]) + 1);
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = (__pyx_v_self->rowof[__pyx_v_start]); __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_r = __pyx_t_4;
-
-    /* "immaculate/_kernels/_speedups.pyx":182
- *             return plen
- *         for r in range(self.rowof[start], self.rowof[target] + 1):
- *             path[plen] = self.row_start[r]             # <<<<<<<<<<<<<<
- *             plen += 1
- *         for q in range(self.row_start[self.rowof[target]] + 1, target + 1):
-*/
-    (__pyx_v_path[__pyx_v_plen]) = (__pyx_v_self->row_start[__pyx_v_r]);
-
-    /* "immaculate/_kernels/_speedups.pyx":183
- *         for r in range(self.rowof[start], self.rowof[target] + 1):
- *             path[plen] = self.row_start[r]
- *             plen += 1             # <<<<<<<<<<<<<<
- *         for q in range(self.row_start[self.rowof[target]] + 1, target + 1):
- *             path[plen] = q
-*/
-    __pyx_v_plen = (__pyx_v_plen + 1);
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":184
- *             path[plen] = self.row_start[r]
- *             plen += 1
- *         for q in range(self.row_start[self.rowof[target]] + 1, target + 1):             # <<<<<<<<<<<<<<
- *             path[plen] = q
- *             plen += 1
-*/
-  __pyx_t_2 = (__pyx_v_target + 1);
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = ((__pyx_v_self->row_start[(__pyx_v_self->rowof[__pyx_v_target])]) + 1); __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_q = __pyx_t_4;
-
-    /* "immaculate/_kernels/_speedups.pyx":185
- *             plen += 1
- *         for q in range(self.row_start[self.rowof[target]] + 1, target + 1):
- *             path[plen] = q             # <<<<<<<<<<<<<<
- *             plen += 1
- *         return plen
-*/
-    (__pyx_v_path[__pyx_v_plen]) = __pyx_v_q;
-
-    /* "immaculate/_kernels/_speedups.pyx":186
- *         for q in range(self.row_start[self.rowof[target]] + 1, target + 1):
- *             path[plen] = q
- *             plen += 1             # <<<<<<<<<<<<<<
- *         return plen
- * 
-*/
-    __pyx_v_plen = (__pyx_v_plen + 1);
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":187
- *             path[plen] = q
- *             plen += 1
- *         return plen             # <<<<<<<<<<<<<<
- * 
- *     cdef int _hook_index(self, int start, int end) noexcept:
-*/
-  __pyx_r = __pyx_v_plen;
-  goto __pyx_L0;
-
-  /* "immaculate/_kernels/_speedups.pyx":172
- *         return plen
- * 
- *     cdef int _build_path(self, int start, int v, int* path) noexcept:             # <<<<<<<<<<<<<<
- *         cdef int target = start + v - 1
- *         cdef int plen = 0
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "immaculate/_kernels/_speedups.pyx":189
- *         return plen
- * 
- *     cdef int _hook_index(self, int start, int end) noexcept:             # <<<<<<<<<<<<<<
- *         cdef int rs = self.rowof[start]
- *         cdef int re = self.rowof[end]
-*/
-
-static int __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__hook_index(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, int __pyx_v_start, int __pyx_v_end) {
-  int __pyx_v_rs;
-  int __pyx_v_re;
-  int __pyx_r;
-  int __pyx_t_1;
-
-  /* "immaculate/_kernels/_speedups.pyx":190
- * 
- *     cdef int _hook_index(self, int start, int end) noexcept:
- *         cdef int rs = self.rowof[start]             # <<<<<<<<<<<<<<
- *         cdef int re = self.rowof[end]
- *         if rs == re:
-*/
-  __pyx_v_rs = (__pyx_v_self->rowof[__pyx_v_start]);
-
-  /* "immaculate/_kernels/_speedups.pyx":191
- *     cdef int _hook_index(self, int start, int end) noexcept:
- *         cdef int rs = self.rowof[start]
- *         cdef int re = self.rowof[end]             # <<<<<<<<<<<<<<
- *         if rs == re:
- *             return self.colof[end] - self.colof[start] + 1
-*/
-  __pyx_v_re = (__pyx_v_self->rowof[__pyx_v_end]);
-
-  /* "immaculate/_kernels/_speedups.pyx":192
- *         cdef int rs = self.rowof[start]
- *         cdef int re = self.rowof[end]
- *         if rs == re:             # <<<<<<<<<<<<<<
- *             return self.colof[end] - self.colof[start] + 1
- *         return self.row_start[re] - self.row_start[rs] + self.colof[end] + 1
-*/
-  __pyx_t_1 = (__pyx_v_rs == __pyx_v_re);
-  if (__pyx_t_1) {
-
-    /* "immaculate/_kernels/_speedups.pyx":193
- *         cdef int re = self.rowof[end]
- *         if rs == re:
- *             return self.colof[end] - self.colof[start] + 1             # <<<<<<<<<<<<<<
- *         return self.row_start[re] - self.row_start[rs] + self.colof[end] + 1
- * 
-*/
-    __pyx_r = (((__pyx_v_self->colof[__pyx_v_end]) - (__pyx_v_self->colof[__pyx_v_start])) + 1);
-    goto __pyx_L0;
-
-    /* "immaculate/_kernels/_speedups.pyx":192
- *         cdef int rs = self.rowof[start]
- *         cdef int re = self.rowof[end]
- *         if rs == re:             # <<<<<<<<<<<<<<
- *             return self.colof[end] - self.colof[start] + 1
- *         return self.row_start[re] - self.row_start[rs] + self.colof[end] + 1
-*/
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":194
- *         if rs == re:
- *             return self.colof[end] - self.colof[start] + 1
- *         return self.row_start[re] - self.row_start[rs] + self.colof[end] + 1             # <<<<<<<<<<<<<<
- * 
- *     cdef void _rot_right(self, int* t, int* path, int plen) noexcept:
-*/
-  __pyx_r = ((((__pyx_v_self->row_start[__pyx_v_re]) - (__pyx_v_self->row_start[__pyx_v_rs])) + (__pyx_v_self->colof[__pyx_v_end])) + 1);
-  goto __pyx_L0;
-
-  /* "immaculate/_kernels/_speedups.pyx":189
- *         return plen
- * 
- *     cdef int _hook_index(self, int start, int end) noexcept:             # <<<<<<<<<<<<<<
- *         cdef int rs = self.rowof[start]
- *         cdef int re = self.rowof[end]
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "immaculate/_kernels/_speedups.pyx":196
- *         return self.row_start[re] - self.row_start[rs] + self.colof[end] + 1
- * 
- *     cdef void _rot_right(self, int* t, int* path, int plen) noexcept:             # <<<<<<<<<<<<<<
- *         cdef int last = t[path[plen - 1]]
- *         cdef int m
-*/
-
-static void __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__rot_right(CYTHON_UNUSED struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, int *__pyx_v_t, int *__pyx_v_path, int __pyx_v_plen) {
-  int __pyx_v_last;
-  int __pyx_v_m;
-  int __pyx_t_1;
-
-  /* "immaculate/_kernels/_speedups.pyx":197
- * 
- *     cdef void _rot_right(self, int* t, int* path, int plen) noexcept:
- *         cdef int last = t[path[plen - 1]]             # <<<<<<<<<<<<<<
- *         cdef int m
- *         for m in range(plen - 1, 0, -1):
-*/
-  __pyx_v_last = (__pyx_v_t[(__pyx_v_path[(__pyx_v_plen - 1)])]);
-
-  /* "immaculate/_kernels/_speedups.pyx":199
- *         cdef int last = t[path[plen - 1]]
- *         cdef int m
- *         for m in range(plen - 1, 0, -1):             # <<<<<<<<<<<<<<
- *             t[path[m]] = t[path[m - 1]]
- *         t[path[0]] = last
-*/
-  for (__pyx_t_1 = (__pyx_v_plen - 1); __pyx_t_1 > 0; __pyx_t_1-=1) {
-    __pyx_v_m = __pyx_t_1;
-
-    /* "immaculate/_kernels/_speedups.pyx":200
- *         cdef int m
- *         for m in range(plen - 1, 0, -1):
- *             t[path[m]] = t[path[m - 1]]             # <<<<<<<<<<<<<<
- *         t[path[0]] = last
- * 
-*/
-    (__pyx_v_t[(__pyx_v_path[__pyx_v_m])]) = (__pyx_v_t[(__pyx_v_path[(__pyx_v_m - 1)])]);
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":201
- *         for m in range(plen - 1, 0, -1):
- *             t[path[m]] = t[path[m - 1]]
- *         t[path[0]] = last             # <<<<<<<<<<<<<<
- * 
- *     cdef void _rot_left(self, int* t, int* path, int plen) noexcept:
-*/
-  (__pyx_v_t[(__pyx_v_path[0])]) = __pyx_v_last;
-
-  /* "immaculate/_kernels/_speedups.pyx":196
- *         return self.row_start[re] - self.row_start[rs] + self.colof[end] + 1
- * 
- *     cdef void _rot_right(self, int* t, int* path, int plen) noexcept:             # <<<<<<<<<<<<<<
- *         cdef int last = t[path[plen - 1]]
- *         cdef int m
-*/
-
-  /* function exit code */
-}
-
-/* "immaculate/_kernels/_speedups.pyx":203
- *         t[path[0]] = last
- * 
- *     cdef void _rot_left(self, int* t, int* path, int plen) noexcept:             # <<<<<<<<<<<<<<
- *         cdef int first = t[path[0]]
- *         cdef int m
-*/
-
-static void __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__rot_left(CYTHON_UNUSED struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, int *__pyx_v_t, int *__pyx_v_path, int __pyx_v_plen) {
-  int __pyx_v_first;
-  int __pyx_v_m;
-  long __pyx_t_1;
-  long __pyx_t_2;
-  int __pyx_t_3;
-
-  /* "immaculate/_kernels/_speedups.pyx":204
- * 
- *     cdef void _rot_left(self, int* t, int* path, int plen) noexcept:
- *         cdef int first = t[path[0]]             # <<<<<<<<<<<<<<
- *         cdef int m
- *         for m in range(plen - 1):
-*/
-  __pyx_v_first = (__pyx_v_t[(__pyx_v_path[0])]);
-
-  /* "immaculate/_kernels/_speedups.pyx":206
- *         cdef int first = t[path[0]]
- *         cdef int m
- *         for m in range(plen - 1):             # <<<<<<<<<<<<<<
- *             t[path[m]] = t[path[m + 1]]
- *         t[path[plen - 1]] = first
-*/
-  __pyx_t_1 = (__pyx_v_plen - 1);
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_m = __pyx_t_3;
-
-    /* "immaculate/_kernels/_speedups.pyx":207
- *         cdef int m
- *         for m in range(plen - 1):
- *             t[path[m]] = t[path[m + 1]]             # <<<<<<<<<<<<<<
- *         t[path[plen - 1]] = first
- * 
-*/
-    (__pyx_v_t[(__pyx_v_path[__pyx_v_m])]) = (__pyx_v_t[(__pyx_v_path[(__pyx_v_m + 1)])]);
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":208
- *         for m in range(plen - 1):
- *             t[path[m]] = t[path[m + 1]]
- *         t[path[plen - 1]] = first             # <<<<<<<<<<<<<<
- * 
- *     cdef int _straighten_c(self, int* t, int* s, bint check, int* path, int* scratch) except -1:
-*/
-  (__pyx_v_t[(__pyx_v_path[(__pyx_v_plen - 1)])]) = __pyx_v_first;
-
-  /* "immaculate/_kernels/_speedups.pyx":203
- *         t[path[0]] = last
- * 
- *     cdef void _rot_left(self, int* t, int* path, int plen) noexcept:             # <<<<<<<<<<<<<<
- *         cdef int first = t[path[0]]
- *         cdef int m
-*/
-
-  /* function exit code */
-}
-
-/* "immaculate/_kernels/_speedups.pyx":210
- *         t[path[plen - 1]] = first
- * 
- *     cdef int _straighten_c(self, int* t, int* s, bint check, int* path, int* scratch) except -1:             # <<<<<<<<<<<<<<
- *         # scratch must hold 2n ints when check is set: a pre-slide copy of t
- *         # and a rotate buffer
-*/
-
-static int __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__straighten_c(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, int *__pyx_v_t, int *__pyx_v_s, int __pyx_v_check, int *__pyx_v_path, int *__pyx_v_scratch) {
-  int __pyx_v_n;
-  int __pyx_v_kk;
-  int __pyx_v_pos;
-  int __pyx_v_plen;
-  int __pyx_v_v;
-  int __pyx_v_m;
-  int *__pyx_v_before;
-  int *__pyx_v_rotated;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  PyObject *__pyx_t_10 = NULL;
-  size_t __pyx_t_11;
-  PyObject *__pyx_t_12 = NULL;
-  PyObject *__pyx_t_13 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_straighten_c", 0);
-
-  /* "immaculate/_kernels/_speedups.pyx":213
- *         # scratch must hold 2n ints when check is set: a pre-slide copy of t
- *         # and a rotate buffer
- *         cdef int n = self.size             # <<<<<<<<<<<<<<
- *         cdef int kk, pos, plen, v, m
- *         cdef int* before = scratch
-*/
-  __pyx_t_1 = __pyx_v_self->size;
-  __pyx_v_n = __pyx_t_1;
-
-  /* "immaculate/_kernels/_speedups.pyx":215
- *         cdef int n = self.size
- *         cdef int kk, pos, plen, v, m
- *         cdef int* before = scratch             # <<<<<<<<<<<<<<
- *         cdef int* rotated = scratch + n
- *         for kk in range(1, n):
-*/
-  __pyx_v_before = __pyx_v_scratch;
-
-  /* "immaculate/_kernels/_speedups.pyx":216
- *         cdef int kk, pos, plen, v, m
- *         cdef int* before = scratch
- *         cdef int* rotated = scratch + n             # <<<<<<<<<<<<<<
- *         for kk in range(1, n):
- *             pos = self.order[kk]
-*/
-  __pyx_v_rotated = (__pyx_v_scratch + __pyx_v_n);
-
-  /* "immaculate/_kernels/_speedups.pyx":217
- *         cdef int* before = scratch
- *         cdef int* rotated = scratch + n
- *         for kk in range(1, n):             # <<<<<<<<<<<<<<
- *             pos = self.order[kk]
- *             if check:
-*/
-  __pyx_t_1 = __pyx_v_n;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 1; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_kk = __pyx_t_3;
-
-    /* "immaculate/_kernels/_speedups.pyx":218
- *         cdef int* rotated = scratch + n
- *         for kk in range(1, n):
- *             pos = self.order[kk]             # <<<<<<<<<<<<<<
- *             if check:
- *                 for m in range(n):
-*/
-    __pyx_v_pos = (__pyx_v_self->order[__pyx_v_kk]);
-
-    /* "immaculate/_kernels/_speedups.pyx":219
- *         for kk in range(1, n):
- *             pos = self.order[kk]
- *             if check:             # <<<<<<<<<<<<<<
- *                 for m in range(n):
- *                     before[m] = t[m]
-*/
-    if (__pyx_v_check) {
-
-      /* "immaculate/_kernels/_speedups.pyx":220
- *             pos = self.order[kk]
- *             if check:
- *                 for m in range(n):             # <<<<<<<<<<<<<<
- *                     before[m] = t[m]
- *             plen = self._slide(t, pos, path)
-*/
-      __pyx_t_4 = __pyx_v_n;
-      __pyx_t_5 = __pyx_t_4;
-      for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-        __pyx_v_m = __pyx_t_6;
-
-        /* "immaculate/_kernels/_speedups.pyx":221
- *             if check:
- *                 for m in range(n):
- *                     before[m] = t[m]             # <<<<<<<<<<<<<<
- *             plen = self._slide(t, pos, path)
- *             v = path[plen - 1] - path[0] + 1
-*/
-        (__pyx_v_before[__pyx_v_m]) = (__pyx_v_t[__pyx_v_m]);
-      }
-
-      /* "immaculate/_kernels/_speedups.pyx":219
- *         for kk in range(1, n):
- *             pos = self.order[kk]
- *             if check:             # <<<<<<<<<<<<<<
- *                 for m in range(n):
- *                     before[m] = t[m]
-*/
-    }
-
-    /* "immaculate/_kernels/_speedups.pyx":222
- *                 for m in range(n):
- *                     before[m] = t[m]
- *             plen = self._slide(t, pos, path)             # <<<<<<<<<<<<<<
- *             v = path[plen - 1] - path[0] + 1
- *             s[pos] = v
-*/
-    __pyx_t_4 = ((struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self->__pyx_vtab)->_slide(__pyx_v_self, __pyx_v_t, __pyx_v_pos, __pyx_v_path); if (unlikely(__pyx_t_4 == ((int)-1))) __PYX_ERR(0, 222, __pyx_L1_error)
-    __pyx_v_plen = __pyx_t_4;
-
-    /* "immaculate/_kernels/_speedups.pyx":223
- *                     before[m] = t[m]
- *             plen = self._slide(t, pos, path)
- *             v = path[plen - 1] - path[0] + 1             # <<<<<<<<<<<<<<
- *             s[pos] = v
- *             if check:
-*/
-    __pyx_v_v = (((__pyx_v_path[(__pyx_v_plen - 1)]) - (__pyx_v_path[0])) + 1);
-
-    /* "immaculate/_kernels/_speedups.pyx":224
- *             plen = self._slide(t, pos, path)
- *             v = path[plen - 1] - path[0] + 1
- *             s[pos] = v             # <<<<<<<<<<<<<<
- *             if check:
- *                 if self._hook_index(path[0], path[plen - 1]) != v:
-*/
-    (__pyx_v_s[__pyx_v_pos]) = __pyx_v_v;
-
-    /* "immaculate/_kernels/_speedups.pyx":225
- *             v = path[plen - 1] - path[0] + 1
- *             s[pos] = v
- *             if check:             # <<<<<<<<<<<<<<
- *                 if self._hook_index(path[0], path[plen - 1]) != v:
- *                     raise InternalCheckError("hook index closed form disagrees with flat run")
-*/
-    if (__pyx_v_check) {
-
-      /* "immaculate/_kernels/_speedups.pyx":226
- *             s[pos] = v
- *             if check:
- *                 if self._hook_index(path[0], path[plen - 1]) != v:             # <<<<<<<<<<<<<<
- *                     raise InternalCheckError("hook index closed form disagrees with flat run")
- *                 if not self._path_matches_hook(pos, v, path, plen):
-*/
-      __pyx_t_7 = (((struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self->__pyx_vtab)->_hook_index(__pyx_v_self, (__pyx_v_path[0]), (__pyx_v_path[(__pyx_v_plen - 1)])) != __pyx_v_v);
-      if (unlikely(__pyx_t_7)) {
-
-        /* "immaculate/_kernels/_speedups.pyx":227
- *             if check:
- *                 if self._hook_index(path[0], path[plen - 1]) != v:
- *                     raise InternalCheckError("hook index closed form disagrees with flat run")             # <<<<<<<<<<<<<<
- *                 if not self._path_matches_hook(pos, v, path, plen):
- *                     raise InternalCheckError("slide path is not the hook path of its endpoints")
-*/
-        __pyx_t_9 = NULL;
-        __Pyx_GetModuleGlobalName(__pyx_t_10, __pyx_mstate_global->__pyx_n_u_InternalCheckError); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 227, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_10);
-        __pyx_t_11 = 1;
-        #if CYTHON_UNPACK_METHODS
-        if (unlikely(PyMethod_Check(__pyx_t_10))) {
-          __pyx_t_9 = PyMethod_GET_SELF(__pyx_t_10);
-          assert(__pyx_t_9);
-          PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_10);
-          __Pyx_INCREF(__pyx_t_9);
-          __Pyx_INCREF(__pyx__function);
-          __Pyx_DECREF_SET(__pyx_t_10, __pyx__function);
-          __pyx_t_11 = 0;
-        }
-        #endif
-        {
-          PyObject *__pyx_callargs[2] = {__pyx_t_9, __pyx_mstate_global->__pyx_kp_u_hook_index_closed_form_disagrees};
-          __pyx_t_8 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_10, __pyx_callargs+__pyx_t_11, (2-__pyx_t_11) | (__pyx_t_11*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-          __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-          __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-          if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 227, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_8);
-        }
-        __Pyx_Raise(__pyx_t_8, 0, 0, 0);
-        __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-        __PYX_ERR(0, 227, __pyx_L1_error)
-
-        /* "immaculate/_kernels/_speedups.pyx":226
- *             s[pos] = v
- *             if check:
- *                 if self._hook_index(path[0], path[plen - 1]) != v:             # <<<<<<<<<<<<<<
- *                     raise InternalCheckError("hook index closed form disagrees with flat run")
- *                 if not self._path_matches_hook(pos, v, path, plen):
-*/
-      }
-
-      /* "immaculate/_kernels/_speedups.pyx":228
- *                 if self._hook_index(path[0], path[plen - 1]) != v:
- *                     raise InternalCheckError("hook index closed form disagrees with flat run")
- *                 if not self._path_matches_hook(pos, v, path, plen):             # <<<<<<<<<<<<<<
- *                     raise InternalCheckError("slide path is not the hook path of its endpoints")
- *                 for m in range(n):
-*/
-      __pyx_t_7 = (!((struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self->__pyx_vtab)->_path_matches_hook(__pyx_v_self, __pyx_v_pos, __pyx_v_v, __pyx_v_path, __pyx_v_plen));
-      if (unlikely(__pyx_t_7)) {
-
-        /* "immaculate/_kernels/_speedups.pyx":229
- *                     raise InternalCheckError("hook index closed form disagrees with flat run")
- *                 if not self._path_matches_hook(pos, v, path, plen):
- *                     raise InternalCheckError("slide path is not the hook path of its endpoints")             # <<<<<<<<<<<<<<
- *                 for m in range(n):
- *                     rotated[m] = before[m]
-*/
-        __pyx_t_10 = NULL;
-        __Pyx_GetModuleGlobalName(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_InternalCheckError); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 229, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __pyx_t_11 = 1;
-        #if CYTHON_UNPACK_METHODS
-        if (unlikely(PyMethod_Check(__pyx_t_9))) {
-          __pyx_t_10 = PyMethod_GET_SELF(__pyx_t_9);
-          assert(__pyx_t_10);
-          PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_9);
-          __Pyx_INCREF(__pyx_t_10);
-          __Pyx_INCREF(__pyx__function);
-          __Pyx_DECREF_SET(__pyx_t_9, __pyx__function);
-          __pyx_t_11 = 0;
-        }
-        #endif
-        {
-          PyObject *__pyx_callargs[2] = {__pyx_t_10, __pyx_mstate_global->__pyx_kp_u_slide_path_is_not_the_hook_path};
-          __pyx_t_8 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_9, __pyx_callargs+__pyx_t_11, (2-__pyx_t_11) | (__pyx_t_11*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-          __Pyx_XDECREF(__pyx_t_10); __pyx_t_10 = 0;
-          __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-          if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 229, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_8);
-        }
-        __Pyx_Raise(__pyx_t_8, 0, 0, 0);
-        __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-        __PYX_ERR(0, 229, __pyx_L1_error)
-
-        /* "immaculate/_kernels/_speedups.pyx":228
- *                 if self._hook_index(path[0], path[plen - 1]) != v:
- *                     raise InternalCheckError("hook index closed form disagrees with flat run")
- *                 if not self._path_matches_hook(pos, v, path, plen):             # <<<<<<<<<<<<<<
- *                     raise InternalCheckError("slide path is not the hook path of its endpoints")
- *                 for m in range(n):
-*/
-      }
-
-      /* "immaculate/_kernels/_speedups.pyx":230
- *                 if not self._path_matches_hook(pos, v, path, plen):
- *                     raise InternalCheckError("slide path is not the hook path of its endpoints")
- *                 for m in range(n):             # <<<<<<<<<<<<<<
- *                     rotated[m] = before[m]
- *                 self._rot_left(rotated, path, plen)
-*/
-      __pyx_t_4 = __pyx_v_n;
-      __pyx_t_5 = __pyx_t_4;
-      for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-        __pyx_v_m = __pyx_t_6;
-
-        /* "immaculate/_kernels/_speedups.pyx":231
- *                     raise InternalCheckError("slide path is not the hook path of its endpoints")
- *                 for m in range(n):
- *                     rotated[m] = before[m]             # <<<<<<<<<<<<<<
- *                 self._rot_left(rotated, path, plen)
- *                 for m in range(n):
-*/
-        (__pyx_v_rotated[__pyx_v_m]) = (__pyx_v_before[__pyx_v_m]);
-      }
-
-      /* "immaculate/_kernels/_speedups.pyx":232
- *                 for m in range(n):
- *                     rotated[m] = before[m]
- *                 self._rot_left(rotated, path, plen)             # <<<<<<<<<<<<<<
- *                 for m in range(n):
- *                     if rotated[m] != t[m]:
-*/
-      ((struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self->__pyx_vtab)->_rot_left(__pyx_v_self, __pyx_v_rotated, __pyx_v_path, __pyx_v_plen);
-
-      /* "immaculate/_kernels/_speedups.pyx":233
- *                     rotated[m] = before[m]
- *                 self._rot_left(rotated, path, plen)
- *                 for m in range(n):             # <<<<<<<<<<<<<<
- *                     if rotated[m] != t[m]:
- *                         raise InternalCheckError("slide result is not the circular left shift")
-*/
-      __pyx_t_4 = __pyx_v_n;
-      __pyx_t_5 = __pyx_t_4;
-      for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-        __pyx_v_m = __pyx_t_6;
-
-        /* "immaculate/_kernels/_speedups.pyx":234
- *                 self._rot_left(rotated, path, plen)
- *                 for m in range(n):
- *                     if rotated[m] != t[m]:             # <<<<<<<<<<<<<<
- *                         raise InternalCheckError("slide result is not the circular left shift")
- *                 if not self._prefix_standard(t, kk + 1):
-*/
-        __pyx_t_7 = ((__pyx_v_rotated[__pyx_v_m]) != (__pyx_v_t[__pyx_v_m]));
-        if (unlikely(__pyx_t_7)) {
-
-          /* "immaculate/_kernels/_speedups.pyx":235
- *                 for m in range(n):
- *                     if rotated[m] != t[m]:
- *                         raise InternalCheckError("slide result is not the circular left shift")             # <<<<<<<<<<<<<<
- *                 if not self._prefix_standard(t, kk + 1):
- *                     raise InternalCheckError(f"prefix standardness lost after step {kk}")
-*/
-          __pyx_t_9 = NULL;
-          __Pyx_GetModuleGlobalName(__pyx_t_10, __pyx_mstate_global->__pyx_n_u_InternalCheckError); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 235, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_10);
-          __pyx_t_11 = 1;
-          #if CYTHON_UNPACK_METHODS
-          if (unlikely(PyMethod_Check(__pyx_t_10))) {
-            __pyx_t_9 = PyMethod_GET_SELF(__pyx_t_10);
-            assert(__pyx_t_9);
-            PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_10);
-            __Pyx_INCREF(__pyx_t_9);
-            __Pyx_INCREF(__pyx__function);
-            __Pyx_DECREF_SET(__pyx_t_10, __pyx__function);
-            __pyx_t_11 = 0;
-          }
-          #endif
-          {
-            PyObject *__pyx_callargs[2] = {__pyx_t_9, __pyx_mstate_global->__pyx_kp_u_slide_result_is_not_the_circular};
-            __pyx_t_8 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_10, __pyx_callargs+__pyx_t_11, (2-__pyx_t_11) | (__pyx_t_11*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-            __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-            __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-            if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 235, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_8);
-          }
-          __Pyx_Raise(__pyx_t_8, 0, 0, 0);
-          __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-          __PYX_ERR(0, 235, __pyx_L1_error)
-
-          /* "immaculate/_kernels/_speedups.pyx":234
- *                 self._rot_left(rotated, path, plen)
- *                 for m in range(n):
- *                     if rotated[m] != t[m]:             # <<<<<<<<<<<<<<
- *                         raise InternalCheckError("slide result is not the circular left shift")
- *                 if not self._prefix_standard(t, kk + 1):
-*/
-        }
-      }
-
-      /* "immaculate/_kernels/_speedups.pyx":236
- *                     if rotated[m] != t[m]:
- *                         raise InternalCheckError("slide result is not the circular left shift")
- *                 if not self._prefix_standard(t, kk + 1):             # <<<<<<<<<<<<<<
- *                     raise InternalCheckError(f"prefix standardness lost after step {kk}")
- *         return 0
-*/
-      __pyx_t_7 = (!((struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self->__pyx_vtab)->_prefix_standard(__pyx_v_self, __pyx_v_t, (__pyx_v_kk + 1)));
-      if (unlikely(__pyx_t_7)) {
-
-        /* "immaculate/_kernels/_speedups.pyx":237
- *                         raise InternalCheckError("slide result is not the circular left shift")
- *                 if not self._prefix_standard(t, kk + 1):
- *                     raise InternalCheckError(f"prefix standardness lost after step {kk}")             # <<<<<<<<<<<<<<
- *         return 0
- * 
-*/
-        __pyx_t_10 = NULL;
-        __Pyx_GetModuleGlobalName(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_InternalCheckError); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 237, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __pyx_t_12 = __Pyx_PyUnicode_From_int(__pyx_v_kk, 0, ' ', 'd'); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 237, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_12);
-        __pyx_t_13 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_prefix_standardness_lost_after_s, __pyx_t_12); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 237, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_13);
-        __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-        __pyx_t_11 = 1;
-        #if CYTHON_UNPACK_METHODS
-        if (unlikely(PyMethod_Check(__pyx_t_9))) {
-          __pyx_t_10 = PyMethod_GET_SELF(__pyx_t_9);
-          assert(__pyx_t_10);
-          PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_9);
-          __Pyx_INCREF(__pyx_t_10);
-          __Pyx_INCREF(__pyx__function);
-          __Pyx_DECREF_SET(__pyx_t_9, __pyx__function);
-          __pyx_t_11 = 0;
-        }
-        #endif
-        {
-          PyObject *__pyx_callargs[2] = {__pyx_t_10, __pyx_t_13};
-          __pyx_t_8 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_9, __pyx_callargs+__pyx_t_11, (2-__pyx_t_11) | (__pyx_t_11*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-          __Pyx_XDECREF(__pyx_t_10); __pyx_t_10 = 0;
-          __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-          __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-          if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 237, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_8);
-        }
-        __Pyx_Raise(__pyx_t_8, 0, 0, 0);
-        __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-        __PYX_ERR(0, 237, __pyx_L1_error)
-
-        /* "immaculate/_kernels/_speedups.pyx":236
- *                     if rotated[m] != t[m]:
- *                         raise InternalCheckError("slide result is not the circular left shift")
- *                 if not self._prefix_standard(t, kk + 1):             # <<<<<<<<<<<<<<
- *                     raise InternalCheckError(f"prefix standardness lost after step {kk}")
- *         return 0
-*/
-      }
-
-      /* "immaculate/_kernels/_speedups.pyx":225
- *             v = path[plen - 1] - path[0] + 1
- *             s[pos] = v
- *             if check:             # <<<<<<<<<<<<<<
- *                 if self._hook_index(path[0], path[plen - 1]) != v:
- *                     raise InternalCheckError("hook index closed form disagrees with flat run")
-*/
-    }
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":238
- *                 if not self._prefix_standard(t, kk + 1):
- *                     raise InternalCheckError(f"prefix standardness lost after step {kk}")
- *         return 0             # <<<<<<<<<<<<<<
- * 
- *     cdef bint _path_matches_hook(self, int start, int v, int* path, int plen) noexcept:
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "immaculate/_kernels/_speedups.pyx":210
- *         t[path[plen - 1]] = first
- * 
- *     cdef int _straighten_c(self, int* t, int* s, bint check, int* path, int* scratch) except -1:             # <<<<<<<<<<<<<<
- *         # scratch must hold 2n ints when check is set: a pre-slide copy of t
- *         # and a rotate buffer
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_XDECREF(__pyx_t_12);
-  __Pyx_XDECREF(__pyx_t_13);
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps._straighten_c", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "immaculate/_kernels/_speedups.pyx":240
- *         return 0
- * 
- *     cdef bint _path_matches_hook(self, int start, int v, int* path, int plen) noexcept:             # <<<<<<<<<<<<<<
- *         # compare against the regenerated hook path without allocating
- *         cdef int target = start + v - 1
-*/
-
-static int __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__path_matches_hook(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, int __pyx_v_start, int __pyx_v_v, int *__pyx_v_path, int __pyx_v_plen) {
-  int __pyx_v_target;
-  int __pyx_v_m;
-  int __pyx_v_down;
-  int __pyx_v_across;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-
-  /* "immaculate/_kernels/_speedups.pyx":242
- *     cdef bint _path_matches_hook(self, int start, int v, int* path, int plen) noexcept:
- *         # compare against the regenerated hook path without allocating
- *         cdef int target = start + v - 1             # <<<<<<<<<<<<<<
- *         cdef int m
- *         if path[0] != start or path[plen - 1] != target:
-*/
-  __pyx_v_target = ((__pyx_v_start + __pyx_v_v) - 1);
-
-  /* "immaculate/_kernels/_speedups.pyx":244
- *         cdef int target = start + v - 1
- *         cdef int m
- *         if path[0] != start or path[plen - 1] != target:             # <<<<<<<<<<<<<<
- *             return False
- *         if self.rowof[target] == self.rowof[start]:
-*/
-  __pyx_t_2 = ((__pyx_v_path[0]) != __pyx_v_start);
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = ((__pyx_v_path[(__pyx_v_plen - 1)]) != __pyx_v_target);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "immaculate/_kernels/_speedups.pyx":245
- *         cdef int m
- *         if path[0] != start or path[plen - 1] != target:
- *             return False             # <<<<<<<<<<<<<<
- *         if self.rowof[target] == self.rowof[start]:
- *             if plen != v:
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "immaculate/_kernels/_speedups.pyx":244
- *         cdef int target = start + v - 1
- *         cdef int m
- *         if path[0] != start or path[plen - 1] != target:             # <<<<<<<<<<<<<<
- *             return False
- *         if self.rowof[target] == self.rowof[start]:
-*/
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":246
- *         if path[0] != start or path[plen - 1] != target:
- *             return False
- *         if self.rowof[target] == self.rowof[start]:             # <<<<<<<<<<<<<<
- *             if plen != v:
- *                 return False
-*/
-  __pyx_t_1 = ((__pyx_v_self->rowof[__pyx_v_target]) == (__pyx_v_self->rowof[__pyx_v_start]));
-  if (__pyx_t_1) {
-
-    /* "immaculate/_kernels/_speedups.pyx":247
- *             return False
- *         if self.rowof[target] == self.rowof[start]:
- *             if plen != v:             # <<<<<<<<<<<<<<
- *                 return False
- *             for m in range(plen):
-*/
-    __pyx_t_1 = (__pyx_v_plen != __pyx_v_v);
-    if (__pyx_t_1) {
-
-      /* "immaculate/_kernels/_speedups.pyx":248
- *         if self.rowof[target] == self.rowof[start]:
- *             if plen != v:
- *                 return False             # <<<<<<<<<<<<<<
- *             for m in range(plen):
- *                 if path[m] != start + m:
-*/
-      __pyx_r = 0;
-      goto __pyx_L0;
-
-      /* "immaculate/_kernels/_speedups.pyx":247
- *             return False
- *         if self.rowof[target] == self.rowof[start]:
- *             if plen != v:             # <<<<<<<<<<<<<<
- *                 return False
- *             for m in range(plen):
-*/
-    }
-
-    /* "immaculate/_kernels/_speedups.pyx":249
- *             if plen != v:
- *                 return False
- *             for m in range(plen):             # <<<<<<<<<<<<<<
- *                 if path[m] != start + m:
- *                     return False
-*/
-    __pyx_t_3 = __pyx_v_plen;
-    __pyx_t_4 = __pyx_t_3;
-    for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-      __pyx_v_m = __pyx_t_5;
-
-      /* "immaculate/_kernels/_speedups.pyx":250
- *                 return False
- *             for m in range(plen):
- *                 if path[m] != start + m:             # <<<<<<<<<<<<<<
- *                     return False
- *             return True
-*/
-      __pyx_t_1 = ((__pyx_v_path[__pyx_v_m]) != (__pyx_v_start + __pyx_v_m));
-      if (__pyx_t_1) {
-
-        /* "immaculate/_kernels/_speedups.pyx":251
- *             for m in range(plen):
- *                 if path[m] != start + m:
- *                     return False             # <<<<<<<<<<<<<<
- *             return True
- *         cdef int down = self.rowof[target] - self.rowof[start] + 1
-*/
-        __pyx_r = 0;
-        goto __pyx_L0;
-
-        /* "immaculate/_kernels/_speedups.pyx":250
- *                 return False
- *             for m in range(plen):
- *                 if path[m] != start + m:             # <<<<<<<<<<<<<<
- *                     return False
- *             return True
-*/
-      }
-    }
-
-    /* "immaculate/_kernels/_speedups.pyx":252
- *                 if path[m] != start + m:
- *                     return False
- *             return True             # <<<<<<<<<<<<<<
- *         cdef int down = self.rowof[target] - self.rowof[start] + 1
- *         cdef int across = target - self.row_start[self.rowof[target]]
-*/
-    __pyx_r = 1;
-    goto __pyx_L0;
-
-    /* "immaculate/_kernels/_speedups.pyx":246
- *         if path[0] != start or path[plen - 1] != target:
- *             return False
- *         if self.rowof[target] == self.rowof[start]:             # <<<<<<<<<<<<<<
- *             if plen != v:
- *                 return False
-*/
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":253
- *                     return False
- *             return True
- *         cdef int down = self.rowof[target] - self.rowof[start] + 1             # <<<<<<<<<<<<<<
- *         cdef int across = target - self.row_start[self.rowof[target]]
- *         if plen != down + across:
-*/
-  __pyx_v_down = (((__pyx_v_self->rowof[__pyx_v_target]) - (__pyx_v_self->rowof[__pyx_v_start])) + 1);
-
-  /* "immaculate/_kernels/_speedups.pyx":254
- *             return True
- *         cdef int down = self.rowof[target] - self.rowof[start] + 1
- *         cdef int across = target - self.row_start[self.rowof[target]]             # <<<<<<<<<<<<<<
- *         if plen != down + across:
- *             return False
-*/
-  __pyx_v_across = (__pyx_v_target - (__pyx_v_self->row_start[(__pyx_v_self->rowof[__pyx_v_target])]));
-
-  /* "immaculate/_kernels/_speedups.pyx":255
- *         cdef int down = self.rowof[target] - self.rowof[start] + 1
- *         cdef int across = target - self.row_start[self.rowof[target]]
- *         if plen != down + across:             # <<<<<<<<<<<<<<
- *             return False
- *         for m in range(down):
-*/
-  __pyx_t_1 = (__pyx_v_plen != (__pyx_v_down + __pyx_v_across));
-  if (__pyx_t_1) {
-
-    /* "immaculate/_kernels/_speedups.pyx":256
- *         cdef int across = target - self.row_start[self.rowof[target]]
- *         if plen != down + across:
- *             return False             # <<<<<<<<<<<<<<
- *         for m in range(down):
- *             if path[m] != self.row_start[self.rowof[start] + m]:
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "immaculate/_kernels/_speedups.pyx":255
- *         cdef int down = self.rowof[target] - self.rowof[start] + 1
- *         cdef int across = target - self.row_start[self.rowof[target]]
- *         if plen != down + across:             # <<<<<<<<<<<<<<
- *             return False
- *         for m in range(down):
-*/
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":257
- *         if plen != down + across:
- *             return False
- *         for m in range(down):             # <<<<<<<<<<<<<<
- *             if path[m] != self.row_start[self.rowof[start] + m]:
- *                 return False
-*/
-  __pyx_t_3 = __pyx_v_down;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_m = __pyx_t_5;
-
-    /* "immaculate/_kernels/_speedups.pyx":258
- *             return False
- *         for m in range(down):
- *             if path[m] != self.row_start[self.rowof[start] + m]:             # <<<<<<<<<<<<<<
- *                 return False
- *         for m in range(across):
-*/
-    __pyx_t_1 = ((__pyx_v_path[__pyx_v_m]) != (__pyx_v_self->row_start[((__pyx_v_self->rowof[__pyx_v_start]) + __pyx_v_m)]));
-    if (__pyx_t_1) {
-
-      /* "immaculate/_kernels/_speedups.pyx":259
- *         for m in range(down):
- *             if path[m] != self.row_start[self.rowof[start] + m]:
- *                 return False             # <<<<<<<<<<<<<<
- *         for m in range(across):
- *             if path[down + m] != self.row_start[self.rowof[target]] + 1 + m:
-*/
-      __pyx_r = 0;
-      goto __pyx_L0;
-
-      /* "immaculate/_kernels/_speedups.pyx":258
- *             return False
- *         for m in range(down):
- *             if path[m] != self.row_start[self.rowof[start] + m]:             # <<<<<<<<<<<<<<
- *                 return False
- *         for m in range(across):
-*/
-    }
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":260
- *             if path[m] != self.row_start[self.rowof[start] + m]:
- *                 return False
- *         for m in range(across):             # <<<<<<<<<<<<<<
- *             if path[down + m] != self.row_start[self.rowof[target]] + 1 + m:
- *                 return False
-*/
-  __pyx_t_3 = __pyx_v_across;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_m = __pyx_t_5;
-
-    /* "immaculate/_kernels/_speedups.pyx":261
- *                 return False
- *         for m in range(across):
- *             if path[down + m] != self.row_start[self.rowof[target]] + 1 + m:             # <<<<<<<<<<<<<<
- *                 return False
- *         return True
-*/
-    __pyx_t_1 = ((__pyx_v_path[(__pyx_v_down + __pyx_v_m)]) != (((__pyx_v_self->row_start[(__pyx_v_self->rowof[__pyx_v_target])]) + 1) + __pyx_v_m));
-    if (__pyx_t_1) {
-
-      /* "immaculate/_kernels/_speedups.pyx":262
- *         for m in range(across):
- *             if path[down + m] != self.row_start[self.rowof[target]] + 1 + m:
- *                 return False             # <<<<<<<<<<<<<<
- *         return True
- * 
-*/
-      __pyx_r = 0;
-      goto __pyx_L0;
-
-      /* "immaculate/_kernels/_speedups.pyx":261
- *                 return False
- *         for m in range(across):
- *             if path[down + m] != self.row_start[self.rowof[target]] + 1 + m:             # <<<<<<<<<<<<<<
- *                 return False
- *         return True
-*/
-    }
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":263
- *             if path[down + m] != self.row_start[self.rowof[target]] + 1 + m:
- *                 return False
- *         return True             # <<<<<<<<<<<<<<
- * 
- *     cdef int _unstraighten_c(self, int* t, int* j, bint check, int* path) except -1:
-*/
-  __pyx_r = 1;
-  goto __pyx_L0;
-
-  /* "immaculate/_kernels/_speedups.pyx":240
- *         return 0
- * 
- *     cdef bint _path_matches_hook(self, int start, int v, int* path, int plen) noexcept:             # <<<<<<<<<<<<<<
- *         # compare against the regenerated hook path without allocating
- *         cdef int target = start + v - 1
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "immaculate/_kernels/_speedups.pyx":265
- *         return True
- * 
- *     cdef int _unstraighten_c(self, int* t, int* j, bint check, int* path) except -1:             # <<<<<<<<<<<<<<
- *         cdef int n = self.size
- *         cdef int kk, pos, v, plen
-*/
-
-static int __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__unstraighten_c(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, int *__pyx_v_t, int *__pyx_v_j, int __pyx_v_check, int *__pyx_v_path) {
-  int __pyx_v_n;
-  int __pyx_v_kk;
-  int __pyx_v_pos;
-  int __pyx_v_v;
-  int __pyx_v_plen;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  PyObject *__pyx_t_10 = NULL;
-  size_t __pyx_t_11;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_unstraighten_c", 0);
-
-  /* "immaculate/_kernels/_speedups.pyx":266
- * 
- *     cdef int _unstraighten_c(self, int* t, int* j, bint check, int* path) except -1:
- *         cdef int n = self.size             # <<<<<<<<<<<<<<
- *         cdef int kk, pos, v, plen
- *         for kk in range(1, n):
-*/
-  __pyx_t_1 = __pyx_v_self->size;
-  __pyx_v_n = __pyx_t_1;
-
-  /* "immaculate/_kernels/_speedups.pyx":268
- *         cdef int n = self.size
- *         cdef int kk, pos, v, plen
- *         for kk in range(1, n):             # <<<<<<<<<<<<<<
- *             pos = self.order[n - kk]
- *             if check and not self._prefix_standard(t, n + 1 - kk):
-*/
-  __pyx_t_1 = __pyx_v_n;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 1; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_kk = __pyx_t_3;
-
-    /* "immaculate/_kernels/_speedups.pyx":269
- *         cdef int kk, pos, v, plen
- *         for kk in range(1, n):
- *             pos = self.order[n - kk]             # <<<<<<<<<<<<<<
- *             if check and not self._prefix_standard(t, n + 1 - kk):
- *                 raise InternalCheckError(f"prefix standardness lost before step {kk}")
-*/
-    __pyx_v_pos = (__pyx_v_self->order[(__pyx_v_n - __pyx_v_kk)]);
-
-    /* "immaculate/_kernels/_speedups.pyx":270
- *         for kk in range(1, n):
- *             pos = self.order[n - kk]
- *             if check and not self._prefix_standard(t, n + 1 - kk):             # <<<<<<<<<<<<<<
- *                 raise InternalCheckError(f"prefix standardness lost before step {kk}")
- *             v = j[pos]
-*/
-    if (__pyx_v_check) {
-    } else {
-      __pyx_t_4 = __pyx_v_check;
-      goto __pyx_L6_bool_binop_done;
-    }
-    __pyx_t_5 = (!((struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self->__pyx_vtab)->_prefix_standard(__pyx_v_self, __pyx_v_t, ((__pyx_v_n + 1) - __pyx_v_kk)));
-    __pyx_t_4 = __pyx_t_5;
-    __pyx_L6_bool_binop_done:;
-    if (unlikely(__pyx_t_4)) {
-
-      /* "immaculate/_kernels/_speedups.pyx":271
- *             pos = self.order[n - kk]
- *             if check and not self._prefix_standard(t, n + 1 - kk):
- *                 raise InternalCheckError(f"prefix standardness lost before step {kk}")             # <<<<<<<<<<<<<<
- *             v = j[pos]
- *             j[pos] = 1
-*/
-      __pyx_t_7 = NULL;
-      __Pyx_GetModuleGlobalName(__pyx_t_8, __pyx_mstate_global->__pyx_n_u_InternalCheckError); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 271, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_8);
-      __pyx_t_9 = __Pyx_PyUnicode_From_int(__pyx_v_kk, 0, ' ', 'd'); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 271, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __pyx_t_10 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_prefix_standardness_lost_before, __pyx_t_9); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 271, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_10);
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      __pyx_t_11 = 1;
-      #if CYTHON_UNPACK_METHODS
-      if (unlikely(PyMethod_Check(__pyx_t_8))) {
-        __pyx_t_7 = PyMethod_GET_SELF(__pyx_t_8);
-        assert(__pyx_t_7);
-        PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_8);
-        __Pyx_INCREF(__pyx_t_7);
-        __Pyx_INCREF(__pyx__function);
-        __Pyx_DECREF_SET(__pyx_t_8, __pyx__function);
-        __pyx_t_11 = 0;
-      }
-      #endif
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_7, __pyx_t_10};
-        __pyx_t_6 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_8, __pyx_callargs+__pyx_t_11, (2-__pyx_t_11) | (__pyx_t_11*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-        __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-        __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-        if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 271, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_6);
-      }
-      __Pyx_Raise(__pyx_t_6, 0, 0, 0);
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __PYX_ERR(0, 271, __pyx_L1_error)
-
-      /* "immaculate/_kernels/_speedups.pyx":270
- *         for kk in range(1, n):
- *             pos = self.order[n - kk]
- *             if check and not self._prefix_standard(t, n + 1 - kk):             # <<<<<<<<<<<<<<
- *                 raise InternalCheckError(f"prefix standardness lost before step {kk}")
- *             v = j[pos]
-*/
-    }
-
-    /* "immaculate/_kernels/_speedups.pyx":272
- *             if check and not self._prefix_standard(t, n + 1 - kk):
- *                 raise InternalCheckError(f"prefix standardness lost before step {kk}")
- *             v = j[pos]             # <<<<<<<<<<<<<<
- *             j[pos] = 1
- *             if v > 1:
-*/
-    __pyx_v_v = (__pyx_v_j[__pyx_v_pos]);
-
-    /* "immaculate/_kernels/_speedups.pyx":273
- *                 raise InternalCheckError(f"prefix standardness lost before step {kk}")
- *             v = j[pos]
- *             j[pos] = 1             # <<<<<<<<<<<<<<
- *             if v > 1:
- *                 plen = self._build_path(pos, v, path)
-*/
-    (__pyx_v_j[__pyx_v_pos]) = 1;
-
-    /* "immaculate/_kernels/_speedups.pyx":274
- *             v = j[pos]
- *             j[pos] = 1
- *             if v > 1:             # <<<<<<<<<<<<<<
- *                 plen = self._build_path(pos, v, path)
- *                 self._rot_right(t, path, plen)
-*/
-    __pyx_t_4 = (__pyx_v_v > 1);
-    if (__pyx_t_4) {
-
-      /* "immaculate/_kernels/_speedups.pyx":275
- *             j[pos] = 1
- *             if v > 1:
- *                 plen = self._build_path(pos, v, path)             # <<<<<<<<<<<<<<
- *                 self._rot_right(t, path, plen)
- *         if check:
-*/
-      __pyx_v_plen = ((struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self->__pyx_vtab)->_build_path(__pyx_v_self, __pyx_v_pos, __pyx_v_v, __pyx_v_path);
-
-      /* "immaculate/_kernels/_speedups.pyx":276
- *             if v > 1:
- *                 plen = self._build_path(pos, v, path)
- *                 self._rot_right(t, path, plen)             # <<<<<<<<<<<<<<
- *         if check:
- *             for kk in range(n):
-*/
-      ((struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self->__pyx_vtab)->_rot_right(__pyx_v_self, __pyx_v_t, __pyx_v_path, __pyx_v_plen);
-
-      /* "immaculate/_kernels/_speedups.pyx":274
- *             v = j[pos]
- *             j[pos] = 1
- *             if v > 1:             # <<<<<<<<<<<<<<
- *                 plen = self._build_path(pos, v, path)
- *                 self._rot_right(t, path, plen)
-*/
-    }
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":277
- *                 plen = self._build_path(pos, v, path)
- *                 self._rot_right(t, path, plen)
- *         if check:             # <<<<<<<<<<<<<<
- *             for kk in range(n):
- *                 if j[kk] != 1:
-*/
-  if (__pyx_v_check) {
-
-    /* "immaculate/_kernels/_speedups.pyx":278
- *                 self._rot_right(t, path, plen)
- *         if check:
- *             for kk in range(n):             # <<<<<<<<<<<<<<
- *                 if j[kk] != 1:
- *                     raise InternalCheckError("hook values not exhausted")
-*/
-    __pyx_t_1 = __pyx_v_n;
-    __pyx_t_2 = __pyx_t_1;
-    for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-      __pyx_v_kk = __pyx_t_3;
-
-      /* "immaculate/_kernels/_speedups.pyx":279
- *         if check:
- *             for kk in range(n):
- *                 if j[kk] != 1:             # <<<<<<<<<<<<<<
- *                     raise InternalCheckError("hook values not exhausted")
- *         return 0
-*/
-      __pyx_t_4 = ((__pyx_v_j[__pyx_v_kk]) != 1);
-      if (unlikely(__pyx_t_4)) {
-
-        /* "immaculate/_kernels/_speedups.pyx":280
- *             for kk in range(n):
- *                 if j[kk] != 1:
- *                     raise InternalCheckError("hook values not exhausted")             # <<<<<<<<<<<<<<
- *         return 0
- * 
-*/
-        __pyx_t_8 = NULL;
-        __Pyx_GetModuleGlobalName(__pyx_t_10, __pyx_mstate_global->__pyx_n_u_InternalCheckError); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 280, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_10);
-        __pyx_t_11 = 1;
-        #if CYTHON_UNPACK_METHODS
-        if (unlikely(PyMethod_Check(__pyx_t_10))) {
-          __pyx_t_8 = PyMethod_GET_SELF(__pyx_t_10);
-          assert(__pyx_t_8);
-          PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_10);
-          __Pyx_INCREF(__pyx_t_8);
-          __Pyx_INCREF(__pyx__function);
-          __Pyx_DECREF_SET(__pyx_t_10, __pyx__function);
-          __pyx_t_11 = 0;
-        }
-        #endif
-        {
-          PyObject *__pyx_callargs[2] = {__pyx_t_8, __pyx_mstate_global->__pyx_kp_u_hook_values_not_exhausted};
-          __pyx_t_6 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_10, __pyx_callargs+__pyx_t_11, (2-__pyx_t_11) | (__pyx_t_11*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-          __Pyx_XDECREF(__pyx_t_8); __pyx_t_8 = 0;
-          __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-          if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 280, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_6);
-        }
-        __Pyx_Raise(__pyx_t_6, 0, 0, 0);
-        __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-        __PYX_ERR(0, 280, __pyx_L1_error)
-
-        /* "immaculate/_kernels/_speedups.pyx":279
- *         if check:
- *             for kk in range(n):
- *                 if j[kk] != 1:             # <<<<<<<<<<<<<<
- *                     raise InternalCheckError("hook values not exhausted")
- *         return 0
-*/
-      }
-    }
-
-    /* "immaculate/_kernels/_speedups.pyx":277
- *                 plen = self._build_path(pos, v, path)
- *                 self._rot_right(t, path, plen)
- *         if check:             # <<<<<<<<<<<<<<
- *             for kk in range(n):
- *                 if j[kk] != 1:
-*/
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":281
- *                 if j[kk] != 1:
- *                     raise InternalCheckError("hook values not exhausted")
- *         return 0             # <<<<<<<<<<<<<<
- * 
- *     cdef bint _next_perm(self, int* a) noexcept:
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "immaculate/_kernels/_speedups.pyx":265
- *         return True
- * 
- *     cdef int _unstraighten_c(self, int* t, int* j, bint check, int* path) except -1:             # <<<<<<<<<<<<<<
- *         cdef int n = self.size
- *         cdef int kk, pos, v, plen
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps._unstraighten_c", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "immaculate/_kernels/_speedups.pyx":283
- *         return 0
- * 
- *     cdef bint _next_perm(self, int* a) noexcept:             # <<<<<<<<<<<<<<
- *         cdef int n = self.size
- *         cdef int i = n - 2
-*/
-
-static int __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__next_perm(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, int *__pyx_v_a) {
-  int __pyx_v_n;
-  int __pyx_v_i;
-  int __pyx_v_jj;
-  int __pyx_v_tmp;
-  int __pyx_v_lo;
-  int __pyx_v_hi;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-
-  /* "immaculate/_kernels/_speedups.pyx":284
- * 
- *     cdef bint _next_perm(self, int* a) noexcept:
- *         cdef int n = self.size             # <<<<<<<<<<<<<<
- *         cdef int i = n - 2
- *         cdef int jj, tmp, lo, hi
-*/
-  __pyx_t_1 = __pyx_v_self->size;
-  __pyx_v_n = __pyx_t_1;
-
-  /* "immaculate/_kernels/_speedups.pyx":285
- *     cdef bint _next_perm(self, int* a) noexcept:
- *         cdef int n = self.size
- *         cdef int i = n - 2             # <<<<<<<<<<<<<<
- *         cdef int jj, tmp, lo, hi
- *         while i >= 0 and a[i] >= a[i + 1]:
-*/
-  __pyx_v_i = (__pyx_v_n - 2);
-
-  /* "immaculate/_kernels/_speedups.pyx":287
- *         cdef int i = n - 2
- *         cdef int jj, tmp, lo, hi
- *         while i >= 0 and a[i] >= a[i + 1]:             # <<<<<<<<<<<<<<
- *             i -= 1
- *         if i < 0:
-*/
-  while (1) {
-    __pyx_t_3 = (__pyx_v_i >= 0);
-    if (__pyx_t_3) {
-    } else {
-      __pyx_t_2 = __pyx_t_3;
-      goto __pyx_L5_bool_binop_done;
-    }
-    __pyx_t_3 = ((__pyx_v_a[__pyx_v_i]) >= (__pyx_v_a[(__pyx_v_i + 1)]));
-    __pyx_t_2 = __pyx_t_3;
-    __pyx_L5_bool_binop_done:;
-    if (!__pyx_t_2) break;
-
-    /* "immaculate/_kernels/_speedups.pyx":288
- *         cdef int jj, tmp, lo, hi
- *         while i >= 0 and a[i] >= a[i + 1]:
- *             i -= 1             # <<<<<<<<<<<<<<
- *         if i < 0:
- *             return False
-*/
-    __pyx_v_i = (__pyx_v_i - 1);
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":289
- *         while i >= 0 and a[i] >= a[i + 1]:
- *             i -= 1
- *         if i < 0:             # <<<<<<<<<<<<<<
- *             return False
- *         jj = n - 1
-*/
-  __pyx_t_2 = (__pyx_v_i < 0);
-  if (__pyx_t_2) {
-
-    /* "immaculate/_kernels/_speedups.pyx":290
- *             i -= 1
- *         if i < 0:
- *             return False             # <<<<<<<<<<<<<<
- *         jj = n - 1
- *         while a[jj] <= a[i]:
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "immaculate/_kernels/_speedups.pyx":289
- *         while i >= 0 and a[i] >= a[i + 1]:
- *             i -= 1
- *         if i < 0:             # <<<<<<<<<<<<<<
- *             return False
- *         jj = n - 1
-*/
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":291
- *         if i < 0:
- *             return False
- *         jj = n - 1             # <<<<<<<<<<<<<<
- *         while a[jj] <= a[i]:
- *             jj -= 1
-*/
-  __pyx_v_jj = (__pyx_v_n - 1);
-
-  /* "immaculate/_kernels/_speedups.pyx":292
- *             return False
- *         jj = n - 1
- *         while a[jj] <= a[i]:             # <<<<<<<<<<<<<<
- *             jj -= 1
- *         tmp = a[i]; a[i] = a[jj]; a[jj] = tmp
-*/
-  while (1) {
-    __pyx_t_2 = ((__pyx_v_a[__pyx_v_jj]) <= (__pyx_v_a[__pyx_v_i]));
-    if (!__pyx_t_2) break;
-
-    /* "immaculate/_kernels/_speedups.pyx":293
- *         jj = n - 1
- *         while a[jj] <= a[i]:
- *             jj -= 1             # <<<<<<<<<<<<<<
- *         tmp = a[i]; a[i] = a[jj]; a[jj] = tmp
- *         lo = i + 1; hi = n - 1
-*/
-    __pyx_v_jj = (__pyx_v_jj - 1);
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":294
- *         while a[jj] <= a[i]:
- *             jj -= 1
- *         tmp = a[i]; a[i] = a[jj]; a[jj] = tmp             # <<<<<<<<<<<<<<
- *         lo = i + 1; hi = n - 1
- *         while lo < hi:
-*/
-  __pyx_v_tmp = (__pyx_v_a[__pyx_v_i]);
-  (__pyx_v_a[__pyx_v_i]) = (__pyx_v_a[__pyx_v_jj]);
-  (__pyx_v_a[__pyx_v_jj]) = __pyx_v_tmp;
-
-  /* "immaculate/_kernels/_speedups.pyx":295
- *             jj -= 1
- *         tmp = a[i]; a[i] = a[jj]; a[jj] = tmp
- *         lo = i + 1; hi = n - 1             # <<<<<<<<<<<<<<
- *         while lo < hi:
- *             tmp = a[lo]; a[lo] = a[hi]; a[hi] = tmp
-*/
-  __pyx_v_lo = (__pyx_v_i + 1);
-  __pyx_v_hi = (__pyx_v_n - 1);
-
-  /* "immaculate/_kernels/_speedups.pyx":296
- *         tmp = a[i]; a[i] = a[jj]; a[jj] = tmp
- *         lo = i + 1; hi = n - 1
- *         while lo < hi:             # <<<<<<<<<<<<<<
- *             tmp = a[lo]; a[lo] = a[hi]; a[hi] = tmp
- *             lo += 1; hi -= 1
-*/
-  while (1) {
-    __pyx_t_2 = (__pyx_v_lo < __pyx_v_hi);
-    if (!__pyx_t_2) break;
-
-    /* "immaculate/_kernels/_speedups.pyx":297
- *         lo = i + 1; hi = n - 1
- *         while lo < hi:
- *             tmp = a[lo]; a[lo] = a[hi]; a[hi] = tmp             # <<<<<<<<<<<<<<
- *             lo += 1; hi -= 1
- *         return True
-*/
-    __pyx_v_tmp = (__pyx_v_a[__pyx_v_lo]);
-    (__pyx_v_a[__pyx_v_lo]) = (__pyx_v_a[__pyx_v_hi]);
-    (__pyx_v_a[__pyx_v_hi]) = __pyx_v_tmp;
-
-    /* "immaculate/_kernels/_speedups.pyx":298
- *         while lo < hi:
- *             tmp = a[lo]; a[lo] = a[hi]; a[hi] = tmp
- *             lo += 1; hi -= 1             # <<<<<<<<<<<<<<
- *         return True
- * 
-*/
-    __pyx_v_lo = (__pyx_v_lo + 1);
-    __pyx_v_hi = (__pyx_v_hi - 1);
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":299
- *             tmp = a[lo]; a[lo] = a[hi]; a[hi] = tmp
- *             lo += 1; hi -= 1
- *         return True             # <<<<<<<<<<<<<<
- * 
- *     cdef int _perm_unrank(self, long long rank, int* out) except -1:
-*/
-  __pyx_r = 1;
-  goto __pyx_L0;
-
-  /* "immaculate/_kernels/_speedups.pyx":283
- *         return 0
- * 
- *     cdef bint _next_perm(self, int* a) noexcept:             # <<<<<<<<<<<<<<
- *         cdef int n = self.size
- *         cdef int i = n - 2
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "immaculate/_kernels/_speedups.pyx":301
- *         return True
- * 
- *     cdef int _perm_unrank(self, long long rank, int* out) except -1:             # <<<<<<<<<<<<<<
- *         # lexicographic unranking via the factorial number system; the
- *         # factorials fit in long long because scans guard n well below 21
-*/
-
-static int __pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__perm_unrank(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, PY_LONG_LONG __pyx_v_rank, int *__pyx_v_out) {
-  int __pyx_v_n;
-  int __pyx_v_i;
-  int __pyx_v_m;
-  int __pyx_v_idx;
-  PY_LONG_LONG __pyx_v_f;
-  PY_LONG_LONG *__pyx_v_fact;
-  int *__pyx_v_pool;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  long __pyx_t_6;
-  long __pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "immaculate/_kernels/_speedups.pyx":304
- *         # lexicographic unranking via the factorial number system; the
- *         # factorials fit in long long because scans guard n well below 21
- *         cdef int n = self.size             # <<<<<<<<<<<<<<
- *         cdef int i, m, idx
- *         cdef long long f
-*/
-  __pyx_t_1 = __pyx_v_self->size;
-  __pyx_v_n = __pyx_t_1;
-
-  /* "immaculate/_kernels/_speedups.pyx":307
- *         cdef int i, m, idx
- *         cdef long long f
- *         cdef long long* fact = <long long*> malloc(n * sizeof(long long))             # <<<<<<<<<<<<<<
- *         cdef int* pool = <int*> malloc(n * sizeof(int))
- *         if fact == NULL or pool == NULL:
-*/
-  __pyx_v_fact = ((PY_LONG_LONG *)malloc((__pyx_v_n * (sizeof(PY_LONG_LONG)))));
-
-  /* "immaculate/_kernels/_speedups.pyx":308
- *         cdef long long f
- *         cdef long long* fact = <long long*> malloc(n * sizeof(long long))
- *         cdef int* pool = <int*> malloc(n * sizeof(int))             # <<<<<<<<<<<<<<
- *         if fact == NULL or pool == NULL:
- *             free(fact); free(pool)
-*/
-  __pyx_v_pool = ((int *)malloc((__pyx_v_n * (sizeof(int)))));
-
-  /* "immaculate/_kernels/_speedups.pyx":309
- *         cdef long long* fact = <long long*> malloc(n * sizeof(long long))
- *         cdef int* pool = <int*> malloc(n * sizeof(int))
- *         if fact == NULL or pool == NULL:             # <<<<<<<<<<<<<<
- *             free(fact); free(pool)
- *             raise MemoryError()
-*/
-  __pyx_t_3 = (__pyx_v_fact == NULL);
-  if (!__pyx_t_3) {
-  } else {
-    __pyx_t_2 = __pyx_t_3;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_3 = (__pyx_v_pool == NULL);
-  __pyx_t_2 = __pyx_t_3;
-  __pyx_L4_bool_binop_done:;
-  if (unlikely(__pyx_t_2)) {
-
-    /* "immaculate/_kernels/_speedups.pyx":310
- *         cdef int* pool = <int*> malloc(n * sizeof(int))
- *         if fact == NULL or pool == NULL:
- *             free(fact); free(pool)             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         fact[0] = 1
-*/
-    free(__pyx_v_fact);
-    free(__pyx_v_pool);
-
-    /* "immaculate/_kernels/_speedups.pyx":311
- *         if fact == NULL or pool == NULL:
- *             free(fact); free(pool)
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         fact[0] = 1
- *         for i in range(1, n):
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 311, __pyx_L1_error)
-
-    /* "immaculate/_kernels/_speedups.pyx":309
- *         cdef long long* fact = <long long*> malloc(n * sizeof(long long))
- *         cdef int* pool = <int*> malloc(n * sizeof(int))
- *         if fact == NULL or pool == NULL:             # <<<<<<<<<<<<<<
- *             free(fact); free(pool)
- *             raise MemoryError()
-*/
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":312
- *             free(fact); free(pool)
- *             raise MemoryError()
- *         fact[0] = 1             # <<<<<<<<<<<<<<
- *         for i in range(1, n):
- *             fact[i] = fact[i - 1] * i
-*/
-  (__pyx_v_fact[0]) = 1;
-
-  /* "immaculate/_kernels/_speedups.pyx":313
- *             raise MemoryError()
- *         fact[0] = 1
- *         for i in range(1, n):             # <<<<<<<<<<<<<<
- *             fact[i] = fact[i - 1] * i
- *         for i in range(n):
-*/
-  __pyx_t_1 = __pyx_v_n;
-  __pyx_t_4 = __pyx_t_1;
-  for (__pyx_t_5 = 1; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "immaculate/_kernels/_speedups.pyx":314
- *         fact[0] = 1
- *         for i in range(1, n):
- *             fact[i] = fact[i - 1] * i             # <<<<<<<<<<<<<<
- *         for i in range(n):
- *             pool[i] = i + 1
-*/
-    (__pyx_v_fact[__pyx_v_i]) = ((__pyx_v_fact[(__pyx_v_i - 1)]) * __pyx_v_i);
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":315
- *         for i in range(1, n):
- *             fact[i] = fact[i - 1] * i
- *         for i in range(n):             # <<<<<<<<<<<<<<
- *             pool[i] = i + 1
- *         for i in range(n):
-*/
-  __pyx_t_1 = __pyx_v_n;
-  __pyx_t_4 = __pyx_t_1;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "immaculate/_kernels/_speedups.pyx":316
- *             fact[i] = fact[i - 1] * i
- *         for i in range(n):
- *             pool[i] = i + 1             # <<<<<<<<<<<<<<
- *         for i in range(n):
- *             f = fact[n - 1 - i]
-*/
-    (__pyx_v_pool[__pyx_v_i]) = (__pyx_v_i + 1);
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":317
- *         for i in range(n):
- *             pool[i] = i + 1
- *         for i in range(n):             # <<<<<<<<<<<<<<
- *             f = fact[n - 1 - i]
- *             idx = <int> (rank // f)
-*/
-  __pyx_t_1 = __pyx_v_n;
-  __pyx_t_4 = __pyx_t_1;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "immaculate/_kernels/_speedups.pyx":318
- *             pool[i] = i + 1
- *         for i in range(n):
- *             f = fact[n - 1 - i]             # <<<<<<<<<<<<<<
- *             idx = <int> (rank // f)
- *             rank = rank % f
-*/
-    __pyx_v_f = (__pyx_v_fact[((__pyx_v_n - 1) - __pyx_v_i)]);
-
-    /* "immaculate/_kernels/_speedups.pyx":319
- *         for i in range(n):
- *             f = fact[n - 1 - i]
- *             idx = <int> (rank // f)             # <<<<<<<<<<<<<<
- *             rank = rank % f
- *             out[i] = pool[idx]
-*/
-    __pyx_v_idx = ((int)(__pyx_v_rank / __pyx_v_f));
-
-    /* "immaculate/_kernels/_speedups.pyx":320
- *             f = fact[n - 1 - i]
- *             idx = <int> (rank // f)
- *             rank = rank % f             # <<<<<<<<<<<<<<
- *             out[i] = pool[idx]
- *             for m in range(idx, n - 1 - i):
-*/
-    __pyx_v_rank = (__pyx_v_rank % __pyx_v_f);
-
-    /* "immaculate/_kernels/_speedups.pyx":321
- *             idx = <int> (rank // f)
- *             rank = rank % f
- *             out[i] = pool[idx]             # <<<<<<<<<<<<<<
- *             for m in range(idx, n - 1 - i):
- *                 pool[m] = pool[m + 1]
-*/
-    (__pyx_v_out[__pyx_v_i]) = (__pyx_v_pool[__pyx_v_idx]);
-
-    /* "immaculate/_kernels/_speedups.pyx":322
- *             rank = rank % f
- *             out[i] = pool[idx]
- *             for m in range(idx, n - 1 - i):             # <<<<<<<<<<<<<<
- *                 pool[m] = pool[m + 1]
- *         free(fact)
-*/
-    __pyx_t_6 = ((__pyx_v_n - 1) - __pyx_v_i);
-    __pyx_t_7 = __pyx_t_6;
-    for (__pyx_t_8 = __pyx_v_idx; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-      __pyx_v_m = __pyx_t_8;
-
-      /* "immaculate/_kernels/_speedups.pyx":323
- *             out[i] = pool[idx]
- *             for m in range(idx, n - 1 - i):
- *                 pool[m] = pool[m + 1]             # <<<<<<<<<<<<<<
- *         free(fact)
- *         free(pool)
-*/
-      (__pyx_v_pool[__pyx_v_m]) = (__pyx_v_pool[(__pyx_v_m + 1)]);
-    }
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":324
- *             for m in range(idx, n - 1 - i):
- *                 pool[m] = pool[m + 1]
- *         free(fact)             # <<<<<<<<<<<<<<
- *         free(pool)
- *         return 0
-*/
-  free(__pyx_v_fact);
-
-  /* "immaculate/_kernels/_speedups.pyx":325
- *                 pool[m] = pool[m + 1]
- *         free(fact)
- *         free(pool)             # <<<<<<<<<<<<<<
- *         return 0
- * 
-*/
-  free(__pyx_v_pool);
-
-  /* "immaculate/_kernels/_speedups.pyx":326
- *         free(fact)
- *         free(pool)
- *         return 0             # <<<<<<<<<<<<<<
- * 
- *     # -- public API (mirrors _pure) ---------------------------------------
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "immaculate/_kernels/_speedups.pyx":301
- *         return True
- * 
- *     cdef int _perm_unrank(self, long long rank, int* out) except -1:             # <<<<<<<<<<<<<<
- *         # lexicographic unranking via the factorial number system; the
- *         # factorials fit in long long because scans guard n well below 21
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps._perm_unrank", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "immaculate/_kernels/_speedups.pyx":330
- *     # -- public API (mirrors _pure) ---------------------------------------
- * 
- *     def is_standard_immaculate(self, entries):             # <<<<<<<<<<<<<<
- *         """Stability of a flat filling whose entries are a permutation of 1..n."""
- *         cdef int n = self.size
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_5is_standard_immaculate(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_10immaculate_8_kernels_9_speedups_8ShapeOps_4is_standard_immaculate, "Stability of a flat filling whose entries are a permutation of 1..n.");
-static PyMethodDef __pyx_mdef_10immaculate_8_kernels_9_speedups_8ShapeOps_5is_standard_immaculate = {"is_standard_immaculate", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_5is_standard_immaculate, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_10immaculate_8_kernels_9_speedups_8ShapeOps_4is_standard_immaculate};
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_5is_standard_immaculate(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_entries = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("is_standard_immaculate (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_entries,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 330, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 330, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "is_standard_immaculate", 0) < (0)) __PYX_ERR(0, 330, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("is_standard_immaculate", 1, 1, 1, i); __PYX_ERR(0, 330, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 330, __pyx_L3_error)
-    }
-    __pyx_v_entries = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("is_standard_immaculate", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 330, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps.is_standard_immaculate", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_4is_standard_immaculate(((struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self), __pyx_v_entries);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_4is_standard_immaculate(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, PyObject *__pyx_v_entries) {
-  int __pyx_v_n;
-  int *__pyx_v_t;
-  int __pyx_v_i;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  Py_ssize_t __pyx_t_2;
-  int __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8[4];
-  PyObject *__pyx_t_9 = NULL;
-  size_t __pyx_t_10;
-  int __pyx_t_11;
-  int __pyx_t_12;
-  int __pyx_t_13;
-  char const *__pyx_t_14;
-  PyObject *__pyx_t_15 = NULL;
-  PyObject *__pyx_t_16 = NULL;
-  PyObject *__pyx_t_17 = NULL;
-  PyObject *__pyx_t_18 = NULL;
-  PyObject *__pyx_t_19 = NULL;
-  PyObject *__pyx_t_20 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("is_standard_immaculate", 0);
-
-  /* "immaculate/_kernels/_speedups.pyx":332
- *     def is_standard_immaculate(self, entries):
- *         """Stability of a flat filling whose entries are a permutation of 1..n."""
- *         cdef int n = self.size             # <<<<<<<<<<<<<<
- *         if len(entries) != n:
- *             raise ValueError(f"need {n} entries, got {len(entries)}")
-*/
-  __pyx_t_1 = __pyx_v_self->size;
-  __pyx_v_n = __pyx_t_1;
-
-  /* "immaculate/_kernels/_speedups.pyx":333
- *         """Stability of a flat filling whose entries are a permutation of 1..n."""
- *         cdef int n = self.size
- *         if len(entries) != n:             # <<<<<<<<<<<<<<
- *             raise ValueError(f"need {n} entries, got {len(entries)}")
- *         cdef int* t = <int*> malloc(n * sizeof(int))
-*/
-  __pyx_t_2 = PyObject_Length(__pyx_v_entries); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 333, __pyx_L1_error)
-  __pyx_t_3 = (__pyx_t_2 != __pyx_v_n);
-  if (unlikely(__pyx_t_3)) {
-
-    /* "immaculate/_kernels/_speedups.pyx":334
- *         cdef int n = self.size
- *         if len(entries) != n:
- *             raise ValueError(f"need {n} entries, got {len(entries)}")             # <<<<<<<<<<<<<<
- *         cdef int* t = <int*> malloc(n * sizeof(int))
- *         if t == NULL:
-*/
-    __pyx_t_5 = NULL;
-    __pyx_t_6 = __Pyx_PyUnicode_From_int(__pyx_v_n, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 334, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_2 = PyObject_Length(__pyx_v_entries); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 334, __pyx_L1_error)
-    __pyx_t_7 = __Pyx_PyUnicode_From_Py_ssize_t(__pyx_t_2, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 334, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_8[0] = __pyx_mstate_global->__pyx_kp_u_need;
-    __pyx_t_8[1] = __pyx_t_6;
-    __pyx_t_8[2] = __pyx_mstate_global->__pyx_kp_u_entries_got;
-    __pyx_t_8[3] = __pyx_t_7;
-    __pyx_t_9 = __Pyx_PyUnicode_Join(__pyx_t_8, 4, 5 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 14 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7), 127);
-    if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 334, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_10 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_5, __pyx_t_9};
-      __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_10, (2-__pyx_t_10) | (__pyx_t_10*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 334, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-    }
-    __Pyx_Raise(__pyx_t_4, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __PYX_ERR(0, 334, __pyx_L1_error)
-
-    /* "immaculate/_kernels/_speedups.pyx":333
- *         """Stability of a flat filling whose entries are a permutation of 1..n."""
- *         cdef int n = self.size
- *         if len(entries) != n:             # <<<<<<<<<<<<<<
- *             raise ValueError(f"need {n} entries, got {len(entries)}")
- *         cdef int* t = <int*> malloc(n * sizeof(int))
-*/
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":335
- *         if len(entries) != n:
- *             raise ValueError(f"need {n} entries, got {len(entries)}")
- *         cdef int* t = <int*> malloc(n * sizeof(int))             # <<<<<<<<<<<<<<
- *         if t == NULL:
- *             raise MemoryError()
-*/
-  __pyx_v_t = ((int *)malloc((__pyx_v_n * (sizeof(int)))));
-
-  /* "immaculate/_kernels/_speedups.pyx":336
- *             raise ValueError(f"need {n} entries, got {len(entries)}")
- *         cdef int* t = <int*> malloc(n * sizeof(int))
- *         if t == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         cdef int i
-*/
-  __pyx_t_3 = (__pyx_v_t == NULL);
-  if (unlikely(__pyx_t_3)) {
-
-    /* "immaculate/_kernels/_speedups.pyx":337
- *         cdef int* t = <int*> malloc(n * sizeof(int))
- *         if t == NULL:
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         cdef int i
- *         try:
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 337, __pyx_L1_error)
-
-    /* "immaculate/_kernels/_speedups.pyx":336
- *             raise ValueError(f"need {n} entries, got {len(entries)}")
- *         cdef int* t = <int*> malloc(n * sizeof(int))
- *         if t == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         cdef int i
-*/
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":339
- *             raise MemoryError()
- *         cdef int i
- *         try:             # <<<<<<<<<<<<<<
- *             for i in range(n):
- *                 t[i] = entries[i]
-*/
-  /*try:*/ {
-
-    /* "immaculate/_kernels/_speedups.pyx":340
- *         cdef int i
- *         try:
- *             for i in range(n):             # <<<<<<<<<<<<<<
- *                 t[i] = entries[i]
- *             return bool(self._is_standard(t))
-*/
-    __pyx_t_1 = __pyx_v_n;
-    __pyx_t_11 = __pyx_t_1;
-    for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-      __pyx_v_i = __pyx_t_12;
-
-      /* "immaculate/_kernels/_speedups.pyx":341
- *         try:
- *             for i in range(n):
- *                 t[i] = entries[i]             # <<<<<<<<<<<<<<
- *             return bool(self._is_standard(t))
- *         finally:
-*/
-      __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_entries, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 341, __pyx_L6_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_13 = __Pyx_PyLong_As_int(__pyx_t_4); if (unlikely((__pyx_t_13 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 341, __pyx_L6_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      (__pyx_v_t[__pyx_v_i]) = __pyx_t_13;
-    }
-
-    /* "immaculate/_kernels/_speedups.pyx":342
- *             for i in range(n):
- *                 t[i] = entries[i]
- *             return bool(self._is_standard(t))             # <<<<<<<<<<<<<<
- *         finally:
- *             free(t)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_3 = ((struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self->__pyx_vtab)->_is_standard(__pyx_v_self, __pyx_v_t);
-    __pyx_t_4 = __Pyx_PyBool_FromLong((!(!__pyx_t_3))); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 342, __pyx_L6_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_r = __pyx_t_4;
-    __pyx_t_4 = 0;
-    goto __pyx_L5_return;
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":344
- *             return bool(self._is_standard(t))
- *         finally:
- *             free(t)             # <<<<<<<<<<<<<<
- * 
- *     def straighten(self, entries, check=False):
-*/
-  /*finally:*/ {
-    __pyx_L6_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_15 = 0; __pyx_t_16 = 0; __pyx_t_17 = 0; __pyx_t_18 = 0; __pyx_t_19 = 0; __pyx_t_20 = 0;
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-      __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_18, &__pyx_t_19, &__pyx_t_20);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_15, &__pyx_t_16, &__pyx_t_17) < 0)) __Pyx_ErrFetch(&__pyx_t_15, &__pyx_t_16, &__pyx_t_17);
-      __Pyx_XGOTREF(__pyx_t_15);
-      __Pyx_XGOTREF(__pyx_t_16);
-      __Pyx_XGOTREF(__pyx_t_17);
-      __Pyx_XGOTREF(__pyx_t_18);
-      __Pyx_XGOTREF(__pyx_t_19);
-      __Pyx_XGOTREF(__pyx_t_20);
-      __pyx_t_1 = __pyx_lineno; __pyx_t_11 = __pyx_clineno; __pyx_t_14 = __pyx_filename;
-      {
-        free(__pyx_v_t);
-      }
-      __Pyx_XGIVEREF(__pyx_t_18);
-      __Pyx_XGIVEREF(__pyx_t_19);
-      __Pyx_XGIVEREF(__pyx_t_20);
-      __Pyx_ExceptionReset(__pyx_t_18, __pyx_t_19, __pyx_t_20);
-      __Pyx_XGIVEREF(__pyx_t_15);
-      __Pyx_XGIVEREF(__pyx_t_16);
-      __Pyx_XGIVEREF(__pyx_t_17);
-      __Pyx_ErrRestore(__pyx_t_15, __pyx_t_16, __pyx_t_17);
-      __pyx_t_15 = 0; __pyx_t_16 = 0; __pyx_t_17 = 0; __pyx_t_18 = 0; __pyx_t_19 = 0; __pyx_t_20 = 0;
-      __pyx_lineno = __pyx_t_1; __pyx_clineno = __pyx_t_11; __pyx_filename = __pyx_t_14;
-      goto __pyx_L1_error;
-    }
-    __pyx_L5_return: {
-      __pyx_t_20 = __pyx_r;
-      __pyx_r = 0;
-      free(__pyx_v_t);
-      __pyx_r = __pyx_t_20;
-      __pyx_t_20 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":330
- *     # -- public API (mirrors _pure) ---------------------------------------
- * 
- *     def is_standard_immaculate(self, entries):             # <<<<<<<<<<<<<<
- *         """Stability of a flat filling whose entries are a permutation of 1..n."""
- *         cdef int n = self.size
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps.is_standard_immaculate", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "immaculate/_kernels/_speedups.pyx":346
- *             free(t)
- * 
- *     def straighten(self, entries, check=False):             # <<<<<<<<<<<<<<
- *         """Flat filling -> (flat standard immaculate filling, flat hook values)."""
- *         cdef int n = self.size
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_7straighten(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_10immaculate_8_kernels_9_speedups_8ShapeOps_6straighten, "Flat filling -> (flat standard immaculate filling, flat hook values).");
-static PyMethodDef __pyx_mdef_10immaculate_8_kernels_9_speedups_8ShapeOps_7straighten = {"straighten", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_7straighten, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_10immaculate_8_kernels_9_speedups_8ShapeOps_6straighten};
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_7straighten(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_entries = 0;
-  PyObject *__pyx_v_check = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[2] = {0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("straighten (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_entries,&__pyx_mstate_global->__pyx_n_u_check,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 346, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 346, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 346, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "straighten", 0) < (0)) __PYX_ERR(0, 346, __pyx_L3_error)
-      if (!values[1]) values[1] = __Pyx_NewRef(((PyObject *)Py_False));
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("straighten", 0, 1, 2, i); __PYX_ERR(0, 346, __pyx_L3_error) }
-      }
-    } else {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 346, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 346, __pyx_L3_error)
-        break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      if (!values[1]) values[1] = __Pyx_NewRef(((PyObject *)Py_False));
-    }
-    __pyx_v_entries = values[0];
-    __pyx_v_check = values[1];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("straighten", 0, 1, 2, __pyx_nargs); __PYX_ERR(0, 346, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps.straighten", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_6straighten(((struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self), __pyx_v_entries, __pyx_v_check);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_6straighten(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, PyObject *__pyx_v_entries, PyObject *__pyx_v_check) {
-  int __pyx_v_n;
-  int *__pyx_v_buf;
-  int *__pyx_v_t;
-  int *__pyx_v_s;
-  int *__pyx_v_path;
-  int *__pyx_v_scratch;
-  int __pyx_v_i;
-  int __pyx_v_chk;
-  int __pyx_8genexpr2__pyx_v_i;
-  int __pyx_8genexpr3__pyx_v_i;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  Py_ssize_t __pyx_t_2;
-  int __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8[4];
-  PyObject *__pyx_t_9 = NULL;
-  size_t __pyx_t_10;
-  int __pyx_t_11;
-  int __pyx_t_12;
-  int __pyx_t_13;
-  int __pyx_t_14;
-  char const *__pyx_t_15;
-  PyObject *__pyx_t_16 = NULL;
-  PyObject *__pyx_t_17 = NULL;
-  PyObject *__pyx_t_18 = NULL;
-  PyObject *__pyx_t_19 = NULL;
-  PyObject *__pyx_t_20 = NULL;
-  PyObject *__pyx_t_21 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("straighten", 0);
-
-  /* "immaculate/_kernels/_speedups.pyx":348
- *     def straighten(self, entries, check=False):
- *         """Flat filling -> (flat standard immaculate filling, flat hook values)."""
- *         cdef int n = self.size             # <<<<<<<<<<<<<<
- *         if len(entries) != n:
- *             raise ValueError(f"need {n} entries, got {len(entries)}")
-*/
-  __pyx_t_1 = __pyx_v_self->size;
-  __pyx_v_n = __pyx_t_1;
-
-  /* "immaculate/_kernels/_speedups.pyx":349
- *         """Flat filling -> (flat standard immaculate filling, flat hook values)."""
- *         cdef int n = self.size
- *         if len(entries) != n:             # <<<<<<<<<<<<<<
- *             raise ValueError(f"need {n} entries, got {len(entries)}")
- *         cdef int* buf = <int*> malloc(5 * n * sizeof(int))
-*/
-  __pyx_t_2 = PyObject_Length(__pyx_v_entries); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 349, __pyx_L1_error)
-  __pyx_t_3 = (__pyx_t_2 != __pyx_v_n);
-  if (unlikely(__pyx_t_3)) {
-
-    /* "immaculate/_kernels/_speedups.pyx":350
- *         cdef int n = self.size
- *         if len(entries) != n:
- *             raise ValueError(f"need {n} entries, got {len(entries)}")             # <<<<<<<<<<<<<<
- *         cdef int* buf = <int*> malloc(5 * n * sizeof(int))
- *         if buf == NULL:
-*/
-    __pyx_t_5 = NULL;
-    __pyx_t_6 = __Pyx_PyUnicode_From_int(__pyx_v_n, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 350, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_2 = PyObject_Length(__pyx_v_entries); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 350, __pyx_L1_error)
-    __pyx_t_7 = __Pyx_PyUnicode_From_Py_ssize_t(__pyx_t_2, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 350, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_8[0] = __pyx_mstate_global->__pyx_kp_u_need;
-    __pyx_t_8[1] = __pyx_t_6;
-    __pyx_t_8[2] = __pyx_mstate_global->__pyx_kp_u_entries_got;
-    __pyx_t_8[3] = __pyx_t_7;
-    __pyx_t_9 = __Pyx_PyUnicode_Join(__pyx_t_8, 4, 5 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 14 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7), 127);
-    if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 350, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_10 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_5, __pyx_t_9};
-      __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_10, (2-__pyx_t_10) | (__pyx_t_10*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 350, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-    }
-    __Pyx_Raise(__pyx_t_4, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __PYX_ERR(0, 350, __pyx_L1_error)
-
-    /* "immaculate/_kernels/_speedups.pyx":349
- *         """Flat filling -> (flat standard immaculate filling, flat hook values)."""
- *         cdef int n = self.size
- *         if len(entries) != n:             # <<<<<<<<<<<<<<
- *             raise ValueError(f"need {n} entries, got {len(entries)}")
- *         cdef int* buf = <int*> malloc(5 * n * sizeof(int))
-*/
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":351
- *         if len(entries) != n:
- *             raise ValueError(f"need {n} entries, got {len(entries)}")
- *         cdef int* buf = <int*> malloc(5 * n * sizeof(int))             # <<<<<<<<<<<<<<
- *         if buf == NULL:
- *             raise MemoryError()
-*/
-  __pyx_v_buf = ((int *)malloc(((5 * __pyx_v_n) * (sizeof(int)))));
-
-  /* "immaculate/_kernels/_speedups.pyx":352
- *             raise ValueError(f"need {n} entries, got {len(entries)}")
- *         cdef int* buf = <int*> malloc(5 * n * sizeof(int))
- *         if buf == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         cdef int* t = buf
-*/
-  __pyx_t_3 = (__pyx_v_buf == NULL);
-  if (unlikely(__pyx_t_3)) {
-
-    /* "immaculate/_kernels/_speedups.pyx":353
- *         cdef int* buf = <int*> malloc(5 * n * sizeof(int))
- *         if buf == NULL:
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         cdef int* t = buf
- *         cdef int* s = buf + n
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 353, __pyx_L1_error)
-
-    /* "immaculate/_kernels/_speedups.pyx":352
- *             raise ValueError(f"need {n} entries, got {len(entries)}")
- *         cdef int* buf = <int*> malloc(5 * n * sizeof(int))
- *         if buf == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         cdef int* t = buf
-*/
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":354
- *         if buf == NULL:
- *             raise MemoryError()
- *         cdef int* t = buf             # <<<<<<<<<<<<<<
- *         cdef int* s = buf + n
- *         cdef int* path = buf + 2 * n
-*/
-  __pyx_v_t = __pyx_v_buf;
-
-  /* "immaculate/_kernels/_speedups.pyx":355
- *             raise MemoryError()
- *         cdef int* t = buf
- *         cdef int* s = buf + n             # <<<<<<<<<<<<<<
- *         cdef int* path = buf + 2 * n
- *         cdef int* scratch = buf + 3 * n
-*/
-  __pyx_v_s = (__pyx_v_buf + __pyx_v_n);
-
-  /* "immaculate/_kernels/_speedups.pyx":356
- *         cdef int* t = buf
- *         cdef int* s = buf + n
- *         cdef int* path = buf + 2 * n             # <<<<<<<<<<<<<<
- *         cdef int* scratch = buf + 3 * n
- *         cdef int i
-*/
-  __pyx_v_path = (__pyx_v_buf + (2 * __pyx_v_n));
-
-  /* "immaculate/_kernels/_speedups.pyx":357
- *         cdef int* s = buf + n
- *         cdef int* path = buf + 2 * n
- *         cdef int* scratch = buf + 3 * n             # <<<<<<<<<<<<<<
- *         cdef int i
- *         cdef bint chk = bool(check)
-*/
-  __pyx_v_scratch = (__pyx_v_buf + (3 * __pyx_v_n));
-
-  /* "immaculate/_kernels/_speedups.pyx":359
- *         cdef int* scratch = buf + 3 * n
- *         cdef int i
- *         cdef bint chk = bool(check)             # <<<<<<<<<<<<<<
- *         try:
- *             for i in range(n):
-*/
-  __pyx_t_3 = __Pyx_PyObject_IsTrue(__pyx_v_check); if (unlikely((__pyx_t_3 < 0))) __PYX_ERR(0, 359, __pyx_L1_error)
-  __pyx_v_chk = (!(!__pyx_t_3));
-
-  /* "immaculate/_kernels/_speedups.pyx":360
- *         cdef int i
- *         cdef bint chk = bool(check)
- *         try:             # <<<<<<<<<<<<<<
- *             for i in range(n):
- *                 t[i] = entries[i]
-*/
-  /*try:*/ {
-
-    /* "immaculate/_kernels/_speedups.pyx":361
- *         cdef bint chk = bool(check)
- *         try:
- *             for i in range(n):             # <<<<<<<<<<<<<<
- *                 t[i] = entries[i]
- *             for i in range(n):
-*/
-    __pyx_t_1 = __pyx_v_n;
-    __pyx_t_11 = __pyx_t_1;
-    for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-      __pyx_v_i = __pyx_t_12;
-
-      /* "immaculate/_kernels/_speedups.pyx":362
- *         try:
- *             for i in range(n):
- *                 t[i] = entries[i]             # <<<<<<<<<<<<<<
- *             for i in range(n):
- *                 s[i] = 1
-*/
-      __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_entries, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 362, __pyx_L6_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_13 = __Pyx_PyLong_As_int(__pyx_t_4); if (unlikely((__pyx_t_13 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 362, __pyx_L6_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      (__pyx_v_t[__pyx_v_i]) = __pyx_t_13;
-    }
-
-    /* "immaculate/_kernels/_speedups.pyx":363
- *             for i in range(n):
- *                 t[i] = entries[i]
- *             for i in range(n):             # <<<<<<<<<<<<<<
- *                 s[i] = 1
- *             self._straighten_c(t, s, chk, path, scratch)
-*/
-    __pyx_t_1 = __pyx_v_n;
-    __pyx_t_11 = __pyx_t_1;
-    for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-      __pyx_v_i = __pyx_t_12;
-
-      /* "immaculate/_kernels/_speedups.pyx":364
- *                 t[i] = entries[i]
- *             for i in range(n):
- *                 s[i] = 1             # <<<<<<<<<<<<<<
- *             self._straighten_c(t, s, chk, path, scratch)
- *             if chk and not self._is_standard(t):
-*/
-      (__pyx_v_s[__pyx_v_i]) = 1;
-    }
-
-    /* "immaculate/_kernels/_speedups.pyx":365
- *             for i in range(n):
- *                 s[i] = 1
- *             self._straighten_c(t, s, chk, path, scratch)             # <<<<<<<<<<<<<<
- *             if chk and not self._is_standard(t):
- *                 raise InternalCheckError("straighten result is not standard immaculate")
-*/
-    __pyx_t_1 = ((struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self->__pyx_vtab)->_straighten_c(__pyx_v_self, __pyx_v_t, __pyx_v_s, __pyx_v_chk, __pyx_v_path, __pyx_v_scratch); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(0, 365, __pyx_L6_error)
-
-    /* "immaculate/_kernels/_speedups.pyx":366
- *                 s[i] = 1
- *             self._straighten_c(t, s, chk, path, scratch)
- *             if chk and not self._is_standard(t):             # <<<<<<<<<<<<<<
- *                 raise InternalCheckError("straighten result is not standard immaculate")
- *             return [t[i] for i in range(n)], [s[i] for i in range(n)]
-*/
-    if (__pyx_v_chk) {
-    } else {
-      __pyx_t_3 = __pyx_v_chk;
-      goto __pyx_L13_bool_binop_done;
-    }
-    __pyx_t_14 = (!((struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self->__pyx_vtab)->_is_standard(__pyx_v_self, __pyx_v_t));
-    __pyx_t_3 = __pyx_t_14;
-    __pyx_L13_bool_binop_done:;
-    if (unlikely(__pyx_t_3)) {
-
-      /* "immaculate/_kernels/_speedups.pyx":367
- *             self._straighten_c(t, s, chk, path, scratch)
- *             if chk and not self._is_standard(t):
- *                 raise InternalCheckError("straighten result is not standard immaculate")             # <<<<<<<<<<<<<<
- *             return [t[i] for i in range(n)], [s[i] for i in range(n)]
- *         finally:
-*/
-      __pyx_t_9 = NULL;
-      __Pyx_GetModuleGlobalName(__pyx_t_5, __pyx_mstate_global->__pyx_n_u_InternalCheckError); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 367, __pyx_L6_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_10 = 1;
-      #if CYTHON_UNPACK_METHODS
-      if (unlikely(PyMethod_Check(__pyx_t_5))) {
-        __pyx_t_9 = PyMethod_GET_SELF(__pyx_t_5);
-        assert(__pyx_t_9);
-        PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_5);
-        __Pyx_INCREF(__pyx_t_9);
-        __Pyx_INCREF(__pyx__function);
-        __Pyx_DECREF_SET(__pyx_t_5, __pyx__function);
-        __pyx_t_10 = 0;
-      }
-      #endif
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_9, __pyx_mstate_global->__pyx_kp_u_straighten_result_is_not_standar};
-        __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_5, __pyx_callargs+__pyx_t_10, (2-__pyx_t_10) | (__pyx_t_10*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-        __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-        if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 367, __pyx_L6_error)
-        __Pyx_GOTREF(__pyx_t_4);
-      }
-      __Pyx_Raise(__pyx_t_4, 0, 0, 0);
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __PYX_ERR(0, 367, __pyx_L6_error)
-
-      /* "immaculate/_kernels/_speedups.pyx":366
- *                 s[i] = 1
- *             self._straighten_c(t, s, chk, path, scratch)
- *             if chk and not self._is_standard(t):             # <<<<<<<<<<<<<<
- *                 raise InternalCheckError("straighten result is not standard immaculate")
- *             return [t[i] for i in range(n)], [s[i] for i in range(n)]
-*/
-    }
-
-    /* "immaculate/_kernels/_speedups.pyx":368
- *             if chk and not self._is_standard(t):
- *                 raise InternalCheckError("straighten result is not standard immaculate")
- *             return [t[i] for i in range(n)], [s[i] for i in range(n)]             # <<<<<<<<<<<<<<
- *         finally:
- *             free(buf)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    { /* enter inner scope */
-      __pyx_t_4 = PyList_New(0); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 368, __pyx_L6_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_1 = __pyx_v_n;
-      __pyx_t_11 = __pyx_t_1;
-      for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-        __pyx_8genexpr2__pyx_v_i = __pyx_t_12;
-        __pyx_t_5 = __Pyx_PyLong_From_int((__pyx_v_t[__pyx_8genexpr2__pyx_v_i])); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 368, __pyx_L6_error)
-        __Pyx_GOTREF(__pyx_t_5);
-        if (unlikely(__Pyx_ListComp_Append(__pyx_t_4, (PyObject*)__pyx_t_5))) __PYX_ERR(0, 368, __pyx_L6_error)
-        __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      }
-    } /* exit inner scope */
-    { /* enter inner scope */
-      __pyx_t_5 = PyList_New(0); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 368, __pyx_L6_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_1 = __pyx_v_n;
-      __pyx_t_11 = __pyx_t_1;
-      for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-        __pyx_8genexpr3__pyx_v_i = __pyx_t_12;
-        __pyx_t_9 = __Pyx_PyLong_From_int((__pyx_v_s[__pyx_8genexpr3__pyx_v_i])); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 368, __pyx_L6_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        if (unlikely(__Pyx_ListComp_Append(__pyx_t_5, (PyObject*)__pyx_t_9))) __PYX_ERR(0, 368, __pyx_L6_error)
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      }
-    } /* exit inner scope */
-    __pyx_t_9 = PyTuple_New(2); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 368, __pyx_L6_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __Pyx_GIVEREF(__pyx_t_4);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 0, __pyx_t_4) != (0)) __PYX_ERR(0, 368, __pyx_L6_error);
-    __Pyx_GIVEREF(__pyx_t_5);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 1, __pyx_t_5) != (0)) __PYX_ERR(0, 368, __pyx_L6_error);
-    __pyx_t_4 = 0;
-    __pyx_t_5 = 0;
-    __pyx_r = __pyx_t_9;
-    __pyx_t_9 = 0;
-    goto __pyx_L5_return;
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":370
- *             return [t[i] for i in range(n)], [s[i] for i in range(n)]
- *         finally:
- *             free(buf)             # <<<<<<<<<<<<<<
- * 
- *     def unstraighten(self, p_entries, hook_values, check=False):
-*/
-  /*finally:*/ {
-    __pyx_L6_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_16 = 0; __pyx_t_17 = 0; __pyx_t_18 = 0; __pyx_t_19 = 0; __pyx_t_20 = 0; __pyx_t_21 = 0;
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-      __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_19, &__pyx_t_20, &__pyx_t_21);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_16, &__pyx_t_17, &__pyx_t_18) < 0)) __Pyx_ErrFetch(&__pyx_t_16, &__pyx_t_17, &__pyx_t_18);
-      __Pyx_XGOTREF(__pyx_t_16);
-      __Pyx_XGOTREF(__pyx_t_17);
-      __Pyx_XGOTREF(__pyx_t_18);
-      __Pyx_XGOTREF(__pyx_t_19);
-      __Pyx_XGOTREF(__pyx_t_20);
-      __Pyx_XGOTREF(__pyx_t_21);
-      __pyx_t_1 = __pyx_lineno; __pyx_t_11 = __pyx_clineno; __pyx_t_15 = __pyx_filename;
-      {
-        free(__pyx_v_buf);
-      }
-      __Pyx_XGIVEREF(__pyx_t_19);
-      __Pyx_XGIVEREF(__pyx_t_20);
-      __Pyx_XGIVEREF(__pyx_t_21);
-      __Pyx_ExceptionReset(__pyx_t_19, __pyx_t_20, __pyx_t_21);
-      __Pyx_XGIVEREF(__pyx_t_16);
-      __Pyx_XGIVEREF(__pyx_t_17);
-      __Pyx_XGIVEREF(__pyx_t_18);
-      __Pyx_ErrRestore(__pyx_t_16, __pyx_t_17, __pyx_t_18);
-      __pyx_t_16 = 0; __pyx_t_17 = 0; __pyx_t_18 = 0; __pyx_t_19 = 0; __pyx_t_20 = 0; __pyx_t_21 = 0;
-      __pyx_lineno = __pyx_t_1; __pyx_clineno = __pyx_t_11; __pyx_filename = __pyx_t_15;
-      goto __pyx_L1_error;
-    }
-    __pyx_L5_return: {
-      __pyx_t_21 = __pyx_r;
-      __pyx_r = 0;
-      free(__pyx_v_buf);
-      __pyx_r = __pyx_t_21;
-      __pyx_t_21 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":346
- *             free(t)
- * 
- *     def straighten(self, entries, check=False):             # <<<<<<<<<<<<<<
- *         """Flat filling -> (flat standard immaculate filling, flat hook values)."""
- *         cdef int n = self.size
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps.straighten", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "immaculate/_kernels/_speedups.pyx":372
- *             free(buf)
- * 
- *     def unstraighten(self, p_entries, hook_values, check=False):             # <<<<<<<<<<<<<<
- *         """(flat standard immaculate filling, flat hook values) -> flat filling."""
- *         cdef int n = self.size
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_9unstraighten(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_10immaculate_8_kernels_9_speedups_8ShapeOps_8unstraighten, "(flat standard immaculate filling, flat hook values) -> flat filling.");
-static PyMethodDef __pyx_mdef_10immaculate_8_kernels_9_speedups_8ShapeOps_9unstraighten = {"unstraighten", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_9unstraighten, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_10immaculate_8_kernels_9_speedups_8ShapeOps_8unstraighten};
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_9unstraighten(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_p_entries = 0;
-  PyObject *__pyx_v_hook_values = 0;
-  PyObject *__pyx_v_check = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[3] = {0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("unstraighten (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_p_entries,&__pyx_mstate_global->__pyx_n_u_hook_values,&__pyx_mstate_global->__pyx_n_u_check,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 372, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 372, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 372, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 372, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "unstraighten", 0) < (0)) __PYX_ERR(0, 372, __pyx_L3_error)
-      if (!values[2]) values[2] = __Pyx_NewRef(((PyObject *)Py_False));
-      for (Py_ssize_t i = __pyx_nargs; i < 2; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("unstraighten", 0, 2, 3, i); __PYX_ERR(0, 372, __pyx_L3_error) }
-      }
-    } else {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 372, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 372, __pyx_L3_error)
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 372, __pyx_L3_error)
-        break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      if (!values[2]) values[2] = __Pyx_NewRef(((PyObject *)Py_False));
-    }
-    __pyx_v_p_entries = values[0];
-    __pyx_v_hook_values = values[1];
-    __pyx_v_check = values[2];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("unstraighten", 0, 2, 3, __pyx_nargs); __PYX_ERR(0, 372, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps.unstraighten", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_8unstraighten(((struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self), __pyx_v_p_entries, __pyx_v_hook_values, __pyx_v_check);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_8unstraighten(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, PyObject *__pyx_v_p_entries, PyObject *__pyx_v_hook_values, PyObject *__pyx_v_check) {
-  int __pyx_v_n;
-  int *__pyx_v_buf;
-  int *__pyx_v_t;
-  int *__pyx_v_j;
-  int *__pyx_v_path;
-  int __pyx_v_i;
-  int __pyx_8genexpr4__pyx_v_i;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  Py_ssize_t __pyx_t_3;
-  int __pyx_t_4;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8[5];
-  PyObject *__pyx_t_9 = NULL;
-  size_t __pyx_t_10;
-  int __pyx_t_11;
-  int __pyx_t_12;
-  int __pyx_t_13;
-  char const *__pyx_t_14;
-  PyObject *__pyx_t_15 = NULL;
-  PyObject *__pyx_t_16 = NULL;
-  PyObject *__pyx_t_17 = NULL;
-  PyObject *__pyx_t_18 = NULL;
-  PyObject *__pyx_t_19 = NULL;
-  PyObject *__pyx_t_20 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("unstraighten", 0);
-
-  /* "immaculate/_kernels/_speedups.pyx":374
- *     def unstraighten(self, p_entries, hook_values, check=False):
- *         """(flat standard immaculate filling, flat hook values) -> flat filling."""
- *         cdef int n = self.size             # <<<<<<<<<<<<<<
- *         if len(p_entries) != n or len(hook_values) != n:
- *             raise ValueError(f"need {n} entries and {n} hook values")
-*/
-  __pyx_t_1 = __pyx_v_self->size;
-  __pyx_v_n = __pyx_t_1;
-
-  /* "immaculate/_kernels/_speedups.pyx":375
- *         """(flat standard immaculate filling, flat hook values) -> flat filling."""
- *         cdef int n = self.size
- *         if len(p_entries) != n or len(hook_values) != n:             # <<<<<<<<<<<<<<
- *             raise ValueError(f"need {n} entries and {n} hook values")
- *         cdef int* buf = <int*> malloc(3 * n * sizeof(int))
-*/
-  __pyx_t_3 = PyObject_Length(__pyx_v_p_entries); if (unlikely(__pyx_t_3 == ((Py_ssize_t)-1))) __PYX_ERR(0, 375, __pyx_L1_error)
-  __pyx_t_4 = (__pyx_t_3 != __pyx_v_n);
-  if (!__pyx_t_4) {
-  } else {
-    __pyx_t_2 = __pyx_t_4;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_3 = PyObject_Length(__pyx_v_hook_values); if (unlikely(__pyx_t_3 == ((Py_ssize_t)-1))) __PYX_ERR(0, 375, __pyx_L1_error)
-  __pyx_t_4 = (__pyx_t_3 != __pyx_v_n);
-  __pyx_t_2 = __pyx_t_4;
-  __pyx_L4_bool_binop_done:;
-  if (unlikely(__pyx_t_2)) {
-
-    /* "immaculate/_kernels/_speedups.pyx":376
- *         cdef int n = self.size
- *         if len(p_entries) != n or len(hook_values) != n:
- *             raise ValueError(f"need {n} entries and {n} hook values")             # <<<<<<<<<<<<<<
- *         cdef int* buf = <int*> malloc(3 * n * sizeof(int))
- *         if buf == NULL:
-*/
-    __pyx_t_6 = NULL;
-    __pyx_t_7 = __Pyx_PyUnicode_From_int(__pyx_v_n, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 376, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_8[0] = __pyx_mstate_global->__pyx_kp_u_need;
-    __pyx_t_8[1] = __pyx_t_7;
-    __pyx_t_8[2] = __pyx_mstate_global->__pyx_kp_u_entries_and;
-    __pyx_t_8[3] = __pyx_t_7;
-    __pyx_t_8[4] = __pyx_mstate_global->__pyx_kp_u_hook_values_2;
-    __pyx_t_9 = __Pyx_PyUnicode_Join(__pyx_t_8, 5, 5 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) * 2 + 13 + 12, 127);
-    if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 376, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_10 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_6, __pyx_t_9};
-      __pyx_t_5 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_10, (2-__pyx_t_10) | (__pyx_t_10*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 376, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-    }
-    __Pyx_Raise(__pyx_t_5, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __PYX_ERR(0, 376, __pyx_L1_error)
-
-    /* "immaculate/_kernels/_speedups.pyx":375
- *         """(flat standard immaculate filling, flat hook values) -> flat filling."""
- *         cdef int n = self.size
- *         if len(p_entries) != n or len(hook_values) != n:             # <<<<<<<<<<<<<<
- *             raise ValueError(f"need {n} entries and {n} hook values")
- *         cdef int* buf = <int*> malloc(3 * n * sizeof(int))
-*/
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":377
- *         if len(p_entries) != n or len(hook_values) != n:
- *             raise ValueError(f"need {n} entries and {n} hook values")
- *         cdef int* buf = <int*> malloc(3 * n * sizeof(int))             # <<<<<<<<<<<<<<
- *         if buf == NULL:
- *             raise MemoryError()
-*/
-  __pyx_v_buf = ((int *)malloc(((3 * __pyx_v_n) * (sizeof(int)))));
-
-  /* "immaculate/_kernels/_speedups.pyx":378
- *             raise ValueError(f"need {n} entries and {n} hook values")
- *         cdef int* buf = <int*> malloc(3 * n * sizeof(int))
- *         if buf == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         cdef int* t = buf
-*/
-  __pyx_t_2 = (__pyx_v_buf == NULL);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "immaculate/_kernels/_speedups.pyx":379
- *         cdef int* buf = <int*> malloc(3 * n * sizeof(int))
- *         if buf == NULL:
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         cdef int* t = buf
- *         cdef int* j = buf + n
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 379, __pyx_L1_error)
-
-    /* "immaculate/_kernels/_speedups.pyx":378
- *             raise ValueError(f"need {n} entries and {n} hook values")
- *         cdef int* buf = <int*> malloc(3 * n * sizeof(int))
- *         if buf == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         cdef int* t = buf
-*/
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":380
- *         if buf == NULL:
- *             raise MemoryError()
- *         cdef int* t = buf             # <<<<<<<<<<<<<<
- *         cdef int* j = buf + n
- *         cdef int* path = buf + 2 * n
-*/
-  __pyx_v_t = __pyx_v_buf;
-
-  /* "immaculate/_kernels/_speedups.pyx":381
- *             raise MemoryError()
- *         cdef int* t = buf
- *         cdef int* j = buf + n             # <<<<<<<<<<<<<<
- *         cdef int* path = buf + 2 * n
- *         cdef int i
-*/
-  __pyx_v_j = (__pyx_v_buf + __pyx_v_n);
-
-  /* "immaculate/_kernels/_speedups.pyx":382
- *         cdef int* t = buf
- *         cdef int* j = buf + n
- *         cdef int* path = buf + 2 * n             # <<<<<<<<<<<<<<
- *         cdef int i
- *         try:
-*/
-  __pyx_v_path = (__pyx_v_buf + (2 * __pyx_v_n));
-
-  /* "immaculate/_kernels/_speedups.pyx":384
- *         cdef int* path = buf + 2 * n
- *         cdef int i
- *         try:             # <<<<<<<<<<<<<<
- *             for i in range(n):
- *                 t[i] = p_entries[i]
-*/
-  /*try:*/ {
-
-    /* "immaculate/_kernels/_speedups.pyx":385
- *         cdef int i
- *         try:
- *             for i in range(n):             # <<<<<<<<<<<<<<
- *                 t[i] = p_entries[i]
- *                 j[i] = hook_values[i]
-*/
-    __pyx_t_1 = __pyx_v_n;
-    __pyx_t_11 = __pyx_t_1;
-    for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-      __pyx_v_i = __pyx_t_12;
-
-      /* "immaculate/_kernels/_speedups.pyx":386
- *         try:
- *             for i in range(n):
- *                 t[i] = p_entries[i]             # <<<<<<<<<<<<<<
- *                 j[i] = hook_values[i]
- *             self._unstraighten_c(t, j, bool(check), path)
-*/
-      __pyx_t_5 = __Pyx_GetItemInt(__pyx_v_p_entries, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 386, __pyx_L8_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_13 = __Pyx_PyLong_As_int(__pyx_t_5); if (unlikely((__pyx_t_13 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 386, __pyx_L8_error)
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      (__pyx_v_t[__pyx_v_i]) = __pyx_t_13;
-
-      /* "immaculate/_kernels/_speedups.pyx":387
- *             for i in range(n):
- *                 t[i] = p_entries[i]
- *                 j[i] = hook_values[i]             # <<<<<<<<<<<<<<
- *             self._unstraighten_c(t, j, bool(check), path)
- *             return [t[i] for i in range(n)]
-*/
-      __pyx_t_5 = __Pyx_GetItemInt(__pyx_v_hook_values, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 387, __pyx_L8_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_13 = __Pyx_PyLong_As_int(__pyx_t_5); if (unlikely((__pyx_t_13 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 387, __pyx_L8_error)
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      (__pyx_v_j[__pyx_v_i]) = __pyx_t_13;
-    }
-
-    /* "immaculate/_kernels/_speedups.pyx":388
- *                 t[i] = p_entries[i]
- *                 j[i] = hook_values[i]
- *             self._unstraighten_c(t, j, bool(check), path)             # <<<<<<<<<<<<<<
- *             return [t[i] for i in range(n)]
- *         finally:
-*/
-    __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_v_check); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 388, __pyx_L8_error)
-    __pyx_t_1 = ((struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self->__pyx_vtab)->_unstraighten_c(__pyx_v_self, __pyx_v_t, __pyx_v_j, (!(!__pyx_t_2)), __pyx_v_path); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(0, 388, __pyx_L8_error)
-
-    /* "immaculate/_kernels/_speedups.pyx":389
- *                 j[i] = hook_values[i]
- *             self._unstraighten_c(t, j, bool(check), path)
- *             return [t[i] for i in range(n)]             # <<<<<<<<<<<<<<
- *         finally:
- *             free(buf)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    { /* enter inner scope */
-      __pyx_t_5 = PyList_New(0); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 389, __pyx_L8_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_1 = __pyx_v_n;
-      __pyx_t_11 = __pyx_t_1;
-      for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-        __pyx_8genexpr4__pyx_v_i = __pyx_t_12;
-        __pyx_t_9 = __Pyx_PyLong_From_int((__pyx_v_t[__pyx_8genexpr4__pyx_v_i])); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 389, __pyx_L8_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        if (unlikely(__Pyx_ListComp_Append(__pyx_t_5, (PyObject*)__pyx_t_9))) __PYX_ERR(0, 389, __pyx_L8_error)
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      }
-    } /* exit inner scope */
-    __pyx_r = __pyx_t_5;
-    __pyx_t_5 = 0;
-    goto __pyx_L7_return;
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":391
- *             return [t[i] for i in range(n)]
- *         finally:
- *             free(buf)             # <<<<<<<<<<<<<<
- * 
- *     def count_standard(self):
-*/
-  /*finally:*/ {
-    __pyx_L8_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_15 = 0; __pyx_t_16 = 0; __pyx_t_17 = 0; __pyx_t_18 = 0; __pyx_t_19 = 0; __pyx_t_20 = 0;
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-      __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_18, &__pyx_t_19, &__pyx_t_20);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_15, &__pyx_t_16, &__pyx_t_17) < 0)) __Pyx_ErrFetch(&__pyx_t_15, &__pyx_t_16, &__pyx_t_17);
-      __Pyx_XGOTREF(__pyx_t_15);
-      __Pyx_XGOTREF(__pyx_t_16);
-      __Pyx_XGOTREF(__pyx_t_17);
-      __Pyx_XGOTREF(__pyx_t_18);
-      __Pyx_XGOTREF(__pyx_t_19);
-      __Pyx_XGOTREF(__pyx_t_20);
-      __pyx_t_1 = __pyx_lineno; __pyx_t_11 = __pyx_clineno; __pyx_t_14 = __pyx_filename;
-      {
-        free(__pyx_v_buf);
-      }
-      __Pyx_XGIVEREF(__pyx_t_18);
-      __Pyx_XGIVEREF(__pyx_t_19);
-      __Pyx_XGIVEREF(__pyx_t_20);
-      __Pyx_ExceptionReset(__pyx_t_18, __pyx_t_19, __pyx_t_20);
-      __Pyx_XGIVEREF(__pyx_t_15);
-      __Pyx_XGIVEREF(__pyx_t_16);
-      __Pyx_XGIVEREF(__pyx_t_17);
-      __Pyx_ErrRestore(__pyx_t_15, __pyx_t_16, __pyx_t_17);
-      __pyx_t_15 = 0; __pyx_t_16 = 0; __pyx_t_17 = 0; __pyx_t_18 = 0; __pyx_t_19 = 0; __pyx_t_20 = 0;
-      __pyx_lineno = __pyx_t_1; __pyx_clineno = __pyx_t_11; __pyx_filename = __pyx_t_14;
-      goto __pyx_L1_error;
-    }
-    __pyx_L7_return: {
-      __pyx_t_20 = __pyx_r;
-      __pyx_r = 0;
-      free(__pyx_v_buf);
-      __pyx_r = __pyx_t_20;
-      __pyx_t_20 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":372
- *             free(buf)
- * 
- *     def unstraighten(self, p_entries, hook_values, check=False):             # <<<<<<<<<<<<<<
- *         """(flat standard immaculate filling, flat hook values) -> flat filling."""
- *         cdef int n = self.size
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps.unstraighten", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "immaculate/_kernels/_speedups.pyx":393
- *             free(buf)
- * 
- *     def count_standard(self):             # <<<<<<<<<<<<<<
- *         """Brute-force count of standard immaculate fillings over all n! fillings."""
- *         cdef int n = self.size
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_11count_standard(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_10immaculate_8_kernels_9_speedups_8ShapeOps_10count_standard, "Brute-force count of standard immaculate fillings over all n! fillings.");
-static PyMethodDef __pyx_mdef_10immaculate_8_kernels_9_speedups_8ShapeOps_11count_standard = {"count_standard", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_11count_standard, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_10immaculate_8_kernels_9_speedups_8ShapeOps_10count_standard};
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_11count_standard(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("count_standard (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  if (unlikely(__pyx_nargs > 0)) { __Pyx_RaiseArgtupleInvalid("count_standard", 1, 0, 0, __pyx_nargs); return NULL; }
-  const Py_ssize_t __pyx_kwds_len = unlikely(__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-  if (unlikely(__pyx_kwds_len < 0)) return NULL;
-  if (unlikely(__pyx_kwds_len > 0)) {__Pyx_RejectKeywords("count_standard", __pyx_kwds); return NULL;}
-  __pyx_r = __pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_10count_standard(((struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_10count_standard(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self) {
-  int __pyx_v_n;
-  int *__pyx_v_a;
-  PY_LONG_LONG __pyx_v_count;
-  int __pyx_v_i;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  size_t __pyx_t_8;
-  char const *__pyx_t_9;
-  PyObject *__pyx_t_10 = NULL;
-  PyObject *__pyx_t_11 = NULL;
-  PyObject *__pyx_t_12 = NULL;
-  PyObject *__pyx_t_13 = NULL;
-  PyObject *__pyx_t_14 = NULL;
-  PyObject *__pyx_t_15 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("count_standard", 0);
-
-  /* "immaculate/_kernels/_speedups.pyx":395
- *     def count_standard(self):
- *         """Brute-force count of standard immaculate fillings over all n! fillings."""
- *         cdef int n = self.size             # <<<<<<<<<<<<<<
- *         cdef int* a = <int*> malloc(n * sizeof(int))
- *         if a == NULL:
-*/
-  __pyx_t_1 = __pyx_v_self->size;
-  __pyx_v_n = __pyx_t_1;
-
-  /* "immaculate/_kernels/_speedups.pyx":396
- *         """Brute-force count of standard immaculate fillings over all n! fillings."""
- *         cdef int n = self.size
- *         cdef int* a = <int*> malloc(n * sizeof(int))             # <<<<<<<<<<<<<<
- *         if a == NULL:
- *             raise MemoryError()
-*/
-  __pyx_v_a = ((int *)malloc((__pyx_v_n * (sizeof(int)))));
-
-  /* "immaculate/_kernels/_speedups.pyx":397
- *         cdef int n = self.size
- *         cdef int* a = <int*> malloc(n * sizeof(int))
- *         if a == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         cdef long long count = 0
-*/
-  __pyx_t_2 = (__pyx_v_a == NULL);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "immaculate/_kernels/_speedups.pyx":398
- *         cdef int* a = <int*> malloc(n * sizeof(int))
- *         if a == NULL:
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         cdef long long count = 0
- *         cdef int i
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 398, __pyx_L1_error)
-
-    /* "immaculate/_kernels/_speedups.pyx":397
- *         cdef int n = self.size
- *         cdef int* a = <int*> malloc(n * sizeof(int))
- *         if a == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         cdef long long count = 0
-*/
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":399
- *         if a == NULL:
- *             raise MemoryError()
- *         cdef long long count = 0             # <<<<<<<<<<<<<<
- *         cdef int i
- *         try:
-*/
-  __pyx_v_count = 0;
-
-  /* "immaculate/_kernels/_speedups.pyx":401
- *         cdef long long count = 0
- *         cdef int i
- *         try:             # <<<<<<<<<<<<<<
- *             for i in range(n):
- *                 a[i] = i + 1
-*/
-  /*try:*/ {
-
-    /* "immaculate/_kernels/_speedups.pyx":402
- *         cdef int i
- *         try:
- *             for i in range(n):             # <<<<<<<<<<<<<<
- *                 a[i] = i + 1
- *             while True:
-*/
-    __pyx_t_1 = __pyx_v_n;
-    __pyx_t_3 = __pyx_t_1;
-    for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_i = __pyx_t_4;
-
-      /* "immaculate/_kernels/_speedups.pyx":403
- *         try:
- *             for i in range(n):
- *                 a[i] = i + 1             # <<<<<<<<<<<<<<
- *             while True:
- *                 if self._is_standard(a):
-*/
-      (__pyx_v_a[__pyx_v_i]) = (__pyx_v_i + 1);
-    }
-
-    /* "immaculate/_kernels/_speedups.pyx":404
- *             for i in range(n):
- *                 a[i] = i + 1
- *             while True:             # <<<<<<<<<<<<<<
- *                 if self._is_standard(a):
- *                     count += 1
-*/
-    while (1) {
-
-      /* "immaculate/_kernels/_speedups.pyx":405
- *                 a[i] = i + 1
- *             while True:
- *                 if self._is_standard(a):             # <<<<<<<<<<<<<<
- *                     count += 1
- *                 if not self._next_perm(a):
-*/
-      __pyx_t_2 = ((struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self->__pyx_vtab)->_is_standard(__pyx_v_self, __pyx_v_a);
-      if (__pyx_t_2) {
-
-        /* "immaculate/_kernels/_speedups.pyx":406
- *             while True:
- *                 if self._is_standard(a):
- *                     count += 1             # <<<<<<<<<<<<<<
- *                 if not self._next_perm(a):
- *                     break
-*/
-        __pyx_v_count = (__pyx_v_count + 1);
-
-        /* "immaculate/_kernels/_speedups.pyx":405
- *                 a[i] = i + 1
- *             while True:
- *                 if self._is_standard(a):             # <<<<<<<<<<<<<<
- *                     count += 1
- *                 if not self._next_perm(a):
-*/
-      }
-
-      /* "immaculate/_kernels/_speedups.pyx":407
- *                 if self._is_standard(a):
- *                     count += 1
- *                 if not self._next_perm(a):             # <<<<<<<<<<<<<<
- *                     break
- *             return int(count)
-*/
-      __pyx_t_2 = (!((struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self->__pyx_vtab)->_next_perm(__pyx_v_self, __pyx_v_a));
-      if (__pyx_t_2) {
-
-        /* "immaculate/_kernels/_speedups.pyx":408
- *                     count += 1
- *                 if not self._next_perm(a):
- *                     break             # <<<<<<<<<<<<<<
- *             return int(count)
- *         finally:
-*/
-        goto __pyx_L10_break;
-
-        /* "immaculate/_kernels/_speedups.pyx":407
- *                 if self._is_standard(a):
- *                     count += 1
- *                 if not self._next_perm(a):             # <<<<<<<<<<<<<<
- *                     break
- *             return int(count)
-*/
-      }
-    }
-    __pyx_L10_break:;
-
-    /* "immaculate/_kernels/_speedups.pyx":409
- *                 if not self._next_perm(a):
- *                     break
- *             return int(count)             # <<<<<<<<<<<<<<
- *         finally:
- *             free(a)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_6 = NULL;
-    __pyx_t_7 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_count); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 409, __pyx_L5_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_8 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_6, __pyx_t_7};
-      __pyx_t_5 = __Pyx_PyObject_FastCall((PyObject*)(&PyLong_Type), __pyx_callargs+__pyx_t_8, (2-__pyx_t_8) | (__pyx_t_8*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-      if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 409, __pyx_L5_error)
-      __Pyx_GOTREF(__pyx_t_5);
-    }
-    __pyx_r = __pyx_t_5;
-    __pyx_t_5 = 0;
-    goto __pyx_L4_return;
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":411
- *             return int(count)
- *         finally:
- *             free(a)             # <<<<<<<<<<<<<<
- * 
- *     def scan_fillings(self, start, stop, check=True):
-*/
-  /*finally:*/ {
-    __pyx_L5_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_10 = 0; __pyx_t_11 = 0; __pyx_t_12 = 0; __pyx_t_13 = 0; __pyx_t_14 = 0; __pyx_t_15 = 0;
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_13, &__pyx_t_14, &__pyx_t_15);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_10, &__pyx_t_11, &__pyx_t_12) < 0)) __Pyx_ErrFetch(&__pyx_t_10, &__pyx_t_11, &__pyx_t_12);
-      __Pyx_XGOTREF(__pyx_t_10);
-      __Pyx_XGOTREF(__pyx_t_11);
-      __Pyx_XGOTREF(__pyx_t_12);
-      __Pyx_XGOTREF(__pyx_t_13);
-      __Pyx_XGOTREF(__pyx_t_14);
-      __Pyx_XGOTREF(__pyx_t_15);
-      __pyx_t_1 = __pyx_lineno; __pyx_t_3 = __pyx_clineno; __pyx_t_9 = __pyx_filename;
-      {
-        free(__pyx_v_a);
-      }
-      __Pyx_XGIVEREF(__pyx_t_13);
-      __Pyx_XGIVEREF(__pyx_t_14);
-      __Pyx_XGIVEREF(__pyx_t_15);
-      __Pyx_ExceptionReset(__pyx_t_13, __pyx_t_14, __pyx_t_15);
-      __Pyx_XGIVEREF(__pyx_t_10);
-      __Pyx_XGIVEREF(__pyx_t_11);
-      __Pyx_XGIVEREF(__pyx_t_12);
-      __Pyx_ErrRestore(__pyx_t_10, __pyx_t_11, __pyx_t_12);
-      __pyx_t_10 = 0; __pyx_t_11 = 0; __pyx_t_12 = 0; __pyx_t_13 = 0; __pyx_t_14 = 0; __pyx_t_15 = 0;
-      __pyx_lineno = __pyx_t_1; __pyx_clineno = __pyx_t_3; __pyx_filename = __pyx_t_9;
-      goto __pyx_L1_error;
-    }
-    __pyx_L4_return: {
-      __pyx_t_15 = __pyx_r;
-      __pyx_r = 0;
-      free(__pyx_v_a);
-      __pyx_r = __pyx_t_15;
-      __pyx_t_15 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":393
- *             free(buf)
- * 
- *     def count_standard(self):             # <<<<<<<<<<<<<<
- *         """Brute-force count of standard immaculate fillings over all n! fillings."""
- *         cdef int n = self.size
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps.count_standard", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "immaculate/_kernels/_speedups.pyx":413
- *             free(a)
- * 
- *     def scan_fillings(self, start, stop, check=True):             # <<<<<<<<<<<<<<
- *         """Roundtrip-check fillings with lexicographic ranks in [start, stop).
- * 
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_13scan_fillings(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_10immaculate_8_kernels_9_speedups_8ShapeOps_12scan_fillings, "Roundtrip-check fillings with lexicographic ranks in [start, stop).\n\n        Returns (standard_count, failures); failures holds (rank, stage,\n        message) tuples, and standard_count tallies the standard immaculate\n        fillings seen.\n        ");
-static PyMethodDef __pyx_mdef_10immaculate_8_kernels_9_speedups_8ShapeOps_13scan_fillings = {"scan_fillings", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_13scan_fillings, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_10immaculate_8_kernels_9_speedups_8ShapeOps_12scan_fillings};
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_13scan_fillings(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_start = 0;
-  PyObject *__pyx_v_stop = 0;
-  PyObject *__pyx_v_check = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[3] = {0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("scan_fillings (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_start,&__pyx_mstate_global->__pyx_n_u_stop,&__pyx_mstate_global->__pyx_n_u_check,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 413, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 413, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 413, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 413, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "scan_fillings", 0) < (0)) __PYX_ERR(0, 413, __pyx_L3_error)
-      if (!values[2]) values[2] = __Pyx_NewRef(((PyObject *)Py_True));
-      for (Py_ssize_t i = __pyx_nargs; i < 2; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("scan_fillings", 0, 2, 3, i); __PYX_ERR(0, 413, __pyx_L3_error) }
-      }
-    } else {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 413, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 413, __pyx_L3_error)
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 413, __pyx_L3_error)
-        break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      if (!values[2]) values[2] = __Pyx_NewRef(((PyObject *)Py_True));
-    }
-    __pyx_v_start = values[0];
-    __pyx_v_stop = values[1];
-    __pyx_v_check = values[2];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("scan_fillings", 0, 2, 3, __pyx_nargs); __PYX_ERR(0, 413, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps.scan_fillings", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_12scan_fillings(((struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self), __pyx_v_start, __pyx_v_stop, __pyx_v_check);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_12scan_fillings(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, PyObject *__pyx_v_start, PyObject *__pyx_v_stop, PyObject *__pyx_v_check) {
-  int __pyx_v_n;
-  PY_LONG_LONG __pyx_v_lo;
-  PY_LONG_LONG __pyx_v_hi;
-  int *__pyx_v_buf;
-  int *__pyx_v_perm;
-  int *__pyx_v_t;
-  int *__pyx_v_s;
-  int *__pyx_v_path;
-  int *__pyx_v_scratch;
-  PY_LONG_LONG __pyx_v_standard;
-  PY_LONG_LONG __pyx_v_rank;
-  int __pyx_v_chk;
-  int __pyx_v_i;
-  int __pyx_v_bad;
-  PyObject *__pyx_v_failures = NULL;
-  PyObject *__pyx_v_exc = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9[7];
-  PyObject *__pyx_t_10 = NULL;
-  size_t __pyx_t_11;
-  PY_LONG_LONG __pyx_t_12;
-  int __pyx_t_13;
-  int __pyx_t_14;
-  PyObject *__pyx_t_15 = NULL;
-  PyObject *__pyx_t_16 = NULL;
-  PyObject *__pyx_t_17 = NULL;
-  int __pyx_t_18;
-  char const *__pyx_t_19;
-  PyObject *__pyx_t_20 = NULL;
-  PyObject *__pyx_t_21 = NULL;
-  PyObject *__pyx_t_22 = NULL;
-  PyObject *__pyx_t_23 = NULL;
-  PyObject *__pyx_t_24 = NULL;
-  PyObject *__pyx_t_25 = NULL;
-  char const *__pyx_t_26;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("scan_fillings", 0);
-
-  /* "immaculate/_kernels/_speedups.pyx":420
- *         fillings seen.
- *         """
- *         cdef int n = self.size             # <<<<<<<<<<<<<<
- *         if not 0 <= start <= stop <= self.n_factorial:
- *             raise ValueError(f"bad scan range [{start}, {stop}) for {n}! fillings")
-*/
-  __pyx_t_1 = __pyx_v_self->size;
-  __pyx_v_n = __pyx_t_1;
-
-  /* "immaculate/_kernels/_speedups.pyx":421
- *         """
- *         cdef int n = self.size
- *         if not 0 <= start <= stop <= self.n_factorial:             # <<<<<<<<<<<<<<
- *             raise ValueError(f"bad scan range [{start}, {stop}) for {n}! fillings")
- *         cdef long long lo = start
-*/
-  __pyx_t_2 = PyObject_RichCompare(__pyx_mstate_global->__pyx_int_0, __pyx_v_start, Py_LE); __Pyx_XGOTREF(__pyx_t_2); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 421, __pyx_L1_error)
-  if (__Pyx_PyObject_IsTrue(__pyx_t_2)) {
-    __Pyx_DECREF(__pyx_t_2);
-    __pyx_t_2 = PyObject_RichCompare(__pyx_v_start, __pyx_v_stop, Py_LE); __Pyx_XGOTREF(__pyx_t_2); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 421, __pyx_L1_error)
-    if (__Pyx_PyObject_IsTrue(__pyx_t_2)) {
-      __Pyx_DECREF(__pyx_t_2);
-      __pyx_t_2 = PyObject_RichCompare(__pyx_v_stop, __pyx_v_self->n_factorial, Py_LE); __Pyx_XGOTREF(__pyx_t_2); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 421, __pyx_L1_error)
-    }
-  }
-  __pyx_t_3 = __Pyx_PyObject_IsTrue(__pyx_t_2); if (unlikely((__pyx_t_3 < 0))) __PYX_ERR(0, 421, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_4 = (!__pyx_t_3);
-  if (unlikely(__pyx_t_4)) {
-
-    /* "immaculate/_kernels/_speedups.pyx":422
- *         cdef int n = self.size
- *         if not 0 <= start <= stop <= self.n_factorial:
- *             raise ValueError(f"bad scan range [{start}, {stop}) for {n}! fillings")             # <<<<<<<<<<<<<<
- *         cdef long long lo = start
- *         cdef long long hi = stop
-*/
-    __pyx_t_5 = NULL;
-    __pyx_t_6 = __Pyx_PyObject_FormatSimple(__pyx_v_start, __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 422, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = __Pyx_PyObject_FormatSimple(__pyx_v_stop, __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 422, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_8 = __Pyx_PyUnicode_From_int(__pyx_v_n, 0, ' ', 'd'); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 422, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_8);
-    __pyx_t_9[0] = __pyx_mstate_global->__pyx_kp_u_bad_scan_range;
-    __pyx_t_9[1] = __pyx_t_6;
-    __pyx_t_9[2] = __pyx_mstate_global->__pyx_kp_u_;
-    __pyx_t_9[3] = __pyx_t_7;
-    __pyx_t_9[4] = __pyx_mstate_global->__pyx_kp_u_for;
-    __pyx_t_9[5] = __pyx_t_8;
-    __pyx_t_9[6] = __pyx_mstate_global->__pyx_kp_u_fillings;
-    __pyx_t_10 = __Pyx_PyUnicode_Join(__pyx_t_9, 7, 16 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + 6 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_8) + 10, 127 | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_6) | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_7));
-    if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 422, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_10);
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-    __pyx_t_11 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_5, __pyx_t_10};
-      __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_11, (2-__pyx_t_11) | (__pyx_t_11*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 422, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-    }
-    __Pyx_Raise(__pyx_t_2, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __PYX_ERR(0, 422, __pyx_L1_error)
-
-    /* "immaculate/_kernels/_speedups.pyx":421
- *         """
- *         cdef int n = self.size
- *         if not 0 <= start <= stop <= self.n_factorial:             # <<<<<<<<<<<<<<
- *             raise ValueError(f"bad scan range [{start}, {stop}) for {n}! fillings")
- *         cdef long long lo = start
-*/
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":423
- *         if not 0 <= start <= stop <= self.n_factorial:
- *             raise ValueError(f"bad scan range [{start}, {stop}) for {n}! fillings")
- *         cdef long long lo = start             # <<<<<<<<<<<<<<
- *         cdef long long hi = stop
- *         cdef int* buf = <int*> malloc(6 * n * sizeof(int))
-*/
-  __pyx_t_12 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_start); if (unlikely((__pyx_t_12 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 423, __pyx_L1_error)
-  __pyx_v_lo = __pyx_t_12;
-
-  /* "immaculate/_kernels/_speedups.pyx":424
- *             raise ValueError(f"bad scan range [{start}, {stop}) for {n}! fillings")
- *         cdef long long lo = start
- *         cdef long long hi = stop             # <<<<<<<<<<<<<<
- *         cdef int* buf = <int*> malloc(6 * n * sizeof(int))
- *         if buf == NULL:
-*/
-  __pyx_t_12 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_stop); if (unlikely((__pyx_t_12 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 424, __pyx_L1_error)
-  __pyx_v_hi = __pyx_t_12;
-
-  /* "immaculate/_kernels/_speedups.pyx":425
- *         cdef long long lo = start
- *         cdef long long hi = stop
- *         cdef int* buf = <int*> malloc(6 * n * sizeof(int))             # <<<<<<<<<<<<<<
- *         if buf == NULL:
- *             raise MemoryError()
-*/
-  __pyx_v_buf = ((int *)malloc(((6 * __pyx_v_n) * (sizeof(int)))));
-
-  /* "immaculate/_kernels/_speedups.pyx":426
- *         cdef long long hi = stop
- *         cdef int* buf = <int*> malloc(6 * n * sizeof(int))
- *         if buf == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         cdef int* perm = buf
-*/
-  __pyx_t_4 = (__pyx_v_buf == NULL);
-  if (unlikely(__pyx_t_4)) {
-
-    /* "immaculate/_kernels/_speedups.pyx":427
- *         cdef int* buf = <int*> malloc(6 * n * sizeof(int))
- *         if buf == NULL:
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         cdef int* perm = buf
- *         cdef int* t = buf + n
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 427, __pyx_L1_error)
-
-    /* "immaculate/_kernels/_speedups.pyx":426
- *         cdef long long hi = stop
- *         cdef int* buf = <int*> malloc(6 * n * sizeof(int))
- *         if buf == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         cdef int* perm = buf
-*/
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":428
- *         if buf == NULL:
- *             raise MemoryError()
- *         cdef int* perm = buf             # <<<<<<<<<<<<<<
- *         cdef int* t = buf + n
- *         cdef int* s = buf + 2 * n
-*/
-  __pyx_v_perm = __pyx_v_buf;
-
-  /* "immaculate/_kernels/_speedups.pyx":429
- *             raise MemoryError()
- *         cdef int* perm = buf
- *         cdef int* t = buf + n             # <<<<<<<<<<<<<<
- *         cdef int* s = buf + 2 * n
- *         cdef int* path = buf + 3 * n
-*/
-  __pyx_v_t = (__pyx_v_buf + __pyx_v_n);
-
-  /* "immaculate/_kernels/_speedups.pyx":430
- *         cdef int* perm = buf
- *         cdef int* t = buf + n
- *         cdef int* s = buf + 2 * n             # <<<<<<<<<<<<<<
- *         cdef int* path = buf + 3 * n
- *         cdef int* scratch = buf + 4 * n
-*/
-  __pyx_v_s = (__pyx_v_buf + (2 * __pyx_v_n));
-
-  /* "immaculate/_kernels/_speedups.pyx":431
- *         cdef int* t = buf + n
- *         cdef int* s = buf + 2 * n
- *         cdef int* path = buf + 3 * n             # <<<<<<<<<<<<<<
- *         cdef int* scratch = buf + 4 * n
- *         cdef long long standard = 0
-*/
-  __pyx_v_path = (__pyx_v_buf + (3 * __pyx_v_n));
-
-  /* "immaculate/_kernels/_speedups.pyx":432
- *         cdef int* s = buf + 2 * n
- *         cdef int* path = buf + 3 * n
- *         cdef int* scratch = buf + 4 * n             # <<<<<<<<<<<<<<
- *         cdef long long standard = 0
- *         cdef long long rank = lo
-*/
-  __pyx_v_scratch = (__pyx_v_buf + (4 * __pyx_v_n));
-
-  /* "immaculate/_kernels/_speedups.pyx":433
- *         cdef int* path = buf + 3 * n
- *         cdef int* scratch = buf + 4 * n
- *         cdef long long standard = 0             # <<<<<<<<<<<<<<
- *         cdef long long rank = lo
- *         cdef bint chk = bool(check)
-*/
-  __pyx_v_standard = 0;
-
-  /* "immaculate/_kernels/_speedups.pyx":434
- *         cdef int* scratch = buf + 4 * n
- *         cdef long long standard = 0
- *         cdef long long rank = lo             # <<<<<<<<<<<<<<
- *         cdef bint chk = bool(check)
- *         cdef int i
-*/
-  __pyx_v_rank = __pyx_v_lo;
-
-  /* "immaculate/_kernels/_speedups.pyx":435
- *         cdef long long standard = 0
- *         cdef long long rank = lo
- *         cdef bint chk = bool(check)             # <<<<<<<<<<<<<<
- *         cdef int i
- *         cdef bint bad
-*/
-  __pyx_t_4 = __Pyx_PyObject_IsTrue(__pyx_v_check); if (unlikely((__pyx_t_4 < 0))) __PYX_ERR(0, 435, __pyx_L1_error)
-  __pyx_v_chk = (!(!__pyx_t_4));
-
-  /* "immaculate/_kernels/_speedups.pyx":438
- *         cdef int i
- *         cdef bint bad
- *         failures = []             # <<<<<<<<<<<<<<
- *         try:
- *             if lo < hi:
-*/
-  __pyx_t_2 = PyList_New(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 438, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_v_failures = ((PyObject*)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "immaculate/_kernels/_speedups.pyx":439
- *         cdef bint bad
- *         failures = []
- *         try:             # <<<<<<<<<<<<<<
- *             if lo < hi:
- *                 self._perm_unrank(lo, perm)
-*/
-  /*try:*/ {
-
-    /* "immaculate/_kernels/_speedups.pyx":440
- *         failures = []
- *         try:
- *             if lo < hi:             # <<<<<<<<<<<<<<
- *                 self._perm_unrank(lo, perm)
- *             while rank < hi:
-*/
-    __pyx_t_4 = (__pyx_v_lo < __pyx_v_hi);
-    if (__pyx_t_4) {
-
-      /* "immaculate/_kernels/_speedups.pyx":441
- *         try:
- *             if lo < hi:
- *                 self._perm_unrank(lo, perm)             # <<<<<<<<<<<<<<
- *             while rank < hi:
- *                 if self._is_standard(perm):
-*/
-      __pyx_t_1 = ((struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self->__pyx_vtab)->_perm_unrank(__pyx_v_self, __pyx_v_lo, __pyx_v_perm); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(0, 441, __pyx_L6_error)
-
-      /* "immaculate/_kernels/_speedups.pyx":440
- *         failures = []
- *         try:
- *             if lo < hi:             # <<<<<<<<<<<<<<
- *                 self._perm_unrank(lo, perm)
- *             while rank < hi:
-*/
-    }
-
-    /* "immaculate/_kernels/_speedups.pyx":442
- *             if lo < hi:
- *                 self._perm_unrank(lo, perm)
- *             while rank < hi:             # <<<<<<<<<<<<<<
- *                 if self._is_standard(perm):
- *                     standard += 1
-*/
-    while (1) {
-      __pyx_t_4 = (__pyx_v_rank < __pyx_v_hi);
-      if (!__pyx_t_4) break;
-
-      /* "immaculate/_kernels/_speedups.pyx":443
- *                 self._perm_unrank(lo, perm)
- *             while rank < hi:
- *                 if self._is_standard(perm):             # <<<<<<<<<<<<<<
- *                     standard += 1
- *                 for i in range(n):
-*/
-      __pyx_t_4 = ((struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self->__pyx_vtab)->_is_standard(__pyx_v_self, __pyx_v_perm);
-      if (__pyx_t_4) {
-
-        /* "immaculate/_kernels/_speedups.pyx":444
- *             while rank < hi:
- *                 if self._is_standard(perm):
- *                     standard += 1             # <<<<<<<<<<<<<<
- *                 for i in range(n):
- *                     t[i] = perm[i]
-*/
-        __pyx_v_standard = (__pyx_v_standard + 1);
-
-        /* "immaculate/_kernels/_speedups.pyx":443
- *                 self._perm_unrank(lo, perm)
- *             while rank < hi:
- *                 if self._is_standard(perm):             # <<<<<<<<<<<<<<
- *                     standard += 1
- *                 for i in range(n):
-*/
-      }
-
-      /* "immaculate/_kernels/_speedups.pyx":445
- *                 if self._is_standard(perm):
- *                     standard += 1
- *                 for i in range(n):             # <<<<<<<<<<<<<<
- *                     t[i] = perm[i]
- *                     s[i] = 1
-*/
-      __pyx_t_1 = __pyx_v_n;
-      __pyx_t_13 = __pyx_t_1;
-      for (__pyx_t_14 = 0; __pyx_t_14 < __pyx_t_13; __pyx_t_14+=1) {
-        __pyx_v_i = __pyx_t_14;
-
-        /* "immaculate/_kernels/_speedups.pyx":446
- *                     standard += 1
- *                 for i in range(n):
- *                     t[i] = perm[i]             # <<<<<<<<<<<<<<
- *                     s[i] = 1
- *                 try:
-*/
-        (__pyx_v_t[__pyx_v_i]) = (__pyx_v_perm[__pyx_v_i]);
-
-        /* "immaculate/_kernels/_speedups.pyx":447
- *                 for i in range(n):
- *                     t[i] = perm[i]
- *                     s[i] = 1             # <<<<<<<<<<<<<<
- *                 try:
- *                     self._straighten_c(t, s, chk, path, scratch)
-*/
-        (__pyx_v_s[__pyx_v_i]) = 1;
-      }
-
-      /* "immaculate/_kernels/_speedups.pyx":448
- *                     t[i] = perm[i]
- *                     s[i] = 1
- *                 try:             # <<<<<<<<<<<<<<
- *                     self._straighten_c(t, s, chk, path, scratch)
- *                     self._unstraighten_c(t, s, chk, path)
-*/
-      {
-        __Pyx_PyThreadState_declare
-        __Pyx_PyThreadState_assign
-        __Pyx_ExceptionSave(&__pyx_t_15, &__pyx_t_16, &__pyx_t_17);
-        __Pyx_XGOTREF(__pyx_t_15);
-        __Pyx_XGOTREF(__pyx_t_16);
-        __Pyx_XGOTREF(__pyx_t_17);
-        /*try:*/ {
-
-          /* "immaculate/_kernels/_speedups.pyx":449
- *                     s[i] = 1
- *                 try:
- *                     self._straighten_c(t, s, chk, path, scratch)             # <<<<<<<<<<<<<<
- *                     self._unstraighten_c(t, s, chk, path)
- *                 except InternalCheckError as exc:
-*/
-          __pyx_t_1 = ((struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self->__pyx_vtab)->_straighten_c(__pyx_v_self, __pyx_v_t, __pyx_v_s, __pyx_v_chk, __pyx_v_path, __pyx_v_scratch); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(0, 449, __pyx_L14_error)
-
-          /* "immaculate/_kernels/_speedups.pyx":450
- *                 try:
- *                     self._straighten_c(t, s, chk, path, scratch)
- *                     self._unstraighten_c(t, s, chk, path)             # <<<<<<<<<<<<<<
- *                 except InternalCheckError as exc:
- *                     failures.append((int(rank), "check", str(exc)))
-*/
-          __pyx_t_1 = ((struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self->__pyx_vtab)->_unstraighten_c(__pyx_v_self, __pyx_v_t, __pyx_v_s, __pyx_v_chk, __pyx_v_path); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(0, 450, __pyx_L14_error)
-
-          /* "immaculate/_kernels/_speedups.pyx":448
- *                     t[i] = perm[i]
- *                     s[i] = 1
- *                 try:             # <<<<<<<<<<<<<<
- *                     self._straighten_c(t, s, chk, path, scratch)
- *                     self._unstraighten_c(t, s, chk, path)
-*/
-        }
-
-        /* "immaculate/_kernels/_speedups.pyx":454
- *                     failures.append((int(rank), "check", str(exc)))
- *                 else:
- *                     bad = False             # <<<<<<<<<<<<<<
- *                     for i in range(n):
- *                         if t[i] != perm[i]:
-*/
-        /*else:*/ {
-          __pyx_v_bad = 0;
-
-          /* "immaculate/_kernels/_speedups.pyx":455
- *                 else:
- *                     bad = False
- *                     for i in range(n):             # <<<<<<<<<<<<<<
- *                         if t[i] != perm[i]:
- *                             bad = True
-*/
-          __pyx_t_1 = __pyx_v_n;
-          __pyx_t_13 = __pyx_t_1;
-          for (__pyx_t_14 = 0; __pyx_t_14 < __pyx_t_13; __pyx_t_14+=1) {
-            __pyx_v_i = __pyx_t_14;
-
-            /* "immaculate/_kernels/_speedups.pyx":456
- *                     bad = False
- *                     for i in range(n):
- *                         if t[i] != perm[i]:             # <<<<<<<<<<<<<<
- *                             bad = True
- *                             break
-*/
-            __pyx_t_4 = ((__pyx_v_t[__pyx_v_i]) != (__pyx_v_perm[__pyx_v_i]));
-            if (__pyx_t_4) {
-
-              /* "immaculate/_kernels/_speedups.pyx":457
- *                     for i in range(n):
- *                         if t[i] != perm[i]:
- *                             bad = True             # <<<<<<<<<<<<<<
- *                             break
- *                     if bad:
-*/
-              __pyx_v_bad = 1;
-
-              /* "immaculate/_kernels/_speedups.pyx":458
- *                         if t[i] != perm[i]:
- *                             bad = True
- *                             break             # <<<<<<<<<<<<<<
- *                     if bad:
- *                         failures.append(
-*/
-              goto __pyx_L23_break;
-
-              /* "immaculate/_kernels/_speedups.pyx":456
- *                     bad = False
- *                     for i in range(n):
- *                         if t[i] != perm[i]:             # <<<<<<<<<<<<<<
- *                             bad = True
- *                             break
-*/
-            }
-          }
-          __pyx_L23_break:;
-
-          /* "immaculate/_kernels/_speedups.pyx":459
- *                             bad = True
- *                             break
- *                     if bad:             # <<<<<<<<<<<<<<
- *                         failures.append(
- *                             (int(rank), "roundtrip", "straighten then unstraighten changed the filling")
-*/
-          if (__pyx_v_bad) {
-
-            /* "immaculate/_kernels/_speedups.pyx":461
- *                     if bad:
- *                         failures.append(
- *                             (int(rank), "roundtrip", "straighten then unstraighten changed the filling")             # <<<<<<<<<<<<<<
- *                         )
- *                 rank += 1
-*/
-            __pyx_t_10 = NULL;
-            __pyx_t_5 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_rank); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 461, __pyx_L16_except_error)
-            __Pyx_GOTREF(__pyx_t_5);
-            __pyx_t_11 = 1;
-            {
-              PyObject *__pyx_callargs[2] = {__pyx_t_10, __pyx_t_5};
-              __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)(&PyLong_Type), __pyx_callargs+__pyx_t_11, (2-__pyx_t_11) | (__pyx_t_11*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-              __Pyx_XDECREF(__pyx_t_10); __pyx_t_10 = 0;
-              __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-              if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 461, __pyx_L16_except_error)
-              __Pyx_GOTREF(__pyx_t_2);
-            }
-            __pyx_t_5 = PyTuple_New(3); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 461, __pyx_L16_except_error)
-            __Pyx_GOTREF(__pyx_t_5);
-            __Pyx_GIVEREF(__pyx_t_2);
-            if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 0, __pyx_t_2) != (0)) __PYX_ERR(0, 461, __pyx_L16_except_error);
-            __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_roundtrip);
-            __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_roundtrip);
-            if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 1, __pyx_mstate_global->__pyx_n_u_roundtrip) != (0)) __PYX_ERR(0, 461, __pyx_L16_except_error);
-            __Pyx_INCREF(__pyx_mstate_global->__pyx_kp_u_straighten_then_unstraighten_cha);
-            __Pyx_GIVEREF(__pyx_mstate_global->__pyx_kp_u_straighten_then_unstraighten_cha);
-            if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 2, __pyx_mstate_global->__pyx_kp_u_straighten_then_unstraighten_cha) != (0)) __PYX_ERR(0, 461, __pyx_L16_except_error);
-            __pyx_t_2 = 0;
-
-            /* "immaculate/_kernels/_speedups.pyx":460
- *                             break
- *                     if bad:
- *                         failures.append(             # <<<<<<<<<<<<<<
- *                             (int(rank), "roundtrip", "straighten then unstraighten changed the filling")
- *                         )
-*/
-            __pyx_t_18 = __Pyx_PyList_Append(__pyx_v_failures, __pyx_t_5); if (unlikely(__pyx_t_18 == ((int)-1))) __PYX_ERR(0, 460, __pyx_L16_except_error)
-            __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-
-            /* "immaculate/_kernels/_speedups.pyx":459
- *                             bad = True
- *                             break
- *                     if bad:             # <<<<<<<<<<<<<<
- *                         failures.append(
- *                             (int(rank), "roundtrip", "straighten then unstraighten changed the filling")
-*/
-          }
-        }
-        __Pyx_XDECREF(__pyx_t_15); __pyx_t_15 = 0;
-        __Pyx_XDECREF(__pyx_t_16); __pyx_t_16 = 0;
-        __Pyx_XDECREF(__pyx_t_17); __pyx_t_17 = 0;
-        goto __pyx_L21_try_end;
-        __pyx_L14_error:;
-        __Pyx_XDECREF(__pyx_t_10); __pyx_t_10 = 0;
-        __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-        __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-        __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-        __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-        __Pyx_XDECREF(__pyx_t_8); __pyx_t_8 = 0;
-
-        /* "immaculate/_kernels/_speedups.pyx":451
- *                     self._straighten_c(t, s, chk, path, scratch)
- *                     self._unstraighten_c(t, s, chk, path)
- *                 except InternalCheckError as exc:             # <<<<<<<<<<<<<<
- *                     failures.append((int(rank), "check", str(exc)))
- *                 else:
-*/
-        __Pyx_ErrFetch(&__pyx_t_5, &__pyx_t_2, &__pyx_t_10);
-        __Pyx_GetModuleGlobalName(__pyx_t_8, __pyx_mstate_global->__pyx_n_u_InternalCheckError); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 451, __pyx_L16_except_error)
-        __Pyx_GOTREF(__pyx_t_8);
-        __pyx_t_1 = __Pyx_PyErr_GivenExceptionMatches(__pyx_t_5, __pyx_t_8);
-        __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-        __Pyx_ErrRestore(__pyx_t_5, __pyx_t_2, __pyx_t_10);
-        __pyx_t_5 = 0; __pyx_t_2 = 0; __pyx_t_10 = 0;
-        if (__pyx_t_1) {
-          __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps.scan_fillings", __pyx_clineno, __pyx_lineno, __pyx_filename);
-          if (__Pyx_GetException(&__pyx_t_10, &__pyx_t_2, &__pyx_t_5) < 0) __PYX_ERR(0, 451, __pyx_L16_except_error)
-          __Pyx_XGOTREF(__pyx_t_10);
-          __Pyx_XGOTREF(__pyx_t_2);
-          __Pyx_XGOTREF(__pyx_t_5);
-          __Pyx_INCREF(__pyx_t_2);
-          __pyx_v_exc = __pyx_t_2;
-          /*try:*/ {
-
-            /* "immaculate/_kernels/_speedups.pyx":452
- *                     self._unstraighten_c(t, s, chk, path)
- *                 except InternalCheckError as exc:
- *                     failures.append((int(rank), "check", str(exc)))             # <<<<<<<<<<<<<<
- *                 else:
- *                     bad = False
-*/
-            __pyx_t_7 = NULL;
-            __pyx_t_6 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_rank); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 452, __pyx_L31_error)
-            __Pyx_GOTREF(__pyx_t_6);
-            __pyx_t_11 = 1;
-            {
-              PyObject *__pyx_callargs[2] = {__pyx_t_7, __pyx_t_6};
-              __pyx_t_8 = __Pyx_PyObject_FastCall((PyObject*)(&PyLong_Type), __pyx_callargs+__pyx_t_11, (2-__pyx_t_11) | (__pyx_t_11*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-              __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-              __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-              if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 452, __pyx_L31_error)
-              __Pyx_GOTREF(__pyx_t_8);
-            }
-            __pyx_t_6 = __Pyx_PyObject_Unicode(__pyx_v_exc); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 452, __pyx_L31_error)
-            __Pyx_GOTREF(__pyx_t_6);
-            __pyx_t_7 = PyTuple_New(3); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 452, __pyx_L31_error)
-            __Pyx_GOTREF(__pyx_t_7);
-            __Pyx_GIVEREF(__pyx_t_8);
-            if (__Pyx_PyTuple_SET_ITEM(__pyx_t_7, 0, __pyx_t_8) != (0)) __PYX_ERR(0, 452, __pyx_L31_error);
-            __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_check);
-            __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_check);
-            if (__Pyx_PyTuple_SET_ITEM(__pyx_t_7, 1, __pyx_mstate_global->__pyx_n_u_check) != (0)) __PYX_ERR(0, 452, __pyx_L31_error);
-            __Pyx_GIVEREF(__pyx_t_6);
-            if (__Pyx_PyTuple_SET_ITEM(__pyx_t_7, 2, __pyx_t_6) != (0)) __PYX_ERR(0, 452, __pyx_L31_error);
-            __pyx_t_8 = 0;
-            __pyx_t_6 = 0;
-            __pyx_t_18 = __Pyx_PyList_Append(__pyx_v_failures, __pyx_t_7); if (unlikely(__pyx_t_18 == ((int)-1))) __PYX_ERR(0, 452, __pyx_L31_error)
-            __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-          }
-
-          /* "immaculate/_kernels/_speedups.pyx":451
- *                     self._straighten_c(t, s, chk, path, scratch)
- *                     self._unstraighten_c(t, s, chk, path)
- *                 except InternalCheckError as exc:             # <<<<<<<<<<<<<<
- *                     failures.append((int(rank), "check", str(exc)))
- *                 else:
-*/
-          /*finally:*/ {
-            /*normal exit:*/{
-              __Pyx_DECREF(__pyx_v_exc); __pyx_v_exc = 0;
-              goto __pyx_L32;
-            }
-            __pyx_L31_error:;
-            /*exception exit:*/{
-              __Pyx_PyThreadState_declare
-              __Pyx_PyThreadState_assign
-              __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0; __pyx_t_24 = 0; __pyx_t_25 = 0;
-              __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-              __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-              __Pyx_XDECREF(__pyx_t_8); __pyx_t_8 = 0;
-               __Pyx_ExceptionSwap(&__pyx_t_23, &__pyx_t_24, &__pyx_t_25);
-              if ( unlikely(__Pyx_GetException(&__pyx_t_20, &__pyx_t_21, &__pyx_t_22) < 0)) __Pyx_ErrFetch(&__pyx_t_20, &__pyx_t_21, &__pyx_t_22);
-              __Pyx_XGOTREF(__pyx_t_20);
-              __Pyx_XGOTREF(__pyx_t_21);
-              __Pyx_XGOTREF(__pyx_t_22);
-              __Pyx_XGOTREF(__pyx_t_23);
-              __Pyx_XGOTREF(__pyx_t_24);
-              __Pyx_XGOTREF(__pyx_t_25);
-              __pyx_t_1 = __pyx_lineno; __pyx_t_13 = __pyx_clineno; __pyx_t_19 = __pyx_filename;
-              {
-                __Pyx_DECREF(__pyx_v_exc); __pyx_v_exc = 0;
-              }
-              __Pyx_XGIVEREF(__pyx_t_23);
-              __Pyx_XGIVEREF(__pyx_t_24);
-              __Pyx_XGIVEREF(__pyx_t_25);
-              __Pyx_ExceptionReset(__pyx_t_23, __pyx_t_24, __pyx_t_25);
-              __Pyx_XGIVEREF(__pyx_t_20);
-              __Pyx_XGIVEREF(__pyx_t_21);
-              __Pyx_XGIVEREF(__pyx_t_22);
-              __Pyx_ErrRestore(__pyx_t_20, __pyx_t_21, __pyx_t_22);
-              __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0; __pyx_t_24 = 0; __pyx_t_25 = 0;
-              __pyx_lineno = __pyx_t_1; __pyx_clineno = __pyx_t_13; __pyx_filename = __pyx_t_19;
-              goto __pyx_L16_except_error;
-            }
-            __pyx_L32:;
-          }
-          __Pyx_XDECREF(__pyx_t_10); __pyx_t_10 = 0;
-          __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-          __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-          goto __pyx_L15_exception_handled;
-        }
-        goto __pyx_L16_except_error;
-
-        /* "immaculate/_kernels/_speedups.pyx":448
- *                     t[i] = perm[i]
- *                     s[i] = 1
- *                 try:             # <<<<<<<<<<<<<<
- *                     self._straighten_c(t, s, chk, path, scratch)
- *                     self._unstraighten_c(t, s, chk, path)
-*/
-        __pyx_L16_except_error:;
-        __Pyx_XGIVEREF(__pyx_t_15);
-        __Pyx_XGIVEREF(__pyx_t_16);
-        __Pyx_XGIVEREF(__pyx_t_17);
-        __Pyx_ExceptionReset(__pyx_t_15, __pyx_t_16, __pyx_t_17);
-        goto __pyx_L6_error;
-        __pyx_L15_exception_handled:;
-        __Pyx_XGIVEREF(__pyx_t_15);
-        __Pyx_XGIVEREF(__pyx_t_16);
-        __Pyx_XGIVEREF(__pyx_t_17);
-        __Pyx_ExceptionReset(__pyx_t_15, __pyx_t_16, __pyx_t_17);
-        __pyx_L21_try_end:;
-      }
-
-      /* "immaculate/_kernels/_speedups.pyx":463
- *                             (int(rank), "roundtrip", "straighten then unstraighten changed the filling")
- *                         )
- *                 rank += 1             # <<<<<<<<<<<<<<
- *                 if rank < hi:
- *                     self._next_perm(perm)
-*/
-      __pyx_v_rank = (__pyx_v_rank + 1);
-
-      /* "immaculate/_kernels/_speedups.pyx":464
- *                         )
- *                 rank += 1
- *                 if rank < hi:             # <<<<<<<<<<<<<<
- *                     self._next_perm(perm)
- *             return int(standard), failures
-*/
-      __pyx_t_4 = (__pyx_v_rank < __pyx_v_hi);
-      if (__pyx_t_4) {
-
-        /* "immaculate/_kernels/_speedups.pyx":465
- *                 rank += 1
- *                 if rank < hi:
- *                     self._next_perm(perm)             # <<<<<<<<<<<<<<
- *             return int(standard), failures
- *         finally:
-*/
-        (void)(((struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self->__pyx_vtab)->_next_perm(__pyx_v_self, __pyx_v_perm));
-
-        /* "immaculate/_kernels/_speedups.pyx":464
- *                         )
- *                 rank += 1
- *                 if rank < hi:             # <<<<<<<<<<<<<<
- *                     self._next_perm(perm)
- *             return int(standard), failures
-*/
-      }
-    }
-
-    /* "immaculate/_kernels/_speedups.pyx":466
- *                 if rank < hi:
- *                     self._next_perm(perm)
- *             return int(standard), failures             # <<<<<<<<<<<<<<
- *         finally:
- *             free(buf)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_2 = NULL;
-    __pyx_t_10 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_standard); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 466, __pyx_L6_error)
-    __Pyx_GOTREF(__pyx_t_10);
-    __pyx_t_11 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_2, __pyx_t_10};
-      __pyx_t_5 = __Pyx_PyObject_FastCall((PyObject*)(&PyLong_Type), __pyx_callargs+__pyx_t_11, (2-__pyx_t_11) | (__pyx_t_11*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-      if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 466, __pyx_L6_error)
-      __Pyx_GOTREF(__pyx_t_5);
-    }
-    __pyx_t_10 = PyTuple_New(2); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 466, __pyx_L6_error)
-    __Pyx_GOTREF(__pyx_t_10);
-    __Pyx_GIVEREF(__pyx_t_5);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_10, 0, __pyx_t_5) != (0)) __PYX_ERR(0, 466, __pyx_L6_error);
-    __Pyx_INCREF(__pyx_v_failures);
-    __Pyx_GIVEREF(__pyx_v_failures);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_10, 1, __pyx_v_failures) != (0)) __PYX_ERR(0, 466, __pyx_L6_error);
-    __pyx_t_5 = 0;
-    __pyx_r = __pyx_t_10;
-    __pyx_t_10 = 0;
-    goto __pyx_L5_return;
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":468
- *             return int(standard), failures
- *         finally:
- *             free(buf)             # <<<<<<<<<<<<<<
- * 
- *     def scan_pairs(self, p_table, start, stop, check=True):
-*/
-  /*finally:*/ {
-    __pyx_L6_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_17 = 0; __pyx_t_16 = 0; __pyx_t_15 = 0; __pyx_t_25 = 0; __pyx_t_24 = 0; __pyx_t_23 = 0;
-      __Pyx_XDECREF(__pyx_t_10); __pyx_t_10 = 0;
-      __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-      __Pyx_XDECREF(__pyx_t_8); __pyx_t_8 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_25, &__pyx_t_24, &__pyx_t_23);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_17, &__pyx_t_16, &__pyx_t_15) < 0)) __Pyx_ErrFetch(&__pyx_t_17, &__pyx_t_16, &__pyx_t_15);
-      __Pyx_XGOTREF(__pyx_t_17);
-      __Pyx_XGOTREF(__pyx_t_16);
-      __Pyx_XGOTREF(__pyx_t_15);
-      __Pyx_XGOTREF(__pyx_t_25);
-      __Pyx_XGOTREF(__pyx_t_24);
-      __Pyx_XGOTREF(__pyx_t_23);
-      __pyx_t_13 = __pyx_lineno; __pyx_t_1 = __pyx_clineno; __pyx_t_26 = __pyx_filename;
-      {
-        free(__pyx_v_buf);
-      }
-      __Pyx_XGIVEREF(__pyx_t_25);
-      __Pyx_XGIVEREF(__pyx_t_24);
-      __Pyx_XGIVEREF(__pyx_t_23);
-      __Pyx_ExceptionReset(__pyx_t_25, __pyx_t_24, __pyx_t_23);
-      __Pyx_XGIVEREF(__pyx_t_17);
-      __Pyx_XGIVEREF(__pyx_t_16);
-      __Pyx_XGIVEREF(__pyx_t_15);
-      __Pyx_ErrRestore(__pyx_t_17, __pyx_t_16, __pyx_t_15);
-      __pyx_t_17 = 0; __pyx_t_16 = 0; __pyx_t_15 = 0; __pyx_t_25 = 0; __pyx_t_24 = 0; __pyx_t_23 = 0;
-      __pyx_lineno = __pyx_t_13; __pyx_clineno = __pyx_t_1; __pyx_filename = __pyx_t_26;
-      goto __pyx_L1_error;
-    }
-    __pyx_L5_return: {
-      __pyx_t_23 = __pyx_r;
-      __pyx_r = 0;
-      free(__pyx_v_buf);
-      __pyx_r = __pyx_t_23;
-      __pyx_t_23 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":413
- *             free(a)
- * 
- *     def scan_fillings(self, start, stop, check=True):             # <<<<<<<<<<<<<<
- *         """Roundtrip-check fillings with lexicographic ranks in [start, stop).
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps.scan_fillings", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_failures);
-  __Pyx_XDECREF(__pyx_v_exc);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "immaculate/_kernels/_speedups.pyx":470
- *             free(buf)
- * 
- *     def scan_pairs(self, p_table, start, stop, check=True):             # <<<<<<<<<<<<<<
- *         """Roundtrip-check pairs with combined indices in [start, stop).
- * 
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_15scan_pairs(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_10immaculate_8_kernels_9_speedups_8ShapeOps_14scan_pairs, "Roundtrip-check pairs with combined indices in [start, stop).\n\n        Index r encodes row p_table[r // hook_prod] with the (r % hook_prod)-th\n        hook-value assignment, last flat cell varying fastest.\n        ");
-static PyMethodDef __pyx_mdef_10immaculate_8_kernels_9_speedups_8ShapeOps_15scan_pairs = {"scan_pairs", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_15scan_pairs, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_10immaculate_8_kernels_9_speedups_8ShapeOps_14scan_pairs};
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_15scan_pairs(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_p_table = 0;
-  PyObject *__pyx_v_start = 0;
-  PyObject *__pyx_v_stop = 0;
-  PyObject *__pyx_v_check = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[4] = {0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("scan_pairs (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_p_table,&__pyx_mstate_global->__pyx_n_u_start,&__pyx_mstate_global->__pyx_n_u_stop,&__pyx_mstate_global->__pyx_n_u_check,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 470, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 470, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 470, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 470, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 470, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "scan_pairs", 0) < (0)) __PYX_ERR(0, 470, __pyx_L3_error)
-      if (!values[3]) values[3] = __Pyx_NewRef(((PyObject *)Py_True));
-      for (Py_ssize_t i = __pyx_nargs; i < 3; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("scan_pairs", 0, 3, 4, i); __PYX_ERR(0, 470, __pyx_L3_error) }
-      }
-    } else {
-      switch (__pyx_nargs) {
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 470, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 470, __pyx_L3_error)
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 470, __pyx_L3_error)
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 470, __pyx_L3_error)
-        break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      if (!values[3]) values[3] = __Pyx_NewRef(((PyObject *)Py_True));
-    }
-    __pyx_v_p_table = values[0];
-    __pyx_v_start = values[1];
-    __pyx_v_stop = values[2];
-    __pyx_v_check = values[3];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("scan_pairs", 0, 3, 4, __pyx_nargs); __PYX_ERR(0, 470, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps.scan_pairs", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_14scan_pairs(((struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self), __pyx_v_p_table, __pyx_v_start, __pyx_v_stop, __pyx_v_check);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_14scan_pairs(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, PyObject *__pyx_v_p_table, PyObject *__pyx_v_start, PyObject *__pyx_v_stop, PyObject *__pyx_v_check) {
-  int __pyx_v_n;
-  PY_LONG_LONG __pyx_v_H;
-  PY_LONG_LONG __pyx_v_lo;
-  PY_LONG_LONG __pyx_v_hi;
-  PY_LONG_LONG __pyx_v_nrows;
-  int *__pyx_v_table;
-  int *__pyx_v_buf;
-  int *__pyx_v_j;
-  int *__pyx_v_t;
-  int *__pyx_v_jj;
-  int *__pyx_v_s;
-  int *__pyx_v_path;
-  int *__pyx_v_scratch;
-  PY_LONG_LONG __pyx_v_r;
-  PY_LONG_LONG __pyx_v_p_idx;
-  PY_LONG_LONG __pyx_v_rem;
-  int __pyx_v_i;
-  int __pyx_v_pos;
-  int __pyx_v_chk;
-  int __pyx_v_bad;
-  PyObject *__pyx_v_failures = NULL;
-  PyObject *__pyx_v_row = NULL;
-  PyObject *__pyx_v_exc = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  PY_LONG_LONG __pyx_t_6;
-  Py_ssize_t __pyx_t_7;
-  int __pyx_t_8;
-  PyObject *__pyx_t_9 = NULL;
-  PyObject *__pyx_t_10 = NULL;
-  PyObject *__pyx_t_11[5];
-  PyObject *__pyx_t_12 = NULL;
-  long __pyx_t_13;
-  PY_LONG_LONG __pyx_t_14;
-  PY_LONG_LONG __pyx_t_15;
-  int __pyx_t_16;
-  int __pyx_t_17;
-  int __pyx_t_18;
-  PyObject *__pyx_t_19 = NULL;
-  PyObject *__pyx_t_20 = NULL;
-  PyObject *__pyx_t_21 = NULL;
-  PyObject *__pyx_t_22 = NULL;
-  int __pyx_t_23;
-  char const *__pyx_t_24;
-  PyObject *__pyx_t_25 = NULL;
-  PyObject *__pyx_t_26 = NULL;
-  PyObject *__pyx_t_27 = NULL;
-  PyObject *__pyx_t_28 = NULL;
-  PyObject *__pyx_t_29 = NULL;
-  PyObject *__pyx_t_30 = NULL;
-  char const *__pyx_t_31;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("scan_pairs", 0);
-
-  /* "immaculate/_kernels/_speedups.pyx":476
- *         hook-value assignment, last flat cell varying fastest.
- *         """
- *         cdef int n = self.size             # <<<<<<<<<<<<<<
- *         if not self.prod_fits:
- *             raise OverflowError("hook product too large for compiled scan")
-*/
-  __pyx_t_1 = __pyx_v_self->size;
-  __pyx_v_n = __pyx_t_1;
-
-  /* "immaculate/_kernels/_speedups.pyx":477
- *         """
- *         cdef int n = self.size
- *         if not self.prod_fits:             # <<<<<<<<<<<<<<
- *             raise OverflowError("hook product too large for compiled scan")
- *         cdef long long H = self.prod_ll
-*/
-  __pyx_t_2 = (!__pyx_v_self->prod_fits);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "immaculate/_kernels/_speedups.pyx":478
- *         cdef int n = self.size
- *         if not self.prod_fits:
- *             raise OverflowError("hook product too large for compiled scan")             # <<<<<<<<<<<<<<
- *         cdef long long H = self.prod_ll
- *         cdef long long lo = start
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_5 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_mstate_global->__pyx_kp_u_hook_product_too_large_for_compi};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_OverflowError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 478, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 478, __pyx_L1_error)
-
-    /* "immaculate/_kernels/_speedups.pyx":477
- *         """
- *         cdef int n = self.size
- *         if not self.prod_fits:             # <<<<<<<<<<<<<<
- *             raise OverflowError("hook product too large for compiled scan")
- *         cdef long long H = self.prod_ll
-*/
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":479
- *         if not self.prod_fits:
- *             raise OverflowError("hook product too large for compiled scan")
- *         cdef long long H = self.prod_ll             # <<<<<<<<<<<<<<
- *         cdef long long lo = start
- *         cdef long long hi = stop
-*/
-  __pyx_t_6 = __pyx_v_self->prod_ll;
-  __pyx_v_H = __pyx_t_6;
-
-  /* "immaculate/_kernels/_speedups.pyx":480
- *             raise OverflowError("hook product too large for compiled scan")
- *         cdef long long H = self.prod_ll
- *         cdef long long lo = start             # <<<<<<<<<<<<<<
- *         cdef long long hi = stop
- *         cdef long long nrows = len(p_table)
-*/
-  __pyx_t_6 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_start); if (unlikely((__pyx_t_6 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 480, __pyx_L1_error)
-  __pyx_v_lo = __pyx_t_6;
-
-  /* "immaculate/_kernels/_speedups.pyx":481
- *         cdef long long H = self.prod_ll
- *         cdef long long lo = start
- *         cdef long long hi = stop             # <<<<<<<<<<<<<<
- *         cdef long long nrows = len(p_table)
- *         if lo < 0 or hi < lo or hi > nrows * H:
-*/
-  __pyx_t_6 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_stop); if (unlikely((__pyx_t_6 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 481, __pyx_L1_error)
-  __pyx_v_hi = __pyx_t_6;
-
-  /* "immaculate/_kernels/_speedups.pyx":482
- *         cdef long long lo = start
- *         cdef long long hi = stop
- *         cdef long long nrows = len(p_table)             # <<<<<<<<<<<<<<
- *         if lo < 0 or hi < lo or hi > nrows * H:
- *             raise ValueError(f"bad scan range [{start}, {stop})")
-*/
-  __pyx_t_7 = PyObject_Length(__pyx_v_p_table); if (unlikely(__pyx_t_7 == ((Py_ssize_t)-1))) __PYX_ERR(0, 482, __pyx_L1_error)
-  __pyx_v_nrows = __pyx_t_7;
-
-  /* "immaculate/_kernels/_speedups.pyx":483
- *         cdef long long hi = stop
- *         cdef long long nrows = len(p_table)
- *         if lo < 0 or hi < lo or hi > nrows * H:             # <<<<<<<<<<<<<<
- *             raise ValueError(f"bad scan range [{start}, {stop})")
- *         cdef int* table = <int*> malloc(max(nrows * n, 1) * sizeof(int))
-*/
-  __pyx_t_8 = (__pyx_v_lo < 0);
-  if (!__pyx_t_8) {
-  } else {
-    __pyx_t_2 = __pyx_t_8;
-    goto __pyx_L5_bool_binop_done;
-  }
-  __pyx_t_8 = (__pyx_v_hi < __pyx_v_lo);
-  if (!__pyx_t_8) {
-  } else {
-    __pyx_t_2 = __pyx_t_8;
-    goto __pyx_L5_bool_binop_done;
-  }
-  __pyx_t_8 = (__pyx_v_hi > (__pyx_v_nrows * __pyx_v_H));
-  __pyx_t_2 = __pyx_t_8;
-  __pyx_L5_bool_binop_done:;
-  if (unlikely(__pyx_t_2)) {
-
-    /* "immaculate/_kernels/_speedups.pyx":484
- *         cdef long long nrows = len(p_table)
- *         if lo < 0 or hi < lo or hi > nrows * H:
- *             raise ValueError(f"bad scan range [{start}, {stop})")             # <<<<<<<<<<<<<<
- *         cdef int* table = <int*> malloc(max(nrows * n, 1) * sizeof(int))
- *         cdef int* buf = <int*> malloc(7 * n * sizeof(int))
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_9 = __Pyx_PyObject_FormatSimple(__pyx_v_start, __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 484, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __pyx_t_10 = __Pyx_PyObject_FormatSimple(__pyx_v_stop, __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 484, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_10);
-    __pyx_t_11[0] = __pyx_mstate_global->__pyx_kp_u_bad_scan_range;
-    __pyx_t_11[1] = __pyx_t_9;
-    __pyx_t_11[2] = __pyx_mstate_global->__pyx_kp_u_;
-    __pyx_t_11[3] = __pyx_t_10;
-    __pyx_t_11[4] = __pyx_mstate_global->__pyx_kp_u__2;
-    __pyx_t_12 = __Pyx_PyUnicode_Join(__pyx_t_11, 5, 16 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_9) + 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_10) + 1, 127 | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_9) | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_10));
-    if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 484, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_12);
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-    __pyx_t_5 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_t_12};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 484, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 484, __pyx_L1_error)
-
-    /* "immaculate/_kernels/_speedups.pyx":483
- *         cdef long long hi = stop
- *         cdef long long nrows = len(p_table)
- *         if lo < 0 or hi < lo or hi > nrows * H:             # <<<<<<<<<<<<<<
- *             raise ValueError(f"bad scan range [{start}, {stop})")
- *         cdef int* table = <int*> malloc(max(nrows * n, 1) * sizeof(int))
-*/
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":485
- *         if lo < 0 or hi < lo or hi > nrows * H:
- *             raise ValueError(f"bad scan range [{start}, {stop})")
- *         cdef int* table = <int*> malloc(max(nrows * n, 1) * sizeof(int))             # <<<<<<<<<<<<<<
- *         cdef int* buf = <int*> malloc(7 * n * sizeof(int))
- *         if table == NULL or buf == NULL:
-*/
-  __pyx_t_13 = 1;
-  __pyx_t_6 = (__pyx_v_nrows * __pyx_v_n);
-  __pyx_t_2 = (__pyx_t_13 > __pyx_t_6);
-  if (__pyx_t_2) {
-    __pyx_t_14 = __pyx_t_13;
-  } else {
-    __pyx_t_14 = __pyx_t_6;
-  }
-  __pyx_v_table = ((int *)malloc((__pyx_t_14 * (sizeof(int)))));
-
-  /* "immaculate/_kernels/_speedups.pyx":486
- *             raise ValueError(f"bad scan range [{start}, {stop})")
- *         cdef int* table = <int*> malloc(max(nrows * n, 1) * sizeof(int))
- *         cdef int* buf = <int*> malloc(7 * n * sizeof(int))             # <<<<<<<<<<<<<<
- *         if table == NULL or buf == NULL:
- *             free(table); free(buf)
-*/
-  __pyx_v_buf = ((int *)malloc(((7 * __pyx_v_n) * (sizeof(int)))));
-
-  /* "immaculate/_kernels/_speedups.pyx":487
- *         cdef int* table = <int*> malloc(max(nrows * n, 1) * sizeof(int))
- *         cdef int* buf = <int*> malloc(7 * n * sizeof(int))
- *         if table == NULL or buf == NULL:             # <<<<<<<<<<<<<<
- *             free(table); free(buf)
- *             raise MemoryError()
-*/
-  __pyx_t_8 = (__pyx_v_table == NULL);
-  if (!__pyx_t_8) {
-  } else {
-    __pyx_t_2 = __pyx_t_8;
-    goto __pyx_L9_bool_binop_done;
-  }
-  __pyx_t_8 = (__pyx_v_buf == NULL);
-  __pyx_t_2 = __pyx_t_8;
-  __pyx_L9_bool_binop_done:;
-  if (unlikely(__pyx_t_2)) {
-
-    /* "immaculate/_kernels/_speedups.pyx":488
- *         cdef int* buf = <int*> malloc(7 * n * sizeof(int))
- *         if table == NULL or buf == NULL:
- *             free(table); free(buf)             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         cdef int* j = buf
-*/
-    free(__pyx_v_table);
-    free(__pyx_v_buf);
-
-    /* "immaculate/_kernels/_speedups.pyx":489
- *         if table == NULL or buf == NULL:
- *             free(table); free(buf)
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         cdef int* j = buf
- *         cdef int* t = buf + n
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 489, __pyx_L1_error)
-
-    /* "immaculate/_kernels/_speedups.pyx":487
- *         cdef int* table = <int*> malloc(max(nrows * n, 1) * sizeof(int))
- *         cdef int* buf = <int*> malloc(7 * n * sizeof(int))
- *         if table == NULL or buf == NULL:             # <<<<<<<<<<<<<<
- *             free(table); free(buf)
- *             raise MemoryError()
-*/
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":490
- *             free(table); free(buf)
- *             raise MemoryError()
- *         cdef int* j = buf             # <<<<<<<<<<<<<<
- *         cdef int* t = buf + n
- *         cdef int* jj = buf + 2 * n
-*/
-  __pyx_v_j = __pyx_v_buf;
-
-  /* "immaculate/_kernels/_speedups.pyx":491
- *             raise MemoryError()
- *         cdef int* j = buf
- *         cdef int* t = buf + n             # <<<<<<<<<<<<<<
- *         cdef int* jj = buf + 2 * n
- *         cdef int* s = buf + 3 * n
-*/
-  __pyx_v_t = (__pyx_v_buf + __pyx_v_n);
-
-  /* "immaculate/_kernels/_speedups.pyx":492
- *         cdef int* j = buf
- *         cdef int* t = buf + n
- *         cdef int* jj = buf + 2 * n             # <<<<<<<<<<<<<<
- *         cdef int* s = buf + 3 * n
- *         cdef int* path = buf + 4 * n
-*/
-  __pyx_v_jj = (__pyx_v_buf + (2 * __pyx_v_n));
-
-  /* "immaculate/_kernels/_speedups.pyx":493
- *         cdef int* t = buf + n
- *         cdef int* jj = buf + 2 * n
- *         cdef int* s = buf + 3 * n             # <<<<<<<<<<<<<<
- *         cdef int* path = buf + 4 * n
- *         cdef int* scratch = buf + 5 * n
-*/
-  __pyx_v_s = (__pyx_v_buf + (3 * __pyx_v_n));
-
-  /* "immaculate/_kernels/_speedups.pyx":494
- *         cdef int* jj = buf + 2 * n
- *         cdef int* s = buf + 3 * n
- *         cdef int* path = buf + 4 * n             # <<<<<<<<<<<<<<
- *         cdef int* scratch = buf + 5 * n
- *         cdef long long r, p_idx, rem
-*/
-  __pyx_v_path = (__pyx_v_buf + (4 * __pyx_v_n));
-
-  /* "immaculate/_kernels/_speedups.pyx":495
- *         cdef int* s = buf + 3 * n
- *         cdef int* path = buf + 4 * n
- *         cdef int* scratch = buf + 5 * n             # <<<<<<<<<<<<<<
- *         cdef long long r, p_idx, rem
- *         cdef int i, pos
-*/
-  __pyx_v_scratch = (__pyx_v_buf + (5 * __pyx_v_n));
-
-  /* "immaculate/_kernels/_speedups.pyx":498
- *         cdef long long r, p_idx, rem
- *         cdef int i, pos
- *         cdef bint chk = bool(check)             # <<<<<<<<<<<<<<
- *         cdef bint bad
- *         failures = []
-*/
-  __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_v_check); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 498, __pyx_L1_error)
-  __pyx_v_chk = (!(!__pyx_t_2));
-
-  /* "immaculate/_kernels/_speedups.pyx":500
- *         cdef bint chk = bool(check)
- *         cdef bint bad
- *         failures = []             # <<<<<<<<<<<<<<
- *         try:
- *             for r in range(nrows):
-*/
-  __pyx_t_3 = PyList_New(0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 500, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_v_failures = ((PyObject*)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "immaculate/_kernels/_speedups.pyx":501
- *         cdef bint bad
- *         failures = []
- *         try:             # <<<<<<<<<<<<<<
- *             for r in range(nrows):
- *                 row = p_table[r]
-*/
-  /*try:*/ {
-
-    /* "immaculate/_kernels/_speedups.pyx":502
- *         failures = []
- *         try:
- *             for r in range(nrows):             # <<<<<<<<<<<<<<
- *                 row = p_table[r]
- *                 for i in range(n):
-*/
-    __pyx_t_14 = __pyx_v_nrows;
-    __pyx_t_6 = __pyx_t_14;
-    for (__pyx_t_15 = 0; __pyx_t_15 < __pyx_t_6; __pyx_t_15+=1) {
-      __pyx_v_r = __pyx_t_15;
-
-      /* "immaculate/_kernels/_speedups.pyx":503
- *         try:
- *             for r in range(nrows):
- *                 row = p_table[r]             # <<<<<<<<<<<<<<
- *                 for i in range(n):
- *                     table[r * n + i] = row[i]
-*/
-      __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_p_table, __pyx_v_r, PY_LONG_LONG, 1, __Pyx_PyLong_From_PY_LONG_LONG, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 503, __pyx_L12_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __Pyx_XDECREF_SET(__pyx_v_row, __pyx_t_3);
-      __pyx_t_3 = 0;
-
-      /* "immaculate/_kernels/_speedups.pyx":504
- *             for r in range(nrows):
- *                 row = p_table[r]
- *                 for i in range(n):             # <<<<<<<<<<<<<<
- *                     table[r * n + i] = row[i]
- *             for r in range(lo, hi):
-*/
-      __pyx_t_1 = __pyx_v_n;
-      __pyx_t_16 = __pyx_t_1;
-      for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-        __pyx_v_i = __pyx_t_17;
-
-        /* "immaculate/_kernels/_speedups.pyx":505
- *                 row = p_table[r]
- *                 for i in range(n):
- *                     table[r * n + i] = row[i]             # <<<<<<<<<<<<<<
- *             for r in range(lo, hi):
- *                 p_idx = r // H
-*/
-        __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_row, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 505, __pyx_L12_error)
-        __Pyx_GOTREF(__pyx_t_3);
-        __pyx_t_18 = __Pyx_PyLong_As_int(__pyx_t_3); if (unlikely((__pyx_t_18 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 505, __pyx_L12_error)
-        __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-        (__pyx_v_table[((__pyx_v_r * __pyx_v_n) + __pyx_v_i)]) = __pyx_t_18;
-      }
-    }
-
-    /* "immaculate/_kernels/_speedups.pyx":506
- *                 for i in range(n):
- *                     table[r * n + i] = row[i]
- *             for r in range(lo, hi):             # <<<<<<<<<<<<<<
- *                 p_idx = r // H
- *                 rem = r % H
-*/
-    __pyx_t_14 = __pyx_v_hi;
-    __pyx_t_6 = __pyx_t_14;
-    for (__pyx_t_15 = __pyx_v_lo; __pyx_t_15 < __pyx_t_6; __pyx_t_15+=1) {
-      __pyx_v_r = __pyx_t_15;
-
-      /* "immaculate/_kernels/_speedups.pyx":507
- *                     table[r * n + i] = row[i]
- *             for r in range(lo, hi):
- *                 p_idx = r // H             # <<<<<<<<<<<<<<
- *                 rem = r % H
- *                 for pos in range(n - 1, -1, -1):
-*/
-      __pyx_v_p_idx = (__pyx_v_r / __pyx_v_H);
-
-      /* "immaculate/_kernels/_speedups.pyx":508
- *             for r in range(lo, hi):
- *                 p_idx = r // H
- *                 rem = r % H             # <<<<<<<<<<<<<<
- *                 for pos in range(n - 1, -1, -1):
- *                     j[pos] = <int> (rem % self.hooklen[pos]) + 1
-*/
-      __pyx_v_rem = (__pyx_v_r % __pyx_v_H);
-
-      /* "immaculate/_kernels/_speedups.pyx":509
- *                 p_idx = r // H
- *                 rem = r % H
- *                 for pos in range(n - 1, -1, -1):             # <<<<<<<<<<<<<<
- *                     j[pos] = <int> (rem % self.hooklen[pos]) + 1
- *                     rem = rem // self.hooklen[pos]
-*/
-      for (__pyx_t_1 = (__pyx_v_n - 1); __pyx_t_1 > -1; __pyx_t_1-=1) {
-        __pyx_v_pos = __pyx_t_1;
-
-        /* "immaculate/_kernels/_speedups.pyx":510
- *                 rem = r % H
- *                 for pos in range(n - 1, -1, -1):
- *                     j[pos] = <int> (rem % self.hooklen[pos]) + 1             # <<<<<<<<<<<<<<
- *                     rem = rem // self.hooklen[pos]
- *                 for i in range(n):
-*/
-        (__pyx_v_j[__pyx_v_pos]) = (((int)(__pyx_v_rem % (__pyx_v_self->hooklen[__pyx_v_pos]))) + 1);
-
-        /* "immaculate/_kernels/_speedups.pyx":511
- *                 for pos in range(n - 1, -1, -1):
- *                     j[pos] = <int> (rem % self.hooklen[pos]) + 1
- *                     rem = rem // self.hooklen[pos]             # <<<<<<<<<<<<<<
- *                 for i in range(n):
- *                     t[i] = table[p_idx * n + i]
-*/
-        __pyx_v_rem = (__pyx_v_rem / (__pyx_v_self->hooklen[__pyx_v_pos]));
-      }
-
-      /* "immaculate/_kernels/_speedups.pyx":512
- *                     j[pos] = <int> (rem % self.hooklen[pos]) + 1
- *                     rem = rem // self.hooklen[pos]
- *                 for i in range(n):             # <<<<<<<<<<<<<<
- *                     t[i] = table[p_idx * n + i]
- *                     jj[i] = j[i]
-*/
-      __pyx_t_1 = __pyx_v_n;
-      __pyx_t_16 = __pyx_t_1;
-      for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-        __pyx_v_i = __pyx_t_17;
-
-        /* "immaculate/_kernels/_speedups.pyx":513
- *                     rem = rem // self.hooklen[pos]
- *                 for i in range(n):
- *                     t[i] = table[p_idx * n + i]             # <<<<<<<<<<<<<<
- *                     jj[i] = j[i]
- *                     s[i] = 1
-*/
-        (__pyx_v_t[__pyx_v_i]) = (__pyx_v_table[((__pyx_v_p_idx * __pyx_v_n) + __pyx_v_i)]);
-
-        /* "immaculate/_kernels/_speedups.pyx":514
- *                 for i in range(n):
- *                     t[i] = table[p_idx * n + i]
- *                     jj[i] = j[i]             # <<<<<<<<<<<<<<
- *                     s[i] = 1
- *                 try:
-*/
-        (__pyx_v_jj[__pyx_v_i]) = (__pyx_v_j[__pyx_v_i]);
-
-        /* "immaculate/_kernels/_speedups.pyx":515
- *                     t[i] = table[p_idx * n + i]
- *                     jj[i] = j[i]
- *                     s[i] = 1             # <<<<<<<<<<<<<<
- *                 try:
- *                     self._unstraighten_c(t, jj, chk, path)
-*/
-        (__pyx_v_s[__pyx_v_i]) = 1;
-      }
-
-      /* "immaculate/_kernels/_speedups.pyx":516
- *                     jj[i] = j[i]
- *                     s[i] = 1
- *                 try:             # <<<<<<<<<<<<<<
- *                     self._unstraighten_c(t, jj, chk, path)
- *                     self._straighten_c(t, s, chk, path, scratch)
-*/
-      {
-        __Pyx_PyThreadState_declare
-        __Pyx_PyThreadState_assign
-        __Pyx_ExceptionSave(&__pyx_t_19, &__pyx_t_20, &__pyx_t_21);
-        __Pyx_XGOTREF(__pyx_t_19);
-        __Pyx_XGOTREF(__pyx_t_20);
-        __Pyx_XGOTREF(__pyx_t_21);
-        /*try:*/ {
-
-          /* "immaculate/_kernels/_speedups.pyx":517
- *                     s[i] = 1
- *                 try:
- *                     self._unstraighten_c(t, jj, chk, path)             # <<<<<<<<<<<<<<
- *                     self._straighten_c(t, s, chk, path, scratch)
- *                 except InternalCheckError as exc:
-*/
-          __pyx_t_1 = ((struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self->__pyx_vtab)->_unstraighten_c(__pyx_v_self, __pyx_v_t, __pyx_v_jj, __pyx_v_chk, __pyx_v_path); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(0, 517, __pyx_L24_error)
-
-          /* "immaculate/_kernels/_speedups.pyx":518
- *                 try:
- *                     self._unstraighten_c(t, jj, chk, path)
- *                     self._straighten_c(t, s, chk, path, scratch)             # <<<<<<<<<<<<<<
- *                 except InternalCheckError as exc:
- *                     failures.append((int(r), "check", str(exc)))
-*/
-          __pyx_t_1 = ((struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self->__pyx_vtab)->_straighten_c(__pyx_v_self, __pyx_v_t, __pyx_v_s, __pyx_v_chk, __pyx_v_path, __pyx_v_scratch); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(0, 518, __pyx_L24_error)
-
-          /* "immaculate/_kernels/_speedups.pyx":516
- *                     jj[i] = j[i]
- *                     s[i] = 1
- *                 try:             # <<<<<<<<<<<<<<
- *                     self._unstraighten_c(t, jj, chk, path)
- *                     self._straighten_c(t, s, chk, path, scratch)
-*/
-        }
-        __Pyx_XDECREF(__pyx_t_19); __pyx_t_19 = 0;
-        __Pyx_XDECREF(__pyx_t_20); __pyx_t_20 = 0;
-        __Pyx_XDECREF(__pyx_t_21); __pyx_t_21 = 0;
-        goto __pyx_L31_try_end;
-        __pyx_L24_error:;
-        __Pyx_XDECREF(__pyx_t_10); __pyx_t_10 = 0;
-        __Pyx_XDECREF(__pyx_t_12); __pyx_t_12 = 0;
-        __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-        __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-        __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-
-        /* "immaculate/_kernels/_speedups.pyx":519
- *                     self._unstraighten_c(t, jj, chk, path)
- *                     self._straighten_c(t, s, chk, path, scratch)
- *                 except InternalCheckError as exc:             # <<<<<<<<<<<<<<
- *                     failures.append((int(r), "check", str(exc)))
- *                     continue
-*/
-        __Pyx_ErrFetch(&__pyx_t_3, &__pyx_t_12, &__pyx_t_4);
-        __Pyx_GetModuleGlobalName(__pyx_t_10, __pyx_mstate_global->__pyx_n_u_InternalCheckError); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 519, __pyx_L26_except_error)
-        __Pyx_GOTREF(__pyx_t_10);
-        __pyx_t_1 = __Pyx_PyErr_GivenExceptionMatches(__pyx_t_3, __pyx_t_10);
-        __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-        __Pyx_ErrRestore(__pyx_t_3, __pyx_t_12, __pyx_t_4);
-        __pyx_t_3 = 0; __pyx_t_12 = 0; __pyx_t_4 = 0;
-        if (__pyx_t_1) {
-          __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps.scan_pairs", __pyx_clineno, __pyx_lineno, __pyx_filename);
-          if (__Pyx_GetException(&__pyx_t_4, &__pyx_t_12, &__pyx_t_3) < 0) __PYX_ERR(0, 519, __pyx_L26_except_error)
-          __Pyx_XGOTREF(__pyx_t_4);
-          __Pyx_XGOTREF(__pyx_t_12);
-          __Pyx_XGOTREF(__pyx_t_3);
-          __Pyx_INCREF(__pyx_t_12);
-          __pyx_v_exc = __pyx_t_12;
-          /*try:*/ {
-
-            /* "immaculate/_kernels/_speedups.pyx":520
- *                     self._straighten_c(t, s, chk, path, scratch)
- *                 except InternalCheckError as exc:
- *                     failures.append((int(r), "check", str(exc)))             # <<<<<<<<<<<<<<
- *                     continue
- *                 bad = False
-*/
-            __pyx_t_9 = NULL;
-            __pyx_t_22 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_r); if (unlikely(!__pyx_t_22)) __PYX_ERR(0, 520, __pyx_L37_error)
-            __Pyx_GOTREF(__pyx_t_22);
-            __pyx_t_5 = 1;
-            {
-              PyObject *__pyx_callargs[2] = {__pyx_t_9, __pyx_t_22};
-              __pyx_t_10 = __Pyx_PyObject_FastCall((PyObject*)(&PyLong_Type), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-              __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-              __Pyx_DECREF(__pyx_t_22); __pyx_t_22 = 0;
-              if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 520, __pyx_L37_error)
-              __Pyx_GOTREF(__pyx_t_10);
-            }
-            __pyx_t_22 = __Pyx_PyObject_Unicode(__pyx_v_exc); if (unlikely(!__pyx_t_22)) __PYX_ERR(0, 520, __pyx_L37_error)
-            __Pyx_GOTREF(__pyx_t_22);
-            __pyx_t_9 = PyTuple_New(3); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 520, __pyx_L37_error)
-            __Pyx_GOTREF(__pyx_t_9);
-            __Pyx_GIVEREF(__pyx_t_10);
-            if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 0, __pyx_t_10) != (0)) __PYX_ERR(0, 520, __pyx_L37_error);
-            __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_check);
-            __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_check);
-            if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 1, __pyx_mstate_global->__pyx_n_u_check) != (0)) __PYX_ERR(0, 520, __pyx_L37_error);
-            __Pyx_GIVEREF(__pyx_t_22);
-            if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 2, __pyx_t_22) != (0)) __PYX_ERR(0, 520, __pyx_L37_error);
-            __pyx_t_10 = 0;
-            __pyx_t_22 = 0;
-            __pyx_t_23 = __Pyx_PyList_Append(__pyx_v_failures, __pyx_t_9); if (unlikely(__pyx_t_23 == ((int)-1))) __PYX_ERR(0, 520, __pyx_L37_error)
-            __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-
-            /* "immaculate/_kernels/_speedups.pyx":521
- *                 except InternalCheckError as exc:
- *                     failures.append((int(r), "check", str(exc)))
- *                     continue             # <<<<<<<<<<<<<<
- *                 bad = False
- *                 for i in range(n):
-*/
-            goto __pyx_L34_continue;
-          }
-
-          /* "immaculate/_kernels/_speedups.pyx":519
- *                     self._unstraighten_c(t, jj, chk, path)
- *                     self._straighten_c(t, s, chk, path, scratch)
- *                 except InternalCheckError as exc:             # <<<<<<<<<<<<<<
- *                     failures.append((int(r), "check", str(exc)))
- *                     continue
-*/
-          /*finally:*/ {
-            __pyx_L37_error:;
-            /*exception exit:*/{
-              __Pyx_PyThreadState_declare
-              __Pyx_PyThreadState_assign
-              __pyx_t_25 = 0; __pyx_t_26 = 0; __pyx_t_27 = 0; __pyx_t_28 = 0; __pyx_t_29 = 0; __pyx_t_30 = 0;
-              __Pyx_XDECREF(__pyx_t_10); __pyx_t_10 = 0;
-              __Pyx_XDECREF(__pyx_t_22); __pyx_t_22 = 0;
-              __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-               __Pyx_ExceptionSwap(&__pyx_t_28, &__pyx_t_29, &__pyx_t_30);
-              if ( unlikely(__Pyx_GetException(&__pyx_t_25, &__pyx_t_26, &__pyx_t_27) < 0)) __Pyx_ErrFetch(&__pyx_t_25, &__pyx_t_26, &__pyx_t_27);
-              __Pyx_XGOTREF(__pyx_t_25);
-              __Pyx_XGOTREF(__pyx_t_26);
-              __Pyx_XGOTREF(__pyx_t_27);
-              __Pyx_XGOTREF(__pyx_t_28);
-              __Pyx_XGOTREF(__pyx_t_29);
-              __Pyx_XGOTREF(__pyx_t_30);
-              __pyx_t_1 = __pyx_lineno; __pyx_t_16 = __pyx_clineno; __pyx_t_24 = __pyx_filename;
-              {
-                __Pyx_DECREF(__pyx_v_exc); __pyx_v_exc = 0;
-              }
-              __Pyx_XGIVEREF(__pyx_t_28);
-              __Pyx_XGIVEREF(__pyx_t_29);
-              __Pyx_XGIVEREF(__pyx_t_30);
-              __Pyx_ExceptionReset(__pyx_t_28, __pyx_t_29, __pyx_t_30);
-              __Pyx_XGIVEREF(__pyx_t_25);
-              __Pyx_XGIVEREF(__pyx_t_26);
-              __Pyx_XGIVEREF(__pyx_t_27);
-              __Pyx_ErrRestore(__pyx_t_25, __pyx_t_26, __pyx_t_27);
-              __pyx_t_25 = 0; __pyx_t_26 = 0; __pyx_t_27 = 0; __pyx_t_28 = 0; __pyx_t_29 = 0; __pyx_t_30 = 0;
-              __pyx_lineno = __pyx_t_1; __pyx_clineno = __pyx_t_16; __pyx_filename = __pyx_t_24;
-              goto __pyx_L26_except_error;
-            }
-            __pyx_L34_continue: {
-              __Pyx_DECREF(__pyx_v_exc); __pyx_v_exc = 0;
-              goto __pyx_L32_except_continue;
-            }
-          }
-          __pyx_L32_except_continue:;
-          __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-          __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-          __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-          goto __pyx_L30_try_continue;
-        }
-        goto __pyx_L26_except_error;
-
-        /* "immaculate/_kernels/_speedups.pyx":516
- *                     jj[i] = j[i]
- *                     s[i] = 1
- *                 try:             # <<<<<<<<<<<<<<
- *                     self._unstraighten_c(t, jj, chk, path)
- *                     self._straighten_c(t, s, chk, path, scratch)
-*/
-        __pyx_L26_except_error:;
-        __Pyx_XGIVEREF(__pyx_t_19);
-        __Pyx_XGIVEREF(__pyx_t_20);
-        __Pyx_XGIVEREF(__pyx_t_21);
-        __Pyx_ExceptionReset(__pyx_t_19, __pyx_t_20, __pyx_t_21);
-        goto __pyx_L12_error;
-        __pyx_L30_try_continue:;
-        __Pyx_XGIVEREF(__pyx_t_19);
-        __Pyx_XGIVEREF(__pyx_t_20);
-        __Pyx_XGIVEREF(__pyx_t_21);
-        __Pyx_ExceptionReset(__pyx_t_19, __pyx_t_20, __pyx_t_21);
-        goto __pyx_L18_continue;
-        __pyx_L31_try_end:;
-      }
-
-      /* "immaculate/_kernels/_speedups.pyx":522
- *                     failures.append((int(r), "check", str(exc)))
- *                     continue
- *                 bad = False             # <<<<<<<<<<<<<<
- *                 for i in range(n):
- *                     if t[i] != table[p_idx * n + i] or s[i] != j[i]:
-*/
-      __pyx_v_bad = 0;
-
-      /* "immaculate/_kernels/_speedups.pyx":523
- *                     continue
- *                 bad = False
- *                 for i in range(n):             # <<<<<<<<<<<<<<
- *                     if t[i] != table[p_idx * n + i] or s[i] != j[i]:
- *                         bad = True
-*/
-      __pyx_t_16 = __pyx_v_n;
-      __pyx_t_1 = __pyx_t_16;
-      for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_1; __pyx_t_17+=1) {
-        __pyx_v_i = __pyx_t_17;
-
-        /* "immaculate/_kernels/_speedups.pyx":524
- *                 bad = False
- *                 for i in range(n):
- *                     if t[i] != table[p_idx * n + i] or s[i] != j[i]:             # <<<<<<<<<<<<<<
- *                         bad = True
- *                         break
-*/
-        __pyx_t_8 = ((__pyx_v_t[__pyx_v_i]) != (__pyx_v_table[((__pyx_v_p_idx * __pyx_v_n) + __pyx_v_i)]));
-        if (!__pyx_t_8) {
-        } else {
-          __pyx_t_2 = __pyx_t_8;
-          goto __pyx_L46_bool_binop_done;
-        }
-        __pyx_t_8 = ((__pyx_v_s[__pyx_v_i]) != (__pyx_v_j[__pyx_v_i]));
-        __pyx_t_2 = __pyx_t_8;
-        __pyx_L46_bool_binop_done:;
-        if (__pyx_t_2) {
-
-          /* "immaculate/_kernels/_speedups.pyx":525
- *                 for i in range(n):
- *                     if t[i] != table[p_idx * n + i] or s[i] != j[i]:
- *                         bad = True             # <<<<<<<<<<<<<<
- *                         break
- *                 if bad:
-*/
-          __pyx_v_bad = 1;
-
-          /* "immaculate/_kernels/_speedups.pyx":526
- *                     if t[i] != table[p_idx * n + i] or s[i] != j[i]:
- *                         bad = True
- *                         break             # <<<<<<<<<<<<<<
- *                 if bad:
- *                     failures.append(
-*/
-          goto __pyx_L44_break;
-
-          /* "immaculate/_kernels/_speedups.pyx":524
- *                 bad = False
- *                 for i in range(n):
- *                     if t[i] != table[p_idx * n + i] or s[i] != j[i]:             # <<<<<<<<<<<<<<
- *                         bad = True
- *                         break
-*/
-        }
-      }
-      __pyx_L44_break:;
-
-      /* "immaculate/_kernels/_speedups.pyx":527
- *                         bad = True
- *                         break
- *                 if bad:             # <<<<<<<<<<<<<<
- *                     failures.append(
- *                         (int(r), "roundtrip", "unstraighten then straighten changed the pair")
-*/
-      if (__pyx_v_bad) {
-
-        /* "immaculate/_kernels/_speedups.pyx":529
- *                 if bad:
- *                     failures.append(
- *                         (int(r), "roundtrip", "unstraighten then straighten changed the pair")             # <<<<<<<<<<<<<<
- *                     )
- *             return failures
-*/
-        __pyx_t_12 = NULL;
-        __pyx_t_4 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_r); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 529, __pyx_L12_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __pyx_t_5 = 1;
-        {
-          PyObject *__pyx_callargs[2] = {__pyx_t_12, __pyx_t_4};
-          __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(&PyLong_Type), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-          __Pyx_XDECREF(__pyx_t_12); __pyx_t_12 = 0;
-          __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-          if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 529, __pyx_L12_error)
-          __Pyx_GOTREF(__pyx_t_3);
-        }
-        __pyx_t_4 = PyTuple_New(3); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 529, __pyx_L12_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __Pyx_GIVEREF(__pyx_t_3);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 0, __pyx_t_3) != (0)) __PYX_ERR(0, 529, __pyx_L12_error);
-        __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_roundtrip);
-        __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_roundtrip);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 1, __pyx_mstate_global->__pyx_n_u_roundtrip) != (0)) __PYX_ERR(0, 529, __pyx_L12_error);
-        __Pyx_INCREF(__pyx_mstate_global->__pyx_kp_u_unstraighten_then_straighten_cha);
-        __Pyx_GIVEREF(__pyx_mstate_global->__pyx_kp_u_unstraighten_then_straighten_cha);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 2, __pyx_mstate_global->__pyx_kp_u_unstraighten_then_straighten_cha) != (0)) __PYX_ERR(0, 529, __pyx_L12_error);
-        __pyx_t_3 = 0;
-
-        /* "immaculate/_kernels/_speedups.pyx":528
- *                         break
- *                 if bad:
- *                     failures.append(             # <<<<<<<<<<<<<<
- *                         (int(r), "roundtrip", "unstraighten then straighten changed the pair")
- *                     )
-*/
-        __pyx_t_23 = __Pyx_PyList_Append(__pyx_v_failures, __pyx_t_4); if (unlikely(__pyx_t_23 == ((int)-1))) __PYX_ERR(0, 528, __pyx_L12_error)
-        __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-        /* "immaculate/_kernels/_speedups.pyx":527
- *                         bad = True
- *                         break
- *                 if bad:             # <<<<<<<<<<<<<<
- *                     failures.append(
- *                         (int(r), "roundtrip", "unstraighten then straighten changed the pair")
-*/
-      }
-      __pyx_L18_continue:;
-    }
-
-    /* "immaculate/_kernels/_speedups.pyx":531
- *                         (int(r), "roundtrip", "unstraighten then straighten changed the pair")
- *                     )
- *             return failures             # <<<<<<<<<<<<<<
- *         finally:
- *             free(table)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_v_failures);
-    __pyx_r = __pyx_v_failures;
-    goto __pyx_L11_return;
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":533
- *             return failures
- *         finally:
- *             free(table)             # <<<<<<<<<<<<<<
- *             free(buf)
-*/
-  /*finally:*/ {
-    __pyx_L12_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_21 = 0; __pyx_t_20 = 0; __pyx_t_19 = 0; __pyx_t_30 = 0; __pyx_t_29 = 0; __pyx_t_28 = 0;
-      __Pyx_XDECREF(__pyx_t_10); __pyx_t_10 = 0;
-      __Pyx_XDECREF(__pyx_t_12); __pyx_t_12 = 0;
-      __Pyx_XDECREF(__pyx_t_22); __pyx_t_22 = 0;
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_30, &__pyx_t_29, &__pyx_t_28);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_21, &__pyx_t_20, &__pyx_t_19) < 0)) __Pyx_ErrFetch(&__pyx_t_21, &__pyx_t_20, &__pyx_t_19);
-      __Pyx_XGOTREF(__pyx_t_21);
-      __Pyx_XGOTREF(__pyx_t_20);
-      __Pyx_XGOTREF(__pyx_t_19);
-      __Pyx_XGOTREF(__pyx_t_30);
-      __Pyx_XGOTREF(__pyx_t_29);
-      __Pyx_XGOTREF(__pyx_t_28);
-      __pyx_t_16 = __pyx_lineno; __pyx_t_1 = __pyx_clineno; __pyx_t_31 = __pyx_filename;
-      {
-        free(__pyx_v_table);
-
-        /* "immaculate/_kernels/_speedups.pyx":534
- *         finally:
- *             free(table)
- *             free(buf)             # <<<<<<<<<<<<<<
-*/
-        free(__pyx_v_buf);
-      }
-      __Pyx_XGIVEREF(__pyx_t_30);
-      __Pyx_XGIVEREF(__pyx_t_29);
-      __Pyx_XGIVEREF(__pyx_t_28);
-      __Pyx_ExceptionReset(__pyx_t_30, __pyx_t_29, __pyx_t_28);
-      __Pyx_XGIVEREF(__pyx_t_21);
-      __Pyx_XGIVEREF(__pyx_t_20);
-      __Pyx_XGIVEREF(__pyx_t_19);
-      __Pyx_ErrRestore(__pyx_t_21, __pyx_t_20, __pyx_t_19);
-      __pyx_t_21 = 0; __pyx_t_20 = 0; __pyx_t_19 = 0; __pyx_t_30 = 0; __pyx_t_29 = 0; __pyx_t_28 = 0;
-      __pyx_lineno = __pyx_t_16; __pyx_clineno = __pyx_t_1; __pyx_filename = __pyx_t_31;
-      goto __pyx_L1_error;
-    }
-    __pyx_L11_return: {
-      __pyx_t_28 = __pyx_r;
-      __pyx_r = 0;
-
-      /* "immaculate/_kernels/_speedups.pyx":533
- *             return failures
- *         finally:
- *             free(table)             # <<<<<<<<<<<<<<
- *             free(buf)
-*/
-      free(__pyx_v_table);
-
-      /* "immaculate/_kernels/_speedups.pyx":534
- *         finally:
- *             free(table)
- *             free(buf)             # <<<<<<<<<<<<<<
-*/
-      free(__pyx_v_buf);
-      __pyx_r = __pyx_t_28;
-      __pyx_t_28 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "immaculate/_kernels/_speedups.pyx":470
- *             free(buf)
- * 
- *     def scan_pairs(self, p_table, start, stop, check=True):             # <<<<<<<<<<<<<<
- *         """Roundtrip-check pairs with combined indices in [start, stop).
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_XDECREF(__pyx_t_12);
-  __Pyx_XDECREF(__pyx_t_22);
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps.scan_pairs", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_failures);
-  __Pyx_XDECREF(__pyx_v_row);
-  __Pyx_XDECREF(__pyx_v_exc);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "immaculate/_kernels/_speedups.pyx":22
- *     """Precomputed flat geometry for one composition plus the hot operations."""
- * 
- *     cdef readonly tuple parts             # <<<<<<<<<<<<<<
- *     cdef readonly int size
- *     cdef readonly object hook_prod
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_5parts_1__get__(PyObject *__pyx_v_self); /*proto*/
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_5parts_1__get__(PyObject *__pyx_v_self) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__get__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_5parts___get__(((struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_5parts___get__(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__get__", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_self->parts);
-  __pyx_r = __pyx_v_self->parts;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "immaculate/_kernels/_speedups.pyx":23
- * 
- *     cdef readonly tuple parts
- *     cdef readonly int size             # <<<<<<<<<<<<<<
- *     cdef readonly object hook_prod
- *     cdef readonly object n_factorial
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_4size_1__get__(PyObject *__pyx_v_self); /*proto*/
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_4size_1__get__(PyObject *__pyx_v_self) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__get__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_4size___get__(((struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_4size___get__(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__get__", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_int(__pyx_v_self->size); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 23, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps.size.__get__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "immaculate/_kernels/_speedups.pyx":24
- *     cdef readonly tuple parts
- *     cdef readonly int size
- *     cdef readonly object hook_prod             # <<<<<<<<<<<<<<
- *     cdef readonly object n_factorial
- *     cdef int k
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_9hook_prod_1__get__(PyObject *__pyx_v_self); /*proto*/
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_9hook_prod_1__get__(PyObject *__pyx_v_self) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__get__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_9hook_prod___get__(((struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_9hook_prod___get__(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__get__", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_self->hook_prod);
-  __pyx_r = __pyx_v_self->hook_prod;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "immaculate/_kernels/_speedups.pyx":25
- *     cdef readonly int size
- *     cdef readonly object hook_prod
- *     cdef readonly object n_factorial             # <<<<<<<<<<<<<<
- *     cdef int k
- *     cdef int npairs
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_11n_factorial_1__get__(PyObject *__pyx_v_self); /*proto*/
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_11n_factorial_1__get__(PyObject *__pyx_v_self) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__get__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_11n_factorial___get__(((struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_11n_factorial___get__(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__get__", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_self->n_factorial);
-  __pyx_r = __pyx_v_self->n_factorial;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_17__reduce_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_10immaculate_8_kernels_9_speedups_8ShapeOps_17__reduce_cython__ = {"__reduce_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_17__reduce_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_17__reduce_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__reduce_cython__ (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  if (unlikely(__pyx_nargs > 0)) { __Pyx_RaiseArgtupleInvalid("__reduce_cython__", 1, 0, 0, __pyx_nargs); return NULL; }
-  const Py_ssize_t __pyx_kwds_len = unlikely(__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-  if (unlikely(__pyx_kwds_len < 0)) return NULL;
-  if (unlikely(__pyx_kwds_len > 0)) {__Pyx_RejectKeywords("__reduce_cython__", __pyx_kwds); return NULL;}
-  __pyx_r = __pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_16__reduce_cython__(((struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_16__reduce_cython__(CYTHON_UNUSED struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__reduce_cython__", 0);
-
-  /* "(tree fragment)":2
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"             # <<<<<<<<<<<<<<
- * def __setstate_cython__(self, __pyx_state):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-  __Pyx_Raise(((PyObject *)(((PyTypeObject*)PyExc_TypeError))), __pyx_mstate_global->__pyx_kp_u_no_default___reduce___due_to_non, 0, 0);
-  __PYX_ERR(1, 2, __pyx_L1_error)
-
-  /* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps.__reduce_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_19__setstate_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_10immaculate_8_kernels_9_speedups_8ShapeOps_19__setstate_cython__ = {"__setstate_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_19__setstate_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_19__setstate_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  CYTHON_UNUSED PyObject *__pyx_v___pyx_state = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__setstate_cython__ (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_pyx_state,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(1, 3, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(1, 3, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__setstate_cython__", 0) < (0)) __PYX_ERR(1, 3, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__setstate_cython__", 1, 1, 1, i); __PYX_ERR(1, 3, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(1, 3, __pyx_L3_error)
-    }
-    __pyx_v___pyx_state = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("__setstate_cython__", 1, 1, 1, __pyx_nargs); __PYX_ERR(1, 3, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_18__setstate_cython__(((struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *)__pyx_v_self), __pyx_v___pyx_state);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_10immaculate_8_kernels_9_speedups_8ShapeOps_18__setstate_cython__(CYTHON_UNUSED struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *__pyx_v_self, CYTHON_UNUSED PyObject *__pyx_v___pyx_state) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__setstate_cython__", 0);
-
-  /* "(tree fragment)":4
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"             # <<<<<<<<<<<<<<
-*/
-  __Pyx_Raise(((PyObject *)(((PyTypeObject*)PyExc_TypeError))), __pyx_mstate_global->__pyx_kp_u_no_default___reduce___due_to_non, 0, 0);
-  __PYX_ERR(1, 4, __pyx_L1_error)
-
-  /* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("immaculate._kernels._speedups.ShapeOps.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-/* #### Code section: module_exttypes ### */
-static struct __pyx_vtabstruct_10immaculate_8_kernels_9_speedups_ShapeOps __pyx_vtable_10immaculate_8_kernels_9_speedups_ShapeOps;
-
-static PyObject *__pyx_tp_new_10immaculate_8_kernels_9_speedups_ShapeOps(PyTypeObject *t, PyObject *a, PyObject *k) {
-  struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *p;
-  PyObject *o;
-  o = __Pyx_AllocateExtensionType(t, 0);
-  if (unlikely(!o)) return 0;
-  p = ((struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *)o);
-  p->__pyx_vtab = __pyx_vtabptr_10immaculate_8_kernels_9_speedups_ShapeOps;
-  p->parts = ((PyObject*)Py_None); Py_INCREF(Py_None);
-  p->hook_prod = Py_None; Py_INCREF(Py_None);
-  p->n_factorial = Py_None; Py_INCREF(Py_None);
-  if (unlikely(__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_1__cinit__(o, a, k) < 0)) goto bad;
-  return o;
-  bad:
-  Py_DECREF(o); o = 0;
-  return NULL;
-}
-
-static void __pyx_tp_dealloc_10immaculate_8_kernels_9_speedups_ShapeOps(PyObject *o) {
-  struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *p = (struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *)o;
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && !__Pyx_PyObject_GC_IsFinalized(o)) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_10immaculate_8_kernels_9_speedups_ShapeOps) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyObject_GC_UnTrack(o);
-  {
-    PyObject *etype, *eval, *etb;
-    PyErr_Fetch(&etype, &eval, &etb);
-    __Pyx_DeallocKeepAliveBegin(o);
-    __pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_3__dealloc__(o);
-    __Pyx_DeallocKeepAliveEnd(o);
-    PyErr_Restore(etype, eval, etb);
-  }
-  Py_CLEAR(p->parts);
-  Py_CLEAR(p->hook_prod);
-  Py_CLEAR(p->n_factorial);
-  PyTypeObject *tp = Py_TYPE(o);
-  #if CYTHON_USE_TYPE_SLOTS
-  (*tp->tp_free)(o);
-  #else
-  {
-    freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-    if (tp_free) tp_free(o);
-  }
-  #endif
-  #if CYTHON_USE_TYPE_SPECS
-  Py_DECREF(tp);
-  #endif
-}
-
-static int __pyx_tp_traverse_10immaculate_8_kernels_9_speedups_ShapeOps(PyObject *o, visitproc v, void *a) {
-  int e;
-  struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *p = (struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *)o;
-  {
-    e = __Pyx_call_type_traverse(o, 1, v, a);
-    if (e) return e;
-  }
-  if (p->parts) {
-    e = (*v)(p->parts, a); if (e) return e;
-  }
-  if (p->hook_prod) {
-    e = (*v)(p->hook_prod, a); if (e) return e;
-  }
-  if (p->n_factorial) {
-    e = (*v)(p->n_factorial, a); if (e) return e;
-  }
-  return 0;
-}
-
-static int __pyx_tp_clear_10immaculate_8_kernels_9_speedups_ShapeOps(PyObject *o) {
-  PyObject* tmp;
-  struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *p = (struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *)o;
-  tmp = ((PyObject*)p->parts);
-  p->parts = ((PyObject*)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->hook_prod);
-  p->hook_prod = Py_None; Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->n_factorial);
-  p->n_factorial = Py_None; Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  return 0;
-}
-
-static PyObject *__pyx_getprop_10immaculate_8_kernels_9_speedups_8ShapeOps_parts(PyObject *o, CYTHON_UNUSED void *x) {
-  return __pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_5parts_1__get__(o);
-}
-
-static PyObject *__pyx_getprop_10immaculate_8_kernels_9_speedups_8ShapeOps_size(PyObject *o, CYTHON_UNUSED void *x) {
-  return __pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_4size_1__get__(o);
-}
-
-static PyObject *__pyx_getprop_10immaculate_8_kernels_9_speedups_8ShapeOps_hook_prod(PyObject *o, CYTHON_UNUSED void *x) {
-  return __pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_9hook_prod_1__get__(o);
-}
-
-static PyObject *__pyx_getprop_10immaculate_8_kernels_9_speedups_8ShapeOps_n_factorial(PyObject *o, CYTHON_UNUSED void *x) {
-  return __pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_11n_factorial_1__get__(o);
-}
-
-static PyMethodDef __pyx_methods_10immaculate_8_kernels_9_speedups_ShapeOps[] = {
-  {"is_standard_immaculate", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_5is_standard_immaculate, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_10immaculate_8_kernels_9_speedups_8ShapeOps_4is_standard_immaculate},
-  {"straighten", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_7straighten, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_10immaculate_8_kernels_9_speedups_8ShapeOps_6straighten},
-  {"unstraighten", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_9unstraighten, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_10immaculate_8_kernels_9_speedups_8ShapeOps_8unstraighten},
-  {"count_standard", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_11count_standard, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_10immaculate_8_kernels_9_speedups_8ShapeOps_10count_standard},
-  {"scan_fillings", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_13scan_fillings, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_10immaculate_8_kernels_9_speedups_8ShapeOps_12scan_fillings},
-  {"scan_pairs", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_15scan_pairs, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_10immaculate_8_kernels_9_speedups_8ShapeOps_14scan_pairs},
-  {"__reduce_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_17__reduce_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {"__setstate_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_10immaculate_8_kernels_9_speedups_8ShapeOps_19__setstate_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {0, 0, 0, 0}
-};
-
-static struct PyGetSetDef __pyx_getsets_10immaculate_8_kernels_9_speedups_ShapeOps[] = {
-  {"parts", __pyx_getprop_10immaculate_8_kernels_9_speedups_8ShapeOps_parts, 0, 0, 0},
-  {"size", __pyx_getprop_10immaculate_8_kernels_9_speedups_8ShapeOps_size, 0, 0, 0},
-  {"hook_prod", __pyx_getprop_10immaculate_8_kernels_9_speedups_8ShapeOps_hook_prod, 0, 0, 0},
-  {"n_factorial", __pyx_getprop_10immaculate_8_kernels_9_speedups_8ShapeOps_n_factorial, 0, 0, 0},
-  {0, 0, 0, 0, 0}
-};
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_10immaculate_8_kernels_9_speedups_ShapeOps_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_10immaculate_8_kernels_9_speedups_ShapeOps},
-  {Py_tp_doc, (void *)PyDoc_STR("Precomputed flat geometry for one composition plus the hot operations.")},
-  {Py_tp_traverse, (void *)__pyx_tp_traverse_10immaculate_8_kernels_9_speedups_ShapeOps},
-  {Py_tp_clear, (void *)__pyx_tp_clear_10immaculate_8_kernels_9_speedups_ShapeOps},
-  {Py_tp_methods, (void *)__pyx_methods_10immaculate_8_kernels_9_speedups_ShapeOps},
-  {Py_tp_getset, (void *)__pyx_getsets_10immaculate_8_kernels_9_speedups_ShapeOps},
-  {Py_tp_new, (void *)__pyx_tp_new_10immaculate_8_kernels_9_speedups_ShapeOps},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_10immaculate_8_kernels_9_speedups_ShapeOps_spec = {
-  "immaculate._kernels._speedups.ShapeOps",
-  sizeof(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_BASETYPE|Py_TPFLAGS_HAVE_GC,
-  __pyx_type_10immaculate_8_kernels_9_speedups_ShapeOps_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_10immaculate_8_kernels_9_speedups_ShapeOps = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "immaculate._kernels._speedups.""ShapeOps", /*tp_name*/
-  sizeof(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_10immaculate_8_kernels_9_speedups_ShapeOps, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_BASETYPE|Py_TPFLAGS_HAVE_GC, /*tp_flags*/
-  PyDoc_STR("Precomputed flat geometry for one composition plus the hot operations."), /*tp_doc*/
-  __pyx_tp_traverse_10immaculate_8_kernels_9_speedups_ShapeOps, /*tp_traverse*/
-  __pyx_tp_clear_10immaculate_8_kernels_9_speedups_ShapeOps, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  __pyx_methods_10immaculate_8_kernels_9_speedups_ShapeOps, /*tp_methods*/
-  0, /*tp_members*/
-  __pyx_getsets_10immaculate_8_kernels_9_speedups_ShapeOps, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_10immaculate_8_kernels_9_speedups_ShapeOps, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyObject *__pyx_tp_new_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  PyObject *o;
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr > 0) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, __pyx_mstate_global->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr, sizeof(struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr))))
-  {
-    o = (PyObject*)__pyx_mstate_global->__pyx_freelist_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr[--__pyx_mstate_global->__pyx_freecount_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr];
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(Py_TYPE(o));
-    #endif
-    memset(o, 0, sizeof(struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr));
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    (void) PyObject_Init(o, t);
-    #else
-    (void) PyObject_INIT(o, t);
-    #endif
-    PyObject_GC_Track(o);
-  } else
-  #endif
-  {
-    o = __Pyx_AllocateExtensionType(t, 1);
-    if (unlikely(!o)) return 0;
-  }
-  return o;
-}
-
-static void __pyx_tp_dealloc_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr(PyObject *o) {
-  struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr *p = (struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr *)o;
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && !__Pyx_PyObject_GC_IsFinalized(o)) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyObject_GC_UnTrack(o);
-  Py_CLEAR(p->__pyx_genexpr_arg_0);
-  Py_CLEAR(p->__pyx_v_p);
-  Py_CLEAR(p->__pyx_t_0);
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr < 8) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(Py_TYPE(o), __pyx_mstate_global->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr, sizeof(struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr))))
-  {
-    __pyx_mstate_global->__pyx_freelist_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr[__pyx_mstate_global->__pyx_freecount_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr++] = ((struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr *)o);
-  } else
-  #endif
-  {
-    PyTypeObject *tp = Py_TYPE(o);
-    #if CYTHON_USE_TYPE_SLOTS
-    (*tp->tp_free)(o);
-    #else
-    {
-      freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-      if (tp_free) tp_free(o);
-    }
-    #endif
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(tp);
-    #endif
-  }
-}
-
-static int __pyx_tp_traverse_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr(PyObject *o, visitproc v, void *a) {
-  int e;
-  struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr *p = (struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr *)o;
-  {
-    e = __Pyx_call_type_traverse(o, 1, v, a);
-    if (e) return e;
-  }
-  if (p->__pyx_genexpr_arg_0) {
-    e = (*v)(p->__pyx_genexpr_arg_0, a); if (e) return e;
-  }
-  if (p->__pyx_v_p) {
-    e = (*v)(p->__pyx_v_p, a); if (e) return e;
-  }
-  if (p->__pyx_t_0) {
-    e = (*v)(p->__pyx_t_0, a); if (e) return e;
-  }
-  return 0;
-}
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr},
-  {Py_tp_traverse, (void *)__pyx_tp_traverse_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr},
-  {Py_tp_new, (void *)__pyx_tp_new_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr_spec = {
-  "immaculate._kernels._speedups.__pyx_scope_struct__genexpr",
-  sizeof(struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC,
-  __pyx_type_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "immaculate._kernels._speedups.""__pyx_scope_struct__genexpr", /*tp_name*/
-  sizeof(struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC, /*tp_flags*/
-  0, /*tp_doc*/
-  __pyx_tp_traverse_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr, /*tp_traverse*/
-  0, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  0, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyObject *__pyx_tp_new_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  PyObject *o;
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr > 0) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, __pyx_mstate_global->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr, sizeof(struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr))))
-  {
-    o = (PyObject*)__pyx_mstate_global->__pyx_freelist_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr[--__pyx_mstate_global->__pyx_freecount_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr];
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(Py_TYPE(o));
-    #endif
-    memset(o, 0, sizeof(struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr));
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    (void) PyObject_Init(o, t);
-    #else
-    (void) PyObject_INIT(o, t);
-    #endif
-    PyObject_GC_Track(o);
-  } else
-  #endif
-  {
-    o = __Pyx_AllocateExtensionType(t, 1);
-    if (unlikely(!o)) return 0;
-  }
-  return o;
-}
-
-static void __pyx_tp_dealloc_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr(PyObject *o) {
-  struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr *p = (struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr *)o;
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && !__Pyx_PyObject_GC_IsFinalized(o)) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyObject_GC_UnTrack(o);
-  Py_CLEAR(p->__pyx_genexpr_arg_0);
-  Py_CLEAR(p->__pyx_v_p);
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr < 8) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(Py_TYPE(o), __pyx_mstate_global->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr, sizeof(struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr))))
-  {
-    __pyx_mstate_global->__pyx_freelist_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr[__pyx_mstate_global->__pyx_freecount_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr++] = ((struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr *)o);
-  } else
-  #endif
-  {
-    PyTypeObject *tp = Py_TYPE(o);
-    #if CYTHON_USE_TYPE_SLOTS
-    (*tp->tp_free)(o);
-    #else
-    {
-      freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-      if (tp_free) tp_free(o);
-    }
-    #endif
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(tp);
-    #endif
-  }
-}
-
-static int __pyx_tp_traverse_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr(PyObject *o, visitproc v, void *a) {
-  int e;
-  struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr *p = (struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr *)o;
-  {
-    e = __Pyx_call_type_traverse(o, 1, v, a);
-    if (e) return e;
-  }
-  if (p->__pyx_genexpr_arg_0) {
-    e = (*v)(p->__pyx_genexpr_arg_0, a); if (e) return e;
-  }
-  if (p->__pyx_v_p) {
-    e = (*v)(p->__pyx_v_p, a); if (e) return e;
-  }
-  return 0;
-}
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr},
-  {Py_tp_traverse, (void *)__pyx_tp_traverse_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr},
-  {Py_tp_new, (void *)__pyx_tp_new_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr_spec = {
-  "immaculate._kernels._speedups.__pyx_scope_struct_1_genexpr",
-  sizeof(struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC,
-  __pyx_type_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "immaculate._kernels._speedups.""__pyx_scope_struct_1_genexpr", /*tp_name*/
-  sizeof(struct __pyx_obj_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC, /*tp_flags*/
-  0, /*tp_doc*/
-  __pyx_tp_traverse_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr, /*tp_traverse*/
-  0, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  0, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyMethodDef __pyx_methods[] = {
-  {0, 0, 0, 0}
-};
-/* #### Code section: initfunc_declarations ### */
-static CYTHON_SMALL_CODE int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitGlobals(void); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate); /*proto*/
-/* #### Code section: init_module ### */
-
-static int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_global_init_code", 0);
-  /*--- Global init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_export_code", 0);
-  /*--- Variable export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_export_code", 0);
-  /*--- Function export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_init_code", 0);
-  /*--- Type init code ---*/
-  __pyx_vtabptr_10immaculate_8_kernels_9_speedups_ShapeOps = &__pyx_vtable_10immaculate_8_kernels_9_speedups_ShapeOps;
-  __pyx_vtable_10immaculate_8_kernels_9_speedups_ShapeOps._is_standard = (int (*)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, int *))__pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__is_standard;
-  __pyx_vtable_10immaculate_8_kernels_9_speedups_ShapeOps._prefix_standard = (int (*)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, int *, int))__pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__prefix_standard;
-  __pyx_vtable_10immaculate_8_kernels_9_speedups_ShapeOps._slide = (int (*)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, int *, int, int *))__pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__slide;
-  __pyx_vtable_10immaculate_8_kernels_9_speedups_ShapeOps._build_path = (int (*)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, int, int, int *))__pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__build_path;
-  __pyx_vtable_10immaculate_8_kernels_9_speedups_ShapeOps._hook_index = (int (*)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, int, int))__pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__hook_index;
-  __pyx_vtable_10immaculate_8_kernels_9_speedups_ShapeOps._rot_right = (void (*)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, int *, int *, int))__pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__rot_right;
-  __pyx_vtable_10immaculate_8_kernels_9_speedups_ShapeOps._rot_left = (void (*)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, int *, int *, int))__pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__rot_left;
-  __pyx_vtable_10immaculate_8_kernels_9_speedups_ShapeOps._straighten_c = (int (*)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, int *, int *, int, int *, int *))__pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__straighten_c;
-  __pyx_vtable_10immaculate_8_kernels_9_speedups_ShapeOps._path_matches_hook = (int (*)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, int, int, int *, int))__pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__path_matches_hook;
-  __pyx_vtable_10immaculate_8_kernels_9_speedups_ShapeOps._unstraighten_c = (int (*)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, int *, int *, int, int *))__pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__unstraighten_c;
-  __pyx_vtable_10immaculate_8_kernels_9_speedups_ShapeOps._next_perm = (int (*)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, int *))__pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__next_perm;
-  __pyx_vtable_10immaculate_8_kernels_9_speedups_ShapeOps._perm_unrank = (int (*)(struct __pyx_obj_10immaculate_8_kernels_9_speedups_ShapeOps *, PY_LONG_LONG, int *))__pyx_f_10immaculate_8_kernels_9_speedups_8ShapeOps__perm_unrank;
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups_ShapeOps = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_10immaculate_8_kernels_9_speedups_ShapeOps_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups_ShapeOps)) __PYX_ERR(0, 19, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_10immaculate_8_kernels_9_speedups_ShapeOps_spec, __pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups_ShapeOps) < (0)) __PYX_ERR(0, 19, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups_ShapeOps = &__pyx_type_10immaculate_8_kernels_9_speedups_ShapeOps;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups_ShapeOps) < (0)) __PYX_ERR(0, 19, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups_ShapeOps);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups_ShapeOps->tp_dictoffset && __pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups_ShapeOps->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups_ShapeOps->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  if (__Pyx_SetVtable(__pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups_ShapeOps, __pyx_vtabptr_10immaculate_8_kernels_9_speedups_ShapeOps) < (0)) __PYX_ERR(0, 19, __pyx_L1_error)
-  if (__Pyx_MergeVtables(__pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups_ShapeOps) < (0)) __PYX_ERR(0, 19, __pyx_L1_error)
-  if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_ShapeOps, (PyObject *) __pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups_ShapeOps) < (0)) __PYX_ERR(0, 19, __pyx_L1_error)
-  if (__Pyx_setup_reduce((PyObject *) __pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups_ShapeOps) < (0)) __PYX_ERR(0, 19, __pyx_L1_error)
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr)) __PYX_ERR(0, 42, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr_spec, __pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr) < (0)) __PYX_ERR(0, 42, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr = &__pyx_type_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr) < (0)) __PYX_ERR(0, 42, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr->tp_dictoffset && __pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct__genexpr->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr)) __PYX_ERR(0, 43, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr_spec, __pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr) < (0)) __PYX_ERR(0, 43, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr = &__pyx_type_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr) < (0)) __PYX_ERR(0, 43, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr->tp_dictoffset && __pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_10immaculate_8_kernels_9_speedups___pyx_scope_struct_1_genexpr->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-
-static int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_import_code", 0);
-  /*--- Type import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_import_code", 0);
-  /*--- Variable import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_import_code", 0);
-  /*--- Function import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-static PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def); /*proto*/
-static int __pyx_pymod_exec__speedups(PyObject* module); /*proto*/
-static PyModuleDef_Slot __pyx_moduledef_slots[] = {
-  {Py_mod_create, (void*)__pyx_pymod_create},
-  {Py_mod_exec, (void*)__pyx_pymod_exec__speedups},
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  {Py_mod_gil, __Pyx_FREETHREADING_COMPATIBLE},
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000 && CYTHON_USE_MODULE_STATE
-  {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
-  #endif
-  {0, NULL}
-};
-#endif
-
-#ifdef __cplusplus
-namespace {
-  struct PyModuleDef __pyx_moduledef =
-  #else
-  static struct PyModuleDef __pyx_moduledef =
-  #endif
-  {
-      PyModuleDef_HEAD_INIT,
-      "_speedups",
-      __pyx_k_Compiled_kernels_the_exact_behav, /* m_doc */
-    #if CYTHON_USE_MODULE_STATE
-      sizeof(__pyx_mstatetype), /* m_size */
-    #else
-      (CYTHON_PEP489_MULTI_PHASE_INIT) ? 0 : -1, /* m_size */
-    #endif
-      __pyx_methods /* m_methods */,
-    #if CYTHON_PEP489_MULTI_PHASE_INIT
-      __pyx_moduledef_slots, /* m_slots */
-    #else
-      NULL, /* m_reload */
-    #endif
-    #if CYTHON_USE_MODULE_STATE
-      __pyx_m_traverse, /* m_traverse */
-      __pyx_m_clear, /* m_clear */
-      NULL /* m_free */
-    #else
-      NULL, /* m_traverse */
-      NULL, /* m_clear */
-      NULL /* m_free */
-    #endif
-  };
-  #ifdef __cplusplus
-} /* anonymous namespace */
-#endif
-
-/* PyModInitFuncType */
-#ifndef CYTHON_NO_PYINIT_EXPORT
-  #define __Pyx_PyMODINIT_FUNC PyMODINIT_FUNC
-#else
-  #ifdef __cplusplus
-  #define __Pyx_PyMODINIT_FUNC extern "C" PyObject *
-  #else
-  #define __Pyx_PyMODINIT_FUNC PyObject *
-  #endif
-#endif
-
-__Pyx_PyMODINIT_FUNC PyInit__speedups(void) CYTHON_SMALL_CODE; /*proto*/
-__Pyx_PyMODINIT_FUNC PyInit__speedups(void)
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-{
-  return PyModuleDef_Init(&__pyx_moduledef);
-}
-/* ModuleCreationPEP489 */
-#if CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-static PY_INT64_T __Pyx_GetCurrentInterpreterId(void) {
-    {
-        PyObject *module = PyImport_ImportModule("_interpreters"); // 3.13+ I think
-        if (!module) {
-            PyErr_Clear(); // just try the 3.8-3.12 version
-            module = PyImport_ImportModule("_xxsubinterpreters");
-            if (!module) goto bad;
-        }
-        PyObject *current = PyObject_CallMethod(module, "get_current", NULL);
-        Py_DECREF(module);
-        if (!current) goto bad;
-        if (PyTuple_Check(current)) {
-            PyObject *new_current = PySequence_GetItem(current, 0);
-            Py_DECREF(current);
-            current = new_current;
-            if (!new_current) goto bad;
-        }
-        long long as_c_int = PyLong_AsLongLong(current);
-        Py_DECREF(current);
-        return as_c_int;
-    }
-  bad:
-    PySys_WriteStderr("__Pyx_GetCurrentInterpreterId failed. Try setting the C define CYTHON_PEP489_MULTI_PHASE_INIT=0\n");
-    return -1;
-}
-#endif
-#if !CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __Pyx_check_single_interpreter(void) {
-    static PY_INT64_T main_interpreter_id = -1;
-#if CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-    PY_INT64_T current_id = GraalPyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_GRAAL
-    PY_INT64_T current_id = PyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-    PY_INT64_T current_id = __Pyx_GetCurrentInterpreterId();
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyInterpreterState_Get());
-#else
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyThreadState_Get()->interp);
-#endif
-    if (unlikely(current_id == -1)) {
-        return -1;
-    }
-    if (main_interpreter_id == -1) {
-        main_interpreter_id = current_id;
-        return 0;
-    } else if (unlikely(main_interpreter_id != current_id)) {
-        PyErr_SetString(
-            PyExc_ImportError,
-            "Interpreter change detected - this module can only be loaded into one interpreter per process.");
-        return -1;
-    }
-    return 0;
-}
-#endif
-static CYTHON_SMALL_CODE int __Pyx_copy_spec_to_module(PyObject *spec, PyObject *moddict, const char* from_name, const char* to_name, int allow_none)
-{
-    PyObject *value = PyObject_GetAttrString(spec, from_name);
-    int result = 0;
-    if (likely(value)) {
-        if (allow_none || value != Py_None) {
-            result = PyDict_SetItemString(moddict, to_name, value);
-        }
-        Py_DECREF(value);
-    } else if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        PyErr_Clear();
-    } else {
-        result = -1;
-    }
-    return result;
-}
-static CYTHON_SMALL_CODE PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def) {
-    PyObject *module = NULL, *moddict, *modname;
-    CYTHON_UNUSED_VAR(def);
-    #if !CYTHON_USE_MODULE_STATE
-    if (__Pyx_check_single_interpreter())
-        return NULL;
-    #endif
-    if (__pyx_m)
-        return __Pyx_NewRef(__pyx_m);
-    modname = PyObject_GetAttrString(spec, "name");
-    if (unlikely(!modname)) goto bad;
-    module = PyModule_NewObject(modname);
-    Py_DECREF(modname);
-    if (unlikely(!module)) goto bad;
-    moddict = PyModule_GetDict(module);
-    if (unlikely(!moddict)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "loader", "__loader__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "origin", "__file__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "parent", "__package__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "submodule_search_locations", "__path__", 0) < 0)) goto bad;
-    return module;
-bad:
-    Py_XDECREF(module);
-    return NULL;
-}
-
-
-static CYTHON_SMALL_CODE int __pyx_pymod_exec__speedups(PyObject *__pyx_pyinit_module)
-#endif
-{
-  int stringtab_initialized = 0;
-  #if CYTHON_USE_MODULE_STATE
-  int pystate_addmodule_run = 0;
-  #endif
-  __pyx_mstatetype *__pyx_mstate = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  Py_ssize_t __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  if (__pyx_m) {
-    if (__pyx_m == __pyx_pyinit_module) return 0;
-    PyErr_SetString(PyExc_RuntimeError, "Module '_speedups' has already been imported. Re-initialisation is not supported.");
-    return -1;
-  }
-  #else
-  if (__pyx_m) return __Pyx_NewRef(__pyx_m);
-  #endif
-  /*--- Module creation code ---*/
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __pyx_t_1 = __pyx_pyinit_module;
-  Py_INCREF(__pyx_t_1);
-  #else
-  __pyx_t_1 = PyModule_Create(&__pyx_moduledef); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 1, __pyx_L1_error)
-  #endif
-  #if CYTHON_USE_MODULE_STATE
-  {
-    int add_module_result = __Pyx_State_AddModule(__pyx_t_1, &__pyx_moduledef);
-    __pyx_t_1 = 0; /* transfer ownership from __pyx_t_1 to "_speedups" pseudovariable */
-    if (unlikely((add_module_result < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    pystate_addmodule_run = 1;
-  }
-  #else
-  __pyx_m = __pyx_t_1;
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  PyUnstable_Module_SetGIL(__pyx_m, Py_MOD_GIL_USED);
-  #endif
-  __pyx_mstate = __pyx_mstate_global;
-  CYTHON_UNUSED_VAR(__pyx_t_1);
-  __pyx_mstate->__pyx_d = PyModule_GetDict(__pyx_m); if (unlikely(!__pyx_mstate->__pyx_d)) __PYX_ERR(0, 1, __pyx_L1_error)
-  Py_INCREF(__pyx_mstate->__pyx_d);
-  __pyx_mstate->__pyx_b = __Pyx_PyImport_AddModuleRef(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_mstate->__pyx_b)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_cython_runtime = __Pyx_PyImport_AddModuleRef("cython_runtime"); if (unlikely(!__pyx_mstate->__pyx_cython_runtime)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (PyObject_SetAttrString(__pyx_m, "__builtins__", __pyx_mstate->__pyx_b) < 0) __PYX_ERR(0, 1, __pyx_L1_error)
-  /* ImportRefnannyAPI */
-  #if CYTHON_REFNANNY
-  __Pyx_RefNanny = __Pyx_RefNannyImportAPI("refnanny");
-  if (!__Pyx_RefNanny) {
-    PyErr_Clear();
-    __Pyx_RefNanny = __Pyx_RefNannyImportAPI("Cython.Runtime.refnanny");
-    if (!__Pyx_RefNanny)
-        Py_FatalError("failed to import 'refnanny' module");
-  }
-  #endif
-  
-__Pyx_RefNannySetupContext("PyInit__speedups", 0);
-  __Pyx_init_runtime_version();
-  if (__Pyx_check_binary_version(__PYX_LIMITED_VERSION_HEX, __Pyx_get_runtime_version(), CYTHON_COMPILING_IN_LIMITED_API) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_tuple = PyTuple_New(0); if (unlikely(!__pyx_mstate->__pyx_empty_tuple)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_bytes = PyBytes_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_bytes)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_unicode = PyUnicode_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_unicode)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Library function declarations ---*/
-  /*--- Initialize various global constants etc. ---*/
-  if (__Pyx_InitConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  stringtab_initialized = 1;
-  if (__Pyx_InitGlobals() < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__pyx_module_is_main_immaculate___kernels___speedups) {
-    if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_name, __pyx_mstate_global->__pyx_n_u_main) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  }
-  {
-    PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "immaculate._kernels._speedups")) {
-      if (unlikely((PyDict_SetItemString(modules, "immaculate._kernels._speedups", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  /*--- Builtin init code ---*/
-  if (__Pyx_InitCachedBuiltins(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Constants init code ---*/
-  if (__Pyx_InitCachedConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__Pyx_CreateCodeObjects(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Global type/function init code ---*/
-  (void)__Pyx_modinit_global_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_export_code(__pyx_mstate);
-  if (unlikely((__Pyx_modinit_type_init_code(__pyx_mstate) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-  (void)__Pyx_modinit_type_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_import_code(__pyx_mstate);
-  /*--- Execution code ---*/
-
-  /* "immaculate/_kernels/_speedups.pyx":11
- * from libc.stdlib cimport free, malloc
- * 
- * from ..errors import InternalCheckError             # <<<<<<<<<<<<<<
- * 
- * BACKEND = "compiled"
-*/
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_InternalCheckError};
-    __pyx_t_1 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u_errors, __pyx_imported_names, 1, __pyx_mstate_global->__pyx_kp_u_immaculate_errors, 2); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 11, __pyx_L1_error)
-  }
-  __pyx_t_2 = __pyx_t_1;
-  __Pyx_GOTREF(__pyx_t_2);
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_InternalCheckError};
-    __pyx_t_3 = 0; {
-      __pyx_t_4 = __Pyx_ImportFrom(__pyx_t_2, __pyx_imported_names[__pyx_t_3]); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 11, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_imported_names[__pyx_t_3], __pyx_t_4) < (0)) __PYX_ERR(0, 11, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    }
-  }
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "immaculate/_kernels/_speedups.pyx":13
- * from ..errors import InternalCheckError
- * 
- * BACKEND = "compiled"             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_BACKEND, __pyx_mstate_global->__pyx_n_u_compiled) < (0)) __PYX_ERR(0, 13, __pyx_L1_error)
-
-  /* "immaculate/_kernels/_speedups.pyx":16
- * 
- * 
- * cdef long long LL_MAX = 0x7FFFFFFFFFFFFFFF             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_v_10immaculate_8_kernels_9_speedups_LL_MAX = 0x7FFFFFFFFFFFFFFF;
-
-  /* "immaculate/_kernels/_speedups.pyx":330
- *     # -- public API (mirrors _pure) ---------------------------------------
- * 
- *     def is_standard_immaculate(self, entries):             # <<<<<<<<<<<<<<
- *         """Stability of a flat filling whose entries are a permutation of 1..n."""
- *         cdef int n = self.size
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_10immaculate_8_kernels_9_speedups_8ShapeOps_5is_standard_immaculate, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_ShapeOps_is_standard_immaculate, NULL, __pyx_mstate_global->__pyx_n_u_immaculate__kernels__speedups, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[2])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 330, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_10immaculate_8_kernels_9_speedups_ShapeOps, __pyx_mstate_global->__pyx_n_u_is_standard_immaculate, __pyx_t_2) < (0)) __PYX_ERR(0, 330, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "immaculate/_kernels/_speedups.pyx":346
- *             free(t)
- * 
- *     def straighten(self, entries, check=False):             # <<<<<<<<<<<<<<
- *         """Flat filling -> (flat standard immaculate filling, flat hook values)."""
- *         cdef int n = self.size
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_10immaculate_8_kernels_9_speedups_8ShapeOps_7straighten, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_ShapeOps_straighten, NULL, __pyx_mstate_global->__pyx_n_u_immaculate__kernels__speedups, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[3])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 346, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  __Pyx_CyFunction_SetDefaultsTuple(__pyx_t_2, __pyx_mstate_global->__pyx_tuple[0]);
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_10immaculate_8_kernels_9_speedups_ShapeOps, __pyx_mstate_global->__pyx_n_u_straighten, __pyx_t_2) < (0)) __PYX_ERR(0, 346, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "immaculate/_kernels/_speedups.pyx":372
- *             free(buf)
- * 
- *     def unstraighten(self, p_entries, hook_values, check=False):             # <<<<<<<<<<<<<<
- *         """(flat standard immaculate filling, flat hook values) -> flat filling."""
- *         cdef int n = self.size
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_10immaculate_8_kernels_9_speedups_8ShapeOps_9unstraighten, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_ShapeOps_unstraighten, NULL, __pyx_mstate_global->__pyx_n_u_immaculate__kernels__speedups, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[4])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 372, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  __Pyx_CyFunction_SetDefaultsTuple(__pyx_t_2, __pyx_mstate_global->__pyx_tuple[0]);
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_10immaculate_8_kernels_9_speedups_ShapeOps, __pyx_mstate_global->__pyx_n_u_unstraighten, __pyx_t_2) < (0)) __PYX_ERR(0, 372, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "immaculate/_kernels/_speedups.pyx":393
- *             free(buf)
- * 
- *     def count_standard(self):             # <<<<<<<<<<<<<<
- *         """Brute-force count of standard immaculate fillings over all n! fillings."""
- *         cdef int n = self.size
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_10immaculate_8_kernels_9_speedups_8ShapeOps_11count_standard, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_ShapeOps_count_standard, NULL, __pyx_mstate_global->__pyx_n_u_immaculate__kernels__speedups, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[5])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 393, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_10immaculate_8_kernels_9_speedups_ShapeOps, __pyx_mstate_global->__pyx_n_u_count_standard, __pyx_t_2) < (0)) __PYX_ERR(0, 393, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "immaculate/_kernels/_speedups.pyx":413
- *             free(a)
- * 
- *     def scan_fillings(self, start, stop, check=True):             # <<<<<<<<<<<<<<
- *         """Roundtrip-check fillings with lexicographic ranks in [start, stop).
- * 
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_10immaculate_8_kernels_9_speedups_8ShapeOps_13scan_fillings, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_ShapeOps_scan_fillings, NULL, __pyx_mstate_global->__pyx_n_u_immaculate__kernels__speedups, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[6])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 413, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  __Pyx_CyFunction_SetDefaultsTuple(__pyx_t_2, __pyx_mstate_global->__pyx_tuple[1]);
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_10immaculate_8_kernels_9_speedups_ShapeOps, __pyx_mstate_global->__pyx_n_u_scan_fillings, __pyx_t_2) < (0)) __PYX_ERR(0, 413, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "immaculate/_kernels/_speedups.pyx":470
- *             free(buf)
- * 
- *     def scan_pairs(self, p_table, start, stop, check=True):             # <<<<<<<<<<<<<<
- *         """Roundtrip-check pairs with combined indices in [start, stop).
- * 
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_10immaculate_8_kernels_9_speedups_8ShapeOps_15scan_pairs, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_ShapeOps_scan_pairs, NULL, __pyx_mstate_global->__pyx_n_u_immaculate__kernels__speedups, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[7])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 470, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  __Pyx_CyFunction_SetDefaultsTuple(__pyx_t_2, __pyx_mstate_global->__pyx_tuple[1]);
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_10immaculate_8_kernels_9_speedups_ShapeOps, __pyx_mstate_global->__pyx_n_u_scan_pairs, __pyx_t_2) < (0)) __PYX_ERR(0, 470, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_10immaculate_8_kernels_9_speedups_8ShapeOps_17__reduce_cython__, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_ShapeOps___reduce_cython, NULL, __pyx_mstate_global->__pyx_n_u_immaculate__kernels__speedups, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[8])); if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_reduce_cython, __pyx_t_2) < (0)) __PYX_ERR(1, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_10immaculate_8_kernels_9_speedups_8ShapeOps_19__setstate_cython__, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_ShapeOps___setstate_cython, NULL, __pyx_mstate_global->__pyx_n_u_immaculate__kernels__speedups, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[9])); if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 3, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_setstate_cython, __pyx_t_2) < (0)) __PYX_ERR(1, 3, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "immaculate/_kernels/_speedups.pyx":1
- * # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True             # <<<<<<<<<<<<<<
- * """Compiled kernels: the exact behaviour of ``_pure`` on C arrays.
- * 
-*/
-  __pyx_t_2 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_test, __pyx_t_2) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /*--- Wrapped vars code ---*/
-
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_4);
-  if (__pyx_m) {
-    if (__pyx_mstate->__pyx_d && stringtab_initialized) {
-      __Pyx_AddTraceback("init immaculate._kernels._speedups", __pyx_clineno, __pyx_lineno, __pyx_filename);
-    }
-    #if !CYTHON_USE_MODULE_STATE
-    Py_CLEAR(__pyx_m);
-    #else
-    Py_DECREF(__pyx_m);
-    if (pystate_addmodule_run) {
-      PyObject *tp, *value, *tb;
-      PyErr_Fetch(&tp, &value, &tb);
-      PyState_RemoveModule(&__pyx_moduledef);
-      PyErr_Restore(tp, value, tb);
-    }
-    #endif
-  } else if (!PyErr_Occurred()) {
-    PyErr_SetString(PyExc_ImportError, "init immaculate._kernels._speedups");
-  }
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  return (__pyx_m != NULL) ? 0 : -1;
-  #else
-  return __pyx_m;
-  #endif
-}
-/* #### Code section: pystring_table ### */
-/* #### Code section: cached_builtins ### */
-
-static int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-
-  /* Cached unbound methods */
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.method_name = &__pyx_mstate->__pyx_n_u_items;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.method_name = &__pyx_mstate->__pyx_n_u_values;
-  return 0;
-}
-/* #### Code section: cached_constants ### */
-
-static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_InitCachedConstants", 0);
-
-  /* "immaculate/_kernels/_speedups.pyx":346
- *             free(t)
- * 
- *     def straighten(self, entries, check=False):             # <<<<<<<<<<<<<<
- *         """Flat filling -> (flat standard immaculate filling, flat hook values)."""
- *         cdef int n = self.size
-*/
-  __pyx_mstate_global->__pyx_tuple[0] = PyTuple_Pack(1, Py_False); if (unlikely(!__pyx_mstate_global->__pyx_tuple[0])) __PYX_ERR(0, 346, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_mstate_global->__pyx_tuple[0]);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_tuple[0]);
-
-  /* "immaculate/_kernels/_speedups.pyx":413
- *             free(a)
- * 
- *     def scan_fillings(self, start, stop, check=True):             # <<<<<<<<<<<<<<
- *         """Roundtrip-check fillings with lexicographic ranks in [start, stop).
- * 
-*/
-  __pyx_mstate_global->__pyx_tuple[1] = PyTuple_Pack(1, Py_True); if (unlikely(!__pyx_mstate_global->__pyx_tuple[1])) __PYX_ERR(0, 413, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_mstate_global->__pyx_tuple[1]);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_tuple[1]);
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_tuple;
-    for (Py_ssize_t i=0; i<2; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-/* #### Code section: init_constants ### */
-
-static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  {
-    const struct { const unsigned int length: 10; } index[] = {{2},{1},{1},{1},{23},{16},{7},{6},{13},{14},{10},{6},{2},{46},{40},{12},{25},{17},{9},{5},{50},{36},{37},{48},{43},{37},{44},{48},{14},{42},{45},{7},{1},{18},{20},{8},{26},{28},{23},{31},{22},{19},{19},{21},{1},{12},{18},{3},{3},{5},{3},{26},{18},{5},{8},{5},{14},{7},{6},{3},{8},{8},{7},{12},{2},{11},{1},{29},{13},{22},{5},{1},{2},{2},{8},{10},{1},{8},{4},{5},{1},{9},{5},{7},{5},{4},{4},{3},{3},{11},{14},{12},{1},{4},{10},{17},{13},{3},{9},{3},{1},{13},{10},{7},{4},{4},{12},{10},{12},{19},{8},{5},{4},{10},{1},{5},{8},{5},{12},{5},{6},{634},{200},{120},{119},{9},{264},{2},{2},{424}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (1797 bytes) */
-const char* const cstring = "BZh91AY&SY\375\365\376\371\000\001T\377\377\377\377\377\377\377\377\277=\277\353\377\350\277\377\377\352@@@@@@@@@\000@@@\000@\000`\006\337\002\364\306\207V\306\232\032\351\247p\010\206\202$L\243\320\231\244\317I\204\332LeOiO\324i\212l\243A\210\003@\000\310h\320i\240\365\037\250L5\006\2112MOjz\210\375L\232\207\352OQ\r20\021\246\004`\214\214&\t\246\000\000&\000\t\240\303\200\000\000\000\000\000\000\001\240\000\000\000\000\000\000\000\001\246D\t&(\r4\320\320\000\032\003@\000\000\000h\000\000\000\003@\003\200\000\000\000\000\000\000\001\240\000\000\000\000\000\000\000\001$\215\004LDz#$\364\211\350\324\362\217P\320\003@\000\000\000i\246\200\321\2204\032b3SI\341|>T\177`u\373\010\354\243\375]\257\362#\251\235\252F\214\322Rpp\212 AK\217\214\034&\223N]\302!Jw\031\206Bd0&d\221#06\330\2640*Vh(\206fH\031\225\233\t>I\221$\201M\256\212\002A\272&Je\366`\263JB\223<d;\314\234\350\223\311\023\211u \014\025&Nf\0252 .aj\260UJ\2657\221p8@\302\204\035Pa3\024!!\307zH\250L\201\"l\014\256bU\203\243\273\201\0105\3228\"\211\244\270\201%\276\331&77\357\375?*7\376\375\325\300\034\342\340\225\034oK\221zR_\300\232\322\245\343\262c#\304\025\372a\265\361@\350\tZ\306\326\314P\"*\014\235f\305\3178\231(;\241AaKRvfC\304Y\244\366pG\211\212aC+5\204Ti8N\001VL\211\004\320\320\210\224\303\010\224\225\300\333\374\301\006<\314B\030t\3315\235@\3656\207N\221\247\245\001!\306\350\231(c\344\226J\220\010\264Z\004X\006\202l\304b\016\242\016g\202 \211\004\2361=\202\223k_\337\342\215\361\350\330M\006@\272\355\315\331\022\031E\220\361\234<c~JH\250ty\256\357B\316\237\034\302s\351\360\336\212\274&\276\350\376/\367\264\272]\326\322\006\035'W\"\246R!g\241\301g\"A\337\021-\222\r(\306\260\311\274\343U\266\310\030.\027\302\014\220L\320P\310@\200\310hp\344J\377\006\000]\036E\303\241\234f\353\266\335r\357\326\\\rV\266p\245w\256|Z\217X\306\360\262!\341\264\207\010\320yS\2415V\250\300\242\357!\236\313 R\327\330\2111\251\014;\036H\231e\223\240\333\225\313\263gk?m\021P\025\267\001o8m\210 \340\332\001\256'*=\030\034LI`WZ\326\265""\245\235k\344\306\000I!&iJRIx\335\307:C\224\022\3335k(ATE*\301=!\005\271\201\264\254\344\322]<\345\231*\343\264\371%q\303\rv\344\025C\023\035+,\260\243(1\010\260\300<\364\002s\037}J\361}\345\005\031\240\204I4\007\326\t\2628\320a\241\350j\030T\251\020\010R)\226B!;\222p\233\014\370\277\202\227\301\251\304a\002\327\204G\317\000CM\023\025\311\002Q\013\230f-\221\263p\305\273s\013Z\366\324WVln\206\031`\343@\250\343\321`\304/\2768T\342m\001\265~\206-\241a\022\t\233f\032sJ\322m\225\210\3544\204Jr\013\203a\\u\220n\342\341\303(\030\335\306\356\rvI\302\371\022\261\0073~\312\"\2332\200\016\216\"\001\023\215\303\322\002g\272\301a\252B\030\300\372\t\206\320\343PL\017\031E]\314\326\231\264\021\332\211Ks\021\355\230\"\374m\214K\314\ry-\200\271Y\332\r\001\207l\267\2531\t\205\230udXT\225\240\310\246nX\260t\342\366\263\023j\234,M\312`\201\"f\206\000xi\313\001\273iI\220\005\024,[\352\300\270\220\253\212&\n1\002\202\317\246I\1775\n1+\346\367\227f\267\221Al\252\026i\013XS\206\222\326(@|\203\014r\252\207\222\323\252(\312U\367\262\347\032L>t\014e\33145\2159cik\230\365\203i\220\323\221\273\271\276q\032\3271qx\016I\202LF1\214%a\237F\021\307tF\306\336\255\030\316\266\201f+d\344L\2152\024\271*\336\024\275m\270\344\325\256\336\0016|\000\346\223-b\021\220\243F\026\306\021\tPDF\321)\221\034\303BT\251\363\024\301\034\r\313Y\211\231\347\312\246\200\323\222\327!SK\332\327\317-\206\374\"A\354{\tR\200\030:-\010c-\201\035J)#\234\231\006\363\004\351\300:N\225\026\343;4\"\t#-J\206V\334'J\340p\343\242B-`\272t\200\210\265\232\320D\276u\234\330\320-\360\203\363\264\2236([6A`6\256\2459\005\363\312\021\206\223yi\343\265-\264pjJ9\362\203d\214h\226\271%\0005\234\006'VO\365J\261$q\321z\000\037|BP\210&\007 \301\214\030\203\035|\372\002\033\313Qc0_\347\257\237\236\013\365?`\352\207\324\315\251{\200x\346\364\000\347\206A2\3769p\316\035\t}\214\206\027\332|-\315d3\007\356u \350f\365\316\223\017\207\2557X\037+63\222\3030\020\304\002\307/\037\252\261\320N\035\300(eu\364_$\236\370M\243p\300\t\231\300A\016\200\241\252""\343@\350\005\003\204\212\226\351\364AKNS`\336\251\2726\310Z\007Y\032\253\302\304\325\331(>\021\220\260\020\301\221\225\204#2m\216\364#\337\n\013M\001B\210T8\024\217\307\256\"\003{7\365\021\036\331`\357\3044\001\230\0306\210\031\247\267\366\003tt\273fw\005\264=\222S\272\031\376\273t\3001l\343=>\255\273\260\004\270L\023\332\027W\210i]+\250.)\203Q\204[\344+\230\244b\332\373\000\321\210Z\034\246\246\266\217\222!f\311\201\021\007\373\002\033\032\312\242\312\361\224\002\300\205M\000\2055\341~\010L!\210 |\004\007\006\243\360>u\353\001TW\257z\265\\\372\251l\035p\2653\300;\365\252n\025\312\274t\3360\365>Z\003\343\241\352\374N\315\237xN\237\310\277-\207F\034\241\244\354|\363\314\032\205g\017\022\010\212)\263O+*\3766v/\212\\\275\2113r&7\317z\240\362\211 ]\265\270\241VF\346'!\222i\241\224\235Q\304\250\211\232Q\205U\251G\250v\244\216)\263\326\030$f\010\264\225W5N\030A\031s\275\027\0135\353]K\031\305\312\210A\242Y.\036\3232\025\200(\242\024\346\342\350\245\245EZ\326HR(\304\267\376.\344\212p\241!\373\353\375\362";
-    PyObject *data = __Pyx_DecompressString(cstring, 1797, 2);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (1684 bytes) */
-const char* const cstring = "x\332\235UAs\333\306\025\016e\271\241\033\331\021,Z\242b\251Y\312v\332\264\261<\224\351\316\264\315\244CKn\222\351$-%;M\247\207\235%\260\024\327\002\001\020\273\220\251\311d\246G\035q\334\343\036q\304\221G\375\004\036q\324O\360O\350{ H\2216\335&\325\214H\340a\361\275\357}\357{\217\237\221Ow\377\334f\016\261\375^\340K\241\204\357\221\200\205J\376\221`X\332\314#!\363\2169\371\227#$k\273\234{\370I\270\247B\301%a\236C&7\237\221c_\221\032\351\010\327\025\336\261\374\224t\374\220\034\333]\337?!\302s\370\200\330\256/\271\203\361\036A\300\343\220\003\310+\241\272\244\3432E\302\310\313O\007\241\357D\266\"\312\367\211\313B\310\217P\310R\270\274\340\225\037<en\304\345\314%\361\200\003\037tY$\025wD\257\307\354\010\220\371.\017C?\224B\216\013p<\0168\236O\034\336a\221\253\010\245!\207\224\234R\342D\034\022\303C\357!\324u*\230\013Om\341\tEi\020\362\216\030\020\251\240p\026\002\212\224\004jR\204u\024\017!\316\003\362\3163m\016U\360\361!\351\n\207\203\326P\271\030\223V]>\256)\017\372\035\"\224\004i\235\300\027\236\222\343\363!\227Hv\346\r[\204X`H\\\336QDvEG\311\320~tU\370#z\302C\217\273\362\021\225\001\024\035\005r78\033H\0252q\334U\334{\003tB\233\\A\314\234\205\224\036\211\274\231\210\335E\17789\231\242\363\237\303c4\200\037\2056\377B\tT\232\303\3616\004\240\333]\350a^?\234!\320\364\251\363\346p\363L\357\310\0230\021>m\356\377\365\331\267\007_}\355\201\360\036s\367\273\334>y\206M\246\364\357g\003\370?\020\266\242\337\362\201:\344\235\243.\013\370\337\0029\371\336\235\366\333>S]\337\243t\346\211\344\nTP\013\236\331~\344):\221h\032\026r\032\243W\262M\037\243]\351d*\346\243X\311LhZ\35644\253\t\243\224y\320#\244F\231<\363l\341\003\245\320\217\224\000\227\301\304\266\243\216\215:\330\335\223\251ew?w}\233\271\362\213\335c\356\361A\020\332\300\203S\341Q\000\266y\233\301q\034\313\311t\3455\316\027Z\014\370x\204\370\300\3560\341F`\033J;\221gSZ\000\343E\241\034\355\n\3642\035\017\245\230\231\303\211\035w\247v\244 \337\264\212\305R\n\305{\362\345\313\227\256Oi\217\001u\370\353\301\212p!\023""\334x\254\207\027\320j/\364_\311 \240\005\343\200\ng\020P\205#\237\3575\234\255\200\207\260\355\002\260\035\31438\245`\214\227\247\371ID\357G\314\035\303\206\260\000O\256\326\303[\306\231\006\370\000/{P\210\347@\366\000\251\314\265\376\252\343\322\016\231\262\273\222\273\035XHNn\271\242\n\270*v\322\214\021\351\002SNd\202o(L\371\301\225QTQ\006\216.|v\201\311\254\217\362\246\214;3Z~\222\266^\257\274wc=~\256\255\254\374\301y\343\\\305\365l\345v\374P\367M)+\337\325\r\335\317\312[\272Y||\254\245\251\231:\236}|\336\216\227\342{\361\221^\322\367\364\221\271f\366\314w\311^\322\302\367\177\253\233\243\355GI?-\017KC\200\376H\377\332\254\233(\371K\272\223\356\247r\2703\004\260\252~_\237\232\226i'K\311N\3624a\010\373\373x-~\246\327\364\001\000\002\225\325\270\024WuE\2674\313Vnf\345\365\230\341\207\243w\220\316F\254\364\236>\324\241\261&\321\247\272\215\3147\341\035\214\337F\262[\200\266dv\314S\303^\377\342\275\033\233zY7u\353\262\274\006\305\226o`\222\353\361\013]\323\365lu=>\316s\255V\200\305\035\315\240\374\312\246\266\n\340%\363\300\310\244\226\324\257\336A\201V\253\271\006-|\275\r\2275|\375K\375\304\224 \377\236y\236T@\225\312\235\270\005\340\3770\007P\356\375\244\233\262\364tx8\004\374\217\364}m\233\212\371>i%\363\231\361\025\236\343\254\2330\271\235\253[\001\t\342\010\013\000\232\305\t ne\225\352\250\372\233\244\224\254%\007\351\365\024\016V\365-\303\200\357\275\344E\372\311\260\224\255n\2146\036\"\302\226\376\022h\035\301\331J\362\317\324\036Z\303\032 !\373\371\364\033q_\227\240\027\373:2\315\274\271\207I\230\256A\007\373\320\326\265\341\376\260\177Q\272\260\262\352\257\200Ju3[EAs\364z\266\t~\321\317\315v\302.W |\231w\322\0327\324\032-\377ah]\226\357L|\367\370\234\235\377\000\n\036\202\275\356\201#z\351\343\224\025>\002\305\232\206\246M\250h\261c\032\3472\256-0\307\214\005.\337\350\262\025[\361\203\370\014t\265&7?\344\276^Y\035\255\022\010\257\231}\243\222z\362U\332\314\220~\334\004\235m\000|\001\016\350'\245\242\234\1777\337(\342L_\323\365\031\342\243\0070b\205\302e""\364\326w\246\0166l'%|c\357\374(.\001\363\305\364^\345M\200\354\rh\303\262\376&\261\222\332\333y\337\t\212\303\332_\214\034\352\333\310\362&6\254\021\377\010\372\202)\266\321\277x\257\364\237\3006\350>L\376\030\334\326\237\244-e\313\277<\377]\334\032-\203\321~N\351\377o\343\346f\367\022`\362\311\315\376\233^o\305\363\330-x\210\336z\221|\222\202:\037\302\242\303J\033\372\307\244\231\340\340\216\326qv\254E\335\276\216s\t\273\354Z\332H\243\341\263\013\353b\322\007X\014l\264\014{\356\365\255\271-\032\302\022\373Z\177\017\223o\275\265\r\357^4/Z\263;\365\177h\263\251\255\031m~\322\222\313\312;\006D\307\251\234H\206{\257R\254\273\017\001{'n\342\250\177c,s\337\344\243\206\266\260\346\034\001\203\260`\0335\362\237\206\371\305\363\306\242\271\332D\373I\004\023\264`\361l\2447`\2014\207\255KX\1775\204\270\016j\343\010V\357\352:0\306\037\224\006\216Z\266\205\305lm\347\353(\253\022\363>xs\033\207t#\271\231\266.a\371\226\220\366\223|\361\002\320\0070\r\315\211ua\254\213^\375\007\312\310\020@";
-    PyObject *data = __Pyx_DecompressString(cstring, 1684, 1);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #else /* compression: none (3312 bytes) */
-const char* const bytes = ", ).?bad composition parts: bad scan range [disableenable entries and  entries, got ! fillings) for gchook index closed form disagrees with flat runhook product too large for compiled scan hook valueshook values not exhaustedimmaculate.errorsisenabledneed no default __reduce__ due to non-trivial __cinit__prefix standardness lost after step prefix standardness lost before step slide path is not the hook path of its endpointsslide result is not the circular left shiftsrc/immaculate/_kernels/_speedups.pyxstraighten result is not standard immaculatestraighten then unstraighten changed the filling<stringsource>tied neighbours while sliding at position unstraighten then straighten changed the pairBACKENDHInternalCheckError__Pyx_PyDict_NextRefShapeOpsShapeOps.__reduce_cython__ShapeOps.__setstate_cython__ShapeOps.count_standardShapeOps.is_standard_immaculateShapeOps.scan_fillingsShapeOps.scan_pairsShapeOps.straightenShapeOps.unstraightena__annotate__asyncio.coroutinesbadbufcheckchk__cinit__.<locals>.genexprcline_in_tracebackclosecompiledcountcount_standardentrieserrorsexcfailures__func__genexpr__getstate__hihook_valuesiimmaculate._kernels._speedups_is_coroutineis_standard_immaculateitemsjjjlo__main____module__n__name__nextnrowspp_entriesp_idxp_tablepartspathpermpoppos__pyx_state__pyx_vtable____qualname__rrank__reduce____reduce_cython____reduce_ex__remroundtriprowsscan_fillingsscan_pairsscratchselfsend__set_name__setdefault__setstate____setstate_cython__standardstartstopstraightenttable__test__throwunstraightenvaluevalues\320\0045\260Q\360\014\000\t\026\220T\230\021\330\010\013\2104\210t\2201\330\014\022\220-\230q\240\001\330\010\033\2304\230q\330\010\034\230A\330\010\034\230A\330\010\037\230s\240!\2401\330\010\013\2103\210b\220\002\220#\220S\230\002\230#\230S\240\003\2402\240V\2502\250Q\330\014\022\220*\230A\320\035/\250q\260\010\270\001\270\021\330\010\032\230'\240\026\240u\250F\260\"\260C\260s\270\"\270A\330\010\030\230\007\230v\240Q\240b\250\002\250\"\250B\250a\330\010""\013\2106\220\023\220E\230\023\230D\240\003\2401\330\014\020\220\001\220\030\230\024\230Q\230a\330\014\r\330\010\026\220a\330\010\026\220d\230\"\230A\330\010\027\220t\2302\230R\230r\240\021\330\010\026\220d\230\"\230B\230b\240\001\330\010\031\230\024\230R\230r\240\022\2401\330\010\034\230D\240\002\240\"\240B\240a\360\006\000\t\031\230\004\230A\230Q\340\010\023\2201\330\010\t\330\014\020\220\005\220U\230!\2301\330\020\026\220g\230Q\230a\330\020\024\220E\230\025\230a\230q\330\024\031\230\021\230\"\230B\230b\240\002\240%\240s\250!\2501\330\014\020\220\005\220U\230!\2304\230q\330\020\030\230\002\230#\230Q\330\020\026\220b\230\002\230!\330\020\024\220G\2305\240\001\240\022\2402\240T\250\024\250Q\330\024\025\220Q\220g\230W\240D\250\002\250$\250h\260a\260v\270R\270q\330\024\032\230$\230c\240\024\240X\250Q\250a\330\020\024\220E\230\025\230a\230q\330\024\025\220Q\220e\2305\240\001\240\026\240r\250\022\2502\250Q\330\024\026\220a\220u\230A\230Q\230a\330\024\025\220Q\220e\2301\330\020\021\330\024\030\320\030(\250\001\250\023\250D\260\005\260Q\330\024\030\230\016\240a\240s\250#\250U\260&\270\001\330\020\027\320\027-\250Q\330\024\034\230G\2402\240S\250\001\250\024\250Y\260c\270\021\270!\330\024\025\330\020\026\220a\330\020\024\220E\230\025\230a\230q\330\024\027\220q\230\001\230\023\230C\230u\240A\240V\2502\250R\250r\260\023\260C\260q\270\001\270\023\270C\270q\300\001\300\021\330\030\036\230a\330\030\031\330\020\023\2201\330\024\034\230G\2401\330\031\034\230A\230T\240\035\250a\340\014\023\2201\340\014\020\220\001\220\021\330\014\020\220\001\220\021\320\0049\270\021\340\010\025\220T\230\021\330\010\013\2103\210a\210{\230#\230R\230s\240#\240Q\240m\2603\260a\330\014\022\220*\230A\230W\240A\240_\260A\260Q\330\010\030\230\007\230v\240Q\240b\250\002\250\"\250B\250a\330\010\013\2104\210s\220!\330\014\r\330\010\026\220a\330\010\026\220d\230\"\230A\330\010\031\230\024\230R\230r\240\022\2401\340\010\t\330\014\020\220\005\220U\230!\2301\330\020\021\220\021\220%\220y\240\001\240\021\330\020""\021\220\021\220%\220{\240!\2401\330\014\020\320\020 \240\001\240\023\240C\240t\2501\250H\260A\330\014\023\2201\220A\220Q\220c\230\024\230U\240%\240q\250\001\340\014\020\220\001\220\021\200A\340\010\025\220T\230\021\330\010\013\2103\210a\210y\230\003\2301\330\014\022\220*\230A\230W\240A\320%5\260Q\260c\270\021\270!\330\010\026\220g\230V\2401\240B\240b\250\001\330\010\013\2102\210S\220\001\330\014\r\340\010\t\330\014\020\220\005\220U\230!\2301\330\020\021\220\021\220%\220w\230a\230q\330\014\023\2204\220q\230\004\230M\250\021\250!\340\014\020\220\001\220\021\200A\340\010\025\220T\230\021\330\010\026\220g\230V\2401\240B\240b\250\001\330\010\013\2102\210S\220\001\330\014\r\330\010\037\230q\340\010\t\330\014\020\220\005\220U\230!\2301\330\020\021\220\021\220%\220r\230\022\2301\330\014\r\330\020\023\2204\220}\240A\240Q\330\024\035\230Q\330\020\023\2204\220t\230;\240a\240q\330\024\025\330\014\023\2203\220a\220q\340\014\020\220\001\220\021\200\001\330\004\n\210+\220Q\320\004(\250\001\340\010\025\220T\230\021\330\010\013\2103\210a\210y\230\003\2301\330\014\022\220*\230A\230W\240A\320%5\260Q\260c\270\021\270!\330\010\030\230\007\230v\240Q\240b\250\002\250\"\250B\250a\330\010\013\2104\210s\220!\330\014\r\330\010\026\220a\330\010\026\220d\230\"\230A\330\010\031\230\024\230R\230r\240\022\2401\330\010\034\230D\240\002\240\"\240B\240a\340\010\030\230\004\230A\230Q\330\010\t\330\014\020\220\005\220U\230!\2301\330\020\021\220\021\220%\220w\230a\230q\330\014\020\220\005\220U\230!\2301\330\020\021\220\021\220%\220q\330\014\020\220\016\230a\230s\240#\240U\250&\260\001\330\014\017\210t\2204\220t\2304\230}\250A\250Q\330\020\026\320\026(\250\001\250\021\330\014\023\2201\220A\220Q\220c\230\024\230U\240%\240q\250\005\250Q\250a\250q\260\003\2604\260u\270E\300\021\300!\340\014\020\220\001\220\021\230\021\230a\320\004/\250q\360\016\000\t\026\220T\230\021\330\010\013\2104\210r\220\023\220I\230X\240T\250\021\330\014\022\220*\230A\320\035/\250q\260\010\270\001\270\033\300A\300Q\330\010\034\230A""\330\010\034\230A\330\010\030\230\007\230v\240Q\240b\250\002\250\"\250B\250a\330\010\013\2104\210s\220!\330\014\r\330\010\031\230\021\330\010\026\220d\230\"\230A\330\010\026\220d\230\"\230B\230b\240\001\330\010\031\230\024\230R\230r\240\022\2401\330\010\034\230D\240\002\240\"\240B\240a\330\010\"\240!\330\010\036\230a\330\010\030\230\004\230A\230Q\360\006\000\t\024\2201\330\010\t\330\014\017\210s\220\"\220A\330\020\024\220M\240\021\240$\240a\330\014\022\220%\220r\230\021\330\020\023\2204\220}\240A\240Q\330\024 \240\001\330\020\024\220E\230\025\230a\230q\330\024\025\220Q\220e\2304\230q\240\001\330\024\025\220Q\220e\2301\330\020\021\330\024\030\230\016\240a\240s\250#\250U\260&\270\001\330\024\030\320\030(\250\001\250\023\250C\250u\260A\330\020\027\320\027-\250Q\330\024\034\230G\2402\240S\250\001\250\027\260\t\270\023\270A\270Q\340\024\032\230!\330\024\030\230\005\230U\240!\2401\330\030\033\2301\230A\230S\240\003\2404\240q\250\001\330\034\"\240!\330\034\035\330\024\027\220q\330\030 \240\007\240q\330\035 \240\001\240\027\250\r\260Q\340\020\030\230\001\330\020\023\2205\230\002\230!\330\024\030\230\013\2401\240A\330\014\023\2203\220a\220{\240!\340\014\020\220\001\220\021";
-    PyObject *data = NULL;
-    CYTHON_UNUSED_VAR(__Pyx_DecompressString);
-    #endif
-    PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
-    Py_ssize_t pos = 0;
-    for (int i = 0; i < 121; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
-      if (likely(string) && i >= 31) PyUnicode_InternInPlace(&string);
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-      stringtab[i] = string;
-      pos += bytes_length;
-    }
-    for (int i = 121; i < 130; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
-      stringtab[i] = string;
-      pos += bytes_length;
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 130; i++) {
-      if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    #if CYTHON_IMMORTAL_CONSTANTS
-    {
-      PyObject **table = stringtab + 121;
-      for (Py_ssize_t i=0; i<9; ++i) {
-        #if PY_VERSION_HEX >= 0x030F0000
-        PyUnstable_SetImmortal(table[i]);
-        #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-        if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-        #if PY_VERSION_HEX < 0x030E0000
-        if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-        #else
-        if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-        #endif
-        {
-          Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-        }
-        #else
-        if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-        Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-        #endif
-      }
-    }
-    #endif
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 0;
-    int8_t const cint_constants_1[] = {0,1};
-    for (int i = 0; i < 2; i++) {
-      numbertab[i] = PyLong_FromLong(cint_constants_1[i - 0]);
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_number_tab;
-    for (Py_ssize_t i=0; i<2; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: init_codeobjects ### */
-typedef struct {
-    unsigned int argcount : 3;
-    unsigned int num_posonly_args : 1;
-    unsigned int num_kwonly_args : 1;
-    unsigned int nlocals : 5;
-    unsigned int flags : 10;
-    unsigned int first_line : 9;
-} __Pyx_PyCode_New_function_description;
-/* NewCodeObj.proto */
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-);
-
-
-static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
-  PyObject* tuple_dedup_map = PyDict_New();
-  if (unlikely(!tuple_dedup_map)) return -1;
-  {
-    const __Pyx_PyCode_New_function_description descr = {0, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS|CO_GENERATOR), 42};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_p};
-    __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_immaculate__kernels__speedup, __pyx_mstate->__pyx_n_u_genexpr, __pyx_mstate->__pyx_kp_b_iso88591__5, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {0, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS|CO_GENERATOR), 43};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_p};
-    __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_immaculate__kernels__speedup, __pyx_mstate->__pyx_n_u_genexpr, __pyx_mstate->__pyx_kp_b_iso88591_a, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 5, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 330};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_entries, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_i};
-    __pyx_mstate_global->__pyx_codeobj_tab[2] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_immaculate__kernels__speedup, __pyx_mstate->__pyx_n_u_is_standard_immaculate, __pyx_mstate->__pyx_kp_b_iso88591_A_T_3ay_1_AWA_5Qc_gV1Bb_2S_U_1_w, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[2])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 13, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 346};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_entries, __pyx_mstate->__pyx_n_u_check, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_buf, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_path, __pyx_mstate->__pyx_n_u_scratch, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_chk, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_i};
-    __pyx_mstate_global->__pyx_codeobj_tab[3] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_immaculate__kernels__speedup, __pyx_mstate->__pyx_n_u_straighten, __pyx_mstate->__pyx_kp_b_iso88591_T_3ay_1_AWA_5Qc_vQb_Ba_4s_a_d_A, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[3])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {4, 0, 0, 11, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 372};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_p_entries, __pyx_mstate->__pyx_n_u_hook_values, __pyx_mstate->__pyx_n_u_check, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_buf, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_path, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_i};
-    __pyx_mstate_global->__pyx_codeobj_tab[4] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_immaculate__kernels__speedup, __pyx_mstate->__pyx_n_u_unstraighten, __pyx_mstate->__pyx_kp_b_iso88591_9_T_3a_Rs_Qm3a_AWA_AQ_vQb_Ba_4s, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[4])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 5, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 393};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_a_2, __pyx_mstate->__pyx_n_u_count, __pyx_mstate->__pyx_n_u_i};
-    __pyx_mstate_global->__pyx_codeobj_tab[5] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_immaculate__kernels__speedup, __pyx_mstate->__pyx_n_u_count_standard, __pyx_mstate->__pyx_kp_b_iso88591_A_T_gV1Bb_2S_q_U_1_r_1_4_AQ_Q_4t, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[5])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {4, 0, 0, 20, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 413};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_start, __pyx_mstate->__pyx_n_u_stop, __pyx_mstate->__pyx_n_u_check, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_lo, __pyx_mstate->__pyx_n_u_hi, __pyx_mstate->__pyx_n_u_buf, __pyx_mstate->__pyx_n_u_perm, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_path, __pyx_mstate->__pyx_n_u_scratch, __pyx_mstate->__pyx_n_u_standard, __pyx_mstate->__pyx_n_u_rank, __pyx_mstate->__pyx_n_u_chk, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_bad, __pyx_mstate->__pyx_n_u_failures, __pyx_mstate->__pyx_n_u_exc};
-    __pyx_mstate_global->__pyx_codeobj_tab[6] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_immaculate__kernels__speedup, __pyx_mstate->__pyx_n_u_scan_fillings, __pyx_mstate->__pyx_kp_b_iso88591_q_T_4r_IXT_A_q_AQ_A_A_vQb_Ba_4s, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[6])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {5, 0, 0, 28, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 470};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_p_table, __pyx_mstate->__pyx_n_u_start, __pyx_mstate->__pyx_n_u_stop, __pyx_mstate->__pyx_n_u_check, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_H, __pyx_mstate->__pyx_n_u_lo, __pyx_mstate->__pyx_n_u_hi, __pyx_mstate->__pyx_n_u_nrows, __pyx_mstate->__pyx_n_u_table, __pyx_mstate->__pyx_n_u_buf, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_jj, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_path, __pyx_mstate->__pyx_n_u_scratch, __pyx_mstate->__pyx_n_u_r, __pyx_mstate->__pyx_n_u_p_idx, __pyx_mstate->__pyx_n_u_rem, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_pos, __pyx_mstate->__pyx_n_u_chk, __pyx_mstate->__pyx_n_u_bad, __pyx_mstate->__pyx_n_u_failures, __pyx_mstate->__pyx_n_u_row, __pyx_mstate->__pyx_n_u_exc};
-    __pyx_mstate_global->__pyx_codeobj_tab[7] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_immaculate__kernels__speedup, __pyx_mstate->__pyx_n_u_scan_pairs, __pyx_mstate->__pyx_kp_b_iso88591_5Q_T_4t1_q_4q_A_A_s_1_3b_S_S_2V, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[7])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 1};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self};
-    __pyx_mstate_global->__pyx_codeobj_tab[8] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_stringsource, __pyx_mstate->__pyx_n_u_reduce_cython, __pyx_mstate->__pyx_kp_b_iso88591_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[8])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 2, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 3};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_pyx_state};
-    __pyx_mstate_global->__pyx_codeobj_tab[9] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_stringsource, __pyx_mstate->__pyx_n_u_setstate_cython, __pyx_mstate->__pyx_kp_b_iso88591_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[9])) goto bad;
-  }
-  Py_DECREF(tuple_dedup_map);
-  return 0;
-  bad:
-  Py_DECREF(tuple_dedup_map);
-  return -1;
-}
-/* #### Code section: init_globals ### */
-
-static int __Pyx_InitGlobals(void) {
-  /* PythonCompatibility.init */
-  if (likely(__Pyx_init_co_variables() == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CommonTypesMetaclass.init */
-  if (likely(__pyx_CommonTypesMetaclass_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CachedMethodType.init */
-  #if CYTHON_COMPILING_IN_LIMITED_API
-  {
-      PyObject *typesModule=NULL;
-      typesModule = PyImport_ImportModule("types");
-      if (typesModule) {
-          __pyx_mstate_global->__Pyx_CachedMethodType = PyObject_GetAttrString(typesModule, "MethodType");
-          Py_DECREF(typesModule);
-      }
-  } // error handling follows
-  #endif
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CythonFunctionShared.init */
-  if (likely(__pyx_CyFunction_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* Generator.init */
-  if (likely(__pyx_Generator_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cleanup_globals ### */
-/* #### Code section: cleanup_module ### */
-/* #### Code section: main_method ### */
-/* #### Code section: utility_code_pragmas ### */
-#ifdef _MSC_VER
-#pragma warning( push )
-/* Warning 4127: conditional expression is constant
- * Cython uses constant conditional expressions to allow in inline functions to be optimized at
- * compile-time, so this warning is not useful
- */
-#pragma warning( disable : 4127 )
-#endif
-
-
-
-/* #### Code section: utility_code_def ### */
-
-/* --- Runtime support code --- */
-/* Refnanny */
-#if CYTHON_REFNANNY
-static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname) {
-    PyObject *m = NULL, *p = NULL;
-    void *r = NULL;
-    m = PyImport_ImportModule(modname);
-    if (!m) goto end;
-    p = PyObject_GetAttrString(m, "RefNannyAPI");
-    if (!p) goto end;
-    r = PyLong_AsVoidPtr(p);
-end:
-    Py_XDECREF(p);
-    Py_XDECREF(m);
-    return (__Pyx_RefNannyAPIStruct *)r;
-}
-#endif
-
-/* TupleAndListFromArray (used by fastcall) */
-#if !CYTHON_COMPILING_IN_CPYTHON && CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    Py_ssize_t i;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    for (i = 0; i < n; i++) {
-        Py_INCREF(src[i]);
-        if (unlikely(__Pyx_PyTuple_SET_ITEM(res, i, src[i]) < (0))) {
-            Py_DECREF(res);
-            return NULL;
-        }
-    }
-    return res;
-}
-#elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_copy_object_array(PyObject *const *CYTHON_RESTRICT src, PyObject** CYTHON_RESTRICT dest, Py_ssize_t length) {
-    PyObject *v;
-    Py_ssize_t i;
-    for (i = 0; i < length; i++) {
-        v = dest[i] = src[i];
-        Py_INCREF(v);
-    }
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyTupleObject*)res)->ob_item, n);
-    return res;
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return PyList_New(0);
-    }
-    res = PyList_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyListObject*)res)->ob_item, n);
-    return res;
-}
-#endif
-
-/* BytesEquals (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL ||\
-        !(CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS)
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    if (s1 == s2) {
-        return (equals == Py_EQ);
-    } else if (PyBytes_CheckExact(s1) & PyBytes_CheckExact(s2)) {
-        const char *ps1, *ps2;
-        Py_ssize_t length = PyBytes_GET_SIZE(s1);
-        if (length != PyBytes_GET_SIZE(s2))
-            return (equals == Py_NE);
-        ps1 = PyBytes_AS_STRING(s1);
-        ps2 = PyBytes_AS_STRING(s2);
-        if (ps1[0] != ps2[0]) {
-            return (equals == Py_NE);
-        } else if (length == 1) {
-            return (equals == Py_EQ);
-        } else {
-            int result;
-#if CYTHON_USE_UNICODE_INTERNALS && (PY_VERSION_HEX < 0x030B0000)
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyBytesObject*)s1)->ob_shash;
-            hash2 = ((PyBytesObject*)s2)->ob_shash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                return (equals == Py_NE);
-            }
-#endif
-            result = memcmp(ps1, ps2, (size_t)length);
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & PyBytes_CheckExact(s2)) {
-        return (equals == Py_NE);
-    } else if ((s2 == Py_None) & PyBytes_CheckExact(s1)) {
-        return (equals == Py_NE);
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-#endif
-}
-
-/* UnicodeEquals (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    int s1_is_unicode, s2_is_unicode;
-    if (s1 == s2) {
-        goto return_eq;
-    }
-    s1_is_unicode = PyUnicode_CheckExact(s1);
-    s2_is_unicode = PyUnicode_CheckExact(s2);
-    if (s1_is_unicode & s2_is_unicode) {
-        Py_ssize_t length, length2;
-        int kind;
-        void *data1, *data2;
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (unlikely(__Pyx_PyUnicode_READY(s1) < 0) || unlikely(__Pyx_PyUnicode_READY(s2) < 0))
-            return -1;
-        #endif
-        length = __Pyx_PyUnicode_GET_LENGTH(s1);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length < 0)) return -1;
-        #endif
-        length2 = __Pyx_PyUnicode_GET_LENGTH(s2);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length2 < 0)) return -1;
-        #endif
-        if (length != length2) {
-            goto return_ne;
-        }
-#if CYTHON_USE_UNICODE_INTERNALS
-        {
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyASCIIObject*)s1)->hash;
-            hash2 = ((PyASCIIObject*)s2)->hash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                goto return_ne;
-            }
-        }
-#endif
-        kind = __Pyx_PyUnicode_KIND(s1);
-        if (kind != __Pyx_PyUnicode_KIND(s2)) {
-            goto return_ne;
-        }
-        data1 = __Pyx_PyUnicode_DATA(s1);
-        data2 = __Pyx_PyUnicode_DATA(s2);
-        if (__Pyx_PyUnicode_READ(kind, data1, 0) != __Pyx_PyUnicode_READ(kind, data2, 0)) {
-            goto return_ne;
-        } else if (length == 1) {
-            goto return_eq;
-        } else {
-            int result = memcmp(data1, data2, (size_t)(length * kind));
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & s2_is_unicode) {
-        goto return_ne;
-    } else if ((s2 == Py_None) & s1_is_unicode) {
-        goto return_ne;
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-return_eq:
-    return (equals == Py_EQ);
-return_ne:
-    return (equals == Py_NE);
-#endif
-}
-
-/* fastcall */
-#if CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s)
-{
-    Py_ssize_t i, n = __Pyx_PyTuple_GET_SIZE(kwnames);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(n == -1)) return NULL;
-    #endif
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        if (s == namei) return kwvalues[i];
-    }
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        int eq = __Pyx_PyUnicode_Equals(s, namei, Py_EQ);
-        if (unlikely(eq != 0)) {
-            if (unlikely(eq < 0)) return NULL;
-            return kwvalues[i];
-        }
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues) {
-    Py_ssize_t i, nkwargs;
-    PyObject *dict;
-#if !CYTHON_ASSUME_SAFE_SIZE
-    nkwargs = PyTuple_Size(kwnames);
-    if (unlikely(nkwargs < 0)) return NULL;
-#else
-    nkwargs = PyTuple_GET_SIZE(kwnames);
-#endif
-    dict = PyDict_New();
-    if (unlikely(!dict))
-        return NULL;
-    for (i=0; i<nkwargs; i++) {
-#if !CYTHON_ASSUME_SAFE_MACROS
-        PyObject *key = PyTuple_GetItem(kwnames, i);
-        if (!key) goto bad;
-#else
-        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
-#endif
-        if (unlikely(PyDict_SetItem(dict, key, kwvalues[i]) < 0))
-            goto bad;
-    }
-    return dict;
-bad:
-    Py_DECREF(dict);
-    return NULL;
-}
-#endif
-#endif
-
-/* PyObjectCall (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *result;
-    ternaryfunc call = Py_TYPE(func)->tp_call;
-    if (unlikely(!call))
-        return PyObject_Call(func, arg, kw);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = (*call)(func, arg, kw);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectCallMethO (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg) {
-    PyObject *self, *result;
-    PyCFunction cfunc;
-    cfunc = __Pyx_CyOrPyCFunction_GET_FUNCTION(func);
-    self = __Pyx_CyOrPyCFunction_GET_SELF(func);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = cfunc(self, arg);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectFastCall (used by PyObjectCallOneArg) */
-#if PY_VERSION_HEX < 0x03090000 || CYTHON_COMPILING_IN_LIMITED_API
-static PyObject* __Pyx_PyObject_FastCall_fallback(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs) {
-    PyObject *argstuple;
-    PyObject *result = 0;
-    size_t i;
-    argstuple = PyTuple_New((Py_ssize_t)nargs);
-    if (unlikely(!argstuple)) return NULL;
-    for (i = 0; i < nargs; i++) {
-        Py_INCREF(args[i]);
-        if (__Pyx_PyTuple_SET_ITEM(argstuple, (Py_ssize_t)i, args[i]) != (0)) goto bad;
-    }
-    result = __Pyx_PyObject_Call(func, argstuple, kwargs);
-  bad:
-    Py_DECREF(argstuple);
-    return result;
-}
-#endif
-#if CYTHON_VECTORCALL && !CYTHON_COMPILING_IN_LIMITED_API
-  #if PY_VERSION_HEX < 0x03090000
-    #define __Pyx_PyVectorcall_Function(callable) _PyVectorcall_Function(callable)
-  #elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE vectorcallfunc __Pyx_PyVectorcall_Function(PyObject *callable) {
-    PyTypeObject *tp = Py_TYPE(callable);
-    #if defined(__Pyx_CyFunction_USED)
-    if (__Pyx_CyFunction_CheckExact(callable)) {
-        return __Pyx_CyFunction_func_vectorcall(callable);
-    }
-    #endif
-    if (!PyType_HasFeature(tp, Py_TPFLAGS_HAVE_VECTORCALL)) {
-        return NULL;
-    }
-    assert(PyCallable_Check(callable));
-    Py_ssize_t offset = tp->tp_vectorcall_offset;
-    assert(offset > 0);
-    vectorcallfunc ptr;
-    memcpy(&ptr, (char *) callable + offset, sizeof(ptr));
-    return ptr;
-}
-  #else
-    #define __Pyx_PyVectorcall_Function(callable) PyVectorcall_Function(callable)
-  #endif
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject *const *args, size_t _nargs, PyObject *kwargs) {
-    Py_ssize_t nargs = __Pyx_PyVectorcall_NARGS(_nargs);
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (nargs == 0 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_NOARGS))
-            return __Pyx_PyObject_CallMethO(func, NULL);
-    }
-    else if (nargs == 1 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_O))
-            return __Pyx_PyObject_CallMethO(func, args[0]);
-    }
-#endif
-    if (kwargs == NULL) {
-        #if CYTHON_VECTORCALL
-          #if CYTHON_COMPILING_IN_LIMITED_API
-            return PyObject_Vectorcall(func, args, _nargs, NULL);
-          #else
-            vectorcallfunc f = __Pyx_PyVectorcall_Function(func);
-            if (f) {
-                return f(func, args, _nargs, NULL);
-            }
-          #endif
-        #endif
-    }
-    if (nargs == 0) {
-        return __Pyx_PyObject_Call(func, __pyx_mstate_global->__pyx_empty_tuple, kwargs);
-    }
-    #if PY_VERSION_HEX >= 0x03090000 && !CYTHON_COMPILING_IN_LIMITED_API
-    return PyObject_VectorcallDict(func, args, (size_t)nargs, kwargs);
-    #else
-    return __Pyx_PyObject_FastCall_fallback(func, args, (size_t)nargs, kwargs);
-    #endif
-}
-
-/* PyObjectCallOneArg (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg) {
-    PyObject *args[2] = {NULL, arg};
-    return __Pyx_PyObject_FastCall(func, args+1, 1 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetAttrStr (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro))
-        return tp->tp_getattro(obj, attr_name);
-    return PyObject_GetAttr(obj, attr_name);
-}
-#endif
-
-/* UnpackUnboundCMethod (used by CallUnboundCMethod0) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *args, PyObject *kwargs) {
-    PyObject *result;
-    PyObject *selfless_args = PyTuple_GetSlice(args, 1, PyTuple_Size(args));
-    if (unlikely(!selfless_args)) return NULL;
-    result = PyObject_Call(method, selfless_args, kwargs);
-    Py_DECREF(selfless_args);
-    return result;
-}
-#elif CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject **args, Py_ssize_t nargs, PyObject *kwnames) {
-        return _PyObject_Vectorcall
-            (method, args ? args+1 : NULL, nargs ? nargs-1 : 0, kwnames);
-}
-#else
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames) {
-    return
-#if PY_VERSION_HEX < 0x03090000
-    _PyObject_Vectorcall
-#else
-    PyObject_Vectorcall
-#endif
-        (method, args ? args+1 : NULL, nargs ? (size_t) nargs-1 : 0, kwnames);
-}
-#endif
-static PyMethodDef __Pyx_UnboundCMethod_Def = {
-     "CythonUnboundCMethod",
-     __PYX_REINTERPRET_FUNCION(PyCFunction, __Pyx_SelflessCall),
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-     METH_VARARGS | METH_KEYWORDS,
-#else
-     METH_FASTCALL | METH_KEYWORDS,
-#endif
-     NULL
-};
-static int __Pyx_TryUnpackUnboundCMethod(__Pyx_CachedCFunction* target) {
-    PyObject *method, *result=NULL;
-    method = __Pyx_PyObject_GetAttrStr(target->type, *target->method_name);
-    if (unlikely(!method))
-        return -1;
-    result = method;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (likely(__Pyx_TypeCheck(method, &PyMethodDescr_Type)))
-    {
-        PyMethodDescrObject *descr = (PyMethodDescrObject*) method;
-        target->func = descr->d_method->ml_meth;
-        target->flag = descr->d_method->ml_flags & ~(METH_CLASS | METH_STATIC | METH_COEXIST | METH_STACKLESS);
-    } else
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-#else
-    if (PyCFunction_Check(method))
-#endif
-    {
-        PyObject *self;
-        int self_found;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        self = PyObject_GetAttrString(method, "__self__");
-        if (!self) {
-            PyErr_Clear();
-        }
-#else
-        self = PyCFunction_GET_SELF(method);
-#endif
-        self_found = (self && self != Py_None);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        Py_XDECREF(self);
-#endif
-        if (self_found) {
-            PyObject *unbound_method = PyCFunction_New(&__Pyx_UnboundCMethod_Def, method);
-            if (unlikely(!unbound_method)) return -1;
-            Py_DECREF(method);
-            result = unbound_method;
-        }
-    }
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    if (unlikely(target->method)) {
-        Py_DECREF(result);
-    } else
-#endif
-    target->method = result;
-    return 0;
-}
-
-/* CallUnboundCMethod0 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        if (likely(cfunc->flag == METH_NOARGS))
-            return __Pyx_CallCFunction(cfunc, self, NULL);
-        if (likely(cfunc->flag == METH_FASTCALL))
-            return __Pyx_CallCFunctionFast(cfunc, self, NULL, 0);
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, NULL, 0, NULL);
-        if (likely(cfunc->flag == (METH_VARARGS | METH_KEYWORDS)))
-            return __Pyx_CallCFunctionWithKeywords(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-        if (cfunc->flag == METH_VARARGS)
-            return __Pyx_CallCFunction(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple);
-        return __Pyx__CallUnboundCMethod0(cfunc, self);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod0(&tmp_cfunc, self);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod0(cfunc, self);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    PyObject *result;
-    if (unlikely(!cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-    result = __Pyx_PyObject_CallOneArg(cfunc->method, self);
-    return result;
-}
-
-/* py_dict_items (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_items, d);
-}
-
-/* py_dict_values (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_values, d);
-}
-
-/* OwnedDictNext (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue) {
-    PyObject *next = NULL;
-    if (!*ppos) {
-        if (pvalue) {
-            PyObject *dictview = pkey ? __Pyx_PyDict_Items(p) : __Pyx_PyDict_Values(p);
-            if (unlikely(!dictview)) goto bad;
-            *ppos = PyObject_GetIter(dictview);
-            Py_DECREF(dictview);
-        } else {
-            *ppos = PyObject_GetIter(p);
-        }
-        if (unlikely(!*ppos)) goto bad;
-    }
-    next = PyIter_Next(*ppos);
-    if (!next) {
-        if (PyErr_Occurred()) goto bad;
-        return 0;
-    }
-    if (pkey && pvalue) {
-        *pkey = __Pyx_PySequence_ITEM(next, 0);
-        if (unlikely(*pkey)) goto bad;
-        *pvalue = __Pyx_PySequence_ITEM(next, 1);
-        if (unlikely(*pvalue)) goto bad;
-        Py_DECREF(next);
-    } else if (pkey) {
-        *pkey = next;
-    } else {
-        assert(pvalue);
-        *pvalue = next;
-    }
-    return 1;
-  bad:
-    Py_XDECREF(next);
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-    PyErr_FormatUnraisable("Exception ignored in __Pyx_PyDict_NextRef");
-#else
-    PyErr_WriteUnraisable(__pyx_mstate_global->__pyx_n_u_Pyx_PyDict_NextRef);
-#endif
-    if (pkey) *pkey = NULL;
-    if (pvalue) *pvalue = NULL;
-    return 0;
-}
-#else // !CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue) {
-    int result = PyDict_Next(p, ppos, pkey, pvalue);
-    if (likely(result == 1)) {
-        if (pkey) Py_INCREF(*pkey);
-        if (pvalue) Py_INCREF(*pvalue);
-    }
-    return result;
-}
-#endif
-
-/* RaiseDoubleKeywords (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(
-    const char* func_name,
-    PyObject* kw_name)
-{
-    PyErr_Format(PyExc_TypeError,
-        "%s() got multiple values for keyword argument '%U'", func_name, kw_name);
-}
-
-/* CallUnboundCMethod2 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        PyObject *args[2] = {arg1, arg2};
-        if (cfunc->flag == METH_FASTCALL) {
-            return __Pyx_CallCFunctionFast(cfunc, self, args, 2);
-        }
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, 2, NULL);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod2(&tmp_cfunc, self, arg1, arg2);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2){
-    if (unlikely(!cfunc->func && !cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (cfunc->func && (cfunc->flag & METH_VARARGS)) {
-        PyObject *result = NULL;
-        PyObject *args = PyTuple_New(2);
-        if (unlikely(!args)) return NULL;
-        Py_INCREF(arg1);
-        PyTuple_SET_ITEM(args, 0, arg1);
-        Py_INCREF(arg2);
-        PyTuple_SET_ITEM(args, 1, arg2);
-        if (cfunc->flag & METH_KEYWORDS)
-            result = __Pyx_CallCFunctionWithKeywords(cfunc, self, args, NULL);
-        else
-            result = __Pyx_CallCFunction(cfunc, self, args);
-        Py_DECREF(args);
-        return result;
-    }
-#endif
-    {
-        PyObject *args[4] = {NULL, self, arg1, arg2};
-        return __Pyx_PyObject_FastCall(cfunc->method, args+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-    }
-}
-
-/* ParseKeywordsImpl (used by ParseKeywords) */
-static int __Pyx_ValidateDuplicatePosArgs(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char* function_name)
-{
-    PyObject ** const *name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *key = **name;
-        int found = PyDict_Contains(kwds, key);
-        if (unlikely(found)) {
-            if (found == 1) __Pyx_RaiseDoubleKeywordsError(function_name, key);
-            goto bad;
-        }
-        name++;
-    }
-    return 0;
-bad:
-    return -1;
-}
-#if CYTHON_USE_UNICODE_INTERNALS
-static CYTHON_INLINE int __Pyx_UnicodeKeywordsEqual(PyObject *s1, PyObject *s2) {
-    int kind;
-    Py_ssize_t len = PyUnicode_GET_LENGTH(s1);
-    if (len != PyUnicode_GET_LENGTH(s2)) return 0;
-    kind = PyUnicode_KIND(s1);
-    if (kind != PyUnicode_KIND(s2)) return 0;
-    const void *data1 = PyUnicode_DATA(s1);
-    const void *data2 = PyUnicode_DATA(s2);
-    return (memcmp(data1, data2, (size_t) len * (size_t) kind) == 0);
-}
-#endif
-static int __Pyx_MatchKeywordArg_str(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    #if CYTHON_USE_UNICODE_INTERNALS
-    Py_hash_t key_hash = ((PyASCIIObject*)key)->hash;
-    if (unlikely(key_hash == -1)) {
-        key_hash = PyObject_Hash(key);
-        if (unlikely(key_hash == -1))
-            goto bad;
-    }
-    #endif
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (key_hash == ((PyASCIIObject*)name_str)->hash && __Pyx_UnicodeKeywordsEqual(name_str, key)) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) {
-                *index_found = (size_t) (name - argnames);
-                return 1;
-            }
-        }
-        #endif
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (unlikely(key_hash == ((PyASCIIObject*)name_str)->hash)) {
-            if (__Pyx_UnicodeKeywordsEqual(name_str, key))
-                goto arg_passed_twice;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            if (unlikely(name_str == key)) goto arg_passed_twice;
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) goto arg_passed_twice;
-        }
-        #endif
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-bad:
-    return -1;
-}
-static int __Pyx_MatchKeywordArg_nostr(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    if (unlikely(!PyUnicode_Check(key))) goto invalid_keyword_type;
-    name = first_kw_arg;
-    while (*name) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (cmp == 1) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        if (unlikely(cmp == -1)) goto bad;
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (unlikely(cmp != 0)) {
-            if (cmp == 1) goto arg_passed_twice;
-            else goto bad;
-        }
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-invalid_keyword_type:
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() keywords must be strings", function_name);
-    goto bad;
-bad:
-    return -1;
-}
-static CYTHON_INLINE int __Pyx_MatchKeywordArg(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    return likely(PyUnicode_CheckExact(key)) ?
-        __Pyx_MatchKeywordArg_str(key, argnames, first_kw_arg, index_found, function_name) :
-        __Pyx_MatchKeywordArg_nostr(key, argnames, first_kw_arg, index_found, function_name);
-}
-static void __Pyx_RejectUnknownKeyword(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char *function_name)
-{
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos = NULL;
-    #else
-    Py_ssize_t pos = 0;
-    #endif
-    PyObject *key = NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(kwds);
-    while (
-        #if CYTHON_AVOID_BORROWED_REFS
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL)
-        #else
-        PyDict_Next(kwds, &pos, &key, NULL)
-        #endif
-    ) {
-        PyObject** const *name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (!*name) {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp != 1) {
-                if (cmp == 0) {
-                    PyErr_Format(PyExc_TypeError,
-                        "%s() got an unexpected keyword argument '%U'",
-                        function_name, key);
-                }
-                #if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(key);
-                #endif
-                break;
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        #endif
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(pos);
-    #endif
-    assert(PyErr_Occurred());
-}
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t extracted = 0;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    name = first_kw_arg;
-    while (*name && num_kwargs > extracted) {
-        PyObject * key = **name;
-        PyObject *value;
-        int found = 0;
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        found = PyDict_GetItemRef(kwds, key, &value);
-        #else
-        value = PyDict_GetItemWithError(kwds, key);
-        if (value) {
-            Py_INCREF(value);
-            found = 1;
-        } else {
-            if (unlikely(PyErr_Occurred())) goto bad;
-        }
-        #endif
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            extracted++;
-        }
-        name++;
-    }
-    if (num_kwargs > extracted) {
-        if (ignore_unknown_kwargs) {
-            if (unlikely(__Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name) == -1))
-                goto bad;
-        } else {
-            __Pyx_RejectUnknownKeyword(kwds, argnames, first_kw_arg, function_name);
-            goto bad;
-        }
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t len;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    if (PyDict_Update(kwds2, kwds) < 0) goto bad;
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *key = **name;
-        PyObject *value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && (PY_VERSION_HEX >= 0x030d00A2 || defined(PyDict_Pop))
-        int found = PyDict_Pop(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-        }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        int found = PyDict_GetItemRef(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            if (unlikely(PyDict_DelItem(kwds2, key) < 0)) goto bad;
-        }
-#else
-    #if CYTHON_COMPILING_IN_CPYTHON
-        value = _PyDict_Pop(kwds2, key, kwds2);
-    #else
-        value = __Pyx_CallUnboundCMethod2(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_pop, kwds2, key, kwds2);
-    #endif
-        if (value == kwds2) {
-            Py_DECREF(value);
-        } else {
-            if (unlikely(!value)) goto bad;
-            values[name-argnames] = value;
-        }
-#endif
-        name++;
-    }
-    len = PyDict_Size(kwds2);
-    if (len > 0) {
-        return __Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name);
-    } else if (unlikely(len == -1)) {
-        goto bad;
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject *key = NULL;
-    PyObject** const * name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    for (Py_ssize_t pos = 0; pos < num_kwargs; pos++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        key = __Pyx_PySequence_ITEM(kwds, pos);
-#else
-        key = __Pyx_PyTuple_GET_ITEM(kwds, pos);
-#endif
-#if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!key)) goto bad;
-#endif
-        name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (*name) {
-            PyObject *value = kwvalues[pos];
-            values[name-argnames] = __Pyx_NewRef(value);
-        } else {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp == 1) {
-                PyObject *value = kwvalues[pos];
-                values[index_found] = __Pyx_NewRef(value);
-            } else {
-                if (unlikely(cmp == -1)) goto bad;
-                if (kwds2) {
-                    PyObject *value = kwvalues[pos];
-                    if (unlikely(PyDict_SetItem(kwds2, key, value))) goto bad;
-                } else if (!ignore_unknown_kwargs) {
-                    goto invalid_keyword;
-                }
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        key = NULL;
-        #endif
-    }
-    return 0;
-invalid_keyword:
-    PyErr_Format(PyExc_TypeError,
-        "%s() got an unexpected keyword argument '%U'",
-        function_name, key);
-    goto bad;
-bad:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(key);
-    #endif
-    return -1;
-}
-
-/* ParseKeywords */
-static int __Pyx_ParseKeywords(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds)))
-        return __Pyx_ParseKeywordsTuple(kwds, kwvalues, argnames, kwds2, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-    else if (kwds2)
-        return __Pyx_ParseKeywordDictToDict(kwds, argnames, kwds2, values, num_pos_args, function_name);
-    else
-        return __Pyx_ParseKeywordDict(kwds, argnames, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-}
-
-/* RaiseArgTupleInvalid */
-static void __Pyx_RaiseArgtupleInvalid(
-    const char* func_name,
-    int exact,
-    Py_ssize_t num_min,
-    Py_ssize_t num_max,
-    Py_ssize_t num_found)
-{
-    Py_ssize_t num_expected;
-    const char *more_or_less;
-    if (num_found < num_min) {
-        num_expected = num_min;
-        more_or_less = "at least";
-    } else {
-        num_expected = num_max;
-        more_or_less = "at most";
-    }
-    if (exact) {
-        more_or_less = "exactly";
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "%.200s() takes %.8s %" CYTHON_FORMAT_SSIZE_T "d positional argument%.1s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-                 func_name, more_or_less, num_expected,
-                 (num_expected == 1) ? "" : "s", num_found);
-}
-
-/* RaiseUnboundLocalError */
-static void __Pyx_RaiseUnboundLocalError(const char *varname) {
-    PyErr_Format(PyExc_UnboundLocalError, "local variable '%s' referenced before assignment", varname);
-}
-
-/* GetException (used by pep479) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb)
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb)
-#endif
-{
-    PyObject *local_type = NULL, *local_value, *local_tb = NULL;
-#if CYTHON_FAST_THREAD_STATE
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if PY_VERSION_HEX >= 0x030C0000
-    local_value = tstate->current_exception;
-    tstate->current_exception = 0;
-  #else
-    local_type = tstate->curexc_type;
-    local_value = tstate->curexc_value;
-    local_tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-  #endif
-#elif __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    local_value = PyErr_GetRaisedException();
-#else
-    PyErr_Fetch(&local_type, &local_value, &local_tb);
-#endif
-#if __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    if (likely(local_value)) {
-        local_type = (PyObject*) Py_TYPE(local_value);
-        Py_INCREF(local_type);
-        local_tb = PyException_GetTraceback(local_value);
-    }
-#else
-    PyErr_NormalizeException(&local_type, &local_value, &local_tb);
-#if CYTHON_FAST_THREAD_STATE
-    if (unlikely(tstate->curexc_type))
-#else
-    if (unlikely(PyErr_Occurred()))
-#endif
-        goto bad;
-    if (local_tb) {
-        if (unlikely(PyException_SetTraceback(local_value, local_tb) < 0))
-            goto bad;
-    }
-#endif // __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    Py_XINCREF(local_tb);
-    Py_XINCREF(local_type);
-    Py_XINCREF(local_value);
-    *type = local_type;
-    *value = local_value;
-    *tb = local_tb;
-#if CYTHON_FAST_THREAD_STATE
-    #if CYTHON_USE_EXC_INFO_STACK
-    {
-        _PyErr_StackItem *exc_info = tstate->exc_info;
-      #if PY_VERSION_HEX >= 0x030B00a4
-        tmp_value = exc_info->exc_value;
-        exc_info->exc_value = local_value;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-        Py_XDECREF(local_type);
-        Py_XDECREF(local_tb);
-      #else
-        tmp_type = exc_info->exc_type;
-        tmp_value = exc_info->exc_value;
-        tmp_tb = exc_info->exc_traceback;
-        exc_info->exc_type = local_type;
-        exc_info->exc_value = local_value;
-        exc_info->exc_traceback = local_tb;
-      #endif
-    }
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = local_type;
-    tstate->exc_value = local_value;
-    tstate->exc_traceback = local_tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    PyErr_SetHandledException(local_value);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_tb);
-#else
-    PyErr_SetExcInfo(local_type, local_value, local_tb);
-#endif
-    return 0;
-#if __PYX_LIMITED_VERSION_HEX <= 0x030C0000
-bad:
-    *type = 0;
-    *value = 0;
-    *tb = 0;
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_tb);
-    return -1;
-#endif
-}
-
-/* pep479 */
-static void __Pyx_Generator_Replace_StopIteration(int in_async_gen) {
-    PyObject *exc, *val, *tb, *cur_exc, *new_exc;
-    __Pyx_PyThreadState_declare
-    int is_async_stopiteration = 0;
-    CYTHON_MAYBE_UNUSED_VAR(in_async_gen);
-    __Pyx_PyThreadState_assign
-    cur_exc = __Pyx_PyErr_CurrentExceptionType();
-    if (likely(!__Pyx_PyErr_GivenExceptionMatches(cur_exc, PyExc_StopIteration))) {
-        if (in_async_gen && unlikely(__Pyx_PyErr_GivenExceptionMatches(cur_exc, PyExc_StopAsyncIteration))) {
-            is_async_stopiteration = 1;
-        } else {
-            return;
-        }
-    }
-    __Pyx_GetException(&exc, &val, &tb);
-    Py_XDECREF(exc);
-    Py_XDECREF(tb);
-    new_exc = PyObject_CallFunction(PyExc_RuntimeError, "s",
-        is_async_stopiteration ? "async generator raised StopAsyncIteration" :
-        in_async_gen ? "async generator raised StopIteration" :
-        "generator raised StopIteration");
-    if (!new_exc) {
-        Py_XDECREF(val);
-        return;
-    }
-    PyException_SetCause(new_exc, val); // steals ref to val
-    PyErr_SetObject(PyExc_RuntimeError, new_exc);
-    Py_DECREF(new_exc);
-}
-
-/* PyObjectFormatAndDecref */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FormatSimpleAndDecref(PyObject* s, PyObject* f) {
-    if (unlikely(!s)) return NULL;
-    if (likely(PyUnicode_CheckExact(s))) return s;
-    return __Pyx_PyObject_FormatAndDecref(s, f);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FormatAndDecref(PyObject* s, PyObject* f) {
-    PyObject *result;
-    if (unlikely(!s)) return NULL;
-    result = PyObject_Format(s, f);
-    Py_DECREF(s);
-    return result;
-}
-
-/* PyErrFetchRestore (used by RaiseException) */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *tmp_value;
-    assert(type == NULL || (value != NULL && type == (PyObject*) Py_TYPE(value)));
-    if (value) {
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (unlikely(((PyBaseExceptionObject*) value)->traceback != tb))
-        #endif
-            PyException_SetTraceback(value, tb);
-    }
-    tmp_value = tstate->current_exception;
-    tstate->current_exception = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    tmp_type = tstate->curexc_type;
-    tmp_value = tstate->curexc_value;
-    tmp_tb = tstate->curexc_traceback;
-    tstate->curexc_type = type;
-    tstate->curexc_value = value;
-    tstate->curexc_traceback = tb;
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#endif
-}
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject* exc_value;
-    exc_value = tstate->current_exception;
-    tstate->current_exception = 0;
-    *value = exc_value;
-    *type = NULL;
-    *tb = NULL;
-    if (exc_value) {
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        *tb = ((PyBaseExceptionObject*) exc_value)->traceback;
-        Py_XINCREF(*tb);
-        #else
-        *tb = PyException_GetTraceback(exc_value);
-        #endif
-    }
-#else
-    *type = tstate->curexc_type;
-    *value = tstate->curexc_value;
-    *tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-#endif
-}
-#endif
-
-/* RaiseException */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause) {
-    PyObject* owned_instance = NULL;
-    if (tb == Py_None) {
-        tb = 0;
-    } else if (tb && !PyTraceBack_Check(tb)) {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: arg 3 must be a traceback or None");
-        goto bad;
-    }
-    if (value == Py_None)
-        value = 0;
-    if (PyExceptionInstance_Check(type)) {
-        if (value) {
-            PyErr_SetString(PyExc_TypeError,
-                "instance exception may not have a separate value");
-            goto bad;
-        }
-        value = type;
-        type = (PyObject*) Py_TYPE(value);
-    } else if (PyExceptionClass_Check(type)) {
-        PyObject *instance_class = NULL;
-        if (value && PyExceptionInstance_Check(value)) {
-            instance_class = (PyObject*) Py_TYPE(value);
-            if (instance_class != type) {
-                int is_subclass = PyObject_IsSubclass(instance_class, type);
-                if (!is_subclass) {
-                    instance_class = NULL;
-                } else if (unlikely(is_subclass == -1)) {
-                    goto bad;
-                } else {
-                    type = instance_class;
-                }
-            }
-        }
-        if (!instance_class) {
-            PyObject *args;
-            if (!value)
-                args = PyTuple_New(0);
-            else if (PyTuple_Check(value)) {
-                Py_INCREF(value);
-                args = value;
-            } else
-                args = PyTuple_Pack(1, value);
-            if (!args)
-                goto bad;
-            owned_instance = PyObject_Call(type, args, NULL);
-            Py_DECREF(args);
-            if (!owned_instance)
-                goto bad;
-            value = owned_instance;
-            if (!PyExceptionInstance_Check(value)) {
-                PyErr_Format(PyExc_TypeError,
-                             "calling %R should have returned an instance of "
-                             "BaseException, not %R",
-                             type, Py_TYPE(value));
-                goto bad;
-            }
-        }
-    } else {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: exception class must be a subclass of BaseException");
-        goto bad;
-    }
-    if (cause) {
-        PyObject *fixed_cause;
-        if (cause == Py_None) {
-            fixed_cause = NULL;
-        } else if (PyExceptionClass_Check(cause)) {
-            fixed_cause = PyObject_CallObject(cause, NULL);
-            if (fixed_cause == NULL)
-                goto bad;
-        } else if (PyExceptionInstance_Check(cause)) {
-            fixed_cause = cause;
-            Py_INCREF(fixed_cause);
-        } else {
-            PyErr_SetString(PyExc_TypeError,
-                            "exception causes must derive from "
-                            "BaseException");
-            goto bad;
-        }
-        PyException_SetCause(value, fixed_cause);
-    }
-    PyErr_SetObject(type, value);
-    if (tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-        PyException_SetTraceback(value, tb);
-#elif CYTHON_FAST_THREAD_STATE
-        PyThreadState *tstate = __Pyx_PyThreadState_Current;
-        PyObject* tmp_tb = tstate->curexc_traceback;
-        if (tb != tmp_tb) {
-            Py_INCREF(tb);
-            tstate->curexc_traceback = tb;
-            Py_XDECREF(tmp_tb);
-        }
-#else
-        PyObject *tmp_type, *tmp_value, *tmp_tb;
-        PyErr_Fetch(&tmp_type, &tmp_value, &tmp_tb);
-        Py_INCREF(tb);
-        PyErr_Restore(tmp_type, tmp_value, tb);
-        Py_XDECREF(tmp_tb);
-#endif
-    }
-bad:
-    Py_XDECREF(owned_instance);
-    return;
-}
-
-/* RaiseUnexpectedTypeError */
-static int
-__Pyx_RaiseUnexpectedTypeError(const char *expected, PyObject *obj)
-{
-    __Pyx_TypeName obj_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(obj));
-    PyErr_Format(PyExc_TypeError, "Expected %s, got " __Pyx_FMT_TYPENAME,
-                 expected, obj_type_name);
-    __Pyx_DECREF_TypeName(obj_type_name);
-    return 0;
-}
-
-/* GetItemInt */
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j) {
-    PyObject *r;
-    if (unlikely(!j)) return NULL;
-    r = PyObject_GetItem(o, j);
-    Py_DECREF(j);
-    return r;
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyList_GET_SIZE(o);
-    }
-    if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS)) {
-        return __Pyx_PyList_GetItemRefFast(o, wrapped_i, unsafe_shared);
-    } else
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyList_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyList_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyTuple_GET_SIZE(o);
-    }
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyTuple_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyTuple_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i, int is_list,
-                                                     int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    if (is_list || PyList_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyList_GET_SIZE(o);
-        if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)) {
-            return __Pyx_PyList_GetItemRefFast(o, n, unsafe_shared);
-        } else if ((!boundscheck) || (likely(__Pyx_is_valid_index(n, PyList_GET_SIZE(o))))) {
-            return __Pyx_NewRef(PyList_GET_ITEM(o, n));
-        }
-    } else
-    #if !CYTHON_AVOID_BORROWED_REFS
-    if (PyTuple_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyTuple_GET_SIZE(o);
-        if ((!boundscheck) || likely(__Pyx_is_valid_index(n, PyTuple_GET_SIZE(o)))) {
-            return __Pyx_NewRef(PyTuple_GET_ITEM(o, n));
-        }
-    } else
-    #endif
-#endif
-#if CYTHON_USE_TYPE_SLOTS && !CYTHON_COMPILING_IN_PYPY
-    {
-        PyMappingMethods *mm = Py_TYPE(o)->tp_as_mapping;
-        PySequenceMethods *sm = Py_TYPE(o)->tp_as_sequence;
-        if (!is_list && mm && mm->mp_subscript) {
-            PyObject *r, *key = PyLong_FromSsize_t(i);
-            if (unlikely(!key)) return NULL;
-            r = mm->mp_subscript(o, key);
-            Py_DECREF(key);
-            return r;
-        }
-        if (is_list || likely(sm && sm->sq_item)) {
-            if (wraparound && unlikely(i < 0) && likely(sm->sq_length)) {
-                Py_ssize_t l = sm->sq_length(o);
-                if (likely(l >= 0)) {
-                    i += l;
-                } else {
-                    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                        return NULL;
-                    PyErr_Clear();
-                }
-            }
-            return sm->sq_item(o, i);
-        }
-    }
-#else
-    if (is_list || !PyMapping_Check(o)) {
-        return PySequence_GetItem(o, i);
-    }
-#endif
-    (void)wraparound;
-    (void)boundscheck;
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-}
-
-/* PyErrExceptionMatches (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx_PyErr_ExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        if (__Pyx_PyErr_GivenExceptionMatches(exc_type, PyTuple_GET_ITEM(tuple, i))) return 1;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err) {
-    int result;
-    PyObject *exc_type;
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *current_exception = tstate->current_exception;
-    if (unlikely(!current_exception)) return 0;
-    exc_type = (PyObject*) Py_TYPE(current_exception);
-    if (exc_type == err) return 1;
-#else
-    exc_type = tstate->curexc_type;
-    if (exc_type == err) return 1;
-    if (unlikely(!exc_type)) return 0;
-#endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(exc_type);
-    #endif
-    if (unlikely(PyTuple_Check(err))) {
-        result = __Pyx_PyErr_ExceptionMatchesTuple(exc_type, err);
-    } else {
-        result = __Pyx_PyErr_GivenExceptionMatches(exc_type, err);
-    }
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(exc_type);
-    #endif
-    return result;
-}
-#endif
-
-/* PyObjectGetAttrStrNoError (used by GetBuiltinName) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static void __Pyx_PyObject_GetAttrStr_ClearAttributeError(void) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (likely(__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        __Pyx_PyErr_Clear();
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name) {
-    PyObject *result;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    (void) PyObject_GetOptionalAttr(obj, attr_name, &result);
-    return result;
-#else
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_TYPE_SLOTS
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro == PyObject_GenericGetAttr)) {
-        return _PyObject_GenericGetAttrWithDict(obj, attr_name, NULL, 1);
-    }
-#endif
-    result = __Pyx_PyObject_GetAttrStr(obj, attr_name);
-    if (unlikely(!result)) {
-        __Pyx_PyObject_GetAttrStr_ClearAttributeError();
-    }
-    return result;
-#endif
-}
-
-/* GetBuiltinName (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name) {
-    PyObject* result = __Pyx_PyObject_GetAttrStrNoError(__pyx_mstate_global->__pyx_b, name);
-    if (unlikely(!result) && !PyErr_Occurred()) {
-        PyErr_Format(PyExc_NameError,
-            "name '%U' is not defined", name);
-    }
-    return result;
-}
-
-/* PyDictVersioning (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    return likely(dict) ? __PYX_GET_DICT_VERSION(dict) : 0;
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj) {
-    PyObject **dictptr = NULL;
-    Py_ssize_t offset = Py_TYPE(obj)->tp_dictoffset;
-    if (offset) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        dictptr = (likely(offset > 0)) ? (PyObject **) ((char *)obj + offset) : _PyObject_GetDictPtr(obj);
-#else
-        dictptr = _PyObject_GetDictPtr(obj);
-#endif
-    }
-    return (dictptr && *dictptr) ? __PYX_GET_DICT_VERSION(*dictptr) : 0;
-}
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    if (unlikely(!dict) || unlikely(tp_dict_version != __PYX_GET_DICT_VERSION(dict)))
-        return 0;
-    return obj_dict_version == __Pyx_get_object_dict_version(obj);
-}
-#endif
-
-/* GetModuleGlobalName */
-#if CYTHON_USE_DICT_VERSIONS
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value)
-#else
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name)
-#endif
-{
-    PyObject *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(!__pyx_m)) {
-        if (!PyErr_Occurred())
-            PyErr_SetNone(PyExc_NameError);
-        return NULL;
-    }
-    result = PyObject_GetAttr(__pyx_m, name);
-    if (likely(result)) {
-        return result;
-    }
-    PyErr_Clear();
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    if (unlikely(__Pyx_PyDict_GetItemRef(__pyx_mstate_global->__pyx_d, name, &result) == -1)) PyErr_Clear();
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return result;
-    }
-#else
-    result = _PyDict_GetItem_KnownHash(__pyx_mstate_global->__pyx_d, name, ((PyASCIIObject *) name)->hash);
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return __Pyx_NewRef(result);
-    }
-    PyErr_Clear();
-#endif
-    return __Pyx_GetBuiltinName(name);
-}
-
-/* CIntToDigits (used by CIntToPyUnicode) */
-static const char DIGIT_PAIRS_10[2*10*10+1] = {
-    "00010203040506070809"
-    "10111213141516171819"
-    "20212223242526272829"
-    "30313233343536373839"
-    "40414243444546474849"
-    "50515253545556575859"
-    "60616263646566676869"
-    "70717273747576777879"
-    "80818283848586878889"
-    "90919293949596979899"
-};
-static const char DIGIT_PAIRS_8[2*8*8+1] = {
-    "0001020304050607"
-    "1011121314151617"
-    "2021222324252627"
-    "3031323334353637"
-    "4041424344454647"
-    "5051525354555657"
-    "6061626364656667"
-    "7071727374757677"
-};
-static const char DIGITS_HEX[2*16+1] = {
-    "0123456789abcdef"
-    "0123456789ABCDEF"
-};
-
-/* BuildPyUnicode (used by COrdinalToPyUnicode) */
-static PyObject* __Pyx_PyUnicode_BuildFromAscii(Py_ssize_t ulength, const char* chars, int clength,
-                                                int prepend_sign, char padding_char) {
-    PyObject *uval;
-    Py_ssize_t uoffset = ulength - clength;
-#if CYTHON_USE_UNICODE_INTERNALS
-    Py_ssize_t i;
-    void *udata;
-    uval = PyUnicode_New(ulength, 127);
-    if (unlikely(!uval)) return NULL;
-    udata = PyUnicode_DATA(uval);
-    if (uoffset > 0) {
-        i = 0;
-        if (prepend_sign) {
-            __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, 0, '-');
-            i++;
-        }
-        for (; i < uoffset; i++) {
-            __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, i, padding_char);
-        }
-    }
-    for (i=0; i < clength; i++) {
-        __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, uoffset+i, chars[i]);
-    }
-#else
-    {
-        PyObject *sign = NULL, *padding = NULL;
-        uval = NULL;
-        if (uoffset > 0) {
-            prepend_sign = !!prepend_sign;
-            if (uoffset > prepend_sign) {
-                padding = PyUnicode_FromOrdinal(padding_char);
-                if (likely(padding) && uoffset > prepend_sign + 1) {
-                    PyObject *tmp = PySequence_Repeat(padding, uoffset - prepend_sign);
-                    Py_DECREF(padding);
-                    padding = tmp;
-                }
-                if (unlikely(!padding)) goto done_or_error;
-            }
-            if (prepend_sign) {
-                sign = PyUnicode_FromOrdinal('-');
-                if (unlikely(!sign)) goto done_or_error;
-            }
-        }
-        uval = PyUnicode_DecodeASCII(chars, clength, NULL);
-        if (likely(uval) && padding) {
-            PyObject *tmp = PyUnicode_Concat(padding, uval);
-            Py_DECREF(uval);
-            uval = tmp;
-        }
-        if (likely(uval) && sign) {
-            PyObject *tmp = PyUnicode_Concat(sign, uval);
-            Py_DECREF(uval);
-            uval = tmp;
-        }
-done_or_error:
-        Py_XDECREF(padding);
-        Py_XDECREF(sign);
-    }
-#endif
-    return uval;
-}
-
-/* COrdinalToPyUnicode (used by CIntToPyUnicode) */
-static CYTHON_INLINE int __Pyx_CheckUnicodeValue(int value) {
-    return value <= 1114111;
-}
-static PyObject* __Pyx_PyUnicode_FromOrdinal_Padded(int value, Py_ssize_t ulength, char padding_char) {
-    Py_ssize_t padding_length = ulength - 1;
-    if (likely((padding_length <= 250) && (value < 0xD800 || value > 0xDFFF))) {
-        char chars[256];
-        if (value <= 255) {
-            memset(chars, padding_char, (size_t) padding_length);
-            chars[ulength-1] = (char) value;
-            return PyUnicode_DecodeLatin1(chars, ulength, NULL);
-        }
-        char *cpos = chars + sizeof(chars);
-        if (value < 0x800) {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xc0 | (value & 0x1f));
-        } else if (value < 0x10000) {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xe0 | (value & 0x0f));
-        } else {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xf0 | (value & 0x07));
-        }
-        cpos -= padding_length;
-        memset(cpos, padding_char, (size_t) padding_length);
-        return PyUnicode_DecodeUTF8(cpos, chars + sizeof(chars) - cpos, NULL);
-    }
-    if (value <= 127 && CYTHON_USE_UNICODE_INTERNALS) {
-        const char chars[1] = {(char) value};
-        return __Pyx_PyUnicode_BuildFromAscii(ulength, chars, 1, 0, padding_char);
-    }
-    {
-        PyObject *uchar, *padding_uchar, *padding, *result;
-        padding_uchar = PyUnicode_FromOrdinal(padding_char);
-        if (unlikely(!padding_uchar)) return NULL;
-        padding = PySequence_Repeat(padding_uchar, padding_length);
-        Py_DECREF(padding_uchar);
-        if (unlikely(!padding)) return NULL;
-        uchar = PyUnicode_FromOrdinal(value);
-        if (unlikely(!uchar)) {
-            Py_DECREF(padding);
-            return NULL;
-        }
-        result = PyUnicode_Concat(padding, uchar);
-        Py_DECREF(padding);
-        Py_DECREF(uchar);
-        return result;
-    }
-}
-
-/* CIntToPyUnicode */
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!(is_unsigned || value == 0 || value > 0) ||
-                    !(sizeof(value) <= 2 || value & ~ (int) 0x01fffff || __Pyx_CheckUnicodeValue((int) value)))) {
-        PyErr_SetString(PyExc_OverflowError, "%c arg not in range(0x110000)");
-        return NULL;
-    }
-    if (width <= 1) {
-        return PyUnicode_FromOrdinal((int) value);
-    }
-    return __Pyx_PyUnicode_FromOrdinal_Padded((int) value, width, padding_char);
-}
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char, char format_char) {
-    char digits[sizeof(int)*3+2];
-    char *dpos, *end = digits + sizeof(int)*3+2;
-    const char *hex_digits = DIGITS_HEX;
-    Py_ssize_t length, ulength;
-    int prepend_sign, last_one_off;
-    int remaining;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (format_char == 'X') {
-        hex_digits += 16;
-        format_char = 'x';
-    }
-    remaining = value;
-    last_one_off = 0;
-    dpos = end;
-    do {
-        int digit_pos;
-        switch (format_char) {
-        case 'o':
-            digit_pos = abs((int)(remaining % (8*8)));
-            remaining = (int) (remaining / (8*8));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_8 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 8);
-            break;
-        case 'd':
-            digit_pos = abs((int)(remaining % (10*10)));
-            remaining = (int) (remaining / (10*10));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_10 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 10);
-            break;
-        case 'x':
-            *(--dpos) = hex_digits[abs((int)(remaining % 16))];
-            remaining = (int) (remaining / 16);
-            break;
-        default:
-            assert(0);
-            break;
-        }
-    } while (unlikely(remaining != 0));
-    assert(!last_one_off || *dpos == '0');
-    dpos += last_one_off;
-    length = end - dpos;
-    ulength = length;
-    prepend_sign = 0;
-    if (!is_unsigned && value <= neg_one) {
-        if (padding_char == ' ' || width <= length + 1) {
-            *(--dpos) = '-';
-            ++length;
-        } else {
-            prepend_sign = 1;
-        }
-        ++ulength;
-    }
-    if (width > ulength) {
-        ulength = width;
-    }
-    if (ulength == 1) {
-        return PyUnicode_FromOrdinal(*dpos);
-    }
-    return __Pyx_PyUnicode_BuildFromAscii(ulength, dpos, (int) length, prepend_sign, padding_char);
-}
-
-/* CIntToPyUnicode */
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_Py_ssize_t(Py_ssize_t value, Py_ssize_t width, char padding_char) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const Py_ssize_t neg_one = (Py_ssize_t) -1, const_zero = (Py_ssize_t) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!(is_unsigned || value == 0 || value > 0) ||
-                    !(sizeof(value) <= 2 || value & ~ (Py_ssize_t) 0x01fffff || __Pyx_CheckUnicodeValue((int) value)))) {
-        PyErr_SetString(PyExc_OverflowError, "%c arg not in range(0x110000)");
-        return NULL;
-    }
-    if (width <= 1) {
-        return PyUnicode_FromOrdinal((int) value);
-    }
-    return __Pyx_PyUnicode_FromOrdinal_Padded((int) value, width, padding_char);
-}
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_Py_ssize_t(Py_ssize_t value, Py_ssize_t width, char padding_char, char format_char) {
-    char digits[sizeof(Py_ssize_t)*3+2];
-    char *dpos, *end = digits + sizeof(Py_ssize_t)*3+2;
-    const char *hex_digits = DIGITS_HEX;
-    Py_ssize_t length, ulength;
-    int prepend_sign, last_one_off;
-    Py_ssize_t remaining;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const Py_ssize_t neg_one = (Py_ssize_t) -1, const_zero = (Py_ssize_t) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (format_char == 'X') {
-        hex_digits += 16;
-        format_char = 'x';
-    }
-    remaining = value;
-    last_one_off = 0;
-    dpos = end;
-    do {
-        int digit_pos;
-        switch (format_char) {
-        case 'o':
-            digit_pos = abs((int)(remaining % (8*8)));
-            remaining = (Py_ssize_t) (remaining / (8*8));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_8 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 8);
-            break;
-        case 'd':
-            digit_pos = abs((int)(remaining % (10*10)));
-            remaining = (Py_ssize_t) (remaining / (10*10));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_10 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 10);
-            break;
-        case 'x':
-            *(--dpos) = hex_digits[abs((int)(remaining % 16))];
-            remaining = (Py_ssize_t) (remaining / 16);
-            break;
-        default:
-            assert(0);
-            break;
-        }
-    } while (unlikely(remaining != 0));
-    assert(!last_one_off || *dpos == '0');
-    dpos += last_one_off;
-    length = end - dpos;
-    ulength = length;
-    prepend_sign = 0;
-    if (!is_unsigned && value <= neg_one) {
-        if (padding_char == ' ' || width <= length + 1) {
-            *(--dpos) = '-';
-            ++length;
-        } else {
-            prepend_sign = 1;
-        }
-        ++ulength;
-    }
-    if (width > ulength) {
-        ulength = width;
-    }
-    if (ulength == 1) {
-        return PyUnicode_FromOrdinal(*dpos);
-    }
-    return __Pyx_PyUnicode_BuildFromAscii(ulength, dpos, (int) length, prepend_sign, padding_char);
-}
-
-/* JoinPyUnicode */
-static PyObject* __Pyx_PyUnicode_Join(PyObject** values, Py_ssize_t value_count, Py_ssize_t result_ulength,
-                                      Py_UCS4 max_char) {
-#if CYTHON_USE_UNICODE_INTERNALS && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    PyObject *result_uval;
-    int result_ukind, kind_shift;
-    Py_ssize_t i, char_pos;
-    void *result_udata;
-    if (max_char > 1114111) max_char = 1114111;
-    result_uval = PyUnicode_New(result_ulength, max_char);
-    if (unlikely(!result_uval)) return NULL;
-    result_ukind = (max_char <= 255) ? PyUnicode_1BYTE_KIND : (max_char <= 65535) ? PyUnicode_2BYTE_KIND : PyUnicode_4BYTE_KIND;
-    kind_shift = (result_ukind == PyUnicode_4BYTE_KIND) ? 2 : result_ukind - 1;
-    result_udata = PyUnicode_DATA(result_uval);
-    assert(kind_shift == 2 || kind_shift == 1 || kind_shift == 0);
-    if (unlikely((PY_SSIZE_T_MAX >> kind_shift) - result_ulength < 0))
-        goto overflow;
-    char_pos = 0;
-    for (i=0; i < value_count; i++) {
-        int ukind;
-        Py_ssize_t ulength;
-        void *udata;
-        PyObject *uval = values[i];
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (__Pyx_PyUnicode_READY(uval) == (-1))
-            goto bad;
-        #endif
-        ulength = __Pyx_PyUnicode_GET_LENGTH(uval);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(ulength < 0)) goto bad;
-        #endif
-        if (unlikely(!ulength))
-            continue;
-        if (unlikely((PY_SSIZE_T_MAX >> kind_shift) - ulength < char_pos))
-            goto overflow;
-        ukind = __Pyx_PyUnicode_KIND(uval);
-        udata = __Pyx_PyUnicode_DATA(uval);
-        if (ukind == result_ukind) {
-            memcpy((char *)result_udata + (char_pos << kind_shift), udata, (size_t) (ulength << kind_shift));
-        } else {
-            #if PY_VERSION_HEX >= 0x030d0000
-            if (unlikely(PyUnicode_CopyCharacters(result_uval, char_pos, uval, 0, ulength) < 0)) goto bad;
-            #elif CYTHON_COMPILING_IN_CPYTHON || defined(_PyUnicode_FastCopyCharacters)
-            _PyUnicode_FastCopyCharacters(result_uval, char_pos, uval, 0, ulength);
-            #else
-            Py_ssize_t j;
-            for (j=0; j < ulength; j++) {
-                Py_UCS4 uchar = __Pyx_PyUnicode_READ(ukind, udata, j);
-                __Pyx_PyUnicode_WRITE(result_ukind, result_udata, char_pos+j, uchar);
-            }
-            #endif
-        }
-        char_pos += ulength;
-    }
-    return result_uval;
-overflow:
-    PyErr_SetString(PyExc_OverflowError, "join() result is too long for a Python string");
-bad:
-    Py_DECREF(result_uval);
-    return NULL;
-#else
-    Py_ssize_t i;
-    PyObject *result = NULL;
-    PyObject *value_tuple = PyTuple_New(value_count);
-    if (unlikely(!value_tuple)) return NULL;
-    CYTHON_UNUSED_VAR(max_char);
-    CYTHON_UNUSED_VAR(result_ulength);
-    for (i=0; i<value_count; i++) {
-        Py_INCREF(values[i]);
-        if (__Pyx_PyTuple_SET_ITEM(value_tuple, i, values[i]) != (0)) goto bad;
-    }
-    result = PyUnicode_Join(__pyx_mstate_global->__pyx_empty_unicode, value_tuple);
-bad:
-    Py_DECREF(value_tuple);
-    return result;
-#endif
-}
-
-/* SwapException */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_value = exc_info->exc_value;
-    exc_info->exc_value = *value;
-    if (tmp_value == NULL || tmp_value == Py_None) {
-        Py_XDECREF(tmp_value);
-        tmp_value = NULL;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-    } else {
-        tmp_type = (PyObject*) Py_TYPE(tmp_value);
-        Py_INCREF(tmp_type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        tmp_tb = ((PyBaseExceptionObject*) tmp_value)->traceback;
-        Py_XINCREF(tmp_tb);
-        #else
-        tmp_tb = PyException_GetTraceback(tmp_value);
-        #endif
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = *type;
-    exc_info->exc_value = *value;
-    exc_info->exc_traceback = *tb;
-  #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = *type;
-    tstate->exc_value = *value;
-    tstate->exc_traceback = *tb;
-  #endif
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    PyErr_GetExcInfo(&tmp_type, &tmp_value, &tmp_tb);
-    PyErr_SetExcInfo(*type, *value, *tb);
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#endif
-
-/* GetTopmostException (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem *
-__Pyx_PyErr_GetTopmostException(PyThreadState *tstate)
-{
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    while ((exc_info->exc_value == NULL || exc_info->exc_value == Py_None) &&
-           exc_info->previous_item != NULL)
-    {
-        exc_info = exc_info->previous_item;
-    }
-    return exc_info;
-}
-#endif
-
-/* SaveResetException */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    PyObject *exc_value = exc_info->exc_value;
-    if (exc_value == NULL || exc_value == Py_None) {
-        *value = NULL;
-        *type = NULL;
-        *tb = NULL;
-    } else {
-        *value = exc_value;
-        Py_INCREF(*value);
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        *tb = PyException_GetTraceback(exc_value);
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    *type = exc_info->exc_type;
-    *value = exc_info->exc_value;
-    *tb = exc_info->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #else
-    *type = tstate->exc_type;
-    *value = tstate->exc_value;
-    *tb = tstate->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #endif
-}
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    PyObject *tmp_value = exc_info->exc_value;
-    exc_info->exc_value = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-  #else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    #if CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = type;
-    exc_info->exc_value = value;
-    exc_info->exc_traceback = tb;
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = type;
-    tstate->exc_value = value;
-    tstate->exc_traceback = tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-  #endif
-}
-#endif
-
-/* RejectKeywords */
-static void __Pyx_RejectKeywords(const char* function_name, PyObject *kwds) {
-    PyObject *key = NULL;
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds))) {
-        key = __Pyx_PySequence_ITEM(kwds, 0);
-    } else {
-#if CYTHON_AVOID_BORROWED_REFS
-        PyObject *pos = NULL;
-#else
-        Py_ssize_t pos = 0;
-#endif
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-        if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return;
-#endif
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL);
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_XDECREF(pos);
-#endif
-    }
-    if (likely(key)) {
-        PyErr_Format(PyExc_TypeError,
-            "%s() got an unexpected keyword argument '%U'",
-            function_name, key);
-        Py_DECREF(key);
-    }
-}
-
-/* FastTypeChecks */
-#if CYTHON_COMPILING_IN_CPYTHON
-static int __Pyx_InBases(PyTypeObject *a, PyTypeObject *b) {
-    while (a) {
-        a = __Pyx_PyType_GetSlot(a, tp_base, PyTypeObject*);
-        if (a == b)
-            return 1;
-    }
-    return b == &PyBaseObject_Type;
-}
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (a == b) return 1;
-    mro = a->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            if (PyTuple_GET_ITEM(mro, i) == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(a, b);
-}
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (cls == a || cls == b) return 1;
-    mro = cls->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            PyObject *base = PyTuple_GET_ITEM(mro, i);
-            if (base == (PyObject *)a || base == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(cls, a) || __Pyx_InBases(cls, b);
-}
-static CYTHON_INLINE int __Pyx_inner_PyErr_GivenExceptionMatches2(PyObject *err, PyObject* exc_type1, PyObject *exc_type2) {
-    if (exc_type1) {
-        return __Pyx_IsAnySubtype2((PyTypeObject*)err, (PyTypeObject*)exc_type1, (PyTypeObject*)exc_type2);
-    } else {
-        return __Pyx_IsSubtype((PyTypeObject*)err, (PyTypeObject*)exc_type2);
-    }
-}
-static int __Pyx_PyErr_GivenExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    assert(PyExceptionClass_Check(exc_type));
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        PyObject *t = PyTuple_GET_ITEM(tuple, i);
-        if (likely(PyExceptionClass_Check(t))) {
-            if (__Pyx_inner_PyErr_GivenExceptionMatches2(exc_type, NULL, t)) return 1;
-        } else {
-        }
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject* exc_type) {
-    if (likely(err == exc_type)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        if (likely(PyExceptionClass_Check(exc_type))) {
-            return __Pyx_inner_PyErr_GivenExceptionMatches2(err, NULL, exc_type);
-        } else if (likely(PyTuple_Check(exc_type))) {
-            return __Pyx_PyErr_GivenExceptionMatchesTuple(err, exc_type);
-        } else {
-        }
-    }
-    return PyErr_GivenExceptionMatches(err, exc_type);
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *exc_type1, PyObject *exc_type2) {
-    assert(PyExceptionClass_Check(exc_type1));
-    assert(PyExceptionClass_Check(exc_type2));
-    if (likely(err == exc_type1 || err == exc_type2)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        return __Pyx_inner_PyErr_GivenExceptionMatches2(err, exc_type1, exc_type2);
-    }
-    return (PyErr_GivenExceptionMatches(err, exc_type1) || PyErr_GivenExceptionMatches(err, exc_type2));
-}
-#endif
-
-/* AllocateExtensionType */
-static PyObject *__Pyx_AllocateExtensionType(PyTypeObject *t, int is_final) {
-    if (is_final || likely(!__Pyx_PyType_HasFeature(t, Py_TPFLAGS_IS_ABSTRACT))) {
-        allocfunc alloc_func = __Pyx_PyType_GetSlot(t, tp_alloc, allocfunc);
-        return alloc_func(t, 0);
-    } else {
-        newfunc tp_new = __Pyx_PyType_TryGetSlot(&PyBaseObject_Type, tp_new, newfunc);
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (!tp_new) {
-            PyObject *new_str = PyUnicode_FromString("__new__");
-            if (likely(new_str)) {
-                PyObject *o = PyObject_CallMethodObjArgs((PyObject *)&PyBaseObject_Type, new_str, t, NULL);
-                Py_DECREF(new_str);
-                return o;
-            } else
-                return NULL;
-        } else
-    #endif
-        return tp_new(t, __pyx_mstate_global->__pyx_empty_tuple, 0);
-    }
-}
-
-/* CallTypeTraverse */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg) {
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x03090000
-    if (__Pyx_get_runtime_version() < 0x03090000) return 0;
-    #endif
-    if (!always_call) {
-        PyTypeObject *base = __Pyx_PyObject_GetSlot(o, tp_base, PyTypeObject*);
-        unsigned long flags = PyType_GetFlags(base);
-        if (flags & Py_TPFLAGS_HEAPTYPE) {
-            return 0;
-        }
-    }
-    Py_VISIT((PyObject*)Py_TYPE(o));
-    return 0;
-}
-#endif
-
-/* LimitedApiGetTypeDict (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static Py_ssize_t __Pyx_GetTypeDictOffset(void) {
-    PyObject *tp_dictoffset_o;
-    Py_ssize_t tp_dictoffset;
-    tp_dictoffset_o = PyObject_GetAttrString((PyObject*)(&PyType_Type), "__dictoffset__");
-    if (unlikely(!tp_dictoffset_o)) return -1;
-    tp_dictoffset = PyLong_AsSsize_t(tp_dictoffset_o);
-    Py_DECREF(tp_dictoffset_o);
-    if (unlikely(tp_dictoffset == 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' doesn't have a dictoffset");
-        return -1;
-    } else if (unlikely(tp_dictoffset < 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' has an unexpected negative dictoffset. "
-            "Please report this as Cython bug");
-        return -1;
-    }
-    return tp_dictoffset;
-}
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp) {
-    static Py_ssize_t tp_dictoffset = 0;
-    if (unlikely(tp_dictoffset == 0)) {
-        tp_dictoffset = __Pyx_GetTypeDictOffset();
-        if (unlikely(tp_dictoffset == -1 && PyErr_Occurred())) {
-            tp_dictoffset = 0; // try again next time?
-            return NULL;
-        }
-    }
-    return *(PyObject**)((char*)tp + tp_dictoffset);
-}
-#endif
-
-/* SetItemOnTypeDict (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_SetItem(tp_dict, k, v);
-    if (likely(!result)) {
-        PyType_Modified(tp);
-        if (unlikely(PyObject_HasAttr(v, __pyx_mstate_global->__pyx_n_u_set_name))) {
-            PyObject *setNameResult = PyObject_CallMethodObjArgs(v, __pyx_mstate_global->__pyx_n_u_set_name,  (PyObject *) tp, k, NULL);
-            if (!setNameResult) return -1;
-            Py_DECREF(setNameResult);
-        }
-    }
-    return result;
-}
-
-/* FixUpExtensionType */
-static int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type) {
-#if __PYX_LIMITED_VERSION_HEX > 0x030900B1
-    CYTHON_UNUSED_VAR(spec);
-    CYTHON_UNUSED_VAR(type);
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#else
-    const PyType_Slot *slot = spec->slots;
-    int changed = 0;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    while (slot && slot->slot && slot->slot != Py_tp_members)
-        slot++;
-    if (slot && slot->slot == Py_tp_members) {
-#if !CYTHON_COMPILING_IN_CPYTHON
-        const
-#endif  // !CYTHON_COMPILING_IN_CPYTHON)
-            PyMemberDef *memb = (PyMemberDef*) slot->pfunc;
-        while (memb && memb->name) {
-            if (memb->name[0] == '_' && memb->name[1] == '_') {
-                if (strcmp(memb->name, "__weaklistoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_weaklistoffset = memb->offset;
-                    changed = 1;
-                }
-                else if (strcmp(memb->name, "__dictoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_dictoffset = memb->offset;
-                    changed = 1;
-                }
-#if CYTHON_METH_FASTCALL
-                else if (strcmp(memb->name, "__vectorcalloffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_vectorcall_offset = memb->offset;
-                    changed = 1;
-                }
-#endif  // CYTHON_METH_FASTCALL
-#if !CYTHON_COMPILING_IN_PYPY
-                else if (strcmp(memb->name, "__module__") == 0) {
-                    PyObject *descr;
-                    assert(memb->type == T_OBJECT);
-                    assert(memb->flags == 0 || memb->flags == READONLY);
-                    descr = PyDescr_NewMember(type, memb);
-                    if (unlikely(!descr))
-                        return -1;
-                    int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                    Py_DECREF(descr);
-                    if (unlikely(set_item_result < 0)) {
-                        return -1;
-                    }
-                    changed = 1;
-                }
-#endif  // !CYTHON_COMPILING_IN_PYPY
-            }
-            memb++;
-        }
-    }
-#endif  // !CYTHON_COMPILING_IN_LIMITED_API
-#if !CYTHON_COMPILING_IN_PYPY
-    slot = spec->slots;
-    while (slot && slot->slot && slot->slot != Py_tp_getset)
-        slot++;
-    if (slot && slot->slot == Py_tp_getset) {
-        PyGetSetDef *getset = (PyGetSetDef*) slot->pfunc;
-        while (getset && getset->name) {
-            if (getset->name[0] == '_' && getset->name[1] == '_' && strcmp(getset->name, "__module__") == 0) {
-                PyObject *descr = PyDescr_NewGetSet(type, getset);
-                if (unlikely(!descr))
-                    return -1;
-                #if CYTHON_COMPILING_IN_LIMITED_API
-                PyObject *pyname = PyUnicode_FromString(getset->name);
-                if (unlikely(!pyname)) {
-                    Py_DECREF(descr);
-                    return -1;
-                }
-                int set_item_result = __Pyx_SetItemOnTypeDict(type, pyname, descr);
-                Py_DECREF(pyname);
-                #else
-                CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-                int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                #endif
-                Py_DECREF(descr);
-                if (unlikely(set_item_result < 0)) {
-                    return -1;
-                }
-                changed = 1;
-            }
-            ++getset;
-        }
-    }
-#else
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#endif  // !CYTHON_COMPILING_IN_PYPY
-    if (changed)
-        PyType_Modified(type);
-#endif  // PY_VERSION_HEX > 0x030900B1
-    return 0;
-}
-
-/* PyObjectCallNoArg (used by PyObjectCallMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallNoArg(PyObject *func) {
-    PyObject *arg[2] = {NULL, NULL};
-    return __Pyx_PyObject_FastCall(func, arg + 1, 0 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetMethod (used by PyObjectCallMethod0) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static int __Pyx_PyObject_GetMethod(PyObject *obj, PyObject *name, PyObject **method) {
-    PyObject *attr;
-#if CYTHON_UNPACK_METHODS && CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_PYTYPE_LOOKUP
-    __Pyx_TypeName type_name;
-    PyTypeObject *tp = Py_TYPE(obj);
-    PyObject *descr;
-    descrgetfunc f = NULL;
-    PyObject **dictptr, *dict;
-    int meth_found = 0;
-    assert (*method == NULL);
-    if (unlikely(tp->tp_getattro != PyObject_GenericGetAttr)) {
-        attr = __Pyx_PyObject_GetAttrStr(obj, name);
-        goto try_unpack;
-    }
-    if (unlikely(tp->tp_dict == NULL) && unlikely(PyType_Ready(tp) < 0)) {
-        return 0;
-    }
-    descr = _PyType_Lookup(tp, name);
-    if (likely(descr != NULL)) {
-        Py_INCREF(descr);
-#if defined(Py_TPFLAGS_METHOD_DESCRIPTOR) && Py_TPFLAGS_METHOD_DESCRIPTOR
-        if (__Pyx_PyType_HasFeature(Py_TYPE(descr), Py_TPFLAGS_METHOD_DESCRIPTOR))
-#else
-        #ifdef __Pyx_CyFunction_USED
-        if (likely(PyFunction_Check(descr) || __Pyx_IS_TYPE(descr, &PyMethodDescr_Type) || __Pyx_CyFunction_Check(descr)))
-        #else
-        if (likely(PyFunction_Check(descr) || __Pyx_IS_TYPE(descr, &PyMethodDescr_Type)))
-        #endif
-#endif
-        {
-            meth_found = 1;
-        } else {
-            f = Py_TYPE(descr)->tp_descr_get;
-            if (f != NULL && PyDescr_IsData(descr)) {
-                attr = f(descr, obj, (PyObject *)Py_TYPE(obj));
-                Py_DECREF(descr);
-                goto try_unpack;
-            }
-        }
-    }
-    dictptr = _PyObject_GetDictPtr(obj);
-    if (dictptr != NULL && (dict = *dictptr) != NULL) {
-        Py_INCREF(dict);
-        attr = __Pyx_PyDict_GetItemStr(dict, name);
-        if (attr != NULL) {
-            Py_INCREF(attr);
-            Py_DECREF(dict);
-            Py_XDECREF(descr);
-            goto try_unpack;
-        }
-        Py_DECREF(dict);
-    }
-    if (meth_found) {
-        *method = descr;
-        return 1;
-    }
-    if (f != NULL) {
-        attr = f(descr, obj, (PyObject *)Py_TYPE(obj));
-        Py_DECREF(descr);
-        goto try_unpack;
-    }
-    if (likely(descr != NULL)) {
-        *method = descr;
-        return 0;
-    }
-    type_name = __Pyx_PyType_GetFullyQualifiedName(tp);
-    PyErr_Format(PyExc_AttributeError,
-                 "'" __Pyx_FMT_TYPENAME "' object has no attribute '%U'",
-                 type_name, name);
-    __Pyx_DECREF_TypeName(type_name);
-    return 0;
-#else
-    attr = __Pyx_PyObject_GetAttrStr(obj, name);
-    goto try_unpack;
-#endif
-try_unpack:
-#if CYTHON_UNPACK_METHODS
-    if (likely(attr) && PyMethod_Check(attr) && likely(PyMethod_GET_SELF(attr) == obj)) {
-        PyObject *function = PyMethod_GET_FUNCTION(attr);
-        Py_INCREF(function);
-        Py_DECREF(attr);
-        *method = function;
-        return 1;
-    }
-#endif
-    *method = attr;
-    return 0;
-}
-#endif
-
-/* PyObjectCallMethod0 (used by PyType_Ready) */
-static PyObject* __Pyx_PyObject_CallMethod0(PyObject* obj, PyObject* method_name) {
-#if CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000))
-    PyObject *args[1] = {obj};
-    (void) __Pyx_PyObject_CallOneArg;
-    (void) __Pyx_PyObject_CallNoArg;
-    return PyObject_VectorcallMethod(method_name, args, 1 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#else
-    PyObject *method = NULL, *result = NULL;
-    int is_method = __Pyx_PyObject_GetMethod(obj, method_name, &method);
-    if (likely(is_method)) {
-        result = __Pyx_PyObject_CallOneArg(method, obj);
-        Py_DECREF(method);
-        return result;
-    }
-    if (unlikely(!method)) goto bad;
-    result = __Pyx_PyObject_CallNoArg(method);
-    Py_DECREF(method);
-bad:
-    return result;
-#endif
-}
-
-/* ValidateBasesTuple (used by PyType_Ready) */
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_USE_TYPE_SPECS
-static int __Pyx_validate_bases_tuple(const char *type_name, Py_ssize_t dictoffset, PyObject *bases) {
-    Py_ssize_t i, n;
-#if CYTHON_ASSUME_SAFE_SIZE
-    n = PyTuple_GET_SIZE(bases);
-#else
-    n = PyTuple_Size(bases);
-    if (unlikely(n < 0)) return -1;
-#endif
-    for (i = 1; i < n; i++)
-    {
-        PyTypeObject *b;
-#if CYTHON_AVOID_BORROWED_REFS
-        PyObject *b0 = PySequence_GetItem(bases, i);
-        if (!b0) return -1;
-#elif CYTHON_ASSUME_SAFE_MACROS
-        PyObject *b0 = PyTuple_GET_ITEM(bases, i);
-#else
-        PyObject *b0 = PyTuple_GetItem(bases, i);
-        if (!b0) return -1;
-#endif
-        b = (PyTypeObject*) b0;
-        if (!__Pyx_PyType_HasFeature(b, Py_TPFLAGS_HEAPTYPE))
-        {
-            __Pyx_TypeName b_name = __Pyx_PyType_GetFullyQualifiedName(b);
-            PyErr_Format(PyExc_TypeError,
-                "base class '" __Pyx_FMT_TYPENAME "' is not a heap type", b_name);
-            __Pyx_DECREF_TypeName(b_name);
-#if CYTHON_AVOID_BORROWED_REFS
-            Py_DECREF(b0);
-#endif
-            return -1;
-        }
-        if (dictoffset == 0)
-        {
-            Py_ssize_t b_dictoffset = 0;
-#if CYTHON_USE_TYPE_SLOTS
-            b_dictoffset = b->tp_dictoffset;
-#else
-            PyObject *py_b_dictoffset = PyObject_GetAttrString((PyObject*)b, "__dictoffset__");
-            if (!py_b_dictoffset) goto dictoffset_return;
-            b_dictoffset = PyLong_AsSsize_t(py_b_dictoffset);
-            Py_DECREF(py_b_dictoffset);
-            if (b_dictoffset == -1 && PyErr_Occurred()) goto dictoffset_return;
-#endif
-            if (b_dictoffset) {
-                {
-                    __Pyx_TypeName b_name = __Pyx_PyType_GetFullyQualifiedName(b);
-                    PyErr_Format(PyExc_TypeError,
-                        "extension type '%.200s' has no __dict__ slot, "
-                        "but base type '" __Pyx_FMT_TYPENAME "' has: "
-                        "either add 'cdef dict __dict__' to the extension type "
-                        "or add '__slots__ = [...]' to the base type",
-                        type_name, b_name);
-                    __Pyx_DECREF_TypeName(b_name);
-                }
-#if !CYTHON_USE_TYPE_SLOTS
-              dictoffset_return:
-#endif
-#if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(b0);
-#endif
-                return -1;
-            }
-        }
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(b0);
-#endif
-    }
-    return 0;
-}
-#endif
-
-/* PyType_Ready */
-CYTHON_UNUSED static int __Pyx_PyType_HasMultipleInheritance(PyTypeObject *t) {
-    while (t) {
-        PyObject *bases = __Pyx_PyType_GetSlot(t, tp_bases, PyObject*);
-        if (bases) {
-            return 1;
-        }
-        t = __Pyx_PyType_GetSlot(t, tp_base, PyTypeObject*);
-    }
-    return 0;
-}
-static int __Pyx_PyType_Ready(PyTypeObject *t) {
-#if CYTHON_USE_TYPE_SPECS || !CYTHON_COMPILING_IN_CPYTHON || defined(PYSTON_MAJOR_VERSION)
-    (void)__Pyx_PyObject_CallMethod0;
-#if CYTHON_USE_TYPE_SPECS
-    (void)__Pyx_validate_bases_tuple;
-#endif
-    return PyType_Ready(t);
-#else
-    int r;
-    if (!__Pyx_PyType_HasMultipleInheritance(t)) {
-        return PyType_Ready(t);
-    }
-    PyObject *bases = __Pyx_PyType_GetSlot(t, tp_bases, PyObject*);
-    if (bases && unlikely(__Pyx_validate_bases_tuple(t->tp_name, t->tp_dictoffset, bases) == -1))
-        return -1;
-#if !defined(PYSTON_MAJOR_VERSION)
-    {
-        int gc_was_enabled;
-    #if PY_VERSION_HEX >= 0x030A00b1
-        gc_was_enabled = PyGC_Disable();
-        (void)__Pyx_PyObject_CallMethod0;
-    #else
-        PyObject *ret, *py_status;
-        PyObject *gc = NULL;
-        #if (!CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM+0 >= 0x07030400) &&\
-                !CYTHON_COMPILING_IN_GRAAL
-        gc = PyImport_GetModule(__pyx_mstate_global->__pyx_kp_u_gc);
-        #endif
-        if (unlikely(!gc)) gc = PyImport_Import(__pyx_mstate_global->__pyx_kp_u_gc);
-        if (unlikely(!gc)) return -1;
-        py_status = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_isenabled);
-        if (unlikely(!py_status)) {
-            Py_DECREF(gc);
-            return -1;
-        }
-        gc_was_enabled = __Pyx_PyObject_IsTrue(py_status);
-        Py_DECREF(py_status);
-        if (gc_was_enabled > 0) {
-            ret = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_disable);
-            if (unlikely(!ret)) {
-                Py_DECREF(gc);
-                return -1;
-            }
-            Py_DECREF(ret);
-        } else if (unlikely(gc_was_enabled == -1)) {
-            Py_DECREF(gc);
-            return -1;
-        }
-    #endif
-        t->tp_flags |= Py_TPFLAGS_HEAPTYPE;
-#if PY_VERSION_HEX >= 0x030A0000
-        t->tp_flags |= Py_TPFLAGS_IMMUTABLETYPE;
-#endif
-#else
-        (void)__Pyx_PyObject_CallMethod0;
-#endif
-    r = PyType_Ready(t);
-#if !defined(PYSTON_MAJOR_VERSION)
-        t->tp_flags &= ~Py_TPFLAGS_HEAPTYPE;
-    #if PY_VERSION_HEX >= 0x030A00b1
-        if (gc_was_enabled)
-            PyGC_Enable();
-    #else
-        if (gc_was_enabled) {
-            PyObject *tp, *v, *tb;
-            PyErr_Fetch(&tp, &v, &tb);
-            ret = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_enable);
-            if (likely(ret || r == -1)) {
-                Py_XDECREF(ret);
-                PyErr_Restore(tp, v, tb);
-            } else {
-                Py_XDECREF(tp);
-                Py_XDECREF(v);
-                Py_XDECREF(tb);
-                r = -1;
-            }
-        }
-        Py_DECREF(gc);
-    #endif
-    }
-#endif
-    return r;
-#endif
-}
-
-/* SetVTable */
-static int __Pyx_SetVtable(PyTypeObject *type, void *vtable) {
-    PyObject *ob = PyCapsule_New(vtable, 0, 0);
-    if (unlikely(!ob))
-        goto bad;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(PyObject_SetAttr((PyObject *) type, __pyx_mstate_global->__pyx_n_u_pyx_vtable, ob) < 0))
-#else
-    if (unlikely(PyDict_SetItem(type->tp_dict, __pyx_mstate_global->__pyx_n_u_pyx_vtable, ob) < 0))
-#endif
-        goto bad;
-    Py_DECREF(ob);
-    return 0;
-bad:
-    Py_XDECREF(ob);
-    return -1;
-}
-
-/* GetVTable (used by MergeVTables) */
-static void* __Pyx_GetVtable(PyTypeObject *type) {
-    void* ptr;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *ob = PyObject_GetAttr((PyObject *)type, __pyx_mstate_global->__pyx_n_u_pyx_vtable);
-#else
-    PyObject *ob = PyObject_GetItem(type->tp_dict, __pyx_mstate_global->__pyx_n_u_pyx_vtable);
-#endif
-    if (!ob)
-        goto bad;
-    ptr = PyCapsule_GetPointer(ob, 0);
-    if (!ptr && !PyErr_Occurred())
-        PyErr_SetString(PyExc_RuntimeError, "invalid vtable found for imported type");
-    Py_DECREF(ob);
-    return ptr;
-bad:
-    Py_XDECREF(ob);
-    return NULL;
-}
-
-/* MergeVTables */
-static int __Pyx_MergeVtables(PyTypeObject *type) {
-    int i=0;
-    Py_ssize_t size;
-    void** base_vtables;
-    __Pyx_TypeName tp_base_name = NULL;
-    __Pyx_TypeName base_name = NULL;
-    void* unknown = (void*)-1;
-    PyObject* bases = __Pyx_PyType_GetSlot(type, tp_bases, PyObject*);
-    int base_depth = 0;
-    {
-        PyTypeObject* base = __Pyx_PyType_GetSlot(type, tp_base, PyTypeObject*);
-        while (base) {
-            base_depth += 1;
-            base = __Pyx_PyType_GetSlot(base, tp_base, PyTypeObject*);
-        }
-    }
-    base_vtables = (void**) PyMem_Malloc(sizeof(void*) * (size_t)(base_depth + 1));
-    base_vtables[0] = unknown;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    size = PyTuple_Size(bases);
-    if (size < 0) goto other_failure;
-#else
-    size = PyTuple_GET_SIZE(bases);
-#endif
-    for (i = 1; i < size; i++) {
-        PyObject *basei;
-        void* base_vtable;
-#if CYTHON_AVOID_BORROWED_REFS
-        basei = PySequence_GetItem(bases, i);
-        if (unlikely(!basei)) goto other_failure;
-#elif !CYTHON_ASSUME_SAFE_MACROS
-        basei = PyTuple_GetItem(bases, i);
-        if (unlikely(!basei)) goto other_failure;
-#else
-        basei = PyTuple_GET_ITEM(bases, i);
-#endif
-        base_vtable = __Pyx_GetVtable((PyTypeObject*)basei);
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(basei);
-#endif
-        if (base_vtable != NULL) {
-            int j;
-            PyTypeObject* base = __Pyx_PyType_GetSlot(type, tp_base, PyTypeObject*);
-            for (j = 0; j < base_depth; j++) {
-                if (base_vtables[j] == unknown) {
-                    base_vtables[j] = __Pyx_GetVtable(base);
-                    base_vtables[j + 1] = unknown;
-                }
-                if (base_vtables[j] == base_vtable) {
-                    break;
-                } else if (base_vtables[j] == NULL) {
-                    goto bad;
-                }
-                base = __Pyx_PyType_GetSlot(base, tp_base, PyTypeObject*);
-            }
-        }
-    }
-    PyErr_Clear();
-    PyMem_Free(base_vtables);
-    return 0;
-bad:
-    {
-        PyTypeObject* basei = NULL;
-        PyTypeObject* tp_base = __Pyx_PyType_GetSlot(type, tp_base, PyTypeObject*);
-        tp_base_name = __Pyx_PyType_GetFullyQualifiedName(tp_base);
-#if CYTHON_AVOID_BORROWED_REFS
-        basei = (PyTypeObject*)PySequence_GetItem(bases, i);
-        if (unlikely(!basei)) goto really_bad;
-#elif !CYTHON_ASSUME_SAFE_MACROS
-        basei = (PyTypeObject*)PyTuple_GetItem(bases, i);
-        if (unlikely(!basei)) goto really_bad;
-#else
-        basei = (PyTypeObject*)PyTuple_GET_ITEM(bases, i);
-#endif
-        base_name = __Pyx_PyType_GetFullyQualifiedName(basei);
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(basei);
-#endif
-    }
-    PyErr_Format(PyExc_TypeError,
-        "multiple bases have vtable conflict: '" __Pyx_FMT_TYPENAME "' and '" __Pyx_FMT_TYPENAME "'", tp_base_name, base_name);
-#if CYTHON_AVOID_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS
-really_bad: // bad has failed!
-#endif
-    __Pyx_DECREF_TypeName(tp_base_name);
-    __Pyx_DECREF_TypeName(base_name);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_AVOID_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS
-other_failure:
-#endif
-    PyMem_Free(base_vtables);
-    return -1;
-}
-
-/* DelItemOnTypeDict (used by SetupReduce) */
-static int __Pyx__DelItemOnTypeDict(PyTypeObject *tp, PyObject *k) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_DelItem(tp_dict, k);
-    if (likely(!result)) PyType_Modified(tp);
-    return result;
-}
-
-/* SetupReduce */
-static int __Pyx_setup_reduce_is_named(PyObject* meth, PyObject* name) {
-  int ret;
-  PyObject *name_attr;
-  name_attr = __Pyx_PyObject_GetAttrStrNoError(meth, __pyx_mstate_global->__pyx_n_u_name);
-  if (likely(name_attr)) {
-      ret = PyObject_RichCompareBool(name_attr, name, Py_EQ);
-  } else {
-      ret = -1;
-  }
-  if (unlikely(ret < 0)) {
-      PyErr_Clear();
-      ret = 0;
-  }
-  Py_XDECREF(name_attr);
-  return ret;
-}
-static int __Pyx_setup_reduce(PyObject* type_obj) {
-    int ret = 0;
-    PyObject *object_reduce = NULL;
-    PyObject *object_getstate = NULL;
-    PyObject *object_reduce_ex = NULL;
-    PyObject *reduce = NULL;
-    PyObject *reduce_ex = NULL;
-    PyObject *reduce_cython = NULL;
-    PyObject *setstate = NULL;
-    PyObject *setstate_cython = NULL;
-    PyObject *getstate = NULL;
-#if CYTHON_USE_PYTYPE_LOOKUP
-    getstate = _PyType_Lookup((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_getstate);
-#else
-    getstate = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_getstate);
-    if (!getstate && PyErr_Occurred()) {
-        goto __PYX_BAD;
-    }
-#endif
-    if (getstate) {
-#if CYTHON_USE_PYTYPE_LOOKUP
-        object_getstate = _PyType_Lookup(&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_getstate);
-#else
-        object_getstate = __Pyx_PyObject_GetAttrStrNoError((PyObject*)&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_getstate);
-        if (!object_getstate && PyErr_Occurred()) {
-            goto __PYX_BAD;
-        }
-#endif
-        if (object_getstate != getstate) {
-            goto __PYX_GOOD;
-        }
-    }
-#if CYTHON_USE_PYTYPE_LOOKUP
-    object_reduce_ex = _PyType_Lookup(&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce_ex); if (!object_reduce_ex) goto __PYX_BAD;
-#else
-    object_reduce_ex = __Pyx_PyObject_GetAttrStr((PyObject*)&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce_ex); if (!object_reduce_ex) goto __PYX_BAD;
-#endif
-    reduce_ex = __Pyx_PyObject_GetAttrStr(type_obj, __pyx_mstate_global->__pyx_n_u_reduce_ex); if (unlikely(!reduce_ex)) goto __PYX_BAD;
-    if (reduce_ex == object_reduce_ex) {
-#if CYTHON_USE_PYTYPE_LOOKUP
-        object_reduce = _PyType_Lookup(&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce); if (!object_reduce) goto __PYX_BAD;
-#else
-        object_reduce = __Pyx_PyObject_GetAttrStr((PyObject*)&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce); if (!object_reduce) goto __PYX_BAD;
-#endif
-        reduce = __Pyx_PyObject_GetAttrStr(type_obj, __pyx_mstate_global->__pyx_n_u_reduce); if (unlikely(!reduce)) goto __PYX_BAD;
-        if (reduce == object_reduce || __Pyx_setup_reduce_is_named(reduce, __pyx_mstate_global->__pyx_n_u_reduce_cython)) {
-            reduce_cython = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_reduce_cython);
-            if (likely(reduce_cython)) {
-                ret = __Pyx_SetItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_reduce, reduce_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-                ret = __Pyx_DelItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_reduce_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-            } else if (reduce == object_reduce || PyErr_Occurred()) {
-                goto __PYX_BAD;
-            }
-            setstate = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_setstate);
-            if (!setstate) PyErr_Clear();
-            if (!setstate || __Pyx_setup_reduce_is_named(setstate, __pyx_mstate_global->__pyx_n_u_setstate_cython)) {
-                setstate_cython = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_setstate_cython);
-                if (likely(setstate_cython)) {
-                    ret = __Pyx_SetItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_setstate, setstate_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-                    ret = __Pyx_DelItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_setstate_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-                } else if (!setstate || PyErr_Occurred()) {
-                    goto __PYX_BAD;
-                }
-            }
-            PyType_Modified((PyTypeObject*)type_obj);
-        }
-    }
-    goto __PYX_GOOD;
-__PYX_BAD:
-    if (!PyErr_Occurred()) {
-        __Pyx_TypeName type_obj_name =
-            __Pyx_PyType_GetFullyQualifiedName((PyTypeObject*)type_obj);
-        PyErr_Format(PyExc_RuntimeError,
-            "Unable to initialize pickling for " __Pyx_FMT_TYPENAME, type_obj_name);
-        __Pyx_DECREF_TypeName(type_obj_name);
-    }
-    ret = -1;
-__PYX_GOOD:
-#if !CYTHON_USE_PYTYPE_LOOKUP
-    Py_XDECREF(object_reduce);
-    Py_XDECREF(object_reduce_ex);
-    Py_XDECREF(object_getstate);
-    Py_XDECREF(getstate);
-#endif
-    Py_XDECREF(reduce);
-    Py_XDECREF(reduce_ex);
-    Py_XDECREF(reduce_cython);
-    Py_XDECREF(setstate);
-    Py_XDECREF(setstate_cython);
-    return ret;
-}
-
-/* HasAttr (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *o, PyObject *n) {
-    PyObject *r;
-    if (unlikely(!PyUnicode_Check(n))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "hasattr(): attribute name must be string");
-        return -1;
-    }
-    r = __Pyx_PyObject_GetAttrStrNoError(o, n);
-    if (!r) {
-        return (unlikely(PyErr_Occurred())) ? -1 : 0;
-    } else {
-        Py_DECREF(r);
-        return 1;
-    }
-}
-#endif
-
-/* ImportImpl (used by Import) */
-static int __Pyx__Import_GetModule(PyObject *qualname, PyObject **module) {
-    PyObject *imported_module = PyImport_GetModule(qualname);
-    if (unlikely(!imported_module)) {
-        *module = NULL;
-        if (PyErr_Occurred()) {
-            return -1;
-        }
-        return 0;
-    }
-    *module = imported_module;
-    return 1;
-}
-static int __Pyx__Import_Lookup(PyObject *qualname, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject **module) {
-    PyObject *imported_module;
-    PyObject *top_level_package_name;
-    Py_ssize_t i;
-    int status, module_found;
-    Py_ssize_t dot_index;
-    module_found = __Pyx__Import_GetModule(qualname, &imported_module);
-    if (unlikely(!module_found || module_found == -1)) {
-        *module = NULL;
-        return module_found;
-    }
-    if (imported_names) {
-        for (i = 0; i < len_imported_names; i++) {
-            PyObject *imported_name = imported_names[i];
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-            int has_imported_attribute = PyObject_HasAttr(imported_module, imported_name);
-#else
-            int has_imported_attribute = PyObject_HasAttrWithError(imported_module, imported_name);
-            if (unlikely(has_imported_attribute == -1)) goto error;
-#endif
-            if (!has_imported_attribute) {
-                goto not_found;
-            }
-        }
-        *module = imported_module;
-        return 1;
-    }
-    dot_index = PyUnicode_FindChar(qualname, '.', 0, PY_SSIZE_T_MAX, 1);
-    if (dot_index == -1) {
-        *module = imported_module;
-        return 1;
-    }
-    if (unlikely(dot_index == -2)) goto error;
-    top_level_package_name = PyUnicode_Substring(qualname, 0, dot_index);
-    if (unlikely(!top_level_package_name)) goto error;
-    Py_DECREF(imported_module);
-    status = __Pyx__Import_GetModule(top_level_package_name, module);
-    Py_DECREF(top_level_package_name);
-    return status;
-error:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return -1;
-not_found:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return 0;
-}
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level) {
-    PyObject *module = 0;
-    PyObject *empty_dict = 0;
-    PyObject *from_list = 0;
-    int module_found;
-    if (!qualname) {
-        qualname = name;
-    }
-    module_found = __Pyx__Import_Lookup(qualname, imported_names, len_imported_names, &module);
-    if (likely(module_found == 1)) {
-        return module;
-    } else if (unlikely(module_found == -1)) {
-        return NULL;
-    }
-    empty_dict = PyDict_New();
-    if (unlikely(!empty_dict))
-        goto bad;
-    if (imported_names) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        from_list = __Pyx_PyList_FromArray(imported_names, len_imported_names);
-        if (unlikely(!from_list))
-            goto bad;
-#else
-        from_list = PyList_New(len_imported_names);
-        if (unlikely(!from_list)) goto bad;
-        for (Py_ssize_t i=0; i<len_imported_names; ++i) {
-            if (PyList_SetItem(from_list, i, __Pyx_NewRef(imported_names[i])) < 0) goto bad;
-        }
-#endif
-    }
-    if (level == -1) {
-        const char* package_sep = strchr(__Pyx_MODULE_NAME, '.');
-        if (package_sep != (0)) {
-            module = PyImport_ImportModuleLevelObject(
-                name, moddict, empty_dict, from_list, 1);
-            if (unlikely(!module)) {
-                if (unlikely(!PyErr_ExceptionMatches(PyExc_ImportError)))
-                    goto bad;
-                PyErr_Clear();
-            }
-        }
-        level = 0;
-    }
-    if (!module) {
-        module = PyImport_ImportModuleLevelObject(
-            name, moddict, empty_dict, from_list, level);
-    }
-bad:
-    Py_XDECREF(from_list);
-    Py_XDECREF(empty_dict);
-    return module;
-}
-
-/* Import */
-static PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level) {
-    return __Pyx__Import(name, imported_names, len_imported_names, qualname, __pyx_mstate_global->__pyx_d, level);
-}
-
-/* ImportFrom */
-static PyObject* __Pyx_ImportFrom(PyObject* module, PyObject* name) {
-    PyObject* value = __Pyx_PyObject_GetAttrStr(module, name);
-    if (unlikely(!value) && PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        const char* module_name_str = 0;
-        PyObject* module_name = 0;
-        PyObject* module_dot = 0;
-        PyObject* full_name = 0;
-        PyErr_Clear();
-        module_name_str = PyModule_GetName(module);
-        if (unlikely(!module_name_str)) { goto modbad; }
-        module_name = PyUnicode_FromString(module_name_str);
-        if (unlikely(!module_name)) { goto modbad; }
-        module_dot = PyUnicode_Concat(module_name, __pyx_mstate_global->__pyx_kp_u__3);
-        if (unlikely(!module_dot)) { goto modbad; }
-        full_name = PyUnicode_Concat(module_dot, name);
-        if (unlikely(!full_name)) { goto modbad; }
-        #if (CYTHON_COMPILING_IN_PYPY && PYPY_VERSION_NUM  < 0x07030400) ||\
-                CYTHON_COMPILING_IN_GRAAL
-        {
-            PyObject *modules = PyImport_GetModuleDict();
-            if (unlikely(!modules))
-                goto modbad;
-            value = PyObject_GetItem(modules, full_name);
-        }
-        #else
-        value = PyImport_GetModule(full_name);
-        #endif
-      modbad:
-        Py_XDECREF(full_name);
-        Py_XDECREF(module_dot);
-        Py_XDECREF(module_name);
-    }
-    if (unlikely(!value)) {
-        PyErr_Format(PyExc_ImportError, "cannot import name %S", name);
-    }
-    return value;
-}
-
-/* dict_setdefault (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value) {
-    PyObject* value;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030F0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4)
-    PyDict_SetDefaultRef(d, key, default_value, &value);
-#elif CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    PyObject *args[] = {d, key, default_value};
-    value = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_n_u_setdefault, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_CallMethodObjArgs(d, __pyx_mstate_global->__pyx_n_u_setdefault, key, default_value, NULL);
-#else
-    value = PyDict_SetDefault(d, key, default_value);
-    if (unlikely(!value)) return NULL;
-    Py_INCREF(value);
-#endif
-    return value;
-}
-
-/* AddModuleRef (used by FetchSharedCythonModule) */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  static PyObject *__Pyx_PyImport_AddModuleObjectRef(PyObject *name) {
-      PyObject *module_dict = PyImport_GetModuleDict();
-      PyObject *m;
-      if (PyMapping_GetOptionalItem(module_dict, name, &m) < 0) {
-          return NULL;
-      }
-      if (m != NULL && PyModule_Check(m)) {
-          return m;
-      }
-      Py_XDECREF(m);
-      m = PyModule_NewObject(name);
-      if (m == NULL)
-          return NULL;
-      if (PyDict_CheckExact(module_dict)) {
-          PyObject *new_m;
-          (void)PyDict_SetDefaultRef(module_dict, name, m, &new_m);
-          Py_DECREF(m);
-          return new_m;
-      } else {
-           if (PyObject_SetItem(module_dict, name, m) != 0) {
-                Py_DECREF(m);
-                return NULL;
-            }
-            return m;
-      }
-  }
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *py_name = PyUnicode_FromString(name);
-      if (!py_name) return NULL;
-      PyObject *module = __Pyx_PyImport_AddModuleObjectRef(py_name);
-      Py_DECREF(py_name);
-      return module;
-  }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#else
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *module = PyImport_AddModule(name);
-      Py_XINCREF(module);
-      return module;
-  }
-#endif
-
-/* FetchSharedCythonModule (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void) {
-    return __Pyx_PyImport_AddModuleRef(__PYX_ABI_MODULE_NAME);
-}
-
-/* FetchCommonType (used by CommonTypesMetaclass) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject* __Pyx_PyType_FromMetaclass(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *result = __Pyx_PyType_FromModuleAndSpec(module, spec, bases);
-    if (result && metaclass) {
-        PyObject *old_tp = (PyObject*)Py_TYPE(result);
-    Py_INCREF((PyObject*)metaclass);
-#if __PYX_LIMITED_VERSION_HEX >= 0x03090000
-        Py_SET_TYPE(result, metaclass);
-#else
-        result->ob_type = metaclass;
-#endif
-        Py_DECREF(old_tp);
-    }
-    return result;
-}
-#else
-#define __Pyx_PyType_FromMetaclass(me, mo, s, b) PyType_FromMetaclass(me, mo, s, b)
-#endif
-static int __Pyx_VerifyCachedType(PyObject *cached_type,
-                               const char *name,
-                               Py_ssize_t expected_basicsize) {
-    Py_ssize_t basicsize;
-    if (!PyType_Check(cached_type)) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s is not a type object", name);
-        return -1;
-    }
-    if (expected_basicsize == 0) {
-        return 0; // size is inherited, nothing useful to check
-    }
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_basicsize;
-    py_basicsize = PyObject_GetAttrString(cached_type, "__basicsize__");
-    if (unlikely(!py_basicsize)) return -1;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = NULL;
-    if (unlikely(basicsize == (Py_ssize_t)-1) && PyErr_Occurred()) return -1;
-#else
-    basicsize = ((PyTypeObject*) cached_type)->tp_basicsize;
-#endif
-    if (basicsize != expected_basicsize) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s has the wrong size, try recompiling",
-            name);
-        return -1;
-    }
-    return 0;
-}
-static PyTypeObject *__Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *abi_module = NULL, *cached_type = NULL, *abi_module_dict, *new_cached_type, *py_object_name;
-    int get_item_ref_result;
-    const char* object_name = strrchr(spec->name, '.');
-    object_name = object_name ? object_name+1 : spec->name;
-    py_object_name = PyUnicode_FromString(object_name);
-    if (!py_object_name) return NULL;
-    abi_module = __Pyx_FetchSharedCythonABIModule();
-    if (!abi_module) goto done;
-    abi_module_dict = PyModule_GetDict(abi_module);
-    if (!abi_module_dict) goto done;
-    get_item_ref_result = __Pyx_PyDict_GetItemRef(abi_module_dict, py_object_name, &cached_type);
-    if (get_item_ref_result == 1) {
-        if (__Pyx_VerifyCachedType(
-              cached_type,
-              object_name,
-              spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else if (unlikely(get_item_ref_result == -1)) {
-        goto bad;
-    }
-    cached_type = __Pyx_PyType_FromMetaclass(
-        metaclass,
-        CYTHON_USE_MODULE_STATE ? module : abi_module,
-        spec, bases);
-    if (unlikely(!cached_type)) goto bad;
-    if (unlikely(__Pyx_fix_up_extension_type_from_spec(spec, (PyTypeObject *) cached_type) < 0)) goto bad;
-    new_cached_type = __Pyx_PyDict_SetDefault(abi_module_dict, py_object_name, cached_type);
-    if (unlikely(new_cached_type != cached_type)) {
-        if (unlikely(!new_cached_type)) goto bad;
-        Py_DECREF(cached_type);
-        cached_type = new_cached_type;
-        if (__Pyx_VerifyCachedType(
-                cached_type,
-                object_name,
-                spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else {
-        Py_DECREF(new_cached_type);
-    }
-done:
-    Py_XDECREF(abi_module);
-    Py_DECREF(py_object_name);
-    assert(cached_type == NULL || PyType_Check(cached_type));
-    return (PyTypeObject *) cached_type;
-bad:
-    Py_XDECREF(cached_type);
-    cached_type = NULL;
-    goto done;
-}
-
-/* CommonTypesMetaclass (used by CythonFunctionShared) */
-static PyObject* __pyx_CommonTypesMetaclass_get_module(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED void* context) {
-    return PyUnicode_FromString(__PYX_ABI_MODULE_NAME);
-}
-#if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject* __pyx_CommonTypesMetaclass_call(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *args, CYTHON_UNUSED PyObject *kwds) {
-    PyErr_SetString(PyExc_TypeError, "Cannot instantiate Cython internal types");
-    return NULL;
-}
-static int __pyx_CommonTypesMetaclass_setattr(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *attr, CYTHON_UNUSED PyObject *value) {
-    PyErr_SetString(PyExc_TypeError, "Cython internal types are immutable");
-    return -1;
-}
-#endif
-static PyGetSetDef __pyx_CommonTypesMetaclass_getset[] = {
-    {"__module__", __pyx_CommonTypesMetaclass_get_module, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_CommonTypesMetaclass_slots[] = {
-    {Py_tp_getset, (void *)__pyx_CommonTypesMetaclass_getset},
-    #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {Py_tp_call, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_new, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_setattro, (void*)__pyx_CommonTypesMetaclass_setattr},
-    #endif
-    {0, 0}
-};
-static PyType_Spec __pyx_CommonTypesMetaclass_spec = {
-    __PYX_TYPE_MODULE_PREFIX "_common_types_metatype",
-    0,
-    0,
-    Py_TPFLAGS_IMMUTABLETYPE |
-    Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT,
-    __pyx_CommonTypesMetaclass_slots
-};
-static int __pyx_CommonTypesMetaclass_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    PyObject *bases = PyTuple_Pack(1, &PyType_Type);
-    if (unlikely(!bases)) {
-        return -1;
-    }
-    mstate->__pyx_CommonTypesMetaclassType = __Pyx_FetchCommonTypeFromSpec(NULL, module, &__pyx_CommonTypesMetaclass_spec, bases);
-    Py_DECREF(bases);
-    if (unlikely(mstate->__pyx_CommonTypesMetaclassType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-
-/* PyMethodNew (used by CythonFunctionShared) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    {
-        PyObject *args[] = {func, self};
-        result = PyObject_Vectorcall(__pyx_mstate_global->__Pyx_CachedMethodType, args, 2, NULL);
-    }
-    #else
-    result = PyObject_CallFunctionObjArgs(__pyx_mstate_global->__Pyx_CachedMethodType, func, self, NULL);
-    #endif
-    return result;
-}
-#else
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    return PyMethod_New(func, self);
-}
-#endif
-
-/* PyVectorcallFastCallDict (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static PyObject *__Pyx_PyVectorcall_FastCallDict_kw(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    PyObject *res = NULL;
-    PyObject *kwnames;
-    PyObject **newargs;
-    PyObject **kwvalues;
-    Py_ssize_t i;
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos;
-    #else
-    Py_ssize_t pos;
-    #endif
-    size_t j;
-    PyObject *key, *value;
-    unsigned long keys_are_strings;
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t nkw = PyDict_Size(kw);
-    if (unlikely(nkw == -1)) return NULL;
-    #else
-    Py_ssize_t nkw = PyDict_GET_SIZE(kw);
-    #endif
-    newargs = (PyObject **)PyMem_Malloc((nargs + (size_t)nkw) * sizeof(args[0]));
-    if (unlikely(newargs == NULL)) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (j = 0; j < nargs; j++) newargs[j] = args[j];
-    kwnames = PyTuple_New(nkw);
-    if (unlikely(kwnames == NULL)) {
-        PyMem_Free(newargs);
-        return NULL;
-    }
-    kwvalues = newargs + nargs;
-    pos = 0;
-    i = 0;
-    keys_are_strings = Py_TPFLAGS_UNICODE_SUBCLASS;
-    while (__Pyx_PyDict_NextRef(kw, &pos, &key, &value)) {
-        keys_are_strings &=
-        #if CYTHON_COMPILING_IN_LIMITED_API
-            PyType_GetFlags(Py_TYPE(key));
-        #else
-            Py_TYPE(key)->tp_flags;
-        #endif
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(kwnames, i, key) < 0)) goto cleanup;
-        #else
-        PyTuple_SET_ITEM(kwnames, i, key);
-        #endif
-        kwvalues[i] = value;
-        i++;
-    }
-    if (unlikely(!keys_are_strings)) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        goto cleanup;
-    }
-    res = vc(func, newargs, nargs, kwnames);
-cleanup:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(pos);
-    #endif
-    Py_DECREF(kwnames);
-    for (i = 0; i < nkw; i++)
-        Py_DECREF(kwvalues[i]);
-    PyMem_Free(newargs);
-    return res;
-}
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    Py_ssize_t kw_size =
-        likely(kw == NULL) ?
-        0 :
-#if !CYTHON_ASSUME_SAFE_SIZE
-        PyDict_Size(kw);
-#else
-        PyDict_GET_SIZE(kw);
-#endif
-    if (kw_size == 0) {
-        return vc(func, args, nargs, NULL);
-    }
-#if !CYTHON_ASSUME_SAFE_SIZE
-    else if (unlikely(kw_size == -1)) {
-        return NULL;
-    }
-#endif
-    return __Pyx_PyVectorcall_FastCallDict_kw(func, vc, args, nargs, kw);
-}
-#endif
-
-/* CythonFunctionShared (used by CythonFunction) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunctionNoMethod(PyObject *func, void (*cfunc)(void)) {
-    if (__Pyx_CyFunction_Check(func)) {
-        return PyCFunction_GetFunction(((__pyx_CyFunctionObject*)func)->func) == (PyCFunction) cfunc;
-    } else if (PyCFunction_Check(func)) {
-        return PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if ((PyObject*)Py_TYPE(func) == __pyx_mstate_global->__Pyx_CachedMethodType) {
-        int result;
-        PyObject *newFunc = PyObject_GetAttr(func, __pyx_mstate_global->__pyx_n_u_func);
-        if (unlikely(!newFunc)) {
-            PyErr_Clear(); // It's only an optimization, so don't throw an error
-            return 0;
-        }
-        result = __Pyx__IsSameCyOrCFunctionNoMethod(newFunc, cfunc);
-        Py_DECREF(newFunc);
-        return result;
-    }
-    return __Pyx__IsSameCyOrCFunctionNoMethod(func, cfunc);
-}
-#else
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if (PyMethod_Check(func)) {
-        func = PyMethod_GET_FUNCTION(func);
-    }
-    return __Pyx_CyOrPyCFunction_Check(func) && __Pyx_CyOrPyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-}
-#endif
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj) {
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    __Pyx_Py_XDECREF_SET(
-        __Pyx_CyFunction_GetClassObj(f),
-            ((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#else
-    __Pyx_Py_XDECREF_SET(
-        ((PyCMethodObject *) (f))->mm_class,
-        (PyTypeObject*)((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#endif
-}
-static PyObject *
-__Pyx_CyFunction_get_doc_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_doc == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_doc = PyObject_GetAttrString(op->func, "__doc__");
-        if (unlikely(!op->func_doc)) return NULL;
-#else
-        if (((PyCFunctionObject*)op)->m_ml->ml_doc) {
-            op->func_doc = PyUnicode_FromString(((PyCFunctionObject*)op)->m_ml->ml_doc);
-            if (unlikely(op->func_doc == NULL))
-                return NULL;
-        } else {
-            Py_INCREF(Py_None);
-            return Py_None;
-        }
-#endif
-    }
-    Py_INCREF(op->func_doc);
-    return op->func_doc;
-}
-static PyObject *
-__Pyx_CyFunction_get_doc(__pyx_CyFunctionObject *op, void *closure) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(closure);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_doc_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_doc(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        value = Py_None;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_doc, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_name_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_name == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_name = PyObject_GetAttrString(op->func, "__name__");
-#else
-        op->func_name = PyUnicode_InternFromString(((PyCFunctionObject*)op)->m_ml->ml_name);
-#endif
-        if (unlikely(op->func_name == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_name);
-    return op->func_name;
-}
-static PyObject *
-__Pyx_CyFunction_get_name(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_name_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_name(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_name, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_qualname(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    Py_INCREF(op->func_qualname);
-    result = op->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_qualname(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_qualname, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *
-__Pyx_CyFunction_get_dict(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(op->func_dict == NULL)) {
-        op->func_dict = PyDict_New();
-        if (unlikely(op->func_dict == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_dict);
-    return op->func_dict;
-}
-#endif
-static PyObject *
-__Pyx_CyFunction_get_globals(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(op->func_globals);
-    return op->func_globals;
-}
-static PyObject *
-__Pyx_CyFunction_get_closure(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(op);
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-static PyObject *
-__Pyx_CyFunction_get_code(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject* result = (op->func_code) ? op->func_code : Py_None;
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(result);
-    return result;
-}
-static int
-__Pyx_CyFunction_init_defaults(__pyx_CyFunctionObject *op) {
-    int result = 0;
-    PyObject *res = op->defaults_getter((PyObject *) op);
-    if (unlikely(!res))
-        return -1;
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    op->defaults_tuple = PyTuple_GET_ITEM(res, 0);
-    Py_INCREF(op->defaults_tuple);
-    op->defaults_kwdict = PyTuple_GET_ITEM(res, 1);
-    Py_INCREF(op->defaults_kwdict);
-    #else
-    op->defaults_tuple = __Pyx_PySequence_ITEM(res, 0);
-    if (unlikely(!op->defaults_tuple)) result = -1;
-    else {
-        op->defaults_kwdict = __Pyx_PySequence_ITEM(res, 1);
-        if (unlikely(!op->defaults_kwdict)) result = -1;
-    }
-    #endif
-    Py_DECREF(res);
-    return result;
-}
-static int
-__Pyx_CyFunction_set_defaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyTuple_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__defaults__ must be set to a tuple object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__defaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_tuple, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_tuple;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_tuple;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_defaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_kwdefaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__kwdefaults__ must be set to a dict object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__kwdefaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_kwdict, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_kwdict;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_kwdict;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_kwdefaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int __Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value);
-static int
-__Pyx_CyFunction_set_annotations(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value || value == Py_None) {
-        value = NULL;
-    } else if (unlikely(!PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__annotations__ must be set to a dict object");
-        return -1;
-    }
-    Py_XINCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, value);
-    __Pyx_END_CRITICAL_SECTION();
-    if (unlikely(__Pyx_CyFunction_set_annotate_in_dict_if_exists((PyObject*) op, Py_None) < 0)) return -1;
-    return 0;
-}
-static int
-__Pyx_CyFunction_get_dict_if_exists(PyObject *op_in, PyObject **dict) {
-    /* Return 1 if the function dict exists, 0 otherwise.  This cannot fail:
-     * _PyObject_GetDictPtr() may clear errors internally, but never reports them. */
-#if CYTHON_COMPILING_IN_PYPY
-    *dict = PyObject_GenericGetDict(op_in, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030C0000
-    *dict = ((__pyx_CyFunctionObject*) op_in)->func_dict;
-#else
-    PyObject **dictptr = _PyObject_GetDictPtr(op_in);
-    *dict = likely(dictptr) ? *dictptr : NULL;
-#endif
-    return *dict ? 1 : 0;
-}
-static int
-__Pyx_CyFunction_get_annotate_from_dict_if_exists(PyObject *op_in, PyObject **annotate) {
-    PyObject *dict;
-    int dict_found;
-    *annotate = NULL;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return __Pyx_PyDict_GetItemRef(dict, __pyx_mstate_global->__pyx_n_u_annotate, annotate);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int dict_found;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int result;
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = __Pyx_CyFunction_get_dict((__pyx_CyFunctionObject*) op_in, NULL);
-#else
-    dict = PyObject_GenericGetDict(op_in, NULL);
-#endif
-    if (unlikely(!dict)) return -1;
-    result = PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-    Py_DECREF(dict);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->func_annotations;
-    if (unlikely(!result)) {
-        result = PyDict_New();
-        if (unlikely(!result)) return NULL;
-        op->func_annotations = result;
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    PyObject *result = NULL;
-    __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    result = __Pyx_XNewRef(op->func_annotations);
-    __Pyx_END_CRITICAL_SECTION();
-    if (result) return result;
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (!annotate || annotate == Py_None) {
-        Py_XDECREF(annotate);
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        result = __Pyx_CyFunction_get_annotations_locked(op);
-        __Pyx_END_CRITICAL_SECTION();
-        return result;
-    }
-    PyObject *format = PyLong_FromLong(1L);  // annotationlib.Format.VALUE
-    if (likely(format)) {
-        result = __Pyx_PyObject_CallOneArg(annotate, format);
-        Py_DECREF(format);
-    }
-    Py_DECREF(annotate);
-    if (unlikely(!result)) return NULL;
-    if (unlikely(!PyDict_Check(result))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must return a dict");
-        Py_DECREF(result);
-        return NULL;
-    }
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, __Pyx_NewRef(result));
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_CyFunction_annotate_impl(PyObject *self, PyObject *args) {
-    CYTHON_UNUSED_VAR(args);
-    if (unlikely(!self)) {
-        PyErr_SetString(PyExc_SystemError, "cython __annotate__ called without 'self' argument");
-    }
-    Py_XINCREF(self);
-    return self;
-}
-static PyMethodDef __Pyx_CyFunction_annotate_method = {
-    "__annotate__",
-    (PyCFunction)(void (*)(void))__Pyx_CyFunction_annotate_impl,
-    METH_VARARGS,
-    "Placeholder __annotate__ function to allow 'functools.wraps' to work "
-    "on Cython functions."
-};
-static PyObject *
-__Pyx_CyFunction_get_annotate(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (annotate) return annotate;
-    PyObject *annotations = __Pyx_CyFunction_get_annotations(op_in, NULL);
-    if (unlikely(!annotations)) return NULL;
-    PyObject *method = PyCFunction_New(
-        &__Pyx_CyFunction_annotate_method,
-        annotations);
-    Py_DECREF(annotations);
-    return method;
-}
-static int
-__Pyx_CyFunction_set_annotate(PyObject *op_in, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ cannot be deleted");
-        return -1;
-    }
-    if (unlikely(value != Py_None && !PyCallable_Check(value))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must be callable or None");
-        return -1;
-    }
-    if (value != Py_None) {
-        __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        Py_CLEAR(op->func_annotations);
-        __Pyx_END_CRITICAL_SECTION();
-    }
-    return __Pyx_CyFunction_set_annotate_in_dict(op_in, value);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine_value(__pyx_CyFunctionObject *op) {
-    int is_coroutine = op->flags & __Pyx_CYFUNCTION_COROUTINE;
-    if (is_coroutine) {
-        PyObject *is_coroutine_value, *module, *fromlist, *marker = __pyx_mstate_global->__pyx_n_u_is_coroutine;
-        fromlist = PyList_New(1);
-        if (unlikely(!fromlist)) return NULL;
-        Py_INCREF(marker);
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyList_SET_ITEM(fromlist, 0, marker);
-#else
-        if (unlikely(PyList_SetItem(fromlist, 0, marker) < 0)) {
-            Py_DECREF(fromlist);
-            return NULL;
-        }
-#endif
-        module = PyImport_ImportModuleLevelObject(__pyx_mstate_global->__pyx_n_u_asyncio_coroutines, NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-        if (unlikely(!module)) goto ignore;
-        is_coroutine_value = __Pyx_PyObject_GetAttrStr(module, marker);
-        Py_DECREF(module);
-        if (likely(is_coroutine_value)) {
-            return is_coroutine_value;
-        }
-ignore:
-        PyErr_Clear();
-    }
-    return __Pyx_PyBool_FromLong(is_coroutine);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine(__pyx_CyFunctionObject *op, void *context) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(context);
-    if (op->func_is_coroutine) {
-        return __Pyx_NewRef(op->func_is_coroutine);
-    }
-    result = __Pyx_CyFunction_get_is_coroutine_value(op);
-    if (unlikely(!result))
-        return NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    if (op->func_is_coroutine) {
-        Py_DECREF(result);
-        result = __Pyx_NewRef(op->func_is_coroutine);
-    } else {
-        op->func_is_coroutine = __Pyx_NewRef(result);
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_CyFunction_raise_argument_count_error(__pyx_CyFunctionObject *func, const char* message, Py_ssize_t size) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        py_name, message, size);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        name, message, size);
-#endif
-}
-static void __Pyx_CyFunction_raise_type_error(__pyx_CyFunctionObject *func, const char* message) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s",
-        py_name, message);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s",
-        name, message);
-#endif
-}
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx_CyFunction_get_module(__pyx_CyFunctionObject *op, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_GetAttrString(op->func, "__module__");
-}
-static int
-__Pyx_CyFunction_set_module(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_SetAttrString(op->func, "__module__", value);
-}
-#endif
-static PyGetSetDef __pyx_CyFunction_getsets[] = {
-    {"func_doc", (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"__doc__",  (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"func_name", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__name__", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__qualname__", (getter)__Pyx_CyFunction_get_qualname, (setter)__Pyx_CyFunction_set_qualname, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {"func_dict", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-#else
-    {"func_dict", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-#endif
-    {"func_globals", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"__globals__", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"func_closure", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"__closure__", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"func_code", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"__code__", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"func_defaults", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__defaults__", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__kwdefaults__", (getter)__Pyx_CyFunction_get_kwdefaults, (setter)__Pyx_CyFunction_set_kwdefaults, 0, 0},
-    {"__annotations__", (getter)__Pyx_CyFunction_get_annotations, (setter)__Pyx_CyFunction_set_annotations, 0, 0},
-    {"__annotate__", (getter)__Pyx_CyFunction_get_annotate, (setter)__Pyx_CyFunction_set_annotate, 0, 0},
-    {"_is_coroutine", (getter)__Pyx_CyFunction_get_is_coroutine, 0, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", (getter)__Pyx_CyFunction_get_module, (setter)__Pyx_CyFunction_set_module, 0, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyMemberDef __pyx_CyFunction_members[] = {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", T_OBJECT, offsetof(PyCFunctionObject, m_module), 0, 0},
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__dictoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_dict), READONLY, 0},
-#endif
-#if CYTHON_METH_FASTCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_vectorcall), READONLY, 0},
-#else
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(PyCFunctionObject, vectorcall), READONLY, 0},
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_weakreflist), READONLY, 0},
-#else
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(PyCFunctionObject, m_weakreflist), READONLY, 0},
-#endif
-#endif
-    {0, 0, 0,  0, 0}
-};
-static PyObject *
-__Pyx_CyFunction_reduce(__pyx_CyFunctionObject *m, PyObject *args)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(args);
-    __Pyx_BEGIN_CRITICAL_SECTION(m);
-    Py_INCREF(m->func_qualname);
-    result = m->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyMethodDef __pyx_CyFunction_methods[] = {
-    {"__reduce__", (PyCFunction)__Pyx_CyFunction_reduce, METH_VARARGS, 0},
-    {0, 0, 0, 0}
-};
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_weakreflist(cyfunc) ((cyfunc)->func_weakreflist)
-#else
-#define __Pyx_CyFunction_weakreflist(cyfunc) (((PyCFunctionObject*)cyfunc)->m_weakreflist)
-#endif
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject *op, PyMethodDef *ml, int flags, PyObject* qualname,
-                                       PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunctionObject *cf = (PyCFunctionObject*) op;
-#endif
-    if (unlikely(op == NULL))
-        return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    op->func = PyCFunction_NewEx(ml, (PyObject*)op, module);
-    if (unlikely(!op->func)) return NULL;
-#endif
-    op->flags = flags;
-    __Pyx_CyFunction_weakreflist(op) = NULL;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    cf->m_ml = ml;
-    cf->m_self = (PyObject *) op;
-#endif
-    Py_XINCREF(closure);
-    op->func_closure = closure;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    Py_XINCREF(module);
-    cf->m_module = module;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_dict = NULL;
-#endif
-    op->func_name = NULL;
-    Py_INCREF(qualname);
-    op->func_qualname = qualname;
-    op->func_doc = NULL;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_classobj = NULL;
-#else
-    ((PyCMethodObject*)op)->mm_class = NULL;
-#endif
-    op->func_globals = globals;
-    Py_INCREF(op->func_globals);
-    Py_XINCREF(code);
-    op->func_code = code;
-    op->defaults = NULL;
-    op->defaults_tuple = NULL;
-    op->defaults_kwdict = NULL;
-    op->defaults_getter = NULL;
-    op->func_annotations = NULL;
-    op->func_is_coroutine = NULL;
-#if CYTHON_METH_FASTCALL
-    switch (ml->ml_flags & (METH_VARARGS | METH_FASTCALL | METH_NOARGS | METH_O | METH_KEYWORDS | METH_METHOD)) {
-    case METH_NOARGS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_NOARGS;
-        break;
-    case METH_O:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_O;
-        break;
-    case METH_METHOD | METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD;
-        break;
-    case METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS;
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = NULL;
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        Py_DECREF(op);
-        return NULL;
-    }
-#endif
-    return (PyObject *) op;
-}
-static int
-__Pyx_CyFunction_clear(__pyx_CyFunctionObject *m)
-{
-    Py_CLEAR(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func);
-#else
-    Py_CLEAR(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func_dict);
-#elif PY_VERSION_HEX < 0x030d0000
-    _PyObject_ClearManagedDict((PyObject*)m);
-#else
-    PyObject_ClearManagedDict((PyObject*)m);
-#endif
-    Py_CLEAR(m->func_name);
-    Py_CLEAR(m->func_qualname);
-    Py_CLEAR(m->func_doc);
-    Py_CLEAR(m->func_globals);
-    Py_CLEAR(m->func_code);
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(__Pyx_CyFunction_GetClassObj(m));
-#else
-    {
-        PyObject *cls = (PyObject*) ((PyCMethodObject *) (m))->mm_class;
-        ((PyCMethodObject *) (m))->mm_class = NULL;
-        Py_XDECREF(cls);
-    }
-#endif
-    Py_CLEAR(m->defaults_tuple);
-    Py_CLEAR(m->defaults_kwdict);
-    Py_CLEAR(m->func_annotations);
-    Py_CLEAR(m->func_is_coroutine);
-    Py_CLEAR(m->defaults);
-    return 0;
-}
-static void __Pyx__CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    if (__Pyx_CyFunction_weakreflist(m) != NULL)
-        PyObject_ClearWeakRefs((PyObject *) m);
-    __Pyx_CyFunction_clear(m);
-    __Pyx_PyHeapTypeObject_GC_Del(m);
-}
-static void __Pyx_CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    PyObject_GC_UnTrack(m);
-    __Pyx__CyFunction_dealloc(m);
-}
-static int __Pyx_CyFunction_traverse(__pyx_CyFunctionObject *m, visitproc visit, void *arg)
-{
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)m, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func);
-#else
-    Py_VISIT(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func_dict);
-#else
-    {
-        int e =
-#if PY_VERSION_HEX < 0x030d0000
-            _PyObject_VisitManagedDict
-#else
-            PyObject_VisitManagedDict
-#endif
-                ((PyObject*)m, visit, arg);
-        if (e != 0) return e;
-    }
-#endif
-    __Pyx_VISIT_CONST(m->func_name);
-    __Pyx_VISIT_CONST(m->func_qualname);
-    Py_VISIT(m->func_doc);
-    Py_VISIT(m->func_globals);
-    __Pyx_VISIT_CONST(m->func_code);
-    Py_VISIT(__Pyx_CyFunction_GetClassObj(m));
-    Py_VISIT(m->defaults_tuple);
-    Py_VISIT(m->defaults_kwdict);
-    Py_VISIT(m->func_annotations);
-    Py_VISIT(m->func_is_coroutine);
-    Py_VISIT(m->defaults);
-    return 0;
-}
-static PyObject*
-__Pyx_CyFunction_repr(__pyx_CyFunctionObject *op)
-{
-    PyObject *repr;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    repr = PyUnicode_FromFormat("<cyfunction %U at %p>",
-                                op->func_qualname, (void *)op);
-    __Pyx_END_CRITICAL_SECTION();
-    return repr;
-}
-static PyObject * __Pyx_CyFunction_CallMethod(PyObject *func, PyObject *self, PyObject *arg, PyObject *kw) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *f = ((__pyx_CyFunctionObject*)func)->func;
-    PyCFunction meth;
-    int flags;
-    meth = PyCFunction_GetFunction(f);
-    if (unlikely(!meth)) return NULL;
-    flags = PyCFunction_GetFlags(f);
-    if (unlikely(flags < 0)) return NULL;
-#else
-    PyCFunctionObject* f = (PyCFunctionObject*)func;
-    PyCFunction meth = f->m_ml->ml_meth;
-    int flags = f->m_ml->ml_flags;
-#endif
-    Py_ssize_t size;
-    switch (flags & (METH_VARARGS | METH_KEYWORDS | METH_NOARGS | METH_O)) {
-    case METH_VARARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0))
-            return (*meth)(self, arg);
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        return (*(PyCFunctionWithKeywords)(void(*)(void))meth)(self, arg, kw);
-    case METH_NOARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 0))
-                return (*meth)(self, NULL);
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes no arguments", size);
-            return NULL;
-        }
-        break;
-    case METH_O:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 1)) {
-                PyObject *result, *arg0;
-                #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                arg0 = PyTuple_GET_ITEM(arg, 0);
-                #else
-                arg0 = __Pyx_PySequence_ITEM(arg, 0); if (unlikely(!arg0)) return NULL;
-                #endif
-                result = (*meth)(self, arg0);
-                #if !(CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-                Py_DECREF(arg0);
-                #endif
-                return result;
-            }
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes exactly one argument", size);
-            return NULL;
-        }
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        return NULL;
-    }
-    __Pyx_CyFunction_raise_type_error(
-        (__pyx_CyFunctionObject*)func, "takes no keyword arguments");
-    return NULL;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *self, *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)func)->func);
-    if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-    self = ((PyCFunctionObject*)func)->m_self;
-#endif
-    result = __Pyx_CyFunction_CallMethod(func, self, arg, kw);
-    return result;
-}
-static PyObject *__Pyx_CyFunction_CallAsMethod(PyObject *func, PyObject *args, PyObject *kw) {
-    PyObject *result;
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *) func;
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-     __pyx_vectorcallfunc vc = __Pyx_CyFunction_func_vectorcall(cyfunc);
-    if (vc) {
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-        return __Pyx_PyVectorcall_FastCallDict(func, vc, &PyTuple_GET_ITEM(args, 0), (size_t)PyTuple_GET_SIZE(args), kw);
-#else
-        (void) &__Pyx_PyVectorcall_FastCallDict;
-        return PyVectorcall_Call(func, args, kw);
-#endif
-    }
-#endif
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        Py_ssize_t argc;
-        PyObject *new_args;
-        PyObject *self;
-#if CYTHON_ASSUME_SAFE_SIZE
-        argc = PyTuple_GET_SIZE(args);
-#else
-        argc = PyTuple_Size(args);
-        if (unlikely(argc < 0)) return NULL;
-#endif
-        new_args = PyTuple_GetSlice(args, 1, argc);
-        if (unlikely(!new_args))
-            return NULL;
-        self = PyTuple_GetItem(args, 0);
-        if (unlikely(!self)) {
-            Py_DECREF(new_args);
-            PyErr_Format(PyExc_TypeError,
-                         "unbound method %.200S() needs an argument",
-                         cyfunc->func_qualname);
-            return NULL;
-        }
-        result = __Pyx_CyFunction_CallMethod(func, self, new_args, kw);
-        Py_DECREF(new_args);
-    } else {
-        result = __Pyx_CyFunction_Call(func, args, kw);
-    }
-    return result;
-}
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE int __Pyx_CyFunction_Vectorcall_CheckArgs(__pyx_CyFunctionObject *cyfunc, Py_ssize_t nargs, PyObject *kwnames)
-{
-    int ret = 0;
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        if (unlikely(nargs < 1)) {
-            __Pyx_CyFunction_raise_type_error(
-                cyfunc, "needs an argument");
-            return -1;
-        }
-        ret = 1;
-    }
-    if (unlikely(kwnames) && unlikely(__Pyx_PyTuple_GET_SIZE(kwnames))) {
-        __Pyx_CyFunction_raise_type_error(
-            cyfunc, "takes no keyword arguments");
-        return -1;
-    }
-    return ret;
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 0)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes no arguments", nargs);
-        return NULL;
-    }
-    return meth(self, NULL);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 1)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes exactly one argument", nargs);
-        return NULL;
-    }
-    return meth(self, args[0]);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    return ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))meth)(self, args, nargs, kwnames);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    PyTypeObject *cls = (PyTypeObject *) __Pyx_CyFunction_GetClassObj(cyfunc);
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    #if PY_VERSION_HEX < 0x030e00A6
-    size_t nargs_value = (size_t) nargs;
-    #else
-    Py_ssize_t nargs_value = nargs;
-    #endif
-    return ((__Pyx_PyCMethod)(void(*)(void))meth)(self, cls, args, nargs_value, kwnames);
-}
-#endif
-static PyType_Slot __pyx_CyFunctionType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_CyFunction_dealloc},
-    {Py_tp_repr, (void *)__Pyx_CyFunction_repr},
-    {Py_tp_call, (void *)__Pyx_CyFunction_CallAsMethod},
-    {Py_tp_traverse, (void *)__Pyx_CyFunction_traverse},
-    {Py_tp_clear, (void *)__Pyx_CyFunction_clear},
-    {Py_tp_methods, (void *)__pyx_CyFunction_methods},
-    {Py_tp_members, (void *)__pyx_CyFunction_members},
-    {Py_tp_getset, (void *)__pyx_CyFunction_getsets},
-    {Py_tp_descr_get, (void *)__Pyx_PyMethod_New},
-    {0, 0},
-};
-static PyType_Spec __pyx_CyFunctionType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "cython_function_or_method",
-    sizeof(__pyx_CyFunctionObject),
-    0,
-#ifdef Py_TPFLAGS_METHOD_DESCRIPTOR
-    Py_TPFLAGS_METHOD_DESCRIPTOR |
-#endif
-#if CYTHON_METH_FASTCALL
-#if defined(Py_TPFLAGS_HAVE_VECTORCALL)
-    Py_TPFLAGS_HAVE_VECTORCALL |
-#elif defined(_Py_TPFLAGS_HAVE_VECTORCALL)
-    _Py_TPFLAGS_HAVE_VECTORCALL |
-#endif
-#endif // CYTHON_METH_FASTCALL
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_DICT |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    __pyx_CyFunctionType_slots
-};
-static int __pyx_CyFunction_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_CyFunctionType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_CyFunctionType_spec, NULL);
-    if (unlikely(mstate->__pyx_CyFunctionType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func, PyTypeObject *defaults_type) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults = PyObject_CallObject((PyObject*)defaults_type, NULL); // _PyObject_New(defaults_type);
-    if (unlikely(!m->defaults))
-        return NULL;
-    return m->defaults;
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *func, PyObject *tuple) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_tuple = tuple;
-    Py_INCREF(tuple);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_kwdict = dict;
-    Py_INCREF(dict);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->func_annotations = dict;
-    Py_INCREF(dict);
-}
-
-/* CythonFunction */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml, int flags, PyObject* qualname,
-                                      PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-    PyObject *op = __Pyx_CyFunction_Init(
-        PyObject_GC_New(__pyx_CyFunctionObject, __pyx_mstate_global->__pyx_CyFunctionType),
-        ml, flags, qualname, closure, module, globals, code
-    );
-    if (likely(op)) {
-        PyObject_GC_Track(op);
-    }
-    return op;
-}
-
-/* CLineInTraceback (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-#define __Pyx_PyProbablyModule_GetDict(o) __Pyx_XNewRef(PyModule_GetDict(o))
-#elif !CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyProbablyModule_GetDict(o) PyObject_GenericGetDict(o, NULL);
-#else
-PyObject* __Pyx_PyProbablyModule_GetDict(PyObject *o) {
-    PyObject **dict_ptr = _PyObject_GetDictPtr(o);
-    return dict_ptr ? __Pyx_XNewRef(*dict_ptr) : NULL;
-}
-#endif
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line) {
-    PyObject *use_cline = NULL;
-    PyObject *ptype, *pvalue, *ptraceback;
-    PyObject *cython_runtime_dict;
-    CYTHON_MAYBE_UNUSED_VAR(tstate);
-    if (unlikely(!__pyx_mstate_global->__pyx_cython_runtime)) {
-        return c_line;
-    }
-    __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-    cython_runtime_dict = __Pyx_PyProbablyModule_GetDict(__pyx_mstate_global->__pyx_cython_runtime);
-    if (likely(cython_runtime_dict)) {
-        __PYX_PY_DICT_LOOKUP_IF_MODIFIED(
-            use_cline, cython_runtime_dict,
-            __Pyx_PyDict_SetDefault(cython_runtime_dict, __pyx_mstate_global->__pyx_n_u_cline_in_traceback, Py_False))
-    }
-    if (use_cline == NULL || use_cline == Py_False || (use_cline != Py_True && PyObject_Not(use_cline) != 0)) {
-        c_line = 0;
-    }
-    Py_XDECREF(use_cline);
-    Py_XDECREF(cython_runtime_dict);
-    __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-    return c_line;
-}
-#endif
-
-/* CodeObjectCache (used by AddTraceback) */
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line) {
-    int start = 0, mid = 0, end = count - 1;
-    if (end >= 0 && code_line > entries[end].code_line) {
-        return count;
-    }
-    while (start < end) {
-        mid = start + (end - start) / 2;
-        if (code_line < entries[mid].code_line) {
-            end = mid;
-        } else if (code_line > entries[mid].code_line) {
-             start = mid + 1;
-        } else {
-            return mid;
-        }
-    }
-    if (code_line <= entries[mid].code_line) {
-        return mid;
-    } else {
-        return mid + 1;
-    }
-}
-static __Pyx_CachedCodeObjectType *__pyx__find_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line) {
-    __Pyx_CachedCodeObjectType* code_object;
-    int pos;
-    if (unlikely(!code_line) || unlikely(!code_cache->entries)) {
-        return NULL;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if (unlikely(pos >= code_cache->count) || unlikely(code_cache->entries[pos].code_line != code_line)) {
-        return NULL;
-    }
-    code_object = code_cache->entries[pos].code_object;
-    Py_INCREF(code_object);
-    return code_object;
-}
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__find_code_object;
-    return NULL; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just miss.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type old_count = __pyx_atomic_incr_acq_rel(&code_cache->accessor_count);
-    if (old_count < 0) {
-        __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-        return NULL;
-    }
-#endif
-    __Pyx_CachedCodeObjectType *result = __pyx__find_code_object(code_cache, code_line);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-#endif
-    return result;
-#endif
-}
-static void __pyx__insert_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line, __Pyx_CachedCodeObjectType* code_object)
-{
-    int pos, i;
-    __Pyx_CodeObjectCacheEntry* entries = code_cache->entries;
-    if (unlikely(!code_line)) {
-        return;
-    }
-    if (unlikely(!entries)) {
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Malloc(64*sizeof(__Pyx_CodeObjectCacheEntry));
-        if (likely(entries)) {
-            code_cache->entries = entries;
-            code_cache->max_count = 64;
-            code_cache->count = 1;
-            entries[0].code_line = code_line;
-            entries[0].code_object = code_object;
-            Py_INCREF(code_object);
-        }
-        return;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if ((pos < code_cache->count) && unlikely(code_cache->entries[pos].code_line == code_line)) {
-        __Pyx_CachedCodeObjectType* tmp = entries[pos].code_object;
-        entries[pos].code_object = code_object;
-        Py_INCREF(code_object);
-        Py_DECREF(tmp);
-        return;
-    }
-    if (code_cache->count == code_cache->max_count) {
-        int new_max = code_cache->max_count + 64;
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Realloc(
-            code_cache->entries, ((size_t)new_max) * sizeof(__Pyx_CodeObjectCacheEntry));
-        if (unlikely(!entries)) {
-            return;
-        }
-        code_cache->entries = entries;
-        code_cache->max_count = new_max;
-    }
-    for (i=code_cache->count; i>pos; i--) {
-        entries[i] = entries[i-1];
-    }
-    entries[pos].code_line = code_line;
-    entries[pos].code_object = code_object;
-    code_cache->count++;
-    Py_INCREF(code_object);
-}
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__insert_code_object;
-    return; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just fail.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type expected = 0;
-    if (!__pyx_atomic_int_cmp_exchange(&code_cache->accessor_count, &expected, INT_MIN)) {
-        return;
-    }
-#endif
-    __pyx__insert_code_object(code_cache, code_line, code_object);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_sub(&code_cache->accessor_count, INT_MIN);
-#endif
-#endif
-}
-
-/* AddTraceback */
-#include "compile.h"
-#include "frameobject.h"
-#include "traceback.h"
-#if PY_VERSION_HEX >= 0x030b00a6 && !CYTHON_COMPILING_IN_LIMITED_API && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyCode_Replace_For_AddTraceback(PyObject *code, PyObject *scratch_dict,
-                                                       PyObject *firstlineno, PyObject *name) {
-    PyObject *replace = NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_firstlineno", firstlineno))) return NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_name", name))) return NULL;
-    replace = PyObject_GetAttrString(code, "replace");
-    if (likely(replace)) {
-        PyObject *result = PyObject_Call(replace, __pyx_mstate_global->__pyx_empty_tuple, scratch_dict);
-        Py_DECREF(replace);
-        return result;
-    }
-    PyErr_Clear();
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyObject *code_object = NULL, *py_py_line = NULL, *py_funcname = NULL, *dict = NULL;
-    PyObject *replace = NULL, *getframe = NULL, *frame = NULL;
-    PyObject *exc_type, *exc_value, *exc_traceback;
-    int success = 0;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(__Pyx_PyThreadState_Current, c_line);
-    }
-    PyErr_Fetch(&exc_type, &exc_value, &exc_traceback);
-    code_object = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!code_object) {
-        code_object = Py_CompileString("_getframe()", filename, Py_eval_input);
-        if (unlikely(!code_object)) goto bad;
-        py_py_line = PyLong_FromLong(py_line);
-        if (unlikely(!py_py_line)) goto bad;
-        if (c_line) {
-            py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        } else {
-            py_funcname = PyUnicode_FromString(funcname);
-        }
-        if (unlikely(!py_funcname)) goto bad;
-        dict = PyDict_New();
-        if (unlikely(!dict)) goto bad;
-        {
-            PyObject *old_code_object = code_object;
-            code_object = __Pyx_PyCode_Replace_For_AddTraceback(code_object, dict, py_py_line, py_funcname);
-            Py_DECREF(old_code_object);
-        }
-        if (unlikely(!code_object)) goto bad;
-        __pyx_insert_code_object(c_line ? -c_line : py_line, code_object);
-    } else {
-        dict = PyDict_New();
-    }
-    getframe = PySys_GetObject("_getframe");
-    if (unlikely(!getframe)) goto bad;
-    if (unlikely(PyDict_SetItemString(dict, "_getframe", getframe))) goto bad;
-    frame = PyEval_EvalCode(code_object, dict, dict);
-    if (unlikely(!frame) || frame == Py_None) goto bad;
-    success = 1;
-  bad:
-    PyErr_Restore(exc_type, exc_value, exc_traceback);
-    Py_XDECREF(code_object);
-    Py_XDECREF(py_py_line);
-    Py_XDECREF(py_funcname);
-    Py_XDECREF(dict);
-    Py_XDECREF(replace);
-    if (success) {
-        PyTraceBack_Here(
-            (struct _frame*)frame);
-    }
-    Py_XDECREF(frame);
-}
-#else
-static PyCodeObject* __Pyx_CreateCodeObjectForTraceback(
-            const char *funcname, int c_line,
-            int py_line, const char *filename) {
-    PyCodeObject *py_code = NULL;
-    PyObject *py_funcname = NULL;
-    if (c_line) {
-        py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        if (!py_funcname) goto bad;
-        funcname = PyUnicode_AsUTF8(py_funcname);
-        if (!funcname) goto bad;
-    }
-    py_code = PyCode_NewEmpty(filename, funcname, py_line);
-    Py_XDECREF(py_funcname);
-    return py_code;
-bad:
-    Py_XDECREF(py_funcname);
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyCodeObject *py_code = 0;
-    PyFrameObject *py_frame = 0;
-    PyThreadState *tstate = __Pyx_PyThreadState_Current;
-    PyObject *ptype, *pvalue, *ptraceback;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(tstate, c_line);
-    }
-    py_code = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!py_code) {
-        __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-        py_code = __Pyx_CreateCodeObjectForTraceback(
-            funcname, c_line, py_line, filename);
-        if (!py_code) {
-            /* If the code object creation fails, then we should clear the
-               fetched exception references and propagate the new exception */
-            Py_XDECREF(ptype);
-            Py_XDECREF(pvalue);
-            Py_XDECREF(ptraceback);
-            goto bad;
-        }
-        __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-        __pyx_insert_code_object(c_line ? -c_line : py_line, py_code);
-    }
-    py_frame = PyFrame_New(
-        tstate,            /*PyThreadState *tstate,*/
-        py_code,           /*PyCodeObject *code,*/
-        __pyx_mstate_global->__pyx_d,    /*PyObject *globals,*/
-        0                  /*PyObject *locals*/
-    );
-    if (!py_frame) goto bad;
-    __Pyx_PyFrame_SetLineNumber(py_frame, py_line);
-    PyTraceBack_Here(py_frame);
-bad:
-    Py_XDECREF(py_code);
-    Py_XDECREF(py_frame);
-}
-#endif
-
-/* CIntFromPyVerify */
-#define __PYX_VERIFY_RETURN_INT(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 0)
-#define __PYX_VERIFY_RETURN_INT_EXC(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 1)
-#define __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, exc)\
-    {\
-        func_type value = func_value;\
-        if (sizeof(target_type) < sizeof(func_type)) {\
-            if (unlikely(value != (func_type) (target_type) value)) {\
-                func_type zero = 0;\
-                if (exc && unlikely(value == (func_type)-1 && PyErr_Occurred()))\
-                    return (target_type) -1;\
-                if (is_unsigned && unlikely(value < zero))\
-                    goto raise_neg_overflow;\
-                else\
-                    goto raise_overflow;\
-            }\
-        }\
-        return (target_type) value;\
-    }
-
-/* PyObjectVectorCallKwBuilder (used by CIntToPy) */
-#if CYTHON_VECTORCALL
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_PyObject_FastCallDict;
-    Py_INCREF(key);
-    if (__Pyx_PyTuple_SET_ITEM(builder, n, key) != (0)) return -1;
-    args[n] = value;
-    return 0;
-}
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_VectorcallBuilder_AddArgStr;
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n);
-}
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    PyObject *pyKey = PyUnicode_FromString(key);
-    if (!pyKey) return -1;
-    return __Pyx_VectorcallBuilder_AddArg(pyKey, value, builder, args, n);
-}
-#else // CYTHON_VECTORCALL
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, CYTHON_UNUSED PyObject **args, CYTHON_UNUSED int n) {
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return PyDict_SetItem(builder, key, value);
-}
-#endif
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(int) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(int) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(int) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(int),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(int));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int) -1;
-        val = __Pyx_PyLong_As_int(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 2 * PyLong_SHIFT)) {
-                            return (int) (((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 3 * PyLong_SHIFT)) {
-                            return (int) (((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 4 * PyLong_SHIFT)) {
-                            return (int) (((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) ((((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) ((((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) ((((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, long, PyLong_AsLong(x))
-        } else if ((sizeof(int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int) 1) << (sizeof(int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int");
-    return (int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int");
-    return (int) -1;
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(long) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(long) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(long) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(long),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(long));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(PY_LONG_LONG) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(PY_LONG_LONG) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(PY_LONG_LONG),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(PY_LONG_LONG));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE PY_LONG_LONG __Pyx_PyLong_As_PY_LONG_LONG(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        PY_LONG_LONG val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (PY_LONG_LONG) -1;
-        val = __Pyx_PyLong_As_PY_LONG_LONG(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (PY_LONG_LONG) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(PY_LONG_LONG) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(PY_LONG_LONG) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, long, PyLong_AsLong(x))
-        } else if ((sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        PY_LONG_LONG val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (PY_LONG_LONG) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (PY_LONG_LONG) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (PY_LONG_LONG) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (PY_LONG_LONG) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(PY_LONG_LONG) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((PY_LONG_LONG) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(PY_LONG_LONG) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((PY_LONG_LONG) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((PY_LONG_LONG) 1) << (sizeof(PY_LONG_LONG) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (PY_LONG_LONG) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to PY_LONG_LONG");
-    return (PY_LONG_LONG) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to PY_LONG_LONG");
-    return (PY_LONG_LONG) -1;
-}
-
-/* FormatTypeName */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static __Pyx_TypeName
-__Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp)
-{
-    PyObject *module = NULL, *name = NULL, *result = NULL;
-    #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-    name = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_qualname);
-    #else
-    name = PyType_GetQualName(tp);
-    #endif
-    if (unlikely(name == NULL) || unlikely(!PyUnicode_Check(name))) goto bad;
-    module = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_module);
-    if (unlikely(module == NULL) || unlikely(!PyUnicode_Check(module))) goto bad;
-    if (PyUnicode_CompareWithASCIIString(module, "builtins") == 0) {
-        result = name;
-        name = NULL;
-        goto done;
-    }
-    result = PyUnicode_FromFormat("%U.%U", module, name);
-    if (unlikely(result == NULL)) goto bad;
-  done:
-    Py_XDECREF(name);
-    Py_XDECREF(module);
-    return result;
-  bad:
-    PyErr_Clear();
-    if (name) {
-        result = name;
-        name = NULL;
-    } else {
-        result = __Pyx_NewRef(__pyx_mstate_global->__pyx_kp_u__4);
-    }
-    goto done;
-}
-#endif
-
-/* CIntFromPy */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        long val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (long) -1;
-        val = __Pyx_PyLong_As_long(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 2 * PyLong_SHIFT)) {
-                            return (long) (((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 3 * PyLong_SHIFT)) {
-                            return (long) (((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 4 * PyLong_SHIFT)) {
-                            return (long) (((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (long) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(long) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(long) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(long) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) ((((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) ((((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) ((((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(long) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, long, PyLong_AsLong(x))
-        } else if ((sizeof(long) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        long val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (long) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (long) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (long) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (long) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(long) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((long) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(long) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((long) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((long) 1) << (sizeof(long) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (long) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to long");
-    return (long) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to long");
-    return (long) -1;
-}
-
-/* GetRuntimeVersion */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-void __Pyx_init_runtime_version(void) {
-    if (__Pyx_cached_runtime_version == 0) {
-        const char* rt_version = Py_GetVersion();
-        unsigned long version = 0;
-        unsigned long factor = 0x01000000UL;
-        unsigned int digit = 0;
-        int i = 0;
-        while (factor) {
-            while ('0' <= rt_version[i] && rt_version[i] <= '9') {
-                digit = digit * 10 + (unsigned int) (rt_version[i] - '0');
-                ++i;
-            }
-            version += factor * digit;
-            if (rt_version[i] != '.')
-                break;
-            digit = 0;
-            factor >>= 8;
-            ++i;
-        }
-        __Pyx_cached_runtime_version = version;
-    }
-}
-#endif
-static unsigned long __Pyx_get_runtime_version(void) {
-#if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    return Py_Version & ~0xFFUL;
-#else
-    return __Pyx_cached_runtime_version;
-#endif
-}
-
-/* IterNextPlain (used by CoroutineBase) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *__Pyx_GetBuiltinNext_LimitedAPI(void) {
-    if (unlikely(!__pyx_mstate_global->__Pyx_GetBuiltinNext_LimitedAPI_cache))
-        __pyx_mstate_global->__Pyx_GetBuiltinNext_LimitedAPI_cache = __Pyx_GetBuiltinName(__pyx_mstate_global->__pyx_n_u_next);
-    return __pyx_mstate_global->__Pyx_GetBuiltinNext_LimitedAPI_cache;
-}
-#endif
-static CYTHON_INLINE PyObject *__Pyx_PyIter_Next_Plain(PyObject *iterator) {
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    PyObject *result;
-    PyObject *next = __Pyx_GetBuiltinNext_LimitedAPI();
-    if (unlikely(!next)) return NULL;
-    result = PyObject_CallFunctionObjArgs(next, iterator, NULL);
-    return result;
-#else
-    (void)__Pyx_GetBuiltinName; // only for early limited API
-    iternextfunc iternext = __Pyx_PyObject_GetIterNextFunc(iterator);
-    assert(iternext);
-    return iternext(iterator);
-#endif
-}
-
-/* PyObjectCall2Args (used by PyObjectCallMethod1) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call2Args(PyObject* function, PyObject* arg1, PyObject* arg2) {
-    PyObject *args[3] = {NULL, arg1, arg2};
-    return __Pyx_PyObject_FastCall(function, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectCallMethod1 (used by CoroutineBase) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static PyObject* __Pyx__PyObject_CallMethod1(PyObject* method, PyObject* arg) {
-    PyObject *result = __Pyx_PyObject_CallOneArg(method, arg);
-    Py_DECREF(method);
-    return result;
-}
-#endif
-static PyObject* __Pyx_PyObject_CallMethod1(PyObject* obj, PyObject* method_name, PyObject* arg) {
-#if CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000))
-    PyObject *args[2] = {obj, arg};
-    (void) __Pyx_PyObject_CallOneArg;
-    (void) __Pyx_PyObject_Call2Args;
-    return PyObject_VectorcallMethod(method_name, args, 2 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#else
-    PyObject *method = NULL, *result;
-    int is_method = __Pyx_PyObject_GetMethod(obj, method_name, &method);
-    if (likely(is_method)) {
-        result = __Pyx_PyObject_Call2Args(method, obj, arg);
-        Py_DECREF(method);
-        return result;
-    }
-    if (unlikely(!method)) return NULL;
-    return __Pyx__PyObject_CallMethod1(method, arg);
-#endif
-}
-
-/* ReturnWithStopIteration (used by CoroutineBase) */
-static void __Pyx__ReturnWithStopIteration(PyObject* value, int async);
-static CYTHON_INLINE void __Pyx_ReturnWithStopIteration(PyObject* value, int async, int iternext) {
-    if (value == Py_None) {
-        if (async || !iternext)
-            PyErr_SetNone(async ? PyExc_StopAsyncIteration : PyExc_StopIteration);
-        return;
-    }
-    __Pyx__ReturnWithStopIteration(value, async);
-}
-static void __Pyx__ReturnWithStopIteration(PyObject* value, int async) {
-#if CYTHON_COMPILING_IN_CPYTHON
-    __Pyx_PyThreadState_declare
-#endif
-    PyObject *exc;
-    PyObject *exc_type = async ? PyExc_StopAsyncIteration : PyExc_StopIteration;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if ((PY_VERSION_HEX >= (0x030C00A6)) || unlikely(PyTuple_Check(value) || PyExceptionInstance_Check(value))) {
-        if (PY_VERSION_HEX >= (0x030e00A1)) {
-            exc = __Pyx_PyObject_CallOneArg(exc_type, value);
-        } else {
-            PyObject *args_tuple = PyTuple_New(1);
-            if (unlikely(!args_tuple)) return;
-            Py_INCREF(value);
-            PyTuple_SET_ITEM(args_tuple, 0, value);
-            exc = PyObject_Call(exc_type, args_tuple, NULL);
-            Py_DECREF(args_tuple);
-        }
-        if (unlikely(!exc)) return;
-    } else {
-        Py_INCREF(value);
-        exc = value;
-    }
-    #if CYTHON_FAST_THREAD_STATE
-    __Pyx_PyThreadState_assign
-    #if CYTHON_USE_EXC_INFO_STACK
-    if (!__pyx_tstate->exc_info->exc_value)
-    #else
-    if (!__pyx_tstate->exc_type)
-    #endif
-    {
-        Py_INCREF(exc_type);
-        __Pyx_ErrRestore(exc_type, exc, NULL);
-        return;
-    }
-    #endif
-#else
-    exc = __Pyx_PyObject_CallOneArg(exc_type, value);
-    if (unlikely(!exc)) return;
-#endif
-    PyErr_SetObject(exc_type, exc);
-    Py_DECREF(exc);
-}
-
-/* CoroutineBase (used by Generator) */
-#if !CYTHON_COMPILING_IN_LIMITED_API
-#include <frameobject.h>
-#if PY_VERSION_HEX >= 0x030b00a6 && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#endif // CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE void
-__Pyx_Coroutine_Undelegate(__pyx_CoroutineObject *gen) {
-#if CYTHON_USE_AM_SEND
-    gen->yieldfrom_am_send = NULL;
-#endif
-    Py_CLEAR(gen->yieldfrom);
-}
-static int __Pyx_PyGen__FetchStopIterationValue(PyThreadState *__pyx_tstate, PyObject **pvalue) {
-    PyObject *et, *ev, *tb;
-    PyObject *value = NULL;
-    CYTHON_UNUSED_VAR(__pyx_tstate);
-    __Pyx_ErrFetch(&et, &ev, &tb);
-    if (!et) {
-        Py_XDECREF(tb);
-        Py_XDECREF(ev);
-        Py_INCREF(Py_None);
-        *pvalue = Py_None;
-        return 0;
-    }
-    if (likely(et == PyExc_StopIteration)) {
-        if (!ev) {
-            Py_INCREF(Py_None);
-            value = Py_None;
-        }
-        else if (likely(__Pyx_IS_TYPE(ev, (PyTypeObject*)PyExc_StopIteration))) {
-            #if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-            value = PyObject_GetAttr(ev, __pyx_mstate_global->__pyx_n_u_value);
-            if (unlikely(!value)) goto limited_api_failure;
-            #else
-            value = ((PyStopIterationObject *)ev)->value;
-            Py_INCREF(value);
-            #endif
-            Py_DECREF(ev);
-        }
-        else if (unlikely(PyTuple_Check(ev))) {
-            Py_ssize_t tuple_size = __Pyx_PyTuple_GET_SIZE(ev);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely(tuple_size < 0)) {
-                Py_XDECREF(tb);
-                Py_DECREF(ev);
-                Py_DECREF(et);
-                return -1;
-            }
-            #endif
-            if (tuple_size >= 1) {
-#if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                value = PyTuple_GET_ITEM(ev, 0);
-                Py_INCREF(value);
-#elif CYTHON_ASSUME_SAFE_MACROS
-                value = PySequence_ITEM(ev, 0);
-#else
-                value = PySequence_GetItem(ev, 0);
-                if (!value) goto limited_api_failure;
-#endif
-            } else {
-                Py_INCREF(Py_None);
-                value = Py_None;
-            }
-            Py_DECREF(ev);
-        }
-        else if (!__Pyx_TypeCheck(ev, (PyTypeObject*)PyExc_StopIteration)) {
-            value = ev;
-        }
-        if (likely(value)) {
-            Py_XDECREF(tb);
-            Py_DECREF(et);
-            *pvalue = value;
-            return 0;
-        }
-    } else if (!__Pyx_PyErr_GivenExceptionMatches(et, PyExc_StopIteration)) {
-        __Pyx_ErrRestore(et, ev, tb);
-        return -1;
-    }
-    PyErr_NormalizeException(&et, &ev, &tb);
-    if (unlikely(!PyObject_TypeCheck(ev, (PyTypeObject*)PyExc_StopIteration))) {
-        __Pyx_ErrRestore(et, ev, tb);
-        return -1;
-    }
-    Py_XDECREF(tb);
-    Py_DECREF(et);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_GetAttr(ev, __pyx_mstate_global->__pyx_n_u_value);
-#else
-    value = ((PyStopIterationObject *)ev)->value;
-    Py_INCREF(value);
-#endif
-    Py_DECREF(ev);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(!value)) return -1;
-#endif
-    *pvalue = value;
-    return 0;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL || !CYTHON_ASSUME_SAFE_MACROS
-  limited_api_failure:
-    Py_XDECREF(et);
-    Py_XDECREF(tb);
-    Py_XDECREF(ev);
-    return -1;
-#endif
-}
-static CYTHON_INLINE
-__Pyx_PySendResult __Pyx_Coroutine_status_from_result(PyObject **retval) {
-    if (*retval) {
-        return PYGEN_NEXT;
-    } else if (likely(__Pyx_PyGen__FetchStopIterationValue(__Pyx_PyThreadState_Current, retval) == 0)) {
-        return PYGEN_RETURN;
-    } else {
-        return PYGEN_ERROR;
-    }
-}
-static CYTHON_INLINE
-void __Pyx_Coroutine_ExceptionClear(__Pyx_ExcInfoStruct *exc_state) {
-#if PY_VERSION_HEX >= 0x030B00a4
-    Py_CLEAR(exc_state->exc_value);
-#else
-    PyObject *t, *v, *tb;
-    t = exc_state->exc_type;
-    v = exc_state->exc_value;
-    tb = exc_state->exc_traceback;
-    exc_state->exc_type = NULL;
-    exc_state->exc_value = NULL;
-    exc_state->exc_traceback = NULL;
-    Py_XDECREF(t);
-    Py_XDECREF(v);
-    Py_XDECREF(tb);
-#endif
-}
-#define __Pyx_Coroutine_AlreadyRunningError(gen)  (__Pyx__Coroutine_AlreadyRunningError(gen), (PyObject*)NULL)
-static void __Pyx__Coroutine_AlreadyRunningError(__pyx_CoroutineObject *gen) {
-    const char *msg;
-    CYTHON_MAYBE_UNUSED_VAR(gen);
-    if ((0)) {
-    #ifdef __Pyx_Coroutine_USED
-    } else if (__Pyx_Coroutine_Check((PyObject*)gen)) {
-        msg = "coroutine already executing";
-    #endif
-    #ifdef __Pyx_AsyncGen_USED
-    } else if (__Pyx_AsyncGen_CheckExact((PyObject*)gen)) {
-        msg = "async generator already executing";
-    #endif
-    } else {
-        msg = "generator already executing";
-    }
-    PyErr_SetString(PyExc_ValueError, msg);
-}
-static void __Pyx_Coroutine_AlreadyTerminatedError(PyObject *gen, PyObject *value, int closing) {
-    CYTHON_MAYBE_UNUSED_VAR(gen);
-    CYTHON_MAYBE_UNUSED_VAR(closing);
-    #ifdef __Pyx_Coroutine_USED
-    if (!closing && __Pyx_Coroutine_Check(gen)) {
-        PyErr_SetString(PyExc_RuntimeError, "cannot reuse already awaited coroutine");
-    } else
-    #endif
-    if (value) {
-        #ifdef __Pyx_AsyncGen_USED
-        if (__Pyx_AsyncGen_CheckExact(gen))
-            PyErr_SetNone(PyExc_StopAsyncIteration);
-        else
-        #endif
-        PyErr_SetNone(PyExc_StopIteration);
-    }
-}
-static
-__Pyx_PySendResult __Pyx_Coroutine_SendEx(__pyx_CoroutineObject *self, PyObject *value, PyObject **result, int closing) {
-    __Pyx_PyThreadState_declare
-    PyThreadState *tstate;
-    __Pyx_ExcInfoStruct *exc_state;
-    PyObject *retval;
-    assert(__Pyx_Coroutine_get_is_running(self));  // Callers should ensure is_running
-    if (unlikely(self->resume_label == -1)) {
-        __Pyx_Coroutine_AlreadyTerminatedError((PyObject*)self, value, closing);
-        return PYGEN_ERROR;
-    }
-#if CYTHON_FAST_THREAD_STATE
-    __Pyx_PyThreadState_assign
-    tstate = __pyx_tstate;
-#else
-    tstate = __Pyx_PyThreadState_Current;
-#endif
-    exc_state = &self->gi_exc_state;
-    if (exc_state->exc_value) {
-        #if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        #else
-        PyObject *exc_tb;
-        #if PY_VERSION_HEX >= 0x030B00a4 && !CYTHON_COMPILING_IN_CPYTHON
-        exc_tb = PyException_GetTraceback(exc_state->exc_value);
-        #elif PY_VERSION_HEX >= 0x030B00a4
-        exc_tb = ((PyBaseExceptionObject*) exc_state->exc_value)->traceback;
-        #else
-        exc_tb = exc_state->exc_traceback;
-        #endif
-        if (exc_tb) {
-            PyTracebackObject *tb = (PyTracebackObject *) exc_tb;
-            PyFrameObject *f = tb->tb_frame;
-            assert(f->f_back == NULL);
-            #if PY_VERSION_HEX >= 0x030B00A1
-            f->f_back = PyThreadState_GetFrame(tstate);
-            #else
-            Py_XINCREF(tstate->frame);
-            f->f_back = tstate->frame;
-            #endif
-            #if PY_VERSION_HEX >= 0x030B00a4 && !CYTHON_COMPILING_IN_CPYTHON
-            Py_DECREF(exc_tb);
-            #endif
-        }
-        #endif
-    }
-#if CYTHON_USE_EXC_INFO_STACK
-    exc_state->previous_item = tstate->exc_info;
-    tstate->exc_info = exc_state;
-#else
-    if (exc_state->exc_type) {
-        __Pyx_ExceptionSwap(&exc_state->exc_type, &exc_state->exc_value, &exc_state->exc_traceback);
-    } else {
-        __Pyx_Coroutine_ExceptionClear(exc_state);
-        __Pyx_ExceptionSave(&exc_state->exc_type, &exc_state->exc_value, &exc_state->exc_traceback);
-    }
-#endif
-    retval = self->body(self, tstate, value);
-#if CYTHON_USE_EXC_INFO_STACK
-    exc_state = &self->gi_exc_state;
-    tstate->exc_info = exc_state->previous_item;
-    exc_state->previous_item = NULL;
-    __Pyx_Coroutine_ResetFrameBackpointer(exc_state);
-#endif
-    *result = retval;
-    if (self->resume_label == -1) {
-        return likely(retval) ? PYGEN_RETURN : PYGEN_ERROR;
-    }
-    return PYGEN_NEXT;
-}
-static CYTHON_INLINE void __Pyx_Coroutine_ResetFrameBackpointer(__Pyx_ExcInfoStruct *exc_state) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED_VAR(exc_state);
-#else
-    PyObject *exc_tb;
-    #if PY_VERSION_HEX >= 0x030B00a4
-    if (!exc_state->exc_value) return;
-    exc_tb = PyException_GetTraceback(exc_state->exc_value);
-    #else
-    exc_tb = exc_state->exc_traceback;
-    #endif
-    if (likely(exc_tb)) {
-        PyTracebackObject *tb = (PyTracebackObject *) exc_tb;
-        PyFrameObject *f = tb->tb_frame;
-        Py_CLEAR(f->f_back);
-        #if PY_VERSION_HEX >= 0x030B00a4
-        Py_DECREF(exc_tb);
-        #endif
-    }
-#endif
-}
-#define __Pyx_Coroutine_MethodReturnFromResult(gen, result, retval, iternext)\
-    ((result) == PYGEN_NEXT ? (retval) : __Pyx__Coroutine_MethodReturnFromResult(gen, result, retval, iternext))
-static PyObject *
-__Pyx__Coroutine_MethodReturnFromResult(PyObject* gen, __Pyx_PySendResult result, PyObject *retval, int iternext) {
-    CYTHON_MAYBE_UNUSED_VAR(gen);
-    if (likely(result == PYGEN_RETURN)) {
-        int is_async = 0;
-        #ifdef __Pyx_AsyncGen_USED
-        is_async = __Pyx_AsyncGen_CheckExact(gen);
-        #endif
-        __Pyx_ReturnWithStopIteration(retval, is_async, iternext);
-        Py_XDECREF(retval);
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE
-PyObject *__Pyx_PyGen_Send(PyGenObject *gen, PyObject *arg) {
-#if PY_VERSION_HEX <= 0x030A00A1
-    return _PyGen_Send(gen, arg);
-#else
-    PyObject *result;
-    if (PyIter_Send((PyObject*)gen, arg ? arg : Py_None, &result) == PYGEN_RETURN) {
-        if (PyAsyncGen_CheckExact(gen)) {
-            assert(result == Py_None);
-            PyErr_SetNone(PyExc_StopAsyncIteration);
-        }
-        else if (result == Py_None) {
-            PyErr_SetNone(PyExc_StopIteration);
-        }
-        else {
-#if PY_VERSION_HEX < 0x030d00A1
-            _PyGen_SetStopIterationValue(result);
-#else
-            if (!PyTuple_Check(result) && !PyExceptionInstance_Check(result)) {
-                PyErr_SetObject(PyExc_StopIteration, result);
-            } else {
-                PyObject *exc = __Pyx_PyObject_CallOneArg(PyExc_StopIteration, result);
-                if (likely(exc != NULL)) {
-                    PyErr_SetObject(PyExc_StopIteration, exc);
-                    Py_DECREF(exc);
-                }
-            }
-#endif
-        }
-        Py_DECREF(result);
-        result = NULL;
-    }
-    return result;
-#endif
-}
-#endif
-static CYTHON_INLINE __Pyx_PySendResult
-__Pyx_Coroutine_FinishDelegation(__pyx_CoroutineObject *gen, PyObject** retval) {
-    __Pyx_PySendResult result;
-    PyObject *val = NULL;
-    assert(__Pyx_Coroutine_get_is_running(gen));
-    __Pyx_Coroutine_Undelegate(gen);
-    __Pyx_PyGen__FetchStopIterationValue(__Pyx_PyThreadState_Current, &val);
-    result = __Pyx_Coroutine_SendEx(gen, val, retval, 0);
-    Py_XDECREF(val);
-    return result;
-}
-#if CYTHON_USE_AM_SEND
-static __Pyx_PySendResult
-__Pyx_Coroutine_SendToDelegate(__pyx_CoroutineObject *gen, __Pyx_pyiter_sendfunc gen_am_send, PyObject *value, PyObject **retval) {
-    PyObject *ret = NULL;
-    __Pyx_PySendResult delegate_result, result;
-    assert(__Pyx_Coroutine_get_is_running(gen));
-    delegate_result = gen_am_send(gen->yieldfrom, value, &ret);
-    if (delegate_result == PYGEN_NEXT) {
-        assert (ret != NULL);
-        *retval = ret;
-        return PYGEN_NEXT;
-    }
-    assert (delegate_result != PYGEN_ERROR || ret == NULL);
-    __Pyx_Coroutine_Undelegate(gen);
-    result = __Pyx_Coroutine_SendEx(gen, ret, retval, 0);
-    Py_XDECREF(ret);
-    return result;
-}
-#endif
-static PyObject *__Pyx_Coroutine_Send(PyObject *self, PyObject *value) {
-    PyObject *retval = NULL;
-    __Pyx_PySendResult result = __Pyx_Coroutine_AmSend(self, value, &retval);
-    return __Pyx_Coroutine_MethodReturnFromResult(self, result, retval, 0);
-}
-static __Pyx_PySendResult
-__Pyx_Coroutine_AmSend(PyObject *self, PyObject *value, PyObject **retval) {
-    __Pyx_PySendResult result;
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject*) self;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen))) {
-        *retval = __Pyx_Coroutine_AlreadyRunningError(gen);
-        return PYGEN_ERROR;
-    }
-    #if CYTHON_USE_AM_SEND
-    if (gen->yieldfrom_am_send) {
-        result = __Pyx_Coroutine_SendToDelegate(gen, gen->yieldfrom_am_send, value, retval);
-    } else
-    #endif
-    if (gen->yieldfrom) {
-        PyObject *yf = gen->yieldfrom;
-        PyObject *ret;
-      #if !CYTHON_USE_AM_SEND
-        #ifdef __Pyx_Generator_USED
-        if (__Pyx_Generator_CheckExact(yf)) {
-            ret = __Pyx_Coroutine_Send(yf, value);
-        } else
-        #endif
-        #ifdef __Pyx_Coroutine_USED
-        if (__Pyx_Coroutine_Check(yf)) {
-            ret = __Pyx_Coroutine_Send(yf, value);
-        } else
-        #endif
-        #ifdef __Pyx_AsyncGen_USED
-        if (__pyx_PyAsyncGenASend_CheckExact(yf)) {
-            ret = __Pyx_async_gen_asend_send(yf, value);
-        } else
-        #endif
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (PyGen_CheckExact(yf)) {
-            ret = __Pyx_PyGen_Send((PyGenObject*)yf, value == Py_None ? NULL : value);
-        } else
-        if (PyCoro_CheckExact(yf)) {
-            ret = __Pyx_PyGen_Send((PyGenObject*)yf, value == Py_None ? NULL : value);
-        } else
-        #endif
-      #endif
-        {
-            #if !CYTHON_COMPILING_IN_LIMITED_API || __PYX_LIMITED_VERSION_HEX >= 0x03080000
-            if (value == Py_None && PyIter_Check(yf))
-                ret = __Pyx_PyIter_Next_Plain(yf);
-            else
-            #endif
-                ret = __Pyx_PyObject_CallMethod1(yf, __pyx_mstate_global->__pyx_n_u_send, value);
-        }
-        if (likely(ret)) {
-            __Pyx_Coroutine_unset_is_running(gen);
-            *retval = ret;
-            return PYGEN_NEXT;
-        }
-        result = __Pyx_Coroutine_FinishDelegation(gen, retval);
-    } else {
-        result = __Pyx_Coroutine_SendEx(gen, value, retval, 0);
-    }
-    __Pyx_Coroutine_unset_is_running(gen);
-    return result;
-}
-static int __Pyx_Coroutine_CloseIter(__pyx_CoroutineObject *gen, PyObject *yf) {
-    __Pyx_PySendResult result;
-    PyObject *retval = NULL;
-    CYTHON_UNUSED_VAR(gen);
-    assert(__Pyx_Coroutine_get_is_running(gen));
-    #ifdef __Pyx_Generator_USED
-    if (__Pyx_Generator_CheckExact(yf)) {
-        result = __Pyx_Coroutine_Close(yf, &retval);
-    } else
-    #endif
-    #ifdef __Pyx_Coroutine_USED
-    if (__Pyx_Coroutine_Check(yf)) {
-        result = __Pyx_Coroutine_Close(yf, &retval);
-    } else
-    if (__Pyx_CoroutineAwait_CheckExact(yf)) {
-        result = __Pyx_CoroutineAwait_Close((__pyx_CoroutineAwaitObject*)yf);
-    } else
-    #endif
-    #ifdef __Pyx_AsyncGen_USED
-    if (__pyx_PyAsyncGenASend_CheckExact(yf)) {
-        retval = __Pyx_async_gen_asend_close(yf, NULL);
-        result = PYGEN_RETURN;
-    } else
-    if (__pyx_PyAsyncGenAThrow_CheckExact(yf)) {
-        retval = __Pyx_async_gen_athrow_close(yf, NULL);
-        result = PYGEN_RETURN;
-    } else
-    #endif
-    {
-        PyObject *meth;
-        result = PYGEN_RETURN;
-        meth = __Pyx_PyObject_GetAttrStrNoError(yf, __pyx_mstate_global->__pyx_n_u_close);
-        if (unlikely(!meth)) {
-            if (unlikely(PyErr_Occurred())) {
-                PyErr_WriteUnraisable(yf);
-            }
-        } else {
-            retval = __Pyx_PyObject_CallNoArg(meth);
-            Py_DECREF(meth);
-            if (unlikely(!retval)) {
-                result = PYGEN_ERROR;
-            }
-        }
-    }
-    Py_XDECREF(retval);
-    return result == PYGEN_ERROR ? -1 : 0;
-}
-static PyObject *__Pyx_Generator_Next(PyObject *self) {
-    __Pyx_PySendResult result;
-    PyObject *retval = NULL;
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject*) self;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen))) {
-        return __Pyx_Coroutine_AlreadyRunningError(gen);
-    }
-    #if CYTHON_USE_AM_SEND
-    if (gen->yieldfrom_am_send) {
-        result = __Pyx_Coroutine_SendToDelegate(gen, gen->yieldfrom_am_send, Py_None, &retval);
-    } else
-    #endif
-    if (gen->yieldfrom) {
-        PyObject *yf = gen->yieldfrom;
-        PyObject *ret;
-        #ifdef __Pyx_Generator_USED
-        if (__Pyx_Generator_CheckExact(yf)) {
-            ret = __Pyx_Generator_Next(yf);
-        } else
-        #endif
-        #ifdef __Pyx_Coroutine_USED
-        if (__Pyx_Coroutine_CheckExact(yf)) {
-            ret = __Pyx_Coroutine_Send(yf, Py_None);
-        } else
-        #endif
-        #if CYTHON_COMPILING_IN_CPYTHON && (PY_VERSION_HEX < 0x030A00A3 || !CYTHON_USE_AM_SEND)
-        if (PyGen_CheckExact(yf)) {
-            ret = __Pyx_PyGen_Send((PyGenObject*)yf, NULL);
-        } else
-        #endif
-            ret = __Pyx_PyIter_Next_Plain(yf);
-        if (likely(ret)) {
-            __Pyx_Coroutine_unset_is_running(gen);
-            return ret;
-        }
-        result = __Pyx_Coroutine_FinishDelegation(gen, &retval);
-    } else {
-        result = __Pyx_Coroutine_SendEx(gen, Py_None, &retval, 0);
-    }
-    __Pyx_Coroutine_unset_is_running(gen);
-    return __Pyx_Coroutine_MethodReturnFromResult(self, result, retval, 1);
-}
-static PyObject *__Pyx_Coroutine_Close_Method(PyObject *self, PyObject *arg) {
-    PyObject *retval = NULL;
-    __Pyx_PySendResult result;
-    CYTHON_UNUSED_VAR(arg);
-    result = __Pyx_Coroutine_Close(self, &retval);
-    if (unlikely(result == PYGEN_ERROR))
-        return NULL;
-    Py_XDECREF(retval);
-    Py_RETURN_NONE;
-}
-static __Pyx_PySendResult
-__Pyx_Coroutine_Close(PyObject *self, PyObject **retval) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    __Pyx_PySendResult result;
-    PyObject *yf;
-    int err = 0;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen))) {
-        *retval = __Pyx_Coroutine_AlreadyRunningError(gen);
-        return PYGEN_ERROR;
-    }
-    yf = gen->yieldfrom;
-    if (yf) {
-        Py_INCREF(yf);
-        err = __Pyx_Coroutine_CloseIter(gen, yf);
-        __Pyx_Coroutine_Undelegate(gen);
-        Py_DECREF(yf);
-    }
-    if (err == 0)
-        PyErr_SetNone(PyExc_GeneratorExit);
-    result = __Pyx_Coroutine_SendEx(gen, NULL, retval, 1);
-    if (result == PYGEN_ERROR) {
-        __Pyx_PyThreadState_declare
-        __Pyx_PyThreadState_assign
-        __Pyx_Coroutine_unset_is_running(gen);
-        if (!__Pyx_PyErr_Occurred()) {
-            return PYGEN_RETURN;
-        } else if (likely(__Pyx_PyErr_ExceptionMatches2(PyExc_GeneratorExit, PyExc_StopIteration))) {
-            __Pyx_PyErr_Clear();
-            return PYGEN_RETURN;
-        }
-        return PYGEN_ERROR;
-    } else if (likely(result == PYGEN_RETURN && *retval == Py_None)) {
-        __Pyx_Coroutine_unset_is_running(gen);
-        return PYGEN_RETURN;
-    } else {
-        const char *msg;
-        Py_DECREF(*retval);
-        *retval = NULL;
-        if ((0)) {
-        #ifdef __Pyx_Coroutine_USED
-        } else if (__Pyx_Coroutine_Check(self)) {
-            msg = "coroutine ignored GeneratorExit";
-        #endif
-        #ifdef __Pyx_AsyncGen_USED
-        } else if (__Pyx_AsyncGen_CheckExact(self)) {
-            msg = "async generator ignored GeneratorExit";
-        #endif
-        } else {
-            msg = "generator ignored GeneratorExit";
-        }
-        PyErr_SetString(PyExc_RuntimeError, msg);
-        __Pyx_Coroutine_unset_is_running(gen);
-        return PYGEN_ERROR;
-    }
-}
-static PyObject *__Pyx__Coroutine_Throw(PyObject *self, PyObject *typ, PyObject *val, PyObject *tb,
-                                        PyObject *args, int close_on_genexit) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    PyObject *yf;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen)))
-        return __Pyx_Coroutine_AlreadyRunningError(gen);
-    yf = gen->yieldfrom;
-    if (yf) {
-        __Pyx_PySendResult result;
-        PyObject *ret;
-        Py_INCREF(yf);
-        if (__Pyx_PyErr_GivenExceptionMatches(typ, PyExc_GeneratorExit) && close_on_genexit) {
-            int err = __Pyx_Coroutine_CloseIter(gen, yf);
-            Py_DECREF(yf);
-            __Pyx_Coroutine_Undelegate(gen);
-            if (err < 0)
-                goto propagate_exception;
-            goto throw_here;
-        }
-        if (0
-        #ifdef __Pyx_Generator_USED
-            || __Pyx_Generator_CheckExact(yf)
-        #endif
-        #ifdef __Pyx_Coroutine_USED
-            || __Pyx_Coroutine_Check(yf)
-        #endif
-            ) {
-            ret = __Pyx__Coroutine_Throw(yf, typ, val, tb, args, close_on_genexit);
-        #ifdef __Pyx_Coroutine_USED
-        } else if (__Pyx_CoroutineAwait_CheckExact(yf)) {
-            ret = __Pyx__Coroutine_Throw(((__pyx_CoroutineAwaitObject*)yf)->coroutine, typ, val, tb, args, close_on_genexit);
-        #endif
-        } else {
-            PyObject *meth = __Pyx_PyObject_GetAttrStrNoError(yf, __pyx_mstate_global->__pyx_n_u_throw);
-            if (unlikely(!meth)) {
-                Py_DECREF(yf);
-                if (unlikely(PyErr_Occurred())) {
-                    __Pyx_Coroutine_unset_is_running(gen);
-                    return NULL;
-                }
-                __Pyx_Coroutine_Undelegate(gen);
-                goto throw_here;
-            }
-            if (likely(args)) {
-                ret = __Pyx_PyObject_Call(meth, args, NULL);
-            } else {
-                PyObject *cargs[4] = {NULL, typ, val, tb};
-                size_t nargs = 1U + (val != NULL) + (tb != NULL);
-                ret = __Pyx_PyObject_FastCall(meth, cargs+1, nargs | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-            }
-            Py_DECREF(meth);
-        }
-        Py_DECREF(yf);
-        if (ret) {
-            __Pyx_Coroutine_unset_is_running(gen);
-            return ret;
-        }
-        result = __Pyx_Coroutine_FinishDelegation(gen, &ret);
-        __Pyx_Coroutine_unset_is_running(gen);
-        return __Pyx_Coroutine_MethodReturnFromResult(self, result, ret, 0);
-    }
-throw_here:
-    __Pyx_Raise(typ, val, tb, NULL);
-propagate_exception:
-    {
-        PyObject *retval = NULL;
-        __Pyx_PySendResult result = __Pyx_Coroutine_SendEx(gen, NULL, &retval, 0);
-        __Pyx_Coroutine_unset_is_running(gen);
-        return __Pyx_Coroutine_MethodReturnFromResult(self, result, retval, 0);
-    }
-}
-static PyObject *__Pyx_Coroutine_Throw(PyObject *self, PyObject *args) {
-    PyObject *typ;
-    PyObject *val = NULL;
-    PyObject *tb = NULL;
-    if (unlikely(!PyArg_UnpackTuple(args, "throw", 1, 3, &typ, &val, &tb)))
-        return NULL;
-    return __Pyx__Coroutine_Throw(self, typ, val, tb, args, 1);
-}
-static CYTHON_INLINE int __Pyx_Coroutine_traverse_excstate(__Pyx_ExcInfoStruct *exc_state, visitproc visit, void *arg) {
-#if PY_VERSION_HEX >= 0x030B00a4
-    Py_VISIT(exc_state->exc_value);
-#else
-    Py_VISIT(exc_state->exc_type);
-    Py_VISIT(exc_state->exc_value);
-    Py_VISIT(exc_state->exc_traceback);
-#endif
-    return 0;
-}
-static int __Pyx_Coroutine_traverse(__pyx_CoroutineObject *gen, visitproc visit, void *arg) {
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)gen, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(gen->closure);
-    Py_VISIT(gen->classobj);
-    Py_VISIT(gen->yieldfrom);
-    return __Pyx_Coroutine_traverse_excstate(&gen->gi_exc_state, visit, arg);
-}
-static int __Pyx_Coroutine_clear(PyObject *self) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    Py_CLEAR(gen->closure);
-    Py_CLEAR(gen->classobj);
-    __Pyx_Coroutine_Undelegate(gen);
-    __Pyx_Coroutine_ExceptionClear(&gen->gi_exc_state);
-#ifdef __Pyx_AsyncGen_USED
-    if (__Pyx_AsyncGen_CheckExact(self)) {
-        Py_CLEAR(((__pyx_PyAsyncGenObject*)gen)->ag_finalizer);
-    }
-#endif
-    Py_CLEAR(gen->gi_code);
-    Py_CLEAR(gen->gi_frame);
-    Py_CLEAR(gen->gi_name);
-    Py_CLEAR(gen->gi_qualname);
-    Py_CLEAR(gen->gi_modulename);
-    return 0;
-}
-static void __Pyx_Coroutine_dealloc(PyObject *self) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    PyObject_GC_UnTrack(gen);
-    #if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    if (gen->gi_weakreflist != NULL)
-    #endif
-        PyObject_ClearWeakRefs(self);
-    if (gen->resume_label >= 0) {
-        PyObject_GC_Track(self);
-#if CYTHON_USE_TP_FINALIZE
-        if (unlikely(PyObject_CallFinalizerFromDealloc(self)))
-#else
-        {
-            destructor del = __Pyx_PyObject_GetSlot(gen, tp_del, destructor);
-            if (del) del(self);
-        }
-        if (unlikely(Py_REFCNT(self) > 0))
-#endif
-        {
-            return;
-        }
-        PyObject_GC_UnTrack(self);
-    }
-#ifdef __Pyx_AsyncGen_USED
-    if (__Pyx_AsyncGen_CheckExact(self)) {
-        /* We have to handle this case for asynchronous generators
-           right here, because this code has to be between UNTRACK
-           and GC_Del. */
-        Py_CLEAR(((__pyx_PyAsyncGenObject*)self)->ag_finalizer);
-    }
-#endif
-    __Pyx_Coroutine_clear(self);
-    __Pyx_PyHeapTypeObject_GC_Del(gen);
-}
-#if CYTHON_USE_TP_FINALIZE
-static void __Pyx_Coroutine_del(PyObject *self) {
-    PyObject *error_type, *error_value, *error_traceback;
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    __Pyx_PyThreadState_declare
-    if (gen->resume_label < 0) {
-        return;
-    }
-    __Pyx_PyThreadState_assign
-    __Pyx_ErrFetch(&error_type, &error_value, &error_traceback);
-#ifdef __Pyx_AsyncGen_USED
-    if (__Pyx_AsyncGen_CheckExact(self)) {
-        __pyx_PyAsyncGenObject *agen = (__pyx_PyAsyncGenObject*)self;
-        PyObject *finalizer = agen->ag_finalizer;
-        if (finalizer && !agen->ag_closed) {
-            PyObject *res = __Pyx_PyObject_CallOneArg(finalizer, self);
-            if (unlikely(!res)) {
-                PyErr_WriteUnraisable(self);
-            } else {
-                Py_DECREF(res);
-            }
-            __Pyx_ErrRestore(error_type, error_value, error_traceback);
-            return;
-        }
-    }
-#endif
-    if (unlikely(gen->resume_label == 0 && !error_value)) {
-#ifdef __Pyx_Coroutine_USED
-#ifdef __Pyx_Generator_USED
-    if (!__Pyx_Generator_CheckExact(self))
-#endif
-        {
-        PyObject_GC_UnTrack(self);
-        if (unlikely(PyErr_WarnFormat(PyExc_RuntimeWarning, 1, "coroutine '%.50S' was never awaited", gen->gi_qualname) < 0))
-            PyErr_WriteUnraisable(self);
-        PyObject_GC_Track(self);
-        }
-#endif
-    } else {
-        PyObject *retval = NULL;
-        __Pyx_PySendResult result = __Pyx_Coroutine_Close(self, &retval);
-        if (result == PYGEN_ERROR) {
-            PyErr_WriteUnraisable(self);
-        } else {
-            Py_XDECREF(retval);
-        }
-    }
-    __Pyx_ErrRestore(error_type, error_value, error_traceback);
-}
-#endif
-static PyObject *
-__Pyx_Coroutine_get_name(__pyx_CoroutineObject *self, void *context)
-{
-    PyObject *name = self->gi_name;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(!name)) name = Py_None;
-    Py_INCREF(name);
-    return name;
-}
-static int
-__Pyx_Coroutine_set_name(__pyx_CoroutineObject *self, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_Py_XDECREF_SET(self->gi_name, value);
-    return 0;
-}
-static PyObject *
-__Pyx_Coroutine_get_qualname(__pyx_CoroutineObject *self, void *context)
-{
-    PyObject *name = self->gi_qualname;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(!name)) name = Py_None;
-    Py_INCREF(name);
-    return name;
-}
-static int
-__Pyx_Coroutine_set_qualname(__pyx_CoroutineObject *self, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_Py_XDECREF_SET(self->gi_qualname, value);
-    return 0;
-}
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx__Coroutine_get_frame_locked(__pyx_CoroutineObject *self) {
-    PyObject *frame;
-    frame = self->gi_frame;
-    if (!frame) {
-        if (unlikely(!self->gi_code)) {
-            Py_RETURN_NONE;
-        }
-        PyObject *globals = PyDict_New();
-        if (unlikely(!globals)) return NULL;
-        frame = (PyObject *) PyFrame_New(
-            PyThreadState_Get(),            /*PyThreadState *tstate,*/
-            (PyCodeObject*) self->gi_code,  /*PyCodeObject *code,*/
-            globals,                        /*PyObject *globals,*/
-            0                               /*PyObject *locals*/
-        );
-        Py_DECREF(globals);
-        if (unlikely(!frame))
-            return NULL;
-        if (unlikely(self->gi_frame)) {
-            Py_DECREF(frame);
-            frame = self->gi_frame;
-        } else {
-            self->gi_frame = frame;
-        }
-    }
-    Py_INCREF(frame);
-    return frame;
-}
-#endif
-static PyObject *
-__Pyx__Coroutine_get_frame(__pyx_CoroutineObject *self)
-{
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *frame;
-    __Pyx_BEGIN_CRITICAL_SECTION((PyObject*)self);
-    frame = __Pyx__Coroutine_get_frame_locked(self);
-    __Pyx_END_CRITICAL_SECTION();
-    return frame;
-#else
-    CYTHON_UNUSED_VAR(self);
-    Py_RETURN_NONE;
-#endif
-}
-static PyObject *
-__Pyx_Coroutine_get_frame(__pyx_CoroutineObject *self, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    PyObject *frame = self->gi_frame;
-    if (frame)
-        return __Pyx_NewRef(frame);
-    return __Pyx__Coroutine_get_frame(self);
-}
-static __pyx_CoroutineObject *__Pyx__Coroutine_New(
-            PyTypeObject* type, __pyx_coroutine_body_t body, PyObject *code, PyObject *closure,
-            PyObject *name, PyObject *qualname, PyObject *module_name) {
-    __pyx_CoroutineObject *gen = PyObject_GC_New(__pyx_CoroutineObject, type);
-    if (unlikely(!gen))
-        return NULL;
-    return __Pyx__Coroutine_NewInit(gen, body, code, closure, name, qualname, module_name);
-}
-static __pyx_CoroutineObject *__Pyx__Coroutine_NewInit(
-            __pyx_CoroutineObject *gen, __pyx_coroutine_body_t body, PyObject *code, PyObject *closure,
-            PyObject *name, PyObject *qualname, PyObject *module_name) {
-    gen->body = body;
-    gen->closure = closure;
-    Py_XINCREF(closure);
-    gen->is_running = 0;
-    gen->resume_label = 0;
-    gen->classobj = NULL;
-    gen->yieldfrom = NULL;
-    gen->yieldfrom_am_send = NULL;
-    #if PY_VERSION_HEX >= 0x030B00a4 && !CYTHON_COMPILING_IN_LIMITED_API
-    gen->gi_exc_state.exc_value = NULL;
-    #else
-    gen->gi_exc_state.exc_type = NULL;
-    gen->gi_exc_state.exc_value = NULL;
-    gen->gi_exc_state.exc_traceback = NULL;
-    #endif
-#if CYTHON_USE_EXC_INFO_STACK
-    gen->gi_exc_state.previous_item = NULL;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    gen->gi_weakreflist = NULL;
-#endif
-    Py_XINCREF(qualname);
-    gen->gi_qualname = qualname;
-    Py_XINCREF(name);
-    gen->gi_name = name;
-    Py_XINCREF(module_name);
-    gen->gi_modulename = module_name;
-    Py_XINCREF(code);
-    gen->gi_code = code;
-    gen->gi_frame = NULL;
-#if CYTHON_USE_SYS_MONITORING && (CYTHON_PROFILE || CYTHON_TRACE)
-    memset(gen->__pyx_pymonitoring_state, 0, sizeof(gen->__pyx_pymonitoring_state));
-    gen->__pyx_pymonitoring_version = 0;
-#endif
-    PyObject_GC_Track(gen);
-    return gen;
-}
-static char __Pyx_Coroutine_test_and_set_is_running(__pyx_CoroutineObject *gen) {
-    char result;
-    __Pyx_BEGIN_CRITICAL_SECTION((PyObject*)gen);
-    result = gen->is_running;
-    gen->is_running = 1;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_Coroutine_unset_is_running(__pyx_CoroutineObject *gen) {
-    __Pyx_BEGIN_CRITICAL_SECTION((PyObject*)gen);
-    assert(gen->is_running);
-    gen->is_running = 0;
-    __Pyx_END_CRITICAL_SECTION();
-}
-static char __Pyx_Coroutine_get_is_running(__pyx_CoroutineObject *gen) {
-    char result;
-    __Pyx_BEGIN_CRITICAL_SECTION((PyObject*)gen);
-    result = gen->is_running;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_Coroutine_get_is_running_getter(PyObject *gen, void *closure) {
-    CYTHON_UNUSED_VAR(closure);
-    char result = __Pyx_Coroutine_get_is_running((__pyx_CoroutineObject*)gen);
-    if (result) Py_RETURN_TRUE;
-    else Py_RETURN_FALSE;
-}
-#if __PYX_HAS_PY_AM_SEND == 2
-static void __Pyx_SetBackportTypeAmSend(PyTypeObject *type, __Pyx_PyAsyncMethodsStruct *static_amsend_methods, __Pyx_pyiter_sendfunc am_send) {
-    Py_ssize_t ptr_offset = (char*)(type->tp_as_async) - (char*)type;
-    if (ptr_offset < 0 || ptr_offset > type->tp_basicsize) {
-        return;
-    }
-    memcpy((void*)static_amsend_methods, (void*)(type->tp_as_async), sizeof(*type->tp_as_async));
-    static_amsend_methods->am_send = am_send;
-    type->tp_as_async = __Pyx_SlotTpAsAsync(static_amsend_methods);
-}
-#endif
-static PyObject *__Pyx_Coroutine_fail_reduce_ex(PyObject *self, PyObject *arg) {
-    CYTHON_UNUSED_VAR(arg);
-    __Pyx_TypeName self_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE((PyObject*)self));
-    PyErr_Format(PyExc_TypeError, "cannot pickle '" __Pyx_FMT_TYPENAME "' object",
-                         self_type_name);
-    __Pyx_DECREF_TypeName(self_type_name);
-    return NULL;
-}
-
-/* Generator */
-static PyMethodDef __pyx_Generator_methods[] = {
-    {"send", (PyCFunction) __Pyx_Coroutine_Send, METH_O,
-     PyDoc_STR("send(arg) -> send 'arg' into generator,\nreturn next yielded value or raise StopIteration.")},
-    {"throw", (PyCFunction) __Pyx_Coroutine_Throw, METH_VARARGS,
-     PyDoc_STR("throw(typ[,val[,tb]]) -> raise exception in generator,\nreturn next yielded value or raise StopIteration.")},
-    {"close", (PyCFunction) __Pyx_Coroutine_Close_Method, METH_NOARGS,
-     PyDoc_STR("close() -> raise GeneratorExit inside generator.")},
-    {"__reduce_ex__", (PyCFunction) __Pyx_Coroutine_fail_reduce_ex, METH_O, 0},
-    {"__reduce__", (PyCFunction) __Pyx_Coroutine_fail_reduce_ex, METH_NOARGS, 0},
-    {0, 0, 0, 0}
-};
-static PyMemberDef __pyx_Generator_memberlist[] = {
-    {"gi_yieldfrom", T_OBJECT, offsetof(__pyx_CoroutineObject, yieldfrom), READONLY,
-     PyDoc_STR("object being iterated by 'yield from', or None")},
-    {"gi_code", T_OBJECT, offsetof(__pyx_CoroutineObject, gi_code), READONLY, NULL},
-    {"__module__", T_OBJECT, offsetof(__pyx_CoroutineObject, gi_modulename), 0, 0},
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CoroutineObject, gi_weakreflist), READONLY, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyGetSetDef __pyx_Generator_getsets[] = {
-    {"__name__", (getter)__Pyx_Coroutine_get_name, (setter)__Pyx_Coroutine_set_name,
-     PyDoc_STR("name of the generator"), 0},
-    {"__qualname__", (getter)__Pyx_Coroutine_get_qualname, (setter)__Pyx_Coroutine_set_qualname,
-     PyDoc_STR("qualified name of the generator"), 0},
-    {"gi_frame", (getter)__Pyx_Coroutine_get_frame, NULL,
-     PyDoc_STR("Frame of the generator"), 0},
-    {"gi_running", __Pyx_Coroutine_get_is_running_getter, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_GeneratorType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_Coroutine_dealloc},
-    {Py_tp_traverse, (void *)__Pyx_Coroutine_traverse},
-    {Py_tp_iter, (void *)PyObject_SelfIter},
-    {Py_tp_iternext, (void *)__Pyx_Generator_Next},
-    {Py_tp_methods, (void *)__pyx_Generator_methods},
-    {Py_tp_members, (void *)__pyx_Generator_memberlist},
-    {Py_tp_getset, (void *)__pyx_Generator_getsets},
-    {Py_tp_getattro, (void *) PyObject_GenericGetAttr},
-#if CYTHON_USE_TP_FINALIZE
-    {Py_tp_finalize, (void *)__Pyx_Coroutine_del},
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    {Py_am_send, (void *)__Pyx_Coroutine_AmSend},
-#endif
-    {0, 0},
-};
-static PyType_Spec __pyx_GeneratorType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "generator",
-    sizeof(__pyx_CoroutineObject),
-    0,
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_WEAKREF |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | __Pyx_TPFLAGS_HAVE_AM_SEND,
-    __pyx_GeneratorType_slots
-};
-#if __PYX_HAS_PY_AM_SEND == 2
-static __Pyx_PyAsyncMethodsStruct __pyx_Generator_as_async;
-#endif
-static int __pyx_Generator_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_GeneratorType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_GeneratorType_spec, NULL);
-    if (unlikely(!mstate->__pyx_GeneratorType)) {
-        return -1;
-    }
-#if __PYX_HAS_PY_AM_SEND == 2
-    __Pyx_SetBackportTypeAmSend(mstate->__pyx_GeneratorType, &__pyx_Generator_as_async, &__Pyx_Coroutine_AmSend);
-#endif
-    return 0;
-}
-static PyObject *__Pyx_Generator_GetInlinedResult(PyObject *self) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject*) self;
-    PyObject *retval = NULL;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen))) {
-        return __Pyx_Coroutine_AlreadyRunningError(gen);
-    }
-    __Pyx_PySendResult result = __Pyx_Coroutine_SendEx(gen, Py_None, &retval, 0);
-    __Pyx_Coroutine_unset_is_running(gen);
-    (void) result;
-    assert (result == PYGEN_RETURN || result == PYGEN_ERROR);
-    assert ((result == PYGEN_RETURN && retval != NULL) || (result == PYGEN_ERROR && retval == NULL));
-    return retval;
-}
-
-/* CheckBinaryVersion */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer) {
-    const unsigned long MAJOR_MINOR = 0xFFFF0000UL;
-    if ((rt_version & MAJOR_MINOR) == (ct_version & MAJOR_MINOR))
-        return 0;
-    if (likely(allow_newer && (rt_version & MAJOR_MINOR) > (ct_version & MAJOR_MINOR)))
-        return 1;
-    {
-        char message[200];
-        PyOS_snprintf(message, sizeof(message),
-                      "compile time Python version %d.%d "
-                      "of module '%.100s' "
-                      "%s "
-                      "runtime version %d.%d",
-                       (int) (ct_version >> 24), (int) ((ct_version >> 16) & 0xFF),
-                       __Pyx_MODULE_NAME,
-                       (allow_newer) ? "was newer than" : "does not match",
-                       (int) (rt_version >> 24), (int) ((rt_version >> 16) & 0xFF)
-       );
-        return PyErr_WarnEx(NULL, message, 1);
-    }
-}
-
-/* NewCodeObj */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    static PyObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                       PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                       PyObject *fv, PyObject *cell, PyObject* fn,
-                                       PyObject *name, int fline, PyObject *lnos) {
-        PyObject *exception_table = NULL;
-        PyObject *types_module=NULL, *code_type=NULL, *result=NULL;
-        #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-        PyObject *version_info;
-        PyObject *py_minor_version = NULL;
-        #endif
-        long minor_version = 0;
-        PyObject *type, *value, *traceback;
-        PyErr_Fetch(&type, &value, &traceback);
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-        minor_version = 11;
-        #else
-        if (!(version_info = PySys_GetObject("version_info"))) goto end;
-        if (!(py_minor_version = PySequence_GetItem(version_info, 1))) goto end;
-        minor_version = PyLong_AsLong(py_minor_version);
-        Py_DECREF(py_minor_version);
-        if (minor_version == -1 && PyErr_Occurred()) goto end;
-        #endif
-        if (!(types_module = PyImport_ImportModule("types"))) goto end;
-        if (!(code_type = PyObject_GetAttrString(types_module, "CodeType"))) goto end;
-        if (minor_version <= 7) {
-            (void)p;
-            result = PyObject_CallFunction(code_type, "iiiiiOOOOOOiOOO", a, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else if (minor_version <= 10) {
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOiOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else {
-            if (!(exception_table = PyBytes_FromStringAndSize(NULL, 0))) goto end;
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOOiOOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, name, fline, lnos, exception_table, fv, cell);
-        }
-    end:
-        Py_XDECREF(code_type);
-        Py_XDECREF(exception_table);
-        Py_XDECREF(types_module);
-        if (type) {
-            PyErr_Restore(type, value, traceback);
-        }
-        return result;
-    }
-#elif PY_VERSION_HEX >= 0x030B0000
-  static PyCodeObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                         PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                         PyObject *fv, PyObject *cell, PyObject* fn,
-                                         PyObject *name, int fline, PyObject *lnos) {
-    PyCodeObject *result;
-    result =
-      #if PY_VERSION_HEX >= 0x030C0000
-        PyUnstable_Code_NewWithPosOnlyArgs
-      #else
-        PyCode_NewWithPosOnlyArgs
-      #endif
-        (a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, name, fline, lnos, __pyx_mstate_global->__pyx_empty_bytes);
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030c00A1
-    if (likely(result))
-        result->_co_firsttraceable = 0;
-    #endif
-    return result;
-  }
-#elif !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_NewWithPosOnlyArgs(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#else
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_New(a, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#endif
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-) {
-    PyObject *code_obj = NULL, *varnames_tuple_dedup = NULL, *code_bytes = NULL;
-    Py_ssize_t var_count = (Py_ssize_t) descr.nlocals;
-    PyObject *varnames_tuple = PyTuple_New(var_count);
-    if (unlikely(!varnames_tuple)) return NULL;
-    for (Py_ssize_t i=0; i < var_count; i++) {
-        Py_INCREF(varnames[i]);
-        if (__Pyx_PyTuple_SET_ITEM(varnames_tuple, i, varnames[i]) != (0)) goto done;
-    }
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    varnames_tuple_dedup = PyDict_GetItem(tuple_dedup_map, varnames_tuple);
-    if (!varnames_tuple_dedup) {
-        if (unlikely(PyDict_SetItem(tuple_dedup_map, varnames_tuple, varnames_tuple) < 0)) goto done;
-        varnames_tuple_dedup = varnames_tuple;
-    }
-    #else
-    varnames_tuple_dedup = PyDict_SetDefault(tuple_dedup_map, varnames_tuple, varnames_tuple);
-    if (unlikely(!varnames_tuple_dedup)) goto done;
-    #endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(varnames_tuple_dedup);
-    #endif
-    if (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table != NULL && !CYTHON_COMPILING_IN_GRAAL) {
-        Py_ssize_t line_table_length = __Pyx_PyBytes_GET_SIZE(line_table);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(line_table_length == -1)) goto done;
-        #endif
-        Py_ssize_t code_len = (line_table_length * 2 + 4) & ~3LL;
-        code_bytes = PyBytes_FromStringAndSize(NULL, code_len);
-        if (unlikely(!code_bytes)) goto done;
-        char* c_code_bytes = PyBytes_AsString(code_bytes);
-        if (unlikely(!c_code_bytes)) goto done;
-        memset(c_code_bytes, 0, (size_t) code_len);
-    }
-    code_obj = (PyObject*) __Pyx__PyCode_New(
-        (int) descr.argcount,
-        (int) descr.num_posonly_args,
-        (int) descr.num_kwonly_args,
-        (int) descr.nlocals,
-        0,
-        (int) descr.flags,
-        code_bytes ? code_bytes : __pyx_mstate_global->__pyx_empty_bytes,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        varnames_tuple_dedup,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        filename,
-        funcname,
-        (int) descr.first_line,
-        (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table) ? line_table : __pyx_mstate_global->__pyx_empty_bytes
-    );
-done:
-    Py_XDECREF(code_bytes);
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(varnames_tuple_dedup);
-    #endif
-    Py_DECREF(varnames_tuple);
-    return code_obj;
-}
-
-/* DecompressString */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo) {
-    PyObject *module = NULL, *decompress, *compressed_bytes, *decompressed;
-    const char* module_name = algo == 3 ? "compression.zstd" : algo == 2 ? "bz2" : "zlib";
-    PyObject *methodname = PyUnicode_FromString("decompress");
-    if (unlikely(!methodname)) return NULL;
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030e0000
-    if (algo == 3) {
-        PyObject *fromlist = Py_BuildValue("[O]", methodname);
-        if (unlikely(!fromlist)) goto bad;
-        module = PyImport_ImportModuleLevel("compression.zstd", NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-    } else
-    #endif
-        module = PyImport_ImportModule(module_name);
-    if (unlikely(!module)) goto import_failed;
-    decompress = PyObject_GetAttr(module, methodname);
-    if (unlikely(!decompress)) goto import_failed;
-    {
-        #ifdef __cplusplus
-            char *memview_bytes = const_cast<char*>(s);
-        #else
-            #if defined(__clang__)
-              #pragma clang diagnostic push
-              #pragma clang diagnostic ignored "-Wcast-qual"
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic push
-              #pragma GCC diagnostic ignored "-Wcast-qual"
-            #endif
-            char *memview_bytes = (char*) s;
-            #if defined(__clang__)
-              #pragma clang diagnostic pop
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic pop
-            #endif
-        #endif
-        #if CYTHON_COMPILING_IN_LIMITED_API && !defined(PyBUF_READ)
-        int memview_flags = 0x100;
-        #else
-        int memview_flags = PyBUF_READ;
-        #endif
-        compressed_bytes = PyMemoryView_FromMemory(memview_bytes, length, memview_flags);
-    }
-    if (unlikely(!compressed_bytes)) {
-        Py_DECREF(decompress);
-        goto bad;
-    }
-    decompressed = PyObject_CallFunctionObjArgs(decompress, compressed_bytes, NULL);
-    Py_DECREF(compressed_bytes);
-    Py_DECREF(decompress);
-    Py_DECREF(module);
-    Py_DECREF(methodname);
-    return decompressed;
-import_failed:
-    PyErr_Format(PyExc_ImportError,
-        "Failed to import '%.20s.decompress' - cannot initialise module strings. "
-        "String compression was configured with the C macro 'CYTHON_COMPRESS_STRINGS=%d'.",
-        module_name, algo);
-bad:
-    Py_XDECREF(module);
-    Py_DECREF(methodname);
-    return NULL;
-}
-
 #include <string.h>
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s) {
-    size_t len = strlen(s);
-    if (unlikely(len > (size_t) PY_SSIZE_T_MAX)) {
-        PyErr_SetString(PyExc_OverflowError, "byte string is too long");
+
+static PyObject *InternalCheckError; /* immaculate.errors.InternalCheckError */
+static PyObject *math_factorial;     /* math.factorial */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *parts;       /* tuple of ints */
+    PyObject *hook_prod;   /* exact product of the hook lengths */
+    PyObject *n_factorial; /* exact n! */
+    int size;
+    int npairs;
+    long long prod_ll;     /* hook_prod when it fits a long long, else -1 */
+    int *geom;             /* one block holding every array below */
+    int *row_start, *rowof, *colof, *right, *below, *order, *rank, *hooklen;
+    int *pa, *pb;          /* entries[pa[m]] < entries[pb[m]] is required */
+} ShapeOps;
+
+/* -- argument helpers ------------------------------------------------------ */
+
+/* Bind vectorcall arguments to out[0..nmax) by position, then by keyword.
+ * Slots left unset keep the default the caller stored in out. */
+static int
+bind_args(const char *fname, const char *const *names, int nreq, int nmax,
+          PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames, PyObject **out)
+{
+    PyObject *given[4] = {NULL, NULL, NULL, NULL};
+    if (nargs > nmax) {
+        PyErr_Format(PyExc_TypeError, "%s() takes at most %d arguments (%zd given)",
+                     fname, nmax, nargs);
         return -1;
     }
-    return (Py_ssize_t) len;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return __Pyx_PyUnicode_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return PyByteArray_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject* o) {
-    Py_ssize_t ignore;
-    return __Pyx_PyObject_AsStringAndSize(o, &ignore);
-}
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-static CYTHON_INLINE const char* __Pyx_PyUnicode_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-    if (unlikely(__Pyx_PyUnicode_READY(o) == -1)) return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {
-        const char* result;
-        Py_ssize_t unicode_length;
-        CYTHON_MAYBE_UNUSED_VAR(unicode_length); // only for __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (unlikely(PyArg_Parse(o, "s#", &result, length) < 0)) return NULL;
-        #else
-        result = PyUnicode_AsUTF8AndSize(o, length);
-        #endif
-        #if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        unicode_length = PyUnicode_GetLength(o);
-        if (unlikely(unicode_length < 0)) return NULL;
-        if (unlikely(unicode_length != *length)) {
-            PyUnicode_AsASCIIString(o);
-            return NULL;
-        }
-        #endif
-        return result;
-    }
-#else
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-    if (likely(PyUnicode_IS_ASCII(o))) {
-        *length = PyUnicode_GET_LENGTH(o);
-        return PyUnicode_AsUTF8(o);
-    } else {
-        PyUnicode_AsASCIIString(o);
-        return NULL;
-    }
-#else
-    return PyUnicode_AsUTF8AndSize(o, length);
-#endif
-#endif
-}
-#endif
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-    if (PyUnicode_Check(o)) {
-        return __Pyx_PyUnicode_AsStringAndSize(o, length);
-    } else
-#endif
-    if (PyByteArray_Check(o)) {
-#if (CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS) || (CYTHON_COMPILING_IN_PYPY && (defined(PyByteArray_AS_STRING) && defined(PyByteArray_GET_SIZE)))
-        *length = PyByteArray_GET_SIZE(o);
-        return PyByteArray_AS_STRING(o);
-#else
-        *length = PyByteArray_Size(o);
-        if (*length == -1) return NULL;
-        return PyByteArray_AsString(o);
-#endif
-    } else
-    {
-        char* result;
-        int r = PyBytes_AsStringAndSize(o, &result, length);
-        if (unlikely(r < 0)) {
-            return NULL;
-        } else {
-            return result;
-        }
-    }
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject* x) {
-   int is_true = x == Py_True;
-   if (is_true | (x == Py_False) | (x == Py_None)) return is_true;
-   else return PyObject_IsTrue(x);
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject* x) {
-    int retval;
-    if (unlikely(!x)) return -1;
-    retval = __Pyx_PyObject_IsTrue(x);
-    Py_DECREF(x);
-    return retval;
-}
-static PyObject* __Pyx_PyNumber_LongWrongResultType(PyObject* result) {
-    __Pyx_TypeName result_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(result));
-    if (PyLong_Check(result)) {
-        if (PyErr_WarnFormat(PyExc_DeprecationWarning, 1,
-                "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ").  "
-                "The ability to return an instance of a strict subclass of int is deprecated, "
-                "and may be removed in a future version of Python.",
-                result_type_name)) {
-            __Pyx_DECREF_TypeName(result_type_name);
-            Py_DECREF(result);
-            return NULL;
-        }
-        __Pyx_DECREF_TypeName(result_type_name);
-        return result;
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ")",
-                 result_type_name);
-    __Pyx_DECREF_TypeName(result_type_name);
-    Py_DECREF(result);
-    return NULL;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x) {
-#if CYTHON_USE_TYPE_SLOTS
-  PyNumberMethods *m;
-#endif
-  PyObject *res = NULL;
-  if (likely(PyLong_Check(x)))
-      return __Pyx_NewRef(x);
-#if CYTHON_USE_TYPE_SLOTS
-  m = Py_TYPE(x)->tp_as_number;
-  if (likely(m && m->nb_int)) {
-      res = m->nb_int(x);
-  }
-#else
-  if (!PyBytes_CheckExact(x) && !PyUnicode_CheckExact(x)) {
-      res = PyNumber_Long(x);
-  }
-#endif
-  if (likely(res)) {
-      if (unlikely(!PyLong_CheckExact(res))) {
-          return __Pyx_PyNumber_LongWrongResultType(res);
-      }
-  }
-  else if (!PyErr_Occurred()) {
-      PyErr_SetString(PyExc_TypeError,
-                      "an integer is required");
-  }
-  return res;
-}
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject* b) {
-  Py_ssize_t ival;
-  PyObject *x;
-  if (likely(PyLong_CheckExact(b))) {
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(__Pyx_PyLong_IsCompact(b))) {
-        return __Pyx_PyLong_CompactValue(b);
-    } else {
-      const digit* digits = __Pyx_PyLong_Digits(b);
-      const Py_ssize_t size = __Pyx_PyLong_SignedDigitCount(b);
-      switch (size) {
-         case 2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-      }
-    }
-    #endif
-    return PyLong_AsSsize_t(b);
-  }
-  x = PyNumber_Index(b);
-  if (!x) return -1;
-  ival = PyLong_AsSsize_t(x);
-  Py_DECREF(x);
-  return ival;
-}
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject* o) {
-  if (sizeof(Py_hash_t) == sizeof(Py_ssize_t)) {
-    return (Py_hash_t) __Pyx_PyIndex_AsSsize_t(o);
-  } else {
-    Py_ssize_t ival;
-    PyObject *x;
-    x = PyNumber_Index(o);
-    if (!x) return -1;
-    ival = PyLong_AsLong(x);
-    Py_DECREF(x);
-    return ival;
-  }
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b) {
-    CYTHON_UNUSED_VAR(b);
-    return __Pyx_NewRef(Py_None);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b) {
-  return __Pyx_NewRef(b ? Py_True: Py_False);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t ival) {
-    return PyLong_FromSize_t(ival);
-}
-
-
-/* MultiPhaseInitModuleState */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-#ifndef CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#if (CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX >= 0x030C0000)
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 1
-#else
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 0
-#endif
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE && !CYTHON_ATOMICS
-#error "Module state with PEP489 requires atomics. Currently that's one of\
- C11, C++11, gcc atomic intrinsics or MSVC atomic intrinsics"
-#endif
-#if !CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#define __Pyx_ModuleStateLookup_Lock()
-#define __Pyx_ModuleStateLookup_Unlock()
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-static PyMutex __Pyx_ModuleStateLookup_mutex = {0};
-#define __Pyx_ModuleStateLookup_Lock() PyMutex_Lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() PyMutex_Unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(__cplusplus) && __cplusplus >= 201103L
-#include <mutex>
-static std::mutex __Pyx_ModuleStateLookup_mutex;
-#define __Pyx_ModuleStateLookup_Lock() __Pyx_ModuleStateLookup_mutex.lock()
-#define __Pyx_ModuleStateLookup_Unlock() __Pyx_ModuleStateLookup_mutex.unlock()
-#elif defined(__STDC_VERSION__) && (__STDC_VERSION__ > 201112L) && !defined(__STDC_NO_THREADS__)
-#include <threads.h>
-static mtx_t __Pyx_ModuleStateLookup_mutex;
-static once_flag __Pyx_ModuleStateLookup_mutex_once_flag = ONCE_FLAG_INIT;
-static void __Pyx_ModuleStateLookup_initialize_mutex(void) {
-    mtx_init(&__Pyx_ModuleStateLookup_mutex, mtx_plain);
-}
-#define __Pyx_ModuleStateLookup_Lock()\
-  call_once(&__Pyx_ModuleStateLookup_mutex_once_flag, __Pyx_ModuleStateLookup_initialize_mutex);\
-  mtx_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() mtx_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(HAVE_PTHREAD_H)
-#include <pthread.h>
-static pthread_mutex_t __Pyx_ModuleStateLookup_mutex = PTHREAD_MUTEX_INITIALIZER;
-#define __Pyx_ModuleStateLookup_Lock() pthread_mutex_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() pthread_mutex_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(_WIN32)
-#include <Windows.h>  // synchapi.h on its own doesn't work
-static SRWLOCK __Pyx_ModuleStateLookup_mutex = SRWLOCK_INIT;
-#define __Pyx_ModuleStateLookup_Lock() AcquireSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() ReleaseSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#else
-#error "No suitable lock available for CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE.\
- Requires C standard >= C11, or C++ standard >= C++11,\
- or pthreads, or the Windows 32 API, or Python >= 3.13."
-#endif
-typedef struct {
-    int64_t id;
-    PyObject *module;
-} __Pyx_InterpreterIdAndModule;
-typedef struct {
-    char interpreter_id_as_index;
-    Py_ssize_t count;
-    Py_ssize_t allocated;
-    __Pyx_InterpreterIdAndModule table[1];
-} __Pyx_ModuleStateLookupData;
-#define __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE 32
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_int_type __Pyx_ModuleStateLookup_read_counter = 0;
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_ptr_type __Pyx_ModuleStateLookup_data = 0;
-#else
-static __Pyx_ModuleStateLookupData* __Pyx_ModuleStateLookup_data = NULL;
-#endif
-static __Pyx_InterpreterIdAndModule* __Pyx_State_FindModuleStateLookupTableLowerBound(
-        __Pyx_InterpreterIdAndModule* table,
-        Py_ssize_t count,
-        int64_t interpreterId) {
-    __Pyx_InterpreterIdAndModule* begin = table;
-    __Pyx_InterpreterIdAndModule* end = begin + count;
-    if (begin->id == interpreterId) {
-        return begin;
-    }
-    while ((end - begin) > __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-        __Pyx_InterpreterIdAndModule* halfway = begin + (end - begin)/2;
-        if (halfway->id == interpreterId) {
-            return halfway;
-        }
-        if (halfway->id < interpreterId) {
-            begin = halfway;
-        } else {
-            end = halfway;
-        }
-    }
-    for (; begin < end; ++begin) {
-        if (begin->id >= interpreterId) return begin;
-    }
-    return begin;
-}
-static PyObject *__Pyx_State_FindModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return NULL;
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData* data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-    {
-        __pyx_atomic_incr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        if (likely(data)) {
-            __Pyx_ModuleStateLookupData* new_data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_acquire(&__Pyx_ModuleStateLookup_data);
-            if (likely(data == new_data)) {
-                goto read_finished;
-            }
-        }
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        __Pyx_ModuleStateLookup_Lock();
-        __pyx_atomic_incr_relaxed(&__Pyx_ModuleStateLookup_read_counter);
-        data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-        __Pyx_ModuleStateLookup_Unlock();
-    }
-  read_finished:;
-#else
-    __Pyx_ModuleStateLookupData* data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_InterpreterIdAndModule* found = NULL;
-    if (unlikely(!data)) goto end;
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            found = data->table+interpreter_id;
-        }
-    } else {
-        found = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-    }
-  end:
-    {
-        PyObject *result=NULL;
-        if (found && found->id == interpreter_id) {
-            result = found->module;
-        }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-#endif
-        return result;
-    }
-}
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static void __Pyx_ModuleStateLookup_wait_until_no_readers(void) {
-    while (__pyx_atomic_load(&__Pyx_ModuleStateLookup_read_counter) != 0);
-}
-#else
-#define __Pyx_ModuleStateLookup_wait_until_no_readers()
-#endif
-static int __Pyx_State_AddModuleInterpIdAsIndex(__Pyx_ModuleStateLookupData **old_data, PyObject* module, int64_t interpreter_id) {
-    Py_ssize_t to_allocate = (*old_data)->allocated;
-    while (to_allocate <= interpreter_id) {
-        if (to_allocate == 0) to_allocate = 1;
-        else to_allocate *= 2;
-    }
-    __Pyx_ModuleStateLookupData *new_data = *old_data;
-    if (to_allocate != (*old_data)->allocated) {
-         new_data = (__Pyx_ModuleStateLookupData *)realloc(
-            *old_data,
-            sizeof(__Pyx_ModuleStateLookupData)+(to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-        if (!new_data) {
-            PyErr_NoMemory();
+    for (Py_ssize_t i = 0; i < nargs; i++)
+        given[i] = args[i];
+    Py_ssize_t nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
+    for (Py_ssize_t k = 0; k < nkw; k++) {
+        PyObject *key = PyTuple_GET_ITEM(kwnames, k);
+        int i = 0;
+        while (i < nmax && PyUnicode_CompareWithASCIIString(key, names[i]) != 0)
+            i++;
+        if (i == nmax) {
+            PyErr_Format(PyExc_TypeError, "%s() got an unexpected keyword argument '%U'",
+                         fname, key);
             return -1;
         }
-        for (Py_ssize_t i = new_data->allocated; i < to_allocate; ++i) {
-            new_data->table[i].id = i;
-            new_data->table[i].module = NULL;
+        if (given[i] != NULL) {
+            PyErr_Format(PyExc_TypeError, "%s() got multiple values for argument '%s'",
+                         fname, names[i]);
+            return -1;
         }
-        new_data->allocated = to_allocate;
+        given[i] = args[nargs + k];
     }
-    new_data->table[interpreter_id].module = module;
-    if (new_data->count < interpreter_id+1) {
-        new_data->count = interpreter_id+1;
+    for (int i = 0; i < nmax; i++) {
+        if (given[i] != NULL)
+            out[i] = given[i];
+        else if (i < nreq) {
+            PyErr_Format(PyExc_TypeError, "%s() missing required argument '%s'",
+                         fname, names[i]);
+            return -1;
+        }
     }
-    *old_data = new_data;
     return 0;
 }
-static void __Pyx_State_ConvertFromInterpIdAsIndex(__Pyx_ModuleStateLookupData *data) {
-    __Pyx_InterpreterIdAndModule *read = data->table;
-    __Pyx_InterpreterIdAndModule *write = data->table;
-    __Pyx_InterpreterIdAndModule *end = read + data->count;
-    for (; read<end; ++read) {
-        if (read->module) {
-            write->id = read->id;
-            write->module = read->module;
-            ++write;
-        }
+
+/* Copy a sized sequence of n Python ints into out; ValueError on a length
+ * mismatch, as the pure twin raises. */
+static int
+read_ints(PyObject *seq, int *out, int n)
+{
+    Py_ssize_t len = PyObject_Length(seq);
+    if (len < 0)
+        return -1;
+    if (len != n) {
+        PyErr_Format(PyExc_ValueError, "need %d entries, got %zd", n, len);
+        return -1;
     }
-    data->count = write - data->table;
-    for (; write<end; ++write) {
-        write->id = 0;
-        write->module = NULL;
+    PyObject *fast = PySequence_Fast(seq, "expected a sequence");
+    if (fast == NULL)
+        return -1;
+    /* a sequence whose length changed since len() is read to its new size */
+    if (PySequence_Fast_GET_SIZE(fast) != n) {
+        PyErr_Format(PyExc_ValueError, "need %d entries, got %zd", n,
+                     PySequence_Fast_GET_SIZE(fast));
+        Py_DECREF(fast);
+        return -1;
     }
-    data->interpreter_id_as_index = 0;
+    PyObject **items = PySequence_Fast_ITEMS(fast);
+    int i, overflow = 0;
+    for (i = 0; i < n; i++) {
+        long v = PyLong_AsLongAndOverflow(items[i], &overflow);
+        if (overflow || v < INT_MIN || v > INT_MAX || (v == -1 && PyErr_Occurred()))
+            break;
+        out[i] = (int)v;
+    }
+    Py_DECREF(fast);
+    if (i == n)
+        return 0;
+    if (!PyErr_Occurred())
+        PyErr_SetString(PyExc_OverflowError, "entry does not fit a C int");
+    return -1;
 }
-static int __Pyx_State_AddModule(PyObject* module, CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    int result = 0;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *old_data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *old_data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_ModuleStateLookupData *new_data = old_data;
-    if (!new_data) {
-        new_data = (__Pyx_ModuleStateLookupData *)calloc(1, sizeof(__Pyx_ModuleStateLookupData));
-        if (!new_data) {
-            result = -1;
-            PyErr_NoMemory();
-            goto end;
+
+static PyObject *
+int_list(const int *a, int n)
+{
+    PyObject *list = PyList_New(n);
+    if (list == NULL)
+        return NULL;
+    for (int i = 0; i < n; i++) {
+        PyObject *v = PyLong_FromLong(a[i]);
+        if (v == NULL) {
+            Py_DECREF(list);
+            return NULL;
         }
-        new_data->allocated = 1;
-        new_data->interpreter_id_as_index = 1;
+        PyList_SET_ITEM(list, i, v);
     }
-    __Pyx_ModuleStateLookup_wait_until_no_readers();
-    if (new_data->interpreter_id_as_index) {
-        if (interpreter_id < __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-            result = __Pyx_State_AddModuleInterpIdAsIndex(&new_data, module, interpreter_id);
-            goto end;
+    return list;
+}
+
+/* Buffers come from PyMem, so tracemalloc sees them like any object. */
+static int *
+alloc_ints(size_t count)
+{
+    int *buf = PyMem_Malloc(count * sizeof(int));
+    if (buf == NULL)
+        PyErr_NoMemory();
+    return buf;
+}
+
+/* A shape whose __init__ never ran has no arrays; refuse it rather than
+ * read them. */
+static int
+ready(ShapeOps *self)
+{
+    if (self->geom != NULL)
+        return 0;
+    PyErr_SetString(PyExc_AttributeError, "ShapeOps has no shape: __init__ was not called");
+    return -1;
+}
+
+/* -- construction ---------------------------------------------------------- */
+
+/* Exact product of factors[0..n): a long long accumulator, spilled into a
+ * Python int whenever the next factor would overflow it. */
+static PyObject *
+exact_product(const int *factors, int n)
+{
+    PyObject *prod = PyLong_FromLong(1);
+    long long acc = 1;
+    for (int i = 0; prod != NULL && i <= n; i++) {
+        if (i < n && acc <= LLONG_MAX / factors[i]) {
+            acc *= factors[i];
+            continue;
         }
-        __Pyx_State_ConvertFromInterpIdAsIndex(new_data);
+        if (acc > 1) {
+            PyObject *a = PyLong_FromLongLong(acc);
+            PyObject *next = a ? PyNumber_Multiply(prod, a) : NULL;
+            Py_XDECREF(a);
+            Py_SETREF(prod, next);
+        }
+        if (i < n)
+            acc = factors[i];
     }
-    {
-        Py_ssize_t insert_at = 0;
-        {
-            __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-                new_data->table, new_data->count, interpreter_id);
-            assert(lower_bound);
-            insert_at = lower_bound - new_data->table;
-            if (unlikely(insert_at < new_data->count && lower_bound->id == interpreter_id)) {
-                lower_bound->module = module;
-                goto end;  // already in table, nothing more to do
+    return prod;
+}
+
+static int
+ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"parts", NULL};
+    PyObject *arg, *items, *parts = NULL, *hook_prod = NULL, *n_factorial = NULL;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O:ShapeOps", kwlist, &arg))
+        return -1;
+
+    /* parts = tuple(int(p) for p in parts) */
+    items = PySequence_Tuple(arg);
+    if (items == NULL)
+        return -1;
+    Py_ssize_t k = PyTuple_GET_SIZE(items);
+    parts = PyTuple_New(k);
+    for (Py_ssize_t r = 0; parts != NULL && r < k; r++) {
+        PyObject *p = PyNumber_Long(PyTuple_GET_ITEM(items, r));
+        if (p == NULL)
+            Py_CLEAR(parts);
+        else
+            PyTuple_SET_ITEM(parts, r, p);
+    }
+    Py_DECREF(items);
+    if (parts == NULL)
+        return -1;
+
+    /* every part at least 1, then the size must fit a C int: both checked
+     * before anything is allocated */
+    int overflow, bad = k == 0;
+    for (Py_ssize_t r = 0; !bad && r < k; r++) {
+        long long p = PyLong_AsLongLongAndOverflow(PyTuple_GET_ITEM(parts, r), &overflow);
+        bad = overflow < 0 || (!overflow && p < 1);
+    }
+    if (bad)
+        PyErr_Format(PyExc_ValueError, "bad composition parts: %R", parts);
+    long long total = 0;
+    for (Py_ssize_t r = 0; !bad && r < k; r++) {
+        total += PyLong_AsLongLongAndOverflow(PyTuple_GET_ITEM(parts, r), &overflow);
+        if (overflow || total > INT_MAX) {
+            PyErr_SetString(PyExc_OverflowError, "composition size does not fit a C int");
+            bad = 1;
+        }
+    }
+    if (bad) {
+        Py_DECREF(parts);
+        return -1;
+    }
+    int n = (int)total;
+
+    /* a second __init__ replaces the shape; one that fails leaves none.
+     * row_start has k + 1 ints, the eight per-cell arrays n each, the pairs
+     * 2n each; the column counts of the order sort borrow pa */
+    PyMem_Free(self->geom);
+    int *cursor = self->geom = alloc_ints((size_t)(k + 1) + 12 * (size_t)n);
+    if (cursor == NULL)
+        goto fail;
+    int *row_start = self->row_start = cursor; cursor += k + 1;
+    int *rowof = self->rowof = cursor;         cursor += n;
+    int *colof = self->colof = cursor;         cursor += n;
+    int *right = self->right = cursor;         cursor += n;
+    int *below = self->below = cursor;         cursor += n;
+    int *order = self->order = cursor;         cursor += n;
+    int *rank = self->rank = cursor;           cursor += n;
+    int *hooklen = self->hooklen = cursor;     cursor += n;
+    int *pa = self->pa = cursor;               cursor += 2 * n;
+    int *pb = self->pb = cursor;
+
+    row_start[0] = 0;
+    for (Py_ssize_t r = 0; r < k; r++)
+        row_start[r + 1] = row_start[r] + (int)PyLong_AsLong(PyTuple_GET_ITEM(parts, r));
+    int maxcol = 0;
+    for (int r = 0, pos = 0; r < k; r++) {
+        int len = row_start[r + 1] - row_start[r];
+        if (len > maxcol)
+            maxcol = len;
+        for (int c = 0; c < len; c++, pos++) {
+            rowof[pos] = r;
+            colof[pos] = c;
+            right[pos] = c + 1 < len ? pos + 1 : -1;
+            below[pos] = c == 0 && r + 1 < k ? row_start[r + 1] : -1;
+            hooklen[pos] = c == 0 ? n - pos : row_start[r + 1] - pos;
+        }
+    }
+    /* traversal order: right-most column first, bottom-up within a column;
+     * a counting sort on the column, filled from the bottom row up */
+    int *slot = pa;
+    memset(slot, 0, (size_t)maxcol * sizeof(int));
+    for (int pos = 0; pos < n; pos++)
+        slot[colof[pos]]++;
+    for (int c = maxcol - 1, start = 0; c >= 0; c--) {
+        int count = slot[c];
+        slot[c] = start;
+        start += count;
+    }
+    for (int pos = n - 1; pos >= 0; pos--)
+        order[slot[colof[pos]]++] = pos;
+    for (int m = 0; m < n; m++)
+        rank[order[m]] = m;
+
+    int npairs = 0;
+    for (int pos = 0; pos < n; pos++) {
+        if (right[pos] >= 0) {
+            pa[npairs] = pos;
+            pb[npairs++] = right[pos];
+        }
+        if (below[pos] >= 0) {
+            pa[npairs] = pos;
+            pb[npairs++] = below[pos];
+        }
+    }
+
+    hook_prod = exact_product(hooklen, n);
+    if (hook_prod == NULL)
+        goto fail;
+    n_factorial = PyObject_CallFunction(math_factorial, "i", n);
+    if (n_factorial == NULL)
+        goto fail;
+    long long prod_ll = PyLong_AsLongLongAndOverflow(hook_prod, &overflow);
+
+    Py_XSETREF(self->parts, parts);
+    Py_XSETREF(self->hook_prod, hook_prod);
+    Py_XSETREF(self->n_factorial, n_factorial);
+    self->size = n;
+    self->npairs = npairs;
+    self->prod_ll = overflow ? -1 : prod_ll;
+    return 0;
+
+fail:
+    PyMem_Free(self->geom);
+    self->geom = NULL;
+    Py_XDECREF(parts);
+    Py_XDECREF(hook_prod);
+    return -1;
+}
+
+static void
+ShapeOps_dealloc(ShapeOps *self)
+{
+    PyMem_Free(self->geom);
+    Py_XDECREF(self->parts);
+    Py_XDECREF(self->hook_prod);
+    Py_XDECREF(self->n_factorial);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* -- predicates ------------------------------------------------------------ */
+
+static int
+is_standard(const ShapeOps *self, const int *t)
+{
+    for (int m = 0; m < self->npairs; m++)
+        if (t[self->pa[m]] > t[self->pb[m]])
+            return 0;
+    return 1;
+}
+
+/* stability of the first `count` traversal cells, treating everything
+ * outside that prefix as infinite */
+static int
+_prefix_standard(const ShapeOps *self, const int *t, int count)
+{
+    for (int m = 0; m < count; m++) {
+        int pos = self->order[m];
+        int e = t[pos];
+        int r = self->right[pos];
+        if (r >= 0 && self->rank[r] < count && e > t[r])
+            return 0;
+        if (self->colof[pos] == 0) {
+            int b = self->below[pos];
+            if (b >= 0 && self->rank[b] < count && e >= t[b])
+                return 0;
+        }
+    }
+    return 1;
+}
+
+/* -- single moves ---------------------------------------------------------- */
+
+/* Jeu de taquin on the flat array; mutates t, writes the visited positions
+ * to path and returns their number, or -1 with InternalCheckError set. */
+static int
+_slide(const ShapeOps *self, int *t, int pos, int *path)
+{
+    int plen = 1;
+    path[0] = pos;
+    for (;;) {
+        int e = t[pos];
+        int r = self->right[pos];
+        if (self->colof[pos] > 0) {
+            if (r < 0 || e <= t[r])
+                break;
+            t[pos] = t[r];
+            t[r] = e;
+            pos = r;
+        } else {
+            int b = self->below[pos];
+            if ((r < 0 || e <= t[r]) && (b < 0 || e < t[b]))
+                break;
+            if (r >= 0 && b >= 0 && t[r] == t[b]) {
+                PyErr_Format(InternalCheckError,
+                             "tied neighbours while sliding at position %d", pos);
+                return -1;
+            }
+            if (b < 0 || (r >= 0 && t[r] < t[b])) {
+                t[pos] = t[r];
+                t[r] = e;
+                pos = r;
+            } else {
+                t[pos] = t[b];
+                t[b] = e;
+                pos = b;
             }
         }
-        if (new_data->count+1 >= new_data->allocated) {
-            Py_ssize_t to_allocate = (new_data->count+1)*2;
-            new_data =
-                (__Pyx_ModuleStateLookupData*)realloc(
-                    new_data,
-                    sizeof(__Pyx_ModuleStateLookupData) +
-                    (to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-            if (!new_data) {
-                result = -1;
-                new_data = old_data;
-                PyErr_NoMemory();
-                goto end;
+        path[plen++] = pos;
+    }
+    return plen;
+}
+
+/* Positions from start to its v-th hook cell (hooks are flat runs); the
+ * caller keeps start + v - 1 below n. */
+static int
+_build_path(const ShapeOps *self, int start, int v, int *path)
+{
+    int target = start + v - 1;
+    int plen = 0;
+    if (self->rowof[target] == self->rowof[start]) {
+        for (int q = start; q <= target; q++)
+            path[plen++] = q;
+        return plen;
+    }
+    for (int r = self->rowof[start]; r <= self->rowof[target]; r++)
+        path[plen++] = self->row_start[r];
+    for (int q = self->row_start[self->rowof[target]] + 1; q <= target; q++)
+        path[plen++] = q;
+    return plen;
+}
+
+/* row-based closed form; must agree with the flat-run form end - start + 1 */
+static int
+_hook_index(const ShapeOps *self, int start, int end)
+{
+    int rs = self->rowof[start], re = self->rowof[end];
+    if (rs == re)
+        return self->colof[end] - self->colof[start] + 1;
+    return self->row_start[re] - self->row_start[rs] + self->colof[end] + 1;
+}
+
+static void
+_rotate_right(int *t, const int *path, int plen)
+{
+    int last = t[path[plen - 1]];
+    for (int m = plen - 1; m > 0; m--)
+        t[path[m]] = t[path[m - 1]];
+    t[path[0]] = last;
+}
+
+static void
+_rotate_left(int *t, const int *path, int plen)
+{
+    int first = t[path[0]];
+    for (int m = 0; m < plen - 1; m++)
+        t[path[m]] = t[path[m + 1]];
+    t[path[plen - 1]] = first;
+}
+
+/* -- full transforms ------------------------------------------------------- */
+
+/* work holds 4n ints: the slide path, and with check set the hook path, a
+ * pre-slide copy of t and its rotation. */
+static int
+_straighten_inplace(const ShapeOps *self, int *t, int *s, int check, int *work)
+{
+    int n = self->size;
+    int *path = work, *hook_path = work + n, *before = work + 2 * n, *rotated = work + 3 * n;
+    for (int k = 1; k < n; k++) {
+        int pos = self->order[k];
+        if (check)
+            memcpy(before, t, (size_t)n * sizeof(int));
+        int plen = _slide(self, t, pos, path);
+        if (plen < 0)
+            return -1;
+        int v = path[plen - 1] - path[0] + 1;
+        s[pos] = v;
+        if (check) {
+            if (_hook_index(self, path[0], path[plen - 1]) != v) {
+                PyErr_SetString(InternalCheckError,
+                                "hook index closed form disagrees with flat run");
+                return -1;
             }
-            new_data->allocated = to_allocate;
-        }
-        ++new_data->count;
-        int64_t last_id = interpreter_id;
-        PyObject *last_module = module;
-        for (Py_ssize_t i=insert_at; i<new_data->count; ++i) {
-            int64_t current_id = new_data->table[i].id;
-            new_data->table[i].id = last_id;
-            last_id = current_id;
-            PyObject *current_module = new_data->table[i].module;
-            new_data->table[i].module = last_module;
-            last_module = current_module;
+            if (_build_path(self, pos, v, hook_path) != plen
+                    || memcmp(path, hook_path, (size_t)plen * sizeof(int)) != 0) {
+                PyErr_SetString(InternalCheckError,
+                                "slide path is not the hook path of its endpoints");
+                return -1;
+            }
+            memcpy(rotated, before, (size_t)n * sizeof(int));
+            _rotate_left(rotated, path, plen);
+            if (memcmp(rotated, t, (size_t)n * sizeof(int)) != 0) {
+                PyErr_SetString(InternalCheckError,
+                                "slide result is not the circular left shift");
+                return -1;
+            }
+            if (!_prefix_standard(self, t, k + 1)) {
+                PyErr_Format(InternalCheckError, "prefix standardness lost after step %d", k);
+                return -1;
+            }
         }
     }
-  end:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, new_data);
-#else
-    __Pyx_ModuleStateLookup_data = new_data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
+    return 0;
+}
+
+/* path holds n ints.  A hook value reaching past the last cell raises
+ * IndexError before it can index past the arrays. */
+static int
+_unstraighten_inplace(const ShapeOps *self, int *t, int *j, int check, int *path)
+{
+    int n = self->size;
+    for (int k = 1; k < n; k++) {
+        int pos = self->order[n - k];
+        if (check && !_prefix_standard(self, t, n + 1 - k)) {
+            PyErr_Format(InternalCheckError, "prefix standardness lost before step %d", k);
+            return -1;
+        }
+        int v = j[pos];
+        j[pos] = 1;
+        if (v > 1) {
+            if (v > n - pos) {
+                PyErr_Format(PyExc_IndexError, "hook value %d out of range at position %d",
+                             v, pos);
+                return -1;
+            }
+            _rotate_right(t, path, _build_path(self, pos, v, path));
+        }
+    }
+    if (check)
+        for (int m = 0; m < n; m++)
+            if (j[m] != 1) {
+                PyErr_SetString(InternalCheckError, "hook values not exhausted");
+                return -1;
+            }
+    return 0;
+}
+
+/* -- permutations (C only) ------------------------------------------------- */
+
+/* step a to its lexicographic successor; 0 when a was the last */
+static int
+next_perm(int *a, int n)
+{
+    int i = n - 2;
+    while (i >= 0 && a[i] >= a[i + 1])
+        i--;
+    if (i < 0)
+        return 0;
+    int j = n - 1;
+    while (a[j] <= a[i])
+        j--;
+    int tmp = a[i]; a[i] = a[j]; a[j] = tmp;
+    for (int lo = i + 1, hi = n - 1; lo < hi; lo++, hi--) {
+        tmp = a[lo]; a[lo] = a[hi]; a[hi] = tmp;
+    }
+    return 1;
+}
+
+/* the permutation of 1..n with lexicographic rank `rank`: its Lehmer code,
+ * then, right to left, each later value raised past the earlier one */
+static void
+perm_unrank(long long rank, int *out, int n)
+{
+    for (int i = n - 1; i >= 0; i--) {
+        out[i] = (int)(rank % (n - i));
+        rank /= n - i;
+    }
+    for (int i = n - 2; i >= 0; i--)
+        for (int j = i + 1; j < n; j++)
+            if (out[j] >= out[i])
+                out[j]++;
+    for (int i = 0; i < n; i++)
+        out[i]++;
+}
+
+/* -- public API (mirrors _pure) -------------------------------------------- */
+
+static PyObject *
+ShapeOps_is_standard_immaculate(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs,
+                                PyObject *kwnames)
+{
+    static const char *const names[] = {"entries"};
+    PyObject *entries = NULL;
+    if (bind_args("is_standard_immaculate", names, 1, 1, args, nargs, kwnames, &entries) < 0
+            || ready(self) < 0)
+        return NULL;
+    int *t = alloc_ints((size_t)self->size);
+    if (t == NULL)
+        return NULL;
+    PyObject *result = NULL;
+    if (read_ints(entries, t, self->size) == 0)
+        result = PyBool_FromLong(is_standard(self, t));
+    PyMem_Free(t);
     return result;
 }
-static int __Pyx_State_RemoveModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *data = __Pyx_ModuleStateLookup_data;
-#endif
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            data->table[interpreter_id].module = NULL;
-        }
+
+static PyObject *
+ShapeOps_straighten(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames)
+{
+    static const char *const names[] = {"entries", "check"};
+    PyObject *arg[2] = {NULL, Py_False};
+    if (bind_args("straighten", names, 1, 2, args, nargs, kwnames, arg) < 0 || ready(self) < 0)
+        return NULL;
+    int check = PyObject_IsTrue(arg[1]);
+    if (check < 0)
+        return NULL;
+    int n = self->size;
+    int *buf = alloc_ints(6 * (size_t)n);
+    if (buf == NULL)
+        return NULL;
+    int *t = buf, *s = buf + n;
+    PyObject *result = NULL;
+    if (read_ints(arg[0], t, n) < 0)
+        goto done;
+    for (int i = 0; i < n; i++)
+        s[i] = 1;
+    if (_straighten_inplace(self, t, s, check, buf + 2 * n) < 0)
+        goto done;
+    if (check && !is_standard(self, t)) {
+        PyErr_SetString(InternalCheckError, "straighten result is not standard immaculate");
         goto done;
     }
-    {
-        __Pyx_ModuleStateLookup_wait_until_no_readers();
-        __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-        if (!lower_bound) goto done;
-        if (lower_bound->id != interpreter_id) goto done;
-        __Pyx_InterpreterIdAndModule *end = data->table+data->count;
-        for (;lower_bound<end-1; ++lower_bound) {
-            lower_bound->id = (lower_bound+1)->id;
-            lower_bound->module = (lower_bound+1)->module;
+    PyObject *p = int_list(t, n), *j = p ? int_list(s, n) : NULL;
+    if (j != NULL)
+        result = PyTuple_Pack(2, p, j);
+    Py_XDECREF(p);
+    Py_XDECREF(j);
+done:
+    PyMem_Free(buf);
+    return result;
+}
+
+static PyObject *
+ShapeOps_unstraighten(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames)
+{
+    static const char *const names[] = {"p_entries", "hook_values", "check"};
+    PyObject *arg[3] = {NULL, NULL, Py_False};
+    if (bind_args("unstraighten", names, 2, 3, args, nargs, kwnames, arg) < 0
+            || ready(self) < 0)
+        return NULL;
+    int n = self->size;
+    Py_ssize_t np = PyObject_Length(arg[0]), nj = np < 0 ? -1 : PyObject_Length(arg[1]);
+    if (nj < 0)
+        return NULL;
+    if (np != n || nj != n)
+        return PyErr_Format(PyExc_ValueError, "need %d entries and %d hook values", n, n);
+    int check = PyObject_IsTrue(arg[2]);
+    if (check < 0)
+        return NULL;
+    int *buf = alloc_ints(3 * (size_t)n);
+    if (buf == NULL)
+        return NULL;
+    int *t = buf, *j = buf + n;
+    PyObject *result = NULL;
+    if (read_ints(arg[0], t, n) == 0 && read_ints(arg[1], j, n) == 0
+            && _unstraighten_inplace(self, t, j, check, buf + 2 * n) == 0)
+        result = int_list(t, n);
+    PyMem_Free(buf);
+    return result;
+}
+
+static PyObject *
+ShapeOps_count_standard(ShapeOps *self, PyObject *Py_UNUSED(ignored))
+{
+    if (ready(self) < 0)
+        return NULL;
+    int n = self->size;
+    int *a = alloc_ints((size_t)n);
+    if (a == NULL)
+        return NULL;
+    for (int i = 0; i < n; i++)
+        a[i] = i + 1;
+    long long count = 0;
+    do {
+        count += is_standard(self, a);
+    } while (next_perm(a, n));
+    PyMem_Free(a);
+    return PyLong_FromLongLong(count);
+}
+
+/* failures.append(entry); steals entry, which is NULL after an error */
+static int
+append_entry(PyObject *failures, PyObject *entry)
+{
+    if (entry == NULL)
+        return -1;
+    int rc = PyList_Append(failures, entry);
+    Py_DECREF(entry);
+    return rc;
+}
+
+/* the InternalCheckError just raised becomes an (index, "check", message)
+ * entry; any other error stays raised */
+static int
+add_check_failure(PyObject *failures, long long index)
+{
+    if (!PyErr_ExceptionMatches(InternalCheckError))
+        return -1;
+#if PY_VERSION_HEX >= 0x030C0000
+    PyObject *exc = PyErr_GetRaisedException();
+#else
+    PyObject *type, *exc, *tb;
+    PyErr_Fetch(&type, &exc, &tb);
+    PyErr_NormalizeException(&type, &exc, &tb);
+    Py_XDECREF(type);
+    Py_XDECREF(tb);
+#endif
+    PyObject *message = PyObject_Str(exc);
+    Py_DECREF(exc);
+    return append_entry(failures,
+                        message ? Py_BuildValue("(LsN)", index, "check", message) : NULL);
+}
+
+/* lo <= a <= b <= hi on Python ints, or -1 with an error set */
+static int
+ordered(PyObject *lo, PyObject *a, PyObject *b, PyObject *hi)
+{
+    int rc = PyObject_RichCompareBool(lo, a, Py_LE);
+    if (rc == 1)
+        rc = PyObject_RichCompareBool(a, b, Py_LE);
+    if (rc == 1)
+        rc = PyObject_RichCompareBool(b, hi, Py_LE);
+    return rc;
+}
+
+static PyObject *
+ShapeOps_scan_fillings(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs,
+                       PyObject *kwnames)
+{
+    static const char *const names[] = {"start", "stop", "check"};
+    PyObject *arg[3] = {NULL, NULL, Py_True};
+    if (bind_args("scan_fillings", names, 2, 3, args, nargs, kwnames, arg) < 0
+            || ready(self) < 0)
+        return NULL;
+    int n = self->size;
+    PyObject *start = NULL, *stop = NULL, *zero = NULL, *failures = NULL, *result = NULL;
+    int *buf = NULL;
+    if ((start = PyNumber_Index(arg[0])) == NULL || (stop = PyNumber_Index(arg[1])) == NULL
+            || (zero = PyLong_FromLong(0)) == NULL)
+        goto done;
+    int in_range = ordered(zero, start, stop, self->n_factorial);
+    if (in_range <= 0) {
+        if (in_range == 0)
+            PyErr_Format(PyExc_ValueError, "bad scan range [%S, %S) for %d! fillings",
+                         start, stop, n);
+        goto done;
+    }
+    long long hi = PyLong_AsLongLong(stop);
+    int check = hi == -1 && PyErr_Occurred() ? -1 : PyObject_IsTrue(arg[2]);
+    if (check < 0 || (buf = alloc_ints(7 * (size_t)n)) == NULL
+            || (failures = PyList_New(0)) == NULL)
+        goto done;
+    long long lo = PyLong_AsLongLong(start); /* fits: 0 <= start <= stop */
+    int *perm = buf, *t = buf + n, *s = buf + 2 * n, *work = buf + 3 * n;
+    if (lo < hi)
+        perm_unrank(lo, perm, n);
+    long long standard = 0;
+    for (long long rank = lo; rank < hi; rank++) {
+        standard += is_standard(self, perm);
+        for (int i = 0; i < n; i++) {
+            t[i] = perm[i];
+            s[i] = 1;
+        }
+        if (_straighten_inplace(self, t, s, check, work) < 0
+                || _unstraighten_inplace(self, t, s, check, work) < 0) {
+            if (add_check_failure(failures, rank) < 0)
+                goto done;
+        } else if (memcmp(t, perm, (size_t)n * sizeof(int)) != 0
+                   && append_entry(failures, Py_BuildValue("(Lss)", rank, "roundtrip",
+                          "straighten then unstraighten changed the filling")) < 0) {
+            goto done;
+        }
+        if (rank + 1 < hi)
+            next_perm(perm, n);
+    }
+    result = Py_BuildValue("(LO)", standard, failures);
+done:
+    PyMem_Free(buf);
+    Py_XDECREF(start);
+    Py_XDECREF(stop);
+    Py_XDECREF(zero);
+    Py_XDECREF(failures);
+    return result;
+}
+
+static PyObject *
+ShapeOps_scan_pairs(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames)
+{
+    static const char *const names[] = {"p_table", "start", "stop", "check"};
+    PyObject *arg[4] = {NULL, NULL, NULL, Py_True};
+    if (bind_args("scan_pairs", names, 3, 4, args, nargs, kwnames, arg) < 0 || ready(self) < 0)
+        return NULL;
+    if (self->prod_ll < 0) {
+        PyErr_SetString(PyExc_OverflowError, "hook product too large for compiled scan");
+        return NULL;
+    }
+    int n = self->size;
+    long long H = self->prod_ll;
+    PyObject *start = NULL, *stop = NULL, *zero = NULL, *rows = NULL, *size = NULL;
+    PyObject *failures = NULL, *result = NULL;
+    int *table = NULL, *buf = NULL;
+    Py_ssize_t nrows = PyObject_Length(arg[0]);
+    if (nrows < 0 || (start = PyNumber_Index(arg[1])) == NULL
+            || (stop = PyNumber_Index(arg[2])) == NULL || (zero = PyLong_FromLong(0)) == NULL
+            || (rows = PyLong_FromSsize_t(nrows)) == NULL
+            || (size = PyNumber_Multiply(rows, self->hook_prod)) == NULL)
+        goto done;
+    int in_range = ordered(zero, start, stop, size);
+    if (in_range <= 0) {
+        if (in_range == 0)
+            PyErr_Format(PyExc_ValueError, "bad scan range [%S, %S)", start, stop);
+        goto done;
+    }
+    long long hi = PyLong_AsLongLong(stop);
+    int check = hi == -1 && PyErr_Occurred() ? -1 : PyObject_IsTrue(arg[3]);
+    if (check < 0 || (table = alloc_ints((size_t)nrows * (size_t)n)) == NULL
+            || (buf = alloc_ints(8 * (size_t)n)) == NULL || (failures = PyList_New(0)) == NULL)
+        goto done;
+    long long lo = PyLong_AsLongLong(start); /* fits: 0 <= start <= stop */
+    for (Py_ssize_t r = 0; r < nrows; r++) {
+        PyObject *row = PySequence_GetItem(arg[0], r);
+        int rc = row == NULL ? -1 : read_ints(row, table + r * n, n);
+        Py_XDECREF(row);
+        if (rc < 0)
+            goto done;
+    }
+    int *j = buf, *t = buf + n, *jj = buf + 2 * n, *s = buf + 3 * n, *work = buf + 4 * n;
+    for (long long r = lo; r < hi; r++) {
+        const int *p = table + (r / H) * n;
+        long long rem = r % H;
+        for (int pos = n - 1; pos >= 0; pos--) {
+            j[pos] = (int)(rem % self->hooklen[pos]) + 1;
+            rem /= self->hooklen[pos];
+        }
+        for (int i = 0; i < n; i++) {
+            t[i] = p[i];
+            jj[i] = j[i];
+            s[i] = 1;
+        }
+        if (_unstraighten_inplace(self, t, jj, check, work) < 0
+                || _straighten_inplace(self, t, s, check, work) < 0) {
+            if (add_check_failure(failures, r) < 0)
+                goto done;
+        } else if ((memcmp(t, p, (size_t)n * sizeof(int)) != 0
+                    || memcmp(s, j, (size_t)n * sizeof(int)) != 0)
+                   && append_entry(failures, Py_BuildValue("(Lss)", r, "roundtrip",
+                          "unstraighten then straighten changed the pair")) < 0) {
+            goto done;
         }
     }
-    --data->count;
-    if (data->count == 0) {
-        free(data);
-        data = NULL;
-    }
-  done:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, data);
-#else
-    __Pyx_ModuleStateLookup_data = data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return 0;
+    result = Py_NewRef(failures);
+done:
+    PyMem_Free(table);
+    PyMem_Free(buf);
+    Py_XDECREF(start);
+    Py_XDECREF(stop);
+    Py_XDECREF(zero);
+    Py_XDECREF(rows);
+    Py_XDECREF(size);
+    Py_XDECREF(failures);
+    return result;
 }
-#endif
 
-/* #### Code section: utility_code_pragmas_end ### */
-#ifdef _MSC_VER
-#pragma warning( pop )
-#endif
+/* -- type and module ------------------------------------------------------- */
 
+static PyMethodDef ShapeOps_methods[] = {
+    {"is_standard_immaculate", (PyCFunction)(void (*)(void))ShapeOps_is_standard_immaculate,
+     METH_FASTCALL | METH_KEYWORDS,
+     "is_standard_immaculate(entries)\n--\n\n"
+     "Stability of a flat filling whose entries are a permutation of 1..n."},
+    {"straighten", (PyCFunction)(void (*)(void))ShapeOps_straighten,
+     METH_FASTCALL | METH_KEYWORDS,
+     "straighten(entries, check=False)\n--\n\n"
+     "Flat filling -> (flat standard immaculate filling, flat hook values)."},
+    {"unstraighten", (PyCFunction)(void (*)(void))ShapeOps_unstraighten,
+     METH_FASTCALL | METH_KEYWORDS,
+     "unstraighten(p_entries, hook_values, check=False)\n--\n\n"
+     "(flat standard immaculate filling, flat hook values) -> flat filling."},
+    {"count_standard", (PyCFunction)ShapeOps_count_standard, METH_NOARGS,
+     "Brute-force count of standard immaculate fillings over all n! fillings."},
+    {"scan_fillings", (PyCFunction)(void (*)(void))ShapeOps_scan_fillings,
+     METH_FASTCALL | METH_KEYWORDS,
+     "scan_fillings(start, stop, check=True)\n--\n\n"
+     "Roundtrip-check fillings with lexicographic ranks in [start, stop).\n\n"
+     "Returns (standard_count, failures); failures holds (rank, stage, message)\n"
+     "tuples, and standard_count tallies the standard immaculate fillings seen."},
+    {"scan_pairs", (PyCFunction)(void (*)(void))ShapeOps_scan_pairs,
+     METH_FASTCALL | METH_KEYWORDS,
+     "scan_pairs(p_table, start, stop, check=True)\n--\n\n"
+     "Roundtrip-check pairs with combined indices in [start, stop).\n\n"
+     "Index r encodes row p_table[r // hook_prod] with the (r % hook_prod)-th\n"
+     "hook-value assignment, last flat cell varying fastest.  Raises\n"
+     "OverflowError when hook_prod does not fit a C long long."},
+    {NULL}
+};
 
+static PyMemberDef ShapeOps_members[] = {
+    {"parts", T_OBJECT_EX, offsetof(ShapeOps, parts), READONLY, "the composition"},
+    {"size", T_INT, offsetof(ShapeOps, size), READONLY, "number of cells n"},
+    {"hook_prod", T_OBJECT_EX, offsetof(ShapeOps, hook_prod), READONLY,
+     "exact product of the hook lengths"},
+    {"n_factorial", T_OBJECT_EX, offsetof(ShapeOps, n_factorial), READONLY, "exact n!"},
+    {NULL}
+};
 
-/* #### Code section: end ### */
-#endif /* Py_PYTHON_H */
+static PyTypeObject ShapeOpsType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "immaculate._kernels._speedups.ShapeOps",
+    .tp_basicsize = sizeof(ShapeOps),
+    .tp_dealloc = (destructor)ShapeOps_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "ShapeOps(parts)\n--\n\n"
+              "Precomputed flat geometry for one composition plus the hot operations.",
+    .tp_methods = ShapeOps_methods,
+    .tp_members = ShapeOps_members,
+    .tp_init = (initproc)ShapeOps_init,
+    .tp_new = PyType_GenericNew,
+};
+
+static struct PyModuleDef speedups_module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "immaculate._kernels._speedups",
+    .m_doc = "Compiled kernels: the exact behaviour of _pure on C arrays.",
+    .m_size = -1,
+};
+
+PyMODINIT_FUNC
+PyInit__speedups(void)
+{
+    if (InternalCheckError == NULL) {
+        PyObject *errors = PyImport_ImportModule("immaculate.errors");
+        InternalCheckError = errors ? PyObject_GetAttrString(errors, "InternalCheckError") : NULL;
+        Py_XDECREF(errors);
+        PyObject *math = InternalCheckError ? PyImport_ImportModule("math") : NULL;
+        math_factorial = math ? PyObject_GetAttrString(math, "factorial") : NULL;
+        Py_XDECREF(math);
+        if (math_factorial == NULL) {
+            Py_CLEAR(InternalCheckError);
+            return NULL;
+        }
+    }
+    if (PyType_Ready(&ShapeOpsType) < 0)
+        return NULL;
+    PyObject *module = PyModule_Create(&speedups_module);
+    if (module == NULL)
+        return NULL;
+    if (PyModule_AddStringConstant(module, "BACKEND", "compiled") < 0
+            || PyModule_AddObjectRef(module, "ShapeOps", (PyObject *)&ShapeOpsType) < 0) {
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
+}

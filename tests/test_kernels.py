@@ -1,6 +1,7 @@
 """Parity tests binding the kernels to the reference implementation and to
 each other.  The pure backend always exists; the compiled one is skipped
-gracefully when the extension did not build."""
+gracefully when the extension did not build (test_build.py builds it into a
+temporary directory and runs this module against it with nothing skipped)."""
 
 import itertools
 import math
@@ -8,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -109,7 +111,152 @@ class TestCompiledAgainstPure:
             assert a.scan_pairs(p_table, 0, y, True) == b.scan_pairs(p_table, 0, y, True) == []
 
 
-@pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=needs_compiled)])
+BACKENDS = ["pure", pytest.param("compiled", marks=needs_compiled)]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("call, error, message", [
+    (lambda ops: ops.straighten([1, 2, 3, 4]), ValueError, "need 3 entries, got 4"),
+    (lambda ops: ops.straighten([1, 2]), ValueError, "need 3 entries, got 2"),
+    (lambda ops: ops.is_standard_immaculate([1, 2, 3, 0]), ValueError, "need 3 entries, got 4"),
+    (lambda ops: ops.is_standard_immaculate([1, 2]), ValueError, "need 3 entries, got 2"),
+    (lambda ops: ops.unstraighten([1, 2, 3], [1, 1]), ValueError,
+     "need 3 entries and 3 hook values"),
+    (lambda ops: ops.unstraighten([1, 2], [1, 1, 1]), ValueError,
+     "need 3 entries and 3 hook values"),
+    (lambda ops: ops.scan_fillings(0.5, 2), TypeError,
+     "'float' object cannot be interpreted as an integer"),
+    (lambda ops: ops.scan_fillings(0, 2.0), TypeError,
+     "'float' object cannot be interpreted as an integer"),
+    (lambda ops: ops.scan_pairs([(1, 2, 3)], 0.5, 2), TypeError,
+     "'float' object cannot be interpreted as an integer"),
+    (lambda ops: ops.scan_fillings(0, 7), ValueError, "bad scan range [0, 7) for 3! fillings"),
+    (lambda ops: ops.scan_pairs([(1, 2, 3)], 0, 4), ValueError, "bad scan range [0, 4)"),
+    (lambda ops: ops.straighten([9, 2, 2], check=True), InternalCheckError,
+     "tied neighbours while sliding at position 0"),
+    (lambda ops: ops.unstraighten([1, 2, 3], [4, 1, 1]), IndexError,
+     "hook value 4 out of range at position 0"),
+])
+def test_input_contract(backend, call, error, message):
+    # both twins refuse the same malformed inputs with the same exception
+    ops = get_backend(backend).ShapeOps((2, 1))
+    with pytest.raises(error) as info:
+        call(ops)
+    assert type(info.value) is error and str(info.value) == message
+
+
+class TestTypeSurface:
+    NAMES = ("parts", "size", "hook_prod", "n_factorial")
+
+    @needs_compiled
+    def test_attributes_agree_and_are_read_only(self):
+        for parts in ((1,), (2, 1), (4, 1, 4, 2, 1), (7,) * 7, (1, 3) * 10):
+            a, b = compiled.ShapeOps(parts), pure.ShapeOps(parts)
+            assert [getattr(a, k) for k in self.NAMES] == [getattr(b, k) for k in self.NAMES]
+            assert type(a.parts) is tuple and type(a.hook_prod) is int
+            for name in self.NAMES:
+                with pytest.raises(AttributeError):
+                    setattr(a, name, getattr(a, name))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_hook_prod_exact_past_long_long(self, backend):
+        ops = get_backend(backend).ShapeOps((1,) * 21)
+        assert ops.hook_prod == ops.n_factorial == math.factorial(21) > 2**63
+
+    @needs_compiled
+    def test_compiled_pair_scan_refuses_long_hook_prod(self):
+        ops = compiled.ShapeOps((1,) * 21)
+        with pytest.raises(OverflowError, match="hook product too large"):
+            ops.scan_pairs([tuple(range(1, 22))], 0, 1)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_subclass(self, backend):
+        # perfbench/spans.py subclasses the active ShapeOps to wrap its methods
+        base = get_backend(backend).ShapeOps
+        calls = []
+
+        def init(self, parts):
+            calls.append("init")
+            base.__init__(self, parts)
+
+        def wrapped(self, entries, check=False):
+            calls.append("straighten")
+            return base.straighten(self, entries, check)
+
+        ops = type("T", (base,), {"__init__": init, "straighten": wrapped})((2, 1))
+        assert ops.straighten([3, 2, 1], True) == ([1, 2, 3], [3, 1, 1])
+        assert ops.parts == (2, 1) and calls == ["init", "straighten"]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_keyword_arguments(self, backend):
+        ops = get_backend(backend).ShapeOps(parts=(2, 1))
+        assert ops.is_standard_immaculate(entries=[1, 2, 3])
+        assert ops.straighten(entries=[3, 2, 1], check=True) == ([1, 2, 3], [3, 1, 1])
+        assert ops.unstraighten(p_entries=[1, 2, 3], hook_values=[3, 1, 1], check=True) == [3, 2, 1]
+        assert ops.scan_fillings(start=0, stop=6, check=False) == (2, [])
+        assert ops.scan_pairs(p_table=[(1, 2, 3)], start=0, stop=3, check=False) == []
+
+    @needs_compiled
+    def test_size_past_c_int_refused_before_allocating(self):
+        # only the compiled twin: the pure one would build lists of 2**32 cells
+        with pytest.raises(OverflowError):
+            compiled.ShapeOps((2**31 - 1, 2**31 - 1, 2))
+
+
+@needs_compiled
+def test_compiled_reference_counts_do_not_leak():
+    # tracemalloc sees every Python object and every PyMem buffer the
+    # extension allocates; a reference or buffer leaked per call grows the
+    # traced total by tens of bytes per call, about a megabyte in all
+    ops = compiled.ShapeOps((2, 1))
+    big = compiled.ShapeOps((4, 1, 4, 2, 1, 3, 2, 1, 1, 1))
+    vals = list(range(20, 0, -1))
+    p, j = big.straighten(vals)
+    good, bad = [(1, 2, 3)], [(3, 2, 1)]
+
+    def raises(fn, *args, **kwargs):
+        try:
+            fn(*args, **kwargs)
+        except (ValueError, TypeError, OverflowError, InternalCheckError):
+            return
+        raise AssertionError(f"{fn.__name__} did not raise")
+
+    def calls():
+        big.straighten(vals)
+        big.straighten(vals, check=True)
+        big.unstraighten(p, j)
+        big.unstraighten(p, j, check=True)
+        big.is_standard_immaculate(vals)
+        ops.count_standard()
+        ops.scan_fillings(0, 6, True)
+        ops.scan_pairs(good, 0, 3, True)
+        assert len(ops.scan_pairs(bad, 0, 3, True)) == 3  # check failures
+        assert ops.scan_pairs(bad, 0, 3, False)  # roundtrip failures
+        compiled.ShapeOps((3, 1, 2))
+        raises(ops.straighten, [9, 2, 2], check=True)
+        raises(ops.straighten, [1, 2, 3, 4])
+        raises(ops.unstraighten, [1, 2, 3], [1, 1])
+        raises(ops.is_standard_immaculate, [1, 2])
+        raises(ops.scan_fillings, 0.5, 2)
+        raises(ops.scan_fillings, 0, 7)
+        raises(ops.straighten, [1, 2, 3], chek=True)
+        raises(compiled.ShapeOps, (2, 0))
+        raises(compiled.ShapeOps, (2**31 - 1, 2**31 - 1, 2))
+
+    for _ in range(200):
+        calls()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20_000):
+            calls()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth < 64 * 1024, f"traced memory grew by {growth} bytes"
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("check", [False, True])
 def test_object_layer_matches_kernel(backend, check):
     # straighten/unstraighten only validate and wrap the kernel, so on every
