@@ -42,6 +42,7 @@ from .enumeration import (
     random_standard_filling,
     random_standard_immaculate,
     verify_bijection,
+    verify_shapes,
 )
 from .errors import (
     GuardExceededError,
@@ -90,4 +91,5 @@ __all__ = [
     "straighten",
     "unstraighten",
     "verify_bijection",
+    "verify_shapes",
 ]

@@ -2,9 +2,11 @@
  *
  * _pure.py is the spec.  Every static function here named after a _pure
  * method (_prefix_standard, _slide, _build_path, _hook_index, _rotate_left,
- * _rotate_right, _straighten_inplace, _unstraighten_inplace) is that method
- * line for line; only permutation stepping and unranking (next_perm,
- * perm_unrank) exist in C alone.  The parity tests compare the two twins
+ * _rotate_right, _checked_slide, _checked_rotate, _check_exhausted,
+ * _straighten_inplace, _unstraighten_inplace, _lex_rank) is that method line
+ * for line, and the walks of scan_fillings/scan_pairs are its nested visit
+ * and leaf functions; only permutation stepping (next_perm) and the failure
+ * entries exist in C alone.  The parity tests compare the two twins
  * exhaustively.
  *
  * Positions are 0-based flat row-major indices.  Hooks are contiguous flat
@@ -33,8 +35,13 @@ typedef struct {
     int npairs;
     long long prod_ll;     /* hook_prod when it fits a long long, else -1 */
     int *geom;             /* one block holding every array below */
-    int *row_start, *rowof, *colof, *right, *below, *order, *rank, *hooklen;
+    int *row_start, *rowof, *colof, *right, *below, *order, *hooklen;
     int *pa, *pb;          /* entries[pa[m]] < entries[pb[m]] is required */
+    /* the same conditions in traversal order: row_pairs[m] and its right
+     * neighbour, col_pairs[m] and the cell below it; the first `count`
+     * traversal cells own the first prefix_rows[count] and
+     * prefix_cols[count] of them */
+    int *row_pairs, *col_pairs, *prefix_rows, *prefix_cols;
 } ShapeOps;
 
 /* -- argument helpers ------------------------------------------------------ */
@@ -234,10 +241,11 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
     int n = (int)total;
 
     /* a second __init__ replaces the shape; one that fails leaves none.
-     * row_start has k + 1 ints, the eight per-cell arrays n each, the pairs
-     * 2n each; the column counts of the order sort borrow pa */
+     * row_start has k + 1 ints, the six per-cell arrays n each, the pairs
+     * 2n each, the prefix pairs n each and their cuts n + 1 each; the column
+     * counts of the order sort borrow pa */
     PyMem_Free(self->geom);
-    int *cursor = self->geom = alloc_ints((size_t)(k + 1) + 12 * (size_t)n);
+    int *cursor = self->geom = alloc_ints((size_t)(k + 3) + 14 * (size_t)n);
     if (cursor == NULL)
         goto fail;
     int *row_start = self->row_start = cursor; cursor += k + 1;
@@ -246,10 +254,13 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
     int *right = self->right = cursor;         cursor += n;
     int *below = self->below = cursor;         cursor += n;
     int *order = self->order = cursor;         cursor += n;
-    int *rank = self->rank = cursor;           cursor += n;
     int *hooklen = self->hooklen = cursor;     cursor += n;
     int *pa = self->pa = cursor;               cursor += 2 * n;
-    int *pb = self->pb = cursor;
+    int *pb = self->pb = cursor;               cursor += 2 * n;
+    int *row_pairs = self->row_pairs = cursor; cursor += n;
+    int *col_pairs = self->col_pairs = cursor; cursor += n;
+    int *prefix_rows = self->prefix_rows = cursor; cursor += n + 1;
+    int *prefix_cols = self->prefix_cols = cursor;
 
     row_start[0] = 0;
     for (Py_ssize_t r = 0; r < k; r++)
@@ -280,8 +291,17 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
     }
     for (int pos = n - 1; pos >= 0; pos--)
         order[slot[colof[pos]]++] = pos;
-    for (int m = 0; m < n; m++)
-        rank[order[m]] = m;
+
+    prefix_rows[0] = prefix_cols[0] = 0;
+    for (int m = 0; m < n; m++) {
+        int pos = order[m];
+        prefix_rows[m + 1] = prefix_rows[m];
+        prefix_cols[m + 1] = prefix_cols[m];
+        if (right[pos] >= 0)
+            row_pairs[prefix_rows[m + 1]++] = pos;
+        if (below[pos] >= 0)
+            col_pairs[prefix_cols[m + 1]++] = pos;
+    }
 
     int npairs = 0;
     for (int pos = 0; pos < n; pos++) {
@@ -341,21 +361,19 @@ is_standard(const ShapeOps *self, const int *t)
 }
 
 /* stability of the first `count` traversal cells, treating everything
- * outside that prefix as infinite */
+ * outside that prefix as infinite: rows weakly increase, column 1 strictly */
 static int
 _prefix_standard(const ShapeOps *self, const int *t, int count)
 {
-    for (int m = 0; m < count; m++) {
-        int pos = self->order[m];
-        int e = t[pos];
-        int r = self->right[pos];
-        if (r >= 0 && self->rank[r] < count && e > t[r])
+    for (int m = 0; m < self->prefix_rows[count]; m++) {
+        int a = self->row_pairs[m];
+        if (t[a] > t[self->right[a]])
             return 0;
-        if (self->colof[pos] == 0) {
-            int b = self->below[pos];
-            if (b >= 0 && self->rank[b] < count && e >= t[b])
-                return 0;
-        }
+    }
+    for (int m = 0; m < self->prefix_cols[count]; m++) {
+        int a = self->col_pairs[m];
+        if (t[a] >= t[self->below[a]])
+            return 0;
     }
     return 1;
 }
@@ -451,66 +469,120 @@ _rotate_left(int *t, const int *path, int plen)
 
 /* -- full transforms ------------------------------------------------------- */
 
-/* work holds 4n ints: the slide path, and with check set the hook path, a
- * pre-slide copy of t and its rotation. */
+/* Straighten step k with every check: writes the slide path to path and
+ * returns its length, or -1 with InternalCheckError set and t put back as
+ * it was.  work holds 3n ints: the hook path, a pre-slide copy of t and its
+ * rotation. */
+static int
+_checked_slide(const ShapeOps *self, int *t, int *s, int k, int *path, int *work)
+{
+    int n = self->size;
+    int pos = self->order[k];
+    int *hook_path = work, *before = work + n, *rotated = work + 2 * n;
+    memcpy(before, t, (size_t)n * sizeof(int));
+    int plen = _slide(self, t, pos, path);
+    if (plen < 0)
+        goto fail;
+    int v = path[plen - 1] - path[0] + 1;
+    s[pos] = v;
+    if (_hook_index(self, path[0], path[plen - 1]) != v) {
+        PyErr_SetString(InternalCheckError, "hook index closed form disagrees with flat run");
+        goto fail;
+    }
+    if (_build_path(self, pos, v, hook_path) != plen
+            || memcmp(path, hook_path, (size_t)plen * sizeof(int)) != 0) {
+        PyErr_SetString(InternalCheckError, "slide path is not the hook path of its endpoints");
+        goto fail;
+    }
+    memcpy(rotated, before, (size_t)n * sizeof(int));
+    _rotate_left(rotated, path, plen);
+    if (memcmp(rotated, t, (size_t)n * sizeof(int)) != 0) {
+        PyErr_SetString(InternalCheckError, "slide result is not the circular left shift");
+        goto fail;
+    }
+    if (!_prefix_standard(self, t, k + 1)) {
+        PyErr_Format(InternalCheckError, "prefix standardness lost after step %d", k);
+        goto fail;
+    }
+    return plen;
+fail:
+    memcpy(t, before, (size_t)n * sizeof(int));
+    return -1;
+}
+
+/* Unstraighten step k with every check: writes the rotated path to path and
+ * returns its length, 0 when the hook value is 1 and nothing moves, or -1
+ * with an error set.  A hook value past its hook raises IndexError before
+ * it can index past the arrays. */
+static int
+_checked_rotate(const ShapeOps *self, int *t, int *j, int k, int *path)
+{
+    int n = self->size;
+    int pos = self->order[n - k];
+    if (!_prefix_standard(self, t, n + 1 - k)) {
+        PyErr_Format(InternalCheckError, "prefix standardness lost before step %d", k);
+        return -1;
+    }
+    int v = j[pos];
+    j[pos] = 1;
+    if (v <= 1)
+        return 0;
+    if (v > self->hooklen[pos]) {
+        PyErr_Format(PyExc_IndexError, "hook value %d out of range at position %d", v, pos);
+        return -1;
+    }
+    int plen = _build_path(self, pos, v, path);
+    _rotate_right(t, path, plen);
+    return plen;
+}
+
+/* a checked unstraighten must have consumed every hook value */
+static int
+_check_exhausted(const ShapeOps *self, const int *j)
+{
+    for (int m = 0; m < self->size; m++)
+        if (j[m] != 1) {
+            PyErr_SetString(InternalCheckError, "hook values not exhausted");
+            return -1;
+        }
+    return 0;
+}
+
+/* work holds 4n ints: the slide path and _checked_slide's scratch */
 static int
 _straighten_inplace(const ShapeOps *self, int *t, int *s, int check, int *work)
 {
     int n = self->size;
-    int *path = work, *hook_path = work + n, *before = work + 2 * n, *rotated = work + 3 * n;
     for (int k = 1; k < n; k++) {
+        if (check) {
+            if (_checked_slide(self, t, s, k, work, work + n) < 0)
+                return -1;
+            continue;
+        }
         int pos = self->order[k];
-        if (check)
-            memcpy(before, t, (size_t)n * sizeof(int));
-        int plen = _slide(self, t, pos, path);
+        int plen = _slide(self, t, pos, work);
         if (plen < 0)
             return -1;
-        int v = path[plen - 1] - path[0] + 1;
-        s[pos] = v;
-        if (check) {
-            if (_hook_index(self, path[0], path[plen - 1]) != v) {
-                PyErr_SetString(InternalCheckError,
-                                "hook index closed form disagrees with flat run");
-                return -1;
-            }
-            if (_build_path(self, pos, v, hook_path) != plen
-                    || memcmp(path, hook_path, (size_t)plen * sizeof(int)) != 0) {
-                PyErr_SetString(InternalCheckError,
-                                "slide path is not the hook path of its endpoints");
-                return -1;
-            }
-            memcpy(rotated, before, (size_t)n * sizeof(int));
-            _rotate_left(rotated, path, plen);
-            if (memcmp(rotated, t, (size_t)n * sizeof(int)) != 0) {
-                PyErr_SetString(InternalCheckError,
-                                "slide result is not the circular left shift");
-                return -1;
-            }
-            if (!_prefix_standard(self, t, k + 1)) {
-                PyErr_Format(InternalCheckError, "prefix standardness lost after step %d", k);
-                return -1;
-            }
-        }
+        s[pos] = work[plen - 1] - pos + 1;
     }
     return 0;
 }
 
-/* path holds n ints.  A hook value reaching past the last cell raises
- * IndexError before it can index past the arrays. */
+/* path holds n ints */
 static int
 _unstraighten_inplace(const ShapeOps *self, int *t, int *j, int check, int *path)
 {
     int n = self->size;
     for (int k = 1; k < n; k++) {
-        int pos = self->order[n - k];
-        if (check && !_prefix_standard(self, t, n + 1 - k)) {
-            PyErr_Format(InternalCheckError, "prefix standardness lost before step %d", k);
-            return -1;
+        if (check) {
+            if (_checked_rotate(self, t, j, k, path) < 0)
+                return -1;
+            continue;
         }
+        int pos = self->order[n - k];
         int v = j[pos];
-        j[pos] = 1;
         if (v > 1) {
-            if (v > n - pos) {
+            if (v > self->hooklen[pos]) {
                 PyErr_Format(PyExc_IndexError, "hook value %d out of range at position %d",
                              v, pos);
                 return -1;
@@ -518,18 +590,12 @@ _unstraighten_inplace(const ShapeOps *self, int *t, int *j, int check, int *path
             _rotate_right(t, path, _build_path(self, pos, v, path));
         }
     }
-    if (check)
-        for (int m = 0; m < n; m++)
-            if (j[m] != 1) {
-                PyErr_SetString(InternalCheckError, "hook values not exhausted");
-                return -1;
-            }
-    return 0;
+    return check ? _check_exhausted(self, j) : 0;
 }
 
-/* -- permutations (C only) ------------------------------------------------- */
+/* -- permutations ---------------------------------------------------------- */
 
-/* step a to its lexicographic successor; 0 when a was the last */
+/* step a to its lexicographic successor; 0 when a was the last (C only) */
 static int
 next_perm(int *a, int n)
 {
@@ -548,21 +614,282 @@ next_perm(int *a, int n)
     return 1;
 }
 
-/* the permutation of 1..n with lexicographic rank `rank`: its Lehmer code,
- * then, right to left, each later value raised past the earlier one */
-static void
-perm_unrank(long long rank, int *out, int n)
+/* lexicographic rank of a permutation among all permutations of its values,
+ * as an exact Python int: past 20 cells it outgrows a long long */
+static PyObject *
+_lex_rank(const int *x, int n)
 {
-    for (int i = n - 1; i >= 0; i--) {
-        out[i] = (int)(rank % (n - i));
-        rank /= n - i;
+    PyObject *rank = PyLong_FromLong(0);
+    for (int i = 0; rank != NULL && i < n; i++) {
+        long smaller = 0;
+        for (int q = i + 1; q < n; q++)
+            smaller += x[q] < x[i];
+        PyObject *radix = PyLong_FromLong(n - i), *digit = PyLong_FromLong(smaller);
+        PyObject *next = radix && digit ? PyNumber_Multiply(rank, radix) : NULL;
+        Py_XSETREF(next, next ? PyNumber_Add(next, digit) : NULL);
+        Py_XDECREF(radix);
+        Py_XDECREF(digit);
+        Py_SETREF(rank, next);
     }
-    for (int i = n - 2; i >= 0; i--)
-        for (int j = i + 1; j < n; j++)
-            if (out[j] >= out[i])
-                out[j]++;
-    for (int i = 0; i < n; i++)
-        out[i]++;
+    return rank;
+}
+
+/* -- scans ----------------------------------------------------------------- */
+
+/* A failure is (index, stage, message); index is a Python int. */
+static PyObject *x_changed, *y_changed; /* the roundtrip messages */
+
+/* the message of the InternalCheckError just raised, which is cleared; any
+ * other error stays raised and gives NULL */
+static PyObject *
+take_check_message(void)
+{
+    if (!PyErr_ExceptionMatches(InternalCheckError))
+        return NULL;
+#if PY_VERSION_HEX >= 0x030C0000
+    PyObject *exc = PyErr_GetRaisedException();
+#else
+    PyObject *type, *exc, *tb;
+    PyErr_Fetch(&type, &exc, &tb);
+    PyErr_NormalizeException(&type, &exc, &tb);
+    Py_XDECREF(type);
+    Py_XDECREF(tb);
+#endif
+    PyObject *message = PyObject_Str(exc);
+    Py_DECREF(exc);
+    return message;
+}
+
+/* failures.append((index, stage, message)); steals index and message,
+ * either of which is NULL after an error */
+static int
+add_failure(PyObject *failures, PyObject *index, const char *stage, PyObject *message)
+{
+    PyObject *entry = index && message ? Py_BuildValue("(OsO)", index, stage, message) : NULL;
+    Py_XDECREF(index);
+    Py_XDECREF(message);
+    if (entry == NULL)
+        return -1;
+    int rc = PyList_Append(failures, entry);
+    Py_DECREF(entry);
+    return rc;
+}
+
+/* A subtree of more than LLONG_MAX leaves reaches past any scan range, so
+ * its size is kept at 2^63: sums of a position below stop and a size then
+ * stay within 64 bits. */
+#define WALK_CAP ((unsigned long long)LLONG_MAX + 1)
+
+/* The state of one scan's depth-first walk; the visit and leaf functions
+ * below are the nested functions of the _pure scan of the same side. */
+typedef struct {
+    const ShapeOps *self;
+    PyObject *failures;
+    int check;
+    unsigned long long start, stop;
+    unsigned long long *leaves; /* leaves below one node of each depth */
+    int *paths;                 /* n ints of step path per depth */
+    int *t, *s, *j, *back, *work;
+    int *x, *used;              /* scan_fillings: the filling, values taken */
+    const int *p;               /* scan_pairs: the P row and its index */
+    unsigned long long row;
+    int *jv;                    /* scan_pairs: the hook values assigned */
+    long long standard;
+} Walk;
+
+static int
+fill_leaf(Walk *w, PyObject *error)
+{
+    const ShapeOps *self = w->self;
+    int n = self->size;
+    w->standard += is_standard(self, w->x);
+    PyObject *message = Py_XNewRef(error);
+    if (message == NULL) {
+        memcpy(w->back, w->t, (size_t)n * sizeof(int));
+        memcpy(w->j, w->s, (size_t)n * sizeof(int));
+        if (_unstraighten_inplace(self, w->back, w->j, w->check, w->work) == 0) {
+            if (memcmp(w->back, w->x, (size_t)n * sizeof(int)) == 0)
+                return 0;
+            return add_failure(w->failures, _lex_rank(w->x, n), "roundtrip",
+                               Py_NewRef(x_changed));
+        }
+        if ((message = take_check_message()) == NULL)
+            return -1;
+    }
+    return add_failure(w->failures, _lex_rank(w->x, n), "check", message);
+}
+
+/* order[0..d) are set; the leaves below are numbered from first */
+static int
+fill_visit(Walk *w, int d, unsigned long long first, PyObject *error)
+{
+    const ShapeOps *self = w->self;
+    int n = self->size;
+    if (d == n)
+        return fill_leaf(w, error);
+    if (Py_EnterRecursiveCall(" in scan_fillings"))
+        return -1;
+    int pos = self->order[d], *path = w->paths + (size_t)d * n, rc = 0;
+    unsigned long long size = w->leaves[d], lo = first;
+    for (int v = 1; v <= n && rc == 0 && lo < w->stop; v++) {
+        if (w->used[v])
+            continue;
+        if (lo + size > w->start) {
+            w->x[pos] = w->t[pos] = v;
+            PyObject *err = Py_XNewRef(error);
+            int plen = 0;
+            if (d > 0 && err == NULL) {
+                plen = w->check ? _checked_slide(self, w->t, w->s, d, path, w->work)
+                                : _slide(self, w->t, pos, path);
+                if (plen < 0 && (err = take_check_message()) == NULL) {
+                    rc = -1;
+                    break;
+                }
+                if (plen < 0)
+                    plen = 0;
+                else if (!w->check)
+                    w->s[pos] = path[plen - 1] - pos + 1;
+            }
+            w->used[v] = 1;
+            rc = fill_visit(w, d + 1, lo, err);
+            w->used[v] = 0;
+            Py_XDECREF(err);
+            if (plen > 0)
+                _rotate_right(w->t, path, plen);
+        }
+        lo += size;
+    }
+    Py_LeaveRecursiveCall();
+    return rc;
+}
+
+/* row * hook_prod plus the hook values in mixed radix, last cell fastest */
+static PyObject *
+flat_index(const Walk *w)
+{
+    unsigned long long index = w->row;
+    for (int pos = 0; pos < w->self->size; pos++)
+        index = index * (unsigned long long)w->self->hooklen[pos] + (unsigned long long)(w->jv[pos] - 1);
+    return PyLong_FromUnsignedLongLong(index);
+}
+
+static int
+pair_leaf(Walk *w, PyObject *error)
+{
+    const ShapeOps *self = w->self;
+    int n = self->size;
+    PyObject *message = Py_XNewRef(error);
+    if (message == NULL) {
+        int rc = w->check ? _check_exhausted(self, w->j) : 0;
+        if (rc == 0) {
+            memcpy(w->back, w->t, (size_t)n * sizeof(int));
+            for (int m = 0; m < n; m++)
+                w->s[m] = 1;
+            rc = _straighten_inplace(self, w->back, w->s, w->check, w->work);
+        }
+        if (rc == 0) {
+            if (memcmp(w->back, w->p, (size_t)n * sizeof(int)) == 0
+                    && memcmp(w->s, w->jv, (size_t)n * sizeof(int)) == 0)
+                return 0;
+            return add_failure(w->failures, flat_index(w), "roundtrip", Py_NewRef(y_changed));
+        }
+        if ((message = take_check_message()) == NULL)
+            return -1;
+    }
+    return add_failure(w->failures, flat_index(w), "check", message);
+}
+
+/* steps 1..k-1 are done; the leaves below are numbered from first */
+static int
+pair_visit(Walk *w, int k, unsigned long long first, PyObject *error)
+{
+    const ShapeOps *self = w->self;
+    int n = self->size;
+    if (k == n)
+        return pair_leaf(w, error);
+    if (Py_EnterRecursiveCall(" in scan_pairs"))
+        return -1;
+    int pos = self->order[n - k], *path = w->paths + (size_t)k * n, rc = 0;
+    unsigned long long size = w->leaves[k], lo = first;
+    for (int v = 1; v <= self->hooklen[pos] && rc == 0 && lo < w->stop; v++) {
+        if (lo + size > w->start) {
+            w->jv[pos] = w->j[pos] = v;
+            PyObject *err = Py_XNewRef(error);
+            int plen = 0;
+            if (err == NULL) {
+                if (w->check)
+                    plen = _checked_rotate(self, w->t, w->j, k, path);
+                else if (v > 1)
+                    _rotate_right(w->t, path, plen = _build_path(self, pos, v, path));
+                if (plen < 0 && (err = take_check_message()) == NULL) {
+                    rc = -1;
+                    break;
+                }
+                if (plen < 0)
+                    plen = 0;
+            }
+            rc = pair_visit(w, k + 1, lo, err);
+            Py_XDECREF(err);
+            if (plen > 0)
+                _rotate_left(w->t, path, plen);
+        }
+        lo += size;
+    }
+    Py_LeaveRecursiveCall();
+    return rc;
+}
+
+/* Buffers of one walk: paths, then the per-cell arrays; NULL on error. */
+static int *
+walk_alloc(Walk *w, const ShapeOps *self, PyObject *failures, int check)
+{
+    int n = self->size;
+    int *buf = alloc_ints((size_t)n * (size_t)n + 11 * (size_t)n + 1);
+    if (buf == NULL)
+        return NULL;
+    w->leaves = PyMem_Malloc((size_t)(n + 1) * sizeof(unsigned long long));
+    if (w->leaves == NULL) {
+        PyMem_Free(buf);
+        PyErr_NoMemory();
+        return NULL;
+    }
+    w->self = self;
+    w->failures = failures;
+    w->check = check;
+    w->paths = buf;
+    int *cursor = buf + (size_t)n * (size_t)n;
+    w->t = cursor; cursor += n;
+    w->s = cursor; cursor += n;
+    w->j = cursor; cursor += n;
+    w->back = cursor; cursor += n;
+    w->x = cursor; cursor += n;
+    w->jv = cursor; cursor += n;
+    w->work = cursor; cursor += 4 * n;
+    w->used = cursor;
+    for (int m = 0; m < n; m++)
+        w->s[m] = w->j[m] = w->jv[m] = 1;
+    memset(w->used, 0, (size_t)(n + 1) * sizeof(int));
+    w->standard = 0;
+    return buf;
+}
+
+static void
+walk_free(Walk *w, int *buf)
+{
+    PyMem_Free(buf);
+    PyMem_Free(w->leaves);
+}
+
+/* lo <= a <= b <= hi on Python ints, or -1 with an error set */
+static int
+ordered(PyObject *lo, PyObject *a, PyObject *b, PyObject *hi)
+{
+    int rc = PyObject_RichCompareBool(lo, a, Py_LE);
+    if (rc == 1)
+        rc = PyObject_RichCompareBool(a, b, Py_LE);
+    if (rc == 1)
+        rc = PyObject_RichCompareBool(b, hi, Py_LE);
+    return rc;
 }
 
 /* -- public API (mirrors _pure) -------------------------------------------- */
@@ -670,51 +997,6 @@ ShapeOps_count_standard(ShapeOps *self, PyObject *Py_UNUSED(ignored))
     return PyLong_FromLongLong(count);
 }
 
-/* failures.append(entry); steals entry, which is NULL after an error */
-static int
-append_entry(PyObject *failures, PyObject *entry)
-{
-    if (entry == NULL)
-        return -1;
-    int rc = PyList_Append(failures, entry);
-    Py_DECREF(entry);
-    return rc;
-}
-
-/* the InternalCheckError just raised becomes an (index, "check", message)
- * entry; any other error stays raised */
-static int
-add_check_failure(PyObject *failures, long long index)
-{
-    if (!PyErr_ExceptionMatches(InternalCheckError))
-        return -1;
-#if PY_VERSION_HEX >= 0x030C0000
-    PyObject *exc = PyErr_GetRaisedException();
-#else
-    PyObject *type, *exc, *tb;
-    PyErr_Fetch(&type, &exc, &tb);
-    PyErr_NormalizeException(&type, &exc, &tb);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#endif
-    PyObject *message = PyObject_Str(exc);
-    Py_DECREF(exc);
-    return append_entry(failures,
-                        message ? Py_BuildValue("(LsN)", index, "check", message) : NULL);
-}
-
-/* lo <= a <= b <= hi on Python ints, or -1 with an error set */
-static int
-ordered(PyObject *lo, PyObject *a, PyObject *b, PyObject *hi)
-{
-    int rc = PyObject_RichCompareBool(lo, a, Py_LE);
-    if (rc == 1)
-        rc = PyObject_RichCompareBool(a, b, Py_LE);
-    if (rc == 1)
-        rc = PyObject_RichCompareBool(b, hi, Py_LE);
-    return rc;
-}
-
 static PyObject *
 ShapeOps_scan_fillings(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs,
                        PyObject *kwnames)
@@ -727,6 +1009,7 @@ ShapeOps_scan_fillings(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs,
     int n = self->size;
     PyObject *start = NULL, *stop = NULL, *zero = NULL, *failures = NULL, *result = NULL;
     int *buf = NULL;
+    Walk w;
     if ((start = PyNumber_Index(arg[0])) == NULL || (stop = PyNumber_Index(arg[1])) == NULL
             || (zero = PyLong_FromLong(0)) == NULL)
         goto done;
@@ -739,35 +1022,22 @@ ShapeOps_scan_fillings(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs,
     }
     long long hi = PyLong_AsLongLong(stop);
     int check = hi == -1 && PyErr_Occurred() ? -1 : PyObject_IsTrue(arg[2]);
-    if (check < 0 || (buf = alloc_ints(7 * (size_t)n)) == NULL
-            || (failures = PyList_New(0)) == NULL)
+    if (check < 0 || (failures = PyList_New(0)) == NULL
+            || (buf = walk_alloc(&w, self, failures, check)) == NULL)
         goto done;
-    long long lo = PyLong_AsLongLong(start); /* fits: 0 <= start <= stop */
-    int *perm = buf, *t = buf + n, *s = buf + 2 * n, *work = buf + 3 * n;
-    if (lo < hi)
-        perm_unrank(lo, perm, n);
-    long long standard = 0;
-    for (long long rank = lo; rank < hi; rank++) {
-        standard += is_standard(self, perm);
-        for (int i = 0; i < n; i++) {
-            t[i] = perm[i];
-            s[i] = 1;
-        }
-        if (_straighten_inplace(self, t, s, check, work) < 0
-                || _unstraighten_inplace(self, t, s, check, work) < 0) {
-            if (add_check_failure(failures, rank) < 0)
-                goto done;
-        } else if (memcmp(t, perm, (size_t)n * sizeof(int)) != 0
-                   && append_entry(failures, Py_BuildValue("(Lss)", rank, "roundtrip",
-                          "straighten then unstraighten changed the filling")) < 0) {
-            goto done;
-        }
-        if (rank + 1 < hi)
-            next_perm(perm, n);
+    w.start = (unsigned long long)PyLong_AsLongLong(start); /* fits: 0 <= start <= stop */
+    w.stop = (unsigned long long)hi;
+    w.leaves[n - 1] = 1;
+    for (int d = n - 2; d >= 0; d--) {
+        unsigned long long below = w.leaves[d + 1], branch = (unsigned long long)(n - 1 - d);
+        w.leaves[d] = below > WALK_CAP / branch ? WALK_CAP : below * branch;
     }
-    result = Py_BuildValue("(LO)", standard, failures);
+    if ((w.start < w.stop && fill_visit(&w, 0, 0, NULL) < 0))
+        goto done;
+    result = Py_BuildValue("(LO)", w.standard, failures);
 done:
-    PyMem_Free(buf);
+    if (buf != NULL)
+        walk_free(&w, buf);
     Py_XDECREF(start);
     Py_XDECREF(stop);
     Py_XDECREF(zero);
@@ -787,10 +1057,11 @@ ShapeOps_scan_pairs(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs, PyO
         return NULL;
     }
     int n = self->size;
-    long long H = self->prod_ll;
+    unsigned long long H = (unsigned long long)self->prod_ll;
     PyObject *start = NULL, *stop = NULL, *zero = NULL, *rows = NULL, *size = NULL;
     PyObject *failures = NULL, *result = NULL;
     int *table = NULL, *buf = NULL;
+    Walk w;
     Py_ssize_t nrows = PyObject_Length(arg[0]);
     if (nrows < 0 || (start = PyNumber_Index(arg[1])) == NULL
             || (stop = PyNumber_Index(arg[2])) == NULL || (zero = PyLong_FromLong(0)) == NULL
@@ -806,9 +1077,9 @@ ShapeOps_scan_pairs(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs, PyO
     long long hi = PyLong_AsLongLong(stop);
     int check = hi == -1 && PyErr_Occurred() ? -1 : PyObject_IsTrue(arg[3]);
     if (check < 0 || (table = alloc_ints((size_t)nrows * (size_t)n)) == NULL
-            || (buf = alloc_ints(8 * (size_t)n)) == NULL || (failures = PyList_New(0)) == NULL)
+            || (failures = PyList_New(0)) == NULL
+            || (buf = walk_alloc(&w, self, failures, check)) == NULL)
         goto done;
-    long long lo = PyLong_AsLongLong(start); /* fits: 0 <= start <= stop */
     for (Py_ssize_t r = 0; r < nrows; r++) {
         PyObject *row = PySequence_GetItem(arg[0], r);
         int rc = row == NULL ? -1 : read_ints(row, table + r * n, n);
@@ -816,34 +1087,22 @@ ShapeOps_scan_pairs(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs, PyO
         if (rc < 0)
             goto done;
     }
-    int *j = buf, *t = buf + n, *jj = buf + 2 * n, *s = buf + 3 * n, *work = buf + 4 * n;
-    for (long long r = lo; r < hi; r++) {
-        const int *p = table + (r / H) * n;
-        long long rem = r % H;
-        for (int pos = n - 1; pos >= 0; pos--) {
-            j[pos] = (int)(rem % self->hooklen[pos]) + 1;
-            rem /= self->hooklen[pos];
-        }
-        for (int i = 0; i < n; i++) {
-            t[i] = p[i];
-            jj[i] = j[i];
-            s[i] = 1;
-        }
-        if (_unstraighten_inplace(self, t, jj, check, work) < 0
-                || _straighten_inplace(self, t, s, check, work) < 0) {
-            if (add_check_failure(failures, r) < 0)
-                goto done;
-        } else if ((memcmp(t, p, (size_t)n * sizeof(int)) != 0
-                    || memcmp(s, j, (size_t)n * sizeof(int)) != 0)
-                   && append_entry(failures, Py_BuildValue("(Lss)", r, "roundtrip",
-                          "unstraighten then straighten changed the pair")) < 0) {
+    w.start = (unsigned long long)PyLong_AsLongLong(start); /* fits: 0 <= start <= stop */
+    w.stop = (unsigned long long)hi;
+    w.leaves[n] = w.leaves[n - 1] = 1;
+    for (int k = n - 1; k > 0; k--)
+        w.leaves[k - 1] = w.leaves[k] * (unsigned long long)self->hooklen[self->order[n - k]];
+    for (w.row = w.start / H; w.row < (w.stop + H - 1) / H; w.row++) {
+        w.p = table + w.row * (size_t)n;
+        memcpy(w.t, w.p, (size_t)n * sizeof(int));
+        if (pair_visit(&w, 1, w.row * H, NULL) < 0)
             goto done;
-        }
     }
     result = Py_NewRef(failures);
 done:
+    if (buf != NULL)
+        walk_free(&w, buf);
     PyMem_Free(table);
-    PyMem_Free(buf);
     Py_XDECREF(start);
     Py_XDECREF(stop);
     Py_XDECREF(zero);
@@ -873,16 +1132,21 @@ static PyMethodDef ShapeOps_methods[] = {
     {"scan_fillings", (PyCFunction)(void (*)(void))ShapeOps_scan_fillings,
      METH_FASTCALL | METH_KEYWORDS,
      "scan_fillings(start, stop, check=True)\n--\n\n"
-     "Roundtrip-check fillings with lexicographic ranks in [start, stop).\n\n"
+     "Roundtrip-check the fillings numbered [start, stop) in walk order.\n\n"
+     "Leaf i of the walk is the filling whose entries, read in traversal order,\n"
+     "form the i-th permutation; each straighten step runs once per tree node.\n"
      "Returns (standard_count, failures); failures holds (rank, stage, message)\n"
-     "tuples, and standard_count tallies the standard immaculate fillings seen."},
+     "in walk order, rank being the filling's lexicographic rank, and\n"
+     "standard_count tallies the standard immaculate fillings scanned."},
     {"scan_pairs", (PyCFunction)(void (*)(void))ShapeOps_scan_pairs,
      METH_FASTCALL | METH_KEYWORDS,
      "scan_pairs(p_table, start, stop, check=True)\n--\n\n"
-     "Roundtrip-check pairs with combined indices in [start, stop).\n\n"
-     "Index r encodes row p_table[r // hook_prod] with the (r % hook_prod)-th\n"
-     "hook-value assignment, last flat cell varying fastest.  Raises\n"
-     "OverflowError when hook_prod does not fit a C long long."},
+     "Roundtrip-check the pairs numbered [start, stop) in walk order.\n\n"
+     "Pair r takes row p_table[r // hook_prod]; below it the walk assigns hook\n"
+     "values in unstraighten order, and each unstraighten step runs once per\n"
+     "tree node.  Failures come in walk order with flat indices: the row index\n"
+     "times hook_prod plus the hook values in mixed radix, last flat cell\n"
+     "fastest.  Raises OverflowError when hook_prod does not fit a C long long."},
     {NULL}
 };
 
@@ -926,8 +1190,16 @@ PyInit__speedups(void)
         PyObject *math = InternalCheckError ? PyImport_ImportModule("math") : NULL;
         math_factorial = math ? PyObject_GetAttrString(math, "factorial") : NULL;
         Py_XDECREF(math);
-        if (math_factorial == NULL) {
+        if (math_factorial != NULL) {
+            x_changed = PyUnicode_InternFromString(
+                "straighten then unstraighten changed the filling");
+            y_changed = x_changed ? PyUnicode_InternFromString(
+                "unstraighten then straighten changed the pair") : NULL;
+        }
+        if (y_changed == NULL) {
             Py_CLEAR(InternalCheckError);
+            Py_CLEAR(math_factorial);
+            Py_CLEAR(x_changed);
             return NULL;
         }
     }

@@ -22,7 +22,7 @@ from .enumeration import (
     count_brute,
     count_recursive,
     enumerate_standard_immaculate,
-    verify_bijection,
+    verify_shapes,
 )
 from .errors import ImmaculateError, ParseError
 from .tableau import Tableau, format_grid_text
@@ -138,18 +138,8 @@ def cmd_verify(args) -> int:
         shapes = [parse_composition(args.shape)]
     else:
         shapes = compositions(args.n)
-    reports = []
-    for alpha in shapes:
-        reports.append(
-            verify_bijection(
-                alpha,
-                mode=args.mode,
-                sample_size=args.samples,
-                seed=args.seed,
-                jobs=args.jobs,
-                guard=args.guard,
-            )
-        )
+    reports = verify_shapes(shapes, mode=args.mode, sample_size=args.samples, seed=args.seed,
+                            jobs=args.jobs, guard=args.guard)
     all_ok = all(r.ok for r in reports)
     if args.format == "json":
         _print_json({"ok": all_ok, "reports": [r.to_json_obj() for r in reports]})

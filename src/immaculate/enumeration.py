@@ -19,9 +19,11 @@ import math
 import os
 import random
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._kernels import BACKEND, get_backend
 from .bijection import HookTableau
@@ -281,11 +283,11 @@ def _file_failure(failures: dict, side: str, index: int, stage: str, message: st
 
 
 def _scan_task(task):
-    parts, side, start, stop, p_table = task
+    parts, side, start, stop, p_rows, _ = task
     ops = get_backend().ShapeOps(parts)
     if side == "x":
         return ops.scan_fillings(start, stop, True)
-    return 0, ops.scan_pairs(p_table, start, stop, True)
+    return 0, ops.scan_pairs(p_rows, start, stop, True)
 
 
 def _chunks(total: int, pieces: int) -> list[tuple[int, int]]:
@@ -303,30 +305,40 @@ def _reshape(alpha: Composition, flat: Sequence[int]) -> list[list[int]]:
     return [list(r) for r in split_flat(alpha, flat)]
 
 
-def _verify_exhaustive(alpha: Composition, jobs: int, guard: int, failures: dict) -> dict:
-    _require_within(alpha.n, guard, "exhaustive verification",
-                    "use mode='sampled' or raise guard=")
-    hook_prod = get_backend().ShapeOps(alpha.parts).hook_prod
-    x_size = math.factorial(alpha.n)
-    p_table = [t.flat() for t in enumerate_standard_immaculate(alpha)]
-    y_size = len(p_table) * hook_prod
-    tasks = [(alpha.parts, "x", lo, hi, None) for lo, hi in _chunks(x_size, jobs)]
-    tasks += [(alpha.parts, "y", lo, hi, p_table) for lo, hi in _chunks(y_size, jobs)]
-    # Forking starts every worker at once, so never ask for more than the
-    # machine has cores; the chunking still follows jobs.
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_task, tasks))
-    else:
-        results = list(map(_scan_task, tasks))
+def _scan_tasks(alpha: Composition, hook_prod: int, p_table: list, pieces: int) -> list[tuple]:
+    """One shape's scans as about `pieces` runs of whole walk subtrees per side.
 
-    hooklen = [h for row in alpha.hook_lengths() for h in row]
+    The x walk has one subtree per value of the first traversal cell,
+    (n-1)! leaves each; the y walk one per P row and hook value of the first
+    cell, hook_prod / n leaves each.  A y task carries only its own rows and
+    the index of the first, which offsets the flat indices it reports.
+    """
+    n = alpha.n
+    x_leaves, y_leaves = math.factorial(n - 1), hook_prod // n
+    tasks = [(alpha.parts, "x", lo * x_leaves, hi * x_leaves, None, 0)
+             for lo, hi in _chunks(n, pieces)]
+    for lo, hi in _chunks(len(p_table) * n, pieces):
+        first, last = lo // n, -(-hi // n)
+        skip = first * hook_prod
+        tasks.append((alpha.parts, "y", lo * y_leaves - skip, hi * y_leaves - skip,
+                      p_table[first:last], first))
+    return tasks
+
+
+def _exhaustive_report(alpha, started, p_table, hook_prod, tasks, results, jobs):
+    """Gather one shape's scan results, failures sorted by index on each side."""
+    found: dict[str, list] = {"x": [], "y": []}
+    checked = {"x": 0, "y": 0}
     standard_total = 0
-    # Tasks run in index order, x before y, so failures are filed sorted.
-    for (_, side, *_), (standard, raw) in zip(tasks, results):
+    for (_, side, start, stop, _, first), (standard, raw) in zip(tasks, results):
         standard_total += standard
-        for index, stage, message in raw:
+        checked[side] += stop - start
+        found[side].extend((index + first * hook_prod, stage, message)
+                           for index, stage, message in raw)
+    hooklen = [h for row in alpha.hook_lengths() for h in row]
+    failures: dict[str, list[dict]] = {"roundtrip": [], "check": []}
+    for side in ("x", "y"):
+        for index, stage, message in sorted(found[side]):
             if side == "x":
                 obj = _reshape(alpha, unrank_permutation(alpha.n, index))
             else:
@@ -334,12 +346,41 @@ def _verify_exhaustive(alpha: Composition, jobs: int, guard: int, failures: dict
                 obj = {"P": _reshape(alpha, p_table[p_idx]),
                        "J": _reshape(alpha, _unrank_hook_values(hooklen, rem))}
             _file_failure(failures, side, index, stage, message, obj)
-    return dict(count_bruteforce=standard_total, x_size=x_size, y_size=y_size,
-                x_checked=x_size, y_checked=y_size, seed=None, sample_size=None, jobs=jobs)
+    return _report(alpha, "exhaustive", started, failures, count_bruteforce=standard_total,
+                   x_size=math.factorial(alpha.n), y_size=len(p_table) * hook_prod,
+                   x_checked=checked["x"], y_checked=checked["y"], seed=None,
+                   sample_size=None, jobs=jobs)
 
 
-def _verify_sampled(alpha: Composition, sample_size: int, seed: int, failures: dict) -> dict:
+def _verify_exhaustive(shapes: Iterable[Composition], jobs: int,
+                       guard: int) -> Iterator[VerificationReport]:
+    # Forking starts every worker at once, so never ask for more than the
+    # machine has cores.  One pool serves the whole run; it starts its
+    # workers at the first task, and while it scans one shape, the next
+    # shape's tasks are already queued behind it.
+    workers = min(jobs, os.cpu_count() or 1)
+    pieces = 4 * workers if workers > 1 else 1
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        pending: deque = deque()
+        for alpha in shapes:
+            _require_within(alpha.n, guard, "exhaustive verification",
+                            "use mode='sampled' or raise guard=")
+            started = time.perf_counter()
+            hook_prod = get_backend().ShapeOps(alpha.parts).hook_prod
+            p_table = [t.flat() for t in enumerate_standard_immaculate(alpha)]
+            tasks = _scan_tasks(alpha, hook_prod, p_table, pieces)
+            pending.append((alpha, started, p_table, hook_prod, tasks, run(_scan_task, tasks)))
+            if len(pending) > 1:
+                yield _exhaustive_report(*pending.popleft(), jobs)
+        while pending:
+            yield _exhaustive_report(*pending.popleft(), jobs)
+
+
+def _verify_sampled(alpha: Composition, sample_size: int, seed: int) -> VerificationReport:
     # Each object is drawn, roundtripped and dropped unless it failed.
+    started = time.perf_counter()
+    failures: dict[str, list[dict]] = {"roundtrip": [], "check": []}
     ops = get_backend().ShapeOps(alpha.parts)
     rng = random.Random(seed)
     for i in range(sample_size):
@@ -364,8 +405,49 @@ def _verify_sampled(alpha: Composition, sample_size: int, seed: int, failures: d
         if failed:
             pair = {"P": [list(r) for r in p.rows], "J": [list(r) for r in j.rows]}
             _file_failure(failures, "y", i, *failed, pair)
-    return dict(count_bruteforce=None, x_size=None, y_size=None, x_checked=sample_size,
-                y_checked=sample_size, seed=seed, sample_size=sample_size, jobs=1)
+    return _report(alpha, "sampled", started, failures, count_bruteforce=None, x_size=None,
+                   y_size=None, x_checked=sample_size, y_checked=sample_size, seed=seed,
+                   sample_size=sample_size, jobs=1)
+
+
+def _report(alpha: Composition, mode: str, started: float, failures: dict,
+            **varying) -> VerificationReport:
+    return VerificationReport(
+        shape=alpha.parts,
+        mode=mode,
+        count_formula=count_formula(alpha),
+        count_recursive=count_recursive(alpha),
+        roundtrip_failures=failures["roundtrip"],
+        assertion_failures=failures["check"],
+        backend=BACKEND,
+        elapsed_s=time.perf_counter() - started,
+        **varying,
+    )
+
+
+def verify_shapes(
+    shapes: Iterable[Composition],
+    mode: str = "exhaustive",
+    sample_size: int = 1000,
+    seed: int = 0,
+    jobs: int = 1,
+    guard: int = EXHAUSTIVE_GUARD,
+) -> list[VerificationReport]:
+    """verify_bijection for each shape in turn, one report per shape.
+
+    shapes may be any iterable, read once, in order.  An exhaustive run
+    checks each shape against guard before it scans it, and starts at most
+    one pool of min(jobs, os.cpu_count()) worker processes for all of them,
+    none when that is one.  The pool gets each shape's scans as runs of
+    whole walk subtrees, about four per worker and side, each y task with
+    only its own P rows.  A shape's elapsed_s runs from its setup to the
+    arrival of its last result.
+    """
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sampled":
+        return [verify_bijection(alpha, mode, sample_size, seed) for alpha in shapes]
+    return list(_verify_exhaustive(shapes, jobs, guard))
 
 
 def verify_bijection(
@@ -380,31 +462,22 @@ def verify_bijection(
 
     Exhaustive mode roundtrips every filling (straighten then unstraighten)
     and every pair (the other way around), with every structural invariant
-    asserted at each step.  It splits each side's index range into jobs
-    chunks and scans them on min(jobs, os.cpu_count()) worker processes, or
-    in this process when that is one.  Sampled mode draws sample_size objects
+    asserted at each step.  The kernel scans walk the objects as a tree:
+    fillings that agree on their first traversal cells share their first
+    straighten steps, and pairs that agree on their first hook values in
+    unstraighten order share their first unstraighten steps, so each step
+    runs once per tree node and each object still gets the full checked
+    inverse and an exact comparison.  A failure's index is that of the
+    object itself: the lexicographic rank of a filling, and for a pair the
+    P row's index times the hook product plus the hook values in mixed
+    radix, last flat cell fastest.  Failures are sorted by index on each
+    side.  jobs > 1 splits the walks into subtree tasks for
+    min(jobs, os.cpu_count()) worker processes; see verify_shapes, which
+    this calls for exhaustive mode.  Sampled mode draws sample_size objects
     per side from the seeded Mersenne Twister stream instead, so runs are
     reproducible; jobs is ignored there.  Counting always happens in all
     available ways.  The scans run on the active kernel backend.
     """
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    t0 = time.perf_counter()
-    cf = count_formula(alpha)
-    cr = count_recursive(alpha)
-    failures: dict[str, list[dict]] = {"roundtrip": [], "check": []}
-    if mode == "exhaustive":
-        varying = _verify_exhaustive(alpha, jobs, guard, failures)
-    else:
-        varying = _verify_sampled(alpha, sample_size, seed, failures)
-    return VerificationReport(
-        shape=alpha.parts,
-        mode=mode,
-        count_formula=cf,
-        count_recursive=cr,
-        roundtrip_failures=failures["roundtrip"],
-        assertion_failures=failures["check"],
-        backend=BACKEND,
-        elapsed_s=time.perf_counter() - t0,
-        **varying,
-    )
+    if mode == "sampled":
+        return _verify_sampled(alpha, sample_size, seed)
+    return verify_shapes([alpha], mode, jobs=jobs, guard=guard)[0]

@@ -312,8 +312,8 @@ class TestVerify:
         assert not out.exists()
 
     def test_failure_exits_1_and_writes_failures(self, capsys, tmp_path, monkeypatch):
-        def fake_verify(alpha, **kwargs):
-            return VerificationReport(
+        def fake_verify(shapes, **kwargs):
+            return [VerificationReport(
                 shape=alpha.parts, mode="exhaustive", count_formula=4,
                 count_recursive=4, count_bruteforce=4, x_size=120, y_size=120,
                 x_checked=120, y_checked=120,
@@ -323,9 +323,9 @@ class TestVerify:
                 }],
                 assertion_failures=[], seed=None, sample_size=None, jobs=1,
                 backend="pure", elapsed_s=0.01,
-            )
+            ) for alpha in shapes]
 
-        monkeypatch.setattr("immaculate.cli.verify_bijection", fake_verify)
+        monkeypatch.setattr("immaculate.cli.verify_shapes", fake_verify)
         out = tmp_path / "failures.json"
         assert main(["verify", "2,1,2", "--failures-out", str(out)]) == 1
         stdout = capsys.readouterr().out

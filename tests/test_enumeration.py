@@ -6,6 +6,7 @@ import types
 
 import pytest
 
+from immaculate import cli
 from immaculate._kernels import BACKEND, _pure
 from immaculate.bijection import HookTableau, Pair, straighten, unstraighten
 from immaculate.composition import Composition, compositions, count_formula
@@ -222,31 +223,43 @@ class TestVerifyExhaustive:
         with pytest.raises(ValueError):
             verify_bijection(Composition((2, 1)), mode="fast")
 
-    def test_workers_capped_at_cpu_count(self, monkeypatch):
-        # a stand-in pool that records its size and maps in this process, so
-        # no worker is ever started
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr("immaculate.enumeration.ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
+    def test_workers_capped_at_cpu_count(self, pool_sizes):
         report = verify_bijection(Composition((2, 1)), jobs=10_000)
-        assert sizes == [2]
+        assert pool_sizes == [2]
         assert report.ok and report.jobs == 10_000
         verify_bijection(Composition((2, 1)), jobs=1)
-        assert sizes == [2]
+        assert pool_sizes == [2]
+
+    @pytest.mark.parametrize("jobs, pools", [(2, [2]), (1, [])])
+    def test_one_pool_per_cli_run(self, pool_sizes, capsys, jobs, pools):
+        # all 8 shapes of n = 4 share the run's one pool, and jobs 1 needs none
+        assert cli.main(["verify", "--n", "4", "--jobs", str(jobs)]) == 0
+        assert "8/8 shapes ok" in capsys.readouterr().out
+        assert pool_sizes == pools
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool started, on a stand-in pool that
+    maps in this process, so no worker is ever started; two cores."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("immaculate.enumeration.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    return sizes
 
 
 class TestVerifySampled:
@@ -278,19 +291,20 @@ class TestVerifySampled:
 
 
 class _FaultyOps(_pure.ShapeOps):
-    """Pure kernel with two planted faults: straighten refuses any filling
-    that starts with n and ends with 1, and unstraighten turns a leading
-    2, 1 into 1, 2."""
+    """Pure kernel with a planted fault in one step of each side, where the
+    walks and the single transforms both meet it: the straighten step
+    refuses to slide n out of the first cell while the last cell holds 1,
+    and the first unstraighten step takes a hook value of 2 for 1."""
 
-    def _straighten_inplace(self, t, s, check):
-        if t[0] == self.size and t[-1] == 1:
+    def _checked_slide(self, t, s, k):
+        if self.order[k] == 0 and t[0] == self.size and t[-1] == 1:
             raise InternalCheckError("injected")
-        super()._straighten_inplace(t, s, check)
+        return super()._checked_slide(t, s, k)
 
-    def _unstraighten_inplace(self, t, j, check):
-        super()._unstraighten_inplace(t, j, check)
-        if t[:2] == [2, 1]:
-            t[:2] = [1, 2]
+    def _checked_rotate(self, t, j, k):
+        if k == 1 and j[0] == 2:
+            j[0] = 1
+        return super()._checked_rotate(t, j, k)
 
 
 X_CHANGED = "straighten then unstraighten changed the filling"
@@ -306,11 +320,17 @@ class TestFailureReports:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_exhaustive_entries(self, jobs):
+        # the same entries as straightening and unstraightening each of the
+        # 6 fillings and 6 pairs of 2,1 one by one on the faulty kernel
         report = verify_bijection(Composition((2, 1)), jobs=jobs)
         assert not report.ok
         assert report.roundtrip_failures == [
             {"side": "x", "index": 2, "stage": "roundtrip", "message": X_CHANGED,
              "tableau": [[2, 1], [3]]},
+            {"side": "x", "index": 4, "stage": "roundtrip", "message": X_CHANGED,
+             "tableau": [[3, 1], [2]]},
+            {"side": "y", "index": 1, "stage": "roundtrip", "message": Y_CHANGED,
+             "pair": {"P": [[1, 3], [2]], "J": [[2, 1], [1]]}},
             {"side": "y", "index": 4, "stage": "roundtrip", "message": Y_CHANGED,
              "pair": {"P": [[1, 2], [3]], "J": [[2, 1], [1]]}},
         ]
@@ -325,6 +345,12 @@ class TestFailureReports:
         report = verify_bijection(Composition((2, 1)), mode="sampled", sample_size=6, seed=1)
         assert not report.ok
         assert report.roundtrip_failures == [
+            {"side": "x", "index": 1, "stage": "roundtrip", "message": X_CHANGED,
+             "tableau": [[3, 1], [2]]},
+            {"side": "x", "index": 5, "stage": "roundtrip", "message": X_CHANGED,
+             "tableau": [[3, 1], [2]]},
+            {"side": "y", "index": 0, "stage": "roundtrip", "message": Y_CHANGED,
+             "pair": {"P": [[1, 3], [2]], "J": [[2, 1], [1]]}},
             {"side": "y", "index": 3, "stage": "roundtrip", "message": Y_CHANGED,
              "pair": {"P": [[1, 2], [3]], "J": [[2, 1], [1]]}},
         ]

@@ -136,6 +136,11 @@ BACKENDS = ["pure", pytest.param("compiled", marks=needs_compiled)]
      "tied neighbours while sliding at position 0"),
     (lambda ops: ops.unstraighten([1, 2, 3], [4, 1, 1]), IndexError,
      "hook value 4 out of range at position 0"),
+    # cell 1 of 2,2 has hook length 1, though its hook value 2 stays inside the array
+    (lambda ops: type(ops)((2, 2)).unstraighten([1, 2, 3, 4], [1, 2, 1, 1], check=True),
+     IndexError, "hook value 2 out of range at position 1"),
+    (lambda ops: type(ops)((2, 2)).unstraighten([1, 2, 3, 4], [1, 2, 1, 1]), IndexError,
+     "hook value 2 out of range at position 1"),
 ])
 def test_input_contract(backend, call, error, message):
     # both twins refuse the same malformed inputs with the same exception
@@ -208,16 +213,16 @@ def test_compiled_reference_counts_do_not_leak():
     # tracemalloc sees every Python object and every PyMem buffer the
     # extension allocates; a reference or buffer leaked per call grows the
     # traced total by tens of bytes per call, about a megabyte in all
-    ops = compiled.ShapeOps((2, 1))
+    ops, square = compiled.ShapeOps((2, 1)), compiled.ShapeOps((2, 2))
     big = compiled.ShapeOps((4, 1, 4, 2, 1, 3, 2, 1, 1, 1))
     vals = list(range(20, 0, -1))
     p, j = big.straighten(vals)
-    good, bad = [(1, 2, 3)], [(3, 2, 1)]
+    good, bad, tied = [(1, 2, 3)], [(3, 2, 1)], [(1, 1, 2)]
 
     def raises(fn, *args, **kwargs):
         try:
             fn(*args, **kwargs)
-        except (ValueError, TypeError, OverflowError, InternalCheckError):
+        except (ValueError, TypeError, OverflowError, IndexError, InternalCheckError):
             return
         raise AssertionError(f"{fn.__name__} did not raise")
 
@@ -229,9 +234,12 @@ def test_compiled_reference_counts_do_not_leak():
         big.is_standard_immaculate(vals)
         ops.count_standard()
         ops.scan_fillings(0, 6, True)
+        ops.scan_fillings(1, 5, False)
         ops.scan_pairs(good, 0, 3, True)
-        assert len(ops.scan_pairs(bad, 0, 3, True)) == 3  # check failures
+        ops.scan_pairs(good, 1, 2, False)
+        assert len(ops.scan_pairs(bad, 0, 3, True)) == 3  # failed at a node
         assert ops.scan_pairs(bad, 0, 3, False)  # roundtrip failures
+        assert len(ops.scan_pairs(tied, 0, 3, True)) == 2  # failed at a leaf
         compiled.ShapeOps((3, 1, 2))
         raises(ops.straighten, [9, 2, 2], check=True)
         raises(ops.straighten, [1, 2, 3, 4])
@@ -242,6 +250,8 @@ def test_compiled_reference_counts_do_not_leak():
         raises(ops.straighten, [1, 2, 3], chek=True)
         raises(compiled.ShapeOps, (2, 0))
         raises(compiled.ShapeOps, (2**31 - 1, 2**31 - 1, 2))
+        raises(square.unstraighten, [1, 2, 3, 4], [1, 2, 1, 1], check=True)
+        raises(square.unstraighten, [1, 2, 3, 4], [1, 2, 1, 1])
 
     for _ in range(200):
         calls()
@@ -333,6 +343,161 @@ class TestScanSemantics:
         ops = get_backend(backend).ShapeOps((2, 1))
         with pytest.raises(InternalCheckError):
             ops.straighten([9, 2, 2], check=True)
+
+
+X_CHANGED = "straighten then unstraighten changed the filling"
+Y_CHANGED = "unstraighten then straighten changed the pair"
+
+
+def _oracle_fillings(ops):
+    """scan_fillings over every filling, one public roundtrip at a time."""
+    standard, failures = 0, []
+    for rank, perm in enumerate(itertools.permutations(range(1, ops.size + 1))):
+        standard += ops.is_standard_immaculate(perm)
+        try:
+            back = ops.unstraighten(*ops.straighten(perm, check=True), check=True)
+        except InternalCheckError as exc:
+            failures.append((rank, "check", str(exc)))
+            continue
+        if back != list(perm):
+            failures.append((rank, "roundtrip", X_CHANGED))
+    return standard, failures
+
+
+def _oracle_pairs(ops, p_table):
+    """scan_pairs over every pair, one public roundtrip at a time, by flat index."""
+    hooks = list(itertools.product(*(range(1, h + 1) for h in _hook_lengths(ops))))
+    failures = []
+    for row, p in enumerate(p_table):
+        for rem, j in enumerate(hooks):
+            index = row * ops.hook_prod + rem
+            try:
+                back = ops.straighten(ops.unstraighten(p, j, check=True), check=True)
+            except InternalCheckError as exc:
+                failures.append((index, "check", str(exc)))
+                continue
+            if back != (list(p), list(j)):
+                failures.append((index, "roundtrip", Y_CHANGED))
+    return failures
+
+
+def _hook_lengths(ops):
+    return [h for row in Composition(ops.parts).hook_lengths() for h in row]
+
+
+def _odd_table(alpha):
+    # beyond the kernel's contract, so that checks fail: a repeated entry
+    # fails some leaves, a decreasing row fails everything at its root
+    table = [t.flat() for t in _sits(alpha)]
+    if alpha.n > 1:
+        table += [(1, 1, *range(2, alpha.n)), tuple(range(alpha.n, 0, -1))]
+    return table
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestWalks:
+    def test_fillings_match_oracle_in_any_split(self, backend):
+        rng = random.Random(5)
+        for n in range(1, 6):
+            for alpha in compositions(n):
+                ops = get_backend(backend).ShapeOps(alpha.parts)
+                total = math.factorial(n)
+                standard, failures = whole = ops.scan_fillings(0, total, True)
+                assert (standard, sorted(failures)) == _oracle_fillings(ops)
+                cuts = sorted(rng.sample(range(total + 1), min(3, total + 1)))
+                for bounds in (range(total + 1), [0, *cuts, total]):
+                    parts = [ops.scan_fillings(lo, hi, True) for lo, hi in zip(bounds, bounds[1:])]
+                    assert sum(c for c, _ in parts) == whole[0]
+                    assert [f for _, fs in parts for f in fs] == whole[1]
+
+    def test_pairs_match_oracle_in_any_split(self, backend):
+        rng = random.Random(6)
+        for n in range(1, 6):
+            for alpha in compositions(n):
+                ops = get_backend(backend).ShapeOps(alpha.parts)
+                table = _odd_table(alpha)
+                total = len(table) * ops.hook_prod
+                whole = ops.scan_pairs(table, 0, total, True)
+                assert sorted(whole) == _oracle_pairs(ops, table)
+                assert len({index for index, _, _ in whole}) == len(whole)
+                assert whole or n == 1
+                cuts = sorted(rng.sample(range(total + 1), min(3, total + 1)))
+                for bounds in (range(total + 1), [0, *cuts, total]):
+                    parts = [ops.scan_pairs(table, lo, hi, True) for lo, hi in zip(bounds, bounds[1:])]
+                    assert [f for fs in parts for f in fs] == whole
+
+
+class TestPlantedFaults:
+    """Faults planted in the pure twin's steps, where the walks meet them
+    once per tree node and the public transforms once per object."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_node_fault_fails_exactly_its_subtree(self, n):
+        rng = random.Random(n)
+        for alpha in compositions(n):
+            clean = pure.ShapeOps(alpha.parts)
+            order = clean.order
+            for d in range(1, n - 1):
+                x0 = rng.sample(range(1, n + 1), n)
+                t0, s0 = list(x0), [1] * n
+                for k in range(1, d):
+                    clean._checked_slide(t0, s0, k)
+                cells, steps = order[:d + 1], order[1:d]
+
+                def at_node(t, s):
+                    return ([t[q] for q in cells], [s[q] for q in steps]) == (
+                        [t0[q] for q in cells], [s0[q] for q in steps])
+
+                class Faulty(pure.ShapeOps):
+                    def _checked_slide(self, t, s, k):
+                        if k == d and at_node(t, s):
+                            raise InternalCheckError("planted")
+                        return super()._checked_slide(t, s, k)
+
+                ops = Faulty(alpha.parts)
+                below = [(rank, "check", "planted")
+                         for rank, x in enumerate(itertools.permutations(range(1, n + 1)))
+                         if all(x[q] == x0[q] for q in cells)]
+                assert len(below) == math.factorial(n - d - 1)
+                standard, failures = ops.scan_fillings(0, math.factorial(n), True)
+                assert sorted(failures) == below == _oracle_fillings(ops)[1]
+                assert standard == count_formula(alpha)
+                # the subtree is one run of walk order, here split in two
+                first = [r for r in range(math.factorial(n)) if ops.scan_fillings(r, r + 1)[1]]
+                assert first == list(range(first[0], first[0] + len(below)))
+                mid = first[0] + len(below) // 2
+                halves = ops.scan_fillings(0, mid)[1] + ops.scan_fillings(mid, math.factorial(n))[1]
+                assert halves == failures
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_unstraighten_fault_caught_at_its_pair(self, n):
+        rng = random.Random(n)
+        for alpha in compositions(n):
+            clean = pure.ShapeOps(alpha.parts)
+            hooklen, order = _hook_lengths(clean), clean.order
+            # the last step with a choice: every pair meets it at its own state
+            k0 = max(k for k in range(1, n) if hooklen[order[n - k]] > 1)
+            pos = order[n - k0]
+            table = [t.flat() for t in _sits(alpha)]
+            row = rng.randrange(len(table))
+            j0 = [rng.randint(1, h) for h in hooklen]
+            j0[pos] = rng.randint(2, hooklen[pos])
+            t0, j = list(table[row]), list(j0)
+            for k in range(1, k0):
+                clean._checked_rotate(t0, j, k)
+
+            class Faulty(pure.ShapeOps):
+                def _checked_rotate(self, t, j, k):
+                    if k == k0 and t == t0 and j[pos] == j0[pos]:
+                        j[pos] -= 1  # a rotation one cell short
+                    return super()._checked_rotate(t, j, k)
+
+            ops = Faulty(alpha.parts)
+            index = row * ops.hook_prod
+            for pos_, v in enumerate(j0):
+                index += (v - 1) * math.prod(hooklen[pos_ + 1:])
+            failures = ops.scan_pairs(table, 0, len(table) * ops.hook_prod, True)
+            assert failures == [(index, "roundtrip", Y_CHANGED)] == _oracle_pairs(ops, table)
 
 
 class TestBackendSelection:
