@@ -16,10 +16,10 @@ Positions here are 0-based flat indices, and a key layout fact keeps
 everything tight: in row-major order every hook occupies a contiguous run of
 positions, so the v-th hook cell of position p is simply p + v - 1.
 
-The public methods check input lengths, hook values against their hook
-lengths, and scan bounds; beyond that they assume well-formed inputs
-(permutation contents, standard immaculate P rows), which the public
-modules validate before calling in.
+The public methods check input lengths (for a P table, those of the rows
+a scan reaches), hook values against their hook lengths, and scan bounds;
+beyond that they assume well-formed inputs (permutation contents, standard
+immaculate P rows), which the public modules validate before calling in.
 """
 
 from __future__ import annotations
@@ -393,7 +393,8 @@ class ShapeOps:
     def scan_pairs(self, p_table, start, stop, check=True):
         """Roundtrip-check the pairs numbered [start, stop) in walk order.
 
-        Pair r takes row p_table[r // hook_prod].  Below each row a
+        Pair r takes row p_table[r // hook_prod], read and length-checked
+        only when the walk reaches it.  Below each row a
         depth-first walk assigns the hook values in unstraighten order, the
         values of order[n-1], order[n-2], ..., order[1], smallest first; the
         hook value of order[0] is always 1.  Each tree node runs its
@@ -470,6 +471,8 @@ class ShapeOps:
 
         for row in range(start // hook_prod, -(-stop // hook_prod)):
             p = list(p_table[row])
+            if len(p) != n:
+                raise ValueError(f"need {n} entries, got {len(p)}")
             t = list(p)
             visit(1, row * hook_prod, None)
         return failures

@@ -691,7 +691,7 @@ typedef struct {
     int *paths;                 /* n ints of step path per depth */
     int *t, *s, *j, *back, *work;
     int *x, *used;              /* scan_fillings: the filling, values taken */
-    const int *p;               /* scan_pairs: the P row and its index */
+    int *p;                     /* scan_pairs: the P row and its index */
     unsigned long long row;
     int *jv;                    /* scan_pairs: the hook values assigned */
     long long standard;
@@ -844,7 +844,7 @@ static int *
 walk_alloc(Walk *w, const ShapeOps *self, PyObject *failures, int check)
 {
     int n = self->size;
-    int *buf = alloc_ints((size_t)n * (size_t)n + 11 * (size_t)n + 1);
+    int *buf = alloc_ints((size_t)n * (size_t)n + 12 * (size_t)n + 1);
     if (buf == NULL)
         return NULL;
     w->leaves = PyMem_Malloc((size_t)(n + 1) * sizeof(unsigned long long));
@@ -864,6 +864,7 @@ walk_alloc(Walk *w, const ShapeOps *self, PyObject *failures, int check)
     w->back = cursor; cursor += n;
     w->x = cursor; cursor += n;
     w->jv = cursor; cursor += n;
+    w->p = cursor; cursor += n;
     w->work = cursor; cursor += 4 * n;
     w->used = cursor;
     for (int m = 0; m < n; m++)
@@ -1060,7 +1061,7 @@ ShapeOps_scan_pairs(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs, PyO
     unsigned long long H = (unsigned long long)self->prod_ll;
     PyObject *start = NULL, *stop = NULL, *zero = NULL, *rows = NULL, *size = NULL;
     PyObject *failures = NULL, *result = NULL;
-    int *table = NULL, *buf = NULL;
+    int *buf = NULL;
     Walk w;
     Py_ssize_t nrows = PyObject_Length(arg[0]);
     if (nrows < 0 || (start = PyNumber_Index(arg[1])) == NULL
@@ -1076,24 +1077,21 @@ ShapeOps_scan_pairs(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs, PyO
     }
     long long hi = PyLong_AsLongLong(stop);
     int check = hi == -1 && PyErr_Occurred() ? -1 : PyObject_IsTrue(arg[3]);
-    if (check < 0 || (table = alloc_ints((size_t)nrows * (size_t)n)) == NULL
-            || (failures = PyList_New(0)) == NULL
+    if (check < 0 || (failures = PyList_New(0)) == NULL
             || (buf = walk_alloc(&w, self, failures, check)) == NULL)
         goto done;
-    for (Py_ssize_t r = 0; r < nrows; r++) {
-        PyObject *row = PySequence_GetItem(arg[0], r);
-        int rc = row == NULL ? -1 : read_ints(row, table + r * n, n);
-        Py_XDECREF(row);
-        if (rc < 0)
-            goto done;
-    }
     w.start = (unsigned long long)PyLong_AsLongLong(start); /* fits: 0 <= start <= stop */
     w.stop = (unsigned long long)hi;
     w.leaves[n] = w.leaves[n - 1] = 1;
     for (int k = n - 1; k > 0; k--)
         w.leaves[k - 1] = w.leaves[k] * (unsigned long long)self->hooklen[self->order[n - k]];
+    /* a row is read, and its length checked, only when the walk reaches it */
     for (w.row = w.start / H; w.row < (w.stop + H - 1) / H; w.row++) {
-        w.p = table + w.row * (size_t)n;
+        PyObject *row = PySequence_GetItem(arg[0], (Py_ssize_t)w.row);
+        int rc = row == NULL ? -1 : read_ints(row, w.p, n);
+        Py_XDECREF(row);
+        if (rc < 0)
+            goto done;
         memcpy(w.t, w.p, (size_t)n * sizeof(int));
         if (pair_visit(&w, 1, w.row * H, NULL) < 0)
             goto done;
@@ -1102,7 +1100,6 @@ ShapeOps_scan_pairs(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs, PyO
 done:
     if (buf != NULL)
         walk_free(&w, buf);
-    PyMem_Free(table);
     Py_XDECREF(start);
     Py_XDECREF(stop);
     Py_XDECREF(zero);
@@ -1142,7 +1139,8 @@ static PyMethodDef ShapeOps_methods[] = {
      METH_FASTCALL | METH_KEYWORDS,
      "scan_pairs(p_table, start, stop, check=True)\n--\n\n"
      "Roundtrip-check the pairs numbered [start, stop) in walk order.\n\n"
-     "Pair r takes row p_table[r // hook_prod]; below it the walk assigns hook\n"
+     "Pair r takes row p_table[r // hook_prod], read and length-checked only\n"
+     "when the walk reaches it; below it the walk assigns hook\n"
      "values in unstraighten order, and each unstraighten step runs once per\n"
      "tree node.  Failures come in walk order with flat indices: the row index\n"
      "times hook_prod plus the hook values in mixed radix, last flat cell\n"

@@ -26,6 +26,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
 from ._kernels import BACKEND, get_backend
+from ._kernels._pure import X_CHANGED, Y_CHANGED
 from .bijection import HookTableau
 from .composition import Composition, count_formula
 from .errors import GuardExceededError, InternalCheckError
@@ -201,9 +202,6 @@ def random_standard_immaculate(alpha: Composition, rng: random.Random) -> Tablea
 
 # -- verification harness ----------------------------------------------------
 
-X_CHANGED = "straighten then unstraighten changed the filling"
-Y_CHANGED = "unstraighten then straighten changed the pair"
-
 
 @dataclass
 class VerificationReport:
@@ -283,22 +281,17 @@ def _file_failure(failures: dict, side: str, index: int, stage: str, message: st
 
 
 def _scan_task(task):
-    parts, side, start, stop, p_rows, _ = task
+    parts, side, start, stop, p_table = task
     ops = get_backend().ShapeOps(parts)
     if side == "x":
         return ops.scan_fillings(start, stop, True)
-    return 0, ops.scan_pairs(p_rows, start, stop, True)
+    return 0, ops.scan_pairs(p_table, start, stop, True)
 
 
 def _chunks(total: int, pieces: int) -> list[tuple[int, int]]:
-    step = -(-total // pieces) if pieces > 0 else total
-    out = []
-    lo = 0
-    while lo < total:
-        hi = min(lo + step, total)
-        out.append((lo, hi))
-        lo = hi
-    return out
+    """[0, total) as at most `pieces` runs of one length, the last maybe shorter."""
+    step = max(1, -(-total // pieces))
+    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
 def _reshape(alpha: Composition, flat: Sequence[int]) -> list[list[int]]:
@@ -306,23 +299,17 @@ def _reshape(alpha: Composition, flat: Sequence[int]) -> list[list[int]]:
 
 
 def _scan_tasks(alpha: Composition, hook_prod: int, p_table: list, pieces: int) -> list[tuple]:
-    """One shape's scans as about `pieces` runs of whole walk subtrees per side.
+    """One shape's scans as at most `pieces` even runs of leaves per side.
 
-    The x walk has one subtree per value of the first traversal cell,
-    (n-1)! leaves each; the y walk one per P row and hook value of the first
-    cell, hook_prod / n leaves each.  A y task carries only its own rows and
-    the index of the first, which offsets the flat indices it reports.
+    The walks start and stop at any leaf, so a run needs no subtree
+    boundaries.  Each y task carries the whole P table; the kernel reads only
+    the rows its run reaches, and reports the flat indices as they stand.
     """
-    n = alpha.n
-    x_leaves, y_leaves = math.factorial(n - 1), hook_prod // n
-    tasks = [(alpha.parts, "x", lo * x_leaves, hi * x_leaves, None, 0)
-             for lo, hi in _chunks(n, pieces)]
-    for lo, hi in _chunks(len(p_table) * n, pieces):
-        first, last = lo // n, -(-hi // n)
-        skip = first * hook_prod
-        tasks.append((alpha.parts, "y", lo * y_leaves - skip, hi * y_leaves - skip,
-                      p_table[first:last], first))
-    return tasks
+    x_tasks = [(alpha.parts, "x", lo, hi, None)
+               for lo, hi in _chunks(math.factorial(alpha.n), pieces)]
+    y_tasks = [(alpha.parts, "y", lo, hi, p_table)
+               for lo, hi in _chunks(len(p_table) * hook_prod, pieces)]
+    return x_tasks + y_tasks
 
 
 def _exhaustive_report(alpha, started, p_table, hook_prod, tasks, results, jobs):
@@ -330,11 +317,10 @@ def _exhaustive_report(alpha, started, p_table, hook_prod, tasks, results, jobs)
     found: dict[str, list] = {"x": [], "y": []}
     checked = {"x": 0, "y": 0}
     standard_total = 0
-    for (_, side, start, stop, _, first), (standard, raw) in zip(tasks, results):
+    for (_, side, start, stop, _), (standard, raw) in zip(tasks, results):
         standard_total += standard
         checked[side] += stop - start
-        found[side].extend((index + first * hook_prod, stage, message)
-                           for index, stage, message in raw)
+        found[side].extend(raw)
     hooklen = [h for row in alpha.hook_lengths() for h in row]
     failures: dict[str, list[dict]] = {"roundtrip": [], "check": []}
     for side in ("x", "y"):
@@ -367,7 +353,7 @@ def _verify_exhaustive(shapes: Iterable[Composition], jobs: int,
             _require_within(alpha.n, guard, "exhaustive verification",
                             "use mode='sampled' or raise guard=")
             started = time.perf_counter()
-            hook_prod = get_backend().ShapeOps(alpha.parts).hook_prod
+            hook_prod = alpha.hook_product()
             p_table = [t.flat() for t in enumerate_standard_immaculate(alpha)]
             tasks = _scan_tasks(alpha, hook_prod, p_table, pieces)
             pending.append((alpha, started, p_table, hook_prod, tasks, run(_scan_task, tasks)))
@@ -438,10 +424,10 @@ def verify_shapes(
     shapes may be any iterable, read once, in order.  An exhaustive run
     checks each shape against guard before it scans it, and starts at most
     one pool of min(jobs, os.cpu_count()) worker processes for all of them,
-    none when that is one.  The pool gets each shape's scans as runs of
-    whole walk subtrees, about four per worker and side, each y task with
-    only its own P rows.  A shape's elapsed_s runs from its setup to the
-    arrival of its last result.
+    none when that is one.  The pool gets each shape's scans as even runs
+    of leaves in walk order, at most four per worker and side, and each y
+    task carries the whole P table.  A shape's elapsed_s runs from its
+    setup to the arrival of its last result.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -471,7 +457,7 @@ def verify_bijection(
     object itself: the lexicographic rank of a filling, and for a pair the
     P row's index times the hook product plus the hook values in mixed
     radix, last flat cell fastest.  Failures are sorted by index on each
-    side.  jobs > 1 splits the walks into subtree tasks for
+    side.  jobs > 1 splits the walks into runs of leaves for
     min(jobs, os.cpu_count()) worker processes; see verify_shapes, which
     this calls for exhaustive mode.  Sampled mode draws sample_size objects
     per side from the seeded Mersenne Twister stream instead, so runs are

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from immaculate.cli import main
+from immaculate.composition import count_formula, parse_composition
 from immaculate.enumeration import VerificationReport
 from immaculate.errors import InternalCheckError
 
@@ -219,6 +220,23 @@ class TestPhi:
         assert captured.err == "internal check failed: injected\n"
 
 
+@pytest.mark.parametrize("command", ["psi", "phi"])
+class TestUndecodableInput:
+    DATA = b"\xff\xfe1 2\n"
+
+    def test_file_exits_2(self, capsys, tmp_path, command):
+        f = tmp_path / "input.txt"
+        f.write_bytes(self.DATA)
+        assert main([command, str(f)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_stdin_exits_2(self, capsys, monkeypatch, command):
+        stdin = io.TextIOWrapper(io.BytesIO(self.DATA), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main([command, "-"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -381,6 +399,43 @@ class TestLargeInputs:
                        preexec_fn=_cap_address_space)
         assert out.returncode == 0, out.stderr
         assert "1/1 shapes ok" in out.stdout
+
+
+class TestHugeCounts:
+    # 60 rows of 60 cells: f has over 4,300 digits, past Python's default cap
+    SHAPE = ",".join(["60"] * 60)
+
+    @pytest.fixture
+    def digits(self):
+        # the expected text needs the cap lifted too (0 means no cap, or none
+        # before Python 3.11); the CLI must leave the cap as it found it
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        text = str(count_formula(parse_composition(self.SHAPE)))
+        if limit:
+            sys.set_int_max_str_digits(limit)
+        yield text
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+    def test_count(self, capsys, digits):
+        assert len(digits) > 4300
+        assert main(["count", self.SHAPE]) == 0
+        assert capsys.readouterr().out == digits + "\n"
+        assert main(["count", self.SHAPE, "--format", "json"]) == 0
+        assert f'"count": {digits}\n' in capsys.readouterr().out
+
+    def test_enumerate_total(self, capsys, digits):
+        assert main(["enumerate", self.SHAPE, "--limit", "0", "--format", "json"]) == 0
+        assert f'"total": {digits},' in capsys.readouterr().out
+
+    def test_sampled_verify(self, capsys, digits):
+        argv = ["verify", self.SHAPE, "--mode", "sampled", "--samples", "1"]
+        assert main(argv) == 0
+        assert f" count={digits} recursive={digits} " in capsys.readouterr().out
+        assert main([*argv, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert f'"count_formula": {digits},' in out and f'"count_recursive": {digits},' in out
 
 
 class TestArgumentErrors:

@@ -23,6 +23,7 @@ from immaculate.enumeration import (
     random_standard_immaculate,
     unrank_permutation,
     verify_bijection,
+    verify_shapes,
 )
 from immaculate.errors import GuardExceededError, InternalCheckError
 from immaculate.tableau import Tableau
@@ -216,6 +217,15 @@ class TestVerifyExhaustive:
         for key in ("elapsed_s", "jobs"):
             serial.pop(key), parallel.pop(key)
         assert serial == parallel
+
+    def test_parallel_matches_serial_across_shapes(self):
+        # all 16 shapes of n = 5 through one run on a real pool, report by report
+        shapes = list(compositions(5))
+        serial = [r.to_json_obj() for r in verify_shapes(shapes, jobs=1)]
+        parallel = [r.to_json_obj() for r in verify_shapes(shapes, jobs=2)]
+        for obj in serial + parallel:
+            obj.pop("elapsed_s"), obj.pop("jobs")
+        assert len(serial) == 16 and serial == parallel
 
     def test_guard(self):
         with pytest.raises(GuardExceededError, match="sampled"):

@@ -132,6 +132,11 @@ BACKENDS = ["pure", pytest.param("compiled", marks=needs_compiled)]
      "'float' object cannot be interpreted as an integer"),
     (lambda ops: ops.scan_fillings(0, 7), ValueError, "bad scan range [0, 7) for 3! fillings"),
     (lambda ops: ops.scan_pairs([(1, 2, 3)], 0, 4), ValueError, "bad scan range [0, 4)"),
+    # a P row's length is checked when the walk reaches the row
+    (lambda ops: ops.scan_pairs([(1, 2, 3), (1, 2)], 2, 4), ValueError,
+     "need 3 entries, got 2"),
+    (lambda ops: ops.scan_pairs([(1, 2, 3), (1, 2, 3, 4)], 0, 6), ValueError,
+     "need 3 entries, got 4"),
     (lambda ops: ops.straighten([9, 2, 2], check=True), InternalCheckError,
      "tied neighbours while sliding at position 0"),
     (lambda ops: ops.unstraighten([1, 2, 3], [4, 1, 1]), IndexError,
@@ -148,6 +153,13 @@ def test_input_contract(backend, call, error, message):
     with pytest.raises(error) as info:
         call(ops)
     assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("bad_row", [(1, 2), (1, 2, 3, 4), None])
+def test_pair_scan_never_reads_rows_past_its_range(backend, bad_row):
+    ops = get_backend(backend).ShapeOps((2, 1))
+    assert ops.scan_pairs([(1, 2, 3), bad_row], 0, 3, True) == []
 
 
 class TestTypeSurface:
@@ -240,6 +252,7 @@ def test_compiled_reference_counts_do_not_leak():
         assert len(ops.scan_pairs(bad, 0, 3, True)) == 3  # failed at a node
         assert ops.scan_pairs(bad, 0, 3, False)  # roundtrip failures
         assert len(ops.scan_pairs(tied, 0, 3, True)) == 2  # failed at a leaf
+        raises(ops.scan_pairs, bad + [(1, 2)], 0, 6, True)  # short row after failures
         compiled.ShapeOps((3, 1, 2))
         raises(ops.straighten, [9, 2, 2], check=True)
         raises(ops.straighten, [1, 2, 3, 4])
