@@ -6,11 +6,11 @@ C file ``_speedups.c``, mirrors it function by function: each of
 ``_rotate_left``/``_rotate_right``, the checked steps ``_checked_slide``/
 ``_checked_rotate`` with ``_check_exhausted``, ``_straighten_inplace``/
 ``_unstraighten_inplace`` and ``_lex_rank`` has a C function of the same
-name, the ``visit``/``leaf`` functions nested in ``scan_fillings`` and
-``scan_pairs`` are ``fill_visit``/``fill_leaf`` and ``pair_visit``/
-``pair_leaf`` there, and the public methods raise the same exceptions with
-the same messages.  Which twin you get from ``immaculate._kernels`` is
-decided at import time.
+name, the ``visit``/``leaf`` functions nested in ``count_standard``,
+``scan_fillings`` and ``scan_pairs`` are ``count_visit``, ``fill_visit``/
+``fill_leaf`` and ``pair_visit``/``pair_leaf`` there, and the public methods
+raise the same exceptions with the same messages.  Which twin you get from
+``immaculate._kernels`` is decided at import time.
 
 Positions here are 0-based flat indices, and a key layout fact keeps
 everything tight: in row-major order every hook occupies a contiguous run of
@@ -24,7 +24,6 @@ immaculate P rows), which the public modules validate before calling in.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 
@@ -72,20 +71,12 @@ class ShapeOps:
         for h in self.hooklen:
             self.hook_prod *= h
         self.n_factorial = math.factorial(n)
-        # (a, b) meaning entries[a] < entries[b] is required; for permutation
-        # contents this is exactly the standard-immaculate condition
-        pairs = []
-        for pos in range(n):
-            if self.right[pos] >= 0:
-                pairs.append((pos, self.right[pos]))
-            if self.below[pos] >= 0:
-                pairs.append((pos, self.below[pos]))
-        self.pairs = pairs
         self._hook_paths = {}
-        # The same conditions in traversal order, for prefixes: both
-        # neighbours of a traversal cell come before it in the traversal, so
-        # the first `count` cells are stable exactly when the first
-        # prefix_cut[count] row and column pairs hold.
+        # Stability, in traversal order: each cell with a right neighbour
+        # makes a row pair and each column-1 cell with one below a column
+        # pair.  Both neighbours of a traversal cell come before it in the
+        # traversal, so the first `count` cells are stable exactly when the
+        # first prefix_cut[count] row and column pairs hold.
         self.row_pairs = [(pos, self.right[pos]) for pos in self.order if self.right[pos] >= 0]
         self.col_pairs = [(pos, self.below[pos]) for pos in self.order if self.below[pos] >= 0]
         self.prefix_cut = [(0, 0)]
@@ -96,11 +87,16 @@ class ShapeOps:
     # -- predicates ---------------------------------------------------------
 
     def is_standard_immaculate(self, entries) -> bool:
-        """Stability of a flat filling whose entries are a permutation of 1..n."""
+        """Stability of a flat filling, on any entries: rows weakly increase,
+        column 1 strictly."""
         if len(entries) != self.size:
             raise ValueError(f"need {self.size} entries, got {len(entries)}")
-        for a, b in self.pairs:
+        # _prefix_standard(entries, n) without its slices
+        for a, b in self.row_pairs:
             if entries[a] > entries[b]:
+                return False
+        for a, b in self.col_pairs:
+            if entries[a] >= entries[b]:
                 return False
         return True
 
@@ -296,16 +292,35 @@ class ShapeOps:
     # -- bulk scans ---------------------------------------------------------
 
     def count_standard(self) -> int:
-        """Brute-force count of standard immaculate fillings over all n! fillings."""
-        pairs = self.pairs
-        count = 0
-        for perm in itertools.permutations(range(1, self.size + 1)):
-            for a, b in pairs:
-                if perm[a] > perm[b]:
-                    break
-            else:
-                count += 1
-        return count
+        """Count the standard immaculate fillings by a pruned walk.
+
+        The walk fills the cells depth first in traversal order, as
+        scan_fillings does.  A cell's right and lower neighbours are filled
+        before it, so it takes an unused value below both, and it leaves as
+        many smaller unused values as there are cells left of it in its row
+        and above it in column 1, which come later.  Each leaf counts one;
+        no hook length or binomial is used.
+        """
+        n = self.size
+        order, right, below, rowof, colof = self.order, self.right, self.below, self.rowof, self.colof
+        t = [0] * n
+        used = [False] * (n + 1)
+
+        def visit(d):
+            # order[0..d) are set
+            if d == n:
+                return 1
+            pos = order[d]
+            cap = min(t[right[pos]] if right[pos] >= 0 else n + 1,
+                      t[below[pos]] if below[pos] >= 0 else n + 1)
+            count = 0
+            for v in [v for v in range(1, cap) if not used[v]][rowof[pos] + colof[pos]:]:
+                t[pos], used[v] = v, True
+                count += visit(d + 1)
+                used[v] = False
+            return count
+
+        return visit(0)
 
     def scan_fillings(self, start, stop, check=True):
         """Roundtrip-check the fillings numbered [start, stop) in walk order.
@@ -328,7 +343,7 @@ class ShapeOps:
         start, stop = operator.index(start), operator.index(stop)
         if not 0 <= start <= stop <= self.n_factorial:
             raise ValueError(f"bad scan range [{start}, {stop}) for {n}! fillings")
-        order, pairs = self.order, self.pairs
+        order = self.order
         # leaves below one node of depth d + 1, that is with order[0..d] set
         leaves = [math.factorial(n - 1 - d) for d in range(n)]
         x, t, s = [0] * n, [0] * n, [1] * n
@@ -338,11 +353,7 @@ class ShapeOps:
 
         def leaf(error):
             nonlocal standard
-            for a, b in pairs:
-                if x[a] > x[b]:
-                    break
-            else:
-                standard += 1
+            standard += self.is_standard_immaculate(x)
             if error is None:
                 back, j = list(t), list(s)
                 try:

@@ -4,10 +4,9 @@
  * method (_prefix_standard, _slide, _build_path, _hook_index, _rotate_left,
  * _rotate_right, _checked_slide, _checked_rotate, _check_exhausted,
  * _straighten_inplace, _unstraighten_inplace, _lex_rank) is that method line
- * for line, and the walks of scan_fillings/scan_pairs are its nested visit
- * and leaf functions; only permutation stepping (next_perm) and the failure
- * entries exist in C alone.  The parity tests compare the two twins
- * exhaustively.
+ * for line, and the walks of count_standard/scan_fillings/scan_pairs are its
+ * nested visit and leaf functions; only the failure entries exist in C
+ * alone.  The parity tests compare the two twins exhaustively.
  *
  * Positions are 0-based flat row-major indices.  Hooks are contiguous flat
  * runs, so the v-th hook cell of position p is p + v - 1.
@@ -32,15 +31,13 @@ typedef struct {
     PyObject *hook_prod;   /* exact product of the hook lengths */
     PyObject *n_factorial; /* exact n! */
     int size;
-    int npairs;
     long long prod_ll;     /* hook_prod when it fits a long long, else -1 */
     int *geom;             /* one block holding every array below */
     int *row_start, *rowof, *colof, *right, *below, *order, *hooklen;
-    int *pa, *pb;          /* entries[pa[m]] < entries[pb[m]] is required */
-    /* the same conditions in traversal order: row_pairs[m] and its right
-     * neighbour, col_pairs[m] and the cell below it; the first `count`
-     * traversal cells own the first prefix_rows[count] and
-     * prefix_cols[count] of them */
+    /* stability in traversal order: the entry at row_pairs[m] may not
+     * exceed its right neighbour's, and the entry at col_pairs[m] must be
+     * below the one under it; the first `count` traversal cells own the
+     * first prefix_rows[count] and prefix_cols[count] of them */
     int *row_pairs, *col_pairs, *prefix_rows, *prefix_cols;
 } ShapeOps;
 
@@ -241,11 +238,11 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
     int n = (int)total;
 
     /* a second __init__ replaces the shape; one that fails leaves none.
-     * row_start has k + 1 ints, the six per-cell arrays n each, the pairs
-     * 2n each, the prefix pairs n each and their cuts n + 1 each; the column
-     * counts of the order sort borrow pa */
+     * row_start has k + 1 ints, the six per-cell arrays n each, the prefix
+     * pairs n each and their cuts n + 1 each; the column counts of the order
+     * sort borrow prefix_rows */
     PyMem_Free(self->geom);
-    int *cursor = self->geom = alloc_ints((size_t)(k + 3) + 14 * (size_t)n);
+    int *cursor = self->geom = alloc_ints((size_t)(k + 3) + 10 * (size_t)n);
     if (cursor == NULL)
         goto fail;
     int *row_start = self->row_start = cursor; cursor += k + 1;
@@ -255,8 +252,6 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
     int *below = self->below = cursor;         cursor += n;
     int *order = self->order = cursor;         cursor += n;
     int *hooklen = self->hooklen = cursor;     cursor += n;
-    int *pa = self->pa = cursor;               cursor += 2 * n;
-    int *pb = self->pb = cursor;               cursor += 2 * n;
     int *row_pairs = self->row_pairs = cursor; cursor += n;
     int *col_pairs = self->col_pairs = cursor; cursor += n;
     int *prefix_rows = self->prefix_rows = cursor; cursor += n + 1;
@@ -280,7 +275,7 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
     }
     /* traversal order: right-most column first, bottom-up within a column;
      * a counting sort on the column, filled from the bottom row up */
-    int *slot = pa;
+    int *slot = prefix_rows;
     memset(slot, 0, (size_t)maxcol * sizeof(int));
     for (int pos = 0; pos < n; pos++)
         slot[colof[pos]]++;
@@ -303,18 +298,6 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
             col_pairs[prefix_cols[m + 1]++] = pos;
     }
 
-    int npairs = 0;
-    for (int pos = 0; pos < n; pos++) {
-        if (right[pos] >= 0) {
-            pa[npairs] = pos;
-            pb[npairs++] = right[pos];
-        }
-        if (below[pos] >= 0) {
-            pa[npairs] = pos;
-            pb[npairs++] = below[pos];
-        }
-    }
-
     hook_prod = exact_product(hooklen, n);
     if (hook_prod == NULL)
         goto fail;
@@ -327,7 +310,6 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
     Py_XSETREF(self->hook_prod, hook_prod);
     Py_XSETREF(self->n_factorial, n_factorial);
     self->size = n;
-    self->npairs = npairs;
     self->prod_ll = overflow ? -1 : prod_ll;
     return 0;
 
@@ -350,15 +332,6 @@ ShapeOps_dealloc(ShapeOps *self)
 }
 
 /* -- predicates ------------------------------------------------------------ */
-
-static int
-is_standard(const ShapeOps *self, const int *t)
-{
-    for (int m = 0; m < self->npairs; m++)
-        if (t[self->pa[m]] > t[self->pb[m]])
-            return 0;
-    return 1;
-}
 
 /* stability of the first `count` traversal cells, treating everything
  * outside that prefix as infinite: rows weakly increase, column 1 strictly */
@@ -593,27 +566,6 @@ _unstraighten_inplace(const ShapeOps *self, int *t, int *j, int check, int *path
     return check ? _check_exhausted(self, j) : 0;
 }
 
-/* -- permutations ---------------------------------------------------------- */
-
-/* step a to its lexicographic successor; 0 when a was the last (C only) */
-static int
-next_perm(int *a, int n)
-{
-    int i = n - 2;
-    while (i >= 0 && a[i] >= a[i + 1])
-        i--;
-    if (i < 0)
-        return 0;
-    int j = n - 1;
-    while (a[j] <= a[i])
-        j--;
-    int tmp = a[i]; a[i] = a[j]; a[j] = tmp;
-    for (int lo = i + 1, hi = n - 1; lo < hi; lo++, hi--) {
-        tmp = a[lo]; a[lo] = a[hi]; a[hi] = tmp;
-    }
-    return 1;
-}
-
 /* lexicographic rank of a permutation among all permutations of its values,
  * as an exact Python int: past 20 cells it outgrows a long long */
 static PyObject *
@@ -635,6 +587,38 @@ _lex_rank(const int *x, int n)
 }
 
 /* -- scans ----------------------------------------------------------------- */
+
+/* the walk of count_standard: order[0..d) are set, and *count gains one
+ * per leaf below */
+static int
+count_visit(const ShapeOps *self, int *t, int *used, int d, long long *count)
+{
+    int n = self->size;
+    if (d == n) {
+        (*count)++;
+        return 0;
+    }
+    if (Py_EnterRecursiveCall(" in count_standard"))
+        return -1;
+    int pos = self->order[d], r = self->right[pos], b = self->below[pos], rc = 0;
+    int cap = r >= 0 ? t[r] : n + 1, skip = self->rowof[pos] + self->colof[pos];
+    if (b >= 0 && t[b] < cap)
+        cap = t[b];
+    for (int v = 1; v < cap && rc == 0; v++) {
+        if (used[v])
+            continue;
+        if (skip) {
+            skip--;
+            continue;
+        }
+        t[pos] = v;
+        used[v] = 1;
+        rc = count_visit(self, t, used, d + 1, count);
+        used[v] = 0;
+    }
+    Py_LeaveRecursiveCall();
+    return rc;
+}
 
 /* A failure is (index, stage, message); index is a Python int. */
 static PyObject *x_changed, *y_changed; /* the roundtrip messages */
@@ -702,7 +686,7 @@ fill_leaf(Walk *w, PyObject *error)
 {
     const ShapeOps *self = w->self;
     int n = self->size;
-    w->standard += is_standard(self, w->x);
+    w->standard += _prefix_standard(self, w->x, n);
     PyObject *message = Py_XNewRef(error);
     if (message == NULL) {
         memcpy(w->back, w->t, (size_t)n * sizeof(int));
@@ -909,7 +893,7 @@ ShapeOps_is_standard_immaculate(ShapeOps *self, PyObject *const *args, Py_ssize_
         return NULL;
     PyObject *result = NULL;
     if (read_ints(entries, t, self->size) == 0)
-        result = PyBool_FromLong(is_standard(self, t));
+        result = PyBool_FromLong(_prefix_standard(self, t, self->size));
     PyMem_Free(t);
     return result;
 }
@@ -936,7 +920,7 @@ ShapeOps_straighten(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs, PyO
         s[i] = 1;
     if (_straighten_inplace(self, t, s, check, buf + 2 * n) < 0)
         goto done;
-    if (check && !is_standard(self, t)) {
+    if (check && !_prefix_standard(self, t, n)) {
         PyErr_SetString(InternalCheckError, "straighten result is not standard immaculate");
         goto done;
     }
@@ -985,17 +969,13 @@ ShapeOps_count_standard(ShapeOps *self, PyObject *Py_UNUSED(ignored))
     if (ready(self) < 0)
         return NULL;
     int n = self->size;
-    int *a = alloc_ints((size_t)n);
-    if (a == NULL)
-        return NULL;
-    for (int i = 0; i < n; i++)
-        a[i] = i + 1;
+    int *buf = PyMem_Calloc(2 * (size_t)n + 1, sizeof(int)); /* t, then used */
+    if (buf == NULL)
+        return PyErr_NoMemory();
     long long count = 0;
-    do {
-        count += is_standard(self, a);
-    } while (next_perm(a, n));
-    PyMem_Free(a);
-    return PyLong_FromLongLong(count);
+    int rc = count_visit(self, buf, buf + n, 0, &count);
+    PyMem_Free(buf);
+    return rc < 0 ? NULL : PyLong_FromLongLong(count);
 }
 
 static PyObject *
@@ -1115,7 +1095,7 @@ static PyMethodDef ShapeOps_methods[] = {
     {"is_standard_immaculate", (PyCFunction)(void (*)(void))ShapeOps_is_standard_immaculate,
      METH_FASTCALL | METH_KEYWORDS,
      "is_standard_immaculate(entries)\n--\n\n"
-     "Stability of a flat filling whose entries are a permutation of 1..n."},
+     "Stability of a flat filling, on any entries: rows weakly increase, column 1 strictly."},
     {"straighten", (PyCFunction)(void (*)(void))ShapeOps_straighten,
      METH_FASTCALL | METH_KEYWORDS,
      "straighten(entries, check=False)\n--\n\n"
@@ -1125,7 +1105,7 @@ static PyMethodDef ShapeOps_methods[] = {
      "unstraighten(p_entries, hook_values, check=False)\n--\n\n"
      "(flat standard immaculate filling, flat hook values) -> flat filling."},
     {"count_standard", (PyCFunction)ShapeOps_count_standard, METH_NOARGS,
-     "Brute-force count of standard immaculate fillings over all n! fillings."},
+     "Count the standard immaculate fillings by a pruned walk in traversal order."},
     {"scan_fillings", (PyCFunction)(void (*)(void))ShapeOps_scan_fillings,
      METH_FASTCALL | METH_KEYWORDS,
      "scan_fillings(start, stop, check=True)\n--\n\n"

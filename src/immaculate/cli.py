@@ -2,17 +2,19 @@
 
 Subcommands: hooks, count, enumerate, psi, phi, verify.  psi expands a
 (tableau, hook values) pair into a filling; phi is its inverse.  Exit codes:
-0 success, 1 verification or internal-check failure, 2 parse error, 3 size
-guard exceeded, 4 semantically invalid input.
+0 success (also when the reader closes stdout early), 1 verification or
+internal-check failure, 2 parse error, 3 size guard exceeded (also a shape
+past what a kernel walk can reach), 4 semantically invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from itertools import islice
 from pathlib import Path
+from typing import Iterable
 
 from .bijection import Pair, straighten, unstraighten
 from .composition import parse_composition, compositions, count_formula
@@ -37,6 +39,18 @@ def _read_input(path: str) -> str:
 
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
+
+
+def _print_json_stream(head: dict, key: str, items: Iterable) -> None:
+    """_print_json({**head, key: list(items)}), holding one item at a time."""
+    text = json.dumps({**head, key: []}, indent=2)
+    # the text ends in '"key": []\n}'; each item sits two levels deep
+    sys.stdout.write(text[:-len("]\n}")])
+    sep = "\n"
+    for item in items:
+        sys.stdout.write(sep + "    " + json.dumps(item, indent=2).replace("\n", "\n    "))
+        sep = ",\n"
+    sys.stdout.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 
 
 def _print_trace(trace) -> None:
@@ -80,23 +94,18 @@ def cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ParseError(f"--limit must not be negative, got {args.limit}")
     alpha = parse_composition(args.shape)
-    stream = islice(enumerate_standard_immaculate(alpha), args.limit)
+    total = count_formula(alpha)
+    # a limit above the total means no limit; range takes any size of int
+    count = total if args.limit is None else min(args.limit, total)
+    stream = (t for _, t in zip(range(count), enumerate_standard_immaculate(alpha)))
     if args.format == "json":
-        collected = [[list(r) for r in t.rows] for t in stream]
-        _print_json(
-            {
-                "shape": list(alpha.parts),
-                "total": count_formula(alpha),
-                "count": len(collected),
-                "tableaux": collected,
-            }
-        )
+        head = {"shape": list(alpha.parts), "total": total, "count": count}
+        _print_json_stream(head, "tableaux", ([list(r) for r in t.rows] for t in stream))
         return 0
-    emitted = 0
-    for emitted, t in enumerate(stream, 1):
+    for t in stream:
         print(t.to_text())
         print()
-    print(f"count: {emitted}")
+    print(f"count: {count}")
     return 0
 
 
@@ -229,10 +238,19 @@ def main(argv=None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
     except ImmaculateError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # The reader stopped reading, which is its choice.  Point stdout at
+        # the null device so the flush at exit has somewhere to go.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

@@ -2,7 +2,8 @@
 
 The count of standard immaculate tableaux can be obtained three independent
 ways: the hook-length formula n!/prod(hooks), the first-row recursion (one
-binomial per row, multiplied), and brute-force filtering of all n! fillings.
+binomial per row, multiplied), and a brute-force walk that fills the cells
+one by one and counts the stable fillings it completes.
 Enumeration and sampling use the same row-by-row construction as the
 recursion: the smallest label left heads the row and any part - 1 of the
 other labels left, sorted, fill its tail.  None of them keeps a memo table
@@ -21,7 +22,7 @@ import random
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
@@ -34,6 +35,7 @@ from .tableau import Tableau, split_flat
 
 # Factorial growth makes these defaults generous already: 10! fillings for
 # the brute-force filter, and 2 * 8! roundtrips per shape when exhaustive.
+# The brute-force count walks far fewer, but keeps the same guard.
 BRUTE_GUARD = 10
 EXHAUSTIVE_GUARD = 8
 
@@ -43,6 +45,17 @@ def _require_within(n: int, guard: int, doing: str, advice: str) -> None:
         raise GuardExceededError(
             f"{doing} needs n <= {guard} but the shape has {n} cells; {advice}"
         )
+
+
+@contextmanager
+def _walk_limits(n: int, doing: str):
+    """Report a kernel walk too deep for the stack, or too long for the C
+    twin's 64-bit leaf numbers, as a guard error naming the shape's size."""
+    try:
+        yield
+    except (RecursionError, OverflowError) as exc:
+        raise GuardExceededError(
+            f"{doing} cannot walk a shape of {n} cells: {exc}") from None
 
 
 def all_standard_fillings(alpha: Composition) -> Iterator[Tableau]:
@@ -70,10 +83,16 @@ def brute_force_standard_immaculate(
 
 
 def count_brute(alpha: Composition, guard: int = BRUTE_GUARD) -> int:
-    """Count standard immaculate tableaux by scanning all n! fillings."""
+    """Count standard immaculate tableaux by walking the fillings cell by cell.
+
+    The kernel's count_standard fills the cells in traversal order and cuts
+    every branch that breaks stability, so it never uses hook lengths or
+    binomials.  It recurses once per cell.
+    """
     _require_within(alpha.n, guard, "brute-force counting",
                     "use count_recursive or the formula instead, or raise guard=")
-    return get_backend().ShapeOps(alpha.parts).count_standard()
+    with _walk_limits(alpha.n, "brute-force counting"):
+        return get_backend().ShapeOps(alpha.parts).count_standard()
 
 
 # -- row by row ---------------------------------------------------------------
@@ -283,9 +302,10 @@ def _file_failure(failures: dict, side: str, index: int, stage: str, message: st
 def _scan_task(task):
     parts, side, start, stop, p_table = task
     ops = get_backend().ShapeOps(parts)
-    if side == "x":
-        return ops.scan_fillings(start, stop, True)
-    return 0, ops.scan_pairs(p_table, start, stop, True)
+    with _walk_limits(ops.size, "exhaustive verification"):
+        if side == "x":
+            return ops.scan_fillings(start, stop, True)
+        return 0, ops.scan_pairs(p_table, start, stop, True)
 
 
 def _chunks(total: int, pieces: int) -> list[tuple[int, int]]:

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,42 @@ class TestEnumerate:
         assert obj["total"] == 4
         assert obj["count"] == 2
         assert obj["tableaux"] == [[[1, 5], [2], [3, 4]], [[1, 4], [2], [3, 5]]]
+
+    ALL_212 = [[[1, 5], [2], [3, 4]], [[1, 4], [2], [3, 5]], [[1, 3], [2], [4, 5]],
+               [[1, 2], [3], [4, 5]]]
+
+    @pytest.mark.parametrize("limit", [None, 2, 0])
+    def test_json_streamed_byte_for_byte(self, capsys, limit):
+        # the array is written one tableau at a time, as json.dumps would
+        argv = ["enumerate", "2,1,2", "--format", "json"]
+        assert main(argv + ([] if limit is None else ["--limit", str(limit)])) == 0
+        tableaux = self.ALL_212[:limit]
+        obj = {"shape": [2, 1, 2], "total": 4, "count": len(tableaux), "tableaux": tableaux}
+        assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
+
+    def test_json_holds_one_tableau_at_a_time(self, monkeypatch):
+        class Sink(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        tracemalloc.start()
+        try:
+            # 10,395 tableaux; collecting them first peaked at about 23 MiB
+            assert main(["enumerate", "2,2,2,2,2,2", "--format", "json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"peak {peak} bytes"
+
+    def test_limit_past_the_total(self, capsys):
+        # a limit past the total means none, even one past sys.maxsize
+        huge = str(10**30)
+        assert main(["enumerate", "2,1", "--limit", huge]) == 0
+        assert capsys.readouterr().out == "1 3\n2\n\n1 2\n3\n\ncount: 2\n"
+        assert main(["enumerate", "2,1", "--limit", huge, "--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["count"], obj["tableaux"]) == (2, [[[1, 3], [2]], [[1, 2], [3]]])
 
 
 class TestPsi:
@@ -399,6 +436,36 @@ class TestLargeInputs:
                        preexec_fn=_cap_address_space)
         assert out.returncode == 0, out.stderr
         assert "1/1 shapes ok" in out.stdout
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_exits_0_quietly(self):
+        # about 0.3 MB of output, far past the pipe's 64 KiB buffer
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "immaculate.cli", "enumerate", "2,2,2,2,2,2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path))
+        assert proc.stdout.readline() == b"1 12\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), stderr) == (0, b"")
+
+
+class TestWalkLimits:
+    # shapes past what a kernel walk reaches exit 3 with one stderr line
+    def test_verify_past_the_recursion_limit(self):
+        out = _run_cli("verify", "1000", "--guard", "1000")
+        assert (out.returncode, out.stdout) == (3, "")
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+        assert "1000 cells" in out.stderr
+
+    def test_pure_brute_count_past_the_recursion_limit(self, monkeypatch):
+        monkeypatch.setenv("IMMACULATE_PURE", "1")
+        out = _run_cli("count", ",".join(["2"] * 1000), "--method", "brute", "--guard", "2000")
+        assert (out.returncode, out.stdout) == (3, "")
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+        assert "2000 cells" in out.stderr
 
 
 class TestHugeCounts:

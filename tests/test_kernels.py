@@ -10,12 +10,15 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import immaculate
 from immaculate._kernels import BACKEND, BACKEND_REASON, get_backend
 from immaculate.bijection import HookTableau, Pair, straighten, unstraighten
 from immaculate.composition import Composition, compositions, count_formula
+from immaculate.enumeration import brute_force_standard_immaculate
 from immaculate.errors import InternalCheckError
 from immaculate.tableau import Tableau
 
@@ -64,11 +67,6 @@ class TestPureAgainstReference:
             p, j = ops.straighten(vals, check=True)
             assert tuple(p) == pair.tableau.flat()
             assert tuple(j) == tuple(v for r in pair.hooks.rows for v in r)
-
-    def test_count_matches_formula(self):
-        for n in range(1, 7):
-            for alpha in compositions(n):
-                assert pure.ShapeOps(alpha.parts).count_standard() == count_formula(alpha)
 
 
 @needs_compiled
@@ -160,6 +158,62 @@ def test_input_contract(backend, call, error, message):
 def test_pair_scan_never_reads_rows_past_its_range(backend, bad_row):
     ops = get_backend(backend).ShapeOps((2, 1))
     assert ops.scan_pairs([(1, 2, 3), bad_row], 0, 3, True) == []
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestStabilityAndCountWalk:
+    def test_kernel_stability_is_object_stability_on_any_entries(self, backend):
+        # rows weakly increase and column 1 strictly, with repeated entries
+        # too: [1, 1] on shape 1,1 is not stable
+        for n in range(1, 6):
+            for alpha in compositions(n):
+                ops = get_backend(backend).ShapeOps(alpha.parts)
+                for flat in itertools.product(range(1, 4), repeat=n):
+                    t = Tableau.from_flat(alpha, flat)
+                    stable = all(t.is_stable(c) for c in alpha.cells())
+                    assert ops.is_standard_immaculate(flat) == stable, (alpha, flat)
+
+    def test_count_walk_matches_formula_through_n9(self, backend):
+        for n in range(1, 10):
+            for alpha in compositions(n):
+                ops = get_backend(backend).ShapeOps(alpha.parts)
+                assert ops.count_standard() == count_formula(alpha), alpha
+
+    def test_count_walk_matches_brute_force_oracle_through_n7(self, backend):
+        for n in range(1, 8):
+            for alpha in compositions(n):
+                ops = get_backend(backend).ShapeOps(alpha.parts)
+                assert ops.count_standard() == len(brute_force_standard_immaculate(alpha)), alpha
+
+
+def _cli(backend, *args):
+    """The CLI as a subprocess on one backend, from the tree these tests import."""
+    env = {k: v for k, v in os.environ.items() if k != "IMMACULATE_PURE"}
+    if backend == "pure":
+        env["IMMACULATE_PURE"] = "1"
+    tree = str(Path(immaculate.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [tree, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "immaculate.cli", *args],
+                          capture_output=True, text=True, timeout=120, env=env)
+
+
+class TestWalkLimits:
+    """Shapes past what a kernel walk can reach exit 3 with one stderr line."""
+
+    def _exits_3(self, out, n):
+        assert (out.returncode, out.stdout) == (3, ""), out.stderr
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+        assert f"{n} cells" in out.stderr
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_verify_past_the_recursion_limit(self, backend):
+        # pure recurses past Python's limit; compiled cannot number 1000! leaves
+        self._exits_3(_cli(backend, "verify", "1000", "--guard", "1000"), 1000)
+
+    @needs_compiled
+    def test_compiled_verify_past_64_bit_leaf_numbers(self):
+        # 21! > 2**63
+        self._exits_3(_cli("compiled", "verify", "21", "--guard", "21"), 21)
 
 
 class TestTypeSurface:
