@@ -32,6 +32,7 @@ typedef struct {
     PyObject *n_factorial; /* exact n! */
     int size;
     long long prod_ll;     /* hook_prod when it fits a long long, else -1 */
+    long long fact_ll;     /* n_factorial when it fits a long long, else -1 */
     int *geom;             /* one block holding every array below */
     int *row_start, *rowof, *colof, *right, *below, *order, *hooklen;
     /* stability in traversal order: the entry at row_pairs[m] may not
@@ -305,12 +306,15 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
     if (n_factorial == NULL)
         goto fail;
     long long prod_ll = PyLong_AsLongLongAndOverflow(hook_prod, &overflow);
+    int fact_overflow;
+    long long fact_ll = PyLong_AsLongLongAndOverflow(n_factorial, &fact_overflow);
 
     Py_XSETREF(self->parts, parts);
     Py_XSETREF(self->hook_prod, hook_prod);
     Py_XSETREF(self->n_factorial, n_factorial);
     self->size = n;
     self->prod_ll = overflow ? -1 : prod_ll;
+    self->fact_ll = fact_overflow ? -1 : fact_ll;
     return 0;
 
 fail:
@@ -987,6 +991,10 @@ ShapeOps_scan_fillings(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs,
     if (bind_args("scan_fillings", names, 2, 3, args, nargs, kwnames, arg) < 0
             || ready(self) < 0)
         return NULL;
+    if (self->fact_ll < 0) {
+        PyErr_SetString(PyExc_OverflowError, "n! too large for compiled scan");
+        return NULL;
+    }
     int n = self->size;
     PyObject *start = NULL, *stop = NULL, *zero = NULL, *failures = NULL, *result = NULL;
     int *buf = NULL;
@@ -1114,7 +1122,8 @@ static PyMethodDef ShapeOps_methods[] = {
      "form the i-th permutation; each straighten step runs once per tree node.\n"
      "Returns (standard_count, failures); failures holds (rank, stage, message)\n"
      "in walk order, rank being the filling's lexicographic rank, and\n"
-     "standard_count tallies the standard immaculate fillings scanned."},
+     "standard_count tallies the standard immaculate fillings scanned.\n"
+     "Raises OverflowError when n! does not fit a C long long."},
     {"scan_pairs", (PyCFunction)(void (*)(void))ShapeOps_scan_pairs,
      METH_FASTCALL | METH_KEYWORDS,
      "scan_pairs(p_table, start, stop, check=True)\n--\n\n"

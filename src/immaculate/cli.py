@@ -47,8 +47,12 @@ def _print_json_stream(head: dict, key: str, items: Iterable) -> None:
     # the text ends in '"key": []\n}'; each item sits two levels deep
     sys.stdout.write(text[:-len("]\n}")])
     sep = "\n"
+    # each item is a list of int rows: its indent=2 text is written by hand,
+    # as json.dumps(indent=2) would run the pure-Python encoder on it
     for item in items:
-        sys.stdout.write(sep + "    " + json.dumps(item, indent=2).replace("\n", "\n    "))
+        rows = ",\n".join("      [\n        " + ",\n        ".join(map(str, row)) + "\n      ]"
+                          for row in item)
+        sys.stdout.write(sep + "    [\n" + rows + "\n    ]")
         sep = ",\n"
     sys.stdout.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 

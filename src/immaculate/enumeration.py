@@ -34,8 +34,9 @@ from .errors import GuardExceededError, InternalCheckError
 from .tableau import Tableau, split_flat
 
 # Factorial growth makes these defaults generous already: 10! fillings for
-# the brute-force filter, and 2 * 8! roundtrips per shape when exhaustive.
-# The brute-force count walks far fewer, but keeps the same guard.
+# the brute-force filter, and 8! roundtrips per shape when exhaustive (twice
+# that for a shape whose filling scan fails).  The brute-force count walks
+# far fewer, but keeps the same guard.
 BRUTE_GUARD = 10
 EXHAUSTIVE_GUARD = 8
 
@@ -242,6 +243,9 @@ class VerificationReport:
     jobs: int
     backend: str
     elapsed_s: float
+    # how the pair side was checked: "x-scan" (proved by the clean filling
+    # scan), "y-scan" (walked) or "samples"
+    y_covered_by: str = "y-scan"
 
     @property
     def counts_agree(self) -> bool:
@@ -318,29 +322,33 @@ def _reshape(alpha: Composition, flat: Sequence[int]) -> list[list[int]]:
     return [list(r) for r in split_flat(alpha, flat)]
 
 
-def _scan_tasks(alpha: Composition, hook_prod: int, p_table: list, pieces: int) -> list[tuple]:
-    """One shape's scans as at most `pieces` even runs of leaves per side.
+def _scan_tasks(alpha: Composition, side: str, size: int, p_table: list | None,
+                pieces: int) -> list[tuple]:
+    """One side's scan of a shape as at most `pieces` even runs of leaves.
 
     The walks start and stop at any leaf, so a run needs no subtree
     boundaries.  Each y task carries the whole P table; the kernel reads only
     the rows its run reaches, and reports the flat indices as they stand.
     """
-    x_tasks = [(alpha.parts, "x", lo, hi, None)
-               for lo, hi in _chunks(math.factorial(alpha.n), pieces)]
-    y_tasks = [(alpha.parts, "y", lo, hi, p_table)
-               for lo, hi in _chunks(len(p_table) * hook_prod, pieces)]
-    return x_tasks + y_tasks
+    return [(alpha.parts, side, lo, hi, p_table) for lo, hi in _chunks(size, pieces)]
 
 
-def _exhaustive_report(alpha, started, p_table, hook_prod, tasks, results, jobs):
-    """Gather one shape's scan results, failures sorted by index on each side."""
+def _exhaustive_report(alpha, started, p_table, x_results, run, pieces, jobs):
+    """Gather one shape's filling scan, walk its pairs only when that scan
+    cannot prove them, and sort the failures by index on each side."""
+    hook_prod = alpha.hook_product()
+    n_fact, y_size = math.factorial(alpha.n), len(p_table) * hook_prod
     found: dict[str, list] = {"x": [], "y": []}
-    checked = {"x": 0, "y": 0}
     standard_total = 0
-    for (_, side, start, stop, _), (standard, raw) in zip(tasks, results):
+    for standard, raw in x_results:
         standard_total += standard
-        checked[side] += stop - start
-        found[side].extend(raw)
+        found["x"].extend(raw)
+    # see verify_bijection for why a clean filling scan proves the pair side
+    covered_by = "x-scan"
+    if found["x"] or standard_total * hook_prod != n_fact or y_size != n_fact:
+        covered_by = "y-scan"
+        for _, raw in run(_scan_task, _scan_tasks(alpha, "y", y_size, p_table, pieces)):
+            found["y"].extend(raw)
     hooklen = [h for row in alpha.hook_lengths() for h in row]
     failures: dict[str, list[dict]] = {"roundtrip": [], "check": []}
     for side in ("x", "y"):
@@ -353,17 +361,18 @@ def _exhaustive_report(alpha, started, p_table, hook_prod, tasks, results, jobs)
                        "J": _reshape(alpha, _unrank_hook_values(hooklen, rem))}
             _file_failure(failures, side, index, stage, message, obj)
     return _report(alpha, "exhaustive", started, failures, count_bruteforce=standard_total,
-                   x_size=math.factorial(alpha.n), y_size=len(p_table) * hook_prod,
-                   x_checked=checked["x"], y_checked=checked["y"], seed=None,
-                   sample_size=None, jobs=jobs)
+                   x_size=n_fact, y_size=y_size, x_checked=n_fact, y_checked=y_size,
+                   seed=None, sample_size=None, jobs=jobs, y_covered_by=covered_by)
 
 
 def _verify_exhaustive(shapes: Iterable[Composition], jobs: int,
                        guard: int) -> Iterator[VerificationReport]:
     # Forking starts every worker at once, so never ask for more than the
     # machine has cores.  One pool serves the whole run; it starts its
-    # workers at the first task, and while it scans one shape, the next
-    # shape's tasks are already queued behind it.
+    # workers at the first task, and while it scans one shape's fillings,
+    # the next shape's are already queued behind it.  A shape's pair tasks
+    # join the queue only after its filling results are in, and only when
+    # those cannot prove the pair side.
     workers = min(jobs, os.cpu_count() or 1)
     pieces = 4 * workers if workers > 1 else 1
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
@@ -373,14 +382,13 @@ def _verify_exhaustive(shapes: Iterable[Composition], jobs: int,
             _require_within(alpha.n, guard, "exhaustive verification",
                             "use mode='sampled' or raise guard=")
             started = time.perf_counter()
-            hook_prod = alpha.hook_product()
             p_table = [t.flat() for t in enumerate_standard_immaculate(alpha)]
-            tasks = _scan_tasks(alpha, hook_prod, p_table, pieces)
-            pending.append((alpha, started, p_table, hook_prod, tasks, run(_scan_task, tasks)))
+            x_tasks = _scan_tasks(alpha, "x", math.factorial(alpha.n), None, pieces)
+            pending.append((alpha, started, p_table, run(_scan_task, x_tasks)))
             if len(pending) > 1:
-                yield _exhaustive_report(*pending.popleft(), jobs)
+                yield _exhaustive_report(*pending.popleft(), run, pieces, jobs)
         while pending:
-            yield _exhaustive_report(*pending.popleft(), jobs)
+            yield _exhaustive_report(*pending.popleft(), run, pieces, jobs)
 
 
 def _verify_sampled(alpha: Composition, sample_size: int, seed: int) -> VerificationReport:
@@ -413,7 +421,7 @@ def _verify_sampled(alpha: Composition, sample_size: int, seed: int) -> Verifica
             _file_failure(failures, "y", i, *failed, pair)
     return _report(alpha, "sampled", started, failures, count_bruteforce=None, x_size=None,
                    y_size=None, x_checked=sample_size, y_checked=sample_size, seed=seed,
-                   sample_size=sample_size, jobs=1)
+                   sample_size=sample_size, jobs=1, y_covered_by="samples")
 
 
 def _report(alpha: Composition, mode: str, started: float, failures: dict,
@@ -444,10 +452,13 @@ def verify_shapes(
     shapes may be any iterable, read once, in order.  An exhaustive run
     checks each shape against guard before it scans it, and starts at most
     one pool of min(jobs, os.cpu_count()) worker processes for all of them,
-    none when that is one.  The pool gets each shape's scans as even runs
-    of leaves in walk order, at most four per worker and side, and each y
-    task carries the whole P table.  A shape's elapsed_s runs from its
-    setup to the arrival of its last result.
+    none when that is one.  The pool gets each shape's filling scan as even
+    runs of leaves in walk order, at most four per worker, and the next
+    shape's runs queue behind them.  The pair scan joins the queue, split
+    the same way with the whole P table in each task, only for a shape
+    whose filling scan failed or whose counts disagree (see
+    verify_bijection).  A shape's elapsed_s runs from its setup to the
+    arrival of its last result.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -466,21 +477,37 @@ def verify_bijection(
 ) -> VerificationReport:
     """Cross-check the count formula and roundtrip the bijection on one shape.
 
-    Exhaustive mode roundtrips every filling (straighten then unstraighten)
-    and every pair (the other way around), with every structural invariant
-    asserted at each step.  The kernel scans walk the objects as a tree:
-    fillings that agree on their first traversal cells share their first
-    straighten steps, and pairs that agree on their first hook values in
-    unstraighten order share their first unstraighten steps, so each step
-    runs once per tree node and each object still gets the full checked
-    inverse and an exact comparison.  A failure's index is that of the
-    object itself: the lexicographic rank of a filling, and for a pair the
-    P row's index times the hook product plus the hook values in mixed
-    radix, last flat cell fastest.  Failures are sorted by index on each
-    side.  jobs > 1 splits the walks into runs of leaves for
-    min(jobs, os.cpu_count()) worker processes; see verify_shapes, which
-    this calls for exhaustive mode.  Sampled mode draws sample_size objects
-    per side from the seeded Mersenne Twister stream instead, so runs are
+    Exhaustive mode roundtrips every filling x (straighten then
+    unstraighten) with every structural invariant asserted at each step,
+    and that proves the pair side too.  The last checked straighten step
+    finds the whole of P standard immaculate, and the path check keeps
+    every hook value within its hook, so straighten(x) is a pair.  The
+    checked unstraighten of that pair gives x back, so straighten is
+    injective from the n! fillings into the pairs.  The filling scan also
+    tallies the standard immaculate fillings, and when that count and the
+    number of P rows, times the hook product, both equal n!, there are as
+    many pairs as fillings and straighten is a bijection.  Every pair y is
+    then straighten(x) for exactly one x, whose scan already ran the checked
+    unstraighten on y and the checked straighten on the result, so
+    straighten(unstraighten(y)) = y.  The report then says
+    y_covered_by="x-scan", with y_checked = y_size.  When the filling scan
+    fails or a count disagrees, the pairs are roundtripped the other way
+    around as well (y_covered_by="y-scan"), so the report names the
+    failing pairs too.
+
+    The kernel scans walk the objects as a tree: fillings that agree on
+    their first traversal cells share their first straighten steps, and
+    pairs that agree on their first hook values in unstraighten order share
+    their first unstraighten steps, so each step runs once per tree node
+    and each object still gets the full checked inverse and an exact
+    comparison.  A failure's index is that of the object itself: the
+    lexicographic rank of a filling, and for a pair the P row's index times
+    the hook product plus the hook values in mixed radix, last flat cell
+    fastest.  Failures are sorted by index on each side.  jobs > 1 splits
+    the walks into runs of leaves for min(jobs, os.cpu_count()) worker
+    processes; see verify_shapes, which this calls for exhaustive mode.
+    Sampled mode draws sample_size objects per side from the seeded
+    Mersenne Twister stream instead (y_covered_by="samples"), so runs are
     reproducible; jobs is ignored there.  Counting always happens in all
     available ways.  The scans run on the active kernel backend.
     """

@@ -6,7 +6,7 @@ import types
 
 import pytest
 
-from immaculate import cli
+from immaculate import cli, enumeration
 from immaculate._kernels import BACKEND, _pure
 from immaculate.bijection import HookTableau, Pair, straighten, unstraighten
 from immaculate.composition import Composition, compositions, count_formula
@@ -240,6 +240,13 @@ class TestVerifyExhaustive:
         verify_bijection(Composition((2, 1)), jobs=1)
         assert pool_sizes == [2]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_clean_filling_scan_proves_the_pairs(self, pool_sizes, scan_sides, jobs):
+        report = verify_bijection(Composition((3, 1, 2)), jobs=jobs)
+        assert report.ok and report.y_covered_by == "x-scan"
+        assert report.y_checked == report.y_size == 720
+        assert scan_sides and set(scan_sides) == {"x"}
+
     @pytest.mark.parametrize("jobs, pools", [(2, [2]), (1, [])])
     def test_one_pool_per_cli_run(self, pool_sizes, capsys, jobs, pools):
         # all 8 shapes of n = 4 share the run's one pool, and jobs 1 needs none
@@ -272,6 +279,20 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def scan_sides(monkeypatch):
+    """The side of every scan task run in this process."""
+    sides = []
+    scan = enumeration._scan_task
+
+    def spy(task):
+        sides.append(task[1])
+        return scan(task)
+
+    monkeypatch.setattr("immaculate.enumeration._scan_task", spy)
+    return sides
+
+
 class TestVerifySampled:
     def test_reproducible(self):
         alpha = Composition((4, 1, 4, 2, 1))
@@ -295,8 +316,9 @@ class TestVerifySampled:
             "shape", "mode", "ok", "count_formula", "count_recursive",
             "count_bruteforce", "x_size", "y_size", "x_checked", "y_checked",
             "roundtrip_failures", "assertion_failures", "seed", "sample_size",
-            "jobs", "backend", "elapsed_s",
+            "jobs", "backend", "elapsed_s", "y_covered_by",
         }
+        assert obj["y_covered_by"] == "samples"
         json.dumps(obj)
 
 
@@ -368,6 +390,50 @@ class TestFailureReports:
             {"side": "y", "index": 4, "stage": "check", "message": "injected",
              "pair": {"P": [[1, 2], [3]], "J": [[3, 1], [1]]}},
         ]
+
+
+def _one_pair_fault(parts, p0, j0):
+    """Pure kernel whose unstraighten goes wrong on the pair (p0, j0) only,
+    straighten staying right: at the last step with a choice, that pair's
+    rotation stops one cell short.  Any other pair meets that step in
+    another state, since the steps after it have no choice left."""
+    clean = _pure.ShapeOps(parts)
+    n, order, hooklen = clean.size, clean.order, clean.hooklen
+    k0 = max(k for k in range(1, n) if hooklen[order[n - k]] > 1)
+    pos = order[n - k0]
+    t0, j = list(p0), list(j0)
+    for k in range(1, k0):
+        clean._checked_rotate(t0, j, k)
+
+    class OnePairFault(_pure.ShapeOps):
+        def _checked_rotate(self, t, j, k):
+            if k == k0 and t == t0 and j[pos] == j0[pos]:
+                j[pos] -= 1
+            return super()._checked_rotate(t, j, k)
+
+    return OnePairFault
+
+
+class TestPairOnlyFault:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_caught_through_the_filling_scan(self, monkeypatch, jobs):
+        # the filling that straightens to the pair comes back changed; the
+        # pair walk then runs and names the pair
+        alpha = Composition((2, 1, 2))
+        p0, j0 = [1, 3, 2, 4, 5], [2, 1, 3, 2, 1]
+        faulty = types.SimpleNamespace(ShapeOps=_one_pair_fault(alpha.parts, p0, j0))
+        monkeypatch.setattr("immaculate.enumeration.get_backend", lambda name=None: faulty)
+        report = verify_bijection(alpha, jobs=jobs)
+        assert not report.ok and report.y_covered_by == "y-scan"
+        assert report.roundtrip_failures == [
+            {"side": "x", "index": 53, "stage": "roundtrip", "message": X_CHANGED,
+             "tableau": [[3, 1], [5], [4, 2]]},
+            {"side": "y", "index": 71, "stage": "roundtrip", "message": Y_CHANGED,
+             "pair": {"P": [[1, 3], [2], [4, 5]], "J": [[2, 1], [3], [2, 1]]}},
+        ]
+        assert report.assertion_failures == []
+        # the filling named is the one that straightens to the pair
+        assert _pure.ShapeOps(alpha.parts).straighten([3, 1, 5, 4, 2]) == (p0, j0)
 
 
 class TestReportJudgement:

@@ -211,9 +211,10 @@ class TestWalkLimits:
         self._exits_3(_cli(backend, "verify", "1000", "--guard", "1000"), 1000)
 
     @needs_compiled
-    def test_compiled_verify_past_64_bit_leaf_numbers(self):
-        # 21! > 2**63
-        self._exits_3(_cli("compiled", "verify", "21", "--guard", "21"), 21)
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_compiled_verify_past_64_bit_leaf_numbers(self, jobs):
+        # 21! > 2**63, so every task of the split scan fails at once
+        self._exits_3(_cli("compiled", "verify", "21", "--guard", "21", "--jobs", jobs), 21)
 
 
 class TestTypeSurface:
@@ -239,6 +240,12 @@ class TestTypeSurface:
         ops = compiled.ShapeOps((1,) * 21)
         with pytest.raises(OverflowError, match="hook product too large"):
             ops.scan_pairs([tuple(range(1, 22))], 0, 1)
+
+    @needs_compiled
+    def test_compiled_filling_scan_refuses_long_factorial(self):
+        # refused whatever the range, even one whose leaf numbers all fit
+        with pytest.raises(OverflowError, match="n! too large"):
+            compiled.ShapeOps((21,)).scan_fillings(0, 1)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_subclass(self, backend):
@@ -280,6 +287,7 @@ def test_compiled_reference_counts_do_not_leak():
     # extension allocates; a reference or buffer leaked per call grows the
     # traced total by tens of bytes per call, about a megabyte in all
     ops, square = compiled.ShapeOps((2, 1)), compiled.ShapeOps((2, 2))
+    row21 = compiled.ShapeOps((21,))
     big = compiled.ShapeOps((4, 1, 4, 2, 1, 3, 2, 1, 1, 1))
     vals = list(range(20, 0, -1))
     p, j = big.straighten(vals)
@@ -314,6 +322,7 @@ def test_compiled_reference_counts_do_not_leak():
         raises(ops.is_standard_immaculate, [1, 2])
         raises(ops.scan_fillings, 0.5, 2)
         raises(ops.scan_fillings, 0, 7)
+        raises(row21.scan_fillings, 0, 1)
         raises(ops.straighten, [1, 2, 3], chek=True)
         raises(compiled.ShapeOps, (2, 0))
         raises(compiled.ShapeOps, (2**31 - 1, 2**31 - 1, 2))
@@ -492,6 +501,17 @@ class TestWalks:
                 for bounds in (range(total + 1), [0, *cuts, total]):
                     parts = [ops.scan_pairs(table, lo, hi, True) for lo, hi in zip(bounds, bounds[1:])]
                     assert [f for fs in parts for f in fs] == whole
+
+
+    def test_pairs_roundtrip_on_every_shape_through_six(self, backend):
+        # verify walks the pairs only to explain a failed filling scan, so
+        # this keeps the pair side's own checked walk on every small shape
+        for n in range(1, 7):
+            for alpha in compositions(n):
+                ops = get_backend(backend).ShapeOps(alpha.parts)
+                table = [t.flat() for t in _sits(alpha)]
+                assert len(table) * ops.hook_prod == math.factorial(n)
+                assert ops.scan_pairs(table, 0, math.factorial(n), True) == []
 
 
 class TestPlantedFaults:
