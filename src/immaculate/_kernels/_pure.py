@@ -2,15 +2,16 @@
 
 This module is the spec of the kernels.  The compiled twin, the hand-written
 C file ``_speedups.c``, mirrors it function by function: each of
-``_prefix_standard``, ``_slide``, ``_build_path``, ``_hook_index``,
-``_rotate_left``/``_rotate_right``, the checked steps ``_checked_slide``/
-``_checked_rotate`` with ``_check_exhausted``, ``_straighten_inplace``/
-``_unstraighten_inplace`` and ``_lex_rank`` has a C function of the same
-name, the ``visit``/``leaf`` functions nested in ``count_standard``,
-``scan_fillings`` and ``scan_pairs`` are ``count_visit``, ``fill_visit``/
-``fill_leaf`` and ``pair_visit``/``pair_leaf`` there, and the public methods
-raise the same exceptions with the same messages.  Which twin you get from
-``immaculate._kernels`` is decided at import time.
+``_prefix_standard``/``_path_standard``, ``_slide``, ``_build_path``,
+``_hook_index``, ``_rotate_left``/``_rotate_right``, the checked steps
+``_checked_slide``/``_checked_rotate`` with ``_check_exhausted``,
+``_straighten_inplace``/``_unstraighten_inplace`` and ``_lex_rank`` has a C
+function of the same name, the functions nested in ``count_standard``
+(``visit``), ``scan_fillings`` (``visit``, ``leaf``, ``undo``) and
+``scan_pairs`` (``visit``, ``leaf``) are ``count_visit``, ``fill_visit``/
+``fill_leaf``/``fill_undo`` and ``pair_visit``/``pair_leaf`` there, and the
+public methods raise the same exceptions with the same messages.  Which twin
+you get from ``immaculate._kernels`` is decided at import time.
 
 Positions here are 0-based flat indices, and a key layout fact keeps
 everything tight: in row-major order every hook occupies a contiguous run of
@@ -61,8 +62,17 @@ class ShapeOps:
             else -1
             for pos in range(n)
         ]
-        # traversal order: right-most column first, bottom-up within a column
+        self.left = [pos - 1 if self.colof[pos] > 0 else -1 for pos in range(n)]
+        self.above = [
+            row_start[self.rowof[pos] - 1] if self.colof[pos] == 0 and self.rowof[pos] > 0 else -1
+            for pos in range(n)
+        ]
+        # traversal order: right-most column first, bottom-up within a column;
+        # step_of[pos] is the straighten step that slides pos
         self.order = sorted(range(n), key=lambda p: (-self.colof[p], -self.rowof[p]))
+        self.step_of = [0] * n
+        for k, pos in enumerate(self.order):
+            self.step_of[pos] = k
         self.hooklen = [
             n - pos if self.colof[pos] == 0 else row_start[self.rowof[pos] + 1] - pos
             for pos in range(n)
@@ -110,6 +120,22 @@ class ShapeOps:
                 return False
         for a, b in self.col_pairs[:cols]:
             if t[a] >= t[b]:
+                return False
+        return True
+
+    def _path_standard(self, t, path, count) -> bool:
+        # _prefix_standard(t, count) on the row and column pairs with an end
+        # on path, which lies in that prefix; a left or above neighbour is
+        # in the prefix only when its step comes before count
+        right, below, left, above = self.right, self.below, self.left, self.above
+        step_of = self.step_of
+        for q in path:
+            e = t[q]
+            r, b, a, u = right[q], below[q], left[q], above[q]
+            if (r >= 0 and e > t[r]) or (b >= 0 and e >= t[b]):
+                return False
+            if (a >= 0 and step_of[a] < count and t[a] > e) or (
+                    u >= 0 and step_of[u] < count and t[u] >= e):
                 return False
         return True
 
@@ -194,11 +220,17 @@ class ShapeOps:
     def _checked_slide(self, t, s, k) -> list[int]:
         """Straighten step k with every check; returns the slide path.
 
-        On a failed check t is put back as it was, so a walk can go on to the
-        next sibling from the same state.
+        The slide moves only the cells of its path, all in the hook of
+        order[k], so the shift is checked on the path cells.  The first k
+        traversal cells were stable before the step, and a row or column
+        pair with no end on the path kept both its entries, so stability of
+        the first k + 1 cells is checked on the pairs with an end on the
+        path.  On a failed check t is put back as it was, so a walk can go on
+        to the next sibling from the same state.
         """
         pos = self.order[k]
-        before = t[:]
+        end = pos + self.hooklen[pos]
+        before = t[pos:end]
         try:
             path = self._slide(t, pos)
             v = path[-1] - path[0] + 1
@@ -207,24 +239,28 @@ class ShapeOps:
                 raise InternalCheckError("hook index closed form disagrees with flat run")
             if path != self._build_path(pos, v):
                 raise InternalCheckError("slide path is not the hook path of its endpoints")
-            rotated = before[:]
-            self._rotate_left(rotated, path)
-            if rotated != t:
-                raise InternalCheckError("slide result is not the circular left shift")
-            if not self._prefix_standard(t, k + 1):
+            prev = path[-1]
+            for q in path:
+                if t[prev] != before[q - pos]:
+                    raise InternalCheckError("slide result is not the circular left shift")
+                prev = q
+            if not self._path_standard(t, path, k + 1):
                 raise InternalCheckError(f"prefix standardness lost after step {k}")
         except InternalCheckError:
-            t[:] = before
+            t[pos:end] = before
             raise
         return path
 
     def _checked_rotate(self, t, j, k):
-        """Unstraighten step k with every check; returns the rotated path, or
-        None when the hook value is 1 and nothing moves."""
+        """Unstraighten step k with its checks; returns the rotated path, or
+        None when the hook value is 1 and nothing moves.
+
+        Stability of the first n + 1 - k cells before the step is the
+        caller's to check: _unstraighten_inplace and scan_pairs rescan it,
+        and scan_fillings has it from the slide this step undoes.
+        """
         n = self.size
         pos = self.order[n - k]
-        if not self._prefix_standard(t, n + 1 - k):
-            raise InternalCheckError(f"prefix standardness lost before step {k}")
         v = j[pos]
         j[pos] = 1
         if v <= 1:
@@ -256,6 +292,8 @@ class ShapeOps:
         n = self.size
         if check:
             for k in range(1, n):
+                if not self._prefix_standard(t, n + 1 - k):
+                    raise InternalCheckError(f"prefix standardness lost before step {k}")
                 self._checked_rotate(t, j, k)
             self._check_exhausted(j)
             return
@@ -327,12 +365,38 @@ class ShapeOps:
 
         A depth-first walk assigns the values cell by cell in traversal
         order, smallest first, so leaf i is the filling whose entries, read
-        in traversal order, form the i-th permutation of 1..n.  Each tree
-        node runs its straighten step once, on the state all its leaves
-        share, and undoes it on the way back by rotating the slide path
-        right.  Each leaf runs the full unstraighten on a copy and compares
-        it with the filling.  A check that fails at a node fails every leaf
-        below it with that message, as it would have one filling at a time.
+        in traversal order, form the i-th permutation of 1..n.  The node of
+        depth d holds the state after straighten steps 1..d, which every
+        filling below it shares.  It runs straighten step d once on the way
+        down and inverse step n - d once on the way back up: the checked
+        rotation by the hook value its slide stored in s[order[d]], then a
+        compare of every cell that the slide path or the rotation path
+        touched with its value before the slide.  No other cell moved.  A
+        leaf only tallies its filling and files the check that failed above
+        it, if any.  A check that fails at a slide fails every leaf below it
+        with that message, as it would one filling at a time.
+
+        Why the node steps are each filling's own roundtrip, by induction on
+        depth: the children's compares prove that a node holds again exactly
+        the state its slide left on order[0..d], so inverse step n - d acts
+        on the state that the per-filling unstraighten of any leaf below
+        reaches after its first n - d - 1 steps.  Later inverse steps never
+        touch cell order[d], so the compares of a leaf's nodes together are
+        its comparison with the filling.  Each check of the per-filling
+        inverse runs once, where its state first arises: _checked_rotate at
+        the node; stability of order[0..d] before the step, which the
+        slide's own check found on that same state; and exhaustion of the
+        hook values, as s[order[d]] == 1 after each node's step and as
+        _check_exhausted(s) once the walk is back at depth 1.  The filling's
+        own stability is carried down the walk from each cell's right and
+        lower neighbours, as in count_standard.
+
+        When a node's inverse step raises InternalCheckError or its compare
+        fails, the entries its subtree filed are dropped and the subtree is
+        walked again, within [start, stop), with the per-filling inverse at
+        every leaf: _unstraighten_inplace on a copy and the full comparison
+        with the filling.  So every entry is the one a roundtrip of that
+        filling alone gives; that path runs only on failure.
 
         Returns (standard_count, failures).  failures holds (rank, stage,
         message) in walk order, where rank is the lexicographic rank of the
@@ -343,18 +407,21 @@ class ShapeOps:
         start, stop = operator.index(start), operator.index(stop)
         if not 0 <= start <= stop <= self.n_factorial:
             raise ValueError(f"bad scan range [{start}, {stop}) for {n}! fillings")
-        order = self.order
+        order, right, below, hooklen = self.order, self.right, self.below, self.hooklen
         # leaves below one node of depth d + 1, that is with order[0..d] set
         leaves = [math.factorial(n - 1 - d) for d in range(n)]
         x, t, s = [0] * n, [0] * n, [1] * n
-        used = [False] * (n + 1)
+        free = list(range(1, n + 1))
         failures = []
         standard = 0
+        per_leaf = False  # while a failed node's subtree is walked again
 
-        def leaf(error):
+        def leaf(stable, error):
             nonlocal standard
-            standard += self.is_standard_immaculate(x)
+            standard += stable
             if error is None:
+                if not per_leaf:
+                    return
                 back, j = list(t), list(s)
                 try:
                     self._unstraighten_inplace(back, j, check)
@@ -366,22 +433,55 @@ class ShapeOps:
                     return
             failures.append((_lex_rank(x), "check", error))
 
-        def visit(d, first, error):
-            # order[0..d) are set; the leaves below are numbered from first
+        def undo(d, path, before) -> bool:
+            # inverse step n - d at the depth-d node; before holds the hook
+            # run of order[d] as it was before the slide
+            pos = order[d]
+            try:
+                if check:
+                    turned = self._checked_rotate(t, s, n - d)
+                    if d == 1:
+                        self._check_exhausted(s)
+                    if s[pos] != 1:
+                        return False
+                else:
+                    turned, v = None, s[pos]
+                    if v > 1:
+                        if v > hooklen[pos]:
+                            raise IndexError(f"hook value {v} out of range at position {pos}")
+                        turned = self._build_path(pos, v)
+                        self._rotate_right(t, turned)
+            except InternalCheckError:
+                return False
+            for q in path:
+                if t[q] != before[q - pos]:
+                    return False
+            for q in turned or ():
+                if t[q] != before[q - pos]:
+                    return False
+            return True
+
+        def visit(d, first, error, stable):
+            # order[0..d) are set, stable if stable, and free[d:] holds the
+            # values left, ascending; the leaves below are numbered from first
+            nonlocal standard, per_leaf
             if d == n:
-                leaf(error)
+                leaf(stable, error)
                 return
             pos, size = order[d], leaves[d]
-            lo = first
-            for v in range(1, n + 1):
-                if used[v]:
-                    continue
-                if lo >= stop:
-                    return
+            r, b, end = right[pos], below[pos], pos + hooklen[pos]
+            lo, i = first, 0
+            while i < n - d and lo < stop:
+                # child i takes the i-th smallest value left; swapping it to
+                # the front keeps the values after it ascending
+                if i:
+                    free[d], free[d + i] = free[d + i], free[d]
                 if lo + size > start:
-                    x[pos] = t[pos] = v
+                    v = x[pos] = t[pos] = free[d]
+                    keep = stable and (r < 0 or v <= x[r]) and (b < 0 or v < x[b])
                     path, err = None, error
                     if d and err is None:
+                        before = t[pos:end]
                         try:
                             if check:
                                 path = self._checked_slide(t, s, d)
@@ -390,15 +490,36 @@ class ShapeOps:
                                 s[pos] = path[-1] - pos + 1
                         except InternalCheckError as exc:
                             err = str(exc)
-                    used[v] = True
-                    visit(d + 1, lo, err)
-                    used[v] = False
+                    filed, tally = len(failures), standard
+                    if d + 1 == n:
+                        leaf(keep, err)
+                    else:
+                        visit(d + 1, lo, err, keep)
                     if path is not None:
-                        self._rotate_right(t, path)
+                        if per_leaf:
+                            self._rotate_right(t, path)
+                        else:
+                            hook = s[pos]
+                            if not undo(d, path, before):
+                                # walk the subtree again from the state the
+                                # slide left, with the per-filling inverse
+                                del failures[filed:]
+                                standard = tally
+                                t[pos:end] = before
+                                self._rotate_left(t, path)
+                                s[pos] = hook
+                                per_leaf = True
+                                visit(d + 1, lo, None, keep)
+                                per_leaf = False
+                                self._rotate_right(t, path)
                 lo += size
+                i += 1
+            # the swaps left free[d:d + i] rotated right by one
+            if i > 1:
+                free[d:d + i] = free[d + 1:d + i] + free[d:d + 1]
 
         if start < stop:
-            visit(0, 0, None)
+            visit(0, 0, None, True)
         return standard, failures
 
     def scan_pairs(self, p_table, start, stop, check=True):
@@ -469,6 +590,9 @@ class ShapeOps:
                     if err is None:
                         try:
                             if check:
+                                if not self._prefix_standard(t, n + 1 - k):
+                                    raise InternalCheckError(
+                                        f"prefix standardness lost before step {k}")
                                 path = self._checked_rotate(t, j, k)
                             elif v > 1:
                                 path = self._build_path(pos, v)

@@ -1,12 +1,13 @@
 /* Compiled kernels: the exact behaviour of _pure.py on C arrays.
  *
  * _pure.py is the spec.  Every static function here named after a _pure
- * method (_prefix_standard, _slide, _build_path, _hook_index, _rotate_left,
- * _rotate_right, _checked_slide, _checked_rotate, _check_exhausted,
- * _straighten_inplace, _unstraighten_inplace, _lex_rank) is that method line
- * for line, and the walks of count_standard/scan_fillings/scan_pairs are its
- * nested visit and leaf functions; only the failure entries exist in C
- * alone.  The parity tests compare the two twins exhaustively.
+ * method (_prefix_standard, _path_standard, _slide, _build_path,
+ * _hook_index, _rotate_left, _rotate_right, _checked_slide, _checked_rotate,
+ * _check_exhausted, _straighten_inplace, _unstraighten_inplace, _lex_rank)
+ * is that method line for line, and the walks of count_standard/
+ * scan_fillings/scan_pairs are its nested visit, leaf and undo functions;
+ * only the failure entries exist in C alone.  The parity tests compare the
+ * two twins exhaustively.
  *
  * Positions are 0-based flat row-major indices.  Hooks are contiguous flat
  * runs, so the v-th hook cell of position p is p + v - 1.
@@ -34,7 +35,7 @@ typedef struct {
     long long prod_ll;     /* hook_prod when it fits a long long, else -1 */
     long long fact_ll;     /* n_factorial when it fits a long long, else -1 */
     int *geom;             /* one block holding every array below */
-    int *row_start, *rowof, *colof, *right, *below, *order, *hooklen;
+    int *row_start, *rowof, *colof, *right, *below, *left, *above, *order, *step_of, *hooklen;
     /* stability in traversal order: the entry at row_pairs[m] may not
      * exceed its right neighbour's, and the entry at col_pairs[m] must be
      * below the one under it; the first `count` traversal cells own the
@@ -239,11 +240,11 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
     int n = (int)total;
 
     /* a second __init__ replaces the shape; one that fails leaves none.
-     * row_start has k + 1 ints, the six per-cell arrays n each, the prefix
+     * row_start has k + 1 ints, the nine per-cell arrays n each, the prefix
      * pairs n each and their cuts n + 1 each; the column counts of the order
      * sort borrow prefix_rows */
     PyMem_Free(self->geom);
-    int *cursor = self->geom = alloc_ints((size_t)(k + 3) + 10 * (size_t)n);
+    int *cursor = self->geom = alloc_ints((size_t)(k + 3) + 13 * (size_t)n);
     if (cursor == NULL)
         goto fail;
     int *row_start = self->row_start = cursor; cursor += k + 1;
@@ -251,7 +252,10 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
     int *colof = self->colof = cursor;         cursor += n;
     int *right = self->right = cursor;         cursor += n;
     int *below = self->below = cursor;         cursor += n;
+    int *left = self->left = cursor;           cursor += n;
+    int *above = self->above = cursor;         cursor += n;
     int *order = self->order = cursor;         cursor += n;
+    int *step_of = self->step_of = cursor;     cursor += n;
     int *hooklen = self->hooklen = cursor;     cursor += n;
     int *row_pairs = self->row_pairs = cursor; cursor += n;
     int *col_pairs = self->col_pairs = cursor; cursor += n;
@@ -271,11 +275,14 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
             colof[pos] = c;
             right[pos] = c + 1 < len ? pos + 1 : -1;
             below[pos] = c == 0 && r + 1 < k ? row_start[r + 1] : -1;
+            left[pos] = c > 0 ? pos - 1 : -1;
+            above[pos] = c == 0 && r > 0 ? row_start[r - 1] : -1;
             hooklen[pos] = c == 0 ? n - pos : row_start[r + 1] - pos;
         }
     }
     /* traversal order: right-most column first, bottom-up within a column;
-     * a counting sort on the column, filled from the bottom row up */
+     * a counting sort on the column, filled from the bottom row up.
+     * step_of[pos] is the straighten step that slides pos */
     int *slot = prefix_rows;
     memset(slot, 0, (size_t)maxcol * sizeof(int));
     for (int pos = 0; pos < n; pos++)
@@ -287,6 +294,8 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
     }
     for (int pos = n - 1; pos >= 0; pos--)
         order[slot[colof[pos]]++] = pos;
+    for (int m = 0; m < n; m++)
+        step_of[order[m]] = m;
 
     prefix_rows[0] = prefix_cols[0] = 0;
     for (int m = 0; m < n; m++) {
@@ -350,6 +359,24 @@ _prefix_standard(const ShapeOps *self, const int *t, int count)
     for (int m = 0; m < self->prefix_cols[count]; m++) {
         int a = self->col_pairs[m];
         if (t[a] >= t[self->below[a]])
+            return 0;
+    }
+    return 1;
+}
+
+/* _prefix_standard(t, count) on the row and column pairs with an end on
+ * path, which lies in that prefix; a left or above neighbour is in the
+ * prefix only when its step comes before count */
+static int
+_path_standard(const ShapeOps *self, const int *t, const int *path, int plen, int count)
+{
+    for (int m = 0; m < plen; m++) {
+        int q = path[m], e = t[q];
+        int r = self->right[q], b = self->below[q], a = self->left[q], u = self->above[q];
+        if ((r >= 0 && e > t[r]) || (b >= 0 && e >= t[b]))
+            return 0;
+        if ((a >= 0 && self->step_of[a] < count && t[a] > e)
+                || (u >= 0 && self->step_of[u] < count && t[u] >= e))
             return 0;
     }
     return 1;
@@ -448,15 +475,17 @@ _rotate_left(int *t, const int *path, int plen)
 
 /* Straighten step k with every check: writes the slide path to path and
  * returns its length, or -1 with InternalCheckError set and t put back as
- * it was.  work holds 3n ints: the hook path, a pre-slide copy of t and its
- * rotation. */
+ * it was.  The slide moves only its path cells, all in the hook of
+ * order[k], so the shift is checked on the path cells and stability on the
+ * pairs with an end on the path.  work holds 2n ints: the hook path and a
+ * pre-slide copy of the hook run of order[k], which the walk reads back. */
 static int
 _checked_slide(const ShapeOps *self, int *t, int *s, int k, int *path, int *work)
 {
     int n = self->size;
-    int pos = self->order[k];
-    int *hook_path = work, *before = work + n, *rotated = work + 2 * n;
-    memcpy(before, t, (size_t)n * sizeof(int));
+    int pos = self->order[k], h = self->hooklen[pos];
+    int *hook_path = work, *before = work + n;
+    memcpy(before, t + pos, (size_t)h * sizeof(int));
     int plen = _slide(self, t, pos, path);
     if (plen < 0)
         goto fail;
@@ -471,35 +500,31 @@ _checked_slide(const ShapeOps *self, int *t, int *s, int k, int *path, int *work
         PyErr_SetString(InternalCheckError, "slide path is not the hook path of its endpoints");
         goto fail;
     }
-    memcpy(rotated, before, (size_t)n * sizeof(int));
-    _rotate_left(rotated, path, plen);
-    if (memcmp(rotated, t, (size_t)n * sizeof(int)) != 0) {
-        PyErr_SetString(InternalCheckError, "slide result is not the circular left shift");
-        goto fail;
-    }
-    if (!_prefix_standard(self, t, k + 1)) {
+    for (int m = 0, prev = path[plen - 1]; m < plen; prev = path[m++])
+        if (t[prev] != before[path[m] - pos]) {
+            PyErr_SetString(InternalCheckError, "slide result is not the circular left shift");
+            goto fail;
+        }
+    if (!_path_standard(self, t, path, plen, k + 1)) {
         PyErr_Format(InternalCheckError, "prefix standardness lost after step %d", k);
         goto fail;
     }
     return plen;
 fail:
-    memcpy(t, before, (size_t)n * sizeof(int));
+    memcpy(t + pos, before, (size_t)h * sizeof(int));
     return -1;
 }
 
-/* Unstraighten step k with every check: writes the rotated path to path and
+/* Unstraighten step k with its checks: writes the rotated path to path and
  * returns its length, 0 when the hook value is 1 and nothing moves, or -1
  * with an error set.  A hook value past its hook raises IndexError before
- * it can index past the arrays. */
+ * it can index past the arrays.  Stability of the first n + 1 - k cells
+ * before the step is the caller's to check. */
 static int
 _checked_rotate(const ShapeOps *self, int *t, int *j, int k, int *path)
 {
     int n = self->size;
     int pos = self->order[n - k];
-    if (!_prefix_standard(self, t, n + 1 - k)) {
-        PyErr_Format(InternalCheckError, "prefix standardness lost before step %d", k);
-        return -1;
-    }
     int v = j[pos];
     j[pos] = 1;
     if (v <= 1)
@@ -525,7 +550,7 @@ _check_exhausted(const ShapeOps *self, const int *j)
     return 0;
 }
 
-/* work holds 4n ints: the slide path and _checked_slide's scratch */
+/* work holds 3n ints: the slide path and _checked_slide's scratch */
 static int
 _straighten_inplace(const ShapeOps *self, int *t, int *s, int check, int *work)
 {
@@ -552,6 +577,10 @@ _unstraighten_inplace(const ShapeOps *self, int *t, int *j, int check, int *path
     int n = self->size;
     for (int k = 1; k < n; k++) {
         if (check) {
+            if (!_prefix_standard(self, t, n + 1 - k)) {
+                PyErr_Format(InternalCheckError, "prefix standardness lost before step %d", k);
+                return -1;
+            }
             if (_checked_rotate(self, t, j, k, path) < 0)
                 return -1;
             continue;
@@ -677,8 +706,10 @@ typedef struct {
     unsigned long long start, stop;
     unsigned long long *leaves; /* leaves below one node of each depth */
     int *paths;                 /* n ints of step path per depth */
+    int *works;                 /* scan_fillings: 2n ints of _checked_slide scratch per depth */
     int *t, *s, *j, *back, *work;
-    int *x, *used;              /* scan_fillings: the filling, values taken */
+    int *x, *free;              /* scan_fillings: the filling, values left */
+    int per_leaf;               /* scan_fillings: while a failed node's subtree is walked again */
     int *p;                     /* scan_pairs: the P row and its index */
     unsigned long long row;
     int *jv;                    /* scan_pairs: the hook values assigned */
@@ -686,13 +717,15 @@ typedef struct {
 } Walk;
 
 static int
-fill_leaf(Walk *w, PyObject *error)
+fill_leaf(Walk *w, int stable, PyObject *error)
 {
     const ShapeOps *self = w->self;
     int n = self->size;
-    w->standard += _prefix_standard(self, w->x, n);
+    w->standard += stable;
     PyObject *message = Py_XNewRef(error);
     if (message == NULL) {
+        if (!w->per_leaf)
+            return 0;
         memcpy(w->back, w->t, (size_t)n * sizeof(int));
         memcpy(w->j, w->s, (size_t)n * sizeof(int));
         if (_unstraighten_inplace(self, w->back, w->j, w->check, w->work) == 0) {
@@ -707,27 +740,80 @@ fill_leaf(Walk *w, PyObject *error)
     return add_failure(w->failures, _lex_rank(w->x, n), "check", message);
 }
 
-/* order[0..d) are set; the leaves below are numbered from first */
+/* inverse step n - d at the depth-d node; before holds the hook run of
+ * order[d] as it was before the slide.  1 when the step gives that state
+ * back, 0 when a cell differs or an InternalCheckError (cleared) was
+ * raised, -1 on any other error */
 static int
-fill_visit(Walk *w, int d, unsigned long long first, PyObject *error)
+fill_undo(Walk *w, int d, const int *path, int plen, const int *before)
+{
+    const ShapeOps *self = w->self;
+    int n = self->size, pos = self->order[d], *turned = w->work, tlen = 0;
+    if (w->check) {
+        tlen = _checked_rotate(self, w->t, w->s, n - d, turned);
+        if (tlen >= 0 && d == 1 && _check_exhausted(self, w->s) < 0)
+            tlen = -1;
+        if (tlen >= 0 && w->s[pos] != 1)
+            return 0;
+    } else {
+        int v = w->s[pos];
+        if (v > 1) {
+            if (v > self->hooklen[pos]) {
+                PyErr_Format(PyExc_IndexError, "hook value %d out of range at position %d",
+                             v, pos);
+                return -1;
+            }
+            _rotate_right(w->t, turned, tlen = _build_path(self, pos, v, turned));
+        }
+    }
+    if (tlen < 0) {
+        if (!PyErr_ExceptionMatches(InternalCheckError))
+            return -1;
+        PyErr_Clear();
+        return 0;
+    }
+    for (int m = 0; m < plen; m++)
+        if (w->t[path[m]] != before[path[m] - pos])
+            return 0;
+    for (int m = 0; m < tlen; m++)
+        if (w->t[turned[m]] != before[turned[m] - pos])
+            return 0;
+    return 1;
+}
+
+/* order[0..d) are set, stable if stable, and free[d..n) holds the values
+ * left, ascending; the leaves below are numbered from first.  A compiled
+ * scan refuses n! past 64 bits, so the walk is at most 21 calls deep.
+ * _checked_slide leaves its pre-slide copy of the hook run of order[d] in
+ * work + n, where the unchecked slide's copy goes too. */
+static int
+fill_visit(Walk *w, int d, unsigned long long first, PyObject *error, int stable)
 {
     const ShapeOps *self = w->self;
     int n = self->size;
     if (d == n)
-        return fill_leaf(w, error);
-    if (Py_EnterRecursiveCall(" in scan_fillings"))
-        return -1;
-    int pos = self->order[d], *path = w->paths + (size_t)d * n, rc = 0;
+        return fill_leaf(w, stable, error);
+    int pos = self->order[d], r = self->right[pos], b = self->below[pos], h = self->hooklen[pos];
+    int *path = w->paths + (size_t)d * n, *work = w->works + (size_t)d * 2 * n;
+    int *before = work + n, *free = w->free, i = 0, rc = 0;
     unsigned long long size = w->leaves[d], lo = first;
-    for (int v = 1; v <= n && rc == 0 && lo < w->stop; v++) {
-        if (w->used[v])
-            continue;
+    while (i < n - d && rc == 0 && lo < w->stop) {
+        /* child i takes the i-th smallest value left; swapping it to the
+         * front keeps the values after it ascending */
+        if (i) {
+            int v = free[d];
+            free[d] = free[d + i];
+            free[d + i] = v;
+        }
         if (lo + size > w->start) {
-            w->x[pos] = w->t[pos] = v;
+            int v = w->x[pos] = w->t[pos] = free[d];
+            int keep = stable && (r < 0 || v <= w->x[r]) && (b < 0 || v < w->x[b]);
             PyObject *err = Py_XNewRef(error);
             int plen = 0;
             if (d > 0 && err == NULL) {
-                plen = w->check ? _checked_slide(self, w->t, w->s, d, path, w->work)
+                if (!w->check)
+                    memcpy(before, w->t + pos, (size_t)h * sizeof(int));
+                plen = w->check ? _checked_slide(self, w->t, w->s, d, path, work)
                                 : _slide(self, w->t, pos, path);
                 if (plen < 0 && (err = take_check_message()) == NULL) {
                     rc = -1;
@@ -738,16 +824,43 @@ fill_visit(Walk *w, int d, unsigned long long first, PyObject *error)
                 else if (!w->check)
                     w->s[pos] = path[plen - 1] - pos + 1;
             }
-            w->used[v] = 1;
-            rc = fill_visit(w, d + 1, lo, err);
-            w->used[v] = 0;
+            Py_ssize_t filed = PyList_GET_SIZE(w->failures);
+            long long tally = w->standard;
+            rc = d + 1 == n ? fill_leaf(w, keep, err) : fill_visit(w, d + 1, lo, err, keep);
             Py_XDECREF(err);
-            if (plen > 0)
-                _rotate_right(w->t, path, plen);
+            if (plen > 0 && rc == 0) {
+                if (w->per_leaf)
+                    _rotate_right(w->t, path, plen);
+                else {
+                    int hook = w->s[pos], undone = fill_undo(w, d, path, plen, before);
+                    if (undone < 0)
+                        rc = -1;
+                    else if (!undone) {
+                        /* walk the subtree again from the state the slide
+                         * left, with the per-filling inverse */
+                        rc = PyList_SetSlice(w->failures, filed, PY_SSIZE_T_MAX, NULL);
+                        w->standard = tally;
+                        memcpy(w->t + pos, before, (size_t)h * sizeof(int));
+                        _rotate_left(w->t, path, plen);
+                        w->s[pos] = hook;
+                        w->per_leaf = 1;
+                        if (rc == 0)
+                            rc = fill_visit(w, d + 1, lo, NULL, keep);
+                        w->per_leaf = 0;
+                        _rotate_right(w->t, path, plen);
+                    }
+                }
+            }
         }
         lo += size;
+        i++;
     }
-    Py_LeaveRecursiveCall();
+    /* the swaps left free[d..d+i) rotated right by one */
+    if (i > 1) {
+        int v = free[d];
+        memmove(free + d, free + d + 1, (size_t)(i - 1) * sizeof(int));
+        free[d + i - 1] = v;
+    }
     return rc;
 }
 
@@ -805,7 +918,10 @@ pair_visit(Walk *w, int k, unsigned long long first, PyObject *error)
             PyObject *err = Py_XNewRef(error);
             int plen = 0;
             if (err == NULL) {
-                if (w->check)
+                if (w->check && !_prefix_standard(self, w->t, n + 1 - k)) {
+                    PyErr_Format(InternalCheckError, "prefix standardness lost before step %d", k);
+                    plen = -1;
+                } else if (w->check)
                     plen = _checked_rotate(self, w->t, w->j, k, path);
                 else if (v > 1)
                     _rotate_right(w->t, path, plen = _build_path(self, pos, v, path));
@@ -827,12 +943,13 @@ pair_visit(Walk *w, int k, unsigned long long first, PyObject *error)
     return rc;
 }
 
-/* Buffers of one walk: paths, then the per-cell arrays; NULL on error. */
+/* Buffers of one walk: paths and slide scratch per depth, then the per-cell
+ * arrays; NULL on error. */
 static int *
 walk_alloc(Walk *w, const ShapeOps *self, PyObject *failures, int check)
 {
     int n = self->size;
-    int *buf = alloc_ints((size_t)n * (size_t)n + 12 * (size_t)n + 1);
+    int *buf = alloc_ints(3 * (size_t)n * (size_t)n + 12 * (size_t)n);
     if (buf == NULL)
         return NULL;
     w->leaves = PyMem_Malloc((size_t)(n + 1) * sizeof(unsigned long long));
@@ -845,7 +962,8 @@ walk_alloc(Walk *w, const ShapeOps *self, PyObject *failures, int check)
     w->failures = failures;
     w->check = check;
     w->paths = buf;
-    int *cursor = buf + (size_t)n * (size_t)n;
+    w->works = buf + (size_t)n * (size_t)n;
+    int *cursor = w->works + 2 * (size_t)n * (size_t)n;
     w->t = cursor; cursor += n;
     w->s = cursor; cursor += n;
     w->j = cursor; cursor += n;
@@ -854,11 +972,13 @@ walk_alloc(Walk *w, const ShapeOps *self, PyObject *failures, int check)
     w->jv = cursor; cursor += n;
     w->p = cursor; cursor += n;
     w->work = cursor; cursor += 4 * n;
-    w->used = cursor;
+    w->free = cursor;
     for (int m = 0; m < n; m++)
         w->s[m] = w->j[m] = w->jv[m] = 1;
-    memset(w->used, 0, (size_t)(n + 1) * sizeof(int));
+    for (int m = 0; m < n; m++)
+        w->free[m] = m + 1;
     w->standard = 0;
+    w->per_leaf = 0;
     return buf;
 }
 
@@ -913,7 +1033,7 @@ ShapeOps_straighten(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs, PyO
     if (check < 0)
         return NULL;
     int n = self->size;
-    int *buf = alloc_ints(6 * (size_t)n);
+    int *buf = alloc_ints(5 * (size_t)n);
     if (buf == NULL)
         return NULL;
     int *t = buf, *s = buf + n;
@@ -1021,7 +1141,7 @@ ShapeOps_scan_fillings(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs,
         unsigned long long below = w.leaves[d + 1], branch = (unsigned long long)(n - 1 - d);
         w.leaves[d] = below > WALK_CAP / branch ? WALK_CAP : below * branch;
     }
-    if ((w.start < w.stop && fill_visit(&w, 0, 0, NULL) < 0))
+    if ((w.start < w.stop && fill_visit(&w, 0, 0, NULL, 1) < 0))
         goto done;
     result = Py_BuildValue("(LO)", w.standard, failures);
 done:
@@ -1119,7 +1239,10 @@ static PyMethodDef ShapeOps_methods[] = {
      "scan_fillings(start, stop, check=True)\n--\n\n"
      "Roundtrip-check the fillings numbered [start, stop) in walk order.\n\n"
      "Leaf i of the walk is the filling whose entries, read in traversal order,\n"
-     "form the i-th permutation; each straighten step runs once per tree node.\n"
+     "form the i-th permutation.  Each straighten step runs once per tree node\n"
+     "on the way down and its checked inverse once on the way back up; a node\n"
+     "whose inverse fails has its subtree walked again with the full checked\n"
+     "unstraighten at every leaf.\n"
      "Returns (standard_count, failures); failures holds (rank, stage, message)\n"
      "in walk order, rank being the filling's lexicographic rank, and\n"
      "standard_count tallies the standard immaculate fillings scanned.\n"

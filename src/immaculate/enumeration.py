@@ -498,12 +498,24 @@ def verify_bijection(
     The kernel scans walk the objects as a tree: fillings that agree on
     their first traversal cells share their first straighten steps, and
     pairs that agree on their first hook values in unstraighten order share
-    their first unstraighten steps, so each step runs once per tree node
-    and each object still gets the full checked inverse and an exact
-    comparison.  A failure's index is that of the object itself: the
-    lexicographic rank of a filling, and for a pair the P row's index times
-    the hook product plus the hook values in mixed radix, last flat cell
-    fastest.  Failures are sorted by index on each side.  jobs > 1 splits
+    their first unstraighten steps, so each step runs once per tree node.
+    The filling walk also runs each checked unstraighten step once per
+    node, on the way back up, and compares every cell that the step or the
+    slide it undoes touched with its value before the slide.  By induction
+    on depth, those compares show that each node's inverse step acts on the
+    state the filling's own checked unstraighten would reach there, so
+    together they are that unstraighten and its exact comparison with the
+    filling.  Each of its checks runs once, where its state first arises:
+    the rotation's checks at the node; stability before the step, which is
+    the state the slide's own check passed; and the consumption of every
+    hook value, at each node and over the whole array back at depth 1.  A
+    node whose inverse fails has its subtree walked again with the full
+    checked unstraighten at every filling, so the entries read as they would
+    one filling at a time.  Each pair walked gets the full checked
+    straighten and an exact comparison.  A failure's index is that of the
+    object itself: the lexicographic rank of a filling, and for a pair the P
+    row's index times the hook product plus the hook values in mixed radix,
+    last flat cell fastest.  Failures are sorted by index on each side.  jobs > 1 splits
     the walks into runs of leaves for min(jobs, os.cpu_count()) worker
     processes; see verify_shapes, which this calls for exhaustive mode.
     Sampled mode draws sample_size objects per side from the seeded

@@ -26,7 +26,7 @@ from immaculate.enumeration import (
     verify_shapes,
 )
 from immaculate.errors import GuardExceededError, InternalCheckError
-from immaculate.tableau import Tableau
+from immaculate.tableau import Tableau, split_flat
 
 
 class TestAllStandardFillings:
@@ -55,8 +55,10 @@ class TestBruteForce:
     def test_guard(self):
         with pytest.raises(GuardExceededError, match="enumerate_standard_immaculate"):
             brute_force_standard_immaculate(Composition((11,)))
-        # override allows it
-        assert len(brute_force_standard_immaculate(Composition((11,)), guard=11)) == 1
+        # guard= moves the limit: one cell past it is refused, at it allowed
+        with pytest.raises(GuardExceededError, match="enumerate_standard_immaculate"):
+            brute_force_standard_immaculate(Composition((4,)), guard=3)
+        assert len(brute_force_standard_immaculate(Composition((4,)), guard=4)) == 1
 
     def test_count_brute_guard(self):
         with pytest.raises(GuardExceededError):
@@ -392,48 +394,92 @@ class TestFailureReports:
         ]
 
 
-def _one_pair_fault(parts, p0, j0):
-    """Pure kernel whose unstraighten goes wrong on the pair (p0, j0) only,
-    straighten staying right: at the last step with a choice, that pair's
-    rotation stops one cell short.  Any other pair meets that step in
-    another state, since the steps after it have no choice left."""
+def _one_state_fault(parts, p0, j0):
+    """Pure kernel whose unstraighten goes wrong at one state of one step,
+    straighten staying right.  At the last step with a choice, k0, the
+    rotation stops one cell short when the cells that the step reads hold
+    what unstraightening the pair (p0, j0) brings there: the prefix
+    order[0..n-k0] and the hook value of order[n-k0].  The filling walk
+    meets that state at one node, so every filling below the node fails; a
+    pair fails wherever its first k0 - 1 steps lead to that state."""
     clean = _pure.ShapeOps(parts)
     n, order, hooklen = clean.size, clean.order, clean.hooklen
     k0 = max(k for k in range(1, n) if hooklen[order[n - k]] > 1)
-    pos = order[n - k0]
+    pos, cells = order[n - k0], order[:n - k0 + 1]
     t0, j = list(p0), list(j0)
     for k in range(1, k0):
         clean._checked_rotate(t0, j, k)
 
-    class OnePairFault(_pure.ShapeOps):
+    class OneStateFault(_pure.ShapeOps):
         def _checked_rotate(self, t, j, k):
-            if k == k0 and t == t0 and j[pos] == j0[pos]:
+            if k == k0 and j[pos] == j0[pos] and all(t[q] == t0[q] for q in cells):
                 j[pos] -= 1
             return super()._checked_rotate(t, j, k)
 
-    return OnePairFault
+    return OneStateFault
+
+
+def _roundtrip_oracle(ops, alpha):
+    """The failure entries of an exhaustive verify whose pair side is
+    walked, from one public roundtrip per filling and per pair."""
+    failures = {"roundtrip": [], "check": []}
+
+    def grid(flat):
+        return [list(r) for r in split_flat(alpha, flat)]
+
+    for rank, x in enumerate(itertools.permutations(range(1, alpha.n + 1))):
+        try:
+            back = ops.unstraighten(*ops.straighten(x, check=True), check=True)
+            failed = None if back == list(x) else ("roundtrip", X_CHANGED)
+        except InternalCheckError as exc:
+            failed = ("check", str(exc))
+        if failed:
+            failures[failed[0]].append({"side": "x", "index": rank, "stage": failed[0],
+                                        "message": failed[1], "tableau": grid(x)})
+    hooks = list(itertools.product(*(range(1, h + 1) for row in alpha.hook_lengths()
+                                      for h in row)))
+    for row, p in enumerate(t.flat() for t in enumerate_standard_immaculate(alpha)):
+        for rem, j in enumerate(hooks):
+            try:
+                back = ops.straighten(ops.unstraighten(p, j, check=True), check=True)
+                failed = None if back == (list(p), list(j)) else ("roundtrip", Y_CHANGED)
+            except InternalCheckError as exc:
+                failed = ("check", str(exc))
+            if failed:
+                failures[failed[0]].append({
+                    "side": "y", "index": row * len(hooks) + rem, "stage": failed[0],
+                    "message": failed[1], "pair": {"P": grid(p), "J": grid(j)}})
+    return failures
 
 
 class TestPairOnlyFault:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_caught_through_the_filling_scan(self, monkeypatch, jobs):
-        # the filling that straightens to the pair comes back changed; the
-        # pair walk then runs and names the pair
+        # the fillings below the faulty node come back changed; the pair
+        # walk then runs and names the pairs that meet the faulty state
         alpha = Composition((2, 1, 2))
         p0, j0 = [1, 3, 2, 4, 5], [2, 1, 3, 2, 1]
-        faulty = types.SimpleNamespace(ShapeOps=_one_pair_fault(alpha.parts, p0, j0))
+        faulty = types.SimpleNamespace(ShapeOps=_one_state_fault(alpha.parts, p0, j0))
         monkeypatch.setattr("immaculate.enumeration.get_backend", lambda name=None: faulty)
         report = verify_bijection(alpha, jobs=jobs)
         assert not report.ok and report.y_covered_by == "y-scan"
-        assert report.roundtrip_failures == [
+        expected = [
             {"side": "x", "index": 53, "stage": "roundtrip", "message": X_CHANGED,
              "tableau": [[3, 1], [5], [4, 2]]},
+            {"side": "x", "index": 99, "stage": "roundtrip", "message": X_CHANGED,
+             "tableau": [[5, 1], [3], [4, 2]]},
+            {"side": "y", "index": 9, "stage": "roundtrip", "message": Y_CHANGED,
+             "pair": {"P": [[1, 5], [2], [3, 4]], "J": [[2, 1], [2], [2, 1]]}},
             {"side": "y", "index": 71, "stage": "roundtrip", "message": Y_CHANGED,
              "pair": {"P": [[1, 3], [2], [4, 5]], "J": [[2, 1], [3], [2, 1]]}},
         ]
-        assert report.assertion_failures == []
-        # the filling named is the one that straightens to the pair
-        assert _pure.ShapeOps(alpha.parts).straighten([3, 1, 5, 4, 2]) == (p0, j0)
+        oracle = _roundtrip_oracle(faulty.ShapeOps(alpha.parts), alpha)
+        assert report.roundtrip_failures == expected == oracle["roundtrip"]
+        assert report.assertion_failures == [] == oracle["check"]
+        # the fillings named are the ones that straighten to the pairs named
+        clean = _pure.ShapeOps(alpha.parts)
+        assert clean.straighten([3, 1, 5, 4, 2]) == (p0, j0)
+        assert clean.straighten([5, 1, 3, 4, 2]) == ([1, 5, 2, 3, 4], [2, 1, 2, 2, 1])
 
 
 class TestReportJudgement:

@@ -385,6 +385,7 @@ class TestScanSemantics:
             standard, failures = ops.scan_fillings(0, math.factorial(6), True)
             assert standard == count_formula(alpha)
             assert failures == []
+            assert ops.scan_fillings(0, math.factorial(6), False) == (standard, [])
 
     def test_range_validation(self, backend):
         ops = get_backend(backend).ShapeOps((2, 1))
@@ -555,6 +556,59 @@ class TestPlantedFaults:
                 mid = first[0] + len(below) // 2
                 halves = ops.scan_fillings(0, mid)[1] + ops.scan_fillings(mid, math.factorial(n))[1]
                 assert halves == failures
+
+    @pytest.mark.parametrize("fault", ["raises", "one cell short", "hook value left"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_node_inverse_fault_matches_oracle(self, n, fault):
+        # the filling walk runs inverse step n - d once at a depth-d node; a
+        # fault there must give, in any split, the entries of one roundtrip
+        # per filling, which meet the fault once per filling below the node
+        rng = random.Random(n)
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for alpha in compositions(n):
+            clean = pure.ShapeOps(alpha.parts)
+            order, sits = clean.order, [t.flat() for t in _sits(alpha)]
+            # the raising fault sits above a standard filling, so that the
+            # walk tallies below it; the others where the slide moved a cell
+            while True:
+                x0, d = rng.choice(sits if fault == "raises" else perms), rng.randrange(1, n)
+                t0, s0 = list(x0), [1] * n
+                for k in range(1, d + 1):
+                    clean._checked_slide(t0, s0, k)
+                if fault == "raises" or s0[order[d]] > 1:
+                    break
+            pos, cells = order[d], order[:d + 1]
+
+            class Faulty(pure.ShapeOps):
+                def _checked_rotate(self, t, j, k):
+                    if k != n - d or j[pos] != s0[pos] or any(t[q] != t0[q] for q in cells):
+                        return super()._checked_rotate(t, j, k)
+                    if fault == "raises":
+                        raise InternalCheckError("planted")
+                    if fault == "one cell short":
+                        j[pos] -= 1
+                        return super()._checked_rotate(t, j, k)
+                    path = super()._checked_rotate(t, j, k)
+                    j[pos] = s0[pos]
+                    return path
+
+            ops = Faulty(alpha.parts)
+            total = math.factorial(n)
+            standard, failures = ops.scan_fillings(0, total, True)
+            assert (standard, sorted(failures)) == _oracle_fillings(ops)
+            # every filling below the node fails, and those fillings are one
+            # run of walk order: the leaf numbers rank the entries read in
+            # traversal order
+            below = [x for x in perms if all(x[q] == x0[q] for q in cells)]
+            assert {perms.index(x) for x in below} <= {rank for rank, _, _ in failures}
+            walk = sorted(perms.index(tuple(x[q] for q in order)) for x in below)
+            first, size = walk[0], len(walk)
+            assert walk == list(range(first, first + size))
+            for bounds in (sorted({0, first + 1, first + size - 1, total}),
+                           sorted({0, first + size // 2, total}), range(total + 1)):
+                parts = [ops.scan_fillings(lo, hi, True) for lo, hi in zip(bounds, bounds[1:])]
+                assert sum(c for c, _ in parts) == standard
+                assert [f for _, fs in parts for f in fs] == failures
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_unstraighten_fault_caught_at_its_pair(self, n):
