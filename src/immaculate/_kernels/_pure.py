@@ -7,9 +7,8 @@ C file ``_speedups.c``, mirrors it function by function: each of
 ``_checked_slide``/``_checked_rotate`` with ``_check_exhausted``,
 ``_straighten_inplace``/``_unstraighten_inplace`` and ``_lex_rank`` has a C
 function of the same name, the functions nested in ``count_standard``
-(``visit``), ``scan_fillings`` (``visit``, ``leaf``, ``undo``) and
-``scan_pairs`` (``visit``, ``leaf``) are ``count_visit``, ``fill_visit``/
-``fill_leaf``/``fill_undo`` and ``pair_visit``/``pair_leaf`` there, and the
+(``visit``) and ``scan_fillings`` (``visit``, ``leaf``, ``undo``) are
+``count_visit`` and ``fill_visit``/``fill_leaf``/``fill_undo`` there, and the
 public methods raise the same exceptions with the same messages.  Which twin
 you get from ``immaculate._kernels`` is decided at import time.
 
@@ -213,9 +212,9 @@ class ShapeOps:
     # Step k of straighten slides order[k]; step k of unstraighten rotates
     # the hook path of order[n - k].  Both read and write only the cells
     # order[0..k] (order[0..n-k] for unstraighten), which is what lets the
-    # scans below share steps between objects.  Each step's checks live in
-    # one method, used by the checked transforms and by the walks alike; the
-    # unchecked transforms inline the bare step.
+    # filling scan below share steps between fillings.  Each step's checks
+    # live in one method, used by the checked transforms and by the walk
+    # alike; the unchecked transforms inline the bare step.
 
     def _checked_slide(self, t, s, k) -> list[int]:
         """Straighten step k with every check; returns the slide path.
@@ -256,8 +255,8 @@ class ShapeOps:
         None when the hook value is 1 and nothing moves.
 
         Stability of the first n + 1 - k cells before the step is the
-        caller's to check: _unstraighten_inplace and scan_pairs rescan it,
-        and scan_fillings has it from the slide this step undoes.
+        caller's to check: _unstraighten_inplace rescans it, and
+        scan_fillings has it from the slide this step undoes.
         """
         n = self.size
         pos = self.order[n - k]
@@ -523,93 +522,42 @@ class ShapeOps:
         return standard, failures
 
     def scan_pairs(self, p_table, start, stop, check=True):
-        """Roundtrip-check the pairs numbered [start, stop) in walk order.
+        """Roundtrip-check the pairs numbered [start, stop), one at a time.
 
-        Pair r takes row p_table[r // hook_prod], read and length-checked
-        only when the walk reaches it.  Below each row a
-        depth-first walk assigns the hook values in unstraighten order, the
-        values of order[n-1], order[n-2], ..., order[1], smallest first; the
-        hook value of order[0] is always 1.  Each tree node runs its
-        unstraighten step once and undoes it on the way back by rotating the
-        path left.  Each leaf runs the full straighten on a copy and
-        compares it with the pair.  A check that fails at a node fails every
-        leaf below it with that message.
+        Pair r is row p_table[r // hook_prod], read and length-checked only
+        when the loop reaches it, with the hook values of r % hook_prod in
+        mixed radix, last flat cell fastest.  Each pair runs
+        _unstraighten_inplace and then _straighten_inplace on copies, and
+        the result is compared with the pair.
 
-        Returns failures like scan_fillings, in walk order, but each index
-        is the flat one: the row index times hook_prod plus the hook values
-        read in mixed radix, last flat cell fastest.
+        Returns failures like scan_fillings, (index, stage, message) in
+        index order, where index is the pair's own r.
         """
         n = self.size
         start, stop = operator.index(start), operator.index(stop)
-        hook_prod = self.hook_prod
+        hook_prod, hooklen = self.hook_prod, self.hooklen
         if not 0 <= start <= stop <= len(p_table) * hook_prod:
             raise ValueError(f"bad scan range [{start}, {stop})")
-        order, hooklen = self.order, self.hooklen
-        # leaves below one node of depth k, that is with k - 1 steps done
-        leaves = [1] * (n + 1)
-        for k in range(n - 1, 0, -1):
-            leaves[k - 1] = leaves[k] * hooklen[order[n - k]]
-        j, jv = [1] * n, [1] * n
         failures = []
-        row = p = t = None
-
-        def flat_index():
-            index = row
-            for pos in range(n):
-                index = index * hooklen[pos] + jv[pos] - 1
-            return index
-
-        def leaf(error):
-            if error is None:
-                try:
-                    if check:
-                        self._check_exhausted(j)
-                    back, s = list(t), [1] * n
-                    self._straighten_inplace(back, s, check)
-                except InternalCheckError as exc:
-                    error = str(exc)
-                else:
-                    if back != p or s != jv:
-                        failures.append((flat_index(), "roundtrip", Y_CHANGED))
-                    return
-            failures.append((flat_index(), "check", error))
-
-        def visit(k, first, error):
-            # steps 1..k-1 are done; the leaves below are numbered from first
-            if k == n:
-                leaf(error)
-                return
-            pos, size = order[n - k], leaves[k]
-            lo = first
-            for v in range(1, hooklen[pos] + 1):
-                if lo >= stop:
-                    return
-                if lo + size > start:
-                    jv[pos] = j[pos] = v
-                    path, err = None, error
-                    if err is None:
-                        try:
-                            if check:
-                                if not self._prefix_standard(t, n + 1 - k):
-                                    raise InternalCheckError(
-                                        f"prefix standardness lost before step {k}")
-                                path = self._checked_rotate(t, j, k)
-                            elif v > 1:
-                                path = self._build_path(pos, v)
-                                self._rotate_right(t, path)
-                        except InternalCheckError as exc:
-                            err = str(exc)
-                    visit(k + 1, lo, err)
-                    if path is not None:
-                        self._rotate_left(t, path)
-                lo += size
-
-        for row in range(start // hook_prod, -(-stop // hook_prod)):
-            p = list(p_table[row])
-            if len(p) != n:
-                raise ValueError(f"need {n} entries, got {len(p)}")
-            t = list(p)
-            visit(1, row * hook_prod, None)
+        for r in range(start, stop):
+            row, rem = divmod(r, hook_prod)
+            if r == start or rem == 0:
+                p = list(p_table[row])
+                if len(p) != n:
+                    raise ValueError(f"need {n} entries, got {len(p)}")
+            jv = [0] * n
+            for pos in range(n - 1, -1, -1):
+                rem, d = divmod(rem, hooklen[pos])
+                jv[pos] = d + 1
+            back, j, s = list(p), list(jv), [1] * n
+            try:
+                self._unstraighten_inplace(back, j, check)
+                self._straighten_inplace(back, s, check)
+            except InternalCheckError as exc:
+                failures.append((r, "check", str(exc)))
+                continue
+            if back != p or s != jv:
+                failures.append((r, "roundtrip", Y_CHANGED))
         return failures
 
 

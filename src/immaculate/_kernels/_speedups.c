@@ -4,10 +4,10 @@
  * method (_prefix_standard, _path_standard, _slide, _build_path,
  * _hook_index, _rotate_left, _rotate_right, _checked_slide, _checked_rotate,
  * _check_exhausted, _straighten_inplace, _unstraighten_inplace, _lex_rank)
- * is that method line for line, and the walks of count_standard/
- * scan_fillings/scan_pairs are its nested visit, leaf and undo functions;
- * only the failure entries exist in C alone.  The parity tests compare the
- * two twins exhaustively.
+ * is that method line for line, the walks of count_standard and
+ * scan_fillings are its nested visit, leaf and undo functions, and
+ * scan_pairs is its loop over the pairs; only the failure entries exist in
+ * C alone.  The parity tests compare the two twins exhaustively.
  *
  * Positions are 0-based flat row-major indices.  Hooks are contiguous flat
  * runs, so the v-th hook cell of position p is p + v - 1.
@@ -697,8 +697,8 @@ add_failure(PyObject *failures, PyObject *index, const char *stage, PyObject *me
  * stay within 64 bits. */
 #define WALK_CAP ((unsigned long long)LLONG_MAX + 1)
 
-/* The state of one scan's depth-first walk; the visit and leaf functions
- * below are the nested functions of the _pure scan of the same side. */
+/* The state of scan_fillings' depth-first walk; fill_visit, fill_leaf and
+ * fill_undo are the nested functions of the _pure scan. */
 typedef struct {
     const ShapeOps *self;
     PyObject *failures;
@@ -706,13 +706,10 @@ typedef struct {
     unsigned long long start, stop;
     unsigned long long *leaves; /* leaves below one node of each depth */
     int *paths;                 /* n ints of step path per depth */
-    int *works;                 /* scan_fillings: 2n ints of _checked_slide scratch per depth */
-    int *t, *s, *j, *back, *work;
-    int *x, *free;              /* scan_fillings: the filling, values left */
-    int per_leaf;               /* scan_fillings: while a failed node's subtree is walked again */
-    int *p;                     /* scan_pairs: the P row and its index */
-    unsigned long long row;
-    int *jv;                    /* scan_pairs: the hook values assigned */
+    int *works;                 /* 2n ints of _checked_slide scratch per depth */
+    int *t, *s, *j, *back, *work; /* work: the n-int path of an inverse step */
+    int *x, *free;              /* the filling, values left */
+    int per_leaf;               /* while a failed node's subtree is walked again */
     long long standard;
 } Walk;
 
@@ -864,95 +861,16 @@ fill_visit(Walk *w, int d, unsigned long long first, PyObject *error, int stable
     return rc;
 }
 
-/* row * hook_prod plus the hook values in mixed radix, last cell fastest */
-static PyObject *
-flat_index(const Walk *w)
-{
-    unsigned long long index = w->row;
-    for (int pos = 0; pos < w->self->size; pos++)
-        index = index * (unsigned long long)w->self->hooklen[pos] + (unsigned long long)(w->jv[pos] - 1);
-    return PyLong_FromUnsignedLongLong(index);
-}
-
-static int
-pair_leaf(Walk *w, PyObject *error)
-{
-    const ShapeOps *self = w->self;
-    int n = self->size;
-    PyObject *message = Py_XNewRef(error);
-    if (message == NULL) {
-        int rc = w->check ? _check_exhausted(self, w->j) : 0;
-        if (rc == 0) {
-            memcpy(w->back, w->t, (size_t)n * sizeof(int));
-            for (int m = 0; m < n; m++)
-                w->s[m] = 1;
-            rc = _straighten_inplace(self, w->back, w->s, w->check, w->work);
-        }
-        if (rc == 0) {
-            if (memcmp(w->back, w->p, (size_t)n * sizeof(int)) == 0
-                    && memcmp(w->s, w->jv, (size_t)n * sizeof(int)) == 0)
-                return 0;
-            return add_failure(w->failures, flat_index(w), "roundtrip", Py_NewRef(y_changed));
-        }
-        if ((message = take_check_message()) == NULL)
-            return -1;
-    }
-    return add_failure(w->failures, flat_index(w), "check", message);
-}
-
-/* steps 1..k-1 are done; the leaves below are numbered from first */
-static int
-pair_visit(Walk *w, int k, unsigned long long first, PyObject *error)
-{
-    const ShapeOps *self = w->self;
-    int n = self->size;
-    if (k == n)
-        return pair_leaf(w, error);
-    if (Py_EnterRecursiveCall(" in scan_pairs"))
-        return -1;
-    int pos = self->order[n - k], *path = w->paths + (size_t)k * n, rc = 0;
-    unsigned long long size = w->leaves[k], lo = first;
-    for (int v = 1; v <= self->hooklen[pos] && rc == 0 && lo < w->stop; v++) {
-        if (lo + size > w->start) {
-            w->jv[pos] = w->j[pos] = v;
-            PyObject *err = Py_XNewRef(error);
-            int plen = 0;
-            if (err == NULL) {
-                if (w->check && !_prefix_standard(self, w->t, n + 1 - k)) {
-                    PyErr_Format(InternalCheckError, "prefix standardness lost before step %d", k);
-                    plen = -1;
-                } else if (w->check)
-                    plen = _checked_rotate(self, w->t, w->j, k, path);
-                else if (v > 1)
-                    _rotate_right(w->t, path, plen = _build_path(self, pos, v, path));
-                if (plen < 0 && (err = take_check_message()) == NULL) {
-                    rc = -1;
-                    break;
-                }
-                if (plen < 0)
-                    plen = 0;
-            }
-            rc = pair_visit(w, k + 1, lo, err);
-            Py_XDECREF(err);
-            if (plen > 0)
-                _rotate_left(w->t, path, plen);
-        }
-        lo += size;
-    }
-    Py_LeaveRecursiveCall();
-    return rc;
-}
-
-/* Buffers of one walk: paths and slide scratch per depth, then the per-cell
- * arrays; NULL on error. */
+/* Buffers of the filling walk: paths and slide scratch per depth, then the
+ * per-cell arrays; NULL on error. */
 static int *
 walk_alloc(Walk *w, const ShapeOps *self, PyObject *failures, int check)
 {
     int n = self->size;
-    int *buf = alloc_ints(3 * (size_t)n * (size_t)n + 12 * (size_t)n);
+    int *buf = alloc_ints(3 * (size_t)n * (size_t)n + 7 * (size_t)n);
     if (buf == NULL)
         return NULL;
-    w->leaves = PyMem_Malloc((size_t)(n + 1) * sizeof(unsigned long long));
+    w->leaves = PyMem_Malloc((size_t)n * sizeof(unsigned long long));
     if (w->leaves == NULL) {
         PyMem_Free(buf);
         PyErr_NoMemory();
@@ -969,14 +887,12 @@ walk_alloc(Walk *w, const ShapeOps *self, PyObject *failures, int check)
     w->j = cursor; cursor += n;
     w->back = cursor; cursor += n;
     w->x = cursor; cursor += n;
-    w->jv = cursor; cursor += n;
-    w->p = cursor; cursor += n;
-    w->work = cursor; cursor += 4 * n;
+    w->work = cursor; cursor += n;
     w->free = cursor;
-    for (int m = 0; m < n; m++)
-        w->s[m] = w->j[m] = w->jv[m] = 1;
-    for (int m = 0; m < n; m++)
+    for (int m = 0; m < n; m++) {
+        w->s[m] = 1;
         w->free[m] = m + 1;
+    }
     w->standard = 0;
     w->per_leaf = 0;
     return buf;
@@ -1170,7 +1086,6 @@ ShapeOps_scan_pairs(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs, PyO
     PyObject *start = NULL, *stop = NULL, *zero = NULL, *rows = NULL, *size = NULL;
     PyObject *failures = NULL, *result = NULL;
     int *buf = NULL;
-    Walk w;
     Py_ssize_t nrows = PyObject_Length(arg[0]);
     if (nrows < 0 || (start = PyNumber_Index(arg[1])) == NULL
             || (stop = PyNumber_Index(arg[2])) == NULL || (zero = PyLong_FromLong(0)) == NULL
@@ -1185,29 +1100,50 @@ ShapeOps_scan_pairs(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs, PyO
     }
     long long hi = PyLong_AsLongLong(stop);
     int check = hi == -1 && PyErr_Occurred() ? -1 : PyObject_IsTrue(arg[3]);
+    /* the P row, its hook values, and the copies they are roundtripped on,
+     * then 3n ints of _straighten_inplace scratch */
     if (check < 0 || (failures = PyList_New(0)) == NULL
-            || (buf = walk_alloc(&w, self, failures, check)) == NULL)
+            || (buf = alloc_ints(8 * (size_t)n)) == NULL)
         goto done;
-    w.start = (unsigned long long)PyLong_AsLongLong(start); /* fits: 0 <= start <= stop */
-    w.stop = (unsigned long long)hi;
-    w.leaves[n] = w.leaves[n - 1] = 1;
-    for (int k = n - 1; k > 0; k--)
-        w.leaves[k - 1] = w.leaves[k] * (unsigned long long)self->hooklen[self->order[n - k]];
-    /* a row is read, and its length checked, only when the walk reaches it */
-    for (w.row = w.start / H; w.row < (w.stop + H - 1) / H; w.row++) {
-        PyObject *row = PySequence_GetItem(arg[0], (Py_ssize_t)w.row);
-        int rc = row == NULL ? -1 : read_ints(row, w.p, n);
-        Py_XDECREF(row);
+    int *p = buf, *jv = buf + n, *back = buf + 2 * n, *j = buf + 3 * n, *s = buf + 4 * n;
+    unsigned long long lo = (unsigned long long)PyLong_AsLongLong(start); /* fits: 0 <= start <= stop */
+    for (unsigned long long r = lo; r < (unsigned long long)hi; r++) {
+        unsigned long long rem = r % H;
+        /* a row is read, and its length checked, only when the loop reaches it */
+        if (r == lo || rem == 0) {
+            PyObject *row = PySequence_GetItem(arg[0], (Py_ssize_t)(r / H));
+            int rc = row == NULL ? -1 : read_ints(row, p, n);
+            Py_XDECREF(row);
+            if (rc < 0)
+                goto done;
+        }
+        for (int pos = n - 1; pos >= 0; pos--) {
+            unsigned long long h = (unsigned long long)self->hooklen[pos];
+            jv[pos] = (int)(rem % h) + 1;
+            rem /= h;
+        }
+        memcpy(back, p, (size_t)n * sizeof(int));
+        memcpy(j, jv, (size_t)n * sizeof(int));
+        for (int m = 0; m < n; m++)
+            s[m] = 1;
+        int rc = _unstraighten_inplace(self, back, j, check, buf + 5 * n);
+        if (rc == 0)
+            rc = _straighten_inplace(self, back, s, check, buf + 5 * n);
+        PyObject *message;
+        if (rc == 0) {
+            if (memcmp(back, p, (size_t)n * sizeof(int)) == 0
+                    && memcmp(s, jv, (size_t)n * sizeof(int)) == 0)
+                continue;
+            rc = add_failure(failures, PyLong_FromUnsignedLongLong(r), "roundtrip",
+                             Py_NewRef(y_changed));
+        } else if ((message = take_check_message()) != NULL)
+            rc = add_failure(failures, PyLong_FromUnsignedLongLong(r), "check", message);
         if (rc < 0)
-            goto done;
-        memcpy(w.t, w.p, (size_t)n * sizeof(int));
-        if (pair_visit(&w, 1, w.row * H, NULL) < 0)
             goto done;
     }
     result = Py_NewRef(failures);
 done:
-    if (buf != NULL)
-        walk_free(&w, buf);
+    PyMem_Free(buf);
     Py_XDECREF(start);
     Py_XDECREF(stop);
     Py_XDECREF(zero);
@@ -1250,13 +1186,13 @@ static PyMethodDef ShapeOps_methods[] = {
     {"scan_pairs", (PyCFunction)(void (*)(void))ShapeOps_scan_pairs,
      METH_FASTCALL | METH_KEYWORDS,
      "scan_pairs(p_table, start, stop, check=True)\n--\n\n"
-     "Roundtrip-check the pairs numbered [start, stop) in walk order.\n\n"
-     "Pair r takes row p_table[r // hook_prod], read and length-checked only\n"
-     "when the walk reaches it; below it the walk assigns hook\n"
-     "values in unstraighten order, and each unstraighten step runs once per\n"
-     "tree node.  Failures come in walk order with flat indices: the row index\n"
-     "times hook_prod plus the hook values in mixed radix, last flat cell\n"
-     "fastest.  Raises OverflowError when hook_prod does not fit a C long long."},
+     "Roundtrip-check the pairs numbered [start, stop), one at a time.\n\n"
+     "Pair r is row p_table[r // hook_prod], read and length-checked only\n"
+     "when the loop reaches it, with the hook values of r % hook_prod in mixed\n"
+     "radix, last flat cell fastest.  Each pair is unstraightened, then\n"
+     "straightened, on copies and compared with itself.  Failures hold\n"
+     "(r, stage, message) in index order.  Raises OverflowError when hook_prod\n"
+     "does not fit a C long long."},
     {NULL}
 };
 

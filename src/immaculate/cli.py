@@ -169,7 +169,10 @@ def cmd_verify(args) -> int:
             for r in reports
             if not r.ok
         ]
-        Path(args.failures_out).write_text(json.dumps(payload, indent=2) + "\n")
+        try:
+            Path(args.failures_out).write_text(json.dumps(payload, indent=2) + "\n")
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.failures_out}: {exc}") from None
     return 0 if all_ok else 1
 
 

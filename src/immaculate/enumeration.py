@@ -244,7 +244,7 @@ class VerificationReport:
     backend: str
     elapsed_s: float
     # how the pair side was checked: "x-scan" (proved by the clean filling
-    # scan), "y-scan" (walked) or "samples"
+    # scan), "y-scan" (each pair roundtripped) or "samples"
     y_covered_by: str = "y-scan"
 
     @property
@@ -324,17 +324,18 @@ def _reshape(alpha: Composition, flat: Sequence[int]) -> list[list[int]]:
 
 def _scan_tasks(alpha: Composition, side: str, size: int, p_table: list | None,
                 pieces: int) -> list[tuple]:
-    """One side's scan of a shape as at most `pieces` even runs of leaves.
+    """One side's scan of a shape as at most `pieces` even runs of indices.
 
-    The walks start and stop at any leaf, so a run needs no subtree
-    boundaries.  Each y task carries the whole P table; the kernel reads only
-    the rows its run reaches, and reports the flat indices as they stand.
+    The filling walk starts and stops at any leaf, and the pair scan at any
+    pair, so a run needs no subtree boundaries.  Each y task carries the
+    whole P table; the kernel reads only the rows its run reaches, and
+    reports the flat indices as they stand.
     """
     return [(alpha.parts, side, lo, hi, p_table) for lo, hi in _chunks(size, pieces)]
 
 
 def _exhaustive_report(alpha, started, p_table, x_results, run, pieces, jobs):
-    """Gather one shape's filling scan, walk its pairs only when that scan
+    """Gather one shape's filling scan, scan its pairs only when that scan
     cannot prove them, and sort the failures by index on each side."""
     hook_prod = alpha.hook_product()
     n_fact, y_size = math.factorial(alpha.n), len(p_table) * hook_prod
@@ -495,28 +496,28 @@ def verify_bijection(
     around as well (y_covered_by="y-scan"), so the report names the
     failing pairs too.
 
-    The kernel scans walk the objects as a tree: fillings that agree on
-    their first traversal cells share their first straighten steps, and
-    pairs that agree on their first hook values in unstraighten order share
-    their first unstraighten steps, so each step runs once per tree node.
-    The filling walk also runs each checked unstraighten step once per
-    node, on the way back up, and compares every cell that the step or the
-    slide it undoes touched with its value before the slide.  By induction
-    on depth, those compares show that each node's inverse step acts on the
-    state the filling's own checked unstraighten would reach there, so
-    together they are that unstraighten and its exact comparison with the
-    filling.  Each of its checks runs once, where its state first arises:
-    the rotation's checks at the node; stability before the step, which is
-    the state the slide's own check passed; and the consumption of every
-    hook value, at each node and over the whole array back at depth 1.  A
-    node whose inverse fails has its subtree walked again with the full
-    checked unstraighten at every filling, so the entries read as they would
-    one filling at a time.  Each pair walked gets the full checked
-    straighten and an exact comparison.  A failure's index is that of the
-    object itself: the lexicographic rank of a filling, and for a pair the P
-    row's index times the hook product plus the hook values in mixed radix,
-    last flat cell fastest.  Failures are sorted by index on each side.  jobs > 1 splits
-    the walks into runs of leaves for min(jobs, os.cpu_count()) worker
+    The filling scan walks the fillings as a tree: fillings that agree on
+    their first traversal cells share their first straighten steps, so each
+    step runs once per tree node.  The walk also runs each checked
+    unstraighten step once per node, on the way back up, and compares every
+    cell that the step or the slide it undoes touched with its value before
+    the slide.  By induction on depth, those compares show that each node's
+    inverse step acts on the state the filling's own checked unstraighten
+    would reach there, so together they are that unstraighten and its exact
+    comparison with the filling.  Each of its checks runs once, where its
+    state first arises: the rotation's checks at the node; stability before
+    the step, which is the state the slide's own check passed; and the
+    consumption of every hook value, at each node and over the whole array
+    back at depth 1.  A node whose inverse fails has its subtree walked
+    again with the full checked unstraighten at every filling, so the
+    entries read as they would one filling at a time.  The pair scan is a
+    plain loop: each pair gets the full checked unstraighten and straighten,
+    one pair at a time, and an exact comparison.  A failure's index is that
+    of the object itself: the lexicographic rank of a filling, and for a
+    pair the P row's index times the hook product plus the hook values in
+    mixed radix, last flat cell fastest; the pair scan numbers its pairs the
+    same way.  Failures are sorted by index on each side.  jobs > 1 splits
+    the scans into runs of indices for min(jobs, os.cpu_count()) worker
     processes; see verify_shapes, which this calls for exhaustive mode.
     Sampled mode draws sample_size objects per side from the seeded
     Mersenne Twister stream instead (y_covered_by="samples"), so runs are

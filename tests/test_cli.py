@@ -366,7 +366,8 @@ class TestVerify:
         assert main(["verify", "2,1,2", "--failures-out", str(out)]) == 0
         assert not out.exists()
 
-    def test_failure_exits_1_and_writes_failures(self, capsys, tmp_path, monkeypatch):
+    @pytest.fixture
+    def fake_verify(self, monkeypatch):
         def fake_verify(shapes, **kwargs):
             return [VerificationReport(
                 shape=alpha.parts, mode="exhaustive", count_formula=4,
@@ -381,6 +382,8 @@ class TestVerify:
             ) for alpha in shapes]
 
         monkeypatch.setattr("immaculate.cli.verify_shapes", fake_verify)
+
+    def test_failure_exits_1_and_writes_failures(self, capsys, tmp_path, fake_verify):
         out = tmp_path / "failures.json"
         assert main(["verify", "2,1,2", "--failures-out", str(out)]) == 1
         stdout = capsys.readouterr().out
@@ -394,6 +397,13 @@ class TestVerify:
             }],
             "assertion_failures": [],
         }]
+
+    def test_unwritable_failures_out_exits_2(self, capsys, tmp_path, fake_verify):
+        out = tmp_path / "missing" / "failures.json"
+        assert main(["verify", "2,1,2", "--failures-out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+        assert "Traceback" not in err and not out.exists()
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

@@ -311,9 +311,9 @@ def test_compiled_reference_counts_do_not_leak():
         ops.scan_fillings(1, 5, False)
         ops.scan_pairs(good, 0, 3, True)
         ops.scan_pairs(good, 1, 2, False)
-        assert len(ops.scan_pairs(bad, 0, 3, True)) == 3  # failed at a node
+        assert len(ops.scan_pairs(bad, 0, 3, True)) == 3  # failed in unstraighten
         assert ops.scan_pairs(bad, 0, 3, False)  # roundtrip failures
-        assert len(ops.scan_pairs(tied, 0, 3, True)) == 2  # failed at a leaf
+        assert len(ops.scan_pairs(tied, 0, 3, True)) == 2  # a changed pair, a tie in straighten
         raises(ops.scan_pairs, bad + [(1, 2)], 0, 6, True)  # short row after failures
         compiled.ShapeOps((3, 1, 2))
         raises(ops.straighten, [9, 2, 2], check=True)
@@ -495,7 +495,7 @@ class TestWalks:
                 table = _odd_table(alpha)
                 total = len(table) * ops.hook_prod
                 whole = ops.scan_pairs(table, 0, total, True)
-                assert sorted(whole) == _oracle_pairs(ops, table)
+                assert whole == _oracle_pairs(ops, table)
                 assert len({index for index, _, _ in whole}) == len(whole)
                 assert whole or n == 1
                 cuts = sorted(rng.sample(range(total + 1), min(3, total + 1)))
@@ -505,8 +505,8 @@ class TestWalks:
 
 
     def test_pairs_roundtrip_on_every_shape_through_six(self, backend):
-        # verify walks the pairs only to explain a failed filling scan, so
-        # this keeps the pair side's own checked walk on every small shape
+        # verify scans the pairs only to explain a failed filling scan, so
+        # this keeps the pair side's own checked roundtrips on every small shape
         for n in range(1, 7):
             for alpha in compositions(n):
                 ops = get_backend(backend).ShapeOps(alpha.parts)
