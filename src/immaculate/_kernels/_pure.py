@@ -72,10 +72,10 @@ class ShapeOps:
         self.step_of = [0] * n
         for k, pos in enumerate(self.order):
             self.step_of[pos] = k
-        self.hooklen = [
+        self.hooklen = tuple(
             n - pos if self.colof[pos] == 0 else row_start[self.rowof[pos] + 1] - pos
             for pos in range(n)
-        ]
+        )
         self.hook_prod = 1
         for h in self.hooklen:
             self.hook_prod *= h

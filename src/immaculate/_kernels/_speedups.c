@@ -31,6 +31,7 @@ typedef struct {
     PyObject *parts;       /* tuple of ints */
     PyObject *hook_prod;   /* exact product of the hook lengths */
     PyObject *n_factorial; /* exact n! */
+    PyObject *hooklen_obj; /* hooklen as a tuple of ints, the attribute `hooklen` */
     int size;
     long long prod_ll;     /* hook_prod when it fits a long long, else -1 */
     long long fact_ll;     /* n_factorial when it fits a long long, else -1 */
@@ -196,6 +197,7 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"parts", NULL};
     PyObject *arg, *items, *parts = NULL, *hook_prod = NULL, *n_factorial = NULL;
+    PyObject *hooklen_obj = NULL;
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "O:ShapeOps", kwlist, &arg))
         return -1;
 
@@ -314,6 +316,16 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
     n_factorial = PyObject_CallFunction(math_factorial, "i", n);
     if (n_factorial == NULL)
         goto fail;
+    hooklen_obj = PyTuple_New(n);
+    for (int pos = 0; hooklen_obj != NULL && pos < n; pos++) {
+        PyObject *h = PyLong_FromLong(hooklen[pos]);
+        if (h == NULL)
+            Py_CLEAR(hooklen_obj);
+        else
+            PyTuple_SET_ITEM(hooklen_obj, pos, h);
+    }
+    if (hooklen_obj == NULL)
+        goto fail;
     long long prod_ll = PyLong_AsLongLongAndOverflow(hook_prod, &overflow);
     int fact_overflow;
     long long fact_ll = PyLong_AsLongLongAndOverflow(n_factorial, &fact_overflow);
@@ -321,6 +333,7 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
     Py_XSETREF(self->parts, parts);
     Py_XSETREF(self->hook_prod, hook_prod);
     Py_XSETREF(self->n_factorial, n_factorial);
+    Py_XSETREF(self->hooklen_obj, hooklen_obj);
     self->size = n;
     self->prod_ll = overflow ? -1 : prod_ll;
     self->fact_ll = fact_overflow ? -1 : fact_ll;
@@ -331,6 +344,7 @@ fail:
     self->geom = NULL;
     Py_XDECREF(parts);
     Py_XDECREF(hook_prod);
+    Py_XDECREF(n_factorial);
     return -1;
 }
 
@@ -341,6 +355,7 @@ ShapeOps_dealloc(ShapeOps *self)
     Py_XDECREF(self->parts);
     Py_XDECREF(self->hook_prod);
     Py_XDECREF(self->n_factorial);
+    Py_XDECREF(self->hooklen_obj);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -1202,6 +1217,8 @@ static PyMemberDef ShapeOps_members[] = {
     {"hook_prod", T_OBJECT_EX, offsetof(ShapeOps, hook_prod), READONLY,
      "exact product of the hook lengths"},
     {"n_factorial", T_OBJECT_EX, offsetof(ShapeOps, n_factorial), READONLY, "exact n!"},
+    {"hooklen", T_OBJECT_EX, offsetof(ShapeOps, hooklen_obj), READONLY,
+     "hook length of each flat cell"},
     {NULL}
 };
 

@@ -9,13 +9,20 @@ entries with a modified jeu de taquin and recording where each slide stopped.
 
 Both maps validate their input, run the shape's cached flat-array kernel
 (``_kernels``; check=True is its per-step invariant check) and wrap the
-result.  The Trace they return replays the intermediate states on first
-access, since the hook values log the whole run.  The single moves exposed
-here and the replay use the pure kernel, the reference for its compiled twin.
+result with the trusted grid constructor, which skips the public
+constructors' per-entry validation.  What that validation proved is checked
+once, on the flat arrays: straighten tests, with check on or off, that P is
+a standard immaculate permutation of 1..n and every hook value lies in its
+hook, in one O(n) pass; unstraighten only permutes the entries of a
+validated P, so its result needs no check.  The Trace they return replays
+the intermediate states on first access, since the hook values log the
+whole run.  The single moves exposed here and the replay use the pure
+kernel, the reference for its compiled twin.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -118,6 +125,14 @@ class Pair:
         ):
             raise InvalidInputError("the tableau component of a pair must be standard immaculate")
 
+    @classmethod
+    def _trusted(cls, tableau: Tableau, hooks: HookTableau) -> "Pair":
+        """A pair the caller has already checked, built without __post_init__."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "tableau", tableau)
+        object.__setattr__(pair, "hooks", hooks)
+        return pair
+
     @property
     def shape(self) -> Composition:
         return self.tableau.shape
@@ -177,12 +192,16 @@ class Trace:
         j = list(pair.hooks.flat())
         states = [(pair.tableau, pair.hooks)]
         paths = []
+        # each step permutes the entries of the validated pair's P and resets
+        # one hook value to 1, so every state is a standard filling with
+        # hook values inside their hooks
         for k in range(1, n):
             pos = ops.order[n - k]
             path = ops._build_path(pos, j[pos])
             j[pos] = 1
             ops._rotate_right(t, path)
-            states.append((Tableau.from_flat(shape, t), HookTableau.from_flat(shape, j)))
+            states.append((Tableau._from_flat_trusted(shape, t),
+                           HookTableau._from_flat_trusted(shape, j)))
             paths.append(_cells(ops, path))
         if self._reverse:
             states.reverse()
@@ -317,7 +336,9 @@ def unstraighten(pair: Pair, check: bool = False) -> tuple[Tableau, Trace]:
     """
     shape = pair.shape
     flat = _kernel(shape.parts).unstraighten(pair.tableau.flat(), pair.hooks.flat(), check)
-    return Tableau.from_flat(shape, flat), Trace(pair)
+    # unstraighten only permutes the entries of the validated P, so flat is a
+    # standard filling
+    return Tableau._from_flat_trusted(shape, flat), Trace(pair)
 
 
 def straighten(t: Tableau, check: bool = False) -> tuple[Pair, Trace]:
@@ -328,12 +349,25 @@ def straighten(t: Tableau, check: bool = False) -> tuple[Pair, Trace]:
     far along the original cell's hook the entry travelled.  Inverse of
     unstraighten; the traces of the two runs mirror each other.
     """
-    if not t.is_standard():
-        raise InvalidInputError("straighten needs a filling with entries exactly 1..n")
     shape = t.shape
-    p, j = _kernel(shape.parts).straighten(t.flat(), check)
-    try:
-        pair = Pair(Tableau.from_flat(shape, p), HookTableau.from_flat(shape, j))
-    except InvalidInputError as exc:
-        raise InternalCheckError(f"straighten produced an invalid pair: {exc}") from exc
+    flat = t.flat()
+    one_to_n = list(range(1, shape.n + 1))
+    if sorted(flat) != one_to_n:
+        raise InvalidInputError("straighten needs a filling with entries exactly 1..n")
+    ops = _kernel(shape.parts)
+    p, j = ops.straighten(flat, check)
+    # what Pair(...) and the two grid constructors checked, on the flat
+    # arrays; split_flat below still rejects a result of the wrong length
+    if sorted(p) != one_to_n or not ops.is_standard_immaculate(p):
+        raise InternalCheckError(
+            "straighten produced an invalid pair: P is not a standard immaculate"
+            " permutation of 1..n")
+    if min(j) < 1 or not all(map(operator.le, j, ops.hooklen)):
+        k, v, h = next((k, v, h) for k, (v, h) in enumerate(zip(j, ops.hooklen))
+                       if not 1 <= v <= h)
+        raise InternalCheckError(
+            f"straighten produced an invalid pair: hook value {v} at cell"
+            f" {tuple(shape.cells()[k])} is outside 1..{h}")
+    pair = Pair._trusted(Tableau._from_flat_trusted(shape, p),
+                         HookTableau._from_flat_trusted(shape, j))
     return pair, Trace(pair, reverse=True)

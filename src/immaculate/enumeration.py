@@ -153,7 +153,10 @@ def enumerate_standard_immaculate(alpha: Composition) -> Iterator[Tableau]:
         row, rest = _fill_row(labels, tail)
         rows[depth:] = [row]
         if depth + 1 == len(parts):
-            yield Tableau(rows)
+            # _fill_row heads each row with its smallest label left and sorts
+            # the tail, and the rows share no label: a standard immaculate
+            # tableau by construction
+            yield Tableau._from_flat_trusted(alpha, tuple(itertools.chain.from_iterable(rows)))
         else:
             stack.append((itertools.combinations(rest[:0:-1], parts[depth + 1] - 1), rest))
 

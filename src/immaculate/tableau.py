@@ -40,10 +40,11 @@ def split_flat(shape: Composition, entries: Sequence[int]) -> tuple[tuple[int, .
     """Cut row-major entries into the rows of shape."""
     if len(entries) != shape.n:
         raise ValueError(f"need {shape.n} entries for shape {shape}, got {len(entries)}")
+    entries = tuple(entries)  # a slice of a tuple is already a tuple
     rows = []
     pos = 0
     for part in shape.parts:
-        rows.append(tuple(entries[pos : pos + part]))
+        rows.append(entries[pos : pos + part])
         pos += part
     return tuple(rows)
 
@@ -92,6 +93,19 @@ class Grid:
 
     def __str__(self) -> str:
         return self.to_text()
+
+    @classmethod
+    def _from_flat_trusted(cls, shape: Composition, flat: Sequence[int]):
+        """Wrap a flat grid the package built and checked itself.
+
+        Skips the validation of the public constructors and keeps the
+        caller's shape object.  Each caller names, beside its call, the check
+        that makes flat a valid grid of cls on shape.
+        """
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "rows", split_flat(shape, flat))
+        object.__setattr__(grid, "shape", shape)
+        return grid
 
     def to_json_obj(self) -> dict:
         return {"shape": list(self.shape.parts), "rows": [list(r) for r in self.rows]}

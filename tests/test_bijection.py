@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from immaculate import bijection
 from immaculate.bijection import (
     HookTableau,
     Pair,
@@ -19,7 +20,7 @@ from immaculate.bijection import (
     unstraighten,
 )
 from immaculate.composition import Cell, Composition, compositions
-from immaculate.errors import InvalidInputError, ParseError
+from immaculate.errors import InternalCheckError, InvalidInputError, ParseError
 from immaculate.tableau import Tableau
 
 # One fully worked expansion, used as the master fixture: shape (4,1,4,2,1),
@@ -318,6 +319,34 @@ class TestStraighten:
     def test_rejects_non_standard(self):
         with pytest.raises(InvalidInputError):
             straighten(Tableau([[1, 1], [2], [3, 3]]))
+
+    @pytest.mark.parametrize("check", [False, True])
+    @pytest.mark.parametrize("p, j, reason", [
+        ([1, 2, 3, 4, 4], [3, 1, 2, 1, 1], "permutation of 1..n"),
+        ([2, 1, 3, 4, 5], [3, 1, 2, 1, 1], "standard immaculate"),
+        ([1, 2, 3, 4, 5], [3, 2, 2, 1, 1], r"hook value 2 at cell \(1, 2\) is outside 1..1"),
+        ([1, 2, 3, 4, 5], [0, 1, 2, 1, 1], r"hook value 0 at cell \(1, 1\) is outside 1..5"),
+    ])
+    def test_invalid_kernel_result_is_an_internal_error(self, monkeypatch, check, p, j, reason):
+        # the object layer wraps kernel output without the public checks, so
+        # it must catch a kernel that returns something other than a pair
+        kernel = bijection._kernel
+
+        class Faulty:
+            def __init__(self, ops):
+                self.ops = ops
+
+            def __getattr__(self, name):
+                return getattr(self.ops, name)
+
+            def straighten(self, entries, check=False):
+                return list(p), list(j)
+
+        monkeypatch.setattr(bijection, "_kernel",
+                            lambda parts, backend=None: Faulty(kernel(parts, backend)))
+        with pytest.raises(InternalCheckError, match="straighten produced an invalid pair: .*"
+                           + reason):
+            straighten(Tableau([[3, 2], [4], [1, 5]]), check=check)
 
 
 class TestRoundTrip:

@@ -43,11 +43,17 @@ def _build(tmp_path, name, **env):
     return lib
 
 
-def _run(lib, *args):
+def _start(lib, *args):
     env = {k: v for k, v in os.environ.items() if k != "IMMACULATE_PURE"}
     env["PYTHONPATH"] = str(lib)
-    return subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True, text=True,
-                          env=env)
+    return subprocess.Popen([sys.executable, *args], cwd=ROOT, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env)
+
+
+def _run(lib, *args):
+    proc = _start(lib, *args)
+    out, err = proc.communicate(timeout=600)
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
 
 
 def test_compiled_build_passes_kernel_tests_with_nothing_skipped(tmp_path):
@@ -55,11 +61,16 @@ def test_compiled_build_passes_kernel_tests_with_nothing_skipped(tmp_path):
     lib = _build(tmp_path, "c", CFLAGS="-Wall -Wextra -Werror")
     assert list(lib.glob("immaculate/_kernels/_speedups*.so"))
     assert _run(lib, "-c", "import immaculate; print(immaculate.BACKEND)").stdout == "compiled\n"
-    out = _run(lib, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rs",
-               str(ROOT / "tests" / "test_kernels.py"))
-    summary = out.stdout.strip().splitlines()[-1]
-    assert out.returncode == 0, out.stdout + out.stderr
-    assert " passed" in summary and "skipped" not in summary, summary
+    # the pure_twin tests never touch the build, and this session runs them.
+    # The leak test takes about as long as the rest together, so the two
+    # halves run side by side.
+    pytest = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "-rs", "-m", "not pure_twin",
+              str(ROOT / "tests" / "test_kernels.py"), "-k"]
+    halves = [_start(lib, *pytest, k) for k in ("do_not_leak", "not do_not_leak")]
+    for proc, (out, err) in [(proc, proc.communicate(timeout=600)) for proc in halves]:
+        summary = out.strip().splitlines()[-1]
+        assert proc.returncode == 0, out + err
+        assert " passed" in summary and "skipped" not in summary, summary
     assert _build_products() == before
 
 

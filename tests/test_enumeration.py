@@ -73,6 +73,9 @@ class TestRecursiveEnumeration:
                 fast = list(enumerate_standard_immaculate(alpha))
                 assert len(fast) == len(set(fast))
                 assert set(fast) == set(brute_force_standard_immaculate(alpha))
+                # built without the public checks: tuples of ints on alpha itself
+                assert all(t.shape is alpha and {type(r) for r in t.rows} == {tuple}
+                           and {type(v) for r in t.rows for v in r} == {int} for t in fast)
 
     def test_streaming_does_not_share_state(self):
         # consuming lazily must give the same objects as list() up front

@@ -1,7 +1,11 @@
 """Parity tests binding the kernels to the reference implementation and to
 each other.  The pure backend always exists; the compiled one is skipped
 gracefully when the extension did not build (test_build.py builds it into a
-temporary directory and runs this module against it with nothing skipped)."""
+temporary directory and runs this module against it with nothing skipped).
+
+Tests marked ``pure_twin`` test the pure twin; test_build.py leaves them out
+of its run against the compiled build, as the session that starts it runs
+them itself."""
 
 import itertools
 import math
@@ -15,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import immaculate
+from immaculate import bijection
 from immaculate._kernels import BACKEND, BACKEND_REASON, get_backend
 from immaculate.bijection import HookTableau, Pair, straighten, unstraighten
 from immaculate.composition import Composition, compositions, count_formula
@@ -109,7 +114,17 @@ class TestCompiledAgainstPure:
             assert a.scan_pairs(p_table, 0, y, True) == b.scan_pairs(p_table, 0, y, True) == []
 
 
-BACKENDS = ["pure", pytest.param("compiled", marks=needs_compiled)]
+BACKENDS = [pytest.param("pure", marks=pytest.mark.pure_twin),
+            pytest.param("compiled", marks=needs_compiled)]
+
+
+@pytest.fixture
+def on_backend(backend, monkeypatch):
+    """Run the object API (straighten, unstraighten, Pair, Trace) on the
+    test's backend, whichever one is active."""
+    kernel = bijection._kernel
+    monkeypatch.setattr(bijection, "_kernel",
+                        lambda parts, name=None: kernel(parts, name or backend))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -218,7 +233,7 @@ class TestWalkLimits:
 
 
 class TestTypeSurface:
-    NAMES = ("parts", "size", "hook_prod", "n_factorial")
+    NAMES = ("parts", "size", "hook_prod", "n_factorial", "hooklen")
 
     @needs_compiled
     def test_attributes_agree_and_are_read_only(self):
@@ -226,6 +241,7 @@ class TestTypeSurface:
             a, b = compiled.ShapeOps(parts), pure.ShapeOps(parts)
             assert [getattr(a, k) for k in self.NAMES] == [getattr(b, k) for k in self.NAMES]
             assert type(a.parts) is tuple and type(a.hook_prod) is int
+            assert type(a.hooklen) is tuple and {type(h) for h in a.hooklen} == {int}
             for name in self.NAMES:
                 with pytest.raises(AttributeError):
                     setattr(a, name, getattr(a, name))
@@ -344,6 +360,7 @@ def test_compiled_reference_counts_do_not_leak():
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("check", [False, True])
+@pytest.mark.usefixtures("on_backend")
 def test_object_layer_matches_kernel(backend, check):
     # straighten/unstraighten only validate and wrap the kernel, so on every
     # backend the objects carry exactly the kernel's flat results
@@ -362,6 +379,39 @@ def test_object_layer_matches_kernel(backend, check):
             assert back.flat() == tuple(ops.unstraighten(p, j, check)) == tuple(vals)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.usefixtures("on_backend")
+def test_trusted_objects_equal_validated_ones(backend):
+    # straighten, unstraighten and the trace wrap kernel output without the
+    # public constructors' checks; rebuilt through those constructors, each
+    # grid is equal and hashes equally, holds tuples of ints and keeps the
+    # input's shape object
+    def as_public(grid, shape):
+        public = type(grid)(grid.rows)
+        assert grid == public and hash(grid) == hash(public)
+        assert type(grid.rows) is tuple and {type(r) for r in grid.rows} == {tuple}
+        assert {type(v) for r in grid.rows for v in r} == {int}
+        assert grid.shape is shape and grid.shape == public.shape
+
+    rng = random.Random(31)
+    cases = [(alpha, 4) for n in range(1, 7) for alpha in compositions(n)]
+    cases += [(Composition(random_shape(rng, n)), 1) for n in (20, 100) for _ in range(5)]
+    for alpha, count in cases:
+        for _ in range(count):
+            t = Tableau.from_flat(alpha, rng.sample(range(1, alpha.n + 1), alpha.n))
+            pair, trace = straighten(t)
+            as_public(pair.tableau, t.shape)
+            as_public(pair.hooks, t.shape)
+            public = Pair(Tableau(pair.tableau.rows), HookTableau(pair.hooks.rows))
+            assert pair == public and hash(pair) == hash(public)
+            back, back_trace = unstraighten(pair)
+            as_public(back, t.shape)
+            assert back == t
+            for tableau, hooks in trace.states + back_trace.states:
+                as_public(tableau, t.shape)
+                as_public(hooks, t.shape)
+
+
 def _sits(alpha):
     for perm in itertools.permutations(range(1, alpha.n + 1)):
         t = Tableau.from_flat(alpha, perm)
@@ -369,7 +419,7 @@ def _sits(alpha):
             yield t
 
 
-@pytest.mark.parametrize("backend", ["pure"] + (["compiled"] if compiled else []))
+@pytest.mark.parametrize("backend", BACKENDS[:1] + (["compiled"] if compiled else []))
 class TestScanSemantics:
     def test_chunks_concatenate(self, backend):
         ops = get_backend(backend).ShapeOps((2, 1, 2))
@@ -443,7 +493,7 @@ def _oracle_fillings(ops):
 
 def _oracle_pairs(ops, p_table):
     """scan_pairs over every pair, one public roundtrip at a time, by flat index."""
-    hooks = list(itertools.product(*(range(1, h + 1) for h in _hook_lengths(ops))))
+    hooks = list(itertools.product(*(range(1, h + 1) for h in ops.hooklen)))
     failures = []
     for row, p in enumerate(p_table):
         for rem, j in enumerate(hooks):
@@ -456,10 +506,6 @@ def _oracle_pairs(ops, p_table):
             if back != (list(p), list(j)):
                 failures.append((index, "roundtrip", Y_CHANGED))
     return failures
-
-
-def _hook_lengths(ops):
-    return [h for row in Composition(ops.parts).hook_lengths() for h in row]
 
 
 def _odd_table(alpha):
@@ -515,6 +561,7 @@ class TestWalks:
                 assert ops.scan_pairs(table, 0, math.factorial(n), True) == []
 
 
+@pytest.mark.pure_twin
 class TestPlantedFaults:
     """Faults planted in the pure twin's steps, where the walks meet them
     once per tree node and the public transforms once per object."""
@@ -615,7 +662,7 @@ class TestPlantedFaults:
         rng = random.Random(n)
         for alpha in compositions(n):
             clean = pure.ShapeOps(alpha.parts)
-            hooklen, order = _hook_lengths(clean), clean.order
+            hooklen, order = clean.hooklen, clean.order
             # the last step with a choice: every pair meets it at its own state
             k0 = max(k for k in range(1, n) if hooklen[order[n - k]] > 1)
             pos = order[n - k0]
