@@ -2,8 +2,8 @@
 
 This module is the spec of the kernels.  The compiled twin, the hand-written
 C file ``_speedups.c``, mirrors it function by function: each of
-``_prefix_standard``/``_path_standard``, ``_slide``, ``_build_path``,
-``_hook_index``, ``_rotate_left``/``_rotate_right``, the checked steps
+``_prefix_standard``, ``_slide``, ``_build_path``, ``_hook_index``,
+``_rotate_left``/``_rotate_right``, the checked steps
 ``_checked_slide``/``_checked_rotate`` with ``_check_exhausted``,
 ``_straighten_inplace``/``_unstraighten_inplace`` and ``_lex_rank`` has a C
 function of the same name, the functions nested in ``count_standard``
@@ -11,6 +11,14 @@ function of the same name, the functions nested in ``count_standard``
 ``count_visit`` and ``fill_visit``/``fill_leaf``/``fill_undo`` there, and the
 public methods raise the same exceptions with the same messages.  Which twin
 you get from ``immaculate._kernels`` is decided at import time.
+
+Where the twins differ: what a checked slide learns from its path alone,
+the ``_hook_index`` verdict and the row and column pairs whose stability it
+checks, is computed here once per hook path and kept in a memo
+(``_checked_path``).  The C twin builds each path into a buffer and works
+both out again on every slide, the pairs in its ``_path_standard``.  So
+where ``undo`` here knows the rotation path is the slide path by identity,
+``fill_undo`` there compares the two paths' cells.
 
 Positions here are 0-based flat indices, and a key layout fact keeps
 everything tight: in row-major order every hook occupies a contiguous run of
@@ -61,17 +69,8 @@ class ShapeOps:
             else -1
             for pos in range(n)
         ]
-        self.left = [pos - 1 if self.colof[pos] > 0 else -1 for pos in range(n)]
-        self.above = [
-            row_start[self.rowof[pos] - 1] if self.colof[pos] == 0 and self.rowof[pos] > 0 else -1
-            for pos in range(n)
-        ]
-        # traversal order: right-most column first, bottom-up within a column;
-        # step_of[pos] is the straighten step that slides pos
+        # traversal order: right-most column first, bottom-up within a column
         self.order = sorted(range(n), key=lambda p: (-self.colof[p], -self.rowof[p]))
-        self.step_of = [0] * n
-        for k, pos in enumerate(self.order):
-            self.step_of[pos] = k
         self.hooklen = tuple(
             n - pos if self.colof[pos] == 0 else row_start[self.rowof[pos] + 1] - pos
             for pos in range(n)
@@ -81,6 +80,7 @@ class ShapeOps:
             self.hook_prod *= h
         self.n_factorial = math.factorial(n)
         self._hook_paths = {}
+        self._checked_paths = {}
         # Stability, in traversal order: each cell with a right neighbour
         # makes a row pair and each column-1 cell with one below a column
         # pair.  Both neighbours of a traversal cell come before it in the
@@ -119,22 +119,6 @@ class ShapeOps:
                 return False
         for a, b in self.col_pairs[:cols]:
             if t[a] >= t[b]:
-                return False
-        return True
-
-    def _path_standard(self, t, path, count) -> bool:
-        # _prefix_standard(t, count) on the row and column pairs with an end
-        # on path, which lies in that prefix; a left or above neighbour is
-        # in the prefix only when its step comes before count
-        right, below, left, above = self.right, self.below, self.left, self.above
-        step_of = self.step_of
-        for q in path:
-            e = t[q]
-            r, b, a, u = right[q], below[q], left[q], above[q]
-            if (r >= 0 and e > t[r]) or (b >= 0 and e >= t[b]):
-                return False
-            if (a >= 0 and step_of[a] < count and t[a] > e) or (
-                    u >= 0 and step_of[u] < count and t[u] >= e):
                 return False
         return True
 
@@ -186,6 +170,34 @@ class ShapeOps:
             self._hook_paths[key] = path
         return path
 
+    def _checked_path(self, start, v):
+        """What the checks of a slide from start to its v-th hook cell read
+        from the path alone, as a tuple (path, hook_ok, row_pairs, col_pairs).
+
+        Built once per (start, v), when a checked slide first takes that
+        path, and shared after that, so callers must not change it.  path
+        is _build_path(start, v), and hook_ok the verdict
+        _hook_index(start, start + v - 1) == v.  row_pairs and col_pairs are
+        the row and column pairs that have an end on path and lie in the
+        traversal prefix that ends at start: the pairs whose stability the
+        slide can break.  A right or lower neighbour comes before its cell
+        in the traversal, so every pair of a path cell with one of those is
+        in.  A left or upper neighbour of a path cell is on the path too (a
+        hook runs along rows and down column 1), or, for start itself, comes
+        after start; so no other pair is.  A row pair (a, a + 1) is given by
+        its left cell a, to keep the memo small; a column pair as (a, b).
+        """
+        key = start * self.size + v
+        entry = self._checked_paths.get(key)
+        if entry is None:
+            path = self._build_path(start, v)
+            right, below = self.right, self.below
+            entry = (path, self._hook_index(start, start + v - 1) == v,
+                     tuple(q for q in path if right[q] >= 0),
+                     tuple((q, below[q]) for q in path if below[q] >= 0))
+            self._checked_paths[key] = entry
+        return entry
+
     def _hook_index(self, start, end) -> int:
         # row-based closed form; must agree with the flat-run form end-start+1
         rs, re = self.rowof[start], self.rowof[end]
@@ -216,39 +228,51 @@ class ShapeOps:
     # live in one method, used by the checked transforms and by the walk
     # alike; the unchecked transforms inline the bare step.
 
-    def _checked_slide(self, t, s, k) -> list[int]:
-        """Straighten step k with every check; returns the slide path.
+    def _checked_slide(self, t, s, k):
+        """Straighten step k with every check; returns (path, before): the
+        slide path, as the shared list of _build_path, and the hook run of
+        order[k] as it was before the step.
 
         The slide moves only the cells of its path, all in the hook of
         order[k], so the shift is checked on the path cells.  The first k
         traversal cells were stable before the step, and a row or column
         pair with no end on the path kept both its entries, so stability of
         the first k + 1 cells is checked on the pairs with an end on the
-        path.  On a failed check t is put back as it was, so a walk can go on
-        to the next sibling from the same state.
+        path.  The closed-form hook index and those pairs depend on the path
+        alone, so they come from _checked_path, built once per path.  On a
+        failed check t is put back as it was, so a walk can go on to the
+        next sibling from the same state.
         """
         pos = self.order[k]
         end = pos + self.hooklen[pos]
         before = t[pos:end]
         try:
-            path = self._slide(t, pos)
-            v = path[-1] - path[0] + 1
+            slid = self._slide(t, pos)
+            v = slid[-1] - pos + 1
             s[pos] = v
-            if self._hook_index(path[0], path[-1]) != v:
+            # the memo lookup inline, to save a call at every node of the
+            # filling walk
+            path, hook_ok, row_pairs, col_pairs = (
+                self._checked_paths.get(pos * self.size + v) or self._checked_path(pos, v))
+            if not hook_ok:
                 raise InternalCheckError("hook index closed form disagrees with flat run")
-            if path != self._build_path(pos, v):
+            if slid != path:
                 raise InternalCheckError("slide path is not the hook path of its endpoints")
             prev = path[-1]
             for q in path:
                 if t[prev] != before[q - pos]:
                     raise InternalCheckError("slide result is not the circular left shift")
                 prev = q
-            if not self._path_standard(t, path, k + 1):
-                raise InternalCheckError(f"prefix standardness lost after step {k}")
+            for a in row_pairs:
+                if t[a] > t[a + 1]:
+                    raise InternalCheckError(f"prefix standardness lost after step {k}")
+            for a, b in col_pairs:
+                if t[a] >= t[b]:
+                    raise InternalCheckError(f"prefix standardness lost after step {k}")
         except InternalCheckError:
             t[pos:end] = before
             raise
-        return path
+        return path, before
 
     def _checked_rotate(self, t, j, k):
         """Unstraighten step k with its checks; returns the rotated path, or
@@ -455,9 +479,12 @@ class ShapeOps:
             for q in path:
                 if t[q] != before[q - pos]:
                     return False
-            for q in turned or ():
-                if t[q] != before[q - pos]:
-                    return False
+            # a checked slide returns the shared hook path, which the
+            # rotation that undoes it turns again
+            if turned is not None and turned is not path:
+                for q in turned:
+                    if t[q] != before[q - pos]:
+                        return False
             return True
 
         def visit(d, first, error, stable):
@@ -480,11 +507,11 @@ class ShapeOps:
                     keep = stable and (r < 0 or v <= x[r]) and (b < 0 or v < x[b])
                     path, err = None, error
                     if d and err is None:
-                        before = t[pos:end]
                         try:
                             if check:
-                                path = self._checked_slide(t, s, d)
+                                path, before = self._checked_slide(t, s, d)
                             else:
+                                before = t[pos:end]
                                 path = self._slide(t, pos)
                                 s[pos] = path[-1] - pos + 1
                         except InternalCheckError as exc:

@@ -1,13 +1,21 @@
 /* Compiled kernels: the exact behaviour of _pure.py on C arrays.
  *
  * _pure.py is the spec.  Every static function here named after a _pure
- * method (_prefix_standard, _path_standard, _slide, _build_path,
- * _hook_index, _rotate_left, _rotate_right, _checked_slide, _checked_rotate,
- * _check_exhausted, _straighten_inplace, _unstraighten_inplace, _lex_rank)
- * is that method line for line, the walks of count_standard and
- * scan_fillings are its nested visit, leaf and undo functions, and
- * scan_pairs is its loop over the pairs; only the failure entries exist in
- * C alone.  The parity tests compare the two twins exhaustively.
+ * method (_prefix_standard, _slide, _build_path, _hook_index, _rotate_left,
+ * _rotate_right, _checked_slide, _checked_rotate, _check_exhausted,
+ * _straighten_inplace, _unstraighten_inplace, _lex_rank) is that method line
+ * for line, the walks of count_standard and scan_fillings are its nested
+ * visit, leaf and undo functions, and scan_pairs is its loop over the
+ * pairs; only the failure entries exist in C alone.  The parity tests
+ * compare the two twins exhaustively.
+ *
+ * Where they differ: _pure keeps, in a memo keyed by the hook path, the
+ * _hook_index verdict and the stability pairs that a slide along the path
+ * must check (_checked_path there).  Here _build_path writes the path into a
+ * buffer, and _checked_slide works both out again on every slide, the
+ * pairs in _path_standard.  So where _pure's node inverse skips its second
+ * compare when the rotation path is the slide path's own list, fill_undo
+ * skips it when the two paths hold the same cells.
  *
  * Positions are 0-based flat row-major indices.  Hooks are contiguous flat
  * runs, so the v-th hook cell of position p is p + v - 1.
@@ -36,7 +44,7 @@ typedef struct {
     long long prod_ll;     /* hook_prod when it fits a long long, else -1 */
     long long fact_ll;     /* n_factorial when it fits a long long, else -1 */
     int *geom;             /* one block holding every array below */
-    int *row_start, *rowof, *colof, *right, *below, *left, *above, *order, *step_of, *hooklen;
+    int *row_start, *rowof, *colof, *right, *below, *order, *hooklen;
     /* stability in traversal order: the entry at row_pairs[m] may not
      * exceed its right neighbour's, and the entry at col_pairs[m] must be
      * below the one under it; the first `count` traversal cells own the
@@ -242,11 +250,11 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
     int n = (int)total;
 
     /* a second __init__ replaces the shape; one that fails leaves none.
-     * row_start has k + 1 ints, the nine per-cell arrays n each, the prefix
+     * row_start has k + 1 ints, the six per-cell arrays n each, the prefix
      * pairs n each and their cuts n + 1 each; the column counts of the order
      * sort borrow prefix_rows */
     PyMem_Free(self->geom);
-    int *cursor = self->geom = alloc_ints((size_t)(k + 3) + 13 * (size_t)n);
+    int *cursor = self->geom = alloc_ints((size_t)(k + 3) + 10 * (size_t)n);
     if (cursor == NULL)
         goto fail;
     int *row_start = self->row_start = cursor; cursor += k + 1;
@@ -254,10 +262,7 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
     int *colof = self->colof = cursor;         cursor += n;
     int *right = self->right = cursor;         cursor += n;
     int *below = self->below = cursor;         cursor += n;
-    int *left = self->left = cursor;           cursor += n;
-    int *above = self->above = cursor;         cursor += n;
     int *order = self->order = cursor;         cursor += n;
-    int *step_of = self->step_of = cursor;     cursor += n;
     int *hooklen = self->hooklen = cursor;     cursor += n;
     int *row_pairs = self->row_pairs = cursor; cursor += n;
     int *col_pairs = self->col_pairs = cursor; cursor += n;
@@ -277,14 +282,11 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
             colof[pos] = c;
             right[pos] = c + 1 < len ? pos + 1 : -1;
             below[pos] = c == 0 && r + 1 < k ? row_start[r + 1] : -1;
-            left[pos] = c > 0 ? pos - 1 : -1;
-            above[pos] = c == 0 && r > 0 ? row_start[r - 1] : -1;
             hooklen[pos] = c == 0 ? n - pos : row_start[r + 1] - pos;
         }
     }
     /* traversal order: right-most column first, bottom-up within a column;
-     * a counting sort on the column, filled from the bottom row up.
-     * step_of[pos] is the straighten step that slides pos */
+     * a counting sort on the column, filled from the bottom row up */
     int *slot = prefix_rows;
     memset(slot, 0, (size_t)maxcol * sizeof(int));
     for (int pos = 0; pos < n; pos++)
@@ -296,8 +298,6 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
     }
     for (int pos = n - 1; pos >= 0; pos--)
         order[slot[colof[pos]]++] = pos;
-    for (int m = 0; m < n; m++)
-        step_of[order[m]] = m;
 
     prefix_rows[0] = prefix_cols[0] = 0;
     for (int m = 0; m < n; m++) {
@@ -379,19 +379,18 @@ _prefix_standard(const ShapeOps *self, const int *t, int count)
     return 1;
 }
 
-/* _prefix_standard(t, count) on the row and column pairs with an end on
- * path, which lies in that prefix; a left or above neighbour is in the
- * prefix only when its step comes before count */
+/* _prefix_standard(t, k + 1) after straighten step k, on the pairs with an
+ * end on the step's hook path: the pairs of each path cell with its right
+ * and lower neighbours, which come before it in the traversal.  A left or
+ * upper neighbour of a path cell is on the path too, or, for path[0], after
+ * it in the traversal.  _pure's _checked_path lists the same pairs. */
 static int
-_path_standard(const ShapeOps *self, const int *t, const int *path, int plen, int count)
+_path_standard(const ShapeOps *self, const int *t, const int *path, int plen)
 {
     for (int m = 0; m < plen; m++) {
         int q = path[m], e = t[q];
-        int r = self->right[q], b = self->below[q], a = self->left[q], u = self->above[q];
+        int r = self->right[q], b = self->below[q];
         if ((r >= 0 && e > t[r]) || (b >= 0 && e >= t[b]))
-            return 0;
-        if ((a >= 0 && self->step_of[a] < count && t[a] > e)
-                || (u >= 0 && self->step_of[u] < count && t[u] >= e))
             return 0;
     }
     return 1;
@@ -520,7 +519,7 @@ _checked_slide(const ShapeOps *self, int *t, int *s, int k, int *path, int *work
             PyErr_SetString(InternalCheckError, "slide result is not the circular left shift");
             goto fail;
         }
-    if (!_path_standard(self, t, path, plen, k + 1)) {
+    if (!_path_standard(self, t, path, plen)) {
         PyErr_Format(InternalCheckError, "prefix standardness lost after step %d", k);
         goto fail;
     }
@@ -787,6 +786,9 @@ fill_undo(Walk *w, int d, const int *path, int plen, const int *before)
     for (int m = 0; m < plen; m++)
         if (w->t[path[m]] != before[path[m] - pos])
             return 0;
+    /* a rotation that turns the slide path again moved no other cell */
+    if (tlen == plen && memcmp(turned, path, (size_t)plen * sizeof(int)) == 0)
+        return 1;
     for (int m = 0; m < tlen; m++)
         if (w->t[turned[m]] != before[turned[m] - pos])
             return 0;

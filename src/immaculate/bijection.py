@@ -32,8 +32,7 @@ from typing import Sequence
 from . import _kernels
 from .composition import Cell, Composition
 from .errors import InternalCheckError, InvalidInputError, ParseError
-from .tableau import (Grid, Tableau, format_grid_text, parse_grid_text, parse_json_or_text,
-                      split_flat)
+from .tableau import Grid, Tableau, format_grid_text, parse_grid_text, parse_json_or_text
 
 Path = tuple[Cell, ...]
 
@@ -94,10 +93,6 @@ class HookTableau(Grid):
     def flat(self) -> tuple[int, ...]:
         """All values in row-major order (the layout the kernels use)."""
         return tuple(chain.from_iterable(self.rows))
-
-    @classmethod
-    def from_flat(cls, shape: Composition, values: Sequence[int]) -> "HookTableau":
-        return cls(split_flat(shape, values))
 
     def to_text(self) -> str:
         return format_grid_text(self.rows)

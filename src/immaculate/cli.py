@@ -1,7 +1,8 @@
 """Command line interface.
 
-Subcommands: hooks, count, enumerate, psi, phi, verify.  psi expands a
-(tableau, hook values) pair into a filling; phi is its inverse.  Exit codes:
+Subcommands: hooks, count, enumerate, psi, phi, verify, info.  psi expands
+a (tableau, hook values) pair into a filling; phi is its inverse; info names
+the version and the kernel backend in use, and why it was chosen.  Exit codes:
 0 success (also when the reader closes stdout early), 1 verification or
 internal-check failure, 2 parse error, 3 size guard exceeded (also a shape
 past what a kernel walk can reach), 4 semantically invalid input.
@@ -16,6 +17,8 @@ import sys
 from pathlib import Path
 from typing import Iterable
 
+from . import __version__
+from ._kernels import BACKEND, BACKEND_REASON
 from .bijection import Pair, straighten, unstraighten
 from .composition import parse_composition, compositions, count_formula
 from .enumeration import (
@@ -176,6 +179,16 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+def cmd_info(args) -> int:
+    info = {"version": __version__, "backend": BACKEND, "backend_reason": BACKEND_REASON}
+    if args.format == "json":
+        _print_json(info)
+    else:
+        for key, value in info.items():
+            print(f"{key}: {value}")
+    return 0
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="immaculate",
@@ -232,6 +245,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--failures-out", default=None,
                    help="write failing objects to this JSON file")
     p.set_defaults(func=cmd_verify)
+
+    p = sub.add_parser("info", parents=[fmt],
+                       help="print the version and which kernel backend runs, and why")
+    p.set_defaults(func=cmd_info)
 
     return parser
 

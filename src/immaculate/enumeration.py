@@ -326,18 +326,19 @@ def _reshape(alpha: Composition, flat: Sequence[int]) -> list[list[int]]:
 
 
 def _scan_tasks(alpha: Composition, side: str, size: int, p_table: list | None,
-                pieces: int) -> list[tuple]:
-    """One side's scan of a shape as at most `pieces` even runs of indices.
+                workers: int) -> list[tuple]:
+    """One side's scan of a shape as even runs of indices, at most one per
+    worker.
 
     The filling walk starts and stops at any leaf, and the pair scan at any
     pair, so a run needs no subtree boundaries.  Each y task carries the
     whole P table; the kernel reads only the rows its run reaches, and
     reports the flat indices as they stand.
     """
-    return [(alpha.parts, side, lo, hi, p_table) for lo, hi in _chunks(size, pieces)]
+    return [(alpha.parts, side, lo, hi, p_table) for lo, hi in _chunks(size, workers)]
 
 
-def _exhaustive_report(alpha, started, p_table, x_results, run, pieces, jobs):
+def _exhaustive_report(alpha, started, p_table, x_results, run, workers, jobs):
     """Gather one shape's filling scan, scan its pairs only when that scan
     cannot prove them, and sort the failures by index on each side."""
     hook_prod = alpha.hook_product()
@@ -351,7 +352,7 @@ def _exhaustive_report(alpha, started, p_table, x_results, run, pieces, jobs):
     covered_by = "x-scan"
     if found["x"] or standard_total * hook_prod != n_fact or y_size != n_fact:
         covered_by = "y-scan"
-        for _, raw in run(_scan_task, _scan_tasks(alpha, "y", y_size, p_table, pieces)):
+        for _, raw in run(_scan_task, _scan_tasks(alpha, "y", y_size, p_table, workers)):
             found["y"].extend(raw)
     hooklen = [h for row in alpha.hook_lengths() for h in row]
     failures: dict[str, list[dict]] = {"roundtrip": [], "check": []}
@@ -374,11 +375,12 @@ def _verify_exhaustive(shapes: Iterable[Composition], jobs: int,
     # Forking starts every worker at once, so never ask for more than the
     # machine has cores.  One pool serves the whole run; it starts its
     # workers at the first task, and while it scans one shape's fillings,
-    # the next shape's are already queued behind it.  A shape's pair tasks
-    # join the queue only after its filling results are in, and only when
-    # those cannot prove the pair side.
+    # the next shape's are already queued behind it, so a worker that ends
+    # its run early takes up the next shape.  That is why each side is cut
+    # into one run per worker and no finer.  A shape's pair tasks join the
+    # queue only after its filling results are in, and only when those
+    # cannot prove the pair side.
     workers = min(jobs, os.cpu_count() or 1)
-    pieces = 4 * workers if workers > 1 else 1
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
         pending: deque = deque()
@@ -387,12 +389,12 @@ def _verify_exhaustive(shapes: Iterable[Composition], jobs: int,
                             "use mode='sampled' or raise guard=")
             started = time.perf_counter()
             p_table = [t.flat() for t in enumerate_standard_immaculate(alpha)]
-            x_tasks = _scan_tasks(alpha, "x", math.factorial(alpha.n), None, pieces)
+            x_tasks = _scan_tasks(alpha, "x", math.factorial(alpha.n), None, workers)
             pending.append((alpha, started, p_table, run(_scan_task, x_tasks)))
             if len(pending) > 1:
-                yield _exhaustive_report(*pending.popleft(), run, pieces, jobs)
+                yield _exhaustive_report(*pending.popleft(), run, workers, jobs)
         while pending:
-            yield _exhaustive_report(*pending.popleft(), run, pieces, jobs)
+            yield _exhaustive_report(*pending.popleft(), run, workers, jobs)
 
 
 def _verify_sampled(alpha: Composition, sample_size: int, seed: int) -> VerificationReport:
@@ -457,11 +459,11 @@ def verify_shapes(
     checks each shape against guard before it scans it, and starts at most
     one pool of min(jobs, os.cpu_count()) worker processes for all of them,
     none when that is one.  The pool gets each shape's filling scan as even
-    runs of leaves in walk order, at most four per worker, and the next
-    shape's runs queue behind them.  The pair scan joins the queue, split
-    the same way with the whole P table in each task, only for a shape
-    whose filling scan failed or whose counts disagree (see
-    verify_bijection).  A shape's elapsed_s runs from its setup to the
+    runs of leaves in walk order, one per worker, and the next shape's runs
+    queue behind them, so a worker that ends its run early takes up the
+    next shape.  The pair scan joins the queue, split the same way with the
+    whole P table in each task, only for a shape whose filling scan failed
+    or whose counts disagree (see verify_bijection).  A shape's elapsed_s runs from its setup to the
     arrival of its last result.
     """
     if mode not in ("exhaustive", "sampled"):

@@ -107,6 +107,16 @@ class Grid:
         object.__setattr__(grid, "shape", shape)
         return grid
 
+    @classmethod
+    def from_flat(cls, shape: Composition, entries: Sequence[int]):
+        """Cut row-major entries into the rows of shape and validate them as
+        the constructor does.  The grid keeps the caller's shape object, so
+        the shape's cached hook grid and cell lists are shared, not built
+        again."""
+        grid = cls(split_flat(shape, entries))
+        object.__setattr__(grid, "shape", shape)
+        return grid
+
     def to_json_obj(self) -> dict:
         return {"shape": list(self.shape.parts), "rows": [list(r) for r in self.rows]}
 
@@ -240,7 +250,9 @@ class Tableau(Grid):
 
     @classmethod
     def from_flat(cls, shape: Composition, entries: Sequence[int]) -> "Tableau":
-        return cls(split_flat(shape, entries))
+        # Grid.from_flat, as an attribute of Tableau itself, which
+        # perfbench/spans.py wraps by name
+        return super().from_flat(shape, entries)
 
     def to_text(self) -> str:
         return format_grid_text(self.rows)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import immaculate
+from immaculate._kernels import BACKEND, BACKEND_REASON
 from immaculate.cli import main
 from immaculate.composition import count_formula, parse_composition
 from immaculate.enumeration import VerificationReport
@@ -513,6 +515,21 @@ class TestHugeCounts:
         assert main([*argv, "--format", "json"]) == 0
         out = capsys.readouterr().out
         assert f'"count_formula": {digits},' in out and f'"count_recursive": {digits},' in out
+
+
+class TestInfo:
+    def test_text(self, capsys):
+        assert main(["info"]) == 0
+        assert capsys.readouterr().out == (
+            f"version: {immaculate.__version__}\n"
+            f"backend: {BACKEND}\n"
+            f"backend_reason: {BACKEND_REASON}\n")
+
+    def test_json(self, capsys):
+        assert main(["info", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "version": immaculate.__version__, "backend": BACKEND,
+            "backend_reason": BACKEND_REASON}
 
 
 class TestArgumentErrors:

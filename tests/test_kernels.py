@@ -688,6 +688,76 @@ class TestPlantedFaults:
             assert failures == [(index, "roundtrip", Y_CHANGED)] == _oracle_pairs(ops, table)
 
 
+@pytest.mark.pure_twin
+class TestPathMemoFaults:
+    """Faults in what a checked slide reads from its path's memo entry, the
+    closed-form hook index and the stability pairs.  Both are worked out
+    once per hook path, so the fault must still fail every filling whose
+    straighten slides along that path, in any split of the walk."""
+
+    @pytest.mark.parametrize("fault", ["hook index", "stability"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_every_filling_through_the_path_fails(self, n, fault):
+        rng = random.Random(n)
+        perms = list(itertools.permutations(range(1, n + 1)))
+        total, tested = len(perms), 0
+        for alpha in compositions(n):
+            clean = pure.ShapeOps(alpha.parts)
+            # (pos, end): the ranks of the fillings that slide pos to end
+            slid = {}
+            for rank, x in enumerate(perms):
+                t, s = list(x), [1] * n
+                for k in range(1, n):
+                    path, _ = clean._checked_slide(t, s, k)
+                    slid.setdefault((path[0], path[-1]), []).append(rank)
+
+            def extends(pos, end):
+                # the hook path one cell longer is this path and end + 1
+                v = end - pos + 1
+                return v < clean.hooklen[pos] and (
+                    clean._build_path(pos, v + 1) == clean._build_path(pos, v) + [end + 1])
+
+            paths = sorted(key for key in slid if fault == "hook index" or extends(*key))
+            if not paths:
+                continue
+            pos0, end0 = rng.choice(paths)
+            if fault == "hook index":
+                message = "hook index closed form disagrees with flat run"
+
+                class Faulty(pure.ShapeOps):
+                    def _hook_index(self, start, end):
+                        right = super()._hook_index(start, end)
+                        return right + 1 if (start, end) == (pos0, end0) else right
+            else:
+                message = f"prefix standardness lost after step {clean.order.index(pos0)}"
+
+                class Faulty(pure.ShapeOps):
+                    def _slide(self, t, pos):
+                        # one cell past end0 along the hook: still the
+                        # circular left shift of a hook path, but the entry
+                        # passes a larger neighbour
+                        path = super()._slide(t, pos)
+                        if (pos, path[-1]) == (pos0, end0):
+                            t[end0], t[end0 + 1] = t[end0 + 1], t[end0]
+                            path.append(end0 + 1)
+                        return path
+
+            ops = Faulty(alpha.parts)
+            expected = [(rank, "check", message) for rank in slid[pos0, end0]]
+            standard, failures = ops.scan_fillings(0, total, True)
+            assert sorted(failures) == expected == _oracle_fillings(ops)[1]
+            assert standard == count_formula(alpha)
+            cuts = sorted({0, *rng.sample(range(total + 1), 3), total})
+            for bounds in (range(total + 1), cuts):
+                # on the memo the whole scan filled, and on a fresh one
+                for split in (ops, Faulty(alpha.parts)):
+                    parts = [split.scan_fillings(lo, hi, True) for lo, hi in zip(bounds, bounds[1:])]
+                    assert sum(c for c, _ in parts) == standard
+                    assert [f for _, fs in parts for f in fs] == failures
+            tested += 1
+        assert tested >= 2 ** (n - 1) - 1
+
+
 class TestBackendSelection:
     def test_active_backend_matches_environment(self):
         if os.environ.get("IMMACULATE_PURE", "").strip() not in ("", "0"):

@@ -4,8 +4,9 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from immaculate.bijection import HookTableau
 from immaculate.composition import Composition, compositions
-from immaculate.errors import ParseError
+from immaculate.errors import InvalidInputError, ParseError
 from immaculate.tableau import INFINITY, Tableau
 
 
@@ -63,6 +64,18 @@ class TestEntries:
     def test_from_flat_length_mismatch(self):
         with pytest.raises(ValueError):
             Tableau.from_flat(Composition((2, 1)), (1, 2))
+
+    def test_from_flat_keeps_the_callers_shape(self):
+        alpha = Composition((2, 1))
+        t = Tableau.from_flat(alpha, [1, 2, 3])
+        h = HookTableau.from_flat(alpha, [3, 1, 1])
+        assert t.shape is alpha and h.shape is alpha
+        assert t == Tableau([[1, 2], [3]]) and h == HookTableau([[3, 1], [1]])
+        # the constructors' checks still run
+        with pytest.raises(ValueError, match="positive"):
+            Tableau.from_flat(alpha, [1, 0, 3])
+        with pytest.raises(InvalidInputError, match="outside 1..1"):
+            HookTableau.from_flat(alpha, [3, 2, 1])
 
 
 class TestStability:
