@@ -3,26 +3,26 @@
 This module is the spec of the kernels.  The compiled twin, the hand-written
 C file ``_speedups.c``, mirrors it function by function: each of
 ``_prefix_standard``, ``_slide``, ``_build_path``, ``_hook_index``,
-``_rotate_left``/``_rotate_right``, the checked steps
-``_checked_slide``/``_checked_rotate`` with ``_check_exhausted``,
-``_straighten_inplace``/``_unstraighten_inplace`` and ``_lex_rank`` has a C
-function of the same name, the functions nested in ``count_standard``
-(``visit``) and ``scan_fillings`` (``visit``, ``leaf``, ``undo``) are
-``count_visit`` and ``fill_visit``/``fill_leaf``/``fill_undo`` there, and the
-public methods raise the same exceptions with the same messages.  Which twin
-you get from ``immaculate._kernels`` is decided at import time.
+``_rotate_hook``, the checked steps ``_checked_slide``/``_checked_rotate``
+with ``_check_exhausted``, ``_straighten_inplace``/``_unstraighten_inplace``
+and ``_lex_rank`` has a C function of the same name, the functions nested in
+``count_standard`` (``visit``) and ``scan_fillings`` (``visit``, ``leaf``,
+``undo``) are ``count_visit`` and ``fill_visit``/``fill_leaf``/``fill_undo``
+there, and the public methods raise the same exceptions with the same
+messages.  Which twin you get from ``immaculate._kernels`` is decided at
+import time.
 
 Where the twins differ: what a checked slide learns from its path alone,
 the ``_hook_index`` verdict and the row and column pairs whose stability it
 checks, is computed here once per hook path and kept in a memo
 (``_checked_path``).  The C twin builds each path into a buffer and works
-both out again on every slide, the pairs in its ``_path_standard``.  So
-where ``undo`` here knows the rotation path is the slide path by identity,
-``fill_undo`` there compares the two paths' cells.
+both out again on every slide, the pairs in its ``_path_standard``.
 
 Positions here are 0-based flat indices, and a key layout fact keeps
 everything tight: in row-major order every hook occupies a contiguous run of
-positions, so the v-th hook cell of position p is simply p + v - 1.
+positions, so the v-th hook cell of position p is simply p + v - 1.  A move
+along a hook path is named by (start, v) alone: ``_rotate_hook`` shifts the
+path's row run by one slice and its column-1 cells one by one.
 
 The public methods check input lengths (for a P table, those of the rows
 a scan reaches), hook values against their hook lengths, and scan bounds;
@@ -79,7 +79,6 @@ class ShapeOps:
         for h in self.hooklen:
             self.hook_prod *= h
         self.n_factorial = math.factorial(n)
-        self._hook_paths = {}
         self._checked_paths = {}
         # Stability, in traversal order: each cell with a right neighbour
         # makes a row pair and each column-1 cell with one below a column
@@ -152,22 +151,13 @@ class ShapeOps:
         return path
 
     def _build_path(self, start, v) -> list[int]:
-        """Positions from start to its v-th hook cell (hooks are flat runs).
-
-        Built once per (start, v) and shared after that, so callers must
-        not change the list.
-        """
-        key = start * self.size + v
-        path = self._hook_paths.get(key)
-        if path is None:
-            target = start + v - 1
-            rowof, row_start = self.rowof, self.row_start
-            if rowof[target] == rowof[start]:
-                path = list(range(start, target + 1))
-            else:
-                path = [row_start[r] for r in range(rowof[start], rowof[target] + 1)]
-                path.extend(range(row_start[rowof[target]] + 1, target + 1))
-            self._hook_paths[key] = path
+        """Positions from start to its v-th hook cell (hooks are flat runs)."""
+        target = start + v - 1
+        rowof, row_start = self.rowof, self.row_start
+        if rowof[target] == rowof[start]:
+            return list(range(start, target + 1))
+        path = [row_start[r] for r in range(rowof[start], rowof[target] + 1)]
+        path.extend(range(row_start[rowof[target]] + 1, target + 1))
         return path
 
     def _checked_path(self, start, v):
@@ -205,19 +195,25 @@ class ShapeOps:
             return self.colof[end] - self.colof[start] + 1
         return self.row_start[re] - self.row_start[rs] + self.colof[end] + 1
 
-    @staticmethod
-    def _rotate_right(t, path) -> None:
-        last = t[path[-1]]
-        for k in range(len(path) - 1, 0, -1):
-            t[path[k]] = t[path[k - 1]]
-        t[path[0]] = last
-
-    @staticmethod
-    def _rotate_left(t, path) -> None:
-        first = t[path[0]]
-        for k in range(len(path) - 1):
-            t[path[k]] = t[path[k + 1]]
-        t[path[-1]] = first
+    def _rotate_hook(self, t, start, v) -> None:
+        """Circular right shift along the hook path from start to its v-th
+        hook cell: each path cell takes its predecessor's entry, and start
+        the last cell's.  The path ends in a flat run along the last cell's
+        row, shifted as one slice; from column 1 the column-1 cells of the
+        rows it crosses come first."""
+        end = start + v - 1
+        last = t[end]
+        r, top = self.rowof[end], self.rowof[start]
+        if r == top:
+            t[start + 1:end + 1] = t[start:end]
+        else:
+            row_start = self.row_start
+            run = row_start[r]
+            t[run + 1:end + 1] = t[run:end]
+            while r > top:
+                t[row_start[r]] = t[row_start[r - 1]]
+                r -= 1
+        t[start] = last
 
     # -- full transforms ----------------------------------------------------
     #
@@ -230,8 +226,8 @@ class ShapeOps:
 
     def _checked_slide(self, t, s, k):
         """Straighten step k with every check; returns (path, before): the
-        slide path, as the shared list of _build_path, and the hook run of
-        order[k] as it was before the step.
+        slide path, as the shared list of its _checked_path entry, and the
+        hook run of order[k] as it was before the step.
 
         The slide moves only the cells of its path, all in the hook of
         order[k], so the shift is checked on the path cells.  The first k
@@ -274,9 +270,10 @@ class ShapeOps:
             raise
         return path, before
 
-    def _checked_rotate(self, t, j, k):
-        """Unstraighten step k with its checks; returns the rotated path, or
-        None when the hook value is 1 and nothing moves.
+    def _checked_rotate(self, t, j, k) -> None:
+        """Unstraighten step k with its checks.  It moves only cells of the
+        hook run of order[n - k]: a hook value past the hook raises
+        IndexError before anything moves.
 
         Stability of the first n + 1 - k cells before the step is the
         caller's to check: _unstraighten_inplace rescans it, and
@@ -287,12 +284,10 @@ class ShapeOps:
         v = j[pos]
         j[pos] = 1
         if v <= 1:
-            return None
+            return
         if v > self.hooklen[pos]:
             raise IndexError(f"hook value {v} out of range at position {pos}")
-        path = self._build_path(pos, v)
-        self._rotate_right(t, path)
-        return path
+        self._rotate_hook(t, pos, v)
 
     @staticmethod
     def _check_exhausted(j) -> None:
@@ -327,7 +322,7 @@ class ShapeOps:
             if v > 1:
                 if v > hooklen[pos]:
                     raise IndexError(f"hook value {v} out of range at position {pos}")
-                self._rotate_right(t, self._build_path(pos, v))
+                self._rotate_hook(t, pos, v)
 
     def straighten(self, entries, check=False) -> tuple[list[int], list[int]]:
         """Flat filling -> (flat standard immaculate filling, flat hook values)."""
@@ -392,12 +387,13 @@ class ShapeOps:
         depth d holds the state after straighten steps 1..d, which every
         filling below it shares.  It runs straighten step d once on the way
         down and inverse step n - d once on the way back up: the checked
-        rotation by the hook value its slide stored in s[order[d]], then a
-        compare of every cell that the slide path or the rotation path
-        touched with its value before the slide.  No other cell moved.  A
-        leaf only tallies its filling and files the check that failed above
-        it, if any.  A check that fails at a slide fails every leaf below it
-        with that message, as it would one filling at a time.
+        rotation by the hook value its slide stored in s[order[d]], then one
+        compare of the hook run of order[d] with the run before the slide.
+        That run holds every cell the slide or the rotation can move, since
+        a rotation past the hook raises IndexError first.  A leaf only
+        tallies its filling and files the check that failed above it, if
+        any.  A check that fails at a slide fails every leaf below it with
+        that message, as it would one filling at a time.
 
         Why the node steps are each filling's own roundtrip, by induction on
         depth: the children's compares prove that a node holds again exactly
@@ -419,7 +415,9 @@ class ShapeOps:
         walked again, within [start, stop), with the per-filling inverse at
         every leaf: _unstraighten_inplace on a copy and the full comparison
         with the filling.  So every entry is the one a roundtrip of that
-        filling alone gives; that path runs only on failure.
+        filling alone gives; that path runs only on failure.  The walk again
+        starts from the hook run before the slide, slid once more, and each
+        node of it, like the failed node after it, puts that run back.
 
         Returns (standard_count, failures).  failures holds (rank, stage,
         message) in walk order, where rank is the lexicographic rank of the
@@ -456,36 +454,27 @@ class ShapeOps:
                     return
             failures.append((_lex_rank(x), "check", error))
 
-        def undo(d, path, before) -> bool:
+        def undo(d, before) -> bool:
             # inverse step n - d at the depth-d node; before holds the hook
-            # run of order[d] as it was before the slide
+            # run of order[d] as it was before the slide, and the run holds
+            # every cell that the slide or the rotation can move
             pos = order[d]
             try:
                 if check:
-                    turned = self._checked_rotate(t, s, n - d)
+                    self._checked_rotate(t, s, n - d)
                     if d == 1:
                         self._check_exhausted(s)
                     if s[pos] != 1:
                         return False
                 else:
-                    turned, v = None, s[pos]
+                    v = s[pos]
                     if v > 1:
                         if v > hooklen[pos]:
                             raise IndexError(f"hook value {v} out of range at position {pos}")
-                        turned = self._build_path(pos, v)
-                        self._rotate_right(t, turned)
+                        self._rotate_hook(t, pos, v)
             except InternalCheckError:
                 return False
-            for q in path:
-                if t[q] != before[q - pos]:
-                    return False
-            # a checked slide returns the shared hook path, which the
-            # rotation that undoes it turns again
-            if turned is not None and turned is not path:
-                for q in turned:
-                    if t[q] != before[q - pos]:
-                        return False
-            return True
+            return t[pos:pos + hooklen[pos]] == before
 
         def visit(d, first, error, stable):
             # order[0..d) are set, stable if stable, and free[d:] holds the
@@ -505,39 +494,38 @@ class ShapeOps:
                 if lo + size > start:
                     v = x[pos] = t[pos] = free[d]
                     keep = stable and (r < 0 or v <= x[r]) and (b < 0 or v < x[b])
-                    path, err = None, error
+                    before, err = None, error
                     if d and err is None:
                         try:
                             if check:
-                                path, before = self._checked_slide(t, s, d)
+                                before = self._checked_slide(t, s, d)[1]
                             else:
                                 before = t[pos:end]
-                                path = self._slide(t, pos)
-                                s[pos] = path[-1] - pos + 1
+                                s[pos] = self._slide(t, pos)[-1] - pos + 1
                         except InternalCheckError as exc:
-                            err = str(exc)
+                            before, err = None, str(exc)
                     filed, tally = len(failures), standard
                     if d + 1 == n:
                         leaf(keep, err)
                     else:
                         visit(d + 1, lo, err, keep)
-                    if path is not None:
+                    if before is not None:
                         if per_leaf:
-                            self._rotate_right(t, path)
+                            t[pos:end] = before
                         else:
                             hook = s[pos]
-                            if not undo(d, path, before):
+                            if not undo(d, before):
                                 # walk the subtree again from the state the
                                 # slide left, with the per-filling inverse
                                 del failures[filed:]
                                 standard = tally
                                 t[pos:end] = before
-                                self._rotate_left(t, path)
+                                self._slide(t, pos)
                                 s[pos] = hook
                                 per_leaf = True
                                 visit(d + 1, lo, None, keep)
                                 per_leaf = False
-                                self._rotate_right(t, path)
+                                t[pos:end] = before
                 lo += size
                 i += 1
             # the swaps left free[d:d + i] rotated right by one

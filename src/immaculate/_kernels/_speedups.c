@@ -1,24 +1,23 @@
 /* Compiled kernels: the exact behaviour of _pure.py on C arrays.
  *
  * _pure.py is the spec.  Every static function here named after a _pure
- * method (_prefix_standard, _slide, _build_path, _hook_index, _rotate_left,
- * _rotate_right, _checked_slide, _checked_rotate, _check_exhausted,
- * _straighten_inplace, _unstraighten_inplace, _lex_rank) is that method line
- * for line, the walks of count_standard and scan_fillings are its nested
- * visit, leaf and undo functions, and scan_pairs is its loop over the
- * pairs; only the failure entries exist in C alone.  The parity tests
- * compare the two twins exhaustively.
+ * method (_prefix_standard, _slide, _build_path, _hook_index, _rotate_hook,
+ * _checked_slide, _checked_rotate, _check_exhausted, _straighten_inplace,
+ * _unstraighten_inplace, _lex_rank) is that method line for line, the walks
+ * of count_standard and scan_fillings are its nested visit, leaf and undo
+ * functions, and scan_pairs is its loop over the pairs; only the failure
+ * entries exist in C alone.  The parity tests compare the two twins
+ * exhaustively.
  *
  * Where they differ: _pure keeps, in a memo keyed by the hook path, the
  * _hook_index verdict and the stability pairs that a slide along the path
  * must check (_checked_path there).  Here _build_path writes the path into a
  * buffer, and _checked_slide works both out again on every slide, the
- * pairs in _path_standard.  So where _pure's node inverse skips its second
- * compare when the rotation path is the slide path's own list, fill_undo
- * skips it when the two paths hold the same cells.
+ * pairs in _path_standard.
  *
  * Positions are 0-based flat row-major indices.  Hooks are contiguous flat
- * runs, so the v-th hook cell of position p is p + v - 1.
+ * runs, so the v-th hook cell of position p is p + v - 1, and a move along
+ * a hook path is named by (start, v) alone.
  *
  * Plain C99 on the CPython API; build it with `python setup.py build_ext`.
  */
@@ -467,38 +466,38 @@ _hook_index(const ShapeOps *self, int start, int end)
     return self->row_start[re] - self->row_start[rs] + self->colof[end] + 1;
 }
 
+/* Circular right shift along the hook path from start to its v-th hook
+ * cell: each path cell takes its predecessor's entry, and start the last
+ * cell's.  The path ends in a flat run along the last cell's row, moved by
+ * one memmove; from column 1 the column-1 cells of the rows it crosses come
+ * first. */
 static void
-_rotate_right(int *t, const int *path, int plen)
+_rotate_hook(const ShapeOps *self, int *t, int start, int v)
 {
-    int last = t[path[plen - 1]];
-    for (int m = plen - 1; m > 0; m--)
-        t[path[m]] = t[path[m - 1]];
-    t[path[0]] = last;
-}
-
-static void
-_rotate_left(int *t, const int *path, int plen)
-{
-    int first = t[path[0]];
-    for (int m = 0; m < plen - 1; m++)
-        t[path[m]] = t[path[m + 1]];
-    t[path[plen - 1]] = first;
+    int end = start + v - 1, last = t[end];
+    int r = self->rowof[end], top = self->rowof[start];
+    int run = r == top ? start : self->row_start[r];
+    memmove(t + run + 1, t + run, (size_t)(end - run) * sizeof(int));
+    for (; r > top; r--)
+        t[self->row_start[r]] = t[self->row_start[r - 1]];
+    t[start] = last;
 }
 
 /* -- full transforms ------------------------------------------------------- */
 
-/* Straighten step k with every check: writes the slide path to path and
- * returns its length, or -1 with InternalCheckError set and t put back as
- * it was.  The slide moves only its path cells, all in the hook of
- * order[k], so the shift is checked on the path cells and stability on the
- * pairs with an end on the path.  work holds 2n ints: the hook path and a
- * pre-slide copy of the hook run of order[k], which the walk reads back. */
+/* Straighten step k with every check: returns the length of the slide
+ * path, or -1 with InternalCheckError set and t put back as it was.  The
+ * slide moves only its path cells, all in the hook of order[k], so the
+ * shift is checked on the path cells and stability on the pairs with an end
+ * on the path.  work holds 2n ints of scratch, the slide path and the hook
+ * path; before gets a pre-slide copy of the hook run of order[k], which the
+ * walk reads back. */
 static int
-_checked_slide(const ShapeOps *self, int *t, int *s, int k, int *path, int *work)
+_checked_slide(const ShapeOps *self, int *t, int *s, int k, int *work, int *before)
 {
     int n = self->size;
     int pos = self->order[k], h = self->hooklen[pos];
-    int *hook_path = work, *before = work + n;
+    int *path = work, *hook_path = work + n;
     memcpy(before, t + pos, (size_t)h * sizeof(int));
     int plen = _slide(self, t, pos, path);
     if (plen < 0)
@@ -529,13 +528,12 @@ fail:
     return -1;
 }
 
-/* Unstraighten step k with its checks: writes the rotated path to path and
- * returns its length, 0 when the hook value is 1 and nothing moves, or -1
- * with an error set.  A hook value past its hook raises IndexError before
- * it can index past the arrays.  Stability of the first n + 1 - k cells
- * before the step is the caller's to check. */
+/* Unstraighten step k with its checks: 0, or -1 with an error set.  It
+ * moves only cells of the hook run of order[n - k]: a hook value past its
+ * hook raises IndexError before anything moves.  Stability of the first
+ * n + 1 - k cells before the step is the caller's to check. */
 static int
-_checked_rotate(const ShapeOps *self, int *t, int *j, int k, int *path)
+_checked_rotate(const ShapeOps *self, int *t, int *j, int k)
 {
     int n = self->size;
     int pos = self->order[n - k];
@@ -547,9 +545,8 @@ _checked_rotate(const ShapeOps *self, int *t, int *j, int k, int *path)
         PyErr_Format(PyExc_IndexError, "hook value %d out of range at position %d", v, pos);
         return -1;
     }
-    int plen = _build_path(self, pos, v, path);
-    _rotate_right(t, path, plen);
-    return plen;
+    _rotate_hook(self, t, pos, v);
+    return 0;
 }
 
 /* a checked unstraighten must have consumed every hook value */
@@ -564,14 +561,15 @@ _check_exhausted(const ShapeOps *self, const int *j)
     return 0;
 }
 
-/* work holds 3n ints: the slide path and _checked_slide's scratch */
+/* work holds 3n ints: _checked_slide's scratch and its copy of the hook
+ * run, or the slide path */
 static int
 _straighten_inplace(const ShapeOps *self, int *t, int *s, int check, int *work)
 {
     int n = self->size;
     for (int k = 1; k < n; k++) {
         if (check) {
-            if (_checked_slide(self, t, s, k, work, work + n) < 0)
+            if (_checked_slide(self, t, s, k, work, work + 2 * n) < 0)
                 return -1;
             continue;
         }
@@ -584,9 +582,8 @@ _straighten_inplace(const ShapeOps *self, int *t, int *s, int check, int *work)
     return 0;
 }
 
-/* path holds n ints */
 static int
-_unstraighten_inplace(const ShapeOps *self, int *t, int *j, int check, int *path)
+_unstraighten_inplace(const ShapeOps *self, int *t, int *j, int check)
 {
     int n = self->size;
     for (int k = 1; k < n; k++) {
@@ -595,7 +592,7 @@ _unstraighten_inplace(const ShapeOps *self, int *t, int *j, int check, int *path
                 PyErr_Format(InternalCheckError, "prefix standardness lost before step %d", k);
                 return -1;
             }
-            if (_checked_rotate(self, t, j, k, path) < 0)
+            if (_checked_rotate(self, t, j, k) < 0)
                 return -1;
             continue;
         }
@@ -607,7 +604,7 @@ _unstraighten_inplace(const ShapeOps *self, int *t, int *j, int check, int *path
                              v, pos);
                 return -1;
             }
-            _rotate_right(t, path, _build_path(self, pos, v, path));
+            _rotate_hook(self, t, pos, v);
         }
     }
     return check ? _check_exhausted(self, j) : 0;
@@ -719,9 +716,8 @@ typedef struct {
     int check;
     unsigned long long start, stop;
     unsigned long long *leaves; /* leaves below one node of each depth */
-    int *paths;                 /* n ints of step path per depth */
-    int *works;                 /* 2n ints of _checked_slide scratch per depth */
-    int *t, *s, *j, *back, *work; /* work: the n-int path of an inverse step */
+    int *befores;               /* n ints per depth: the hook run before the slide */
+    int *t, *s, *j, *back, *work; /* work: 2n ints of slide scratch */
     int *x, *free;              /* the filling, values left */
     int per_leaf;               /* while a failed node's subtree is walked again */
     long long standard;
@@ -739,7 +735,7 @@ fill_leaf(Walk *w, int stable, PyObject *error)
             return 0;
         memcpy(w->back, w->t, (size_t)n * sizeof(int));
         memcpy(w->j, w->s, (size_t)n * sizeof(int));
-        if (_unstraighten_inplace(self, w->back, w->j, w->check, w->work) == 0) {
+        if (_unstraighten_inplace(self, w->back, w->j, w->check) == 0) {
             if (memcmp(w->back, w->x, (size_t)n * sizeof(int)) == 0)
                 return 0;
             return add_failure(w->failures, _lex_rank(w->x, n), "roundtrip",
@@ -752,19 +748,20 @@ fill_leaf(Walk *w, int stable, PyObject *error)
 }
 
 /* inverse step n - d at the depth-d node; before holds the hook run of
- * order[d] as it was before the slide.  1 when the step gives that state
- * back, 0 when a cell differs or an InternalCheckError (cleared) was
- * raised, -1 on any other error */
+ * order[d] as it was before the slide, and the run holds every cell that
+ * the slide or the rotation can move.  1 when the step gives that run back,
+ * 0 when it differs or an InternalCheckError (cleared) was raised, -1 on
+ * any other error */
 static int
-fill_undo(Walk *w, int d, const int *path, int plen, const int *before)
+fill_undo(Walk *w, int d, const int *before)
 {
     const ShapeOps *self = w->self;
-    int n = self->size, pos = self->order[d], *turned = w->work, tlen = 0;
+    int n = self->size, pos = self->order[d], rc = 0;
     if (w->check) {
-        tlen = _checked_rotate(self, w->t, w->s, n - d, turned);
-        if (tlen >= 0 && d == 1 && _check_exhausted(self, w->s) < 0)
-            tlen = -1;
-        if (tlen >= 0 && w->s[pos] != 1)
+        rc = _checked_rotate(self, w->t, w->s, n - d);
+        if (rc == 0 && d == 1)
+            rc = _check_exhausted(self, w->s);
+        if (rc == 0 && w->s[pos] != 1)
             return 0;
     } else {
         int v = w->s[pos];
@@ -774,32 +771,23 @@ fill_undo(Walk *w, int d, const int *path, int plen, const int *before)
                              v, pos);
                 return -1;
             }
-            _rotate_right(w->t, turned, tlen = _build_path(self, pos, v, turned));
+            _rotate_hook(self, w->t, pos, v);
         }
     }
-    if (tlen < 0) {
+    if (rc < 0) {
         if (!PyErr_ExceptionMatches(InternalCheckError))
             return -1;
         PyErr_Clear();
         return 0;
     }
-    for (int m = 0; m < plen; m++)
-        if (w->t[path[m]] != before[path[m] - pos])
-            return 0;
-    /* a rotation that turns the slide path again moved no other cell */
-    if (tlen == plen && memcmp(turned, path, (size_t)plen * sizeof(int)) == 0)
-        return 1;
-    for (int m = 0; m < tlen; m++)
-        if (w->t[turned[m]] != before[turned[m] - pos])
-            return 0;
-    return 1;
+    return memcmp(w->t + pos, before, (size_t)self->hooklen[pos] * sizeof(int)) == 0;
 }
 
 /* order[0..d) are set, stable if stable, and free[d..n) holds the values
  * left, ascending; the leaves below are numbered from first.  A compiled
  * scan refuses n! past 64 bits, so the walk is at most 21 calls deep.
- * _checked_slide leaves its pre-slide copy of the hook run of order[d] in
- * work + n, where the unchecked slide's copy goes too. */
+ * Both slides leave a pre-slide copy of the hook run of order[d] in the
+ * depth's before. */
 static int
 fill_visit(Walk *w, int d, unsigned long long first, PyObject *error, int stable)
 {
@@ -808,8 +796,7 @@ fill_visit(Walk *w, int d, unsigned long long first, PyObject *error, int stable
     if (d == n)
         return fill_leaf(w, stable, error);
     int pos = self->order[d], r = self->right[pos], b = self->below[pos], h = self->hooklen[pos];
-    int *path = w->paths + (size_t)d * n, *work = w->works + (size_t)d * 2 * n;
-    int *before = work + n, *free = w->free, i = 0, rc = 0;
+    int *before = w->befores + (size_t)d * n, *free = w->free, i = 0, rc = 0;
     unsigned long long size = w->leaves[d], lo = first;
     while (i < n - d && rc == 0 && lo < w->stop) {
         /* child i takes the i-th smallest value left; swapping it to the
@@ -823,30 +810,29 @@ fill_visit(Walk *w, int d, unsigned long long first, PyObject *error, int stable
             int v = w->x[pos] = w->t[pos] = free[d];
             int keep = stable && (r < 0 || v <= w->x[r]) && (b < 0 || v < w->x[b]);
             PyObject *err = Py_XNewRef(error);
-            int plen = 0;
+            int slid = 0;
             if (d > 0 && err == NULL) {
                 if (!w->check)
                     memcpy(before, w->t + pos, (size_t)h * sizeof(int));
-                plen = w->check ? _checked_slide(self, w->t, w->s, d, path, work)
-                                : _slide(self, w->t, pos, path);
+                int plen = w->check ? _checked_slide(self, w->t, w->s, d, w->work, before)
+                                    : _slide(self, w->t, pos, w->work);
                 if (plen < 0 && (err = take_check_message()) == NULL) {
                     rc = -1;
                     break;
                 }
-                if (plen < 0)
-                    plen = 0;
-                else if (!w->check)
-                    w->s[pos] = path[plen - 1] - pos + 1;
+                slid = plen > 0;
+                if (slid && !w->check)
+                    w->s[pos] = w->work[plen - 1] - pos + 1;
             }
             Py_ssize_t filed = PyList_GET_SIZE(w->failures);
             long long tally = w->standard;
             rc = d + 1 == n ? fill_leaf(w, keep, err) : fill_visit(w, d + 1, lo, err, keep);
             Py_XDECREF(err);
-            if (plen > 0 && rc == 0) {
+            if (slid && rc == 0) {
                 if (w->per_leaf)
-                    _rotate_right(w->t, path, plen);
+                    memcpy(w->t + pos, before, (size_t)h * sizeof(int));
                 else {
-                    int hook = w->s[pos], undone = fill_undo(w, d, path, plen, before);
+                    int hook = w->s[pos], undone = fill_undo(w, d, before);
                     if (undone < 0)
                         rc = -1;
                     else if (!undone) {
@@ -855,13 +841,14 @@ fill_visit(Walk *w, int d, unsigned long long first, PyObject *error, int stable
                         rc = PyList_SetSlice(w->failures, filed, PY_SSIZE_T_MAX, NULL);
                         w->standard = tally;
                         memcpy(w->t + pos, before, (size_t)h * sizeof(int));
-                        _rotate_left(w->t, path, plen);
+                        if (rc == 0 && _slide(self, w->t, pos, w->work) < 0)
+                            rc = -1;
                         w->s[pos] = hook;
                         w->per_leaf = 1;
                         if (rc == 0)
                             rc = fill_visit(w, d + 1, lo, NULL, keep);
                         w->per_leaf = 0;
-                        _rotate_right(w->t, path, plen);
+                        memcpy(w->t + pos, before, (size_t)h * sizeof(int));
                     }
                 }
             }
@@ -878,13 +865,13 @@ fill_visit(Walk *w, int d, unsigned long long first, PyObject *error, int stable
     return rc;
 }
 
-/* Buffers of the filling walk: paths and slide scratch per depth, then the
- * per-cell arrays; NULL on error. */
+/* Buffers of the filling walk: a hook run per depth, then the per-cell
+ * arrays and the slide scratch; NULL on error. */
 static int *
 walk_alloc(Walk *w, const ShapeOps *self, PyObject *failures, int check)
 {
     int n = self->size;
-    int *buf = alloc_ints(3 * (size_t)n * (size_t)n + 7 * (size_t)n);
+    int *buf = alloc_ints((size_t)n * (size_t)n + 8 * (size_t)n);
     if (buf == NULL)
         return NULL;
     w->leaves = PyMem_Malloc((size_t)n * sizeof(unsigned long long));
@@ -896,16 +883,15 @@ walk_alloc(Walk *w, const ShapeOps *self, PyObject *failures, int check)
     w->self = self;
     w->failures = failures;
     w->check = check;
-    w->paths = buf;
-    w->works = buf + (size_t)n * (size_t)n;
-    int *cursor = w->works + 2 * (size_t)n * (size_t)n;
+    w->befores = buf;
+    int *cursor = buf + (size_t)n * (size_t)n;
     w->t = cursor; cursor += n;
     w->s = cursor; cursor += n;
     w->j = cursor; cursor += n;
     w->back = cursor; cursor += n;
     w->x = cursor; cursor += n;
-    w->work = cursor; cursor += n;
-    w->free = cursor;
+    w->free = cursor; cursor += n;
+    w->work = cursor;
     for (int m = 0; m < n; m++) {
         w->s[m] = 1;
         w->free[m] = m + 1;
@@ -1008,13 +994,13 @@ ShapeOps_unstraighten(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs, P
     int check = PyObject_IsTrue(arg[2]);
     if (check < 0)
         return NULL;
-    int *buf = alloc_ints(3 * (size_t)n);
+    int *buf = alloc_ints(2 * (size_t)n);
     if (buf == NULL)
         return NULL;
     int *t = buf, *j = buf + n;
     PyObject *result = NULL;
     if (read_ints(arg[0], t, n) == 0 && read_ints(arg[1], j, n) == 0
-            && _unstraighten_inplace(self, t, j, check, buf + 2 * n) == 0)
+            && _unstraighten_inplace(self, t, j, check) == 0)
         result = int_list(t, n);
     PyMem_Free(buf);
     return result;
@@ -1143,7 +1129,7 @@ ShapeOps_scan_pairs(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs, PyO
         memcpy(j, jv, (size_t)n * sizeof(int));
         for (int m = 0; m < n; m++)
             s[m] = 1;
-        int rc = _unstraighten_inplace(self, back, j, check, buf + 5 * n);
+        int rc = _unstraighten_inplace(self, back, j, check);
         if (rc == 0)
             rc = _straighten_inplace(self, back, s, check, buf + 5 * n);
         PyObject *message;

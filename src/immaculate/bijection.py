@@ -16,8 +16,9 @@ a standard immaculate permutation of 1..n and every hook value lies in its
 hook, in one O(n) pass; unstraighten only permutes the entries of a
 validated P, so its result needs no check.  The Trace they return replays
 the intermediate states on first access, since the hook values log the
-whole run.  The single moves exposed here and the replay use the pure
-kernel, the reference for its compiled twin.
+whole run.  The hook paths, the slide and the replay use the pure kernel,
+the reference for its compiled twin; the circular shifts take any path, so
+they rotate it here.
 """
 
 from __future__ import annotations
@@ -192,12 +193,11 @@ class Trace:
         # hook values inside their hooks
         for k in range(1, n):
             pos = ops.order[n - k]
-            path = ops._build_path(pos, j[pos])
-            j[pos] = 1
-            ops._rotate_right(t, path)
+            v, j[pos] = j[pos], 1
+            ops._rotate_hook(t, pos, v)
             states.append((Tableau._from_flat_trusted(shape, t),
                            HookTableau._from_flat_trusted(shape, j)))
-            paths.append(_cells(ops, path))
+            paths.append(_cells(ops, ops._build_path(pos, v)))
         if self._reverse:
             states.reverse()
             paths.reverse()
@@ -267,12 +267,20 @@ def hook_index_of_path(shape: Composition, path: Sequence, check: bool = False) 
     return index
 
 
+def _rotate_left(flat: list, positions: Sequence[int]) -> None:
+    # each position takes the entry of the next, the last that of the first
+    first = flat[positions[0]]
+    for a, b in zip(positions, positions[1:]):
+        flat[a] = flat[b]
+    flat[positions[-1]] = first
+
+
 def _shifted(t: Tableau, path: Sequence, right: bool) -> Tableau:
     cells = _path_cells_valid(t.shape, path)
     ops = _kernel(t.shape.parts, "pure")
     flat = list(t.flat())
-    rotate = ops._rotate_right if right else ops._rotate_left
-    rotate(flat, [_position(ops, c) for c in cells])
+    positions = [_position(ops, c) for c in cells]
+    _rotate_left(flat, positions[::-1] if right else positions)
     return Tableau.from_flat(t.shape, flat)
 
 
@@ -315,7 +323,7 @@ def jdt_slide(t: Tableau, value: int, check: bool = False) -> tuple[Tableau, Pat
         if path != ops._build_path(start, path[-1] - start + 1):
             raise InternalCheckError("slide path is not the hook path of its endpoints")
         rotated = list(before)
-        ops._rotate_left(rotated, path)
+        _rotate_left(rotated, path)
         if rotated != flat:
             raise InternalCheckError("slide result is not the circular left shift of its path")
     return Tableau.from_flat(t.shape, flat), _cells(ops, path)

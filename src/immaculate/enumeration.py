@@ -504,9 +504,10 @@ def verify_bijection(
     The filling scan walks the fillings as a tree: fillings that agree on
     their first traversal cells share their first straighten steps, so each
     step runs once per tree node.  The walk also runs each checked
-    unstraighten step once per node, on the way back up, and compares every
-    cell that the step or the slide it undoes touched with its value before
-    the slide.  By induction on depth, those compares show that each node's
+    unstraighten step once per node, on the way back up, and compares the
+    hook run of the node's cell, the one flat run that holds every cell the
+    step or the slide it undoes can move, with the run before the slide.
+    By induction on depth, those compares show that each node's
     inverse step acts on the state the filling's own checked unstraighten
     would reach there, so together they are that unstraighten and its exact
     comparison with the filling.  Each of its checks runs once, where its

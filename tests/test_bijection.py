@@ -178,12 +178,19 @@ class TestHookPath:
 
 class TestHookIndexOfPath:
     def test_inverts_hook_path_everywhere(self):
+        # and the kernel's rotation by (start, v) is the circular right
+        # shift along that path
         for n in range(1, 7):
             for alpha in compositions(n):
-                for c in alpha.cells():
+                ops = bijection._kernel(alpha.parts, "pure")
+                t = Tableau.from_flat(alpha, range(1, n + 1))
+                for pos, c in enumerate(alpha.cells()):
                     for v in range(1, alpha.hook_length(c) + 1):
                         path = hook_path(alpha, c, v)
                         assert hook_index_of_path(alpha, path, check=True) == v
+                        flat = list(t.flat())
+                        ops._rotate_hook(flat, pos, v)
+                        assert Tableau.from_flat(alpha, flat) == circular_right_shift(t, path)
 
     def test_known_values(self):
         alpha = Composition((2, 1, 2))

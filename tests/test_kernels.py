@@ -358,6 +358,25 @@ def test_compiled_reference_counts_do_not_leak():
     assert growth < 64 * 1024, f"traced memory grew by {growth} bytes"
 
 
+@pytest.mark.pure_twin
+def test_unchecked_moves_keep_no_hook_paths():
+    # an unchecked move is named by (start, v) alone, so a long-lived shape
+    # keeps none of the paths its moves ran along; a memo of them held
+    # about 180 MB here, toward the n**3 / 6 cells of all hook paths
+    rng = random.Random(3)
+    tracemalloc.start()
+    try:
+        ops = pure.ShapeOps((1000,))
+        for _ in range(20):
+            vals = rng.sample(range(1, 1001), 1000)
+            p, j = ops.straighten(vals)
+            assert ops.unstraighten(p, j) == vals
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1024 * 1024, f"the shape and its last roundtrip hold {held} bytes"
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("check", [False, True])
 @pytest.mark.usefixtures("on_backend")
@@ -604,7 +623,8 @@ class TestPlantedFaults:
                 halves = ops.scan_fillings(0, mid)[1] + ops.scan_fillings(mid, math.factorial(n))[1]
                 assert halves == failures
 
-    @pytest.mark.parametrize("fault", ["raises", "one cell short", "hook value left"])
+    @pytest.mark.parametrize("fault", ["raises", "one cell short", "hook value left",
+                                       "off the path"])
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_node_inverse_fault_matches_oracle(self, n, fault):
         # the filling walk runs inverse step n - d once at a depth-d node; a
@@ -616,15 +636,20 @@ class TestPlantedFaults:
             clean = pure.ShapeOps(alpha.parts)
             order, sits = clean.order, [t.flat() for t in _sits(alpha)]
             # the raising fault sits above a standard filling, so that the
-            # walk tallies below it; the others where the slide moved a cell
+            # walk tallies below it; the off-path one where two hook cells
+            # follow the slide's end; the others where the slide moved a cell
             while True:
                 x0, d = rng.choice(sits if fault == "raises" else perms), rng.randrange(1, n)
                 t0, s0 = list(x0), [1] * n
                 for k in range(1, d + 1):
                     clean._checked_slide(t0, s0, k)
-                if fault == "raises" or s0[order[d]] > 1:
+                pos = order[d]
+                if fault == "off the path":
+                    if s0[pos] + 2 <= clean.hooklen[pos]:
+                        break
+                elif fault == "raises" or s0[pos] > 1:
                     break
-            pos, cells = order[d], order[:d + 1]
+            cells = order[:d + 1]
 
             class Faulty(pure.ShapeOps):
                 def _checked_rotate(self, t, j, k):
@@ -635,6 +660,13 @@ class TestPlantedFaults:
                     if fault == "one cell short":
                         j[pos] -= 1
                         return super()._checked_rotate(t, j, k)
+                    if fault == "off the path":
+                        # a right rotation, then a swap of the two hook
+                        # cells after its end, on neither step's path
+                        super()._checked_rotate(t, j, k)
+                        end = pos + s0[pos] - 1
+                        t[end + 1], t[end + 2] = t[end + 2], t[end + 1]
+                        return None
                     path = super()._checked_rotate(t, j, k)
                     j[pos] = s0[pos]
                     return path
