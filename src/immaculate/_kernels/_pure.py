@@ -16,7 +16,12 @@ Where the twins differ: what a checked slide learns from its path alone,
 the ``_hook_index`` verdict and the row and column pairs whose stability it
 checks, is computed here once per hook path and kept in a memo
 (``_checked_path``).  The C twin builds each path into a buffer and works
-both out again on every slide, the pairs in its ``_path_standard``.
+both out again on every slide, the pairs in its ``_path_standard``.  And
+with check off, ``_straighten_inplace`` and ``_unstraighten_inplace`` take
+each row right of column 1 as one run here: an insertion sort with
+``bisect_left`` and a Lehmer decode with ``list.pop``, where stepping cell by
+cell runs an interpreted loop over every cell a slide passes.  The C twin
+steps cell by cell, which costs it nothing.
 
 Positions here are 0-based flat indices, and a key layout fact keeps
 everything tight: in row-major order every hook occupies a contiguous run of
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 
 from ..errors import InternalCheckError
 
@@ -79,6 +85,13 @@ class ShapeOps:
         for h in self.hooklen:
             self.hook_prod *= h
         self.n_factorial = math.factorial(n)
+        # the row runs of the unchecked transforms: each row tail as
+        # (start, stop, end), its cells [start, end) and its steps
+        # [start, stop), which leave out order[0]; and the column-1 steps,
+        # bottom-up
+        self._tails = [(a + 1, b - (b - 1 == self.order[0]), b)
+                       for a, b in zip(row_start, row_start[1:]) if b - a > 1]
+        self._column1 = [pos for pos in self.order[1:] if self.colof[pos] == 0]
         self._checked_paths = {}
         # Stability, in traversal order: each cell with a right neighbour
         # makes a row pair and each column-1 cell with one below a column
@@ -295,15 +308,34 @@ class ShapeOps:
         if j.count(1) != len(j):
             raise InternalCheckError("hook values not exhausted")
 
+    # The unchecked transforms work by row runs.  The traversal takes every
+    # cell off column 1 before column 1, and a slide or rotation from such
+    # a cell stays in the run of its row right of column 1, its row tail.
+    # So straighten sorts each row tail by insertion, right to left: a
+    # slide passes the entries of the sorted run to its right that are
+    # smaller, so its hook value is one more than their number.  Then it
+    # slides the column-1 cells, bottom-up.  Unstraighten rotates the
+    # column-1 cells top-down; the rotations of a row tail, left to right,
+    # then each take the (v - 1)-th entry of those still in place to the
+    # front, which is a Lehmer decode.  order[0] is no step of either, and
+    # the hook values straighten writes start at 1, as its callers pass them.
+
     def _straighten_inplace(self, t, s, check) -> None:
         n = self.size
         if check:
             for k in range(1, n):
                 self._checked_slide(t, s, k)
             return
-        order = self.order
-        for k in range(1, n):
-            pos = order[k]
+        for start, _, end in self._tails:
+            last = end - 1
+            run = [t[last]]
+            for pos in range(last - 1, start - 1, -1):
+                e = t[pos]
+                i = bisect_left(run, e)
+                run.insert(i, e)
+                s[pos] = i + 1
+            t[start:end] = run
+        for pos in self._column1:
             s[pos] = self._slide(t, pos)[-1] - pos + 1
 
     def _unstraighten_inplace(self, t, j, check) -> None:
@@ -315,14 +347,23 @@ class ShapeOps:
                 self._checked_rotate(t, j, k)
             self._check_exhausted(j)
             return
-        order, hooklen = self.order, self.hooklen
-        for k in range(1, n):
-            pos = order[n - k]
+        hooklen = self.hooklen
+        for pos in reversed(self._column1):
             v = j[pos]
             if v > 1:
                 if v > hooklen[pos]:
                     raise IndexError(f"hook value {v} out of range at position {pos}")
                 self._rotate_hook(t, pos, v)
+        try:
+            for start, stop, end in self._tails:
+                rest = t[start:end]
+                t[start:stop] = [rest.pop(v - 1 if v > 1 else 0) for v in j[start:stop]]
+                t[stop:end] = rest
+        except IndexError:
+            # a hook value past its hook; name the first in step order
+            pos = next(pos for pos in self.order[:0:-1]
+                       if self.colof[pos] and j[pos] > hooklen[pos])
+            raise IndexError(f"hook value {j[pos]} out of range at position {pos}") from None
 
     def straighten(self, entries, check=False) -> tuple[list[int], list[int]]:
         """Flat filling -> (flat standard immaculate filling, flat hook values)."""
@@ -417,7 +458,9 @@ class ShapeOps:
         with the filling.  So every entry is the one a roundtrip of that
         filling alone gives; that path runs only on failure.  The walk again
         starts from the hook run before the slide, slid once more, and each
-        node of it, like the failed node after it, puts that run back.
+        node of it, like the failed node after it, puts that run back and
+        its hook value to 1, so no ancestor finds the hook values
+        unexhausted and walks its subtree again too.
 
         Returns (standard_count, failures).  failures holds (rank, stage,
         message) in walk order, where rank is the lexicographic rank of the
@@ -512,6 +555,7 @@ class ShapeOps:
                     if before is not None:
                         if per_leaf:
                             t[pos:end] = before
+                            s[pos] = 1
                         else:
                             hook = s[pos]
                             if not undo(d, before):
@@ -526,6 +570,7 @@ class ShapeOps:
                                 visit(d + 1, lo, None, keep)
                                 per_leaf = False
                                 t[pos:end] = before
+                                s[pos] = 1
                 lo += size
                 i += 1
             # the swaps left free[d:d + i] rotated right by one

@@ -829,9 +829,10 @@ fill_visit(Walk *w, int d, unsigned long long first, PyObject *error, int stable
             rc = d + 1 == n ? fill_leaf(w, keep, err) : fill_visit(w, d + 1, lo, err, keep);
             Py_XDECREF(err);
             if (slid && rc == 0) {
-                if (w->per_leaf)
+                if (w->per_leaf) {
                     memcpy(w->t + pos, before, (size_t)h * sizeof(int));
-                else {
+                    w->s[pos] = 1;
+                } else {
                     int hook = w->s[pos], undone = fill_undo(w, d, before);
                     if (undone < 0)
                         rc = -1;
@@ -849,6 +850,7 @@ fill_visit(Walk *w, int d, unsigned long long first, PyObject *error, int stable
                             rc = fill_visit(w, d + 1, lo, NULL, keep);
                         w->per_leaf = 0;
                         memcpy(w->t + pos, before, (size_t)h * sizeof(int));
+                        w->s[pos] = 1;
                     }
                 }
             }

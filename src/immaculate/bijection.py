@@ -10,15 +10,19 @@ entries with a modified jeu de taquin and recording where each slide stopped.
 Both maps validate their input, run the shape's cached flat-array kernel
 (``_kernels``; check=True is its per-step invariant check) and wrap the
 result with the trusted grid constructor, which skips the public
-constructors' per-entry validation.  What that validation proved is checked
-once, on the flat arrays: straighten tests, with check on or off, that P is
-a standard immaculate permutation of 1..n and every hook value lies in its
-hook, in one O(n) pass; unstraighten only permutes the entries of a
-validated P, so its result needs no check.  The Trace they return replays
-the intermediate states on first access, since the hook values log the
-whole run.  The hook paths, the slide and the replay use the pure kernel,
-the reference for its compiled twin; the circular shifts take any path, so
-they rotate it here.
+constructors' per-entry validation.  Grids store their entries flat, so the
+kernel reads a grid's flat tuple as it is, and its output is wrapped without
+being cut into rows; rows are cut when first read.  With check off, the
+pure kernel takes whole row runs at a time (see ``_pure``), which the
+checked, step-by-step transforms must agree with.  What the skipped
+validation proved is checked once, on the flat arrays: straighten tests,
+with check on or off, that P is a standard immaculate permutation of 1..n
+and every hook value lies in its hook, in one O(n) pass; unstraighten only
+permutes the entries of a validated P, so its result needs no check.  The
+Trace they return replays the intermediate states on first access, since
+the hook values log the whole run.  The hook paths, the slide and the
+replay use the pure kernel, the reference for its compiled twin; the
+circular shifts take any path, so they rotate it here.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 from typing import Sequence
 
 from . import _kernels
@@ -80,8 +83,7 @@ class HookTableau(Grid):
                     raise InvalidInputError(
                         f"hook value {v} at cell ({i}, {j}) is outside 1..{h} for shape {shape}"
                     )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "shape", shape)
+        self._set_rows(rows, shape)
 
     @classmethod
     def all_ones(cls, shape: Composition) -> "HookTableau":
@@ -90,10 +92,6 @@ class HookTableau(Grid):
     def value_at(self, cell) -> int:
         row, col = self.shape.require_cell(cell)
         return self.rows[row - 1][col - 1]
-
-    def flat(self) -> tuple[int, ...]:
-        """All values in row-major order (the layout the kernels use)."""
-        return tuple(chain.from_iterable(self.rows))
 
     def to_text(self) -> str:
         return format_grid_text(self.rows)
@@ -360,7 +358,8 @@ def straighten(t: Tableau, check: bool = False) -> tuple[Pair, Trace]:
     ops = _kernel(shape.parts)
     p, j = ops.straighten(flat, check)
     # what Pair(...) and the two grid constructors checked, on the flat
-    # arrays; split_flat below still rejects a result of the wrong length
+    # arrays; _from_flat_trusted below still rejects a result of the wrong
+    # length
     if sorted(p) != one_to_n or not ops.is_standard_immaculate(p):
         raise InternalCheckError(
             "straighten produced an invalid pair: P is not a standard immaculate"

@@ -416,7 +416,7 @@ def _verify_sampled(alpha: Composition, sample_size: int, seed: int) -> Verifica
     for i in range(sample_size):
         p = random_standard_immaculate(alpha, rng)
         j = random_hook_tableau(alpha, rng)
-        flat_p, flat_j = list(p.flat()), [v for row in j.rows for v in row]
+        flat_p, flat_j = list(p.flat()), list(j.flat())
         try:
             back = ops.straighten(ops.unstraighten(flat_p, flat_j, check=True), check=True)
             failed = None if back == (flat_p, flat_j) else ("roundtrip", Y_CHANGED)

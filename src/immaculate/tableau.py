@@ -67,26 +67,53 @@ def _validate_rows(rows) -> tuple[tuple[int, ...], ...]:
 class Grid:
     """An immutable grid of integers on a composition diagram.
 
-    ``rows[i-1][j-1]`` holds the value of cell (i, j); the shape is read off
-    the row lengths.  Subclasses validate the rows in ``__init__``; ``noun``
-    names the grid in parse errors.  Grids of different classes never
+    The grid stores its entries flat, in row-major order (the layout the
+    kernels use), with its shape; ``rows``, where ``rows[i-1][j-1]`` holds
+    the value of cell (i, j), is cut from them on first read and kept.
+    Subclasses validate the rows in ``__init__``; ``noun`` names the grid in
+    parse errors.  Two grids are equal when they have the same class, the
+    same flat entries and the same shape: grids of different classes never
     compare equal, even with equal rows.
     """
 
-    __slots__ = ("rows", "shape")
+    __slots__ = ("_flat", "_rows", "shape")
 
-    rows: tuple[tuple[int, ...], ...]
+    _flat: tuple[int, ...]
     shape: Composition
     noun: str
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def _set_rows(self, rows: tuple[tuple[int, ...], ...], shape: Composition) -> None:
+        # for __init__, on the rows it has validated and their shape
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_flat", tuple(chain.from_iterable(rows)))
+        object.__setattr__(self, "shape", shape)
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        try:
+            return self._rows
+        except AttributeError:
+            rows = split_flat(self.shape, self._flat)
+            object.__setattr__(self, "_rows", rows)
+            return rows
+
+    def flat(self) -> tuple[int, ...]:
+        """All entries in row-major order (the layout the kernels use)."""
+        return self._flat
+
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.rows == other.rows
+        return (type(other) is type(self) and self._flat == other._flat
+                and self.shape.parts == other.shape.parts)
 
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.rows))
+
+    def __reduce__(self):
+        # rebuilt through the validating public constructor
+        return type(self), (self.rows,)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({list(map(list, self.rows))!r})"
@@ -98,12 +125,16 @@ class Grid:
     def _from_flat_trusted(cls, shape: Composition, flat: Sequence[int]):
         """Wrap a flat grid the package built and checked itself.
 
-        Skips the validation of the public constructors and keeps the
-        caller's shape object.  Each caller names, beside its call, the check
-        that makes flat a valid grid of cls on shape.
+        Skips the validation of the public constructors, keeps the caller's
+        shape object and copies flat, which the caller may go on changing,
+        without cutting it into rows.  Each caller names, beside its call,
+        the check that makes flat a valid grid of cls on shape.
         """
+        flat = tuple(flat)
+        if len(flat) != shape.n:
+            raise ValueError(f"need {shape.n} entries for shape {shape}, got {len(flat)}")
         grid = object.__new__(cls)
-        object.__setattr__(grid, "rows", split_flat(shape, flat))
+        object.__setattr__(grid, "_flat", flat)
         object.__setattr__(grid, "shape", shape)
         return grid
 
@@ -164,8 +195,8 @@ class Tableau(Grid):
     noun = "tableau"
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        object.__setattr__(self, "rows", _validate_rows(rows))
-        object.__setattr__(self, "shape", Composition(tuple(len(r) for r in self.rows)))
+        rows = _validate_rows(rows)
+        self._set_rows(rows, Composition(tuple(len(r) for r in rows)))
 
     @property
     def n(self) -> int:
@@ -244,15 +275,10 @@ class Tableau(Grid):
                 return False
         return True
 
-    def flat(self) -> tuple[int, ...]:
-        """All entries in row-major order (the layout the kernels use)."""
-        return tuple(chain.from_iterable(self.rows))
-
-    @classmethod
-    def from_flat(cls, shape: Composition, entries: Sequence[int]) -> "Tableau":
-        # Grid.from_flat, as an attribute of Tableau itself, which
-        # perfbench/spans.py wraps by name
-        return super().from_flat(shape, entries)
+    # Grid's, as attributes of Tableau itself, which perfbench/spans.py
+    # wraps by name
+    flat = Grid.flat
+    from_flat = Grid.__dict__["from_flat"]
 
     def to_text(self) -> str:
         return format_grid_text(self.rows)

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 import tracemalloc
 
@@ -119,7 +121,10 @@ class TestHookTableau:
         a = HookTableau([[3, 1], [2], [1, 1]])
         b = HookTableau(((3, 1), (2,), (1, 1)))
         assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash(("HookTableau", a.rows))
         assert len({a, b}) == 1
+        # the same flat values on another shape
+        assert HookTableau([[1], [1, 1]]) != HookTableau([[1, 1], [1]])
 
     def test_repr(self):
         assert repr(HookTableau([[3, 1], [2], [1, 1]])) == "HookTableau([[3, 1], [2], [1, 1]])"
@@ -150,6 +155,16 @@ class TestPair:
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
             Pair.parse(bad)
+
+    @pytest.mark.parametrize("copier", [lambda obj: pickle.loads(pickle.dumps(obj)),
+                                        copy.copy, copy.deepcopy])
+    def test_pickle_and_copy(self, copier):
+        # grids built by the public constructors and kernel output wrapped
+        # without rows, and pairs of each
+        pair, _ = straighten(WIDE_T)
+        for obj in (WIDE_P, WIDE_J, Pair(WIDE_P, WIDE_J), pair.tableau, pair.hooks, pair):
+            back = copier(obj)
+            assert type(back) is type(obj) and back == obj and hash(back) == hash(obj)
 
 
 class TestHookPath:

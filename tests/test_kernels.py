@@ -159,6 +159,10 @@ def on_backend(backend, monkeypatch):
      IndexError, "hook value 2 out of range at position 1"),
     (lambda ops: type(ops)((2, 2)).unstraighten([1, 2, 3, 4], [1, 2, 1, 1]), IndexError,
      "hook value 2 out of range at position 1"),
+    # two values past their hooks: the error names the first in step order,
+    # which runs down column 2 before column 3, not the first in its row
+    (lambda ops: type(ops)((3, 3)).unstraighten([1, 2, 3, 4, 5, 6], [1, 1, 2, 1, 3, 1]),
+     IndexError, "hook value 3 out of range at position 4"),
 ])
 def test_input_contract(backend, call, error, message):
     # both twins refuse the same malformed inputs with the same exception
@@ -166,6 +170,40 @@ def test_input_contract(backend, call, error, message):
     with pytest.raises(error) as info:
         call(ops)
     assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("parts, hook_values, filling", [
+    # order[0], the last cell of the traversal's first column, is no step,
+    # so a value past its hook there is ignored
+    ((1, 2), [3, 2, 2], [3, 2, 1]),
+    ((1, 1, 1, 1), [4, 2, 1, 2], [4, 2, 1, 3]),
+    # values of 1 or less move nothing
+    ((3, 3), [2, 0, 1, 3, -4, 1], [2, 1, 3, 6, 4, 5]),
+])
+def test_unchecked_unstraighten_outside_the_contract(backend, parts, hook_values, filling):
+    ops = get_backend(backend).ShapeOps(parts)
+    assert ops.unstraighten(list(range(1, len(filling) + 1)), hook_values) == filling
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_unchecked_transforms_equal_checked(backend):
+    # the unchecked transforms take whole row runs at a time, the checked
+    # ones go step by step
+    rng = random.Random(41)
+    cases = [(alpha.parts, list(x)) for n in range(1, 7) for alpha in compositions(n)
+             for x in itertools.permutations(range(1, n + 1))]
+    shapes = [random_shape(rng, n) for n in (20, 49, 100) for _ in range(10)]
+    shapes += [(4, 1, 4, 2, 1, 3, 2, 1, 1, 1), (7,) * 7, (10,) * 10]
+    cases += [(parts, rng.sample(range(1, sum(parts) + 1), sum(parts)))
+              for parts in shapes for _ in range(3)]
+    ops = None
+    for parts, x in cases:
+        if ops is None or ops.parts != parts:
+            ops = get_backend(backend).ShapeOps(parts)
+        p, j = ops.straighten(x)
+        assert (p, j) == ops.straighten(x, check=True)
+        assert ops.unstraighten(p, j) == ops.unstraighten(p, j, check=True) == x
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -408,6 +446,7 @@ def test_trusted_objects_equal_validated_ones(backend):
     def as_public(grid, shape):
         public = type(grid)(grid.rows)
         assert grid == public and hash(grid) == hash(public)
+        assert hash(grid) == hash((type(grid).__name__, grid.rows))
         assert type(grid.rows) is tuple and {type(r) for r in grid.rows} == {tuple}
         assert {type(v) for r in grid.rows for v in r} == {int}
         assert grid.shape is shape and grid.shape == public.shape
@@ -688,6 +727,44 @@ class TestPlantedFaults:
                 parts = [ops.scan_fillings(lo, hi, True) for lo, hi in zip(bounds, bounds[1:])]
                 assert sum(c for c, _ in parts) == standard
                 assert [f for _, fs in parts for f in fs] == failures
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_failed_node_walked_again_once(self, d):
+        # a failed node's subtree is walked again with one per-filling
+        # inverse at each leaf; the walk then puts the node's hook value
+        # back to 1, so no ancestor finds the hook values unexhausted and
+        # walks its own subtree again too
+        parts, n = (2, 1, 3), 6
+        clean = pure.ShapeOps(parts)
+        order, perms = clean.order, list(itertools.permutations(range(1, n + 1)))
+        rng = random.Random(d)
+        nodes = {}
+        for x0 in [(2, 6, 1, 3, 4, 5)] + rng.sample(perms, 40):
+            t0, s0 = list(x0), [1] * n
+            for k in range(1, d + 1):
+                clean._checked_slide(t0, s0, k)
+            if s0[order[d]] > 1:
+                nodes.setdefault(tuple(t0[q] for q in order[:d + 1]), (t0, s0))
+        assert len(nodes) >= 5
+        for t0, s0 in list(nodes.values())[:5]:
+            pos, cells = order[d], order[:d + 1]
+            inverses = 0
+
+            class Faulty(pure.ShapeOps):
+                def _checked_rotate(self, t, j, k):
+                    if k == n - d and j[pos] == s0[pos] and all(t[q] == t0[q] for q in cells):
+                        j[pos] -= 1  # a rotation one cell short
+                    return super()._checked_rotate(t, j, k)
+
+                def _unstraighten_inplace(self, t, j, check):
+                    nonlocal inverses
+                    inverses += 1
+                    return super()._unstraighten_inplace(t, j, check)
+
+            ops = Faulty(parts)
+            standard, failures = ops.scan_fillings(0, math.factorial(n), True)
+            assert failures and inverses == len(failures)
+            assert (standard, sorted(failures)) == _oracle_fillings(ops)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_unstraighten_fault_caught_at_its_pair(self, n):

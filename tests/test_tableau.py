@@ -39,7 +39,10 @@ class TestConstruction:
         a = Tableau([[1, 2], [3]])
         b = Tableau(((1, 2), (3,)))
         assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash(("Tableau", a.rows))
         assert a != Tableau([[2, 1], [3]])
+        # the same flat entries on another shape
+        assert Tableau([[1], [2, 3]]) != a
 
     def test_immutable(self):
         t = Tableau([[1]])
