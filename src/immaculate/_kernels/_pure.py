@@ -6,8 +6,8 @@ C file ``_speedups.c``, mirrors it function by function: each of
 ``_rotate_hook``, the checked steps ``_checked_slide``/``_checked_rotate``
 with ``_check_exhausted``, ``_straighten_inplace``/``_unstraighten_inplace``
 and ``_lex_rank`` has a C function of the same name, the functions nested in
-``count_standard`` (``visit``) and ``scan_fillings`` (``visit``, ``leaf``,
-``undo``) are ``count_visit`` and ``fill_visit``/``fill_leaf``/``fill_undo``
+``count_standard`` (``visit``) and ``scan_fillings`` (``alone``, ``undo``,
+``visit``) are ``count_visit`` and ``fill_alone``/``fill_undo``/``fill_visit``
 there, and the public methods raise the same exceptions with the same
 messages.  Which twin you get from ``immaculate._kernels`` is decided at
 import time.
@@ -249,8 +249,8 @@ class ShapeOps:
         the first k + 1 cells is checked on the pairs with an end on the
         path.  The closed-form hook index and those pairs depend on the path
         alone, so they come from _checked_path, built once per path.  On a
-        failed check t is put back as it was, so a walk can go on to the
-        next sibling from the same state.
+        failed check t and s[order[k]] are put back as they were, so a walk
+        can go on to the next sibling from the same state.
         """
         pos = self.order[k]
         end = pos + self.hooklen[pos]
@@ -280,6 +280,7 @@ class ShapeOps:
                     raise InternalCheckError(f"prefix standardness lost after step {k}")
         except InternalCheckError:
             t[pos:end] = before
+            s[pos] = 1
             raise
         return path, before
 
@@ -426,15 +427,13 @@ class ShapeOps:
         order, smallest first, so leaf i is the filling whose entries, read
         in traversal order, form the i-th permutation of 1..n.  The node of
         depth d holds the state after straighten steps 1..d, which every
-        filling below it shares.  It runs straighten step d once on the way
-        down and inverse step n - d once on the way back up: the checked
-        rotation by the hook value its slide stored in s[order[d]], then one
-        compare of the hook run of order[d] with the run before the slide.
-        That run holds every cell the slide or the rotation can move, since
-        a rotation past the hook raises IndexError first.  A leaf only
-        tallies its filling and files the check that failed above it, if
-        any.  A check that fails at a slide fails every leaf below it with
-        that message, as it would one filling at a time.
+        filling below it shares.  It runs checked straighten step d once on
+        the way down and inverse step n - d once on the way back up: the
+        checked rotation by the hook value its slide stored in s[order[d]],
+        then one compare of the hook run of order[d] with the run before the
+        slide.  That run holds every cell the slide or the rotation can
+        move, since a rotation past the hook raises IndexError first.  A
+        leaf only tallies its filling.
 
         Why the node steps are each filling's own roundtrip, by induction on
         depth: the children's compares prove that a node holds again exactly
@@ -451,16 +450,15 @@ class ShapeOps:
         own stability is carried down the walk from each cell's right and
         lower neighbours, as in count_standard.
 
-        When a node's inverse step raises InternalCheckError or its compare
-        fails, the entries its subtree filed are dropped and the subtree is
-        walked again, within [start, stop), with the per-filling inverse at
-        every leaf: _unstraighten_inplace on a copy and the full comparison
-        with the filling.  So every entry is the one a roundtrip of that
-        filling alone gives; that path runs only on failure.  The walk again
-        starts from the hook run before the slide, slid once more, and each
-        node of it, like the failed node after it, puts that run back and
-        its hook value to 1, so no ancestor finds the hook values
-        unexhausted and walks its subtree again too.
+        Everything else goes one filling at a time, through alone: a node
+        whose slide raises InternalCheckError is not descended, and a node
+        whose inverse step raises it or whose compare fails drops the
+        entries its subtree filed but keeps its tally.  Either way alone
+        then roundtrips the node's fillings within [start, stop) as the
+        public methods do, so every failure entry is the one a roundtrip of
+        that filling alone gives.  The failed node then puts its hook run
+        and its hook value back, so no ancestor finds the hook values
+        unexhausted.  With check off the whole range goes through alone.
 
         Returns (standard_count, failures).  failures holds (rank, stage,
         message) in walk order, where rank is the lexicographic rank of the
@@ -474,28 +472,33 @@ class ShapeOps:
         order, right, below, hooklen = self.order, self.right, self.below, self.hooklen
         # leaves below one node of depth d + 1, that is with order[0..d] set
         leaves = [math.factorial(n - 1 - d) for d in range(n)]
+        failures = []
+
+        def alone(lo, hi) -> int:
+            # roundtrip leaves [lo, hi) one at a time, as the public methods
+            # do; returns how many are standard.  The entries of leaf i in
+            # traversal order form the i-th permutation.
+            count = 0
+            for i in range(lo, hi):
+                y, left, rem = [0] * n, list(range(1, n + 1)), i
+                for d in range(n):
+                    q, rem = divmod(rem, leaves[d])
+                    y[order[d]] = left.pop(q)
+                count += self.is_standard_immaculate(y)
+                try:
+                    back = self.unstraighten(*self.straighten(y, check), check)
+                except InternalCheckError as exc:
+                    failures.append((_lex_rank(y), "check", str(exc)))
+                    continue
+                if back != y:
+                    failures.append((_lex_rank(y), "roundtrip", X_CHANGED))
+            return count
+
+        if not check:
+            return alone(start, stop), failures
         x, t, s = [0] * n, [0] * n, [1] * n
         free = list(range(1, n + 1))
-        failures = []
         standard = 0
-        per_leaf = False  # while a failed node's subtree is walked again
-
-        def leaf(stable, error):
-            nonlocal standard
-            standard += stable
-            if error is None:
-                if not per_leaf:
-                    return
-                back, j = list(t), list(s)
-                try:
-                    self._unstraighten_inplace(back, j, check)
-                except InternalCheckError as exc:
-                    error = str(exc)
-                else:
-                    if back != x:
-                        failures.append((_lex_rank(x), "roundtrip", X_CHANGED))
-                    return
-            failures.append((_lex_rank(x), "check", error))
 
         def undo(d, before) -> bool:
             # inverse step n - d at the depth-d node; before holds the hook
@@ -503,29 +506,17 @@ class ShapeOps:
             # every cell that the slide or the rotation can move
             pos = order[d]
             try:
-                if check:
-                    self._checked_rotate(t, s, n - d)
-                    if d == 1:
-                        self._check_exhausted(s)
-                    if s[pos] != 1:
-                        return False
-                else:
-                    v = s[pos]
-                    if v > 1:
-                        if v > hooklen[pos]:
-                            raise IndexError(f"hook value {v} out of range at position {pos}")
-                        self._rotate_hook(t, pos, v)
+                self._checked_rotate(t, s, n - d)
+                if d == 1:
+                    self._check_exhausted(s)
             except InternalCheckError:
                 return False
-            return t[pos:pos + hooklen[pos]] == before
+            return s[pos] == 1 and t[pos:pos + hooklen[pos]] == before
 
-        def visit(d, first, error, stable):
+        def visit(d, first, stable):
             # order[0..d) are set, stable if stable, and free[d:] holds the
             # values left, ascending; the leaves below are numbered from first
-            nonlocal standard, per_leaf
-            if d == n:
-                leaf(stable, error)
-                return
+            nonlocal standard
             pos, size = order[d], leaves[d]
             r, b, end = right[pos], below[pos], pos + hooklen[pos]
             lo, i = first, 0
@@ -537,40 +528,21 @@ class ShapeOps:
                 if lo + size > start:
                     v = x[pos] = t[pos] = free[d]
                     keep = stable and (r < 0 or v <= x[r]) and (b < 0 or v < x[b])
-                    before, err = None, error
-                    if d and err is None:
-                        try:
-                            if check:
-                                before = self._checked_slide(t, s, d)[1]
-                            else:
-                                before = t[pos:end]
-                                s[pos] = self._slide(t, pos)[-1] - pos + 1
-                        except InternalCheckError as exc:
-                            before, err = None, str(exc)
-                    filed, tally = len(failures), standard
-                    if d + 1 == n:
-                        leaf(keep, err)
+                    try:
+                        before = self._checked_slide(t, s, d)[1] if d else None
+                    except InternalCheckError:
+                        standard += alone(max(lo, start), min(lo + size, stop))
                     else:
-                        visit(d + 1, lo, err, keep)
-                    if before is not None:
-                        if per_leaf:
+                        filed = len(failures)
+                        if d + 1 == n:
+                            standard += keep
+                        else:
+                            visit(d + 1, lo, keep)
+                        if d and not undo(d, before):
+                            del failures[filed:]
+                            alone(max(lo, start), min(lo + size, stop))
                             t[pos:end] = before
                             s[pos] = 1
-                        else:
-                            hook = s[pos]
-                            if not undo(d, before):
-                                # walk the subtree again from the state the
-                                # slide left, with the per-filling inverse
-                                del failures[filed:]
-                                standard = tally
-                                t[pos:end] = before
-                                self._slide(t, pos)
-                                s[pos] = hook
-                                per_leaf = True
-                                visit(d + 1, lo, None, keep)
-                                per_leaf = False
-                                t[pos:end] = before
-                                s[pos] = 1
                 lo += size
                 i += 1
             # the swaps left free[d:d + i] rotated right by one
@@ -578,7 +550,7 @@ class ShapeOps:
                 free[d:d + i] = free[d + 1:d + i] + free[d:d + 1]
 
         if start < stop:
-            visit(0, 0, None, True)
+            visit(0, 0, True)
         return standard, failures
 
     def scan_pairs(self, p_table, start, stop, check=True):

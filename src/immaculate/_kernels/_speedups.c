@@ -4,10 +4,10 @@
  * method (_prefix_standard, _slide, _build_path, _hook_index, _rotate_hook,
  * _checked_slide, _checked_rotate, _check_exhausted, _straighten_inplace,
  * _unstraighten_inplace, _lex_rank) is that method line for line, the walks
- * of count_standard and scan_fillings are its nested visit, leaf and undo
- * functions, and scan_pairs is its loop over the pairs; only the failure
- * entries exist in C alone.  The parity tests compare the two twins
- * exhaustively.
+ * of count_standard and scan_fillings are its nested visit, alone and undo
+ * functions, straighten_flat is its public straighten, and scan_pairs is
+ * its loop over the pairs; only the failure entries exist in C alone.  The
+ * parity tests compare the two twins exhaustively.
  *
  * Where they differ: _pure keeps, in a memo keyed by the hook path, the
  * _hook_index verdict and the stability pairs that a slide along the path
@@ -32,6 +32,7 @@
 
 static PyObject *InternalCheckError; /* immaculate.errors.InternalCheckError */
 static PyObject *math_factorial;     /* math.factorial */
+static PyObject *math_prod;          /* math.prod */
 
 typedef struct {
     PyObject_HEAD
@@ -175,30 +176,6 @@ ready(ShapeOps *self)
 
 /* -- construction ---------------------------------------------------------- */
 
-/* Exact product of factors[0..n): a long long accumulator, spilled into a
- * Python int whenever the next factor would overflow it. */
-static PyObject *
-exact_product(const int *factors, int n)
-{
-    PyObject *prod = PyLong_FromLong(1);
-    long long acc = 1;
-    for (int i = 0; prod != NULL && i <= n; i++) {
-        if (i < n && acc <= LLONG_MAX / factors[i]) {
-            acc *= factors[i];
-            continue;
-        }
-        if (acc > 1) {
-            PyObject *a = PyLong_FromLongLong(acc);
-            PyObject *next = a ? PyNumber_Multiply(prod, a) : NULL;
-            Py_XDECREF(a);
-            Py_SETREF(prod, next);
-        }
-        if (i < n)
-            acc = factors[i];
-    }
-    return prod;
-}
-
 static int
 ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
 {
@@ -309,12 +286,6 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
             col_pairs[prefix_cols[m + 1]++] = pos;
     }
 
-    hook_prod = exact_product(hooklen, n);
-    if (hook_prod == NULL)
-        goto fail;
-    n_factorial = PyObject_CallFunction(math_factorial, "i", n);
-    if (n_factorial == NULL)
-        goto fail;
     hooklen_obj = PyTuple_New(n);
     for (int pos = 0; hooklen_obj != NULL && pos < n; pos++) {
         PyObject *h = PyLong_FromLong(hooklen[pos]);
@@ -323,7 +294,8 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
         else
             PyTuple_SET_ITEM(hooklen_obj, pos, h);
     }
-    if (hooklen_obj == NULL)
+    if (hooklen_obj == NULL || (hook_prod = PyObject_CallOneArg(math_prod, hooklen_obj)) == NULL
+            || (n_factorial = PyObject_CallFunction(math_factorial, "i", n)) == NULL)
         goto fail;
     long long prod_ll = PyLong_AsLongLongAndOverflow(hook_prod, &overflow);
     int fact_overflow;
@@ -344,6 +316,7 @@ fail:
     Py_XDECREF(parts);
     Py_XDECREF(hook_prod);
     Py_XDECREF(n_factorial);
+    Py_XDECREF(hooklen_obj);
     return -1;
 }
 
@@ -486,10 +459,10 @@ _rotate_hook(const ShapeOps *self, int *t, int start, int v)
 /* -- full transforms ------------------------------------------------------- */
 
 /* Straighten step k with every check: returns the length of the slide
- * path, or -1 with InternalCheckError set and t put back as it was.  The
- * slide moves only its path cells, all in the hook of order[k], so the
- * shift is checked on the path cells and stability on the pairs with an end
- * on the path.  work holds 2n ints of scratch, the slide path and the hook
+ * path, or -1 with InternalCheckError set and t and s[order[k]] put back as
+ * they were.  The slide moves only its path cells, all in the hook of
+ * order[k], so the shift is checked on the path cells and stability on the
+ * pairs with an end on the path.  work holds 2n ints of scratch, the slide path and the hook
  * path; before gets a pre-slide copy of the hook run of order[k], which the
  * walk reads back. */
 static int
@@ -525,6 +498,7 @@ _checked_slide(const ShapeOps *self, int *t, int *s, int k, int *work, int *befo
     return plen;
 fail:
     memcpy(t + pos, before, (size_t)h * sizeof(int));
+    s[pos] = 1;
     return -1;
 }
 
@@ -608,6 +582,23 @@ _unstraighten_inplace(const ShapeOps *self, int *t, int *j, int check)
         }
     }
     return check ? _check_exhausted(self, j) : 0;
+}
+
+/* The public straighten on C arrays: t and s are overwritten; work holds
+ * 3n ints of _straighten_inplace scratch. */
+static int
+straighten_flat(const ShapeOps *self, int *t, int *s, int check, int *work)
+{
+    int n = self->size;
+    for (int i = 0; i < n; i++)
+        s[i] = 1;
+    if (_straighten_inplace(self, t, s, check, work) < 0)
+        return -1;
+    if (check && !_prefix_standard(self, t, n)) {
+        PyErr_SetString(InternalCheckError, "straighten result is not standard immaculate");
+        return -1;
+    }
+    return 0;
 }
 
 /* lexicographic rank of a permutation among all permutations of its values,
@@ -703,48 +694,70 @@ add_failure(PyObject *failures, PyObject *index, const char *stage, PyObject *me
     return rc;
 }
 
-/* A subtree of more than LLONG_MAX leaves reaches past any scan range, so
- * its size is kept at 2^63: sums of a position below stop and a size then
- * stay within 64 bits. */
-#define WALK_CAP ((unsigned long long)LLONG_MAX + 1)
+/* an InternalCheckError just raised is cleared and gives 0; any other
+ * error stays raised and gives -1 */
+static int
+clear_check(void)
+{
+    if (!PyErr_ExceptionMatches(InternalCheckError))
+        return -1;
+    PyErr_Clear();
+    return 0;
+}
 
-/* The state of scan_fillings' depth-first walk; fill_visit, fill_leaf and
- * fill_undo are the nested functions of the _pure scan. */
+/* The state of scan_fillings' depth-first walk; fill_alone, fill_undo and
+ * fill_visit are the nested functions of the _pure scan.  A compiled scan
+ * refuses n! past a long long, so every leaf number and subtree size fits
+ * one. */
 typedef struct {
     const ShapeOps *self;
     PyObject *failures;
-    int check;
     unsigned long long start, stop;
     unsigned long long *leaves; /* leaves below one node of each depth */
     int *befores;               /* n ints per depth: the hook run before the slide */
-    int *t, *s, *j, *back, *work; /* work: 2n ints of slide scratch */
-    int *x, *free;              /* the filling, values left */
-    int per_leaf;               /* while a failed node's subtree is walked again */
+    int *t, *s, *x, *free;      /* the walk's state, its filling, values left */
+    int *y, *back, *j;          /* fill_alone's filling and its roundtrip */
+    int *work;                  /* 3n ints of slide and straighten scratch */
     long long standard;
 } Walk;
 
-static int
-fill_leaf(Walk *w, int stable, PyObject *error)
+/* Roundtrip the leaves [lo, hi) one at a time, as the public methods do,
+ * filing their failures; the number of standard ones among them, or -1 on
+ * an error other than a failed check. */
+static long long
+fill_alone(Walk *w, int check, unsigned long long lo, unsigned long long hi)
 {
     const ShapeOps *self = w->self;
-    int n = self->size;
-    w->standard += stable;
-    PyObject *message = Py_XNewRef(error);
-    if (message == NULL) {
-        if (!w->per_leaf)
-            return 0;
-        memcpy(w->back, w->t, (size_t)n * sizeof(int));
-        memcpy(w->j, w->s, (size_t)n * sizeof(int));
-        if (_unstraighten_inplace(self, w->back, w->j, w->check) == 0) {
-            if (memcmp(w->back, w->x, (size_t)n * sizeof(int)) == 0)
-                return 0;
-            return add_failure(w->failures, _lex_rank(w->x, n), "roundtrip",
-                               Py_NewRef(x_changed));
+    int n = self->size, *y = w->y, *back = w->back;
+    long long count = 0;
+    for (unsigned long long i = lo; i < hi; i++) {
+        /* the entries of leaf i in traversal order form the i-th
+         * permutation; back holds the values left */
+        unsigned long long rem = i;
+        for (int m = 0; m < n; m++)
+            back[m] = m + 1;
+        for (int d = 0; d < n; d++) {
+            int q = (int)(rem / w->leaves[d]);
+            rem %= w->leaves[d];
+            y[self->order[d]] = back[q];
+            memmove(back + q, back + q + 1, (size_t)(n - 1 - d - q) * sizeof(int));
         }
-        if ((message = take_check_message()) == NULL)
+        count += _prefix_standard(self, y, n);
+        memcpy(back, y, (size_t)n * sizeof(int));
+        int rc = straighten_flat(self, back, w->j, check, w->work);
+        if (rc == 0)
+            rc = _unstraighten_inplace(self, back, w->j, check);
+        PyObject *message;
+        if (rc == 0) {
+            if (memcmp(back, y, (size_t)n * sizeof(int)) == 0)
+                continue;
+            rc = add_failure(w->failures, _lex_rank(y, n), "roundtrip", Py_NewRef(x_changed));
+        } else if ((message = take_check_message()) != NULL)
+            rc = add_failure(w->failures, _lex_rank(y, n), "check", message);
+        if (rc < 0)
             return -1;
     }
-    return add_failure(w->failures, _lex_rank(w->x, n), "check", message);
+    return count;
 }
 
 /* inverse step n - d at the depth-d node; before holds the hook run of
@@ -756,45 +769,25 @@ static int
 fill_undo(Walk *w, int d, const int *before)
 {
     const ShapeOps *self = w->self;
-    int n = self->size, pos = self->order[d], rc = 0;
-    if (w->check) {
-        rc = _checked_rotate(self, w->t, w->s, n - d);
-        if (rc == 0 && d == 1)
-            rc = _check_exhausted(self, w->s);
-        if (rc == 0 && w->s[pos] != 1)
-            return 0;
-    } else {
-        int v = w->s[pos];
-        if (v > 1) {
-            if (v > self->hooklen[pos]) {
-                PyErr_Format(PyExc_IndexError, "hook value %d out of range at position %d",
-                             v, pos);
-                return -1;
-            }
-            _rotate_hook(self, w->t, pos, v);
-        }
-    }
-    if (rc < 0) {
-        if (!PyErr_ExceptionMatches(InternalCheckError))
-            return -1;
-        PyErr_Clear();
-        return 0;
-    }
-    return memcmp(w->t + pos, before, (size_t)self->hooklen[pos] * sizeof(int)) == 0;
+    int n = self->size, pos = self->order[d];
+    int rc = _checked_rotate(self, w->t, w->s, n - d);
+    if (rc == 0 && d == 1)
+        rc = _check_exhausted(self, w->s);
+    if (rc < 0)
+        return clear_check();
+    return w->s[pos] == 1
+           && memcmp(w->t + pos, before, (size_t)self->hooklen[pos] * sizeof(int)) == 0;
 }
 
 /* order[0..d) are set, stable if stable, and free[d..n) holds the values
- * left, ascending; the leaves below are numbered from first.  A compiled
- * scan refuses n! past 64 bits, so the walk is at most 21 calls deep.
- * Both slides leave a pre-slide copy of the hook run of order[d] in the
- * depth's before. */
+ * left, ascending; the leaves below are numbered from first.  The walk is
+ * at most 20 calls deep.  The slide leaves a pre-slide copy of the hook run
+ * of order[d] in the depth's before. */
 static int
-fill_visit(Walk *w, int d, unsigned long long first, PyObject *error, int stable)
+fill_visit(Walk *w, int d, unsigned long long first, int stable)
 {
     const ShapeOps *self = w->self;
     int n = self->size;
-    if (d == n)
-        return fill_leaf(w, stable, error);
     int pos = self->order[d], r = self->right[pos], b = self->below[pos], h = self->hooklen[pos];
     int *before = w->befores + (size_t)d * n, *free = w->free, i = 0, rc = 0;
     unsigned long long size = w->leaves[d], lo = first;
@@ -809,50 +802,29 @@ fill_visit(Walk *w, int d, unsigned long long first, PyObject *error, int stable
         if (lo + size > w->start) {
             int v = w->x[pos] = w->t[pos] = free[d];
             int keep = stable && (r < 0 || v <= w->x[r]) && (b < 0 || v < w->x[b]);
-            PyObject *err = Py_XNewRef(error);
-            int slid = 0;
-            if (d > 0 && err == NULL) {
-                if (!w->check)
-                    memcpy(before, w->t + pos, (size_t)h * sizeof(int));
-                int plen = w->check ? _checked_slide(self, w->t, w->s, d, w->work, before)
-                                    : _slide(self, w->t, pos, w->work);
-                if (plen < 0 && (err = take_check_message()) == NULL) {
+            unsigned long long from = lo > w->start ? lo : w->start;
+            unsigned long long to = lo + size < w->stop ? lo + size : w->stop;
+            if (d > 0 && _checked_slide(self, w->t, w->s, d, w->work, before) < 0) {
+                long long count = clear_check() < 0 ? -1 : fill_alone(w, 1, from, to);
+                if (count < 0)
                     rc = -1;
-                    break;
-                }
-                slid = plen > 0;
-                if (slid && !w->check)
-                    w->s[pos] = w->work[plen - 1] - pos + 1;
-            }
-            Py_ssize_t filed = PyList_GET_SIZE(w->failures);
-            long long tally = w->standard;
-            rc = d + 1 == n ? fill_leaf(w, keep, err) : fill_visit(w, d + 1, lo, err, keep);
-            Py_XDECREF(err);
-            if (slid && rc == 0) {
-                if (w->per_leaf) {
+                else
+                    w->standard += count;
+            } else {
+                Py_ssize_t filed = PyList_GET_SIZE(w->failures);
+                if (d + 1 == n)
+                    w->standard += keep;
+                else
+                    rc = fill_visit(w, d + 1, lo, keep);
+                int undone = rc == 0 && d > 0 ? fill_undo(w, d, before) : 1;
+                if (undone == 0) {
+                    rc = PyList_SetSlice(w->failures, filed, PY_SSIZE_T_MAX, NULL);
+                    if (rc == 0 && fill_alone(w, 1, from, to) < 0)
+                        rc = -1;
                     memcpy(w->t + pos, before, (size_t)h * sizeof(int));
                     w->s[pos] = 1;
-                } else {
-                    int hook = w->s[pos], undone = fill_undo(w, d, before);
-                    if (undone < 0)
-                        rc = -1;
-                    else if (!undone) {
-                        /* walk the subtree again from the state the slide
-                         * left, with the per-filling inverse */
-                        rc = PyList_SetSlice(w->failures, filed, PY_SSIZE_T_MAX, NULL);
-                        w->standard = tally;
-                        memcpy(w->t + pos, before, (size_t)h * sizeof(int));
-                        if (rc == 0 && _slide(self, w->t, pos, w->work) < 0)
-                            rc = -1;
-                        w->s[pos] = hook;
-                        w->per_leaf = 1;
-                        if (rc == 0)
-                            rc = fill_visit(w, d + 1, lo, NULL, keep);
-                        w->per_leaf = 0;
-                        memcpy(w->t + pos, before, (size_t)h * sizeof(int));
-                        w->s[pos] = 1;
-                    }
-                }
+                } else if (undone < 0)
+                    rc = -1;
             }
         }
         lo += size;
@@ -868,12 +840,13 @@ fill_visit(Walk *w, int d, unsigned long long first, PyObject *error, int stable
 }
 
 /* Buffers of the filling walk: a hook run per depth, then the per-cell
- * arrays and the slide scratch; NULL on error. */
+ * arrays and the scratch; the leaf counts of each depth, from the last.
+ * NULL on error. */
 static int *
-walk_alloc(Walk *w, const ShapeOps *self, PyObject *failures, int check)
+walk_alloc(Walk *w, const ShapeOps *self, PyObject *failures)
 {
     int n = self->size;
-    int *buf = alloc_ints((size_t)n * (size_t)n + 8 * (size_t)n);
+    int *buf = alloc_ints((size_t)n * (size_t)n + 10 * (size_t)n);
     if (buf == NULL)
         return NULL;
     w->leaves = PyMem_Malloc((size_t)n * sizeof(unsigned long long));
@@ -882,24 +855,26 @@ walk_alloc(Walk *w, const ShapeOps *self, PyObject *failures, int check)
         PyErr_NoMemory();
         return NULL;
     }
+    w->leaves[n - 1] = 1;
+    for (int d = n - 2; d >= 0; d--)
+        w->leaves[d] = w->leaves[d + 1] * (unsigned long long)(n - 1 - d);
     w->self = self;
     w->failures = failures;
-    w->check = check;
     w->befores = buf;
     int *cursor = buf + (size_t)n * (size_t)n;
     w->t = cursor; cursor += n;
     w->s = cursor; cursor += n;
-    w->j = cursor; cursor += n;
-    w->back = cursor; cursor += n;
     w->x = cursor; cursor += n;
     w->free = cursor; cursor += n;
+    w->y = cursor; cursor += n;
+    w->back = cursor; cursor += n;
+    w->j = cursor; cursor += n;
     w->work = cursor;
     for (int m = 0; m < n; m++) {
         w->s[m] = 1;
         w->free[m] = m + 1;
     }
     w->standard = 0;
-    w->per_leaf = 0;
     return buf;
 }
 
@@ -959,16 +934,8 @@ ShapeOps_straighten(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs, PyO
         return NULL;
     int *t = buf, *s = buf + n;
     PyObject *result = NULL;
-    if (read_ints(arg[0], t, n) < 0)
+    if (read_ints(arg[0], t, n) < 0 || straighten_flat(self, t, s, check, buf + 2 * n) < 0)
         goto done;
-    for (int i = 0; i < n; i++)
-        s[i] = 1;
-    if (_straighten_inplace(self, t, s, check, buf + 2 * n) < 0)
-        goto done;
-    if (check && !_prefix_standard(self, t, n)) {
-        PyErr_SetString(InternalCheckError, "straighten result is not standard immaculate");
-        goto done;
-    }
     PyObject *p = int_list(t, n), *j = p ? int_list(s, n) : NULL;
     if (j != NULL)
         result = PyTuple_Pack(2, p, j);
@@ -1053,16 +1020,14 @@ ShapeOps_scan_fillings(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs,
     long long hi = PyLong_AsLongLong(stop);
     int check = hi == -1 && PyErr_Occurred() ? -1 : PyObject_IsTrue(arg[2]);
     if (check < 0 || (failures = PyList_New(0)) == NULL
-            || (buf = walk_alloc(&w, self, failures, check)) == NULL)
+            || (buf = walk_alloc(&w, self, failures)) == NULL)
         goto done;
     w.start = (unsigned long long)PyLong_AsLongLong(start); /* fits: 0 <= start <= stop */
     w.stop = (unsigned long long)hi;
-    w.leaves[n - 1] = 1;
-    for (int d = n - 2; d >= 0; d--) {
-        unsigned long long below = w.leaves[d + 1], branch = (unsigned long long)(n - 1 - d);
-        w.leaves[d] = below > WALK_CAP / branch ? WALK_CAP : below * branch;
-    }
-    if ((w.start < w.stop && fill_visit(&w, 0, 0, NULL, 1) < 0))
+    if (!check) {
+        if ((w.standard = fill_alone(&w, 0, w.start, w.stop)) < 0)
+            goto done;
+    } else if (w.start < w.stop && fill_visit(&w, 0, 0, 1) < 0)
         goto done;
     result = Py_BuildValue("(LO)", w.standard, failures);
 done:
@@ -1180,10 +1145,10 @@ static PyMethodDef ShapeOps_methods[] = {
      "scan_fillings(start, stop, check=True)\n--\n\n"
      "Roundtrip-check the fillings numbered [start, stop) in walk order.\n\n"
      "Leaf i of the walk is the filling whose entries, read in traversal order,\n"
-     "form the i-th permutation.  Each straighten step runs once per tree node\n"
-     "on the way down and its checked inverse once on the way back up; a node\n"
-     "whose inverse fails has its subtree walked again with the full checked\n"
-     "unstraighten at every leaf.\n"
+     "form the i-th permutation.  Each checked straighten step runs once per\n"
+     "tree node on the way down and its checked inverse once on the way back\n"
+     "up.  A node whose slide or inverse fails, and with check off the whole\n"
+     "range, roundtrips its fillings one at a time as the public methods do.\n"
      "Returns (standard_count, failures); failures holds (rank, stage, message)\n"
      "in walk order, rank being the filling's lexicographic rank, and\n"
      "standard_count tallies the standard immaculate fillings scanned.\n"
@@ -1242,8 +1207,9 @@ PyInit__speedups(void)
         Py_XDECREF(errors);
         PyObject *math = InternalCheckError ? PyImport_ImportModule("math") : NULL;
         math_factorial = math ? PyObject_GetAttrString(math, "factorial") : NULL;
+        math_prod = math_factorial ? PyObject_GetAttrString(math, "prod") : NULL;
         Py_XDECREF(math);
-        if (math_factorial != NULL) {
+        if (math_prod != NULL) {
             x_changed = PyUnicode_InternFromString(
                 "straighten then unstraighten changed the filling");
             y_changed = x_changed ? PyUnicode_InternFromString(
@@ -1252,6 +1218,7 @@ PyInit__speedups(void)
         if (y_changed == NULL) {
             Py_CLEAR(InternalCheckError);
             Py_CLEAR(math_factorial);
+            Py_CLEAR(math_prod);
             Py_CLEAR(x_changed);
             return NULL;
         }

@@ -463,8 +463,8 @@ def verify_shapes(
     queue behind them, so a worker that ends its run early takes up the
     next shape.  The pair scan joins the queue, split the same way with the
     whole P table in each task, only for a shape whose filling scan failed
-    or whose counts disagree (see verify_bijection).  A shape's elapsed_s runs from its setup to the
-    arrival of its last result.
+    or whose counts disagree (see verify_bijection).  A shape's elapsed_s
+    runs from its setup to the arrival of its last result.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -514,11 +514,11 @@ def verify_bijection(
     state first arises: the rotation's checks at the node; stability before
     the step, which is the state the slide's own check passed; and the
     consumption of every hook value, at each node and over the whole array
-    back at depth 1.  A node whose inverse fails has its subtree walked
-    again with the full checked unstraighten at every filling, so the
-    entries read as they would one filling at a time.  The pair scan is a
-    plain loop: each pair gets the full checked unstraighten and straighten,
-    one pair at a time, and an exact comparison.  A failure's index is that
+    back at depth 1.  A node whose slide or inverse fails sends its
+    fillings one at a time through the full checked straighten and
+    unstraighten, so the entries are those of one filling at a time.  The
+    pair scan is a plain loop: each pair gets the full checked unstraighten
+    and straighten, one pair at a time, and an exact comparison.  A failure's index is that
     of the object itself: the lexicographic rank of a filling, and for a
     pair the P row's index times the hook product plus the hook values in
     mixed radix, last flat cell fastest; the pair scan numbers its pairs the

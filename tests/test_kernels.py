@@ -109,6 +109,11 @@ class TestCompiledAgainstPure:
             b = pure.ShapeOps(alpha.parts)
             total = math.factorial(5)
             assert a.scan_fillings(0, total, True) == b.scan_fillings(0, total, True)
+            # with check off every filling goes one at a time, whole and split
+            whole = b.scan_fillings(0, total, False)
+            assert a.scan_fillings(0, total, False) == whole
+            halves = [a.scan_fillings(lo, hi, False) for lo, hi in ((0, 50), (50, total))]
+            assert (sum(c for c, _ in halves), [f for _, fs in halves for f in fs]) == whole
             p_table = [t.flat() for t in _sits(alpha)]
             y = len(p_table) * a.hook_prod
             assert a.scan_pairs(p_table, 0, y, True) == b.scan_pairs(p_table, 0, y, True) == []
@@ -730,10 +735,10 @@ class TestPlantedFaults:
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_failed_node_walked_again_once(self, d):
-        # a failed node's subtree is walked again with one per-filling
-        # inverse at each leaf; the walk then puts the node's hook value
+        # a failed node's fillings are roundtripped one at a time, with one
+        # per-filling inverse each; the walk then puts the node's hook value
         # back to 1, so no ancestor finds the hook values unexhausted and
-        # walks its own subtree again too
+        # sends its own fillings one at a time too
         parts, n = (2, 1, 3), 6
         clean = pure.ShapeOps(parts)
         order, perms = clean.order, list(itertools.permutations(range(1, n + 1)))
@@ -830,17 +835,25 @@ class TestPathMemoFaults:
             if not paths:
                 continue
             pos0, end0 = rng.choice(paths)
+            inverses = 0
+
+            class Counted(pure.ShapeOps):
+                def _unstraighten_inplace(self, t, j, check):
+                    nonlocal inverses
+                    inverses += 1
+                    return super()._unstraighten_inplace(t, j, check)
+
             if fault == "hook index":
                 message = "hook index closed form disagrees with flat run"
 
-                class Faulty(pure.ShapeOps):
+                class Faulty(Counted):
                     def _hook_index(self, start, end):
                         right = super()._hook_index(start, end)
                         return right + 1 if (start, end) == (pos0, end0) else right
             else:
                 message = f"prefix standardness lost after step {clean.order.index(pos0)}"
 
-                class Faulty(pure.ShapeOps):
+                class Faulty(Counted):
                     def _slide(self, t, pos):
                         # one cell past end0 along the hook: still the
                         # circular left shift of a hook path, but the entry
@@ -854,15 +867,20 @@ class TestPathMemoFaults:
             ops = Faulty(alpha.parts)
             expected = [(rank, "check", message) for rank in slid[pos0, end0]]
             standard, failures = ops.scan_fillings(0, total, True)
+            # a failed slide fails its fillings in straighten, before any
+            # inverse; the oracle below runs its own inverses
+            assert inverses == 0
             assert sorted(failures) == expected == _oracle_fillings(ops)[1]
             assert standard == count_formula(alpha)
             cuts = sorted({0, *rng.sample(range(total + 1), 3), total})
+            inverses = 0
             for bounds in (range(total + 1), cuts):
                 # on the memo the whole scan filled, and on a fresh one
                 for split in (ops, Faulty(alpha.parts)):
                     parts = [split.scan_fillings(lo, hi, True) for lo, hi in zip(bounds, bounds[1:])]
                     assert sum(c for c, _ in parts) == standard
                     assert [f for _, fs in parts for f in fs] == failures
+            assert inverses == 0
             tested += 1
         assert tested >= 2 ** (n - 1) - 1
 
