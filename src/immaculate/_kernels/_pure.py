@@ -9,7 +9,9 @@ and ``_lex_rank`` has a C function of the same name, the functions nested in
 ``count_standard`` (``visit``) and ``scan_fillings`` (``alone``, ``undo``,
 ``visit``) are ``count_visit`` and ``fill_alone``/``fill_undo``/``fill_visit``
 there, and the public methods raise the same exceptions with the same
-messages.  Which twin you get from ``immaculate._kernels`` is decided at
+messages.  ``scan_pairs`` alone is written once: it is a loop over the
+public methods, and both twins run it, the compiled one with its own object
+as ``self``.  Which twin you get from ``immaculate._kernels`` is decided at
 import time.
 
 Where the twins differ: what a checked slide learns from its path alone,
@@ -557,10 +559,12 @@ class ShapeOps:
         """Roundtrip-check the pairs numbered [start, stop), one at a time.
 
         Pair r is row p_table[r // hook_prod], read and length-checked only
-        when the loop reaches it, with the hook values of r % hook_prod in
-        mixed radix, last flat cell fastest.  Each pair runs
-        _unstraighten_inplace and then _straighten_inplace on copies, and
-        the result is compared with the pair.
+        when the loop reaches it, with the hook values
+        unrank_hook_values(hooklen, r % hook_prod).  Each pair goes through
+        the public unstraighten and then straighten, and the result is
+        compared with the pair.  The loop uses nothing of self but its
+        public names, so both twins run it: the compiled scan_pairs calls
+        this function with the compiled object as self.
 
         Returns failures like scan_fillings, (index, stage, message) in
         index order, where index is the pair's own r.
@@ -577,20 +581,25 @@ class ShapeOps:
                 p = list(p_table[row])
                 if len(p) != n:
                     raise ValueError(f"need {n} entries, got {len(p)}")
-            jv = [0] * n
-            for pos in range(n - 1, -1, -1):
-                rem, d = divmod(rem, hooklen[pos])
-                jv[pos] = d + 1
-            back, j, s = list(p), list(jv), [1] * n
+            jv = unrank_hook_values(hooklen, rem)
             try:
-                self._unstraighten_inplace(back, j, check)
-                self._straighten_inplace(back, s, check)
+                back = self.straighten(self.unstraighten(p, jv, check), check)
             except InternalCheckError as exc:
                 failures.append((r, "check", str(exc)))
                 continue
-            if back != p or s != jv:
+            if back != (p, jv):
                 failures.append((r, "roundtrip", Y_CHANGED))
         return failures
+
+
+def unrank_hook_values(hooklen, rem) -> list[int]:
+    """Hook values number rem in mixed radix, last flat cell fastest: the
+    value at a cell of hook length h is its digit in base h, plus one."""
+    values = [0] * len(hooklen)
+    for pos in range(len(hooklen) - 1, -1, -1):
+        rem, d = divmod(rem, hooklen[pos])
+        values[pos] = d + 1
+    return values
 
 
 def _lex_rank(x) -> int:

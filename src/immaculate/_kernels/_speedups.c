@@ -5,9 +5,10 @@
  * _checked_slide, _checked_rotate, _check_exhausted, _straighten_inplace,
  * _unstraighten_inplace, _lex_rank) is that method line for line, the walks
  * of count_standard and scan_fillings are its nested visit, alone and undo
- * functions, straighten_flat is its public straighten, and scan_pairs is
- * its loop over the pairs; only the failure entries exist in C alone.  The
- * parity tests compare the two twins exhaustively.
+ * functions, and straighten_flat is its public straighten; only the failure
+ * entries exist in C alone.  scan_pairs has no C loop: it runs _pure's own,
+ * which calls only the public methods, with the compiled object as self.
+ * The parity tests compare the two twins exhaustively.
  *
  * Where they differ: _pure keeps, in a memo keyed by the hook path, the
  * _hook_index verdict and the stability pairs that a slide along the path
@@ -41,7 +42,6 @@ typedef struct {
     PyObject *n_factorial; /* exact n! */
     PyObject *hooklen_obj; /* hooklen as a tuple of ints, the attribute `hooklen` */
     int size;
-    long long prod_ll;     /* hook_prod when it fits a long long, else -1 */
     long long fact_ll;     /* n_factorial when it fits a long long, else -1 */
     int *geom;             /* one block holding every array below */
     int *row_start, *rowof, *colof, *right, *below, *order, *hooklen;
@@ -297,17 +297,14 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
     if (hooklen_obj == NULL || (hook_prod = PyObject_CallOneArg(math_prod, hooklen_obj)) == NULL
             || (n_factorial = PyObject_CallFunction(math_factorial, "i", n)) == NULL)
         goto fail;
-    long long prod_ll = PyLong_AsLongLongAndOverflow(hook_prod, &overflow);
-    int fact_overflow;
-    long long fact_ll = PyLong_AsLongLongAndOverflow(n_factorial, &fact_overflow);
+    long long fact_ll = PyLong_AsLongLongAndOverflow(n_factorial, &overflow);
 
     Py_XSETREF(self->parts, parts);
     Py_XSETREF(self->hook_prod, hook_prod);
     Py_XSETREF(self->n_factorial, n_factorial);
     Py_XSETREF(self->hooklen_obj, hooklen_obj);
     self->size = n;
-    self->prod_ll = overflow ? -1 : prod_ll;
-    self->fact_ll = fact_overflow ? -1 : fact_ll;
+    self->fact_ll = overflow ? -1 : fact_ll;
     return 0;
 
 fail:
@@ -656,7 +653,7 @@ count_visit(const ShapeOps *self, int *t, int *used, int d, long long *count)
 }
 
 /* A failure is (index, stage, message); index is a Python int. */
-static PyObject *x_changed, *y_changed; /* the roundtrip messages */
+static PyObject *x_changed; /* _pure.X_CHANGED, the filling roundtrip message */
 
 /* the message of the InternalCheckError just raised, which is cleared; any
  * other error stays raised and gives NULL */
@@ -1040,86 +1037,20 @@ done:
     return result;
 }
 
+/* _pure.ShapeOps.scan_pairs: the one pair scan, a loop over the public
+ * methods, which runs here with the compiled object as self */
+static PyObject *pure_scan_pairs;
+
 static PyObject *
-ShapeOps_scan_pairs(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames)
+ShapeOps_scan_pairs(ShapeOps *self, PyObject *args, PyObject *kwargs)
 {
-    static const char *const names[] = {"p_table", "start", "stop", "check"};
-    PyObject *arg[4] = {NULL, NULL, NULL, Py_True};
-    if (bind_args("scan_pairs", names, 3, 4, args, nargs, kwnames, arg) < 0 || ready(self) < 0)
+    if (ready(self) < 0)
         return NULL;
-    if (self->prod_ll < 0) {
-        PyErr_SetString(PyExc_OverflowError, "hook product too large for compiled scan");
+    PyObject *bound = PyMethod_New(pure_scan_pairs, (PyObject *)self);
+    if (bound == NULL)
         return NULL;
-    }
-    int n = self->size;
-    unsigned long long H = (unsigned long long)self->prod_ll;
-    PyObject *start = NULL, *stop = NULL, *zero = NULL, *rows = NULL, *size = NULL;
-    PyObject *failures = NULL, *result = NULL;
-    int *buf = NULL;
-    Py_ssize_t nrows = PyObject_Length(arg[0]);
-    if (nrows < 0 || (start = PyNumber_Index(arg[1])) == NULL
-            || (stop = PyNumber_Index(arg[2])) == NULL || (zero = PyLong_FromLong(0)) == NULL
-            || (rows = PyLong_FromSsize_t(nrows)) == NULL
-            || (size = PyNumber_Multiply(rows, self->hook_prod)) == NULL)
-        goto done;
-    int in_range = ordered(zero, start, stop, size);
-    if (in_range <= 0) {
-        if (in_range == 0)
-            PyErr_Format(PyExc_ValueError, "bad scan range [%S, %S)", start, stop);
-        goto done;
-    }
-    long long hi = PyLong_AsLongLong(stop);
-    int check = hi == -1 && PyErr_Occurred() ? -1 : PyObject_IsTrue(arg[3]);
-    /* the P row, its hook values, and the copies they are roundtripped on,
-     * then 3n ints of _straighten_inplace scratch */
-    if (check < 0 || (failures = PyList_New(0)) == NULL
-            || (buf = alloc_ints(8 * (size_t)n)) == NULL)
-        goto done;
-    int *p = buf, *jv = buf + n, *back = buf + 2 * n, *j = buf + 3 * n, *s = buf + 4 * n;
-    unsigned long long lo = (unsigned long long)PyLong_AsLongLong(start); /* fits: 0 <= start <= stop */
-    for (unsigned long long r = lo; r < (unsigned long long)hi; r++) {
-        unsigned long long rem = r % H;
-        /* a row is read, and its length checked, only when the loop reaches it */
-        if (r == lo || rem == 0) {
-            PyObject *row = PySequence_GetItem(arg[0], (Py_ssize_t)(r / H));
-            int rc = row == NULL ? -1 : read_ints(row, p, n);
-            Py_XDECREF(row);
-            if (rc < 0)
-                goto done;
-        }
-        for (int pos = n - 1; pos >= 0; pos--) {
-            unsigned long long h = (unsigned long long)self->hooklen[pos];
-            jv[pos] = (int)(rem % h) + 1;
-            rem /= h;
-        }
-        memcpy(back, p, (size_t)n * sizeof(int));
-        memcpy(j, jv, (size_t)n * sizeof(int));
-        for (int m = 0; m < n; m++)
-            s[m] = 1;
-        int rc = _unstraighten_inplace(self, back, j, check);
-        if (rc == 0)
-            rc = _straighten_inplace(self, back, s, check, buf + 5 * n);
-        PyObject *message;
-        if (rc == 0) {
-            if (memcmp(back, p, (size_t)n * sizeof(int)) == 0
-                    && memcmp(s, jv, (size_t)n * sizeof(int)) == 0)
-                continue;
-            rc = add_failure(failures, PyLong_FromUnsignedLongLong(r), "roundtrip",
-                             Py_NewRef(y_changed));
-        } else if ((message = take_check_message()) != NULL)
-            rc = add_failure(failures, PyLong_FromUnsignedLongLong(r), "check", message);
-        if (rc < 0)
-            goto done;
-    }
-    result = Py_NewRef(failures);
-done:
-    PyMem_Free(buf);
-    Py_XDECREF(start);
-    Py_XDECREF(stop);
-    Py_XDECREF(zero);
-    Py_XDECREF(rows);
-    Py_XDECREF(size);
-    Py_XDECREF(failures);
+    PyObject *result = PyObject_Call(bound, args, kwargs);
+    Py_DECREF(bound);
     return result;
 }
 
@@ -1154,15 +1085,11 @@ static PyMethodDef ShapeOps_methods[] = {
      "standard_count tallies the standard immaculate fillings scanned.\n"
      "Raises OverflowError when n! does not fit a C long long."},
     {"scan_pairs", (PyCFunction)(void (*)(void))ShapeOps_scan_pairs,
-     METH_FASTCALL | METH_KEYWORDS,
+     METH_VARARGS | METH_KEYWORDS,
      "scan_pairs(p_table, start, stop, check=True)\n--\n\n"
      "Roundtrip-check the pairs numbered [start, stop), one at a time.\n\n"
-     "Pair r is row p_table[r // hook_prod], read and length-checked only\n"
-     "when the loop reaches it, with the hook values of r % hook_prod in mixed\n"
-     "radix, last flat cell fastest.  Each pair is unstraightened, then\n"
-     "straightened, on copies and compared with itself.  Failures hold\n"
-     "(r, stage, message) in index order.  Raises OverflowError when hook_prod\n"
-     "does not fit a C long long."},
+     "This is _pure.ShapeOps.scan_pairs, a loop over the public unstraighten\n"
+     "and straighten, run with this object as self; its docstring has the rest."},
     {NULL}
 };
 
@@ -1209,13 +1136,14 @@ PyInit__speedups(void)
         math_factorial = math ? PyObject_GetAttrString(math, "factorial") : NULL;
         math_prod = math_factorial ? PyObject_GetAttrString(math, "prod") : NULL;
         Py_XDECREF(math);
-        if (math_prod != NULL) {
-            x_changed = PyUnicode_InternFromString(
-                "straighten then unstraighten changed the filling");
-            y_changed = x_changed ? PyUnicode_InternFromString(
-                "unstraighten then straighten changed the pair") : NULL;
-        }
-        if (y_changed == NULL) {
+        /* the roundtrip message and the pair scan are _pure's own */
+        PyObject *pure = math_prod ? PyImport_ImportModule("immaculate._kernels._pure") : NULL;
+        x_changed = pure ? PyObject_GetAttrString(pure, "X_CHANGED") : NULL;
+        PyObject *pure_ops = x_changed ? PyObject_GetAttrString(pure, "ShapeOps") : NULL;
+        Py_XDECREF(pure);
+        pure_scan_pairs = pure_ops ? PyObject_GetAttrString(pure_ops, "scan_pairs") : NULL;
+        Py_XDECREF(pure_ops);
+        if (pure_scan_pairs == NULL) {
             Py_CLEAR(InternalCheckError);
             Py_CLEAR(math_factorial);
             Py_CLEAR(math_prod);

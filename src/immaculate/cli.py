@@ -29,8 +29,13 @@ from .enumeration import (
     enumerate_standard_immaculate,
     verify_shapes,
 )
-from .errors import ImmaculateError, ParseError
+from .errors import GuardExceededError, ImmaculateError, ParseError
 from .tableau import Tableau, format_grid_text
+
+# Sampled verify --n draws from each of the 2**(n-1) compositions of n and
+# builds every report before it prints one, so n is guarded as in
+# exhaustive mode; 16 gives 32,768 shapes.
+SAMPLED_GUARD = 16
 
 
 def _read_input(path: str) -> str:
@@ -148,12 +153,19 @@ def cmd_verify(args) -> int:
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise ParseError(f"--{flag} must be positive, got {value}")
+    guard = args.guard
+    if guard is None:
+        guard = SAMPLED_GUARD if args.mode == "sampled" else EXHAUSTIVE_GUARD
     if args.shape is not None:
         shapes = [parse_composition(args.shape)]
+    elif args.mode == "sampled" and args.n > guard:
+        raise GuardExceededError(
+            f"sampled verification of the 2**{args.n - 1} compositions of {args.n} needs "
+            f"n <= {guard}; verify one shape instead, or raise --guard")
     else:
         shapes = compositions(args.n)
     reports = verify_shapes(shapes, mode=args.mode, sample_size=args.samples, seed=args.seed,
-                            jobs=args.jobs, guard=args.guard)
+                            jobs=args.jobs, guard=guard)
     all_ok = all(r.ok for r in reports)
     if args.format == "json":
         _print_json({"ok": all_ok, "reports": [r.to_json_obj() for r in reports]})
@@ -240,8 +252,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="random seed for sampled mode (default 0)")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for exhaustive scans (default 1)")
-    p.add_argument("--guard", type=int, default=EXHAUSTIVE_GUARD,
-                   help=f"size limit for exhaustive mode (default {EXHAUSTIVE_GUARD})")
+    p.add_argument("--guard", type=int, default=None,
+                   help=f"size limit on n: for exhaustive mode (default {EXHAUSTIVE_GUARD}) "
+                        f"and for sampled --n (default {SAMPLED_GUARD})")
     p.add_argument("--failures-out", default=None,
                    help="write failing objects to this JSON file")
     p.set_defaults(func=cmd_verify)

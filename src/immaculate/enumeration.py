@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
 from ._kernels import BACKEND, get_backend
-from ._kernels._pure import X_CHANGED, Y_CHANGED
+from ._kernels._pure import X_CHANGED, Y_CHANGED, unrank_hook_values
 from .bijection import HookTableau
 from .composition import Composition, count_formula
 from .errors import GuardExceededError, InternalCheckError
@@ -183,14 +183,6 @@ def unrank_permutation(n: int, rank: int) -> tuple[int, ...]:
         idx, rank = divmod(rank, f)
         out.append(pool.pop(idx))
     return tuple(out)
-
-
-def _unrank_hook_values(hooklen: Sequence[int], rem: int) -> list[int]:
-    vals = [0] * len(hooklen)
-    for pos in range(len(hooklen) - 1, -1, -1):
-        rem, d = divmod(rem, hooklen[pos])
-        vals[pos] = d + 1
-    return vals
 
 
 # -- random sampling --------------------------------------------------------
@@ -363,7 +355,7 @@ def _exhaustive_report(alpha, started, p_table, x_results, run, workers, jobs):
             else:
                 p_idx, rem = divmod(index, hook_prod)
                 obj = {"P": _reshape(alpha, p_table[p_idx]),
-                       "J": _reshape(alpha, _unrank_hook_values(hooklen, rem))}
+                       "J": _reshape(alpha, unrank_hook_values(hooklen, rem))}
             _file_failure(failures, side, index, stage, message, obj)
     return _report(alpha, "exhaustive", started, failures, count_bruteforce=standard_total,
                    x_size=n_fact, y_size=y_size, x_checked=n_fact, y_checked=y_size,

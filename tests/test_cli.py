@@ -354,6 +354,13 @@ class TestVerify:
     def test_guard_exits_3(self, capsys):
         assert main(["verify", "9"]) == 3
 
+    def test_guard_bounds_sampled_n(self, capsys):
+        args = ["verify", "--n", "3", "--mode", "sampled", "--samples", "1"]
+        assert main(args + ["--guard", "2"]) == 3
+        assert main(args + ["--guard", "3"]) == 0
+        # one shape has no guard on n in sampled mode
+        assert main(["verify", "20", "--mode", "sampled", "--samples", "1"]) == 0
+
     def test_shape_and_n_together_exits_2(self, capsys):
         assert main(["verify", "2,1", "--n", "3"]) == 2
 
@@ -411,11 +418,11 @@ class TestVerify:
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _run_cli(*args, preexec_fn=None):
+def _run_cli(*args, preexec_fn=None, timeout=60):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "immaculate.cli", *args],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=timeout,
         env=dict(os.environ, PYTHONPATH=path), preexec_fn=preexec_fn,
     )
 
@@ -441,6 +448,19 @@ class TestLargeInputs:
         out = _run_cli("verify", "--n", "1500")
         assert out.returncode == 3
         assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
+    def test_sampled_verify_of_all_shapes_of_40_hits_guard_at_once(self):
+        # 2**39 shapes, every report built before the first prints
+        out = _run_cli("verify", "--n", "40", "--mode", "sampled", "--samples", "1",
+                       preexec_fn=_cap_address_space, timeout=5)
+        assert (out.returncode, out.stdout) == (3, "")
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+        assert "--guard" in out.stderr
+
+    def test_sampled_verify_of_all_shapes_of_9_within_guard(self):
+        out = _run_cli("verify", "--n", "9", "--mode", "sampled", "--samples", "1")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.endswith("256/256 shapes ok\n")
 
     def test_sampled_verify_10x10_in_bounded_memory(self):
         shape = ",".join(["10"] * 10)

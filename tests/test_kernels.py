@@ -294,11 +294,11 @@ class TestTypeSurface:
         ops = get_backend(backend).ShapeOps((1,) * 21)
         assert ops.hook_prod == ops.n_factorial == math.factorial(21) > 2**63
 
-    @needs_compiled
-    def test_compiled_pair_scan_refuses_long_hook_prod(self):
-        ops = compiled.ShapeOps((1,) * 21)
-        with pytest.raises(OverflowError, match="hook product too large"):
-            ops.scan_pairs([tuple(range(1, 22))], 0, 1)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_pair_scan_past_long_long_hook_prod(self, backend):
+        # 21! > 2**63: pairs are numbered in Python ints on both twins
+        ops = get_backend(backend).ShapeOps((1,) * 21)
+        assert ops.scan_pairs([tuple(range(1, 22))], 0, 1) == []
 
     @needs_compiled
     def test_compiled_filling_scan_refuses_long_factorial(self):
@@ -800,6 +800,29 @@ class TestPlantedFaults:
                 index += (v - 1) * math.prod(hooklen[pos_ + 1:])
             failures = ops.scan_pairs(table, 0, len(table) * ops.hook_prod, True)
             assert failures == [(index, "roundtrip", Y_CHANGED)] == _oracle_pairs(ops, table)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_pair_scan_meets_a_fault_in_the_public_unstraighten(backend):
+    # the pair scan is a loop over the public methods on both twins, so a
+    # subclass that changes one pair's unstraighten fails that pair alone
+    alpha = Composition((2, 1, 2))
+    table = [t.flat() for t in _sits(alpha)]
+    base = get_backend(backend).ShapeOps
+    hooks = list(itertools.product(*(range(1, h + 1) for h in base(alpha.parts).hooklen)))
+    row, rem = 2, 7
+
+    class Faulty(base):
+        def unstraighten(self, p_entries, hook_values, check=False):
+            t = super().unstraighten(p_entries, hook_values, check)
+            if tuple(p_entries) == table[row] and tuple(hook_values) == hooks[rem]:
+                t[0], t[1] = t[1], t[0]
+            return t
+
+    ops = Faulty(alpha.parts)
+    failures = ops.scan_pairs(table, 0, len(table) * ops.hook_prod, True)
+    index = row * ops.hook_prod + rem
+    assert failures == [(index, "roundtrip", Y_CHANGED)] == _oracle_pairs(ops, table)
 
 
 @pytest.mark.pure_twin
