@@ -5,14 +5,16 @@ otherwise the pure-Python twin ``_pure`` takes over with identical behaviour.
 Set the environment variable IMMACULATE_PURE=1 to force the pure backend, for
 debugging or benchmarking.  BACKEND_REASON says why the active backend was
 chosen (for the pure fallback, the text of the swallowed ImportError); both
-are logged at DEBUG level on the ``immaculate`` logger.
+are logged at DEBUG level on the ``immaculate`` logger when ``logging`` was
+imported before this package.  Without it no handler can exist yet to take
+the record, so the package does not load ``logging`` only to drop it.
 """
 
 from __future__ import annotations
 
 import importlib
-import logging
 import os
+import sys
 
 if os.environ.get("IMMACULATE_PURE", "").strip() not in ("", "0"):
     from . import _pure as _backend
@@ -33,7 +35,10 @@ else:
 ShapeOps = _backend.ShapeOps
 BACKEND: str = _backend.BACKEND
 
-logging.getLogger("immaculate").debug("kernel backend %s (%s)", BACKEND, BACKEND_REASON)
+if "logging" in sys.modules:
+    import logging
+
+    logging.getLogger("immaculate").debug("kernel backend %s (%s)", BACKEND, BACKEND_REASON)
 
 
 def get_backend(name: str | None = None):

@@ -17,8 +17,14 @@ import time.
 Where the twins differ: what a checked slide learns from its path alone,
 the ``_hook_index`` verdict and the row and column pairs whose stability it
 checks, is computed here once per hook path and kept in a memo
-(``_checked_path``).  The C twin builds each path into a buffer and works
-both out again on every slide, the pairs in its ``_path_standard``.  And
+(``_checked_path``).  The memo of a ``ShapeOps`` holds paths of at most
+PATH_MEMO_CELLS = 4,096 cells in all; past that budget an entry is built
+for its slide and dropped.  The filling walk never reaches the budget (the
+hook paths of a shape of n <= 13 cells have at most 455 cells in all), and
+twenty checked roundtrips on a row of 1,000 cells leave under a megabyte,
+where a memo of every path held over 200 MB.  The C twin builds each path
+into a buffer and works both out again on every slide, the pairs in its
+``_path_standard``.  And
 with check off, ``_straighten_inplace`` and ``_unstraighten_inplace`` take
 each row right of column 1 as one run here: an insertion sort with
 ``bisect_left`` and a Lehmer decode with ``list.pop``, where stepping cell by
@@ -49,6 +55,9 @@ BACKEND = "pure"
 
 X_CHANGED = "straighten then unstraighten changed the filling"
 Y_CHANGED = "unstraighten then straighten changed the pair"
+
+# path cells the _checked_path memo of one ShapeOps may hold
+PATH_MEMO_CELLS = 4096
 
 
 class ShapeOps:
@@ -95,6 +104,7 @@ class ShapeOps:
                        for a, b in zip(row_start, row_start[1:]) if b - a > 1]
         self._column1 = [pos for pos in self.order[1:] if self.colof[pos] == 0]
         self._checked_paths = {}
+        self._path_budget = PATH_MEMO_CELLS
         # Stability, in traversal order: each cell with a right neighbour
         # makes a row pair and each column-1 cell with one below a column
         # pair.  Both neighbours of a traversal cell come before it in the
@@ -179,8 +189,9 @@ class ShapeOps:
         """What the checks of a slide from start to its v-th hook cell read
         from the path alone, as a tuple (path, hook_ok, row_pairs, col_pairs).
 
-        Built once per (start, v), when a checked slide first takes that
-        path, and shared after that, so callers must not change it.  path
+        Built when a checked slide first takes that path and kept while
+        the memo's budget of PATH_MEMO_CELLS path cells lasts, so callers
+        must not change it; past the budget it is built anew each time.  path
         is _build_path(start, v), and hook_ok the verdict
         _hook_index(start, start + v - 1) == v.  row_pairs and col_pairs are
         the row and column pairs that have an end on path and lie in the
@@ -200,7 +211,9 @@ class ShapeOps:
             entry = (path, self._hook_index(start, start + v - 1) == v,
                      tuple(q for q in path if right[q] >= 0),
                      tuple((q, below[q]) for q in path if below[q] >= 0))
-            self._checked_paths[key] = entry
+            if len(path) <= self._path_budget:
+                self._path_budget -= len(path)
+                self._checked_paths[key] = entry
         return entry
 
     def _hook_index(self, start, end) -> int:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -101,31 +100,51 @@ class HookTableau(Grid):
         return cls(parse_grid_text(text))
 
 
-@dataclass(frozen=True)
 class Pair:
-    """A standard immaculate tableau together with a hook tableau of the same shape."""
+    """A standard immaculate tableau together with a hook tableau of the same shape.
+
+    Immutable: pairs compare and hash by both grids.
+    """
 
     tableau: Tableau
     hooks: HookTableau
 
-    def __post_init__(self) -> None:
-        if self.tableau.shape != self.hooks.shape:
+    def __init__(self, tableau: Tableau, hooks: HookTableau) -> None:
+        if tableau.shape != hooks.shape:
             raise InvalidInputError(
-                f"tableau shape {self.tableau.shape} differs from hook tableau shape {self.hooks.shape}"
+                f"tableau shape {tableau.shape} differs from hook tableau shape {hooks.shape}"
             )
         if not (
-            self.tableau.is_standard()
-            and _kernel(self.shape.parts).is_standard_immaculate(self.tableau.flat())
+            tableau.is_standard()
+            and _kernel(tableau.shape.parts).is_standard_immaculate(tableau.flat())
         ):
             raise InvalidInputError("the tableau component of a pair must be standard immaculate")
+        object.__setattr__(self, "tableau", tableau)
+        object.__setattr__(self, "hooks", hooks)
 
     @classmethod
     def _trusted(cls, tableau: Tableau, hooks: HookTableau) -> "Pair":
-        """A pair the caller has already checked, built without __post_init__."""
+        """A pair the caller has already checked, built without __init__'s checks."""
         pair = object.__new__(cls)
         object.__setattr__(pair, "tableau", tableau)
         object.__setattr__(pair, "hooks", hooks)
         return pair
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.tableau, self.hooks) == (other.tableau, other.hooks)
+
+    def __hash__(self) -> int:
+        return hash((self.tableau, self.hooks))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(tableau={self.tableau!r}, hooks={self.hooks!r})"
 
     @property
     def shape(self) -> Composition:

@@ -9,7 +9,6 @@ left to right, both starting at 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
@@ -32,20 +31,39 @@ def _cell_sort_key(cell: Cell) -> tuple[int, int]:
     return (-cell.col, -cell.row)
 
 
-@dataclass(frozen=True)
 class Composition:
-    """An ordered tuple of positive integers, used as the shape of a diagram."""
+    """An ordered tuple of positive integers, used as the shape of a diagram.
+
+    Immutable: compositions compare and hash by their parts, and copy and
+    pickle with the hook grids they have cached.
+    """
 
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        parts = tuple(parts)
         if not parts:
             raise ValueError("a composition needs at least one part")
         for p in parts:
             if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise ValueError(f"composition parts must be positive integers, got {p!r}")
         object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(parts={self.parts!r})"
 
     @cached_property
     def n(self) -> int:

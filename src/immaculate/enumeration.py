@@ -21,9 +21,7 @@ import os
 import random
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
 from ._kernels import BACKEND, get_backend
@@ -218,29 +216,57 @@ def random_standard_immaculate(alpha: Composition, rng: random.Random) -> Tablea
 # -- verification harness ----------------------------------------------------
 
 
-@dataclass
 class VerificationReport:
-    """Outcome of one verify_bijection run; ok summarises everything."""
+    """Outcome of one verify_bijection run; ok summarises everything.
 
-    shape: tuple[int, ...]
-    mode: str
-    count_formula: int
-    count_recursive: int
-    count_bruteforce: int | None
-    x_size: int | None
-    y_size: int | None
-    x_checked: int
-    y_checked: int
-    roundtrip_failures: list[dict]
-    assertion_failures: list[dict]
-    seed: int | None
-    sample_size: int | None
-    jobs: int
-    backend: str
-    elapsed_s: float
-    # how the pair side was checked: "x-scan" (proved by the clean filling
-    # scan), "y-scan" (each pair roundtripped) or "samples"
-    y_covered_by: str = "y-scan"
+    Reports compare equal when they are of one class and every field in
+    _FIELDS is equal; they are mutable, so they do not hash.
+    """
+
+    _FIELDS = ("shape", "mode", "count_formula", "count_recursive", "count_bruteforce",
+               "x_size", "y_size", "x_checked", "y_checked", "roundtrip_failures",
+               "assertion_failures", "seed", "sample_size", "jobs", "backend", "elapsed_s",
+               "y_covered_by")
+
+    def __init__(self, shape: tuple[int, ...], mode: str, count_formula: int,
+                 count_recursive: int, count_bruteforce: int | None, x_size: int | None,
+                 y_size: int | None, x_checked: int, y_checked: int,
+                 roundtrip_failures: list[dict], assertion_failures: list[dict],
+                 seed: int | None, sample_size: int | None, jobs: int, backend: str,
+                 elapsed_s: float, y_covered_by: str = "y-scan") -> None:
+        self.shape = shape
+        self.mode = mode
+        self.count_formula = count_formula
+        self.count_recursive = count_recursive
+        self.count_bruteforce = count_bruteforce
+        self.x_size = x_size
+        self.y_size = y_size
+        self.x_checked = x_checked
+        self.y_checked = y_checked
+        self.roundtrip_failures = roundtrip_failures
+        self.assertion_failures = assertion_failures
+        self.seed = seed
+        self.sample_size = sample_size
+        self.jobs = jobs
+        self.backend = backend
+        self.elapsed_s = elapsed_s
+        # how the pair side was checked: "x-scan" (proved by the clean
+        # filling scan), "y-scan" (each pair roundtripped) or "samples"
+        self.y_covered_by = y_covered_by
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._values()))
+        return f"{type(self).__qualname__}({fields})"
 
     @property
     def counts_agree(self) -> bool:
@@ -272,8 +298,8 @@ class VerificationReport:
 
     def to_json_obj(self) -> dict:
         obj = {"shape": list(self.shape), "mode": self.mode, "ok": self.ok}
-        for field in fields(self):
-            obj.setdefault(field.name, getattr(self, field.name))
+        for name in self._FIELDS:
+            obj.setdefault(name, getattr(self, name))
         return obj
 
     def summary(self) -> str:
@@ -360,6 +386,18 @@ def _exhaustive_report(alpha, started, p_table, x_results, run, workers, jobs):
     return _report(alpha, "exhaustive", started, failures, count_bruteforce=standard_total,
                    x_size=n_fact, y_size=y_size, x_checked=n_fact, y_checked=y_size,
                    seed=None, sample_size=None, jobs=jobs, y_covered_by=covered_by)
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures.ProcessPoolExecutor, imported on the first call.
+
+    Only a pooled verify needs the pool modules (multiprocessing, pickle,
+    socket, subprocess), so they load when it starts its pool rather than
+    at every ``import immaculate``.
+    """
+    import concurrent.futures
+
+    return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
 
 
 def _verify_exhaustive(shapes: Iterable[Composition], jobs: int,
@@ -450,7 +488,8 @@ def verify_shapes(
     shapes may be any iterable, read once, in order.  An exhaustive run
     checks each shape against guard before it scans it, and starts at most
     one pool of min(jobs, os.cpu_count()) worker processes for all of them,
-    none when that is one.  The pool gets each shape's filling scan as even
+    none when that is one; the pool modules are imported when it starts,
+    not with the package.  The pool gets each shape's filling scan as even
     runs of leaves in walk order, one per worker, and the next shape's runs
     queue behind them, so a worker that ends its run early takes up the
     next shape.  The pair scan joins the queue, split the same way with the

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from itertools import chain
 from typing import Iterable, Sequence
@@ -177,6 +176,8 @@ def parse_json_or_text(cls, text: str):
     """cls.from_json_obj of the JSON when text starts with "{", else cls.from_text."""
     if not text.lstrip().startswith("{"):
         return cls.from_text(text)
+    import json
+
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

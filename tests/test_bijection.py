@@ -166,6 +166,25 @@ class TestPair:
             back = copier(obj)
             assert type(back) is type(obj) and back == obj and hash(back) == hash(obj)
 
+    def test_equality_hash_and_repr(self):
+        pair = Pair(Tableau([[1, 2], [3], [4, 5]]), HookTableau([[3, 1], [2], [1, 1]]))
+        same = Pair(hooks=HookTableau([[3, 1], [2], [1, 1]]), tableau=Tableau([[1, 2], [3], [4, 5]]))
+        other = Pair(Tableau([[1, 2], [3], [4, 5]]), HookTableau.all_ones(pair.shape))
+        assert pair == same and hash(pair) == hash(same) == hash((pair.tableau, pair.hooks))
+        assert pair != other and pair != (pair.tableau, pair.hooks)
+        assert len({pair, same, other}) == 2
+        assert repr(pair) == ("Pair(tableau=Tableau([[1, 2], [3], [4, 5]]), "
+                              "hooks=HookTableau([[3, 1], [2], [1, 1]]))")
+
+    def test_immutable(self):
+        pair = Pair(WIDE_P, WIDE_J)
+        for name in ("tableau", "hooks", "other"):
+            with pytest.raises(AttributeError, match="Pair is immutable"):
+                setattr(pair, name, WIDE_P)
+        with pytest.raises(AttributeError, match="Pair is immutable"):
+            del pair.hooks
+        assert pair.tableau is WIDE_P and pair.hooks is WIDE_J
+
 
 class TestHookPath:
     def test_descends_then_runs_right(self):

@@ -470,6 +470,47 @@ class TestLargeInputs:
         assert "1/1 shapes ok" in out.stdout
 
 
+def _python(*args):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 0, out.stderr
+    return out
+
+
+def _imported_by(*args):
+    """The modules a fresh interpreter imports to run args, from -X importtime."""
+    out = _python("-X", "importtime", *args)
+    names = {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+             if line.startswith("import time:") and "|" in line}
+    return out.stdout, names
+
+
+class TestStartup:
+    # a cold start loads what it runs: the process pool only for a pooled
+    # verify, logging only when the caller brought it, and no dataclasses
+    POOL = ("concurrent.futures", "multiprocessing")
+
+    def test_import_loads_no_pool_logging_dataclasses_or_json(self):
+        code = ("import sys; before = set(sys.modules); import immaculate; "
+                "print(*sorted(set(sys.modules) - before))")
+        added = set(_python("-c", code).stdout.split())
+        assert "immaculate.enumeration" in added
+        unwanted = {*self.POOL, "logging", "dataclasses", "inspect", "json"}
+        assert not added & unwanted, sorted(added & unwanted)
+
+    def test_cli_without_a_pool_loads_no_pool_modules(self):
+        stdout, names = _imported_by("-m", "immaculate.cli", "hooks", "2,1,2")
+        assert stdout == "5 1\n3\n2 1\n"
+        assert "immaculate.enumeration" in names and not names & set(self.POOL)
+        if (os.cpu_count() or 1) > 1:
+            # a pooled verify loads them when it starts its pool
+            stdout, names = _imported_by("-m", "immaculate.cli", "verify", "--n", "3",
+                                         "--jobs", "2")
+            assert stdout.endswith("4/4 shapes ok\n")
+            assert set(self.POOL) <= names
+
+
 class TestClosedStdout:
     def test_reader_closing_early_exits_0_quietly(self):
         # about 0.3 MB of output, far past the pipe's 64 KiB buffer

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -46,6 +48,35 @@ class TestConstruction:
         assert (1, 3) not in alpha
         assert (4, 1) not in alpha
         assert (0, 1) not in alpha
+
+
+class TestValueSemantics:
+    def test_equality_and_hash(self):
+        alpha = Composition((2, 1, 2))
+        same = Composition(parts=[2, 1, 2])
+        assert alpha == same and hash(alpha) == hash(same) == hash(((2, 1, 2),))
+        assert alpha != Composition((2, 2, 1)) and alpha != (2, 1, 2)
+        assert len({alpha, same, Composition((1,))}) == 2
+
+    def test_repr(self):
+        assert repr(Composition((2, 1, 2))) == "Composition(parts=(2, 1, 2))"
+
+    @pytest.mark.parametrize("copier", [lambda obj: pickle.loads(pickle.dumps(obj)),
+                                        copy.copy, copy.deepcopy])
+    def test_pickle_and_copy(self, copier):
+        alpha = Composition((3, 1, 2))
+        hooks = alpha.hook_lengths()
+        back = copier(alpha)
+        assert type(back) is Composition and back == alpha and hash(back) == hash(alpha)
+        assert back.hook_lengths() == hooks and back.n == 6
+
+    def test_immutable(self):
+        alpha = Composition((2, 1))
+        with pytest.raises(AttributeError, match="Composition is immutable"):
+            alpha.parts = (1, 2)
+        with pytest.raises(AttributeError, match="Composition is immutable"):
+            del alpha.parts
+        assert alpha.parts == (2, 1)
 
 
 class TestCellOrder:

@@ -514,3 +514,22 @@ class TestReportJudgement:
         bad = {"side": "y", "index": 3, "stage": "check", "message": "boom"}
         line = self._report(assertion_failures=[bad]).summary()
         assert "FAILED" in line and "failures=1" in line
+
+    def test_keyword_construction_and_equality(self):
+        report = self._report()
+        assert report.y_covered_by == "y-scan" and report.elapsed_s == 0.0
+        assert report == self._report() and report != self._report(elapsed_s=1.0)
+        assert report != self._report(y_covered_by="x-scan")
+        report.elapsed_s = 1.0
+        assert report == self._report(elapsed_s=1.0)
+        with pytest.raises(TypeError):
+            hash(report)
+        assert repr(report).startswith("VerificationReport(shape=(2, 1, 2), mode='exhaustive', ")
+
+    def test_json_key_order(self):
+        assert list(self._report(y_covered_by="x-scan").to_json_obj()) == [
+            "shape", "mode", "ok", "count_formula", "count_recursive", "count_bruteforce",
+            "x_size", "y_size", "x_checked", "y_checked", "roundtrip_failures",
+            "assertion_failures", "seed", "sample_size", "jobs", "backend", "elapsed_s",
+            "y_covered_by",
+        ]

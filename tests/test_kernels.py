@@ -420,6 +420,26 @@ def test_unchecked_moves_keep_no_hook_paths():
     assert held < 1024 * 1024, f"the shape and its last roundtrip hold {held} bytes"
 
 
+@pytest.mark.pure_twin
+def test_checked_path_memo_stays_within_its_budget():
+    # a checked slide memoises its path only while the shape's budget of
+    # path cells lasts; keeping every path held about 223 MB here
+    rng = random.Random(3)
+    tracemalloc.start()
+    try:
+        ops = pure.ShapeOps((1000,))
+        for _ in range(20):
+            vals = rng.sample(range(1, 1001), 1000)
+            p, j = ops.straighten(vals, check=True)
+            assert ops.unstraighten(p, j, check=True) == vals
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1024 * 1024, f"the shape and its last roundtrip hold {held} bytes"
+    cells = sum(len(path) for path, *_ in ops._checked_paths.values())
+    assert cells + ops._path_budget == pure.PATH_MEMO_CELLS
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("check", [False, True])
 @pytest.mark.usefixtures("on_backend")
@@ -906,6 +926,42 @@ class TestPathMemoFaults:
             assert inverses == 0
             tested += 1
         assert tested >= 2 ** (n - 1) - 1
+
+    @pytest.mark.parametrize("budget", [0, 6])
+    def test_fault_fails_past_the_budget(self, budget, monkeypatch):
+        # past its budget of path cells the memo keeps no entry, and each
+        # slide works its path out again: the fault must fail the same
+        # fillings, whether its path was memoised or not
+        monkeypatch.setattr(pure, "PATH_MEMO_CELLS", budget)
+        n = 5
+        rng = random.Random(budget)
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for alpha in compositions(n):
+            clean = pure.ShapeOps(alpha.parts)
+            slid = {}
+            for rank, x in enumerate(perms):
+                t, s = list(x), [1] * n
+                for k in range(1, n):
+                    path, _ = clean._checked_slide(t, s, k)
+                    slid.setdefault((path[0], path[-1]), []).append(rank)
+            pos0, end0 = rng.choice(sorted(slid))
+
+            class Faulty(pure.ShapeOps):
+                def _hook_index(self, start, end):
+                    right = super()._hook_index(start, end)
+                    return right + 1 if (start, end) == (pos0, end0) else right
+
+            ops = Faulty(alpha.parts)
+            message = "hook index closed form disagrees with flat run"
+            expected = [(rank, "check", message) for rank in slid[pos0, end0]]
+            standard, failures = ops.scan_fillings(0, len(perms), True)
+            assert sorted(failures) == expected == _oracle_fillings(ops)[1]
+            assert standard == count_formula(alpha)
+            split = [ops.scan_fillings(r, r + 1, True)[1] for r in range(len(perms))]
+            assert [f for fs in split for f in fs] == failures
+            memo = sum(len(path) for path, *_ in ops._checked_paths.values())
+            assert memo + ops._path_budget == budget
+            assert len(ops._checked_paths) < len(slid)
 
 
 class TestBackendSelection:
