@@ -4,14 +4,15 @@ This module is the spec of the kernels.  The compiled twin, the hand-written
 C file ``_speedups.c``, mirrors it function by function: each of
 ``_prefix_standard``, ``_slide``, ``_build_path``, ``_hook_index``,
 ``_rotate_hook``, the checked steps ``_checked_slide``/``_checked_rotate``
-with ``_check_exhausted``, ``_straighten_inplace``/``_unstraighten_inplace``
-and ``_lex_rank`` has a C function of the same name, the functions nested in
-``count_standard`` (``visit``) and ``scan_fillings`` (``alone``, ``undo``,
-``visit``) are ``count_visit`` and ``fill_alone``/``fill_undo``/``fill_visit``
-there, and the public methods raise the same exceptions with the same
-messages.  ``scan_pairs`` alone is written once: it is a loop over the
-public methods, and both twins run it, the compiled one with its own object
-as ``self``.  Which twin you get from ``immaculate._kernels`` is decided at
+with ``_check_exhausted``, and ``_straighten_inplace``/``_unstraighten_inplace``
+has a C function of the same name, the functions nested in
+``count_standard`` (``visit``) and ``scan_fillings`` (``undo``, ``visit``)
+are ``count_visit`` and ``fill_undo``/``fill_visit`` there, and the public
+methods raise the same exceptions with the same messages.  Both per-object
+loops are written once: ``scan_pairs`` and ``_roundtrip_each``, the
+per-filling roundtrip of ``scan_fillings``, are loops over the public
+methods, and both twins run them, the compiled one with its own object as
+``self``.  Which twin you get from ``immaculate._kernels`` is decided at
 import time.
 
 Where the twins differ: what a checked slide learns from its path alone,
@@ -87,7 +88,7 @@ class ShapeOps:
             for pos in range(n)
         ]
         # traversal order: right-most column first, bottom-up within a column
-        self.order = sorted(range(n), key=lambda p: (-self.colof[p], -self.rowof[p]))
+        self.order = tuple(sorted(range(n), key=lambda p: (-self.colof[p], -self.rowof[p])))
         self.hooklen = tuple(
             n - pos if self.colof[pos] == 0 else row_start[self.rowof[pos] + 1] - pos
             for pos in range(n)
@@ -465,15 +466,17 @@ class ShapeOps:
         own stability is carried down the walk from each cell's right and
         lower neighbours, as in count_standard.
 
-        Everything else goes one filling at a time, through alone: a node
-        whose slide raises InternalCheckError is not descended, and a node
-        whose inverse step raises it or whose compare fails drops the
-        entries its subtree filed but keeps its tally.  Either way alone
-        then roundtrips the node's fillings within [start, stop) as the
-        public methods do, so every failure entry is the one a roundtrip of
-        that filling alone gives.  The failed node then puts its hook run
-        and its hook value back, so no ancestor finds the hook values
-        unexhausted.  With check off the whole range goes through alone.
+        Everything else goes one filling at a time, through _roundtrip_each:
+        a node whose slide raises InternalCheckError is not descended, and a
+        node whose inverse step raises it or whose compare fails drops the
+        entries its subtree filed but keeps its tally.  Either way
+        _roundtrip_each then roundtrips the node's fillings within
+        [start, stop) through the public methods, so every failure entry is
+        the one a roundtrip of that filling alone gives.  The failed node
+        then puts its hook run and its hook value back, so no ancestor finds
+        the hook values unexhausted.  With check off the whole range goes
+        through _roundtrip_each.  The clean checked scan that verify runs
+        never calls it.
 
         Returns (standard_count, failures).  failures holds (rank, stage,
         message) in walk order, where rank is the lexicographic rank of the
@@ -484,33 +487,12 @@ class ShapeOps:
         start, stop = operator.index(start), operator.index(stop)
         if not 0 <= start <= stop <= self.n_factorial:
             raise ValueError(f"bad scan range [{start}, {stop}) for {n}! fillings")
+        failures = []
+        if not check:
+            return self._roundtrip_each(start, stop, False, failures), failures
         order, right, below, hooklen = self.order, self.right, self.below, self.hooklen
         # leaves below one node of depth d + 1, that is with order[0..d] set
         leaves = [math.factorial(n - 1 - d) for d in range(n)]
-        failures = []
-
-        def alone(lo, hi) -> int:
-            # roundtrip leaves [lo, hi) one at a time, as the public methods
-            # do; returns how many are standard.  The entries of leaf i in
-            # traversal order form the i-th permutation.
-            count = 0
-            for i in range(lo, hi):
-                y, left, rem = [0] * n, list(range(1, n + 1)), i
-                for d in range(n):
-                    q, rem = divmod(rem, leaves[d])
-                    y[order[d]] = left.pop(q)
-                count += self.is_standard_immaculate(y)
-                try:
-                    back = self.unstraighten(*self.straighten(y, check), check)
-                except InternalCheckError as exc:
-                    failures.append((_lex_rank(y), "check", str(exc)))
-                    continue
-                if back != y:
-                    failures.append((_lex_rank(y), "roundtrip", X_CHANGED))
-            return count
-
-        if not check:
-            return alone(start, stop), failures
         x, t, s = [0] * n, [0] * n, [1] * n
         free = list(range(1, n + 1))
         standard = 0
@@ -546,7 +528,8 @@ class ShapeOps:
                     try:
                         before = self._checked_slide(t, s, d)[1] if d else None
                     except InternalCheckError:
-                        standard += alone(max(lo, start), min(lo + size, stop))
+                        standard += self._roundtrip_each(
+                            max(lo, start), min(lo + size, stop), True, failures)
                     else:
                         filed = len(failures)
                         if d + 1 == n:
@@ -555,7 +538,8 @@ class ShapeOps:
                             visit(d + 1, lo, keep)
                         if d and not undo(d, before):
                             del failures[filed:]
-                            alone(max(lo, start), min(lo + size, stop))
+                            self._roundtrip_each(
+                                max(lo, start), min(lo + size, stop), True, failures)
                             t[pos:end] = before
                             s[pos] = 1
                 lo += size
@@ -567,6 +551,35 @@ class ShapeOps:
         if start < stop:
             visit(0, 0, True)
         return standard, failures
+
+    def _roundtrip_each(self, lo, hi, check, failures) -> int:
+        """Roundtrip the fillings numbered [lo, hi) in walk order one at a
+        time, through the public straighten and unstraighten, and append the
+        failure entries of scan_fillings to failures; returns how many of
+        them are standard.  The entries of filling i, read in traversal
+        order, form the i-th permutation of 1..n.
+
+        This uses nothing of self but its public names, so both twins run
+        it: the compiled scan_fillings calls this function with the compiled
+        object as self.
+        """
+        n, order = self.size, self.order
+        leaves = [math.factorial(n - 1 - d) for d in range(n)]
+        count = 0
+        for i in range(lo, hi):
+            y, left, rem = [0] * n, list(range(1, n + 1)), i
+            for d in range(n):
+                q, rem = divmod(rem, leaves[d])
+                y[order[d]] = left.pop(q)
+            count += self.is_standard_immaculate(y)
+            try:
+                back = self.unstraighten(*self.straighten(y, check), check)
+            except InternalCheckError as exc:
+                failures.append((_lex_rank(y), "check", str(exc)))
+                continue
+            if back != y:
+                failures.append((_lex_rank(y), "roundtrip", X_CHANGED))
+        return count
 
     def scan_pairs(self, p_table, start, stop, check=True):
         """Roundtrip-check the pairs numbered [start, stop), one at a time.

@@ -3,12 +3,12 @@
  * _pure.py is the spec.  Every static function here named after a _pure
  * method (_prefix_standard, _slide, _build_path, _hook_index, _rotate_hook,
  * _checked_slide, _checked_rotate, _check_exhausted, _straighten_inplace,
- * _unstraighten_inplace, _lex_rank) is that method line for line, the walks
- * of count_standard and scan_fillings are its nested visit, alone and undo
- * functions, and straighten_flat is its public straighten; only the failure
- * entries exist in C alone.  scan_pairs has no C loop: it runs _pure's own,
- * which calls only the public methods, with the compiled object as self.
- * The parity tests compare the two twins exhaustively.
+ * _unstraighten_inplace) is that method line for line, and the walks of
+ * count_standard and scan_fillings are its nested visit and undo functions.
+ * Both per-object loops are written once, in _pure: scan_pairs and the
+ * per-filling roundtrip of scan_fillings (_roundtrip_each) call only the
+ * public methods, and run here with the compiled object as self.  The parity
+ * tests compare the two twins exhaustively.
  *
  * Where they differ: _pure keeps, in a memo keyed by the hook path, the
  * _hook_index verdict and the stability pairs that a slide along the path
@@ -41,6 +41,7 @@ typedef struct {
     PyObject *hook_prod;   /* exact product of the hook lengths */
     PyObject *n_factorial; /* exact n! */
     PyObject *hooklen_obj; /* hooklen as a tuple of ints, the attribute `hooklen` */
+    PyObject *order_obj;   /* order as a tuple of ints, the attribute `order` */
     int size;
     long long fact_ll;     /* n_factorial when it fits a long long, else -1 */
     int *geom;             /* one block holding every array below */
@@ -153,6 +154,15 @@ int_list(const int *a, int n)
     return list;
 }
 
+static PyObject *
+int_tuple(const int *a, int n)
+{
+    PyObject *list = int_list(a, n);
+    PyObject *tuple = list ? PyList_AsTuple(list) : NULL;
+    Py_XDECREF(list);
+    return tuple;
+}
+
 /* Buffers come from PyMem, so tracemalloc sees them like any object. */
 static int *
 alloc_ints(size_t count)
@@ -181,7 +191,7 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"parts", NULL};
     PyObject *arg, *items, *parts = NULL, *hook_prod = NULL, *n_factorial = NULL;
-    PyObject *hooklen_obj = NULL;
+    PyObject *hooklen_obj = NULL, *order_obj = NULL;
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "O:ShapeOps", kwlist, &arg))
         return -1;
 
@@ -286,15 +296,8 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
             col_pairs[prefix_cols[m + 1]++] = pos;
     }
 
-    hooklen_obj = PyTuple_New(n);
-    for (int pos = 0; hooklen_obj != NULL && pos < n; pos++) {
-        PyObject *h = PyLong_FromLong(hooklen[pos]);
-        if (h == NULL)
-            Py_CLEAR(hooklen_obj);
-        else
-            PyTuple_SET_ITEM(hooklen_obj, pos, h);
-    }
-    if (hooklen_obj == NULL || (hook_prod = PyObject_CallOneArg(math_prod, hooklen_obj)) == NULL
+    if ((hooklen_obj = int_tuple(hooklen, n)) == NULL || (order_obj = int_tuple(order, n)) == NULL
+            || (hook_prod = PyObject_CallOneArg(math_prod, hooklen_obj)) == NULL
             || (n_factorial = PyObject_CallFunction(math_factorial, "i", n)) == NULL)
         goto fail;
     long long fact_ll = PyLong_AsLongLongAndOverflow(n_factorial, &overflow);
@@ -303,6 +306,7 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
     Py_XSETREF(self->hook_prod, hook_prod);
     Py_XSETREF(self->n_factorial, n_factorial);
     Py_XSETREF(self->hooklen_obj, hooklen_obj);
+    Py_XSETREF(self->order_obj, order_obj);
     self->size = n;
     self->fact_ll = overflow ? -1 : fact_ll;
     return 0;
@@ -314,6 +318,7 @@ fail:
     Py_XDECREF(hook_prod);
     Py_XDECREF(n_factorial);
     Py_XDECREF(hooklen_obj);
+    Py_XDECREF(order_obj);
     return -1;
 }
 
@@ -325,6 +330,7 @@ ShapeOps_dealloc(ShapeOps *self)
     Py_XDECREF(self->hook_prod);
     Py_XDECREF(self->n_factorial);
     Py_XDECREF(self->hooklen_obj);
+    Py_XDECREF(self->order_obj);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -581,43 +587,6 @@ _unstraighten_inplace(const ShapeOps *self, int *t, int *j, int check)
     return check ? _check_exhausted(self, j) : 0;
 }
 
-/* The public straighten on C arrays: t and s are overwritten; work holds
- * 3n ints of _straighten_inplace scratch. */
-static int
-straighten_flat(const ShapeOps *self, int *t, int *s, int check, int *work)
-{
-    int n = self->size;
-    for (int i = 0; i < n; i++)
-        s[i] = 1;
-    if (_straighten_inplace(self, t, s, check, work) < 0)
-        return -1;
-    if (check && !_prefix_standard(self, t, n)) {
-        PyErr_SetString(InternalCheckError, "straighten result is not standard immaculate");
-        return -1;
-    }
-    return 0;
-}
-
-/* lexicographic rank of a permutation among all permutations of its values,
- * as an exact Python int: past 20 cells it outgrows a long long */
-static PyObject *
-_lex_rank(const int *x, int n)
-{
-    PyObject *rank = PyLong_FromLong(0);
-    for (int i = 0; rank != NULL && i < n; i++) {
-        long smaller = 0;
-        for (int q = i + 1; q < n; q++)
-            smaller += x[q] < x[i];
-        PyObject *radix = PyLong_FromLong(n - i), *digit = PyLong_FromLong(smaller);
-        PyObject *next = radix && digit ? PyNumber_Multiply(rank, radix) : NULL;
-        Py_XSETREF(next, next ? PyNumber_Add(next, digit) : NULL);
-        Py_XDECREF(radix);
-        Py_XDECREF(digit);
-        Py_SETREF(rank, next);
-    }
-    return rank;
-}
-
 /* -- scans ----------------------------------------------------------------- */
 
 /* the walk of count_standard: order[0..d) are set, and *count gains one
@@ -652,45 +621,6 @@ count_visit(const ShapeOps *self, int *t, int *used, int d, long long *count)
     return rc;
 }
 
-/* A failure is (index, stage, message); index is a Python int. */
-static PyObject *x_changed; /* _pure.X_CHANGED, the filling roundtrip message */
-
-/* the message of the InternalCheckError just raised, which is cleared; any
- * other error stays raised and gives NULL */
-static PyObject *
-take_check_message(void)
-{
-    if (!PyErr_ExceptionMatches(InternalCheckError))
-        return NULL;
-#if PY_VERSION_HEX >= 0x030C0000
-    PyObject *exc = PyErr_GetRaisedException();
-#else
-    PyObject *type, *exc, *tb;
-    PyErr_Fetch(&type, &exc, &tb);
-    PyErr_NormalizeException(&type, &exc, &tb);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#endif
-    PyObject *message = PyObject_Str(exc);
-    Py_DECREF(exc);
-    return message;
-}
-
-/* failures.append((index, stage, message)); steals index and message,
- * either of which is NULL after an error */
-static int
-add_failure(PyObject *failures, PyObject *index, const char *stage, PyObject *message)
-{
-    PyObject *entry = index && message ? Py_BuildValue("(OsO)", index, stage, message) : NULL;
-    Py_XDECREF(index);
-    Py_XDECREF(message);
-    if (entry == NULL)
-        return -1;
-    int rc = PyList_Append(failures, entry);
-    Py_DECREF(entry);
-    return rc;
-}
-
 /* an InternalCheckError just raised is cleared and gives 0; any other
  * error stays raised and gives -1 */
 static int
@@ -702,60 +632,39 @@ clear_check(void)
     return 0;
 }
 
-/* The state of scan_fillings' depth-first walk; fill_alone, fill_undo and
- * fill_visit are the nested functions of the _pure scan.  A compiled scan
- * refuses n! past a long long, so every leaf number and subtree size fits
- * one. */
+/* _pure.ShapeOps._roundtrip_each: the one per-filling roundtrip, a loop over
+ * the public methods, which runs here with the compiled object as self */
+static PyObject *pure_roundtrip_each;
+
+/* Roundtrip the fillings [lo, hi) one at a time through the public methods,
+ * filing their failures; the number of standard ones among them, or -1 with
+ * an error set. */
+static long long
+roundtrip_each(ShapeOps *self, unsigned long long lo, unsigned long long hi, int check,
+               PyObject *failures)
+{
+    PyObject *count = PyObject_CallFunction(pure_roundtrip_each, "OKKOO", (PyObject *)self,
+                                            lo, hi, check ? Py_True : Py_False, failures);
+    if (count == NULL)
+        return -1;
+    long long standard = PyLong_AsLongLong(count);
+    Py_DECREF(count);
+    return standard;
+}
+
+/* The state of scan_fillings' depth-first walk; fill_undo and fill_visit are
+ * the nested functions of the _pure scan.  A compiled scan refuses n! past a
+ * long long, so every leaf number and subtree size fits one. */
 typedef struct {
-    const ShapeOps *self;
+    ShapeOps *self;
     PyObject *failures;
     unsigned long long start, stop;
     unsigned long long *leaves; /* leaves below one node of each depth */
     int *befores;               /* n ints per depth: the hook run before the slide */
     int *t, *s, *x, *free;      /* the walk's state, its filling, values left */
-    int *y, *back, *j;          /* fill_alone's filling and its roundtrip */
-    int *work;                  /* 3n ints of slide and straighten scratch */
+    int *work;                  /* 2n ints of _checked_slide scratch */
     long long standard;
 } Walk;
-
-/* Roundtrip the leaves [lo, hi) one at a time, as the public methods do,
- * filing their failures; the number of standard ones among them, or -1 on
- * an error other than a failed check. */
-static long long
-fill_alone(Walk *w, int check, unsigned long long lo, unsigned long long hi)
-{
-    const ShapeOps *self = w->self;
-    int n = self->size, *y = w->y, *back = w->back;
-    long long count = 0;
-    for (unsigned long long i = lo; i < hi; i++) {
-        /* the entries of leaf i in traversal order form the i-th
-         * permutation; back holds the values left */
-        unsigned long long rem = i;
-        for (int m = 0; m < n; m++)
-            back[m] = m + 1;
-        for (int d = 0; d < n; d++) {
-            int q = (int)(rem / w->leaves[d]);
-            rem %= w->leaves[d];
-            y[self->order[d]] = back[q];
-            memmove(back + q, back + q + 1, (size_t)(n - 1 - d - q) * sizeof(int));
-        }
-        count += _prefix_standard(self, y, n);
-        memcpy(back, y, (size_t)n * sizeof(int));
-        int rc = straighten_flat(self, back, w->j, check, w->work);
-        if (rc == 0)
-            rc = _unstraighten_inplace(self, back, w->j, check);
-        PyObject *message;
-        if (rc == 0) {
-            if (memcmp(back, y, (size_t)n * sizeof(int)) == 0)
-                continue;
-            rc = add_failure(w->failures, _lex_rank(y, n), "roundtrip", Py_NewRef(x_changed));
-        } else if ((message = take_check_message()) != NULL)
-            rc = add_failure(w->failures, _lex_rank(y, n), "check", message);
-        if (rc < 0)
-            return -1;
-    }
-    return count;
-}
 
 /* inverse step n - d at the depth-d node; before holds the hook run of
  * order[d] as it was before the slide, and the run holds every cell that
@@ -802,7 +711,8 @@ fill_visit(Walk *w, int d, unsigned long long first, int stable)
             unsigned long long from = lo > w->start ? lo : w->start;
             unsigned long long to = lo + size < w->stop ? lo + size : w->stop;
             if (d > 0 && _checked_slide(self, w->t, w->s, d, w->work, before) < 0) {
-                long long count = clear_check() < 0 ? -1 : fill_alone(w, 1, from, to);
+                long long count = clear_check() < 0 ? -1
+                                  : roundtrip_each(w->self, from, to, 1, w->failures);
                 if (count < 0)
                     rc = -1;
                 else
@@ -816,7 +726,7 @@ fill_visit(Walk *w, int d, unsigned long long first, int stable)
                 int undone = rc == 0 && d > 0 ? fill_undo(w, d, before) : 1;
                 if (undone == 0) {
                     rc = PyList_SetSlice(w->failures, filed, PY_SSIZE_T_MAX, NULL);
-                    if (rc == 0 && fill_alone(w, 1, from, to) < 0)
+                    if (rc == 0 && roundtrip_each(w->self, from, to, 1, w->failures) < 0)
                         rc = -1;
                     memcpy(w->t + pos, before, (size_t)h * sizeof(int));
                     w->s[pos] = 1;
@@ -840,10 +750,10 @@ fill_visit(Walk *w, int d, unsigned long long first, int stable)
  * arrays and the scratch; the leaf counts of each depth, from the last.
  * NULL on error. */
 static int *
-walk_alloc(Walk *w, const ShapeOps *self, PyObject *failures)
+walk_alloc(Walk *w, ShapeOps *self, PyObject *failures)
 {
     int n = self->size;
-    int *buf = alloc_ints((size_t)n * (size_t)n + 10 * (size_t)n);
+    int *buf = alloc_ints((size_t)n * (size_t)n + 6 * (size_t)n);
     if (buf == NULL)
         return NULL;
     w->leaves = PyMem_Malloc((size_t)n * sizeof(unsigned long long));
@@ -863,9 +773,6 @@ walk_alloc(Walk *w, const ShapeOps *self, PyObject *failures)
     w->s = cursor; cursor += n;
     w->x = cursor; cursor += n;
     w->free = cursor; cursor += n;
-    w->y = cursor; cursor += n;
-    w->back = cursor; cursor += n;
-    w->j = cursor; cursor += n;
     w->work = cursor;
     for (int m = 0; m < n; m++) {
         w->s[m] = 1;
@@ -880,18 +787,6 @@ walk_free(Walk *w, int *buf)
 {
     PyMem_Free(buf);
     PyMem_Free(w->leaves);
-}
-
-/* lo <= a <= b <= hi on Python ints, or -1 with an error set */
-static int
-ordered(PyObject *lo, PyObject *a, PyObject *b, PyObject *hi)
-{
-    int rc = PyObject_RichCompareBool(lo, a, Py_LE);
-    if (rc == 1)
-        rc = PyObject_RichCompareBool(a, b, Py_LE);
-    if (rc == 1)
-        rc = PyObject_RichCompareBool(b, hi, Py_LE);
-    return rc;
 }
 
 /* -- public API (mirrors _pure) -------------------------------------------- */
@@ -930,9 +825,15 @@ ShapeOps_straighten(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs, PyO
     if (buf == NULL)
         return NULL;
     int *t = buf, *s = buf + n;
+    for (int i = 0; i < n; i++)
+        s[i] = 1;
     PyObject *result = NULL;
-    if (read_ints(arg[0], t, n) < 0 || straighten_flat(self, t, s, check, buf + 2 * n) < 0)
+    if (read_ints(arg[0], t, n) < 0 || _straighten_inplace(self, t, s, check, buf + 2 * n) < 0)
         goto done;
+    if (check && !_prefix_standard(self, t, n)) {
+        PyErr_SetString(InternalCheckError, "straighten result is not standard immaculate");
+        goto done;
+    }
     PyObject *p = int_list(t, n), *j = p ? int_list(s, n) : NULL;
     if (j != NULL)
         result = PyTuple_Pack(2, p, j);
@@ -1001,38 +902,42 @@ ShapeOps_scan_fillings(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs,
         return NULL;
     }
     int n = self->size;
-    PyObject *start = NULL, *stop = NULL, *zero = NULL, *failures = NULL, *result = NULL;
+    PyObject *start = NULL, *stop = NULL, *failures = NULL, *result = NULL;
     int *buf = NULL;
     Walk w;
-    if ((start = PyNumber_Index(arg[0])) == NULL || (stop = PyNumber_Index(arg[1])) == NULL
-            || (zero = PyLong_FromLong(0)) == NULL)
+    if ((start = PyNumber_Index(arg[0])) == NULL || (stop = PyNumber_Index(arg[1])) == NULL)
         goto done;
-    int in_range = ordered(zero, start, stop, self->n_factorial);
-    if (in_range <= 0) {
-        if (in_range == 0)
-            PyErr_Format(PyExc_ValueError, "bad scan range [%S, %S) for %d! fillings",
-                         start, stop, n);
+    /* a bound past a long long is past n! too */
+    int lo_over, hi_over;
+    long long lo = PyLong_AsLongLongAndOverflow(start, &lo_over);
+    long long hi = PyLong_AsLongLongAndOverflow(stop, &hi_over);
+    if ((lo == -1 || hi == -1) && PyErr_Occurred())
+        goto done;
+    if (lo_over || hi_over || lo < 0 || lo > hi || hi > self->fact_ll) {
+        PyErr_Format(PyExc_ValueError, "bad scan range [%S, %S) for %d! fillings",
+                     start, stop, n);
         goto done;
     }
-    long long hi = PyLong_AsLongLong(stop);
-    int check = hi == -1 && PyErr_Occurred() ? -1 : PyObject_IsTrue(arg[2]);
-    if (check < 0 || (failures = PyList_New(0)) == NULL
-            || (buf = walk_alloc(&w, self, failures)) == NULL)
+    int check = PyObject_IsTrue(arg[2]);
+    if (check < 0 || (failures = PyList_New(0)) == NULL)
         goto done;
-    w.start = (unsigned long long)PyLong_AsLongLong(start); /* fits: 0 <= start <= stop */
-    w.stop = (unsigned long long)hi;
-    if (!check) {
-        if ((w.standard = fill_alone(&w, 0, w.start, w.stop)) < 0)
+    long long standard = 0;
+    if (!check)
+        standard = roundtrip_each(self, lo, hi, 0, failures);
+    else if (lo < hi) {
+        if ((buf = walk_alloc(&w, self, failures)) == NULL)
             goto done;
-    } else if (w.start < w.stop && fill_visit(&w, 0, 0, 1) < 0)
-        goto done;
-    result = Py_BuildValue("(LO)", w.standard, failures);
+        w.start = lo;
+        w.stop = hi;
+        standard = fill_visit(&w, 0, 0, 1) < 0 ? -1 : w.standard;
+    }
+    if (standard >= 0)
+        result = Py_BuildValue("(LO)", standard, failures);
 done:
     if (buf != NULL)
         walk_free(&w, buf);
     Py_XDECREF(start);
     Py_XDECREF(stop);
-    Py_XDECREF(zero);
     Py_XDECREF(failures);
     return result;
 }
@@ -1078,8 +983,10 @@ static PyMethodDef ShapeOps_methods[] = {
      "Leaf i of the walk is the filling whose entries, read in traversal order,\n"
      "form the i-th permutation.  Each checked straighten step runs once per\n"
      "tree node on the way down and its checked inverse once on the way back\n"
-     "up.  A node whose slide or inverse fails, and with check off the whole\n"
-     "range, roundtrips its fillings one at a time as the public methods do.\n"
+     "up.  The fillings of a node whose slide or inverse fails, and with check\n"
+     "off the whole range, go through _pure.ShapeOps._roundtrip_each, run with\n"
+     "this object as self: one roundtrip each through the public straighten\n"
+     "and unstraighten.\n"
      "Returns (standard_count, failures); failures holds (rank, stage, message)\n"
      "in walk order, rank being the filling's lexicographic rank, and\n"
      "standard_count tallies the standard immaculate fillings scanned.\n"
@@ -1101,6 +1008,8 @@ static PyMemberDef ShapeOps_members[] = {
     {"n_factorial", T_OBJECT_EX, offsetof(ShapeOps, n_factorial), READONLY, "exact n!"},
     {"hooklen", T_OBJECT_EX, offsetof(ShapeOps, hooklen_obj), READONLY,
      "hook length of each flat cell"},
+    {"order", T_OBJECT_EX, offsetof(ShapeOps, order_obj), READONLY,
+     "traversal order: right-most column first, bottom-up within a column"},
     {NULL}
 };
 
@@ -1136,18 +1045,19 @@ PyInit__speedups(void)
         math_factorial = math ? PyObject_GetAttrString(math, "factorial") : NULL;
         math_prod = math_factorial ? PyObject_GetAttrString(math, "prod") : NULL;
         Py_XDECREF(math);
-        /* the roundtrip message and the pair scan are _pure's own */
+        /* the per-object loops are _pure's own */
         PyObject *pure = math_prod ? PyImport_ImportModule("immaculate._kernels._pure") : NULL;
-        x_changed = pure ? PyObject_GetAttrString(pure, "X_CHANGED") : NULL;
-        PyObject *pure_ops = x_changed ? PyObject_GetAttrString(pure, "ShapeOps") : NULL;
+        PyObject *pure_ops = pure ? PyObject_GetAttrString(pure, "ShapeOps") : NULL;
         Py_XDECREF(pure);
         pure_scan_pairs = pure_ops ? PyObject_GetAttrString(pure_ops, "scan_pairs") : NULL;
+        pure_roundtrip_each =
+            pure_scan_pairs ? PyObject_GetAttrString(pure_ops, "_roundtrip_each") : NULL;
         Py_XDECREF(pure_ops);
-        if (pure_scan_pairs == NULL) {
+        if (pure_roundtrip_each == NULL) {
             Py_CLEAR(InternalCheckError);
             Py_CLEAR(math_factorial);
             Py_CLEAR(math_prod);
-            Py_CLEAR(x_changed);
+            Py_CLEAR(pure_scan_pairs);
             return NULL;
         }
     }

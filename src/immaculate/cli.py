@@ -5,13 +5,13 @@ a (tableau, hook values) pair into a filling; phi is its inverse; info names
 the version and the kernel backend in use, and why it was chosen.  Exit codes:
 0 success (also when the reader closes stdout early), 1 verification or
 internal-check failure, 2 parse error, 3 size guard exceeded (also a shape
-past what a kernel walk can reach), 4 semantically invalid input.
+past what a kernel walk can reach, or a size that overflows a machine
+integer or memory), 4 semantically invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -46,11 +46,16 @@ def _read_input(path: str) -> str:
 
 
 def _print_json(obj) -> None:
+    # json is imported where JSON is written, so text output never loads it
+    import json
+
     print(json.dumps(obj, indent=2))
 
 
 def _print_json_stream(head: dict, key: str, items: Iterable) -> None:
     """_print_json({**head, key: list(items)}), holding one item at a time."""
+    import json
+
     text = json.dumps({**head, key: []}, indent=2)
     # the text ends in '"key": []\n}'; each item sits two levels deep
     sys.stdout.write(text[:-len("]\n}")])
@@ -175,6 +180,8 @@ def cmd_verify(args) -> int:
         good = sum(1 for r in reports if r.ok)
         print(f"{good}/{len(reports)} shapes ok")
     if args.failures_out and not all_ok:
+        import json
+
         payload = [
             {
                 "shape": list(r.shape),
@@ -281,6 +288,11 @@ def main(argv=None) -> int:
     except ImmaculateError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except (OverflowError, MemoryError) as exc:
+        # a size past a machine integer (a range, math.factorial) or past
+        # memory, as in `hooks 99999999999999999999`; like a guard, exit 3
+        print(f"error: too large to compute: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return GuardExceededError.exit_code
     except BrokenPipeError:
         # The reader stopped reading, which is its choice.  Point stdout at
         # the null device so the flush at exit has somewhere to go.

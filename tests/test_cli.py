@@ -503,6 +503,10 @@ class TestStartup:
         stdout, names = _imported_by("-m", "immaculate.cli", "hooks", "2,1,2")
         assert stdout == "5 1\n3\n2 1\n"
         assert "immaculate.enumeration" in names and not names & set(self.POOL)
+        # json loads only where JSON is written
+        assert "json" not in names
+        stdout, names = _imported_by("-m", "immaculate.cli", "hooks", "2,1,2", "--format", "json")
+        assert '"hook_lengths"' in stdout and "json" in names
         if (os.cpu_count() or 1) > 1:
             # a pooled verify loads them when it starts its pool
             stdout, names = _imported_by("-m", "immaculate.cli", "verify", "--n", "3",
@@ -539,6 +543,22 @@ class TestWalkLimits:
         assert (out.returncode, out.stdout) == (3, "")
         assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
         assert "2000 cells" in out.stderr
+
+
+class TestPastMachineSizes:
+    # a size that overflows a machine integer or memory exits 3 with one
+    # stderr line, as a guard does, and no traceback
+    @pytest.mark.parametrize("args", [
+        ("hooks", "99999999999999999999"),  # the range of a row
+        ("count", "99999999999999999999"),  # math.factorial
+        ("enumerate", "99999999999999999999", "--limit", "1"),
+        ("hooks", "9223372036854775807"),  # MemoryError
+    ])
+    def test_exits_3(self, args):
+        out = _run_cli(*args)
+        assert (out.returncode, out.stdout) == (3, ""), out.stderr
+        assert out.stderr.startswith("error: too large to compute: ")
+        assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
 
 
 class TestHugeCounts:

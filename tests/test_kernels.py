@@ -149,6 +149,12 @@ def on_backend(backend, monkeypatch):
     (lambda ops: ops.scan_pairs([(1, 2, 3)], 0.5, 2), TypeError,
      "'float' object cannot be interpreted as an integer"),
     (lambda ops: ops.scan_fillings(0, 7), ValueError, "bad scan range [0, 7) for 3! fillings"),
+    # bounds past a C long long are out of range too, and named exactly
+    (lambda ops: ops.scan_fillings(0, 10**30), ValueError,
+     f"bad scan range [0, {10**30}) for 3! fillings"),
+    (lambda ops: ops.scan_fillings(-1, 2), ValueError, "bad scan range [-1, 2) for 3! fillings"),
+    (lambda ops: ops.scan_fillings(2**64, 2**65), ValueError,
+     f"bad scan range [{2**64}, {2**65}) for 3! fillings"),
     (lambda ops: ops.scan_pairs([(1, 2, 3)], 0, 4), ValueError, "bad scan range [0, 4)"),
     # a P row's length is checked when the walk reaches the row
     (lambda ops: ops.scan_pairs([(1, 2, 3), (1, 2)], 2, 4), ValueError,
@@ -276,7 +282,7 @@ class TestWalkLimits:
 
 
 class TestTypeSurface:
-    NAMES = ("parts", "size", "hook_prod", "n_factorial", "hooklen")
+    NAMES = ("parts", "size", "hook_prod", "n_factorial", "hooklen", "order")
 
     @needs_compiled
     def test_attributes_agree_and_are_read_only(self):
@@ -843,6 +849,35 @@ def test_pair_scan_meets_a_fault_in_the_public_unstraighten(backend):
     failures = ops.scan_pairs(table, 0, len(table) * ops.hook_prod, True)
     index = row * ops.hook_prod + rem
     assert failures == [(index, "roundtrip", Y_CHANGED)] == _oracle_pairs(ops, table)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_unchecked_filling_scan_meets_faults_in_the_public_methods(backend):
+    # with check off each filling is one roundtrip through the public
+    # methods on both twins, so a subclass that breaks one filling's
+    # straighten and another's unstraighten fails those two fillings alone
+    perms = list(itertools.permutations(range(1, 6)))
+    raising, swapped = perms[17], perms[90]
+    base = get_backend(backend).ShapeOps
+
+    class Faulty(base):
+        def straighten(self, entries, check=False):
+            if tuple(entries) == raising:
+                raise InternalCheckError("planted")
+            return super().straighten(entries, check)
+
+        def unstraighten(self, p_entries, hook_values, check=False):
+            t = super().unstraighten(p_entries, hook_values, check)
+            if tuple(t) == swapped:
+                t[0], t[1] = t[1], t[0]
+            return t
+
+    ops = Faulty((2, 1, 2))
+    standard, failures = whole = ops.scan_fillings(0, 120, False)
+    assert (standard, sorted(failures)) == _oracle_fillings(ops)
+    assert {stage for _, stage, _ in failures} == {"check", "roundtrip"}
+    leaves = [ops.scan_fillings(r, r + 1, False) for r in range(120)]
+    assert (sum(c for c, _ in leaves), [f for _, fs in leaves for f in fs]) == whole
 
 
 @pytest.mark.pure_twin
