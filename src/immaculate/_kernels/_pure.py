@@ -1,19 +1,20 @@
 """Pure-Python kernels for the hot loops, on flat row-major arrays.
 
-This module is the spec of the kernels.  The compiled twin, the hand-written
-C file ``_speedups.c``, mirrors it function by function: each of
+This module is the spec of the kernels.  The compiled twin, the hand-written C
+file ``_speedups.c``, shares its constructor and its per-object loops and
+mirrors the rest function by function.  The compiled ``ShapeOps`` copies its
+geometry into C arrays from a ``ShapeOps`` of this module, so a shape is
+checked and laid out in one place.  ``scan_pairs`` and ``_roundtrip_each``, the
+per-filling roundtrip of ``scan_fillings``, loop over the public methods, and
+the compiled twin runs them with its own object as ``self``.  Each of
 ``_prefix_standard``, ``_slide``, ``_build_path``, ``_hook_index``,
-``_rotate_hook``, the checked steps ``_checked_slide``/``_checked_rotate``
-with ``_check_exhausted``, and ``_straighten_inplace``/``_unstraighten_inplace``
-has a C function of the same name, the functions nested in
-``count_standard`` (``visit``) and ``scan_fillings`` (``undo``, ``visit``)
-are ``count_visit`` and ``fill_undo``/``fill_visit`` there, and the public
-methods raise the same exceptions with the same messages.  Both per-object
-loops are written once: ``scan_pairs`` and ``_roundtrip_each``, the
-per-filling roundtrip of ``scan_fillings``, are loops over the public
-methods, and both twins run them, the compiled one with its own object as
-``self``.  Which twin you get from ``immaculate._kernels`` is decided at
-import time.
+``_rotate_hook``, the checked steps ``_checked_slide``/``_checked_rotate`` with
+``_check_exhausted``, and ``_straighten_inplace``/``_unstraighten_inplace`` has
+a C function of the same name, the functions nested in ``count_standard``
+(``visit``) and ``scan_fillings`` (``undo``, ``visit``) are ``count_visit`` and
+``fill_undo``/``fill_visit`` there, and the public methods raise the same
+exceptions with the same messages.  Which twin you get from
+``immaculate._kernels`` is decided at import time.
 
 Where the twins differ: what a checked slide learns from its path alone,
 the ``_hook_index`` verdict and the row and column pairs whose stability it
@@ -65,11 +66,16 @@ class ShapeOps:
     """Precomputed flat geometry for one composition plus the hot operations."""
 
     def __init__(self, parts):
-        parts = tuple(int(p) for p in parts)
+        # tuple() of lists, not generators: those tuples are resized from a
+        # guessed length, and each dropped grows a free list tracemalloc sees
+        parts = tuple([int(p) for p in parts])
         if not parts or any(p < 1 for p in parts):
             raise ValueError(f"bad composition parts: {parts!r}")
-        self.parts = parts
         n = sum(parts)
+        if n > 2**31 - 1:
+            # refused before any per-cell list: the compiled twin uses C ints
+            raise OverflowError("composition size does not fit a C int")
+        self.parts = parts
         self.size = n
         row_start = [0]
         for p in parts:
@@ -89,10 +95,10 @@ class ShapeOps:
         ]
         # traversal order: right-most column first, bottom-up within a column
         self.order = tuple(sorted(range(n), key=lambda p: (-self.colof[p], -self.rowof[p])))
-        self.hooklen = tuple(
+        self.hooklen = tuple([
             n - pos if self.colof[pos] == 0 else row_start[self.rowof[pos] + 1] - pos
             for pos in range(n)
-        )
+        ])
         self.hook_prod = 1
         for h in self.hooklen:
             self.hook_prod *= h

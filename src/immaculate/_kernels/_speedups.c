@@ -1,14 +1,16 @@
 /* Compiled kernels: the exact behaviour of _pure.py on C arrays.
  *
- * _pure.py is the spec.  Every static function here named after a _pure
- * method (_prefix_standard, _slide, _build_path, _hook_index, _rotate_hook,
- * _checked_slide, _checked_rotate, _check_exhausted, _straighten_inplace,
- * _unstraighten_inplace) is that method line for line, and the walks of
- * count_standard and scan_fillings are its nested visit and undo functions.
- * Both per-object loops are written once, in _pure: scan_pairs and the
- * per-filling roundtrip of scan_fillings (_roundtrip_each) call only the
- * public methods, and run here with the compiled object as self.  The parity
- * tests compare the two twins exhaustively.
+ * _pure.py is the spec.  The constructor is written once, in _pure:
+ * ShapeOps_init builds a _pure.ShapeOps, which checks the shape and works out
+ * its geometry, and copies that geometry into C arrays.  So are both
+ * per-object loops: scan_pairs and the per-filling roundtrip of
+ * scan_fillings (_roundtrip_each) call only the public methods, and run here
+ * with the compiled object as self.  Every static function here named after
+ * a _pure method (_prefix_standard, _slide, _build_path, _hook_index,
+ * _rotate_hook, _checked_slide, _checked_rotate, _check_exhausted,
+ * _straighten_inplace, _unstraighten_inplace) is that method line for line,
+ * and the walks of count_standard and scan_fillings are its nested visit and
+ * undo functions.  The parity tests compare the two twins exhaustively.
  *
  * Where they differ: _pure keeps, in a memo keyed by the hook path, the
  * _hook_index verdict and the stability pairs that a slide along the path
@@ -28,12 +30,9 @@
 #include <structmember.h>
 
 #include <limits.h>
-#include <stdlib.h>
 #include <string.h>
 
 static PyObject *InternalCheckError; /* immaculate.errors.InternalCheckError */
-static PyObject *math_factorial;     /* math.factorial */
-static PyObject *math_prod;          /* math.prod */
 
 typedef struct {
     PyObject_HEAD
@@ -154,15 +153,6 @@ int_list(const int *a, int n)
     return list;
 }
 
-static PyObject *
-int_tuple(const int *a, int n)
-{
-    PyObject *list = int_list(a, n);
-    PyObject *tuple = list ? PyList_AsTuple(list) : NULL;
-    Py_XDECREF(list);
-    return tuple;
-}
-
 /* Buffers come from PyMem, so tracemalloc sees them like any object. */
 static int *
 alloc_ints(size_t count)
@@ -186,139 +176,98 @@ ready(ShapeOps *self)
 
 /* -- construction ---------------------------------------------------------- */
 
+/* _pure.ShapeOps: the one place where a shape is checked and its geometry
+ * worked out; the compiled constructor copies what it needs from it */
+static PyObject *pure_ops;
+
+/* copy the n ints of spec's attribute name into out */
+static int
+copy_ints(PyObject *spec, const char *name, int *out, int n)
+{
+    PyObject *seq = PyObject_GetAttrString(spec, name);
+    int rc = seq == NULL ? -1 : read_ints(seq, out, n);
+    Py_XDECREF(seq);
+    return rc;
+}
+
 static int
 ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"parts", NULL};
-    PyObject *arg, *items, *parts = NULL, *hook_prod = NULL, *n_factorial = NULL;
-    PyObject *hooklen_obj = NULL, *order_obj = NULL;
+    static const char *const names[] = {"parts", "hook_prod", "n_factorial", "hooklen", "order",
+                                        "size"};
+    static const char *const cells[] = {"rowof", "colof", "right", "below", "order", "hooklen"};
+    PyObject *arg, *obj[6] = {NULL, NULL, NULL, NULL, NULL, NULL};
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "O:ShapeOps", kwlist, &arg))
         return -1;
-
-    /* parts = tuple(int(p) for p in parts) */
-    items = PySequence_Tuple(arg);
-    if (items == NULL)
+    /* a shape the spec refuses leaves the last one, as in _pure */
+    PyObject *spec = PyObject_CallOneArg(pure_ops, arg);
+    if (spec == NULL)
         return -1;
-    Py_ssize_t k = PyTuple_GET_SIZE(items);
-    parts = PyTuple_New(k);
-    for (Py_ssize_t r = 0; parts != NULL && r < k; r++) {
-        PyObject *p = PyNumber_Long(PyTuple_GET_ITEM(items, r));
-        if (p == NULL)
-            Py_CLEAR(parts);
-        else
-            PyTuple_SET_ITEM(parts, r, p);
-    }
-    Py_DECREF(items);
-    if (parts == NULL)
-        return -1;
-
-    /* every part at least 1, then the size must fit a C int: both checked
-     * before anything is allocated */
-    int overflow, bad = k == 0;
-    for (Py_ssize_t r = 0; !bad && r < k; r++) {
-        long long p = PyLong_AsLongLongAndOverflow(PyTuple_GET_ITEM(parts, r), &overflow);
-        bad = overflow < 0 || (!overflow && p < 1);
-    }
-    if (bad)
-        PyErr_Format(PyExc_ValueError, "bad composition parts: %R", parts);
-    long long total = 0;
-    for (Py_ssize_t r = 0; !bad && r < k; r++) {
-        total += PyLong_AsLongLongAndOverflow(PyTuple_GET_ITEM(parts, r), &overflow);
-        if (overflow || total > INT_MAX) {
-            PyErr_SetString(PyExc_OverflowError, "composition size does not fit a C int");
-            bad = 1;
-        }
-    }
-    if (bad) {
-        Py_DECREF(parts);
-        return -1;
-    }
-    int n = (int)total;
-
-    /* a second __init__ replaces the shape; one that fails leaves none.
-     * row_start has k + 1 ints, the six per-cell arrays n each, the prefix
-     * pairs n each and their cuts n + 1 each; the column counts of the order
-     * sort borrow prefix_rows */
+    /* a second __init__ replaces the shape; one that fails past here leaves none */
     PyMem_Free(self->geom);
+    self->geom = NULL;
+    for (int i = 0; i < 6; i++)
+        if ((obj[i] = PyObject_GetAttrString(spec, names[i])) == NULL)
+            goto fail;
+    long n = PyLong_AsLong(obj[5]); /* the spec refuses a size past a C int */
+    Py_ssize_t k = PyObject_Length(obj[0]);
+    int overflow;
+    long long fact_ll = PyLong_AsLongLongAndOverflow(obj[2], &overflow);
+    if (n < 0 || k < 0 || (fact_ll == -1 && PyErr_Occurred()))
+        goto fail;
+
+    /* row_start has k + 1 ints, the six per-cell arrays n each, the prefix
+     * pairs n each and their cuts n + 1 each */
     int *cursor = self->geom = alloc_ints((size_t)(k + 3) + 10 * (size_t)n);
     if (cursor == NULL)
         goto fail;
-    int *row_start = self->row_start = cursor; cursor += k + 1;
-    int *rowof = self->rowof = cursor;         cursor += n;
-    int *colof = self->colof = cursor;         cursor += n;
-    int *right = self->right = cursor;         cursor += n;
-    int *below = self->below = cursor;         cursor += n;
-    int *order = self->order = cursor;         cursor += n;
-    int *hooklen = self->hooklen = cursor;     cursor += n;
+    self->row_start = cursor; cursor += k + 1;
+    self->rowof = cursor;     cursor += n;
+    self->colof = cursor;     cursor += n;
+    self->right = cursor;     cursor += n;
+    self->below = cursor;     cursor += n;
+    self->order = cursor;     cursor += n;
+    self->hooklen = cursor;   cursor += n;
     int *row_pairs = self->row_pairs = cursor; cursor += n;
     int *col_pairs = self->col_pairs = cursor; cursor += n;
     int *prefix_rows = self->prefix_rows = cursor; cursor += n + 1;
     int *prefix_cols = self->prefix_cols = cursor;
-
-    row_start[0] = 0;
-    for (Py_ssize_t r = 0; r < k; r++)
-        row_start[r + 1] = row_start[r] + (int)PyLong_AsLong(PyTuple_GET_ITEM(parts, r));
-    int maxcol = 0;
-    for (int r = 0, pos = 0; r < k; r++) {
-        int len = row_start[r + 1] - row_start[r];
-        if (len > maxcol)
-            maxcol = len;
-        for (int c = 0; c < len; c++, pos++) {
-            rowof[pos] = r;
-            colof[pos] = c;
-            right[pos] = c + 1 < len ? pos + 1 : -1;
-            below[pos] = c == 0 && r + 1 < k ? row_start[r + 1] : -1;
-            hooklen[pos] = c == 0 ? n - pos : row_start[r + 1] - pos;
-        }
-    }
-    /* traversal order: right-most column first, bottom-up within a column;
-     * a counting sort on the column, filled from the bottom row up */
-    int *slot = prefix_rows;
-    memset(slot, 0, (size_t)maxcol * sizeof(int));
-    for (int pos = 0; pos < n; pos++)
-        slot[colof[pos]]++;
-    for (int c = maxcol - 1, start = 0; c >= 0; c--) {
-        int count = slot[c];
-        slot[c] = start;
-        start += count;
-    }
-    for (int pos = n - 1; pos >= 0; pos--)
-        order[slot[colof[pos]]++] = pos;
-
+    int rc = copy_ints(spec, "row_start", self->row_start, (int)k + 1);
+    for (int i = 0; rc == 0 && i < 6; i++) /* the per-cell arrays, rowof first */
+        rc = copy_ints(spec, cells[i], self->rowof + i * n, (int)n);
+    if (rc < 0)
+        goto fail;
+    /* the stability pairs of _pure's row_pairs, col_pairs and prefix_cut,
+     * each pair named by its first cell */
     prefix_rows[0] = prefix_cols[0] = 0;
     for (int m = 0; m < n; m++) {
-        int pos = order[m];
+        int pos = self->order[m];
         prefix_rows[m + 1] = prefix_rows[m];
         prefix_cols[m + 1] = prefix_cols[m];
-        if (right[pos] >= 0)
+        if (self->right[pos] >= 0)
             row_pairs[prefix_rows[m + 1]++] = pos;
-        if (below[pos] >= 0)
+        if (self->below[pos] >= 0)
             col_pairs[prefix_cols[m + 1]++] = pos;
     }
 
-    if ((hooklen_obj = int_tuple(hooklen, n)) == NULL || (order_obj = int_tuple(order, n)) == NULL
-            || (hook_prod = PyObject_CallOneArg(math_prod, hooklen_obj)) == NULL
-            || (n_factorial = PyObject_CallFunction(math_factorial, "i", n)) == NULL)
-        goto fail;
-    long long fact_ll = PyLong_AsLongLongAndOverflow(n_factorial, &overflow);
-
-    Py_XSETREF(self->parts, parts);
-    Py_XSETREF(self->hook_prod, hook_prod);
-    Py_XSETREF(self->n_factorial, n_factorial);
-    Py_XSETREF(self->hooklen_obj, hooklen_obj);
-    Py_XSETREF(self->order_obj, order_obj);
-    self->size = n;
+    Py_XSETREF(self->parts, obj[0]);
+    Py_XSETREF(self->hook_prod, obj[1]);
+    Py_XSETREF(self->n_factorial, obj[2]);
+    Py_XSETREF(self->hooklen_obj, obj[3]);
+    Py_XSETREF(self->order_obj, obj[4]);
+    Py_DECREF(obj[5]);
+    self->size = (int)n;
     self->fact_ll = overflow ? -1 : fact_ll;
+    Py_DECREF(spec);
     return 0;
 
 fail:
     PyMem_Free(self->geom);
     self->geom = NULL;
-    Py_XDECREF(parts);
-    Py_XDECREF(hook_prod);
-    Py_XDECREF(n_factorial);
-    Py_XDECREF(hooklen_obj);
-    Py_XDECREF(order_obj);
+    for (int i = 0; i < 6; i++)
+        Py_XDECREF(obj[i]);
+    Py_DECREF(spec);
     return -1;
 }
 
@@ -1041,22 +990,17 @@ PyInit__speedups(void)
         PyObject *errors = PyImport_ImportModule("immaculate.errors");
         InternalCheckError = errors ? PyObject_GetAttrString(errors, "InternalCheckError") : NULL;
         Py_XDECREF(errors);
-        PyObject *math = InternalCheckError ? PyImport_ImportModule("math") : NULL;
-        math_factorial = math ? PyObject_GetAttrString(math, "factorial") : NULL;
-        math_prod = math_factorial ? PyObject_GetAttrString(math, "prod") : NULL;
-        Py_XDECREF(math);
-        /* the per-object loops are _pure's own */
-        PyObject *pure = math_prod ? PyImport_ImportModule("immaculate._kernels._pure") : NULL;
-        PyObject *pure_ops = pure ? PyObject_GetAttrString(pure, "ShapeOps") : NULL;
+        /* the constructor and the per-object loops are _pure's own */
+        PyObject *pure = InternalCheckError
+                         ? PyImport_ImportModule("immaculate._kernels._pure") : NULL;
+        pure_ops = pure ? PyObject_GetAttrString(pure, "ShapeOps") : NULL;
         Py_XDECREF(pure);
         pure_scan_pairs = pure_ops ? PyObject_GetAttrString(pure_ops, "scan_pairs") : NULL;
         pure_roundtrip_each =
             pure_scan_pairs ? PyObject_GetAttrString(pure_ops, "_roundtrip_each") : NULL;
-        Py_XDECREF(pure_ops);
         if (pure_roundtrip_each == NULL) {
             Py_CLEAR(InternalCheckError);
-            Py_CLEAR(math_factorial);
-            Py_CLEAR(math_prod);
+            Py_CLEAR(pure_ops);
             Py_CLEAR(pure_scan_pairs);
             return NULL;
         }

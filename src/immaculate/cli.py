@@ -93,6 +93,8 @@ def cmd_hooks(args) -> int:
 
 
 def cmd_count(args) -> int:
+    if args.guard < 1:
+        raise ParseError(f"--guard must be positive, got {args.guard}")
     alpha = parse_composition(args.shape)
     if args.method == "formula":
         count = count_formula(alpha)
@@ -154,7 +156,7 @@ def cmd_phi(args) -> int:
 def cmd_verify(args) -> int:
     if (args.shape is None) == (args.n is None):
         raise ParseError("verify needs a SHAPE argument or --n, but not both")
-    for flag in ("n", "jobs", "samples"):
+    for flag in ("n", "jobs", "samples", "guard"):
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise ParseError(f"--{flag} must be positive, got {value}")

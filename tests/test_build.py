@@ -2,9 +2,11 @@
 
 The copy keeps every build product (egg-info, object files, the extension)
 inside pytest's tmp_path, so the tree under test is left as it was.  This
-runs the compiled twin's parity tests even when nothing is built in place.
+runs the compiled twin's parity tests, and verify on each twin of the build,
+even when nothing is built in place.
 """
 
+import json
 import os
 import shlex
 import shutil
@@ -43,15 +45,15 @@ def _build(tmp_path, name, **env):
     return lib
 
 
-def _start(lib, *args):
-    env = {k: v for k, v in os.environ.items() if k != "IMMACULATE_PURE"}
-    env["PYTHONPATH"] = str(lib)
+def _start(lib, *args, **env):
+    env = {**{k: v for k, v in os.environ.items() if k != "IMMACULATE_PURE"},
+           "PYTHONPATH": str(lib), **env}
     return subprocess.Popen([sys.executable, *args], cwd=ROOT, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True, env=env)
 
 
-def _run(lib, *args):
-    proc = _start(lib, *args)
+def _run(lib, *args, **env):
+    proc = _start(lib, *args, **env)
     out, err = proc.communicate(timeout=600)
     return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
 
@@ -71,6 +73,19 @@ def test_compiled_build_passes_kernel_tests_with_nothing_skipped(tmp_path):
         summary = out.strip().splitlines()[-1]
         assert proc.returncode == 0, out + err
         assert " passed" in summary and "skipped" not in summary, summary
+    # verify end to end on each twin of the build: the reports agree but for
+    # their timings and the backend that made them
+    reports = []
+    for backend, env in (("compiled", {}), ("pure", {"IMMACULATE_PURE": "1"})):
+        out = _run(lib, "-m", "immaculate.cli", "verify", "--n", "6", "--jobs", "2",
+                   "--format", "json", **env)
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout)
+        for shape in report["reports"]:
+            assert shape.pop("backend") == backend
+            del shape["elapsed_s"]
+        reports.append(report)
+    assert reports[0] == reports[1]
     assert _build_products() == before
 
 

@@ -553,9 +553,11 @@ class TestPastMachineSizes:
         ("count", "99999999999999999999"),  # math.factorial
         ("enumerate", "99999999999999999999", "--limit", "1"),
         ("hooks", "9223372036854775807"),  # MemoryError
+        # the kernel refuses a shape past a C int before building its lists
+        ("verify", "9223372036854775807", "--mode", "sampled", "--samples", "1"),
     ])
     def test_exits_3(self, args):
-        out = _run_cli(*args)
+        out = _run_cli(*args, preexec_fn=_cap_address_space)
         assert (out.returncode, out.stdout) == (3, ""), out.stderr
         assert out.stderr.startswith("error: too large to compute: ")
         assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
@@ -630,6 +632,8 @@ class TestArgumentErrors:
         (["verify", "2,1", "--jobs", "-3"], "--jobs"),
         (["verify", "2,1", "--mode", "sampled", "--samples", "-5"], "--samples"),
         (["enumerate", "2,1", "--limit", "-1"], "--limit"),
+        (["verify", "3", "--mode", "sampled", "--guard", "0"], "--guard"),
+        (["count", "3", "--method", "brute", "--guard", "-1"], "--guard"),
     ])
     def test_count_flag_below_range_exits_2(self, capsys, argv, flag):
         assert main(argv) == 2

@@ -339,11 +339,34 @@ class TestTypeSurface:
         assert ops.scan_fillings(start=0, stop=6, check=False) == (2, [])
         assert ops.scan_pairs(p_table=[(1, 2, 3)], start=0, stop=3, check=False) == []
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_size_past_c_int_refused_before_allocating(self, backend):
+        # refused on the size alone, before lists of 2**32 cells are built
+        with pytest.raises(OverflowError, match="^composition size does not fit a C int$"):
+            get_backend(backend).ShapeOps((2**31 - 1, 2**31 - 1, 2))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_refused_reinit_keeps_the_shape(self, backend):
+        ops = get_backend(backend).ShapeOps((2, 1))
+        with pytest.raises(ValueError):
+            ops.__init__((2, 0))
+        assert ops.parts == (2, 1)
+        assert ops.straighten([3, 2, 1], True) == ([1, 2, 3], [3, 1, 1])
+
     @needs_compiled
-    def test_size_past_c_int_refused_before_allocating(self):
-        # only the compiled twin: the pure one would build lists of 2**32 cells
-        with pytest.raises(OverflowError):
-            compiled.ShapeOps((2**31 - 1, 2**31 - 1, 2))
+    @pytest.mark.parametrize("parts, error", [
+        ((), ValueError), ((2, 0), ValueError), ((3, -1), ValueError), (("x",), ValueError),
+        (5, TypeError), ((2**31 - 1, 2**31 - 1, 2), OverflowError),
+    ])
+    def test_constructors_refuse_alike(self, parts, error):
+        # the compiled constructor runs the pure one, so both refuse a bad
+        # shape with the same exception and message
+        raised = []
+        for ops in (compiled.ShapeOps, pure.ShapeOps):
+            with pytest.raises(error) as info:
+                ops(parts)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
 
 
 @needs_compiled
@@ -390,6 +413,7 @@ def test_compiled_reference_counts_do_not_leak():
         raises(row21.scan_fillings, 0, 1)
         raises(ops.straighten, [1, 2, 3], chek=True)
         raises(compiled.ShapeOps, (2, 0))
+        raises(compiled.ShapeOps, ("x",))
         raises(compiled.ShapeOps, (2**31 - 1, 2**31 - 1, 2))
         raises(square.unstraighten, [1, 2, 3, 4], [1, 2, 1, 1], check=True)
         raises(square.unstraighten, [1, 2, 3, 4], [1, 2, 1, 1])
