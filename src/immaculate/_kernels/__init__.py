@@ -5,9 +5,10 @@ otherwise the pure-Python twin ``_pure`` takes over with identical behaviour.
 Set the environment variable IMMACULATE_PURE=1 to force the pure backend, for
 debugging or benchmarking.  BACKEND_REASON says why the active backend was
 chosen (for the pure fallback, the text of the swallowed ImportError); both
-are logged at DEBUG level on the ``immaculate`` logger when ``logging`` was
-imported before this package.  Without it no handler can exist yet to take
-the record, so the package does not load ``logging`` only to drop it.
+are logged at DEBUG level on the ``immaculate`` logger when this module first
+loads, if ``logging`` was imported before it.  Without it no handler can
+exist yet to take the record, so the package does not load ``logging`` only
+to drop it.
 """
 
 from __future__ import annotations

@@ -18,19 +18,18 @@ from pathlib import Path
 from typing import Iterable
 
 from . import __version__
-from ._kernels import BACKEND, BACKEND_REASON
-from .bijection import Pair, straighten, unstraighten
 from .composition import parse_composition, compositions, count_formula
-from .enumeration import (
+from .errors import (
     BRUTE_GUARD,
     EXHAUSTIVE_GUARD,
-    count_brute,
-    count_recursive,
-    enumerate_standard_immaculate,
-    verify_shapes,
+    FORMULA_GUARD,
+    GuardExceededError,
+    ImmaculateError,
+    ParseError,
 )
-from .errors import GuardExceededError, ImmaculateError, ParseError
-from .tableau import Tableau, format_grid_text
+
+# Each command imports the modules it runs when it runs, so a cold start
+# compiles only those: hooks loads no kernel, and phi and psi no enumeration.
 
 # Sampled verify --n draws from each of the 2**(n-1) compositions of n and
 # builds every report before it prints one, so n is guarded as in
@@ -83,6 +82,8 @@ def _print_trace(trace) -> None:
 
 
 def cmd_hooks(args) -> int:
+    from .tableau import format_grid_text
+
     alpha = parse_composition(args.shape)
     grid = alpha.hook_lengths()
     if args.format == "json":
@@ -93,15 +94,19 @@ def cmd_hooks(args) -> int:
 
 
 def cmd_count(args) -> int:
-    if args.guard < 1:
+    if args.guard is not None and args.guard < 1:
         raise ParseError(f"--guard must be positive, got {args.guard}")
     alpha = parse_composition(args.shape)
     if args.method == "formula":
-        count = count_formula(alpha)
+        count = count_formula(alpha, guard=args.guard or FORMULA_GUARD)
     elif args.method == "recursive":
+        from .enumeration import count_recursive
+
         count = count_recursive(alpha)
     else:
-        count = count_brute(alpha, guard=args.guard)
+        from .enumeration import count_brute
+
+        count = count_brute(alpha, guard=args.guard or BRUTE_GUARD)
     if args.format == "json":
         _print_json({"shape": list(alpha.parts), "method": args.method, "count": count})
     else:
@@ -112,6 +117,8 @@ def cmd_count(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ParseError(f"--limit must not be negative, got {args.limit}")
+    from .enumeration import enumerate_standard_immaculate
+
     alpha = parse_composition(args.shape)
     total = count_formula(alpha)
     # a limit above the total means no limit; range takes any size of int
@@ -145,11 +152,16 @@ def _run_map(args, parse, transform, to_json_obj) -> int:
 
 
 def cmd_psi(args) -> int:
+    from .bijection import Pair, unstraighten
+
     return _run_map(args, Pair.parse, unstraighten,
                     lambda t: {"shape": list(t.shape.parts), "result": [list(r) for r in t.rows]})
 
 
 def cmd_phi(args) -> int:
+    from .bijection import Pair, straighten
+    from .tableau import Tableau
+
     return _run_map(args, Tableau.parse, straighten, Pair.to_json_obj)
 
 
@@ -171,6 +183,8 @@ def cmd_verify(args) -> int:
             f"n <= {guard}; verify one shape instead, or raise --guard")
     else:
         shapes = compositions(args.n)
+    from .enumeration import verify_shapes
+
     reports = verify_shapes(shapes, mode=args.mode, sample_size=args.samples, seed=args.seed,
                             jobs=args.jobs, guard=guard)
     all_ok = all(r.ok for r in reports)
@@ -201,6 +215,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_info(args) -> int:
+    from ._kernels import BACKEND, BACKEND_REASON
+
     info = {"version": __version__, "backend": BACKEND, "backend_reason": BACKEND_REASON}
     if args.format == "json":
         _print_json(info)
@@ -228,8 +244,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", parents=[fmt], help="count standard immaculate tableaux")
     p.add_argument("shape")
     p.add_argument("--method", choices=("formula", "recursive", "brute"), default="formula")
-    p.add_argument("--guard", type=int, default=BRUTE_GUARD,
-                   help=f"size limit for --method brute (default {BRUTE_GUARD})")
+    p.add_argument("--guard", type=int, default=None,
+                   help=f"size limit on n: for --method brute (default {BRUTE_GUARD}) "
+                        f"and for formula (default {FORMULA_GUARD})")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("enumerate", parents=[fmt], help="list standard immaculate tableaux")

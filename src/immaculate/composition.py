@@ -12,7 +12,7 @@ import math
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from .errors import InternalCheckError, ParseError
+from .errors import FORMULA_GUARD, GuardExceededError, InternalCheckError, ParseError
 
 
 class Cell(NamedTuple):
@@ -208,12 +208,18 @@ def compositions(n: int) -> Iterator[Composition]:
         parts.extend([1] * (last - 1))
 
 
-def count_formula(alpha: Composition) -> int:
+def count_formula(alpha: Composition, guard: int = FORMULA_GUARD) -> int:
     """Number of standard immaculate tableaux of shape alpha: n! / prod(hooks).
 
     Evaluated in exact integer arithmetic; the division is asserted to be
     exact, which is itself a nontrivial fact about these hook lengths.
+    Shapes of more than guard cells raise GuardExceededError before n! is
+    computed, since its cost grows without bound in time and memory.
     """
+    if alpha.n > guard:
+        raise GuardExceededError(
+            f"too large to compute: the count formula needs n <= {guard} but the shape "
+            f"has {alpha.n} cells; raise guard= to compute n! anyway")
     q, r = divmod(math.factorial(alpha.n), alpha.hook_product())
     if r != 0:
         raise InternalCheckError(

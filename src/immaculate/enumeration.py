@@ -28,15 +28,8 @@ from ._kernels import BACKEND, get_backend
 from ._kernels._pure import X_CHANGED, Y_CHANGED, unrank_hook_values
 from .bijection import HookTableau
 from .composition import Composition, count_formula
-from .errors import GuardExceededError, InternalCheckError
+from .errors import BRUTE_GUARD, EXHAUSTIVE_GUARD, GuardExceededError, InternalCheckError
 from .tableau import Tableau, split_flat
-
-# Factorial growth makes these defaults generous already: 10! fillings for
-# the brute-force filter, and 8! roundtrips per shape when exhaustive (twice
-# that for a shape whose filling scan fails).  The brute-force count walks
-# far fewer, but keeps the same guard.
-BRUTE_GUARD = 10
-EXHAUSTIVE_GUARD = 8
 
 
 def _require_within(n: int, guard: int, doing: str, advice: str) -> None:
@@ -462,10 +455,12 @@ def _verify_sampled(alpha: Composition, sample_size: int, seed: int) -> Verifica
 
 def _report(alpha: Composition, mode: str, started: float, failures: dict,
             **varying) -> VerificationReport:
+    # verify bounds its shapes with its own guards (and counts_agree takes
+    # n! unguarded), so the formula's guard is lifted here
     return VerificationReport(
         shape=alpha.parts,
         mode=mode,
-        count_formula=count_formula(alpha),
+        count_formula=count_formula(alpha, guard=alpha.n),
         count_recursive=count_recursive(alpha),
         roundtrip_failures=failures["roundtrip"],
         assertion_failures=failures["check"],

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from immaculate._kernels import BACKEND, BACKEND_REASON
 from immaculate.cli import main
 from immaculate.composition import count_formula, parse_composition
 from immaculate.enumeration import VerificationReport
-from immaculate.errors import InternalCheckError
+from immaculate.errors import FORMULA_GUARD, InternalCheckError
 
 PAIR_TEXT = "1 2\n3\n4 5\n\n3 1\n2\n1 1\n"
 FILLING_TEXT = "3 2\n4\n1 5\n"
@@ -64,6 +65,18 @@ class TestCount:
     def test_guard_override(self, capsys):
         # one cell past the default guard, as TestBruteForce::test_guard does
         assert main(["count", "11", "--method", "brute", "--guard", "11"]) == 0
+        assert capsys.readouterr().out == "1\n"
+
+    def test_formula_guard_exits_3_and_can_be_raised(self, capsys):
+        # the formula's default guard is FORMULA_GUARD, not brute's 10
+        assert main(["count", "12"]) == 0
+        assert capsys.readouterr().out == "1\n"
+        assert main(["count", str(FORMULA_GUARD + 1)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert f"needs n <= {FORMULA_GUARD} " in captured.err
+        assert main(["count", "1,3", "--guard", "3"]) == 3
+        assert main(["count", "1,3", "--guard", "4"]) == 0
         assert capsys.readouterr().out == "1\n"
 
 
@@ -250,7 +263,7 @@ class TestPhi:
         def broken_straighten(t, check=False):
             raise InternalCheckError("injected")
 
-        monkeypatch.setattr("immaculate.cli.straighten", broken_straighten)
+        monkeypatch.setattr("immaculate.bijection.straighten", broken_straighten)
         f = tmp_path / "t.txt"
         f.write_text(FILLING_TEXT)
         assert main(["phi", str(f)]) == 1
@@ -390,7 +403,7 @@ class TestVerify:
                 backend="pure", elapsed_s=0.01,
             ) for alpha in shapes]
 
-        monkeypatch.setattr("immaculate.cli.verify_shapes", fake_verify)
+        monkeypatch.setattr("immaculate.enumeration.verify_shapes", fake_verify)
 
     def test_failure_exits_1_and_writes_failures(self, capsys, tmp_path, fake_verify):
         out = tmp_path / "failures.json"
@@ -487,22 +500,55 @@ def _imported_by(*args):
 
 
 class TestStartup:
-    # a cold start loads what it runs: the process pool only for a pooled
-    # verify, logging only when the caller brought it, and no dataclasses
+    # a cold start loads what it runs: no submodule on import immaculate,
+    # the process pool only for a pooled verify, logging only when the
+    # caller brought it, and no dataclasses
     POOL = ("concurrent.futures", "multiprocessing")
+    UNWANTED = {*POOL, "logging", "dataclasses", "inspect", "json"}
 
     def test_import_loads_no_pool_logging_dataclasses_or_json(self):
         code = ("import sys; before = set(sys.modules); import immaculate; "
                 "print(*sorted(set(sys.modules) - before))")
         added = set(_python("-c", code).stdout.split())
+        assert added == {"immaculate"}
+
+    def test_first_read_loads_the_defining_module(self):
+        code = ("import sys; import immaculate; before = set(sys.modules); "
+                "immaculate.verify_shapes; print(*sorted(set(sys.modules) - before))")
+        added = set(_python("-c", code).stdout.split())
         assert "immaculate.enumeration" in added
-        unwanted = {*self.POOL, "logging", "dataclasses", "inspect", "json"}
-        assert not added & unwanted, sorted(added & unwanted)
+        assert not added & self.UNWANTED, sorted(added & self.UNWANTED)
+
+    def test_every_public_name_is_its_defining_modules_object(self):
+        for name in immaculate.__all__:
+            value = getattr(immaculate, name)
+            owner = getattr(value, "__module__", None)
+            if isinstance(value, type) or callable(value):
+                assert owner.startswith("immaculate."), name
+                assert getattr(importlib.import_module(owner), name) is value, name
+            assert vars(immaculate)[name] is value, name
+
+    def test_dir_and_star_import_cover_all(self):
+        assert set(immaculate.__all__) <= set(dir(immaculate))
+        code = ("import immaculate; from immaculate import *; "
+                "print(*[n for n in immaculate.__all__ if globals().get(n) is not "
+                "getattr(immaculate, n)])")
+        assert _python("-c", code).stdout.split() == []
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            immaculate.no_such_name
+        assert not hasattr(immaculate, "verify")
+        with pytest.raises(ImportError):
+            exec("from immaculate import no_such_name", {})
 
     def test_cli_without_a_pool_loads_no_pool_modules(self):
         stdout, names = _imported_by("-m", "immaculate.cli", "hooks", "2,1,2")
-        assert stdout == "5 1\n3\n2 1\n"
-        assert "immaculate.enumeration" in names and not names & set(self.POOL)
+        assert stdout == "5 1\n3\n2 1\n" and not names & set(self.POOL)
+        # no kernel either; -m runs immaculate.cli as __main__, so it is not listed
+        package = {name for name in names if name.startswith("immaculate")}
+        assert package == {"immaculate", "immaculate.composition", "immaculate.errors",
+                           "immaculate.tableau"}
         # json loads only where JSON is written
         assert "json" not in names
         stdout, names = _imported_by("-m", "immaculate.cli", "hooks", "2,1,2", "--format", "json")
@@ -513,6 +559,35 @@ class TestStartup:
                                          "--jobs", "2")
             assert stdout.endswith("4/4 shapes ok\n")
             assert set(self.POOL) <= names
+
+    @pytest.mark.parametrize("command, text, result", [
+        ("psi", PAIR_TEXT, FILLING_TEXT),
+        ("phi", FILLING_TEXT, PAIR_TEXT),
+    ])
+    def test_psi_and_phi_load_no_enumeration(self, tmp_path, command, text, result):
+        f = tmp_path / "in.txt"
+        f.write_text(text)
+        stdout, names = _imported_by("-m", "immaculate.cli", command, str(f), "--check")
+        assert stdout == result
+        assert "immaculate.bijection" in names and "immaculate.enumeration" not in names
+
+    def test_help_loads_no_enumeration_and_names_every_default(self):
+        stdout, names = _imported_by("-m", "immaculate.cli", "count", "--help")
+        assert "immaculate.enumeration" not in names
+        assert "brute (default 10)" in stdout and "formula (default 100000)" in stdout
+        stdout, names = _imported_by("-m", "immaculate.cli", "verify", "--help")
+        assert "immaculate.enumeration" not in names
+        assert "(default 8)" in stdout and "(default 16)" in stdout
+
+    @pytest.mark.parametrize("pure", ["0", "1"])
+    @pytest.mark.parametrize("module", [
+        "errors", "composition", "tableau", "_kernels", "_kernels._pure", "bijection",
+        "enumeration", "cli",
+    ])
+    def test_each_module_imports_alone(self, monkeypatch, module, pure):
+        # lazy loading must not hide an import cycle between the modules
+        monkeypatch.setenv("IMMACULATE_PURE", pure)
+        _python("-c", f"import immaculate.{module}")
 
 
 class TestClosedStdout:
@@ -555,6 +630,9 @@ class TestPastMachineSizes:
         ("hooks", "9223372036854775807"),  # MemoryError
         # the kernel refuses a shape past a C int before building its lists
         ("verify", "9223372036854775807", "--mode", "sampled", "--samples", "1"),
+        # the count formula's guard refuses it before taking n!
+        ("count", "9223372036854775807"),
+        ("enumerate", "9223372036854775807", "--limit", "1"),
     ])
     def test_exits_3(self, args):
         out = _run_cli(*args, preexec_fn=_cap_address_space)

@@ -14,7 +14,7 @@ from immaculate.composition import (
     format_composition,
     parse_composition,
 )
-from immaculate.errors import ParseError
+from immaculate.errors import FORMULA_GUARD, GuardExceededError, ParseError
 
 
 @st.composite
@@ -197,6 +197,22 @@ class TestCountFormula:
     @given(comps(max_n=6))
     def test_matches_oracle_everywhere(self, alpha):
         assert count_formula(alpha) == _count_by_definition(alpha.parts)
+
+    def test_guard_refuses_before_the_factorial(self, monkeypatch):
+        def no_factorial(n):
+            raise AssertionError(f"math.factorial({n}) called")
+
+        monkeypatch.setattr(math, "factorial", no_factorial)
+        for parts in [(FORMULA_GUARD + 1,), (2 ** 63 - 1,), (2 ** 62, 2 ** 62)]:
+            with pytest.raises(GuardExceededError, match=f"needs n <= {FORMULA_GUARD} "):
+                count_formula(Composition(parts))
+        with pytest.raises(GuardExceededError, match="needs n <= 4 but the shape has 5 cells"):
+            count_formula(Composition((2, 1, 2)), guard=4)
+
+    def test_guard_is_inclusive_and_can_be_raised(self):
+        assert count_formula(Composition((2, 1, 2)), guard=5) == 4
+        assert count_formula(Composition((FORMULA_GUARD,))) == 1
+        assert count_formula(Composition((1, FORMULA_GUARD)), guard=FORMULA_GUARD + 1) == 1
 
 
 class TestParse:
