@@ -7,31 +7,32 @@ geometry into C arrays from a ``ShapeOps`` of this module, so a shape is
 checked and laid out in one place.  ``scan_pairs`` and ``_roundtrip_each``, the
 per-filling roundtrip of ``scan_fillings``, loop over the public methods, and
 the compiled twin runs them with its own object as ``self``.  Each of
-``_prefix_standard``, ``_slide``, ``_build_path``, ``_hook_index``,
-``_rotate_hook``, the checked steps ``_checked_slide``/``_checked_rotate`` with
-``_check_exhausted``, and ``_straighten_inplace``/``_unstraighten_inplace`` has
-a C function of the same name, the functions nested in ``count_standard``
+``_slide``, ``_build_path``, ``_hook_index``, ``_rotate_hook``, the checked
+steps ``_checked_slide``/``_checked_rotate`` with ``_check_exhausted``, and
+``_straighten_inplace``/``_unstraighten_inplace`` has a C function of the
+same name, the functions nested in ``count_standard``
 (``visit``) and ``scan_fillings`` (``undo``, ``visit``) are ``count_visit`` and
 ``fill_undo``/``fill_visit`` there, and the public methods raise the same
 exceptions with the same messages.  Which twin you get from
 ``immaculate._kernels`` is decided at import time.
 
-Where the twins differ: what a checked slide learns from its path alone,
-the ``_hook_index`` verdict and the row and column pairs whose stability it
-checks, is computed here once per hook path and kept in a memo
-(``_checked_path``).  The memo of a ``ShapeOps`` holds paths of at most
-PATH_MEMO_CELLS = 4,096 cells in all; past that budget an entry is built
-for its slide and dropped.  The filling walk never reaches the budget (the
-hook paths of a shape of n <= 13 cells have at most 455 cells in all), and
-twenty checked roundtrips on a row of 1,000 cells leave under a megabyte,
-where a memo of every path held over 200 MB.  The C twin builds each path
-into a buffer and works both out again on every slide, the pairs in its
-``_path_standard``.  And
-with check off, ``_straighten_inplace`` and ``_unstraighten_inplace`` take
-each row right of column 1 as one run here: an insertion sort with
-``bisect_left`` and a Lehmer decode with ``list.pop``, where stepping cell by
-cell runs an interpreted loop over every cell a slide passes.  The C twin
-steps cell by cell, which costs it nothing.
+Where the twins differ: what a checked step learns from its path alone,
+the ``_hook_index`` verdict of a slide and the row and column pairs whose
+stability a slide or a rotation can break, is computed here once per hook
+path and kept in a memo (``_checked_path``).  The memo of a ``ShapeOps``
+holds paths of at most PATH_MEMO_CELLS = 4,096 cells in all; past that
+budget an entry is built for its step and dropped.  The filling walk never
+reaches the budget (the hook paths of a shape of n <= 13 cells have at most
+455 cells in all), and twenty checked roundtrips on a row of 1,000 cells
+leave under a megabyte, where a memo of every path held over 200 MB.  The C
+twin builds each path into a buffer and works both out again on every
+step, the pairs in its ``_path_standard``, which on all cells is its
+``is_standard_immaculate``.  And with check off, ``_straighten_inplace`` and
+``_unstraighten_inplace`` take each row right of column 1 as one run here:
+an insertion sort with ``bisect_left`` and a Lehmer decode with
+``list.pop``, where stepping cell by cell runs an interpreted loop over
+every cell a slide passes.  The C twin steps cell by cell, which costs it
+nothing.
 
 Positions here are 0-based flat indices, and a key layout fact keeps
 everything tight: in row-major order every hook occupies a contiguous run of
@@ -51,6 +52,7 @@ import math
 import operator
 from bisect import bisect_left
 
+from ..composition import tree_product
 from ..errors import InternalCheckError
 
 BACKEND = "pure"
@@ -81,6 +83,9 @@ class ShapeOps:
         for p in parts:
             row_start.append(row_start[-1] + p)
         self.row_start = row_start
+        # every position; hook paths are sliced from it, so they share its
+        # ints rather than make their own
+        self._positions = list(range(n))
         self.rowof = [r for r, p in enumerate(parts) for _ in range(p)]
         self.colof = [c for p in parts for c in range(p)]
         self.right = [
@@ -99,9 +104,7 @@ class ShapeOps:
             n - pos if self.colof[pos] == 0 else row_start[self.rowof[pos] + 1] - pos
             for pos in range(n)
         ])
-        self.hook_prod = 1
-        for h in self.hooklen:
-            self.hook_prod *= h
+        self.hook_prod = tree_product(self.hooklen)
         self.n_factorial = math.factorial(n)
         # the row runs of the unchecked transforms: each row tail as
         # (start, stop, end), its cells [start, end) and its steps
@@ -112,17 +115,10 @@ class ShapeOps:
         self._column1 = [pos for pos in self.order[1:] if self.colof[pos] == 0]
         self._checked_paths = {}
         self._path_budget = PATH_MEMO_CELLS
-        # Stability, in traversal order: each cell with a right neighbour
-        # makes a row pair and each column-1 cell with one below a column
-        # pair.  Both neighbours of a traversal cell come before it in the
-        # traversal, so the first `count` cells are stable exactly when the
-        # first prefix_cut[count] row and column pairs hold.
-        self.row_pairs = [(pos, self.right[pos]) for pos in self.order if self.right[pos] >= 0]
-        self.col_pairs = [(pos, self.below[pos]) for pos in self.order if self.below[pos] >= 0]
-        self.prefix_cut = [(0, 0)]
-        for pos in self.order:
-            rows, cols = self.prefix_cut[-1]
-            self.prefix_cut.append((rows + (self.right[pos] >= 0), cols + (self.below[pos] >= 0)))
+        # Stability: each cell with a right neighbour makes a row pair and
+        # each column-1 cell with one below a column pair.
+        self.row_pairs = [(pos, self.right[pos]) for pos in range(n) if self.right[pos] >= 0]
+        self.col_pairs = [(pos, self.below[pos]) for pos in range(n) if self.below[pos] >= 0]
 
     # -- predicates ---------------------------------------------------------
 
@@ -131,25 +127,11 @@ class ShapeOps:
         column 1 strictly."""
         if len(entries) != self.size:
             raise ValueError(f"need {self.size} entries, got {len(entries)}")
-        # _prefix_standard(entries, n) without its slices
         for a, b in self.row_pairs:
             if entries[a] > entries[b]:
                 return False
         for a, b in self.col_pairs:
             if entries[a] >= entries[b]:
-                return False
-        return True
-
-    def _prefix_standard(self, t, count) -> bool:
-        # stability of the first `count` traversal cells, treating everything
-        # outside that prefix as infinite: rows weakly increase, column 1
-        # strictly
-        rows, cols = self.prefix_cut[count]
-        for a, b in self.row_pairs[:rows]:
-            if t[a] > t[b]:
-                return False
-        for a, b in self.col_pairs[:cols]:
-            if t[a] >= t[b]:
                 return False
         return True
 
@@ -187,28 +169,31 @@ class ShapeOps:
         target = start + v - 1
         rowof, row_start = self.rowof, self.row_start
         if rowof[target] == rowof[start]:
-            return list(range(start, target + 1))
+            return self._positions[start:target + 1]
         path = [row_start[r] for r in range(rowof[start], rowof[target] + 1)]
-        path.extend(range(row_start[rowof[target]] + 1, target + 1))
+        path += self._positions[row_start[rowof[target]] + 1:target + 1]
         return path
 
     def _checked_path(self, start, v):
-        """What the checks of a slide from start to its v-th hook cell read
-        from the path alone, as a tuple (path, hook_ok, row_pairs, col_pairs).
+        """What the checks of a slide from start to its v-th hook cell, or of
+        a rotation back, read from the path alone, as a tuple (path, hook_ok,
+        row_pairs, col_pairs).
 
-        Built when a checked slide first takes that path and kept while
+        Built when a checked step first takes that path and kept while
         the memo's budget of PATH_MEMO_CELLS path cells lasts, so callers
         must not change it; past the budget it is built anew each time.  path
         is _build_path(start, v), and hook_ok the verdict
         _hook_index(start, start + v - 1) == v.  row_pairs and col_pairs are
         the row and column pairs that have an end on path and lie in the
         traversal prefix that ends at start: the pairs whose stability the
-        slide can break.  A right or lower neighbour comes before its cell
-        in the traversal, so every pair of a path cell with one of those is
-        in.  A left or upper neighbour of a path cell is on the path too (a
-        hook runs along rows and down column 1), or, for start itself, comes
-        after start; so no other pair is.  A row pair (a, a + 1) is given by
-        its left cell a, to keep the memo small; a column pair as (a, b).
+        step can break (a rotation leaves out start's own pairs, as start
+        leaves the prefix that the next step checks).  A right or lower
+        neighbour comes before its cell in the traversal, so every pair of a
+        path cell with one of those is in.  A left or upper neighbour of a
+        path cell is on the path too (a hook runs along rows and down column
+        1), or, for start itself, comes after start; so no other pair is.  A
+        row pair (a, a + 1) is given by its left cell a, to keep the memo
+        small; a column pair as (a, b).
         """
         key = start * self.size + v
         entry = self._checked_paths.get(key)
@@ -312,8 +297,9 @@ class ShapeOps:
         IndexError before anything moves.
 
         Stability of the first n + 1 - k cells before the step is the
-        caller's to check: _unstraighten_inplace rescans it, and
-        scan_fillings has it from the slide this step undoes.
+        caller's to check: _unstraighten_inplace checks it on the pairs of
+        the previous step's rotated path, and scan_fillings has it from the
+        slide this step undoes.
         """
         n = self.size
         pos = self.order[n - k]
@@ -364,10 +350,27 @@ class ShapeOps:
     def _unstraighten_inplace(self, t, j, check) -> None:
         n = self.size
         if check:
+            # Stability of the first n + 1 - k cells before step k: checked
+            # whole before step 1, and after each rotation on the pairs with
+            # an end on its path, which the rotation alone moved.  The path's
+            # first cell order[n - k] leaves the prefix, so its own pairs are
+            # left out; every pair with no end on the path kept both entries.
+            if not self.is_standard_immaculate(t):
+                raise InternalCheckError("prefix standardness lost before step 1")
+            right = self.right
             for k in range(1, n):
-                if not self._prefix_standard(t, n + 1 - k):
-                    raise InternalCheckError(f"prefix standardness lost before step {k}")
+                pos = self.order[n - k]
+                v = j[pos]
                 self._checked_rotate(t, j, k)
+                if v > 1:
+                    # right[a] is a + 1, read rather than made as a new int
+                    _, _, row_pairs, col_pairs = self._checked_path(pos, v)
+                    for a in row_pairs:
+                        if t[a] > t[right[a]] and a != pos:
+                            raise InternalCheckError(f"prefix standardness lost before step {k + 1}")
+                    for a, b in col_pairs:
+                        if t[a] >= t[b] and a != pos:
+                            raise InternalCheckError(f"prefix standardness lost before step {k + 1}")
             self._check_exhausted(j)
             return
         hooklen = self.hooklen

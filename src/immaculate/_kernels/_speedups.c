@@ -6,17 +6,19 @@
  * per-object loops: scan_pairs and the per-filling roundtrip of
  * scan_fillings (_roundtrip_each) call only the public methods, and run here
  * with the compiled object as self.  Every static function here named after
- * a _pure method (_prefix_standard, _slide, _build_path, _hook_index,
- * _rotate_hook, _checked_slide, _checked_rotate, _check_exhausted,
- * _straighten_inplace, _unstraighten_inplace) is that method line for line,
- * and the walks of count_standard and scan_fillings are its nested visit and
- * undo functions.  The parity tests compare the two twins exhaustively.
+ * a _pure method (_slide, _build_path, _hook_index, _rotate_hook,
+ * _checked_slide, _checked_rotate, _check_exhausted, _straighten_inplace,
+ * _unstraighten_inplace) is that method line for line, and the walks of
+ * count_standard and scan_fillings are its nested visit and undo functions.
+ * The parity tests compare the two twins exhaustively.
  *
  * Where they differ: _pure keeps, in a memo keyed by the hook path, the
- * _hook_index verdict and the stability pairs that a slide along the path
+ * _hook_index verdict and the stability pairs that a step along the path
  * must check (_checked_path there).  Here _build_path writes the path into a
- * buffer, and _checked_slide works both out again on every slide, the
- * pairs in _path_standard.
+ * buffer, and each checked slide or rotation works them out again, the
+ * pairs in _path_standard, which on every cell is is_standard_immaculate.
+ * And with check off, _unstraighten_inplace takes each step with
+ * _checked_rotate, where _pure's takes row runs.
  *
  * Positions are 0-based flat row-major indices.  Hooks are contiguous flat
  * runs, so the v-th hook cell of position p is p + v - 1, and a move along
@@ -45,11 +47,6 @@ typedef struct {
     long long fact_ll;     /* n_factorial when it fits a long long, else -1 */
     int *geom;             /* one block holding every array below */
     int *row_start, *rowof, *colof, *right, *below, *order, *hooklen;
-    /* stability in traversal order: the entry at row_pairs[m] may not
-     * exceed its right neighbour's, and the entry at col_pairs[m] must be
-     * below the one under it; the first `count` traversal cells own the
-     * first prefix_rows[count] and prefix_cols[count] of them */
-    int *row_pairs, *col_pairs, *prefix_rows, *prefix_cols;
 } ShapeOps;
 
 /* -- argument helpers ------------------------------------------------------ */
@@ -217,9 +214,8 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
     if (n < 0 || k < 0 || (fact_ll == -1 && PyErr_Occurred()))
         goto fail;
 
-    /* row_start has k + 1 ints, the six per-cell arrays n each, the prefix
-     * pairs n each and their cuts n + 1 each */
-    int *cursor = self->geom = alloc_ints((size_t)(k + 3) + 10 * (size_t)n);
+    /* row_start has k + 1 ints, the six per-cell arrays n each */
+    int *cursor = self->geom = alloc_ints((size_t)(k + 1) + 6 * (size_t)n);
     if (cursor == NULL)
         goto fail;
     self->row_start = cursor; cursor += k + 1;
@@ -228,28 +224,12 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
     self->right = cursor;     cursor += n;
     self->below = cursor;     cursor += n;
     self->order = cursor;     cursor += n;
-    self->hooklen = cursor;   cursor += n;
-    int *row_pairs = self->row_pairs = cursor; cursor += n;
-    int *col_pairs = self->col_pairs = cursor; cursor += n;
-    int *prefix_rows = self->prefix_rows = cursor; cursor += n + 1;
-    int *prefix_cols = self->prefix_cols = cursor;
+    self->hooklen = cursor;
     int rc = copy_ints(spec, "row_start", self->row_start, (int)k + 1);
     for (int i = 0; rc == 0 && i < 6; i++) /* the per-cell arrays, rowof first */
         rc = copy_ints(spec, cells[i], self->rowof + i * n, (int)n);
     if (rc < 0)
         goto fail;
-    /* the stability pairs of _pure's row_pairs, col_pairs and prefix_cut,
-     * each pair named by its first cell */
-    prefix_rows[0] = prefix_cols[0] = 0;
-    for (int m = 0; m < n; m++) {
-        int pos = self->order[m];
-        prefix_rows[m + 1] = prefix_rows[m];
-        prefix_cols[m + 1] = prefix_cols[m];
-        if (self->right[pos] >= 0)
-            row_pairs[prefix_rows[m + 1]++] = pos;
-        if (self->below[pos] >= 0)
-            col_pairs[prefix_cols[m + 1]++] = pos;
-    }
 
     Py_XSETREF(self->parts, obj[0]);
     Py_XSETREF(self->hook_prod, obj[1]);
@@ -285,34 +265,19 @@ ShapeOps_dealloc(ShapeOps *self)
 
 /* -- predicates ------------------------------------------------------------ */
 
-/* stability of the first `count` traversal cells, treating everything
- * outside that prefix as infinite: rows weakly increase, column 1 strictly */
+/* Stability on the pairs of the cells cells[0..count) with their right and
+ * lower neighbours: rows weakly increase, column 1 strictly.  On every cell,
+ * that is the stability of the whole filling.  On the cells of a hook path,
+ * it is what a step along the path can break in the traversal prefix that
+ * holds the path: a right or lower neighbour comes before its cell in the
+ * traversal, and a left or upper neighbour of a path cell is on the path
+ * too, or, for the path's first cell, after it.  _pure's _checked_path lists
+ * the same pairs. */
 static int
-_prefix_standard(const ShapeOps *self, const int *t, int count)
+_path_standard(const ShapeOps *self, const int *t, const int *cells, int count)
 {
-    for (int m = 0; m < self->prefix_rows[count]; m++) {
-        int a = self->row_pairs[m];
-        if (t[a] > t[self->right[a]])
-            return 0;
-    }
-    for (int m = 0; m < self->prefix_cols[count]; m++) {
-        int a = self->col_pairs[m];
-        if (t[a] >= t[self->below[a]])
-            return 0;
-    }
-    return 1;
-}
-
-/* _prefix_standard(t, k + 1) after straighten step k, on the pairs with an
- * end on the step's hook path: the pairs of each path cell with its right
- * and lower neighbours, which come before it in the traversal.  A left or
- * upper neighbour of a path cell is on the path too, or, for path[0], after
- * it in the traversal.  _pure's _checked_path lists the same pairs. */
-static int
-_path_standard(const ShapeOps *self, const int *t, const int *path, int plen)
-{
-    for (int m = 0; m < plen; m++) {
-        int q = path[m], e = t[q];
+    for (int m = 0; m < count; m++) {
+        int q = cells[m], e = t[q];
         int r = self->right[q], b = self->below[q];
         if ((r >= 0 && e > t[r]) || (b >= 0 && e >= t[b]))
             return 0;
@@ -457,7 +422,10 @@ fail:
 /* Unstraighten step k with its checks: 0, or -1 with an error set.  It
  * moves only cells of the hook run of order[n - k]: a hook value past its
  * hook raises IndexError before anything moves.  Stability of the first
- * n + 1 - k cells before the step is the caller's to check. */
+ * n + 1 - k cells before the step is the caller's to check:
+ * _unstraighten_inplace checks it on the pairs of the previous step's
+ * rotated path, and the filling walk has it from the slide this step
+ * undoes. */
 static int
 _checked_rotate(const ShapeOps *self, int *t, int *j, int k)
 {
@@ -508,29 +476,28 @@ _straighten_inplace(const ShapeOps *self, int *t, int *s, int check, int *work)
     return 0;
 }
 
+/* Stability of the first n + 1 - k cells before step k is checked whole
+ * before step 1, and after each rotation on the pairs with an end on its
+ * path, which the rotation alone moved.  The path's first cell order[n - k]
+ * leaves the prefix, so its own pairs are left out.  With check off too,
+ * each step is _checked_rotate, whose one check, a hook value past its hook,
+ * every unstraighten makes.  path holds n ints of scratch. */
 static int
-_unstraighten_inplace(const ShapeOps *self, int *t, int *j, int check)
+_unstraighten_inplace(const ShapeOps *self, int *t, int *j, int check, int *path)
 {
     int n = self->size;
+    if (check && !_path_standard(self, t, self->order, n)) {
+        PyErr_SetString(InternalCheckError, "prefix standardness lost before step 1");
+        return -1;
+    }
     for (int k = 1; k < n; k++) {
-        if (check) {
-            if (!_prefix_standard(self, t, n + 1 - k)) {
-                PyErr_Format(InternalCheckError, "prefix standardness lost before step %d", k);
-                return -1;
-            }
-            if (_checked_rotate(self, t, j, k) < 0)
-                return -1;
-            continue;
-        }
-        int pos = self->order[n - k];
-        int v = j[pos];
-        if (v > 1) {
-            if (v > self->hooklen[pos]) {
-                PyErr_Format(PyExc_IndexError, "hook value %d out of range at position %d",
-                             v, pos);
-                return -1;
-            }
-            _rotate_hook(self, t, pos, v);
+        int pos = self->order[n - k], v = j[pos];
+        if (_checked_rotate(self, t, j, k) < 0)
+            return -1;
+        if (check && v > 1
+                && !_path_standard(self, t, path + 1, _build_path(self, pos, v, path) - 1)) {
+            PyErr_Format(InternalCheckError, "prefix standardness lost before step %d", k + 1);
+            return -1;
         }
     }
     return check ? _check_exhausted(self, j) : 0;
@@ -754,7 +721,7 @@ ShapeOps_is_standard_immaculate(ShapeOps *self, PyObject *const *args, Py_ssize_
         return NULL;
     PyObject *result = NULL;
     if (read_ints(entries, t, self->size) == 0)
-        result = PyBool_FromLong(_prefix_standard(self, t, self->size));
+        result = PyBool_FromLong(_path_standard(self, t, self->order, self->size));
     PyMem_Free(t);
     return result;
 }
@@ -779,7 +746,7 @@ ShapeOps_straighten(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs, PyO
     PyObject *result = NULL;
     if (read_ints(arg[0], t, n) < 0 || _straighten_inplace(self, t, s, check, buf + 2 * n) < 0)
         goto done;
-    if (check && !_prefix_standard(self, t, n)) {
+    if (check && !_path_standard(self, t, self->order, n)) {
         PyErr_SetString(InternalCheckError, "straighten result is not standard immaculate");
         goto done;
     }
@@ -810,13 +777,13 @@ ShapeOps_unstraighten(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs, P
     int check = PyObject_IsTrue(arg[2]);
     if (check < 0)
         return NULL;
-    int *buf = alloc_ints(2 * (size_t)n);
+    int *buf = alloc_ints(3 * (size_t)n);
     if (buf == NULL)
         return NULL;
     int *t = buf, *j = buf + n;
     PyObject *result = NULL;
     if (read_ints(arg[0], t, n) == 0 && read_ints(arg[1], j, n) == 0
-            && _unstraighten_inplace(self, t, j, check) == 0)
+            && _unstraighten_inplace(self, t, j, check, buf + 2 * n) == 0)
         result = int_list(t, n);
     PyMem_Free(buf);
     return result;

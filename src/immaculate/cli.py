@@ -102,7 +102,7 @@ def cmd_count(args) -> int:
     elif args.method == "recursive":
         from .enumeration import count_recursive
 
-        count = count_recursive(alpha)
+        count = count_recursive(alpha, guard=args.guard or FORMULA_GUARD)
     else:
         from .enumeration import count_brute
 
@@ -245,8 +245,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("shape")
     p.add_argument("--method", choices=("formula", "recursive", "brute"), default="formula")
     p.add_argument("--guard", type=int, default=None,
-                   help=f"size limit on n: for --method brute (default {BRUTE_GUARD}) "
-                        f"and for formula (default {FORMULA_GUARD})")
+                   help=f"size limit on n: for --method brute (default {BRUTE_GUARD}), "
+                        f"for formula (default {FORMULA_GUARD}) and for recursive "
+                        f"(default {FORMULA_GUARD})")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("enumerate", parents=[fmt], help="list standard immaculate tableaux")

@@ -28,7 +28,8 @@ from ._kernels import BACKEND, get_backend
 from ._kernels._pure import X_CHANGED, Y_CHANGED, unrank_hook_values
 from .bijection import HookTableau
 from .composition import Composition, count_formula
-from .errors import BRUTE_GUARD, EXHAUSTIVE_GUARD, GuardExceededError, InternalCheckError
+from .errors import (BRUTE_GUARD, EXHAUSTIVE_GUARD, FORMULA_GUARD, GuardExceededError,
+                     InternalCheckError)
 from .tableau import Tableau, split_flat
 
 
@@ -105,13 +106,19 @@ def _fill_row(labels: list[int], tail: Sequence[int]) -> tuple[list[int], list[i
     return [labels[0], *sorted(tail)], [v for v in labels[1:] if v not in taken]
 
 
-def count_recursive(alpha: Composition) -> int:
+def count_recursive(alpha: Composition, guard: int = FORMULA_GUARD) -> int:
     """Count standard immaculate tableaux by the first-row recursion.
 
     Row 1 takes label 1 and any part_1 - 1 of the other n - 1 labels, and the
     rows below form a standard immaculate tableau on the labels left, so
-    f(alpha) = C(n - 1, part_1 - 1) * f(part_2, ..., part_l).
+    f(alpha) = C(n - 1, part_1 - 1) * f(part_2, ..., part_l).  Shapes of more
+    than guard cells raise GuardExceededError before the first binomial, as
+    in count_formula: the binomials grow without bound in time and memory.
     """
+    if alpha.n > guard:
+        raise GuardExceededError(
+            f"too large to compute: the first-row recursion needs n <= {guard} but the "
+            f"shape has {alpha.n} cells; raise guard= to compute it anyway")
     count = 1
     left = alpha.n
     for part in alpha.parts:
@@ -456,12 +463,12 @@ def _verify_sampled(alpha: Composition, sample_size: int, seed: int) -> Verifica
 def _report(alpha: Composition, mode: str, started: float, failures: dict,
             **varying) -> VerificationReport:
     # verify bounds its shapes with its own guards (and counts_agree takes
-    # n! unguarded), so the formula's guard is lifted here
+    # n! unguarded), so the counts' guards are lifted here
     return VerificationReport(
         shape=alpha.parts,
         mode=mode,
         count_formula=count_formula(alpha, guard=alpha.n),
-        count_recursive=count_recursive(alpha),
+        count_recursive=count_recursive(alpha, guard=alpha.n),
         roundtrip_failures=failures["roundtrip"],
         assertion_failures=failures["check"],
         backend=BACKEND,

@@ -79,6 +79,15 @@ class TestCount:
         assert main(["count", "1,3", "--guard", "4"]) == 0
         assert capsys.readouterr().out == "1\n"
 
+    def test_recursive_guard_exits_3_and_can_be_raised(self, capsys):
+        assert main(["count", str(FORMULA_GUARD + 1), "--method", "recursive"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert f"the first-row recursion needs n <= {FORMULA_GUARD} " in captured.err
+        assert main(["count", "1,3", "--method", "recursive", "--guard", "3"]) == 3
+        assert main(["count", "1,3", "--method", "recursive", "--guard", "4"]) == 0
+        assert capsys.readouterr().out == "1\n"
+
 
 class TestEnumerate:
     def test_text(self, capsys):
@@ -633,6 +642,8 @@ class TestPastMachineSizes:
         # the count formula's guard refuses it before taking n!
         ("count", "9223372036854775807"),
         ("enumerate", "9223372036854775807", "--limit", "1"),
+        # and the recursion's before its first binomial
+        ("count", "4611686018427387904,4611686018427387903", "--method", "recursive"),
     ])
     def test_exits_3(self, args):
         out = _run_cli(*args, preexec_fn=_cap_address_space)

@@ -25,7 +25,7 @@ from immaculate.enumeration import (
     verify_bijection,
     verify_shapes,
 )
-from immaculate.errors import GuardExceededError, InternalCheckError
+from immaculate.errors import FORMULA_GUARD, GuardExceededError, InternalCheckError
 from immaculate.tableau import Tableau, split_flat
 
 
@@ -109,6 +109,22 @@ class TestRecursiveEnumeration:
         for n in range(1, 8):
             for alpha in compositions(n):
                 assert count_recursive(alpha) == count_formula(alpha)
+
+    def test_count_recursive_guard_refuses_before_the_first_binomial(self, monkeypatch):
+        def no_comb(*args):
+            raise AssertionError(f"math.comb{args} called")
+
+        monkeypatch.setattr(math, "comb", no_comb)
+        for parts in [(FORMULA_GUARD + 1,), (2 ** 62, 2 ** 62 - 1)]:
+            with pytest.raises(GuardExceededError, match=f"needs n <= {FORMULA_GUARD} "):
+                count_recursive(Composition(parts))
+        with pytest.raises(GuardExceededError, match="needs n <= 4 but the shape has 5 cells"):
+            count_recursive(Composition((2, 1, 2)), guard=4)
+
+    def test_count_recursive_guard_is_inclusive_and_can_be_raised(self):
+        assert count_recursive(Composition((2, 1, 2)), guard=5) == 4
+        assert count_recursive(Composition((2, FORMULA_GUARD - 2))) == FORMULA_GUARD - 1
+        assert count_recursive(Composition((1, FORMULA_GUARD)), guard=FORMULA_GUARD + 1) == 1
 
 
 class TestAllHookTableaux:

@@ -217,6 +217,98 @@ def test_unchecked_transforms_equal_checked(backend):
         assert ops.unstraighten(p, j) == ops.unstraighten(p, j, check=True) == x
 
 
+def _outcome(call, *args):
+    """The result of call(*args), or the class and message of what it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _full_scan_unstraighten(ops, p, j):
+    """Checked unstraighten that rescans the whole prefix before every step:
+    the oracle of the path checks.  The steps are ops._checked_rotate, so a
+    fault planted in a pure ShapeOps meets the oracle too."""
+    n, order = ops.size, ops.order
+    starts = list(itertools.accumulate(ops.parts, initial=0))
+    row_pairs = [(q, q + 1) for a, b in zip(starts, starts[1:]) for q in range(a, b - 1)]
+    col_pairs = list(zip(starts[:-2], starts[1:-1]))
+    t, j = list(p), list(j)
+    for k in range(1, n):
+        inside = set(order[:n + 1 - k])
+        if any(t[a] > t[b] for a, b in row_pairs if {a, b} <= inside) or any(
+                t[a] >= t[b] for a, b in col_pairs if {a, b} <= inside):
+            raise InternalCheckError(f"prefix standardness lost before step {k}")
+        ops._checked_rotate(t, j, k)
+    if j.count(1) != n:
+        raise InternalCheckError("hook values not exhausted")
+    return t
+
+
+class TestCheckedUnstraighten:
+    """Checked unstraighten checks stability whole before step 1, then on
+    the pairs of each rotated path; a full-prefix scan before every step
+    must give the same outcome."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_outcome_is_the_full_prefix_scans(self, backend):
+        # entries with repeats, and hook values from 0 to one past the hook;
+        # a right rotation keeps the rest of a stable prefix stable, so
+        # only the check before step 1 fails here, and the planted fault
+        # below reaches the later steps
+        rng = random.Random(26)
+        seen = set()
+        for n in range(1, 7):
+            for alpha in compositions(n):
+                ops, oracle = get_backend(backend).ShapeOps(alpha.parts), pure.ShapeOps(alpha.parts)
+                for i in range(24):
+                    x = rng.sample(range(1, n + 1), n)
+                    p = ops.straighten(x)[0] if i % 2 else [rng.randint(1, 3) for _ in x]
+                    spread = rng.random() / 2
+                    j = [rng.randint(0, h + 1) if rng.random() < spread else rng.randint(1, h)
+                         for h in ops.hooklen]
+                    got = _outcome(ops.unstraighten, p, j, True)
+                    assert got == _outcome(_full_scan_unstraighten, oracle, p, j)
+                    seen.add(got[0] if type(got) is tuple else list)
+        assert seen == {list, InternalCheckError, IndexError}
+
+    @pytest.mark.pure_twin
+    def test_rotation_fault_fails_at_the_full_scans_step(self):
+        # a swap of the rotated path's second and third cells after the
+        # shift breaks a pair that only that path holds; both checks must
+        # name the step after the faulty one
+        rng = random.Random(5)
+        faulted = 0
+        for n in range(3, 7):
+            for alpha in compositions(n):
+                clean = pure.ShapeOps(alpha.parts)
+                for k0 in range(1, n):
+                    pos0 = clean.order[n - k0]
+                    # paths down column 1 skip the row tails they pass
+                    long = [v for v in range(3, clean.hooklen[pos0] + 1)
+                            if len(clean._build_path(pos0, v)) >= 3]
+                    if not long:
+                        continue
+
+                    class Faulty(pure.ShapeOps):
+                        def _rotate_hook(self, t, start, v):
+                            super()._rotate_hook(t, start, v)
+                            if start == pos0:
+                                a, b = self._build_path(start, v)[1:3]
+                                t[a], t[b] = t[b], t[a]
+
+                    ops = Faulty(alpha.parts)
+                    for _ in range(3):
+                        p = clean.straighten(rng.sample(range(1, n + 1), n))[0]
+                        j = [rng.randint(1, h) for h in clean.hooklen]
+                        j[pos0] = rng.choice(long)
+                        got = _outcome(ops.unstraighten, p, j, True)
+                        assert got == _outcome(_full_scan_unstraighten, ops, p, j) == (
+                            InternalCheckError, f"prefix standardness lost before step {k0 + 1}")
+                        faulted += 1
+        assert faulted > 300
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("bad_row", [(1, 2), (1, 2, 3, 4), None])
 def test_pair_scan_never_reads_rows_past_its_range(backend, bad_row):
@@ -299,6 +391,12 @@ class TestTypeSurface:
     def test_hook_prod_exact_past_long_long(self, backend):
         ops = get_backend(backend).ShapeOps((1,) * 21)
         assert ops.hook_prod == ops.n_factorial == math.factorial(21) > 2**63
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_hook_prod_is_the_product_of_hook_lengths(self, backend):
+        for parts in ((1,), (2, 1, 2), (4, 1, 4, 2, 1), (7,) * 7, (1, 3) * 10, (300, 1, 200)):
+            ops = get_backend(backend).ShapeOps(parts)
+            assert ops.hook_prod == math.prod(ops.hooklen)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_pair_scan_past_long_long_hook_prod(self, backend):
