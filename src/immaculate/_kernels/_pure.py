@@ -7,32 +7,32 @@ geometry into C arrays from a ``ShapeOps`` of this module, so a shape is
 checked and laid out in one place.  ``scan_pairs`` and ``_roundtrip_each``, the
 per-filling roundtrip of ``scan_fillings``, loop over the public methods, and
 the compiled twin runs them with its own object as ``self``.  Each of
-``_slide``, ``_build_path``, ``_hook_index``, ``_rotate_hook``, the checked
-steps ``_checked_slide``/``_checked_rotate`` with ``_check_exhausted``, and
-``_straighten_inplace``/``_unstraighten_inplace`` has a C function of the
-same name, the functions nested in ``count_standard``
+``_path_standard``, ``_slide``, ``_build_path``, ``_hook_index``,
+``_rotate_hook``, the checked steps ``_checked_slide``/``_checked_rotate``
+with ``_check_exhausted``, and ``_straighten_inplace``/``_unstraighten_inplace``
+has a C function of the same name, the functions nested in ``count_standard``
 (``visit``) and ``scan_fillings`` (``undo``, ``visit``) are ``count_visit`` and
 ``fill_undo``/``fill_visit`` there, and the public methods raise the same
-exceptions with the same messages.  Which twin you get from
+exceptions with the same messages.  Every stability check, that of
+``is_standard_immaculate``, of a checked slide and of a checked rotation,
+is ``_path_standard`` on the cells it needs.  Which twin you get from
 ``immaculate._kernels`` is decided at import time.
 
-Where the twins differ: what a checked step learns from its path alone,
-the ``_hook_index`` verdict of a slide and the row and column pairs whose
-stability a slide or a rotation can break, is computed here once per hook
-path and kept in a memo (``_checked_path``).  The memo of a ``ShapeOps``
-holds paths of at most PATH_MEMO_CELLS = 4,096 cells in all; past that
-budget an entry is built for its step and dropped.  The filling walk never
-reaches the budget (the hook paths of a shape of n <= 13 cells have at most
-455 cells in all), and twenty checked roundtrips on a row of 1,000 cells
-leave under a megabyte, where a memo of every path held over 200 MB.  The C
-twin builds each path into a buffer and works both out again on every
-step, the pairs in its ``_path_standard``, which on all cells is its
-``is_standard_immaculate``.  And with check off, ``_straighten_inplace`` and
-``_unstraighten_inplace`` take each row right of column 1 as one run here:
-an insertion sort with ``bisect_left`` and a Lehmer decode with
-``list.pop``, where stepping cell by cell runs an interpreted loop over
-every cell a slide passes.  The C twin steps cell by cell, which costs it
-nothing.
+The twins differ in two things.  A checked step's hook path and the
+``_hook_index`` verdict of a slide along it depend on the path's endpoints
+alone; they are built here once per hook path and kept in a memo
+(``_checked_path``), where the C twin builds each path into a buffer and
+works the verdict out again on every step.  The memo of a ``ShapeOps`` holds
+paths of at most PATH_MEMO_CELLS = 4,096 cells in all; past that budget an
+entry is built for its step and dropped.  The filling walk never reaches
+the budget (the hook paths of a shape of n <= 13 cells have at most 455
+cells in all), and twenty checked roundtrips on a row of 1,000 cells leave
+under a megabyte, where a memo of every path held over 200 MB.  And with
+check off, ``_straighten_inplace`` and ``_unstraighten_inplace`` take each
+row right of column 1 as one run here: an insertion sort with
+``bisect_left`` and a Lehmer decode with ``list.pop``, where stepping cell by
+cell runs an interpreted loop over every cell a slide passes.  The C twin
+steps cell by cell, which costs it nothing.
 
 Positions here are 0-based flat indices, and a key layout fact keeps
 everything tight: in row-major order every hook occupies a contiguous run of
@@ -115,10 +115,6 @@ class ShapeOps:
         self._column1 = [pos for pos in self.order[1:] if self.colof[pos] == 0]
         self._checked_paths = {}
         self._path_budget = PATH_MEMO_CELLS
-        # Stability: each cell with a right neighbour makes a row pair and
-        # each column-1 cell with one below a column pair.
-        self.row_pairs = [(pos, self.right[pos]) for pos in range(n) if self.right[pos] >= 0]
-        self.col_pairs = [(pos, self.below[pos]) for pos in range(n) if self.below[pos] >= 0]
 
     # -- predicates ---------------------------------------------------------
 
@@ -127,11 +123,23 @@ class ShapeOps:
         column 1 strictly."""
         if len(entries) != self.size:
             raise ValueError(f"need {self.size} entries, got {len(entries)}")
-        for a, b in self.row_pairs:
-            if entries[a] > entries[b]:
-                return False
-        for a, b in self.col_pairs:
-            if entries[a] >= entries[b]:
+        return self._path_standard(entries, self.order)
+
+    def _path_standard(self, t, cells) -> bool:
+        """Stability on the pairs of the given cells with their right and
+        lower neighbours: rows weakly increase, column 1 strictly.
+
+        On every cell, that is the stability of the whole filling.  On the
+        cells of a hook path, it is what a step along the path can break in
+        the traversal prefix that holds the path: a right or lower neighbour
+        comes before its cell in the traversal, and a left or upper
+        neighbour of a path cell is on the path too (a hook runs along rows
+        and down column 1), or, for the path's first cell, after it.
+        """
+        right, below = self.right, self.below
+        for q in cells:
+            e, r, b = t[q], right[q], below[q]
+            if (r >= 0 and e > t[r]) or (b >= 0 and e >= t[b]):
                 return False
         return True
 
@@ -175,34 +183,20 @@ class ShapeOps:
         return path
 
     def _checked_path(self, start, v):
-        """What the checks of a slide from start to its v-th hook cell, or of
-        a rotation back, read from the path alone, as a tuple (path, hook_ok,
-        row_pairs, col_pairs).
+        """The hook path from start to its v-th hook cell and the verdict of
+        its closed-form hook index, as a tuple (path, hook_ok): path is
+        _build_path(start, v), and hook_ok is _hook_index(start, start + v
+        - 1) == v.
 
         Built when a checked step first takes that path and kept while
         the memo's budget of PATH_MEMO_CELLS path cells lasts, so callers
-        must not change it; past the budget it is built anew each time.  path
-        is _build_path(start, v), and hook_ok the verdict
-        _hook_index(start, start + v - 1) == v.  row_pairs and col_pairs are
-        the row and column pairs that have an end on path and lie in the
-        traversal prefix that ends at start: the pairs whose stability the
-        step can break (a rotation leaves out start's own pairs, as start
-        leaves the prefix that the next step checks).  A right or lower
-        neighbour comes before its cell in the traversal, so every pair of a
-        path cell with one of those is in.  A left or upper neighbour of a
-        path cell is on the path too (a hook runs along rows and down column
-        1), or, for start itself, comes after start; so no other pair is.  A
-        row pair (a, a + 1) is given by its left cell a, to keep the memo
-        small; a column pair as (a, b).
+        must not change it; past the budget it is built anew each time.
         """
         key = start * self.size + v
         entry = self._checked_paths.get(key)
         if entry is None:
             path = self._build_path(start, v)
-            right, below = self.right, self.below
-            entry = (path, self._hook_index(start, start + v - 1) == v,
-                     tuple(q for q in path if right[q] >= 0),
-                     tuple((q, below[q]) for q in path if below[q] >= 0))
+            entry = (path, self._hook_index(start, start + v - 1) == v)
             if len(path) <= self._path_budget:
                 self._path_budget -= len(path)
                 self._checked_paths[key] = entry
@@ -253,11 +247,11 @@ class ShapeOps:
         order[k], so the shift is checked on the path cells.  The first k
         traversal cells were stable before the step, and a row or column
         pair with no end on the path kept both its entries, so stability of
-        the first k + 1 cells is checked on the pairs with an end on the
-        path.  The closed-form hook index and those pairs depend on the path
-        alone, so they come from _checked_path, built once per path.  On a
-        failed check t and s[order[k]] are put back as they were, so a walk
-        can go on to the next sibling from the same state.
+        the first k + 1 cells is _path_standard on the path.  The hook path
+        and the verdict of its closed-form hook index depend on the path's
+        endpoints alone, so they come from _checked_path.  On a failed check
+        t and s[order[k]] are put back as they were, so a walk can go on to
+        the next sibling from the same state.
         """
         pos = self.order[k]
         end = pos + self.hooklen[pos]
@@ -268,7 +262,7 @@ class ShapeOps:
             s[pos] = v
             # the memo lookup inline, to save a call at every node of the
             # filling walk
-            path, hook_ok, row_pairs, col_pairs = (
+            path, hook_ok = (
                 self._checked_paths.get(pos * self.size + v) or self._checked_path(pos, v))
             if not hook_ok:
                 raise InternalCheckError("hook index closed form disagrees with flat run")
@@ -279,12 +273,8 @@ class ShapeOps:
                 if t[prev] != before[q - pos]:
                     raise InternalCheckError("slide result is not the circular left shift")
                 prev = q
-            for a in row_pairs:
-                if t[a] > t[a + 1]:
-                    raise InternalCheckError(f"prefix standardness lost after step {k}")
-            for a, b in col_pairs:
-                if t[a] >= t[b]:
-                    raise InternalCheckError(f"prefix standardness lost after step {k}")
+            if not self._path_standard(t, path):
+                raise InternalCheckError(f"prefix standardness lost after step {k}")
         except InternalCheckError:
             t[pos:end] = before
             s[pos] = 1
@@ -297,9 +287,9 @@ class ShapeOps:
         IndexError before anything moves.
 
         Stability of the first n + 1 - k cells before the step is the
-        caller's to check: _unstraighten_inplace checks it on the pairs of
-        the previous step's rotated path, and scan_fillings has it from the
-        slide this step undoes.
+        caller's to check: _unstraighten_inplace checks it with
+        _path_standard on the previous step's rotated path, and
+        scan_fillings has it from the slide this step undoes.
         """
         n = self.size
         pos = self.order[n - k]
@@ -351,26 +341,19 @@ class ShapeOps:
         n = self.size
         if check:
             # Stability of the first n + 1 - k cells before step k: checked
-            # whole before step 1, and after each rotation on the pairs with
-            # an end on its path, which the rotation alone moved.  The path's
-            # first cell order[n - k] leaves the prefix, so its own pairs are
-            # left out; every pair with no end on the path kept both entries.
+            # whole before step 1, and after each rotation with
+            # _path_standard on its path, whose cells the rotation alone
+            # moved.  The path's first cell order[n - k] leaves the prefix,
+            # so the check starts at the second; every pair with no end on
+            # the path kept both entries.
             if not self.is_standard_immaculate(t):
                 raise InternalCheckError("prefix standardness lost before step 1")
-            right = self.right
             for k in range(1, n):
                 pos = self.order[n - k]
                 v = j[pos]
                 self._checked_rotate(t, j, k)
-                if v > 1:
-                    # right[a] is a + 1, read rather than made as a new int
-                    _, _, row_pairs, col_pairs = self._checked_path(pos, v)
-                    for a in row_pairs:
-                        if t[a] > t[right[a]] and a != pos:
-                            raise InternalCheckError(f"prefix standardness lost before step {k + 1}")
-                    for a, b in col_pairs:
-                        if t[a] >= t[b] and a != pos:
-                            raise InternalCheckError(f"prefix standardness lost before step {k + 1}")
+                if v > 1 and not self._path_standard(t, self._checked_path(pos, v)[0][1:]):
+                    raise InternalCheckError(f"prefix standardness lost before step {k + 1}")
             self._check_exhausted(j)
             return
         hooklen = self.hooklen

@@ -6,19 +6,18 @@
  * per-object loops: scan_pairs and the per-filling roundtrip of
  * scan_fillings (_roundtrip_each) call only the public methods, and run here
  * with the compiled object as self.  Every static function here named after
- * a _pure method (_slide, _build_path, _hook_index, _rotate_hook,
- * _checked_slide, _checked_rotate, _check_exhausted, _straighten_inplace,
- * _unstraighten_inplace) is that method line for line, and the walks of
- * count_standard and scan_fillings are its nested visit and undo functions.
- * The parity tests compare the two twins exhaustively.
+ * a _pure method (_path_standard, _slide, _build_path, _hook_index,
+ * _rotate_hook, _checked_slide, _checked_rotate, _check_exhausted,
+ * _straighten_inplace, _unstraighten_inplace) is that method line for line,
+ * and the walks of count_standard and scan_fillings are its nested visit
+ * and undo functions.  The parity tests compare the two twins exhaustively.
  *
  * Where they differ: _pure keeps, in a memo keyed by the hook path, the
- * _hook_index verdict and the stability pairs that a step along the path
- * must check (_checked_path there).  Here _build_path writes the path into a
- * buffer, and each checked slide or rotation works them out again, the
- * pairs in _path_standard, which on every cell is is_standard_immaculate.
- * And with check off, _unstraighten_inplace takes each step with
- * _checked_rotate, where _pure's takes row runs.
+ * path and the _hook_index verdict of a slide along it (_checked_path
+ * there).  Here _build_path writes the path into a buffer, and each checked
+ * slide or rotation works the verdict out again.  And with check off,
+ * _straighten_inplace slides cell by cell and _unstraighten_inplace takes
+ * each step with _checked_rotate, where _pure's take row runs.
  *
  * Positions are 0-based flat row-major indices.  Hooks are contiguous flat
  * runs, so the v-th hook cell of position p is p + v - 1, and a move along
@@ -271,8 +270,8 @@ ShapeOps_dealloc(ShapeOps *self)
  * it is what a step along the path can break in the traversal prefix that
  * holds the path: a right or lower neighbour comes before its cell in the
  * traversal, and a left or upper neighbour of a path cell is on the path
- * too, or, for the path's first cell, after it.  _pure's _checked_path lists
- * the same pairs. */
+ * too, or, for the path's first cell, after it.  Every stability check of
+ * either kernel twin is this function, on every cell or on a path. */
 static int
 _path_standard(const ShapeOps *self, const int *t, const int *cells, int count)
 {

@@ -13,7 +13,7 @@ import operator
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from .errors import FORMULA_GUARD, GuardExceededError, InternalCheckError, ParseError
+from .errors import FORMULA_GUARD, InternalCheckError, ParseError, require_within
 
 
 class Cell(NamedTuple):
@@ -235,10 +235,8 @@ def count_formula(alpha: Composition, guard: int = FORMULA_GUARD) -> int:
     Shapes of more than guard cells raise GuardExceededError before n! is
     computed, since its cost grows without bound in time and memory.
     """
-    if alpha.n > guard:
-        raise GuardExceededError(
-            f"too large to compute: the count formula needs n <= {guard} but the shape "
-            f"has {alpha.n} cells; raise guard= to compute n! anyway")
+    require_within(alpha.n, guard, "too large to compute: the count formula",
+                   "raise guard= to compute n! anyway")
     q, r = divmod(math.factorial(alpha.n), alpha.hook_product())
     if r != 0:
         raise InternalCheckError(

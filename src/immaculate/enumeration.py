@@ -27,17 +27,10 @@ from typing import Iterable, Iterator, Sequence
 from ._kernels import BACKEND, get_backend
 from ._kernels._pure import X_CHANGED, Y_CHANGED, unrank_hook_values
 from .bijection import HookTableau
-from .composition import Composition, count_formula
+from .composition import Composition, count_formula, tree_product
 from .errors import (BRUTE_GUARD, EXHAUSTIVE_GUARD, FORMULA_GUARD, GuardExceededError,
-                     InternalCheckError)
+                     InternalCheckError, require_within)
 from .tableau import Tableau, split_flat
-
-
-def _require_within(n: int, guard: int, doing: str, advice: str) -> None:
-    if n > guard:
-        raise GuardExceededError(
-            f"{doing} needs n <= {guard} but the shape has {n} cells; {advice}"
-        )
 
 
 @contextmanager
@@ -65,8 +58,8 @@ def brute_force_standard_immaculate(
     Guarded by shape size; for bigger shapes use enumerate_standard_immaculate,
     which never touches non-immaculate fillings.
     """
-    _require_within(alpha.n, guard, "brute-force filtering",
-                    "use enumerate_standard_immaculate instead or raise guard=")
+    require_within(alpha.n, guard, "brute-force filtering",
+                   "use enumerate_standard_immaculate instead or raise guard=")
     ops = get_backend().ShapeOps(alpha.parts)
     return [
         Tableau.from_flat(alpha, perm)
@@ -82,8 +75,8 @@ def count_brute(alpha: Composition, guard: int = BRUTE_GUARD) -> int:
     every branch that breaks stability, so it never uses hook lengths or
     binomials.  It recurses once per cell.
     """
-    _require_within(alpha.n, guard, "brute-force counting",
-                    "use count_recursive or the formula instead, or raise guard=")
+    require_within(alpha.n, guard, "brute-force counting",
+                   "use count_recursive or the formula instead, or raise guard=")
     with _walk_limits(alpha.n, "brute-force counting"):
         return get_backend().ShapeOps(alpha.parts).count_standard()
 
@@ -114,17 +107,14 @@ def count_recursive(alpha: Composition, guard: int = FORMULA_GUARD) -> int:
     f(alpha) = C(n - 1, part_1 - 1) * f(part_2, ..., part_l).  Shapes of more
     than guard cells raise GuardExceededError before the first binomial, as
     in count_formula: the binomials grow without bound in time and memory.
+    The binomials are multiplied in a balanced tree (tree_product).
     """
-    if alpha.n > guard:
-        raise GuardExceededError(
-            f"too large to compute: the first-row recursion needs n <= {guard} but the "
-            f"shape has {alpha.n} cells; raise guard= to compute it anyway")
-    count = 1
-    left = alpha.n
-    for part in alpha.parts:
-        count *= math.comb(left - 1, part - 1)
-        left -= part
-    return count
+    require_within(alpha.n, guard, "too large to compute: the first-row recursion",
+                   "raise guard= to compute it anyway")
+    # bottom-up, so that left is the number of cells from the row down
+    parts = alpha.parts[::-1]
+    return tree_product([math.comb(left - 1, part - 1)
+                         for part, left in zip(parts, itertools.accumulate(parts))])
 
 
 def enumerate_standard_immaculate(alpha: Composition) -> Iterator[Tableau]:
@@ -415,8 +405,8 @@ def _verify_exhaustive(shapes: Iterable[Composition], jobs: int,
         run = map if pool is None else pool.map
         pending: deque = deque()
         for alpha in shapes:
-            _require_within(alpha.n, guard, "exhaustive verification",
-                            "use mode='sampled' or raise guard=")
+            require_within(alpha.n, guard, "exhaustive verification",
+                           "use mode='sampled' or raise guard=")
             started = time.perf_counter()
             p_table = [t.flat() for t in enumerate_standard_immaculate(alpha)]
             x_tasks = _scan_tasks(alpha, "x", math.factorial(alpha.n), None, workers)
@@ -477,6 +467,15 @@ def _report(alpha: Composition, mode: str, started: float, failures: dict,
     )
 
 
+def _check_run(mode: str, sample_size: int, jobs: int) -> None:
+    # in either mode, as the CLI checks --samples and --jobs in either
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    for name, value in (("sample_size", sample_size), ("jobs", jobs)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def verify_shapes(
     shapes: Iterable[Composition],
     mode: str = "exhaustive",
@@ -497,10 +496,10 @@ def verify_shapes(
     next shape.  The pair scan joins the queue, split the same way with the
     whole P table in each task, only for a shape whose filling scan failed
     or whose counts disagree (see verify_bijection).  A shape's elapsed_s
-    runs from its setup to the arrival of its last result.
+    runs from its setup to the arrival of its last result.  sample_size and
+    jobs below 1 raise ValueError in either mode, before any shape is read.
     """
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_run(mode, sample_size, jobs)
     if mode == "sampled":
         return [verify_bijection(alpha, mode, sample_size, seed) for alpha in shapes]
     return list(_verify_exhaustive(shapes, jobs, guard))
@@ -561,8 +560,10 @@ def verify_bijection(
     Sampled mode draws sample_size objects per side from the seeded
     Mersenne Twister stream instead (y_covered_by="samples"), so runs are
     reproducible; jobs is ignored there.  Counting always happens in all
-    available ways.  The scans run on the active kernel backend.
+    available ways.  The scans run on the active kernel backend.  Either
+    mode raises ValueError for a sample_size or jobs below 1.
     """
+    _check_run(mode, sample_size, jobs)
     if mode == "sampled":
         return _verify_sampled(alpha, sample_size, seed)
     return verify_shapes([alpha], mode, jobs=jobs, guard=guard)[0]

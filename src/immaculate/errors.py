@@ -6,7 +6,8 @@ itself and derives from RuntimeError instead.  Each class carries the exit
 code the CLI returns for it and the label that starts its stderr line.
 The guards are the default limits on n past which a GuardExceededError is
 raised; they live here so that the CLI can name them without loading the
-modules that enforce them.
+modules that enforce them, and so does require_within, which words each
+"needs n <= guard" refusal of those modules.
 """
 
 # Factorial growth makes these defaults generous already: 10! fillings for
@@ -57,3 +58,11 @@ class InternalCheckError(ImmaculateError, RuntimeError):
 
     exit_code = 1
     label = "internal check failed"
+
+
+def require_within(n: int, guard: int, doing: str, advice: str) -> None:
+    """Raise GuardExceededError when a shape of n cells is past guard."""
+    if n > guard:
+        raise GuardExceededError(
+            f"{doing} needs n <= {guard} but the shape has {n} cells; {advice}"
+        )

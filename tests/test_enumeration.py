@@ -343,6 +343,31 @@ class TestVerifySampled:
         json.dumps(obj)
 
 
+class TestVerifyArguments:
+    # a worker count or sample size below one is refused in either mode, as
+    # the CLI refuses --jobs and --samples, before any shape is read or scanned
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    @pytest.mark.parametrize("name, value", [("jobs", 0), ("jobs", -1),
+                                             ("sample_size", 0), ("sample_size", -3)])
+    def test_below_one_raises_value_error_naming_it(self, mode, name, value, pool_sizes):
+        def shapes():
+            raise AssertionError("a shape was read")
+            yield
+
+        message = f"^{name} must be at least 1, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            verify_bijection(Composition((2, 1)), mode=mode, **{name: value})
+        with pytest.raises(ValueError, match=message):
+            verify_shapes(shapes(), mode=mode, **{name: value})
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_one_is_enough(self, mode):
+        report = verify_bijection(Composition((3, 1, 2)), mode=mode, sample_size=1, jobs=1)
+        assert report.ok and report.jobs == 1
+        assert report.x_checked == (720 if mode == "exhaustive" else 1)
+
+
 class _FaultyOps(_pure.ShapeOps):
     """Pure kernel with a planted fault in one step of each side, where the
     walks and the single transforms both meet it: the straighten step

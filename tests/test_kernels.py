@@ -11,6 +11,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -245,6 +246,58 @@ def _full_scan_unstraighten(ops, p, j):
     return t
 
 
+def _full_scan_straighten(ops, x):
+    """Checked straighten that rescans the whole prefix after every slide:
+    the oracle of the path checks.  The slides are ops._slide, followed by
+    the hook, path and shift checks of _checked_slide in its order, so a
+    fault planted in a pure ShapeOps meets the oracle too.  The scan after
+    the last slide covers every cell, so it is the final check as well."""
+    n, order = ops.size, ops.order
+    starts = list(itertools.accumulate(ops.parts, initial=0))
+    row_pairs = [(q, q + 1) for a, b in zip(starts, starts[1:]) for q in range(a, b - 1)]
+    col_pairs = list(zip(starts[:-2], starts[1:-1]))
+    t, s = list(x), [1] * n
+    for k in range(1, n):
+        pos = order[k]
+        before = t[pos:pos + ops.hooklen[pos]]
+        slid = ops._slide(t, pos)
+        v = s[pos] = slid[-1] - pos + 1
+        if ops._hook_index(pos, slid[-1]) != v:
+            raise InternalCheckError("hook index closed form disagrees with flat run")
+        if slid != ops._build_path(pos, v):
+            raise InternalCheckError("slide path is not the hook path of its endpoints")
+        if [t[q] for q in slid] != [before[q - pos] for q in slid[1:] + slid[:1]]:
+            raise InternalCheckError("slide result is not the circular left shift")
+        inside = set(order[:k + 1])
+        if any(t[a] > t[b] for a, b in row_pairs if {a, b} <= inside) or any(
+                t[a] >= t[b] for a, b in col_pairs if {a, b} <= inside):
+            raise InternalCheckError(f"prefix standardness lost after step {k}")
+    return t, s
+
+
+class TestCheckedStraighten:
+    """Checked straighten checks stability after each slide on the pairs
+    of its path; a full-prefix scan after every slide must give the same
+    outcome."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_outcome_is_the_full_prefix_scans(self, backend):
+        # entries with repeats, so ties meet in a slide and equal entries
+        # land on column 1, and permutations
+        rng = random.Random(27)
+        seen = set()
+        for n in range(1, 7):
+            for alpha in compositions(n):
+                ops, oracle = get_backend(backend).ShapeOps(alpha.parts), pure.ShapeOps(alpha.parts)
+                for i in range(24):
+                    x = (rng.sample(range(1, n + 1), n) if i % 3 == 0
+                         else [rng.randint(1, 1 + i % 3) for _ in range(n)])
+                    got = _outcome(ops.straighten, x, True)
+                    assert got == _outcome(_full_scan_straighten, oracle, x), (alpha, x)
+                    seen.add(got[1].split()[0] if got[0] is InternalCheckError else "result")
+        assert seen == {"result", "tied", "prefix"}
+
+
 class TestCheckedUnstraighten:
     """Checked unstraighten checks stability whole before step 1, then on
     the pairs of each rotated path; a full-prefix scan before every step
@@ -307,6 +360,16 @@ class TestCheckedUnstraighten:
                             InternalCheckError, f"prefix standardness lost before step {k0 + 1}")
                         faulted += 1
         assert faulted > 300
+
+
+@pytest.mark.pure_twin
+def test_every_c_helper_is_a_pure_method():
+    # the C twin mirrors _pure function by function: each of its static
+    # functions named with a leading underscore is a pure ShapeOps method
+    source = Path(pure.__file__).with_name("_speedups.c").read_text()
+    names = re.findall(r"^(_\w+)\(", source, re.MULTILINE)
+    assert "_path_standard" in names and "_checked_slide" in names
+    assert [name for name in names if not hasattr(pure.ShapeOps, name)] == []
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
