@@ -4,9 +4,11 @@ This module is the spec of the kernels.  The compiled twin, the hand-written C
 file ``_speedups.c``, shares its constructor and its per-object loops and
 mirrors the rest function by function.  The compiled ``ShapeOps`` copies its
 geometry into C arrays from a ``ShapeOps`` of this module, so a shape is
-checked and laid out in one place.  ``scan_pairs`` and ``_roundtrip_each``, the
-per-filling roundtrip of ``scan_fillings``, loop over the public methods, and
-the compiled twin runs them with its own object as ``self``.  Each of
+checked and laid out in one place.  The per-object roundtrip is written once,
+in ``roundtrip_filling`` and ``roundtrip_pair``; ``scan_pairs``,
+``_roundtrip_each`` (the per-filling loop of ``scan_fillings``) and sampled
+verify call them, and the compiled type holds those two loops as its own
+methods, since they use only the public ones.  Each of
 ``_path_standard``, ``_slide``, ``_build_path``, ``_hook_index``,
 ``_rotate_hook``, the checked steps ``_checked_slide``/``_checked_rotate``
 with ``_check_exhausted``, and ``_straighten_inplace``/``_unstraighten_inplace``
@@ -546,14 +548,14 @@ class ShapeOps:
 
     def _roundtrip_each(self, lo, hi, check, failures) -> int:
         """Roundtrip the fillings numbered [lo, hi) in walk order one at a
-        time, through the public straighten and unstraighten, and append the
-        failure entries of scan_fillings to failures; returns how many of
-        them are standard.  The entries of filling i, read in traversal
-        order, form the i-th permutation of 1..n.
+        time, with roundtrip_filling, and append the failure entries of
+        scan_fillings to failures; returns how many of them are standard.
+        The entries of filling i, read in traversal order, form the i-th
+        permutation of 1..n.
 
         This uses nothing of self but its public names, so both twins run
-        it: the compiled scan_fillings calls this function with the compiled
-        object as self.
+        it: the compiled ShapeOps holds this very function, and both walks
+        call it by name on self, so a subclass may override it.
         """
         n, order = self.size, self.order
         leaves = [math.factorial(n - 1 - d) for d in range(n)]
@@ -564,13 +566,9 @@ class ShapeOps:
                 q, rem = divmod(rem, leaves[d])
                 y[order[d]] = left.pop(q)
             count += self.is_standard_immaculate(y)
-            try:
-                back = self.unstraighten(*self.straighten(y, check), check)
-            except InternalCheckError as exc:
-                failures.append((_lex_rank(y), "check", str(exc)))
-                continue
-            if back != y:
-                failures.append((_lex_rank(y), "roundtrip", X_CHANGED))
+            failed = roundtrip_filling(self, y, check)
+            if failed:
+                failures.append((_lex_rank(y), *failed))
         return count
 
     def scan_pairs(self, p_table, start, stop, check=True):
@@ -579,10 +577,8 @@ class ShapeOps:
         Pair r is row p_table[r // hook_prod], read and length-checked only
         when the loop reaches it, with the hook values
         unrank_hook_values(hooklen, r % hook_prod).  Each pair goes through
-        the public unstraighten and then straighten, and the result is
-        compared with the pair.  The loop uses nothing of self but its
-        public names, so both twins run it: the compiled scan_pairs calls
-        this function with the compiled object as self.
+        roundtrip_pair.  The loop uses nothing of self but its public names,
+        so both twins run it: the compiled ShapeOps holds this very function.
 
         Returns failures like scan_fillings, (index, stage, message) in
         index order, where index is the pair's own r.
@@ -599,15 +595,31 @@ class ShapeOps:
                 p = list(p_table[row])
                 if len(p) != n:
                     raise ValueError(f"need {n} entries, got {len(p)}")
-            jv = unrank_hook_values(hooklen, rem)
-            try:
-                back = self.straighten(self.unstraighten(p, jv, check), check)
-            except InternalCheckError as exc:
-                failures.append((r, "check", str(exc)))
-                continue
-            if back != (p, jv):
-                failures.append((r, "roundtrip", Y_CHANGED))
+            failed = roundtrip_pair(self, p, unrank_hook_values(hooklen, rem), check)
+            if failed:
+                failures.append((r, *failed))
         return failures
+
+
+def roundtrip_filling(ops, x, check):
+    """Roundtrip the flat filling x through ops.straighten and unstraighten:
+    None if x comes back, else (stage, message), ("check", its message) for
+    an InternalCheckError and ("roundtrip", X_CHANGED) for a change."""
+    try:
+        back = ops.unstraighten(*ops.straighten(x, check), check)
+    except InternalCheckError as exc:
+        return "check", str(exc)
+    return None if back == x else ("roundtrip", X_CHANGED)
+
+
+def roundtrip_pair(ops, p, j, check):
+    """roundtrip_filling for the pair of flat lists (p, j), through
+    ops.unstraighten and straighten; a changed pair gives Y_CHANGED."""
+    try:
+        back = ops.straighten(ops.unstraighten(p, j, check), check)
+    except InternalCheckError as exc:
+        return "check", str(exc)
+    return None if back == (p, j) else ("roundtrip", Y_CHANGED)
 
 
 def unrank_hook_values(hooklen, rem) -> list[int]:

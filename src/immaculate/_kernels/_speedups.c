@@ -4,13 +4,14 @@
  * ShapeOps_init builds a _pure.ShapeOps, which checks the shape and works out
  * its geometry, and copies that geometry into C arrays.  So are both
  * per-object loops: scan_pairs and the per-filling roundtrip of
- * scan_fillings (_roundtrip_each) call only the public methods, and run here
- * with the compiled object as self.  Every static function here named after
- * a _pure method (_path_standard, _slide, _build_path, _hook_index,
- * _rotate_hook, _checked_slide, _checked_rotate, _check_exhausted,
- * _straighten_inplace, _unstraighten_inplace) is that method line for line,
- * and the walks of count_standard and scan_fillings are its nested visit
- * and undo functions.  The parity tests compare the two twins exhaustively.
+ * scan_fillings (_roundtrip_each) call only the public methods, and this
+ * type holds _pure's two functions as its own methods, put in its dict by
+ * PyInit__speedups.  Every static function here named after a _pure method
+ * (_path_standard, _slide, _build_path, _hook_index, _rotate_hook,
+ * _checked_slide, _checked_rotate, _check_exhausted, _straighten_inplace,
+ * _unstraighten_inplace) is that method line for line, and the walks of
+ * count_standard and scan_fillings are its nested visit and undo functions.
+ * The parity tests compare the two twins exhaustively.
  *
  * Where they differ: _pure keeps, in a memo keyed by the hook path, the
  * path and the _hook_index verdict of a slide along it (_checked_path
@@ -547,19 +548,16 @@ clear_check(void)
     return 0;
 }
 
-/* _pure.ShapeOps._roundtrip_each: the one per-filling roundtrip, a loop over
- * the public methods, which runs here with the compiled object as self */
-static PyObject *pure_roundtrip_each;
-
 /* Roundtrip the fillings [lo, hi) one at a time through the public methods,
- * filing their failures; the number of standard ones among them, or -1 with
- * an error set. */
+ * filing their failures: self._roundtrip_each, called by name as the _pure
+ * walk calls it, which is _pure's own function unless a subclass overrides
+ * it.  The number of standard ones among them, or -1 with an error set. */
 static long long
 roundtrip_each(ShapeOps *self, unsigned long long lo, unsigned long long hi, int check,
                PyObject *failures)
 {
-    PyObject *count = PyObject_CallFunction(pure_roundtrip_each, "OKKOO", (PyObject *)self,
-                                            lo, hi, check ? Py_True : Py_False, failures);
+    PyObject *count = PyObject_CallMethod((PyObject *)self, "_roundtrip_each", "KKOO", lo, hi,
+                                          check ? Py_True : Py_False, failures);
     if (count == NULL)
         return -1;
     long long standard = PyLong_AsLongLong(count);
@@ -857,23 +855,6 @@ done:
     return result;
 }
 
-/* _pure.ShapeOps.scan_pairs: the one pair scan, a loop over the public
- * methods, which runs here with the compiled object as self */
-static PyObject *pure_scan_pairs;
-
-static PyObject *
-ShapeOps_scan_pairs(ShapeOps *self, PyObject *args, PyObject *kwargs)
-{
-    if (ready(self) < 0)
-        return NULL;
-    PyObject *bound = PyMethod_New(pure_scan_pairs, (PyObject *)self);
-    if (bound == NULL)
-        return NULL;
-    PyObject *result = PyObject_Call(bound, args, kwargs);
-    Py_DECREF(bound);
-    return result;
-}
-
 /* -- type and module ------------------------------------------------------- */
 
 static PyMethodDef ShapeOps_methods[] = {
@@ -899,19 +880,12 @@ static PyMethodDef ShapeOps_methods[] = {
      "form the i-th permutation.  Each checked straighten step runs once per\n"
      "tree node on the way down and its checked inverse once on the way back\n"
      "up.  The fillings of a node whose slide or inverse fails, and with check\n"
-     "off the whole range, go through _pure.ShapeOps._roundtrip_each, run with\n"
-     "this object as self: one roundtrip each through the public straighten\n"
-     "and unstraighten.\n"
+     "off the whole range, go through self._roundtrip_each: one roundtrip each\n"
+     "through the public straighten and unstraighten.\n"
      "Returns (standard_count, failures); failures holds (rank, stage, message)\n"
      "in walk order, rank being the filling's lexicographic rank, and\n"
      "standard_count tallies the standard immaculate fillings scanned.\n"
      "Raises OverflowError when n! does not fit a C long long."},
-    {"scan_pairs", (PyCFunction)(void (*)(void))ShapeOps_scan_pairs,
-     METH_VARARGS | METH_KEYWORDS,
-     "scan_pairs(p_table, start, stop, check=True)\n--\n\n"
-     "Roundtrip-check the pairs numbered [start, stop), one at a time.\n\n"
-     "This is _pure.ShapeOps.scan_pairs, a loop over the public unstraighten\n"
-     "and straighten, run with this object as self; its docstring has the rest."},
     {NULL}
 };
 
@@ -956,20 +930,27 @@ PyInit__speedups(void)
         PyObject *errors = PyImport_ImportModule("immaculate.errors");
         InternalCheckError = errors ? PyObject_GetAttrString(errors, "InternalCheckError") : NULL;
         Py_XDECREF(errors);
-        /* the constructor and the per-object loops are _pure's own */
+        /* the constructor is _pure's own, and so are the per-object loops:
+         * the type holds _pure's functions, put in its dict before
+         * PyType_Ready, after which the type is immutable */
+        static const char *const loops[] = {"scan_pairs", "_roundtrip_each"};
         PyObject *pure = InternalCheckError
                          ? PyImport_ImportModule("immaculate._kernels._pure") : NULL;
         pure_ops = pure ? PyObject_GetAttrString(pure, "ShapeOps") : NULL;
         Py_XDECREF(pure);
-        pure_scan_pairs = pure_ops ? PyObject_GetAttrString(pure_ops, "scan_pairs") : NULL;
-        pure_roundtrip_each =
-            pure_scan_pairs ? PyObject_GetAttrString(pure_ops, "_roundtrip_each") : NULL;
-        if (pure_roundtrip_each == NULL) {
+        PyObject *dict = pure_ops ? PyDict_New() : NULL;
+        for (int i = 0; dict != NULL && i < 2; i++) {
+            PyObject *loop = PyObject_GetAttrString(pure_ops, loops[i]);
+            if (loop == NULL || PyDict_SetItemString(dict, loops[i], loop) < 0)
+                Py_CLEAR(dict);
+            Py_XDECREF(loop);
+        }
+        if (dict == NULL) {
             Py_CLEAR(InternalCheckError);
             Py_CLEAR(pure_ops);
-            Py_CLEAR(pure_scan_pairs);
             return NULL;
         }
+        ShapeOpsType.tp_dict = dict;
     }
     if (PyType_Ready(&ShapeOpsType) < 0)
         return NULL;

@@ -551,6 +551,23 @@ class TestReportJudgement:
     def test_ok_requires_complete_exhaustive_scan(self):
         assert not self._report(x_checked=60).ok
 
+    def test_shape_counts_worked_out_once(self, monkeypatch):
+        # cmd_verify reads ok up to three times per report; n! and the hook
+        # product depend on the shape alone, the count fields are read fresh
+        calls = []
+        factorial, hook_product = math.factorial, Composition.hook_product
+        monkeypatch.setattr(math, "factorial", lambda n: calls.append(n) or factorial(n))
+        monkeypatch.setattr(Composition, "hook_product",
+                            lambda self: calls.append(self.parts) or hook_product(self))
+        report = self._report()
+        assert [report.ok, report.ok, report.ok] == [True, True, True]
+        assert calls == [5, (2, 1, 2)]
+        report.count_recursive = 3
+        assert not report.ok
+        report.shape, report.count_recursive = (2, 2, 1), 4
+        assert not report.ok
+        assert calls == [5, (2, 1, 2), 5, (2, 2, 1)]
+
     def test_summary_mentions_failures(self):
         bad = {"side": "y", "index": 3, "stage": "check", "message": "boom"}
         line = self._report(assertion_failures=[bad]).summary()

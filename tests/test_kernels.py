@@ -372,6 +372,16 @@ def test_every_c_helper_is_a_pure_method():
     assert [name for name in names if not hasattr(pure.ShapeOps, name)] == []
 
 
+@needs_compiled
+def test_every_public_pure_method_is_a_compiled_attribute():
+    # the other half of the mirror, run against the compiled build: a public
+    # method is defined in C or held from _pure, so none can go missing
+    public = [name for name, value in vars(pure.ShapeOps).items()
+              if callable(value) and not name.startswith("_")]
+    assert "straighten" in public and "scan_pairs" in public
+    assert [name for name in public if not hasattr(compiled.ShapeOps, name)] == []
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("bad_row", [(1, 2), (1, 2, 3, 4), None])
 def test_pair_scan_never_reads_rows_past_its_range(backend, bad_row):
@@ -490,6 +500,26 @@ class TestTypeSurface:
         ops = type("T", (base,), {"__init__": init, "straighten": wrapped})((2, 1))
         assert ops.straighten([3, 2, 1], True) == ([1, 2, 3], [3, 1, 1])
         assert ops.parts == (2, 1) and calls == ["init", "straighten"]
+
+    @needs_compiled
+    def test_per_object_loops_are_the_pure_functions(self):
+        for name in ("scan_pairs", "_roundtrip_each"):
+            assert compiled.ShapeOps.__dict__[name] is pure.ShapeOps.__dict__[name]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_subclass_roundtrip_each_reaches_the_walk(self, backend):
+        # both walks call _roundtrip_each by name on self
+        base = get_backend(backend).ShapeOps
+        calls = []
+
+        class Recording(base):
+            def _roundtrip_each(self, lo, hi, check, failures):
+                calls.append((lo, hi, check, list(failures)))
+                return super()._roundtrip_each(lo, hi, check, failures)
+
+        ops = Recording((2, 1, 2))
+        assert ops.scan_fillings(7, 90, False) == base((2, 1, 2)).scan_fillings(7, 90, False)
+        assert calls == [(7, 90, False, [])]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_keyword_arguments(self, backend):
@@ -1067,10 +1097,11 @@ def test_unchecked_filling_scan_meets_faults_in_the_public_methods(backend):
 
 @pytest.mark.pure_twin
 class TestPathMemoFaults:
-    """Faults in what a checked slide reads from its path's memo entry, the
-    closed-form hook index and the stability pairs.  Both are worked out
-    once per hook path, so the fault must still fail every filling whose
-    straighten slides along that path, in any split of the walk."""
+    """Faults in what a checked slide reads from its path's memo entry
+    (path, hook_ok): the verdict of the closed-form hook index, and the path
+    whose cells the stability check reads.  Both are worked out once per
+    hook path, so the fault must still fail every filling whose straighten
+    slides along that path, in any split of the walk."""
 
     @pytest.mark.parametrize("fault", ["hook index", "stability"])
     @pytest.mark.parametrize("n", [3, 4, 5])
