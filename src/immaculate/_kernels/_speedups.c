@@ -939,7 +939,7 @@ PyInit__speedups(void)
         pure_ops = pure ? PyObject_GetAttrString(pure, "ShapeOps") : NULL;
         Py_XDECREF(pure);
         PyObject *dict = pure_ops ? PyDict_New() : NULL;
-        for (int i = 0; dict != NULL && i < 2; i++) {
+        for (int i = 0; dict != NULL && i < (int)(sizeof loops / sizeof loops[0]); i++) {
             PyObject *loop = PyObject_GetAttrString(pure_ops, loops[i]);
             if (loop == NULL || PyDict_SetItemString(dict, loops[i], loop) < 0)
                 Py_CLEAR(dict);
