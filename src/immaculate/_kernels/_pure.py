@@ -12,13 +12,13 @@ methods, since they use only the public ones.  Each of
 ``_path_standard``, ``_slide``, ``_build_path``, ``_hook_index``,
 ``_rotate_hook``, the checked steps ``_checked_slide``/``_checked_rotate``
 with ``_check_exhausted``, and ``_straighten_inplace``/``_unstraighten_inplace``
-has a C function of the same name, the functions nested in ``count_standard``
-(``visit``) and ``scan_fillings`` (``undo``, ``visit``) are ``count_visit`` and
-``fill_undo``/``fill_visit`` there, and the public methods raise the same
-exceptions with the same messages.  Every stability check, that of
-``is_standard_immaculate``, of a checked slide and of a checked rotation,
-is ``_path_standard`` on the cells it needs.  Which twin you get from
-``immaculate._kernels`` is decided at import time.
+has a C function of the same name, the ``visit`` functions nested in
+``count_standard`` and ``scan_fillings`` are ``count_visit`` and ``fill_visit``
+there, and the public methods raise the same exceptions with the same
+messages.  Every stability check, that of ``is_standard_immaculate``, of a
+checked slide and of a checked rotation, is ``_path_standard`` on the cells it
+needs.  Which twin you get from ``immaculate._kernels`` is decided at import
+time.
 
 The twins differ in two things.  A checked step's hook path and the
 ``_hook_index`` verdict of a slide along it depend on the path's endpoints
@@ -443,7 +443,9 @@ class ShapeOps:
         then one compare of the hook run of order[d] with the run before the
         slide.  That run holds every cell the slide or the rotation can
         move, since a rotation past the hook raises IndexError first.  A
-        leaf only tallies its filling.
+        leaf only tallies its filling.  A node of depth d has (n - 1 - d)!
+        leaves below each child, a number it gets from its parent and passes
+        on divided by n - 1 - d.
 
         Why the node steps are each filling's own roundtrip, by induction on
         depth: the children's compares prove that a node holds again exactly
@@ -485,30 +487,16 @@ class ShapeOps:
         if not check:
             return self._roundtrip_each(start, stop, False, failures), failures
         order, right, below, hooklen = self.order, self.right, self.below, self.hooklen
-        # leaves below one node of depth d + 1, that is with order[0..d] set
-        leaves = [math.factorial(n - 1 - d) for d in range(n)]
         x, t, s = [0] * n, [0] * n, [1] * n
         free = list(range(1, n + 1))
         standard = 0
 
-        def undo(d, before) -> bool:
-            # inverse step n - d at the depth-d node; before holds the hook
-            # run of order[d] as it was before the slide, and the run holds
-            # every cell that the slide or the rotation can move
-            pos = order[d]
-            try:
-                self._checked_rotate(t, s, n - d)
-                if d == 1:
-                    self._check_exhausted(s)
-            except InternalCheckError:
-                return False
-            return s[pos] == 1 and t[pos:pos + hooklen[pos]] == before
-
-        def visit(d, first, stable):
+        def visit(d, first, size, stable):
             # order[0..d) are set, stable if stable, and free[d:] holds the
-            # values left, ascending; the leaves below are numbered from first
+            # values left, ascending; the leaves below are numbered from
+            # first, size of them below each child
             nonlocal standard
-            pos, size = order[d], leaves[d]
+            pos = order[d]
             r, b, end = right[pos], below[pos], pos + hooklen[pos]
             lo, i = first, 0
             while i < n - d and lo < stop:
@@ -529,13 +517,23 @@ class ShapeOps:
                         if d + 1 == n:
                             standard += keep
                         else:
-                            visit(d + 1, lo, keep)
-                        if d and not undo(d, before):
-                            del failures[filed:]
-                            self._roundtrip_each(
-                                max(lo, start), min(lo + size, stop), True, failures)
-                            t[pos:end] = before
-                            s[pos] = 1
+                            visit(d + 1, lo, size // (n - 1 - d), keep)
+                        if d:
+                            # inverse step n - d; the hook run holds every
+                            # cell that the slide or the rotation can move
+                            try:
+                                self._checked_rotate(t, s, n - d)
+                                if d == 1:
+                                    self._check_exhausted(s)
+                                undone = s[pos] == 1 and t[pos:end] == before
+                            except InternalCheckError:
+                                undone = False
+                            if not undone:
+                                del failures[filed:]
+                                self._roundtrip_each(
+                                    max(lo, start), min(lo + size, stop), True, failures)
+                                t[pos:end] = before
+                                s[pos] = 1
                 lo += size
                 i += 1
             # the swaps left free[d:d + i] rotated right by one
@@ -543,7 +541,7 @@ class ShapeOps:
                 free[d:d + i] = free[d + 1:d + i] + free[d:d + 1]
 
         if start < stop:
-            visit(0, 0, True)
+            visit(0, 0, self.n_factorial // n, True)
         return standard, failures
 
     def _roundtrip_each(self, lo, hi, check, failures) -> int:

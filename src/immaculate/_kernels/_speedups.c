@@ -10,7 +10,7 @@
  * (_path_standard, _slide, _build_path, _hook_index, _rotate_hook,
  * _checked_slide, _checked_rotate, _check_exhausted, _straighten_inplace,
  * _unstraighten_inplace) is that method line for line, and the walks of
- * count_standard and scan_fillings are its nested visit and undo functions.
+ * count_standard and scan_fillings are its nested visit functions.
  * The parity tests compare the two twins exhaustively.
  *
  * Where they differ: _pure keeps, in a memo keyed by the hook path, the
@@ -565,51 +565,31 @@ roundtrip_each(ShapeOps *self, unsigned long long lo, unsigned long long hi, int
     return standard;
 }
 
-/* The state of scan_fillings' depth-first walk; fill_undo and fill_visit are
- * the nested functions of the _pure scan.  A compiled scan refuses n! past a
- * long long, so every leaf number and subtree size fits one. */
+/* The state of scan_fillings' depth-first walk; fill_visit is the nested
+ * visit of the _pure scan.  A compiled scan refuses n! past a long long, so
+ * every leaf number and subtree size fits one. */
 typedef struct {
     ShapeOps *self;
     PyObject *failures;
     unsigned long long start, stop;
-    unsigned long long *leaves; /* leaves below one node of each depth */
     int *befores;               /* n ints per depth: the hook run before the slide */
     int *t, *s, *x, *free;      /* the walk's state, its filling, values left */
     int *work;                  /* 2n ints of _checked_slide scratch */
     long long standard;
 } Walk;
 
-/* inverse step n - d at the depth-d node; before holds the hook run of
- * order[d] as it was before the slide, and the run holds every cell that
- * the slide or the rotation can move.  1 when the step gives that run back,
- * 0 when it differs or an InternalCheckError (cleared) was raised, -1 on
- * any other error */
-static int
-fill_undo(Walk *w, int d, const int *before)
-{
-    const ShapeOps *self = w->self;
-    int n = self->size, pos = self->order[d];
-    int rc = _checked_rotate(self, w->t, w->s, n - d);
-    if (rc == 0 && d == 1)
-        rc = _check_exhausted(self, w->s);
-    if (rc < 0)
-        return clear_check();
-    return w->s[pos] == 1
-           && memcmp(w->t + pos, before, (size_t)self->hooklen[pos] * sizeof(int)) == 0;
-}
-
 /* order[0..d) are set, stable if stable, and free[d..n) holds the values
- * left, ascending; the leaves below are numbered from first.  The walk is
- * at most 20 calls deep.  The slide leaves a pre-slide copy of the hook run
- * of order[d] in the depth's before. */
+ * left, ascending; the leaves below are numbered from first, size of them
+ * below each child.  The walk is at most 20 calls deep.  The slide leaves a
+ * pre-slide copy of the hook run of order[d] in the depth's before. */
 static int
-fill_visit(Walk *w, int d, unsigned long long first, int stable)
+fill_visit(Walk *w, int d, unsigned long long first, unsigned long long size, int stable)
 {
     const ShapeOps *self = w->self;
     int n = self->size;
     int pos = self->order[d], r = self->right[pos], b = self->below[pos], h = self->hooklen[pos];
     int *before = w->befores + (size_t)d * n, *free = w->free, i = 0, rc = 0;
-    unsigned long long size = w->leaves[d], lo = first;
+    unsigned long long lo = first;
     while (i < n - d && rc == 0 && lo < w->stop) {
         /* child i takes the i-th smallest value left; swapping it to the
          * front keeps the values after it ascending */
@@ -635,16 +615,24 @@ fill_visit(Walk *w, int d, unsigned long long first, int stable)
                 if (d + 1 == n)
                     w->standard += keep;
                 else
-                    rc = fill_visit(w, d + 1, lo, keep);
-                int undone = rc == 0 && d > 0 ? fill_undo(w, d, before) : 1;
-                if (undone == 0) {
-                    rc = PyList_SetSlice(w->failures, filed, PY_SSIZE_T_MAX, NULL);
-                    if (rc == 0 && roundtrip_each(w->self, from, to, 1, w->failures) < 0)
-                        rc = -1;
-                    memcpy(w->t + pos, before, (size_t)h * sizeof(int));
-                    w->s[pos] = 1;
-                } else if (undone < 0)
-                    rc = -1;
+                    rc = fill_visit(w, d + 1, lo, size / (unsigned long long)(n - 1 - d), keep);
+                if (rc == 0 && d > 0) {
+                    /* inverse step n - d; the hook run holds every cell that
+                     * the slide or the rotation can move */
+                    int undo = _checked_rotate(self, w->t, w->s, n - d);
+                    if (undo == 0 && d == 1)
+                        undo = _check_exhausted(self, w->s);
+                    if (undo < 0)
+                        rc = clear_check();
+                    if (rc == 0 && (undo < 0 || w->s[pos] != 1
+                                    || memcmp(w->t + pos, before, (size_t)h * sizeof(int)) != 0)) {
+                        rc = PyList_SetSlice(w->failures, filed, PY_SSIZE_T_MAX, NULL);
+                        if (rc == 0 && roundtrip_each(w->self, from, to, 1, w->failures) < 0)
+                            rc = -1;
+                        memcpy(w->t + pos, before, (size_t)h * sizeof(int));
+                        w->s[pos] = 1;
+                    }
+                }
             }
         }
         lo += size;
@@ -659,9 +647,8 @@ fill_visit(Walk *w, int d, unsigned long long first, int stable)
     return rc;
 }
 
-/* Buffers of the filling walk: a hook run per depth, then the per-cell
- * arrays and the scratch; the leaf counts of each depth, from the last.
- * NULL on error. */
+/* One buffer for the filling walk: a hook run per depth, then the per-cell
+ * arrays and the scratch.  NULL on error. */
 static int *
 walk_alloc(Walk *w, ShapeOps *self, PyObject *failures)
 {
@@ -669,15 +656,6 @@ walk_alloc(Walk *w, ShapeOps *self, PyObject *failures)
     int *buf = alloc_ints((size_t)n * (size_t)n + 6 * (size_t)n);
     if (buf == NULL)
         return NULL;
-    w->leaves = PyMem_Malloc((size_t)n * sizeof(unsigned long long));
-    if (w->leaves == NULL) {
-        PyMem_Free(buf);
-        PyErr_NoMemory();
-        return NULL;
-    }
-    w->leaves[n - 1] = 1;
-    for (int d = n - 2; d >= 0; d--)
-        w->leaves[d] = w->leaves[d + 1] * (unsigned long long)(n - 1 - d);
     w->self = self;
     w->failures = failures;
     w->befores = buf;
@@ -693,13 +671,6 @@ walk_alloc(Walk *w, ShapeOps *self, PyObject *failures)
     }
     w->standard = 0;
     return buf;
-}
-
-static void
-walk_free(Walk *w, int *buf)
-{
-    PyMem_Free(buf);
-    PyMem_Free(w->leaves);
 }
 
 /* -- public API (mirrors _pure) -------------------------------------------- */
@@ -842,13 +813,12 @@ ShapeOps_scan_fillings(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs,
             goto done;
         w.start = lo;
         w.stop = hi;
-        standard = fill_visit(&w, 0, 0, 1) < 0 ? -1 : w.standard;
+        standard = fill_visit(&w, 0, 0, self->fact_ll / n, 1) < 0 ? -1 : w.standard;
     }
     if (standard >= 0)
         result = Py_BuildValue("(LO)", standard, failures);
 done:
-    if (buf != NULL)
-        walk_free(&w, buf);
+    PyMem_Free(buf);
     Py_XDECREF(start);
     Py_XDECREF(stop);
     Py_XDECREF(failures);

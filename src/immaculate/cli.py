@@ -174,7 +174,8 @@ def cmd_verify(args) -> int:
             raise ParseError(f"--{flag} must be positive, got {value}")
     guard = args.guard
     if guard is None:
-        guard = SAMPLED_GUARD if args.mode == "sampled" else EXHAUSTIVE_GUARD
+        guard = EXHAUSTIVE_GUARD if args.mode == "exhaustive" else (
+            FORMULA_GUARD if args.shape is not None else SAMPLED_GUARD)
     if args.shape is not None:
         shapes = [parse_composition(args.shape)]
     elif args.mode == "sampled" and args.n > guard:
@@ -280,8 +281,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for exhaustive scans (default 1)")
     p.add_argument("--guard", type=int, default=None,
-                   help=f"size limit on n: for exhaustive mode (default {EXHAUSTIVE_GUARD}) "
-                        f"and for sampled --n (default {SAMPLED_GUARD})")
+                   help=f"size limit on n: for exhaustive mode (default {EXHAUSTIVE_GUARD}), "
+                        f"for sampled --n (default {SAMPLED_GUARD}) and for one sampled "
+                        f"SHAPE (default {FORMULA_GUARD})")
     p.add_argument("--failures-out", default=None,
                    help="write failing objects to this JSON file")
     p.set_defaults(func=cmd_verify)

@@ -448,8 +448,8 @@ def _verify_sampled(alpha: Composition, sample_size: int, seed: int) -> Verifica
 
 def _report(alpha: Composition, mode: str, started: float, failures: dict,
             **varying) -> VerificationReport:
-    # verify bounds its shapes with its own guards (and counts_agree takes
-    # n! unguarded), so the counts' guards are lifted here
+    # verify bounds each shape with its own guard in either mode (and
+    # counts_agree takes n! unguarded), so the counts' guards are lifted here
     return VerificationReport(
         shape=alpha.parts,
         mode=mode,
@@ -478,27 +478,30 @@ def verify_shapes(
     sample_size: int = 1000,
     seed: int = 0,
     jobs: int = 1,
-    guard: int = EXHAUSTIVE_GUARD,
+    guard: int | None = None,
 ) -> list[VerificationReport]:
     """verify_bijection for each shape in turn, one report per shape.
 
-    shapes may be any iterable, read once, in order.  An exhaustive run
-    checks each shape against guard before it scans it, and starts at most
-    one pool of min(jobs, os.cpu_count()) worker processes for all of them,
-    none when that is one; the pool modules are imported when it starts,
-    not with the package.  The pool gets each shape's filling scan as even
-    runs of leaves in walk order, one per worker, and the next shape's runs
-    queue behind them, so a worker that ends its run early takes up the
-    next shape.  The pair scan joins the queue, split the same way with the
-    whole P table in each task, only for a shape whose filling scan failed
-    or whose counts disagree (see verify_bijection).  A shape's elapsed_s
-    runs from its setup to the arrival of its last result.  sample_size and
-    jobs below 1 raise ValueError in either mode, before any shape is read.
+    shapes may be any iterable, read once, in order.  Each shape is checked
+    against guard before it is scanned or sampled, and the first shape past
+    it raises GuardExceededError; guard=None means EXHAUSTIVE_GUARD in
+    exhaustive mode and FORMULA_GUARD in sampled mode.  An exhaustive run
+    starts at most one pool of min(jobs, os.cpu_count()) worker processes
+    for all of them, none when that is one; the pool modules are imported
+    when it starts, not with the package.  The pool gets each shape's
+    filling scan as even runs of leaves in walk order, one per worker, and
+    the next shape's runs queue behind them, so a worker that ends its run
+    early takes up the next shape.  The pair scan joins the queue, split the
+    same way with the whole P table in each task, only for a shape whose
+    filling scan failed or whose counts disagree (see verify_bijection).  A
+    shape's elapsed_s runs from its setup to the arrival of its last
+    result.  sample_size and jobs below 1 raise ValueError in either mode,
+    before any shape is read.
     """
     _check_run(mode, sample_size, jobs)
     if mode == "sampled":
-        return [verify_bijection(alpha, mode, sample_size, seed) for alpha in shapes]
-    return list(_verify_exhaustive(shapes, jobs, guard))
+        return [verify_bijection(alpha, mode, sample_size, seed, guard=guard) for alpha in shapes]
+    return list(_verify_exhaustive(shapes, jobs, EXHAUSTIVE_GUARD if guard is None else guard))
 
 
 def verify_bijection(
@@ -507,7 +510,7 @@ def verify_bijection(
     sample_size: int = 1000,
     seed: int = 0,
     jobs: int = 1,
-    guard: int = EXHAUSTIVE_GUARD,
+    guard: int | None = None,
 ) -> VerificationReport:
     """Cross-check the count formula and roundtrip the bijection on one shape.
 
@@ -557,9 +560,17 @@ def verify_bijection(
     Mersenne Twister stream instead (y_covered_by="samples"), so runs are
     reproducible; jobs is ignored there.  Counting always happens in all
     available ways.  The scans run on the active kernel backend.  Either
-    mode raises ValueError for a sample_size or jobs below 1.
+    mode raises ValueError for a sample_size or jobs below 1, and
+    GuardExceededError for a shape of more than guard cells before it
+    builds the kernel: guard=None means EXHAUSTIVE_GUARD in exhaustive mode
+    and FORMULA_GUARD in sampled mode, which bounds the exact counts of the
+    report.  It does not bound every sampled run: a slide along a long row
+    is an insertion sort, quadratic in the row's length.
     """
     _check_run(mode, sample_size, jobs)
     if mode == "sampled":
+        require_within(alpha.n, FORMULA_GUARD if guard is None else guard,
+                       "too large to compute: sampled verification",
+                       "raise guard= (--guard) to sample it anyway")
         return _verify_sampled(alpha, sample_size, seed)
     return verify_shapes([alpha], mode, jobs=jobs, guard=guard)[0]

@@ -383,6 +383,12 @@ class TestVerify:
         # one shape has no guard on n in sampled mode
         assert main(["verify", "20", "--mode", "sampled", "--samples", "1"]) == 0
 
+    def test_guard_bounds_one_sampled_shape(self, capsys):
+        args = ["verify", "4,4", "--mode", "sampled", "--samples", "1"]
+        assert main(args + ["--guard", "7"]) == 3
+        assert "--guard" in capsys.readouterr().err
+        assert main(args + ["--guard", "8"]) == 0
+
     def test_shape_and_n_together_exits_2(self, capsys):
         assert main(["verify", "2,1", "--n", "3"]) == 2
 
@@ -474,6 +480,14 @@ class TestLargeInputs:
     def test_sampled_verify_of_all_shapes_of_40_hits_guard_at_once(self):
         # 2**39 shapes, every report built before the first prints
         out = _run_cli("verify", "--n", "40", "--mode", "sampled", "--samples", "1",
+                       preexec_fn=_cap_address_space, timeout=5)
+        assert (out.returncode, out.stdout) == (3, "")
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+        assert "--guard" in out.stderr
+
+    def test_sampled_verify_of_one_shape_past_the_formula_guard_exits_3_at_once(self):
+        # its counts would take (FORMULA_GUARD + 1)! twice before the first draw
+        out = _run_cli("verify", str(FORMULA_GUARD + 1), "--mode", "sampled", "--samples", "1",
                        preexec_fn=_cap_address_space, timeout=5)
         assert (out.returncode, out.stdout) == (3, "")
         assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
@@ -587,6 +601,7 @@ class TestStartup:
         stdout, names = _imported_by("-m", "immaculate.cli", "verify", "--help")
         assert "immaculate.enumeration" not in names
         assert "(default 8)" in stdout and "(default 16)" in stdout
+        assert "(default 100000)" in stdout
 
     @pytest.mark.parametrize("pure", ["0", "1"])
     @pytest.mark.parametrize("module", [

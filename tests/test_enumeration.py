@@ -342,6 +342,25 @@ class TestVerifySampled:
         assert obj["y_covered_by"] == "samples"
         json.dumps(obj)
 
+    def test_guard_refuses_a_shape_before_its_kernel_or_any_draw(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a refused shape reached its kernel or a draw")
+
+        monkeypatch.setattr(enumeration, "get_backend", refused)
+        monkeypatch.setattr(enumeration, "random_standard_filling", refused)
+        alpha = Composition((3, 3))
+        message = "^too large to compute: sampled verification needs n <= 5 but the shape has 6 "
+        with pytest.raises(GuardExceededError, match=message):
+            verify_bijection(alpha, mode="sampled", guard=5)
+        with pytest.raises(GuardExceededError, match=message):
+            verify_shapes([alpha], mode="sampled", guard=5)
+        # by default a sampled shape is bounded as its exact counts are
+        with pytest.raises(GuardExceededError, match=f"needs n <= {FORMULA_GUARD} "):
+            verify_bijection(Composition((FORMULA_GUARD + 1,)), mode="sampled")
+        monkeypatch.undo()
+        assert verify_bijection(alpha, mode="sampled", sample_size=5, guard=6).ok
+        assert verify_shapes([alpha], mode="sampled", sample_size=5, guard=6)[0].ok
+
 
 class TestVerifyArguments:
     # a worker count or sample size below one is refused in either mode, as

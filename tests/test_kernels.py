@@ -866,6 +866,31 @@ class TestWalks:
 
 
 @pytest.mark.pure_twin
+@pytest.mark.parametrize("n", range(1, 7))
+def test_filling_walk_runs_each_step_once_per_node(n):
+    # a node of depth d >= 1 has order[0..d] set, so there are n!/(n-1-d)!
+    # of them (13,692 in all at n = 7), and the fillings below each share
+    # its one checked slide and its one checked inverse step
+    calls = []
+
+    class Counted(pure.ShapeOps):
+        def _checked_slide(self, t, s, k):
+            calls.append("slide")
+            return super()._checked_slide(t, s, k)
+
+        def _checked_rotate(self, t, j, k):
+            calls.append("rotate")
+            return super()._checked_rotate(t, j, k)
+
+    nodes = sum(math.factorial(n) // math.factorial(n - 1 - d) for d in range(1, n))
+    for alpha in compositions(n):
+        calls.clear()
+        ops = Counted(alpha.parts)
+        assert ops.scan_fillings(0, math.factorial(n)) == (count_formula(alpha), [])
+        assert (calls.count("slide"), calls.count("rotate")) == (nodes, nodes), alpha
+
+
+@pytest.mark.pure_twin
 class TestPlantedFaults:
     """Faults planted in the pure twin's steps, where the walks meet them
     once per tree node and the public transforms once per object."""
