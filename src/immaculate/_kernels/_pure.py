@@ -1,19 +1,21 @@
 """Pure-Python kernels for the hot loops, on flat row-major arrays.
 
 This module is the spec of the kernels.  The compiled twin, the hand-written C
-file ``_speedups.c``, shares its constructor and its per-object loops and
-mirrors the rest function by function.  The compiled ``ShapeOps`` copies its
-geometry into C arrays from a ``ShapeOps`` of this module, so a shape is
-checked and laid out in one place.  The per-object roundtrip is written once,
-in ``roundtrip_filling`` and ``roundtrip_pair``; ``scan_pairs``,
-``_roundtrip_each`` (the per-filling loop of ``scan_fillings``) and sampled
-verify call them, and the compiled type holds those two loops as its own
-methods, since they use only the public ones.  Each of
+file ``_speedups.c``, shares its constructor, its per-object loops and its
+``scan_fillings`` and mirrors the rest function by function.  The compiled
+``ShapeOps`` copies its geometry into C arrays from a ``ShapeOps`` of this
+module, so a shape is checked and laid out in one place.  The per-object
+roundtrip is written once, in ``roundtrip_filling`` and ``roundtrip_pair``;
+``scan_pairs``, ``_roundtrip_each`` (the per-filling loop of
+``scan_fillings``) and sampled verify call them.  The compiled type holds
+those two loops and ``scan_fillings``, the filling scan's argument checks,
+as its own methods; of what they call, only the public methods and the
+checked filling walk ``_walk_fillings`` are written in C as well.  Each of
 ``_path_standard``, ``_slide``, ``_build_path``, ``_hook_index``,
 ``_rotate_hook``, the checked steps ``_checked_slide``/``_checked_rotate``
 with ``_check_exhausted``, and ``_straighten_inplace``/``_unstraighten_inplace``
 has a C function of the same name, the ``visit`` functions nested in
-``count_standard`` and ``scan_fillings`` are ``count_visit`` and ``fill_visit``
+``count_standard`` and ``_walk_fillings`` are ``count_visit`` and ``fill_visit``
 there, and the public methods raise the same exceptions with the same
 messages.  Every stability check, that of ``is_standard_immaculate``, of a
 checked slide and of a checked rotation, is ``_path_standard`` on the cells it
@@ -478,14 +480,30 @@ class ShapeOps:
         message) in walk order, where rank is the lexicographic rank of the
         filling itself; standard_count tallies the standard immaculate
         fillings scanned.
+
+        Only the bounds, check off and an empty range are handled here; the
+        walk itself is _walk_fillings.  Beyond _walk_fillings and
+        _roundtrip_each, this uses nothing of self but its public names, so
+        both twins run it: the compiled ShapeOps holds this very function.
+        The compiled _walk_fillings raises OverflowError when n! does not
+        fit a C long long, the type of its leaf numbers, so a compiled
+        checked scan of a nonempty range needs n <= 20.
         """
-        n = self.size
         start, stop = operator.index(start), operator.index(stop)
         if not 0 <= start <= stop <= self.n_factorial:
-            raise ValueError(f"bad scan range [{start}, {stop}) for {n}! fillings")
+            raise ValueError(f"bad scan range [{start}, {stop}) for {self.size}! fillings")
         failures = []
         if not check:
             return self._roundtrip_each(start, stop, False, failures), failures
+        if start == stop:
+            return 0, failures
+        return self._walk_fillings(start, stop, failures), failures
+
+    def _walk_fillings(self, start, stop, failures) -> int:
+        """The checked walk of scan_fillings over [start, stop), which is
+        nonempty and within n!; files the failures and returns the count of
+        standard fillings."""
+        n = self.size
         order, right, below, hooklen = self.order, self.right, self.below, self.hooklen
         x, t, s = [0] * n, [0] * n, [1] * n
         free = list(range(1, n + 1))
@@ -540,9 +558,8 @@ class ShapeOps:
             if i > 1:
                 free[d:d + i] = free[d + 1:d + i] + free[d:d + 1]
 
-        if start < stop:
-            visit(0, 0, self.n_factorial // n, True)
-        return standard, failures
+        visit(0, 0, self.n_factorial // n, True)
+        return standard
 
     def _roundtrip_each(self, lo, hi, check, failures) -> int:
         """Roundtrip the fillings numbered [lo, hi) in walk order one at a

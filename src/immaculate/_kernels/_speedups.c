@@ -3,14 +3,16 @@
  * _pure.py is the spec.  The constructor is written once, in _pure:
  * ShapeOps_init builds a _pure.ShapeOps, which checks the shape and works out
  * its geometry, and copies that geometry into C arrays.  So are both
- * per-object loops: scan_pairs and the per-filling roundtrip of
- * scan_fillings (_roundtrip_each) call only the public methods, and this
- * type holds _pure's two functions as its own methods, put in its dict by
- * PyInit__speedups.  Every static function here named after a _pure method
- * (_path_standard, _slide, _build_path, _hook_index, _rotate_hook,
- * _checked_slide, _checked_rotate, _check_exhausted, _straighten_inplace,
- * _unstraighten_inplace) is that method line for line, and the walks of
- * count_standard and scan_fillings are its nested visit functions.
+ * per-object loops, scan_pairs and the per-filling roundtrip of
+ * scan_fillings (_roundtrip_each), and scan_fillings with its argument
+ * checks: this type holds those three _pure functions as its own methods,
+ * put in its dict by PyInit__speedups, and scan_fillings leaves the walk to
+ * _walk_fillings, which is written here.  Every static function here named
+ * after a _pure method (_path_standard, _slide, _build_path, _hook_index,
+ * _rotate_hook, _checked_slide, _checked_rotate, _check_exhausted,
+ * _straighten_inplace, _unstraighten_inplace) is that method line for line,
+ * and the walks of count_standard and _walk_fillings are its nested visit
+ * functions.
  * The parity tests compare the two twins exhaustively.
  *
  * Where they differ: _pure keeps, in a memo keyed by the hook path, the
@@ -548,16 +550,16 @@ clear_check(void)
     return 0;
 }
 
-/* Roundtrip the fillings [lo, hi) one at a time through the public methods,
- * filing their failures: self._roundtrip_each, called by name as the _pure
- * walk calls it, which is _pure's own function unless a subclass overrides
- * it.  The number of standard ones among them, or -1 with an error set. */
+/* Roundtrip the fillings [lo, hi) of a failed walk node one at a time
+ * through the checked public methods, filing their failures:
+ * self._roundtrip_each, called by name as the _pure walk calls it, which is
+ * _pure's own function unless a subclass overrides it.  The number of
+ * standard ones among them, or -1 with an error set. */
 static long long
-roundtrip_each(ShapeOps *self, unsigned long long lo, unsigned long long hi, int check,
-               PyObject *failures)
+roundtrip_each(ShapeOps *self, unsigned long long lo, unsigned long long hi, PyObject *failures)
 {
     PyObject *count = PyObject_CallMethod((PyObject *)self, "_roundtrip_each", "KKOO", lo, hi,
-                                          check ? Py_True : Py_False, failures);
+                                          Py_True, failures);
     if (count == NULL)
         return -1;
     long long standard = PyLong_AsLongLong(count);
@@ -565,8 +567,8 @@ roundtrip_each(ShapeOps *self, unsigned long long lo, unsigned long long hi, int
     return standard;
 }
 
-/* The state of scan_fillings' depth-first walk; fill_visit is the nested
- * visit of the _pure scan.  A compiled scan refuses n! past a long long, so
+/* The state of the depth-first walk of _walk_fillings; fill_visit is the
+ * nested visit of _pure's.  _walk_fillings refuses n! past a long long, so
  * every leaf number and subtree size fits one. */
 typedef struct {
     ShapeOps *self;
@@ -605,7 +607,7 @@ fill_visit(Walk *w, int d, unsigned long long first, unsigned long long size, in
             unsigned long long to = lo + size < w->stop ? lo + size : w->stop;
             if (d > 0 && _checked_slide(self, w->t, w->s, d, w->work, before) < 0) {
                 long long count = clear_check() < 0 ? -1
-                                  : roundtrip_each(w->self, from, to, 1, w->failures);
+                                  : roundtrip_each(w->self, from, to, w->failures);
                 if (count < 0)
                     rc = -1;
                 else
@@ -627,7 +629,7 @@ fill_visit(Walk *w, int d, unsigned long long first, unsigned long long size, in
                     if (rc == 0 && (undo < 0 || w->s[pos] != 1
                                     || memcmp(w->t + pos, before, (size_t)h * sizeof(int)) != 0)) {
                         rc = PyList_SetSlice(w->failures, filed, PY_SSIZE_T_MAX, NULL);
-                        if (rc == 0 && roundtrip_each(w->self, from, to, 1, w->failures) < 0)
+                        if (rc == 0 && roundtrip_each(w->self, from, to, w->failures) < 0)
                             rc = -1;
                         memcpy(w->t + pos, before, (size_t)h * sizeof(int));
                         w->s[pos] = 1;
@@ -772,57 +774,31 @@ ShapeOps_count_standard(ShapeOps *self, PyObject *Py_UNUSED(ignored))
     return rc < 0 ? NULL : PyLong_FromLongLong(count);
 }
 
+/* _pure's scan_fillings checks the range and calls this for the walk. */
 static PyObject *
-ShapeOps_scan_fillings(ShapeOps *self, PyObject *const *args, Py_ssize_t nargs,
-                       PyObject *kwnames)
+ShapeOps__walk_fillings(ShapeOps *self, PyObject *args)
 {
-    static const char *const names[] = {"start", "stop", "check"};
-    PyObject *arg[3] = {NULL, NULL, Py_True};
-    if (bind_args("scan_fillings", names, 2, 3, args, nargs, kwnames, arg) < 0
-            || ready(self) < 0)
+    if (ready(self) < 0)
         return NULL;
+    /* before the bounds are read, so that one past a long long gets this
+     * error too */
     if (self->fact_ll < 0) {
         PyErr_SetString(PyExc_OverflowError, "n! too large for compiled scan");
         return NULL;
     }
-    int n = self->size;
-    PyObject *start = NULL, *stop = NULL, *failures = NULL, *result = NULL;
-    int *buf = NULL;
+    long long start, stop;
+    PyObject *failures;
+    if (!PyArg_ParseTuple(args, "LLO!:_walk_fillings", &start, &stop, &PyList_Type, &failures))
+        return NULL;
     Walk w;
-    if ((start = PyNumber_Index(arg[0])) == NULL || (stop = PyNumber_Index(arg[1])) == NULL)
-        goto done;
-    /* a bound past a long long is past n! too */
-    int lo_over, hi_over;
-    long long lo = PyLong_AsLongLongAndOverflow(start, &lo_over);
-    long long hi = PyLong_AsLongLongAndOverflow(stop, &hi_over);
-    if ((lo == -1 || hi == -1) && PyErr_Occurred())
-        goto done;
-    if (lo_over || hi_over || lo < 0 || lo > hi || hi > self->fact_ll) {
-        PyErr_Format(PyExc_ValueError, "bad scan range [%S, %S) for %d! fillings",
-                     start, stop, n);
-        goto done;
-    }
-    int check = PyObject_IsTrue(arg[2]);
-    if (check < 0 || (failures = PyList_New(0)) == NULL)
-        goto done;
-    long long standard = 0;
-    if (!check)
-        standard = roundtrip_each(self, lo, hi, 0, failures);
-    else if (lo < hi) {
-        if ((buf = walk_alloc(&w, self, failures)) == NULL)
-            goto done;
-        w.start = lo;
-        w.stop = hi;
-        standard = fill_visit(&w, 0, 0, self->fact_ll / n, 1) < 0 ? -1 : w.standard;
-    }
-    if (standard >= 0)
-        result = Py_BuildValue("(LO)", standard, failures);
-done:
+    int *buf = walk_alloc(&w, self, failures);
+    if (buf == NULL)
+        return NULL;
+    w.start = start;
+    w.stop = stop;
+    int rc = fill_visit(&w, 0, 0, self->fact_ll / self->size, 1);
     PyMem_Free(buf);
-    Py_XDECREF(start);
-    Py_XDECREF(stop);
-    Py_XDECREF(failures);
-    return result;
+    return rc < 0 ? NULL : PyLong_FromLongLong(w.standard);
 }
 
 /* -- type and module ------------------------------------------------------- */
@@ -842,20 +818,9 @@ static PyMethodDef ShapeOps_methods[] = {
      "(flat standard immaculate filling, flat hook values) -> flat filling."},
     {"count_standard", (PyCFunction)ShapeOps_count_standard, METH_NOARGS,
      "Count the standard immaculate fillings by a pruned walk in traversal order."},
-    {"scan_fillings", (PyCFunction)(void (*)(void))ShapeOps_scan_fillings,
-     METH_FASTCALL | METH_KEYWORDS,
-     "scan_fillings(start, stop, check=True)\n--\n\n"
-     "Roundtrip-check the fillings numbered [start, stop) in walk order.\n\n"
-     "Leaf i of the walk is the filling whose entries, read in traversal order,\n"
-     "form the i-th permutation.  Each checked straighten step runs once per\n"
-     "tree node on the way down and its checked inverse once on the way back\n"
-     "up.  The fillings of a node whose slide or inverse fails, and with check\n"
-     "off the whole range, go through self._roundtrip_each: one roundtrip each\n"
-     "through the public straighten and unstraighten.\n"
-     "Returns (standard_count, failures); failures holds (rank, stage, message)\n"
-     "in walk order, rank being the filling's lexicographic rank, and\n"
-     "standard_count tallies the standard immaculate fillings scanned.\n"
-     "Raises OverflowError when n! does not fit a C long long."},
+    {"_walk_fillings", (PyCFunction)ShapeOps__walk_fillings, METH_VARARGS,
+     "_walk_fillings(start, stop, failures)\n--\n\n"
+     "The checked walk of scan_fillings over a nonempty range within n!."},
     {NULL}
 };
 
@@ -900,10 +865,12 @@ PyInit__speedups(void)
         PyObject *errors = PyImport_ImportModule("immaculate.errors");
         InternalCheckError = errors ? PyObject_GetAttrString(errors, "InternalCheckError") : NULL;
         Py_XDECREF(errors);
-        /* the constructor is _pure's own, and so are the per-object loops:
-         * the type holds _pure's functions, put in its dict before
-         * PyType_Ready, after which the type is immutable */
-        static const char *const loops[] = {"scan_pairs", "_roundtrip_each"};
+        /* the constructor is _pure's own, and so are the per-object loops
+         * and scan_fillings: the type holds _pure's functions, put in its
+         * dict before PyType_Ready, after which the type is immutable.  No
+         * name here may be in ShapeOps_methods too: PyType_Ready keeps a
+         * name already in the dict and drops that C method without a word */
+        static const char *const loops[] = {"scan_pairs", "_roundtrip_each", "scan_fillings"};
         PyObject *pure = InternalCheckError
                          ? PyImport_ImportModule("immaculate._kernels._pure") : NULL;
         pure_ops = pure ? PyObject_GetAttrString(pure, "ShapeOps") : NULL;

@@ -172,22 +172,21 @@ def cmd_verify(args) -> int:
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise ParseError(f"--{flag} must be positive, got {value}")
-    guard = args.guard
-    if guard is None:
-        guard = EXHAUSTIVE_GUARD if args.mode == "exhaustive" else (
-            FORMULA_GUARD if args.shape is not None else SAMPLED_GUARD)
+    # verify_shapes bounds each shape itself, by its mode's default guard
+    # when --guard is not given; only sampled --n has a guard of its own
+    n_guard = args.guard or SAMPLED_GUARD
     if args.shape is not None:
         shapes = [parse_composition(args.shape)]
-    elif args.mode == "sampled" and args.n > guard:
+    elif args.mode == "sampled" and args.n > n_guard:
         raise GuardExceededError(
             f"sampled verification of the 2**{args.n - 1} compositions of {args.n} needs "
-            f"n <= {guard}; verify one shape instead, or raise --guard")
+            f"n <= {n_guard}; verify one shape instead, or raise --guard")
     else:
         shapes = compositions(args.n)
     from .enumeration import verify_shapes
 
     reports = verify_shapes(shapes, mode=args.mode, sample_size=args.samples, seed=args.seed,
-                            jobs=args.jobs, guard=guard)
+                            jobs=args.jobs, guard=args.guard)
     all_ok = all(r.ok for r in reports)
     if args.format == "json":
         _print_json({"ok": all_ok, "reports": [r.to_json_obj() for r in reports]})

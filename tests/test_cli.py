@@ -380,7 +380,8 @@ class TestVerify:
         args = ["verify", "--n", "3", "--mode", "sampled", "--samples", "1"]
         assert main(args + ["--guard", "2"]) == 3
         assert main(args + ["--guard", "3"]) == 0
-        # one shape has no guard on n in sampled mode
+        # one sampled shape is bounded by FORMULA_GUARD, not by the guard
+        # of sampled --n
         assert main(["verify", "20", "--mode", "sampled", "--samples", "1"]) == 0
 
     def test_guard_bounds_one_sampled_shape(self, capsys):

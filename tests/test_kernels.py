@@ -7,6 +7,7 @@ Tests marked ``pure_twin`` test the pure twin; test_build.py leaves them out
 of its run against the compiled build, as the session that starts it runs
 them itself."""
 
+import inspect
 import itertools
 import math
 import os
@@ -372,6 +373,20 @@ def test_every_c_helper_is_a_pure_method():
     assert [name for name in names if not hasattr(pure.ShapeOps, name)] == []
 
 
+@pytest.mark.pure_twin
+def test_every_held_pure_loop_is_a_pure_function_and_no_c_method():
+    # the compiled type holds the pure functions named in PyInit__speedups'
+    # loops[]; a name in ShapeOps_methods as well would leave one of the two
+    # unused without a word
+    source = Path(pure.__file__).with_name("_speedups.c").read_text()
+    loops = re.findall(r'"(\w+)"', re.search(r"loops\[\] = \{(.*?)\}", source).group(1))
+    table = re.search(r"ShapeOps_methods\[\] = \{(.*?)\n\};", source, re.DOTALL).group(1)
+    methods = re.findall(r'^    \{"(\w+)",', table, re.MULTILINE)
+    assert "scan_fillings" in loops and "straighten" in methods
+    assert [name for name in loops if not inspect.isfunction(vars(pure.ShapeOps).get(name))] == []
+    assert [name for name in loops if name in methods] == []
+
+
 @needs_compiled
 def test_every_public_pure_method_is_a_compiled_attribute():
     # the other half of the mirror, run against the compiled build: a public
@@ -479,9 +494,18 @@ class TestTypeSurface:
 
     @needs_compiled
     def test_compiled_filling_scan_refuses_long_factorial(self):
-        # refused whatever the range, even one whose leaf numbers all fit
+        # a nonempty checked range is refused, even one whose leaf numbers
+        # all fit
         with pytest.raises(OverflowError, match="n! too large"):
             compiled.ShapeOps((21,)).scan_fillings(0, 1)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_filling_scan_past_long_long_that_walks_nothing(self, backend):
+        # 21! > 2**63, but an empty range and a check-off scan run no walk,
+        # so they give the pure twin's results
+        ops, oracle = get_backend(backend).ShapeOps((21,)), pure.ShapeOps((21,))
+        assert ops.scan_fillings(0, 0) == oracle.scan_fillings(0, 0) == (0, [])
+        assert ops.scan_fillings(0, 2, False) == oracle.scan_fillings(0, 2, False) == (0, [])
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_subclass(self, backend):
@@ -503,7 +527,7 @@ class TestTypeSurface:
 
     @needs_compiled
     def test_per_object_loops_are_the_pure_functions(self):
-        for name in ("scan_pairs", "_roundtrip_each"):
+        for name in ("scan_pairs", "_roundtrip_each", "scan_fillings"):
             assert compiled.ShapeOps.__dict__[name] is pure.ShapeOps.__dict__[name]
 
     @pytest.mark.parametrize("backend", BACKENDS)
