@@ -8,10 +8,10 @@ module, so a shape is checked and laid out in one place.  The per-object
 roundtrip is written once, in ``roundtrip_filling`` and ``roundtrip_pair``;
 ``scan_pairs``, ``_roundtrip_each`` (the per-filling loop of
 ``scan_fillings``) and sampled verify call them.  The compiled type holds
-those two loops and ``scan_fillings``, the filling scan's argument checks,
-as its own methods; of what they call, only the public methods and the
-checked filling walk ``_walk_fillings`` are written in C as well.  Each of
-``_path_standard``, ``_slide``, ``_build_path``, ``_hook_index``,
+those two loops, ``scan_fillings`` (the filling scan's argument checks) and
+the properties ``n_factorial`` and ``hook_prod`` as its own; of what they
+call, only the public methods and the walk ``_walk_fillings`` are C as well.
+Each of ``_path_standard``, ``_slide``, ``_build_path``, ``_hook_index``,
 ``_rotate_hook``, the checked steps ``_checked_slide``/``_checked_rotate``
 with ``_check_exhausted``, and ``_straighten_inplace``/``_unstraighten_inplace``
 has a C function of the same name, the ``visit`` functions nested in
@@ -108,8 +108,6 @@ class ShapeOps:
             n - pos if self.colof[pos] == 0 else row_start[self.rowof[pos] + 1] - pos
             for pos in range(n)
         ])
-        self.hook_prod = tree_product(self.hooklen)
-        self.n_factorial = math.factorial(n)
         # the row runs of the unchecked transforms: each row tail as
         # (start, stop, end), its cells [start, end) and its steps
         # [start, stop), which leave out order[0]; and the column-1 steps,
@@ -119,6 +117,18 @@ class ShapeOps:
         self._column1 = [pos for pos in self.order[1:] if self.colof[pos] == 0]
         self._checked_paths = {}
         self._path_budget = PATH_MEMO_CELLS
+
+    # worked out on each read, not kept: only the scans' range arithmetic
+    # reads them, and n! of a big shape costs more than all of its geometry
+    @property
+    def hook_prod(self) -> int:
+        """Exact product of the hook lengths."""
+        return tree_product(self.hooklen)
+
+    @property
+    def n_factorial(self) -> int:
+        """Exact n!."""
+        return math.factorial(self.size)
 
     # -- predicates ---------------------------------------------------------
 
@@ -565,21 +575,17 @@ class ShapeOps:
         """Roundtrip the fillings numbered [lo, hi) in walk order one at a
         time, with roundtrip_filling, and append the failure entries of
         scan_fillings to failures; returns how many of them are standard.
-        The entries of filling i, read in traversal order, form the i-th
-        permutation of 1..n.
+        The entries of filling i, read in traversal order, are
+        unrank_permutation(n, i).
 
         This uses nothing of self but its public names, so both twins run
         it: the compiled ShapeOps holds this very function, and both walks
         call it by name on self, so a subclass may override it.
         """
         n, order = self.size, self.order
-        leaves = [math.factorial(n - 1 - d) for d in range(n)]
         count = 0
         for i in range(lo, hi):
-            y, left, rem = [0] * n, list(range(1, n + 1)), i
-            for d in range(n):
-                q, rem = divmod(rem, leaves[d])
-                y[order[d]] = left.pop(q)
+            y = [v for _, v in sorted(zip(order, unrank_permutation(n, i)))]
             count += self.is_standard_immaculate(y)
             failed = roundtrip_filling(self, y, check)
             if failed:
@@ -645,6 +651,18 @@ def unrank_hook_values(hooklen, rem) -> list[int]:
         rem, d = divmod(rem, hooklen[pos])
         values[pos] = d + 1
     return values
+
+
+def unrank_permutation(n: int, rank: int) -> tuple[int, ...]:
+    """The rank-th permutation of 1..n in lexicographic order (0-based rank)."""
+    if not 0 <= rank < math.factorial(n):
+        raise ValueError(f"rank {rank} out of range for n={n}")
+    pool = list(range(1, n + 1))
+    out = []
+    for i in range(n, 0, -1):
+        idx, rank = divmod(rank, math.factorial(i - 1))
+        out.append(pool.pop(idx))
+    return tuple(out)
 
 
 def _lex_rank(x) -> int:

@@ -3,11 +3,11 @@
  * _pure.py is the spec.  The constructor is written once, in _pure:
  * ShapeOps_init builds a _pure.ShapeOps, which checks the shape and works out
  * its geometry, and copies that geometry into C arrays.  So are both
- * per-object loops, scan_pairs and the per-filling roundtrip of
- * scan_fillings (_roundtrip_each), and scan_fillings with its argument
- * checks: this type holds those three _pure functions as its own methods,
- * put in its dict by PyInit__speedups, and scan_fillings leaves the walk to
- * _walk_fillings, which is written here.  Every static function here named
+ * per-object loops (scan_pairs, and _roundtrip_each of scan_fillings),
+ * scan_fillings with its argument checks, and the properties n_factorial and
+ * hook_prod: this type holds those _pure attributes, put in its dict by
+ * PyInit__speedups, and keeps neither number.  scan_fillings leaves the walk
+ * to _walk_fillings, which is written here.  Every static function here named
  * after a _pure method (_path_standard, _slide, _build_path, _hook_index,
  * _rotate_hook, _checked_slide, _checked_rotate, _check_exhausted,
  * _straighten_inplace, _unstraighten_inplace) is that method line for line,
@@ -41,12 +41,9 @@ static PyObject *InternalCheckError; /* immaculate.errors.InternalCheckError */
 typedef struct {
     PyObject_HEAD
     PyObject *parts;       /* tuple of ints */
-    PyObject *hook_prod;   /* exact product of the hook lengths */
-    PyObject *n_factorial; /* exact n! */
     PyObject *hooklen_obj; /* hooklen as a tuple of ints, the attribute `hooklen` */
     PyObject *order_obj;   /* order as a tuple of ints, the attribute `order` */
     int size;
-    long long fact_ll;     /* n_factorial when it fits a long long, else -1 */
     int *geom;             /* one block holding every array below */
     int *row_start, *rowof, *colof, *right, *below, *order, *hooklen;
 } ShapeOps;
@@ -193,10 +190,9 @@ static int
 ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"parts", NULL};
-    static const char *const names[] = {"parts", "hook_prod", "n_factorial", "hooklen", "order",
-                                        "size"};
+    static const char *const names[] = {"parts", "hooklen", "order", "size"};
     static const char *const cells[] = {"rowof", "colof", "right", "below", "order", "hooklen"};
-    PyObject *arg, *obj[6] = {NULL, NULL, NULL, NULL, NULL, NULL};
+    PyObject *arg, *obj[4] = {NULL, NULL, NULL, NULL};
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "O:ShapeOps", kwlist, &arg))
         return -1;
     /* a shape the spec refuses leaves the last one, as in _pure */
@@ -206,14 +202,12 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
     /* a second __init__ replaces the shape; one that fails past here leaves none */
     PyMem_Free(self->geom);
     self->geom = NULL;
-    for (int i = 0; i < 6; i++)
+    for (int i = 0; i < 4; i++)
         if ((obj[i] = PyObject_GetAttrString(spec, names[i])) == NULL)
             goto fail;
-    long n = PyLong_AsLong(obj[5]); /* the spec refuses a size past a C int */
+    long n = PyLong_AsLong(obj[3]); /* the spec refuses a size past a C int */
     Py_ssize_t k = PyObject_Length(obj[0]);
-    int overflow;
-    long long fact_ll = PyLong_AsLongLongAndOverflow(obj[2], &overflow);
-    if (n < 0 || k < 0 || (fact_ll == -1 && PyErr_Occurred()))
+    if (n < 0 || k < 0)
         goto fail;
 
     /* row_start has k + 1 ints, the six per-cell arrays n each */
@@ -234,20 +228,17 @@ ShapeOps_init(ShapeOps *self, PyObject *args, PyObject *kwds)
         goto fail;
 
     Py_XSETREF(self->parts, obj[0]);
-    Py_XSETREF(self->hook_prod, obj[1]);
-    Py_XSETREF(self->n_factorial, obj[2]);
-    Py_XSETREF(self->hooklen_obj, obj[3]);
-    Py_XSETREF(self->order_obj, obj[4]);
-    Py_DECREF(obj[5]);
+    Py_XSETREF(self->hooklen_obj, obj[1]);
+    Py_XSETREF(self->order_obj, obj[2]);
+    Py_DECREF(obj[3]);
     self->size = (int)n;
-    self->fact_ll = overflow ? -1 : fact_ll;
     Py_DECREF(spec);
     return 0;
 
 fail:
     PyMem_Free(self->geom);
     self->geom = NULL;
-    for (int i = 0; i < 6; i++)
+    for (int i = 0; i < 4; i++)
         Py_XDECREF(obj[i]);
     Py_DECREF(spec);
     return -1;
@@ -258,8 +249,6 @@ ShapeOps_dealloc(ShapeOps *self)
 {
     PyMem_Free(self->geom);
     Py_XDECREF(self->parts);
-    Py_XDECREF(self->hook_prod);
-    Py_XDECREF(self->n_factorial);
     Py_XDECREF(self->hooklen_obj);
     Py_XDECREF(self->order_obj);
     Py_TYPE(self)->tp_free((PyObject *)self);
@@ -780,11 +769,13 @@ ShapeOps__walk_fillings(ShapeOps *self, PyObject *args)
 {
     if (ready(self) < 0)
         return NULL;
-    /* before the bounds are read, so that one past a long long gets this
-     * error too */
-    if (self->fact_ll < 0) {
-        PyErr_SetString(PyExc_OverflowError, "n! too large for compiled scan");
-        return NULL;
+    /* n! numbers the leaves; refused before the bounds are read, so that one
+     * past a long long gets this error too */
+    long long fact = 1;
+    for (int m = 2; m <= self->size; m++) {
+        if (fact > LLONG_MAX / m)
+            return PyErr_Format(PyExc_OverflowError, "n! too large for compiled scan");
+        fact *= m;
     }
     long long start, stop;
     PyObject *failures;
@@ -796,7 +787,7 @@ ShapeOps__walk_fillings(ShapeOps *self, PyObject *args)
         return NULL;
     w.start = start;
     w.stop = stop;
-    int rc = fill_visit(&w, 0, 0, self->fact_ll / self->size, 1);
+    int rc = fill_visit(&w, 0, 0, fact / self->size, 1);
     PyMem_Free(buf);
     return rc < 0 ? NULL : PyLong_FromLongLong(w.standard);
 }
@@ -827,9 +818,6 @@ static PyMethodDef ShapeOps_methods[] = {
 static PyMemberDef ShapeOps_members[] = {
     {"parts", T_OBJECT_EX, offsetof(ShapeOps, parts), READONLY, "the composition"},
     {"size", T_INT, offsetof(ShapeOps, size), READONLY, "number of cells n"},
-    {"hook_prod", T_OBJECT_EX, offsetof(ShapeOps, hook_prod), READONLY,
-     "exact product of the hook lengths"},
-    {"n_factorial", T_OBJECT_EX, offsetof(ShapeOps, n_factorial), READONLY, "exact n!"},
     {"hooklen", T_OBJECT_EX, offsetof(ShapeOps, hooklen_obj), READONLY,
      "hook length of each flat cell"},
     {"order", T_OBJECT_EX, offsetof(ShapeOps, order_obj), READONLY,
@@ -865,22 +853,23 @@ PyInit__speedups(void)
         PyObject *errors = PyImport_ImportModule("immaculate.errors");
         InternalCheckError = errors ? PyObject_GetAttrString(errors, "InternalCheckError") : NULL;
         Py_XDECREF(errors);
-        /* the constructor is _pure's own, and so are the per-object loops
-         * and scan_fillings: the type holds _pure's functions, put in its
-         * dict before PyType_Ready, after which the type is immutable.  No
-         * name here may be in ShapeOps_methods too: PyType_Ready keeps a
-         * name already in the dict and drops that C method without a word */
-        static const char *const loops[] = {"scan_pairs", "_roundtrip_each", "scan_fillings"};
+        /* the constructor is _pure's own, and so are the per-object loops,
+         * scan_fillings, n_factorial and hook_prod: the type holds _pure's
+         * functions and properties, put in its dict before PyType_Ready makes
+         * it immutable.  No name here may be in ShapeOps_methods or _members
+         * too: PyType_Ready keeps the dict's and drops the C one without a word */
+        static const char *const held[] = {"scan_pairs", "_roundtrip_each", "scan_fillings",
+                                           "n_factorial", "hook_prod"};
         PyObject *pure = InternalCheckError
                          ? PyImport_ImportModule("immaculate._kernels._pure") : NULL;
         pure_ops = pure ? PyObject_GetAttrString(pure, "ShapeOps") : NULL;
         Py_XDECREF(pure);
         PyObject *dict = pure_ops ? PyDict_New() : NULL;
-        for (int i = 0; dict != NULL && i < (int)(sizeof loops / sizeof loops[0]); i++) {
-            PyObject *loop = PyObject_GetAttrString(pure_ops, loops[i]);
-            if (loop == NULL || PyDict_SetItemString(dict, loops[i], loop) < 0)
+        for (int i = 0; dict != NULL && i < (int)(sizeof held / sizeof held[0]); i++) {
+            PyObject *attr = PyObject_GetAttrString(pure_ops, held[i]);
+            if (attr == NULL || PyDict_SetItemString(dict, held[i], attr) < 0)
                 Py_CLEAR(dict);
-            Py_XDECREF(loop);
+            Py_XDECREF(attr);
         }
         if (dict == NULL) {
             Py_CLEAR(InternalCheckError);

@@ -40,12 +40,15 @@ from .tableau import Grid, Tableau, format_grid_text, parse_grid_text, parse_jso
 Path = tuple[Cell, ...]
 
 
-@lru_cache(maxsize=64)
 def _kernel(parts: tuple[int, ...], backend: str | None = None):
-    """The cached ShapeOps of a shape, on the active backend unless named.
+    """The cached ShapeOps of a shape, on the active backend unless named,
+    one per backend however it is named.  Only the pure kernel's single
+    moves are callable from Python."""
+    return _shape_ops(parts, backend or _kernels.BACKEND)
 
-    Only the pure kernel's single moves are callable from Python.
-    """
+
+@lru_cache(maxsize=64)
+def _shape_ops(parts: tuple[int, ...], backend: str):
     return _kernels.get_backend(backend).ShapeOps(parts)
 
 

@@ -25,7 +25,8 @@ from contextlib import contextmanager, nullcontext
 from typing import Iterable, Iterator, Sequence
 
 from ._kernels import BACKEND, get_backend
-from ._kernels._pure import roundtrip_filling, roundtrip_pair, unrank_hook_values
+from ._kernels._pure import (roundtrip_filling, roundtrip_pair, unrank_hook_values,
+                             unrank_permutation)
 from .bijection import HookTableau
 from .composition import Composition, count_formula, tree_product
 from .errors import (BRUTE_GUARD, EXHAUSTIVE_GUARD, FORMULA_GUARD, GuardExceededError,
@@ -158,19 +159,6 @@ def all_hook_tableaux(alpha: Composition) -> Iterator[HookTableau]:
     ranges = [range(1, h + 1) for row in alpha.hook_lengths() for h in row]
     for values in itertools.product(*ranges):
         yield HookTableau.from_flat(alpha, values)
-
-
-def unrank_permutation(n: int, rank: int) -> tuple[int, ...]:
-    """The rank-th permutation of 1..n in lexicographic order (0-based rank)."""
-    if not 0 <= rank < math.factorial(n):
-        raise ValueError(f"rank {rank} out of range for n={n}")
-    pool = list(range(1, n + 1))
-    out = []
-    for i in range(n, 0, -1):
-        f = math.factorial(i - 1)
-        idx, rank = divmod(rank, f)
-        out.append(pool.pop(idx))
-    return tuple(out)
 
 
 # -- random sampling --------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from immaculate import bijection
+from immaculate._kernels import BACKEND
 from immaculate.bijection import (
     HookTableau,
     Pair,
@@ -242,6 +243,14 @@ class TestHookIndexOfPath:
             hook_index_of_path(alpha, [(1, 2), (3, 2)])  # descends off column 1
         with pytest.raises(ValueError):
             hook_index_of_path(alpha, [(1, 3)])  # outside the diagram
+
+
+def test_active_backend_shares_the_named_kernel():
+    # one ShapeOps per shape and backend: on the pure backend, straighten
+    # and the pure-only helpers (hook paths, trace replays) share one shape
+    # and its checked-path memo
+    parts = (2, 1, 2)
+    assert bijection._kernel(parts) is bijection._kernel(parts, BACKEND)
 
 
 class TestCircularShifts:

@@ -628,6 +628,21 @@ class TestClosedStdout:
         proc.stderr.close()
         assert (proc.wait(timeout=60), stderr) == (0, b"")
 
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+    def test_reader_closing_after_100_bytes_exits_0_quietly(self, fmt):
+        # main's BrokenPipeError branch, in text and in the streamed JSON:
+        # 200,000 tableaux are megabytes, far past the pipe's buffer
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "immaculate.cli", "enumerate", "7,7,7", "--limit", "200000",
+             *fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path))
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), stderr) == (0, b"")
+
 
 class TestWalkLimits:
     # shapes past what a kernel walk reaches exit 3 with one stderr line

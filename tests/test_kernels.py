@@ -375,16 +375,24 @@ def test_every_c_helper_is_a_pure_method():
 
 @pytest.mark.pure_twin
 def test_every_held_pure_loop_is_a_pure_function_and_no_c_method():
-    # the compiled type holds the pure functions named in PyInit__speedups'
-    # loops[]; a name in ShapeOps_methods as well would leave one of the two
-    # unused without a word
+    # the compiled type holds the pure functions and properties named in
+    # PyInit__speedups' held[]; a name in ShapeOps_methods or ShapeOps_members
+    # as well would leave one of the two unused without a word
     source = Path(pure.__file__).with_name("_speedups.c").read_text()
-    loops = re.findall(r'"(\w+)"', re.search(r"loops\[\] = \{(.*?)\}", source).group(1))
-    table = re.search(r"ShapeOps_methods\[\] = \{(.*?)\n\};", source, re.DOTALL).group(1)
-    methods = re.findall(r'^    \{"(\w+)",', table, re.MULTILINE)
-    assert "scan_fillings" in loops and "straighten" in methods
-    assert [name for name in loops if not inspect.isfunction(vars(pure.ShapeOps).get(name))] == []
-    assert [name for name in loops if name in methods] == []
+
+    def entries(table):
+        # the first string of each entry of a C table: its Python name
+        body = re.search(rf"ShapeOps_{table}\[\] = \{{(.*?)\n\}};", source, re.DOTALL).group(1)
+        return re.findall(r'^    \{"(\w+)",', body, re.MULTILINE)
+
+    held = re.findall(r'"(\w+)"', re.search(r"held\[\] = \{(.*?)\}", source, re.DOTALL).group(1))
+    methods, members = entries("methods"), entries("members")
+    assert "scan_fillings" in held and "n_factorial" in held
+    assert "straighten" in methods and "parts" in members
+    spec = [vars(pure.ShapeOps).get(name) for name in held]
+    assert [name for name, value in zip(held, spec)
+            if not (inspect.isfunction(value) or isinstance(value, property))] == []
+    assert [name for name in held if name in methods or name in members] == []
 
 
 @needs_compiled
@@ -527,8 +535,21 @@ class TestTypeSurface:
 
     @needs_compiled
     def test_per_object_loops_are_the_pure_functions(self):
-        for name in ("scan_pairs", "_roundtrip_each", "scan_fillings"):
+        for name in ("scan_pairs", "_roundtrip_each", "scan_fillings", "n_factorial", "hook_prod"):
             assert compiled.ShapeOps.__dict__[name] is pure.ShapeOps.__dict__[name]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_construction_works_out_neither_big_number(self, backend, monkeypatch):
+        # n! and the hook product are worked out when read, not when built
+        def refuse(*args):
+            raise AssertionError("worked out while building the shape")
+
+        monkeypatch.setattr(math, "factorial", refuse)
+        monkeypatch.setattr(pure, "tree_product", refuse)
+        ops = get_backend(backend).ShapeOps((3, 1, 2))
+        monkeypatch.undo()
+        assert ops.n_factorial == math.factorial(6)
+        assert ops.hook_prod == math.prod(ops.hooklen)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_subclass_roundtrip_each_reaches_the_walk(self, backend):
