@@ -8,9 +8,10 @@ module, so a shape is checked and laid out in one place.  The per-object
 roundtrip is written once, in ``roundtrip_filling`` and ``roundtrip_pair``;
 ``scan_pairs``, ``_roundtrip_each`` (the per-filling loop of
 ``scan_fillings``) and sampled verify call them.  The compiled type holds
-those two loops, ``scan_fillings`` (the filling scan's argument checks) and
-the properties ``n_factorial`` and ``hook_prod`` as its own; of what they
-call, only the public methods and the walk ``_walk_fillings`` are C as well.
+those two loops, ``scan_fillings`` (the filling scan's argument checks and
+its 64-bit leaf limit) and the properties ``n_factorial`` and ``hook_prod``
+as its own; of what they call, only the public methods and the walk
+``_walk_fillings`` are C as well.
 Each of ``_path_standard``, ``_slide``, ``_build_path``, ``_hook_index``,
 ``_rotate_hook``, the checked steps ``_checked_slide``/``_checked_rotate``
 with ``_check_exhausted``, and ``_straighten_inplace``/``_unstraighten_inplace``
@@ -491,27 +492,31 @@ class ShapeOps:
         filling itself; standard_count tallies the standard immaculate
         fillings scanned.
 
-        Only the bounds, check off and an empty range are handled here; the
-        walk itself is _walk_fillings.  Beyond _walk_fillings and
-        _roundtrip_each, this uses nothing of self but its public names, so
-        both twins run it: the compiled ShapeOps holds this very function.
-        The compiled _walk_fillings raises OverflowError when n! does not
-        fit a C long long, the type of its leaf numbers, so a compiled
-        checked scan of a nonempty range needs n <= 20.
+        Only the bounds, check off, an empty range and the leaf numbers'
+        width are handled here; the walk itself is _walk_fillings.  Beyond
+        _walk_fillings and _roundtrip_each, this uses nothing of self but
+        its public names, so both twins run it: the compiled ShapeOps holds
+        this very function.  The compiled walk numbers its leaves in a C
+        long long, so a checked scan of a nonempty range raises
+        OverflowError on both twins when n! does not fit one (n > 20).
         """
         start, stop = operator.index(start), operator.index(stop)
-        if not 0 <= start <= stop <= self.n_factorial:
+        n_factorial = self.n_factorial
+        if not 0 <= start <= stop <= n_factorial:
             raise ValueError(f"bad scan range [{start}, {stop}) for {self.size}! fillings")
         failures = []
         if not check:
             return self._roundtrip_each(start, stop, False, failures), failures
         if start == stop:
             return 0, failures
-        return self._walk_fillings(start, stop, failures), failures
+        if n_factorial > 2**63 - 1:
+            raise OverflowError("n! too large for 64-bit leaf numbers")
+        return self._walk_fillings(start, stop, n_factorial // self.size, failures), failures
 
-    def _walk_fillings(self, start, stop, failures) -> int:
+    def _walk_fillings(self, start, stop, size, failures) -> int:
         """The checked walk of scan_fillings over [start, stop), which is
-        nonempty and within n!; files the failures and returns the count of
+        nonempty and within n! < 2**63, with size = n!/n leaves below each
+        child of the root; files the failures and returns the count of
         standard fillings."""
         n = self.size
         order, right, below, hooklen = self.order, self.right, self.below, self.hooklen
@@ -568,7 +573,7 @@ class ShapeOps:
             if i > 1:
                 free[d:d + i] = free[d + 1:d + i] + free[d:d + 1]
 
-        visit(0, 0, self.n_factorial // n, True)
+        visit(0, 0, size, True)
         return standard
 
     def _roundtrip_each(self, lo, hi, check, failures) -> int:

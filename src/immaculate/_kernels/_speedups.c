@@ -6,13 +6,14 @@
  * per-object loops (scan_pairs, and _roundtrip_each of scan_fillings),
  * scan_fillings with its argument checks, and the properties n_factorial and
  * hook_prod: this type holds those _pure attributes, put in its dict by
- * PyInit__speedups, and keeps neither number.  scan_fillings leaves the walk
- * to _walk_fillings, which is written here.  Every static function here named
- * after a _pure method (_path_standard, _slide, _build_path, _hook_index,
- * _rotate_hook, _checked_slide, _checked_rotate, _check_exhausted,
- * _straighten_inplace, _unstraighten_inplace) is that method line for line,
- * and the walks of count_standard and _walk_fillings are its nested visit
- * functions.
+ * PyInit__speedups, and keeps neither number.  scan_fillings refuses n! past
+ * a long long on both twins and leaves the walk to _walk_fillings, which is
+ * written here and gets the n!/n leaves under each root child from it.
+ * Every static function here named after a _pure method (_path_standard,
+ * _slide, _build_path, _hook_index, _rotate_hook, _checked_slide,
+ * _checked_rotate, _check_exhausted, _straighten_inplace,
+ * _unstraighten_inplace) is that method line for line, and the walks of
+ * count_standard and _walk_fillings are its nested visit functions.
  * The parity tests compare the two twins exhaustively.
  *
  * Where they differ: _pure keeps, in a memo keyed by the hook path, the
@@ -557,8 +558,8 @@ roundtrip_each(ShapeOps *self, unsigned long long lo, unsigned long long hi, PyO
 }
 
 /* The state of the depth-first walk of _walk_fillings; fill_visit is the
- * nested visit of _pure's.  _walk_fillings refuses n! past a long long, so
- * every leaf number and subtree size fits one. */
+ * nested visit of _pure's.  scan_fillings refuses n! past 2**63 - 1 before
+ * the walk, so every leaf number and subtree size fits a long long. */
 typedef struct {
     ShapeOps *self;
     PyObject *failures;
@@ -763,23 +764,15 @@ ShapeOps_count_standard(ShapeOps *self, PyObject *Py_UNUSED(ignored))
     return rc < 0 ? NULL : PyLong_FromLongLong(count);
 }
 
-/* _pure's scan_fillings checks the range and calls this for the walk. */
+/* _pure's scan_fillings checks the range and n!, and calls this for the
+ * walk with the n!/n leaves below each child of the root. */
 static PyObject *
 ShapeOps__walk_fillings(ShapeOps *self, PyObject *args)
 {
-    if (ready(self) < 0)
-        return NULL;
-    /* n! numbers the leaves; refused before the bounds are read, so that one
-     * past a long long gets this error too */
-    long long fact = 1;
-    for (int m = 2; m <= self->size; m++) {
-        if (fact > LLONG_MAX / m)
-            return PyErr_Format(PyExc_OverflowError, "n! too large for compiled scan");
-        fact *= m;
-    }
-    long long start, stop;
+    long long start, stop, size;
     PyObject *failures;
-    if (!PyArg_ParseTuple(args, "LLO!:_walk_fillings", &start, &stop, &PyList_Type, &failures))
+    if (ready(self) < 0 || !PyArg_ParseTuple(args, "LLLO!:_walk_fillings", &start, &stop, &size,
+                                             &PyList_Type, &failures))
         return NULL;
     Walk w;
     int *buf = walk_alloc(&w, self, failures);
@@ -787,7 +780,7 @@ ShapeOps__walk_fillings(ShapeOps *self, PyObject *args)
         return NULL;
     w.start = start;
     w.stop = stop;
-    int rc = fill_visit(&w, 0, 0, fact / self->size, 1);
+    int rc = fill_visit(&w, 0, 0, size, 1);
     PyMem_Free(buf);
     return rc < 0 ? NULL : PyLong_FromLongLong(w.standard);
 }
@@ -810,8 +803,8 @@ static PyMethodDef ShapeOps_methods[] = {
     {"count_standard", (PyCFunction)ShapeOps_count_standard, METH_NOARGS,
      "Count the standard immaculate fillings by a pruned walk in traversal order."},
     {"_walk_fillings", (PyCFunction)ShapeOps__walk_fillings, METH_VARARGS,
-     "_walk_fillings(start, stop, failures)\n--\n\n"
-     "The checked walk of scan_fillings over a nonempty range within n!."},
+     "_walk_fillings(start, stop, size, failures)\n--\n\n"
+     "The checked walk of scan_fillings over a nonempty range within n! < 2**63."},
     {NULL}
 };
 

@@ -236,7 +236,7 @@ def count_formula(alpha: Composition, guard: int = FORMULA_GUARD) -> int:
     computed, since its cost grows without bound in time and memory.
     """
     require_within(alpha.n, guard, "too large to compute: the count formula",
-                   "raise guard= to compute n! anyway")
+                   "raise guard= (--guard) to compute n! anyway")
     q, r = divmod(math.factorial(alpha.n), alpha.hook_product())
     if r != 0:
         raise InternalCheckError(

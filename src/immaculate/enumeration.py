@@ -36,8 +36,8 @@ from .tableau import Tableau, split_flat
 
 @contextmanager
 def _walk_limits(n: int, doing: str):
-    """Report a kernel walk too deep for the stack, or too long for the C
-    twin's 64-bit leaf numbers, as a guard error naming the shape's size."""
+    """Report a kernel walk too deep for the stack, or a filling scan past
+    64-bit leaf numbers on either twin, as a guard error naming the shape's size."""
     try:
         yield
     except (RecursionError, OverflowError) as exc:
@@ -77,7 +77,7 @@ def count_brute(alpha: Composition, guard: int = BRUTE_GUARD) -> int:
     binomials.  It recurses once per cell.
     """
     require_within(alpha.n, guard, "brute-force counting",
-                   "use count_recursive or the formula instead, or raise guard=")
+                   "use count_recursive or the formula instead, or raise guard= (--guard)")
     with _walk_limits(alpha.n, "brute-force counting"):
         return get_backend().ShapeOps(alpha.parts).count_standard()
 
@@ -111,7 +111,7 @@ def count_recursive(alpha: Composition, guard: int = FORMULA_GUARD) -> int:
     The binomials are multiplied in a balanced tree (tree_product).
     """
     require_within(alpha.n, guard, "too large to compute: the first-row recursion",
-                   "raise guard= to compute it anyway")
+                   "raise guard= (--guard) to compute it anyway")
     # bottom-up, so that left is the number of cells from the row down
     parts = alpha.parts[::-1]
     return tree_product([math.comb(left - 1, part - 1)
@@ -400,7 +400,7 @@ def _verify_exhaustive(shapes: Iterable[Composition], jobs: int,
         pending: deque = deque()
         for alpha in shapes:
             require_within(alpha.n, guard, "exhaustive verification",
-                           "use mode='sampled' or raise guard=")
+                           "use mode='sampled' or raise guard= (--guard)")
             started = time.perf_counter()
             p_table = [t.flat() for t in enumerate_standard_immaculate(alpha)]
             x_tasks = _scan_tasks(alpha, "x", math.factorial(alpha.n), None, workers)

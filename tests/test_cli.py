@@ -89,6 +89,19 @@ class TestCount:
         assert capsys.readouterr().out == "1\n"
 
 
+@pytest.mark.parametrize("args", [
+    ("verify", "9"),
+    ("verify", "4,4", "--mode", "sampled", "--samples", "1", "--guard", "7"),
+    ("count", "11", "--method", "brute"),
+    ("count", "1,3", "--method", "recursive", "--guard", "3"),
+    ("count", "1,3", "--guard", "3"),
+])
+def test_guard_error_names_the_flag(capsys, args):
+    # a guard refusal from the library names the CLI flag beside guard=
+    assert main(list(args)) == 3
+    assert "guard= (--guard)" in capsys.readouterr().err
+
+
 class TestEnumerate:
     def test_text(self, capsys):
         assert main(["enumerate", "2,1,2"]) == 0

@@ -438,7 +438,7 @@ class TestStabilityAndCountWalk:
                 assert ops.count_standard() == len(brute_force_standard_immaculate(alpha)), alpha
 
 
-def _cli(backend, *args):
+def _cli(backend, *args, timeout=120):
     """The CLI as a subprocess on one backend, from the tree these tests import."""
     env = {k: v for k, v in os.environ.items() if k != "IMMACULATE_PURE"}
     if backend == "pure":
@@ -446,7 +446,7 @@ def _cli(backend, *args):
     tree = str(Path(immaculate.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [tree, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "immaculate.cli", *args],
-                          capture_output=True, text=True, timeout=120, env=env)
+                          capture_output=True, text=True, timeout=timeout, env=env)
 
 
 class TestWalkLimits:
@@ -459,14 +459,17 @@ class TestWalkLimits:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_verify_past_the_recursion_limit(self, backend):
-        # pure recurses past Python's limit; compiled cannot number 1000! leaves
+        # 1000! leaves are past 64-bit numbers, so neither twin starts a walk
+        # that would recurse past Python's limit
         self._exits_3(_cli(backend, "verify", "1000", "--guard", "1000"), 1000)
 
-    @needs_compiled
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_compiled_verify_past_64_bit_leaf_numbers(self, jobs):
-        # 21! > 2**63, so every task of the split scan fails at once
-        self._exits_3(_cli("compiled", "verify", "21", "--guard", "21", "--jobs", jobs), 21)
+    def test_verify_past_64_bit_leaf_numbers(self, backend, jobs):
+        # 21! > 2**63, so every task of the split scan fails at once; a walk
+        # of 21! leaves would never end, hence the short timeout
+        out = _cli(backend, "verify", "21", "--guard", "21", "--jobs", jobs, timeout=10)
+        self._exits_3(out, 21)
 
 
 class TestTypeSurface:
@@ -500,12 +503,16 @@ class TestTypeSurface:
         ops = get_backend(backend).ShapeOps((1,) * 21)
         assert ops.scan_pairs([tuple(range(1, 22))], 0, 1) == []
 
-    @needs_compiled
-    def test_compiled_filling_scan_refuses_long_factorial(self):
-        # a nonempty checked range is refused, even one whose leaf numbers
-        # all fit
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_filling_scan_refuses_long_factorial(self, backend):
+        # 20! is the last n! below 2**63: its first and last leaves scan;
+        # past it a nonempty checked range is refused, even one whose leaf
+        # numbers all fit
+        ops, last = get_backend(backend).ShapeOps((20,)), math.factorial(20)
+        assert ops.scan_fillings(0, 1) == (0, [])
+        assert ops.scan_fillings(last - 1, last) == (1, [])
         with pytest.raises(OverflowError, match="n! too large"):
-            compiled.ShapeOps((21,)).scan_fillings(0, 1)
+            get_backend(backend).ShapeOps((21,)).scan_fillings(0, 1)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_filling_scan_past_long_long_that_walks_nothing(self, backend):
